@@ -2,8 +2,10 @@
 
 For a model at parameters theta and operator F, the empirical system is
     G = (1/N) sum_i  g_i g_i^T,      p = (1/N) sum_i  g_i F[u_theta](x_i),
-with g_i = grad_theta u_theta(x_i). Records are cached as JSON lines so long
-sampling runs are resumable and byte-reproducible across thread counts.
+with g_i = grad_theta u_theta(x_i). Records are cached as fixed-size float64
+rows after a JSON header line (layout below), so long sampling runs are
+resumable, byte-reproducible across thread counts, and the trainer reads
+minibatches straight from the memory-mapped file.
 
 Also hosts the unrolled-gradient-descent projection field: the K-step descent
 on the convex quadratic  w^T G w - 2 w^T p  from w = 0.
@@ -11,18 +13,17 @@ on the convex quadratic  w^T G w - 2 w^T p  from w = 0.
 
 from __future__ import annotations
 
-import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, pde_ops, rom
-from .errors import CacheMismatch, NonFiniteError, StepTooLarge
+from . import binfile, linalg, pde_ops, rom
+from .errors import CacheMismatch, MissingArtifact, NonFiniteError, StepTooLarge
 from .sampling import SampleBatch, rng_for, sample_omega
 
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 
 
 @dataclass
@@ -105,47 +106,102 @@ def assemble_at(
 
 # ---------------------------------------------------------------------------
 # cache
+#
+# Layout (see binfile): a JSON header line, then one record of
+# 2m + m*m + 1 little-endian float64 per theta index, in index order:
+#     theta (m), rhs (m), gram (m*m, row-major), status.
+# The status word is written last, so a record cut short never reads as
+# finished: STATUS_OK marks an assembled record, STATUS_SKIPPED one whose
+# assembly went non-finite (its rhs and gram are zeros).
 
-def cache_header(arch: rom.RomArch, op: pde_ops.PdeOperator, n_x: int, seed: int) -> dict:
+STATUS_OK = 1.0
+STATUS_SKIPPED = 2.0
+_RERUN = "rerun sample-gram"
+
+
+@dataclass
+class GramCache:
+    """Memory-mapped cache contents; theta/gram/rhs are views into the file."""
+
+    header: dict
+    theta: np.ndarray  # (n, m)
+    gram: np.ndarray  # (n, m, m)
+    rhs: np.ndarray  # (n, m)
+    rows: np.ndarray  # indices of the STATUS_OK records
+
+
+def cache_header(arch: rom.RomArch, op: pde_ops.PdeOperator, n_x: int, seed: int, quadrature: str) -> dict:
+    """Every input that shapes a record; theta itself is checked per record."""
     return {
         "format_version": CACHE_FORMAT_VERSION,
         "kind": "gram_cache",
         "arch_hash": rom.arch_hash(arch),
         "op_tag": op.tag,
-        "n_x": n_x,
         "m": rom.param_count(arch),
+        "n_x": n_x,
         "seed": seed,
+        "quadrature": quadrature,
     }
 
 
-def _record_line(index: int, rec: GramRecord | None, reason: str = "") -> str:
-    if rec is None:
-        return json.dumps({"index": index, "skipped": True, "reason": reason})
-    return json.dumps(
-        {
-            "index": index,
-            "theta": rec.theta.tolist(),
-            "gram": rec.gram.ravel().tolist(),
-            "rhs": rec.rhs.tolist(),
-            "n_x": rec.n_x,
-            "seed": rec.seed,
-        }
-    )
+def _record_floats(m: int) -> int:
+    return 2 * m + m * m + 1
 
 
-def _count_existing(cache_path, header: dict) -> int:
-    """Validate an existing cache header and count its record lines."""
-    if not os.path.exists(cache_path):
+def _map_records(cache_path, header: dict, offset: int):
+    """(records, torn): the whole records as an (n, 2m+m*m+1) read-only
+    memmap and whether bytes of a partial record follow them."""
+    width = _record_floats(header["m"])
+    data_bytes = os.path.getsize(cache_path) - offset
+    n, tail = divmod(data_bytes, width * binfile.DTYPE.itemsize)
+    if n == 0:
+        return np.zeros((0, width), dtype=binfile.DTYPE), tail > 0
+    return np.memmap(cache_path, dtype=binfile.DTYPE, mode="r", offset=offset, shape=(n, width)), tail > 0
+
+
+def _finished(status: np.ndarray) -> int:
+    """Length of the leading run of finished (assembled or skipped) records."""
+    bad = np.flatnonzero((status != STATUS_OK) & (status != STATUS_SKIPPED))
+    return int(bad[0]) if bad.size else status.shape[0]
+
+
+def _resume_count(cache_path, header: dict, points: np.ndarray) -> int:
+    """Finished records of an existing cache that match header and thetas;
+    cuts off a torn tail. -1 when there is no cache yet."""
+    if not os.path.exists(cache_path) or os.path.getsize(cache_path) == 0:
         return -1
-    with open(cache_path) as fh:
-        first = fh.readline()
-        if not first.strip():
-            return -1
-        existing = json.loads(first)
-        for key in ("format_version", "kind", "arch_hash", "op_tag", "n_x", "m", "seed"):
-            if existing.get(key) != header[key]:
-                raise CacheMismatch(f"cache header mismatch on {key!r} in {cache_path}")
-        return sum(1 for line in fh if line.strip())
+    existing, offset = binfile.read_header(cache_path, "gram_cache", CACHE_FORMAT_VERSION, _RERUN)
+    for key, value in header.items():
+        if existing.get(key) != value:
+            raise CacheMismatch(f"cache header mismatch on {key!r} in {cache_path}; delete it and {_RERUN}")
+    records, _ = _map_records(cache_path, header, offset)
+    m = header["m"]
+    done = _finished(records[:, -1])
+    check = min(done, points.shape[0])
+    stale = np.flatnonzero(np.any(records[:check, :m] != points[:check], axis=1))
+    del records
+    if stale.size:
+        raise CacheMismatch(
+            f"record {int(stale[0])} of {cache_path} was assembled at a different theta "
+            f"(theta_space or anchors changed); delete it and {_RERUN}"
+        )
+    end = offset + done * _record_floats(m) * binfile.DTYPE.itemsize
+    if os.path.getsize(cache_path) != end:
+        os.truncate(cache_path, end)
+    return done
+
+
+def _record_bytes(theta: np.ndarray, rec: GramRecord | None) -> bytes:
+    m = theta.shape[0]
+    out = np.zeros(_record_floats(m), dtype=binfile.DTYPE)
+    out[:m] = theta
+    if rec is None:
+        out[-1] = STATUS_SKIPPED
+    else:
+        out[m : 2 * m] = rec.rhs
+        out[2 * m : -1] = rec.gram.ravel()
+        out[-1] = STATUS_OK
+    return out.tobytes()
 
 
 def assemble_batch(
@@ -161,19 +217,20 @@ def assemble_batch(
 ) -> dict:
     """Assemble records for every theta in order, appending to cache_path.
 
-    Resumable: records already present are skipped (the file is extended, not
-    rewritten), and per-record sample streams depend only on (seed, index), so
+    Resumable: finished records whose header and theta match are kept (the
+    file is extended, not rewritten) and a torn final record is cut off and
+    recomputed. Per-record sample streams depend only on (seed, index), so
     reruns and different thread counts produce byte-identical files.
-    Non-finite records are logged as skipped lines; returns summary stats.
+    Non-finite records are stored as skipped; returns summary stats.
     """
-    header = cache_header(arch, op, n_x, seed)
-    done = _count_existing(cache_path, header)
-    mode = "a"
+    header = cache_header(arch, op, n_x, seed, quadrature)
+    points = thetas.points
+    done = _resume_count(cache_path, header, points)
+    mode = "ab"
     if done < 0:
-        mode = "w"
+        mode = "wb"
         done = 0
 
-    points = thetas.points
     todo = list(range(done, points.shape[0]))
     skipped = 0
 
@@ -184,49 +241,50 @@ def assemble_batch(
             return None
 
     with open(cache_path, mode) as fh:
-        if mode == "w":
-            fh.write(json.dumps(header) + "\n")
+        if mode == "wb":
+            fh.write(binfile.encode_header(header))
         if threads > 1 and todo:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                for index, rec in zip(todo, pool.map(build, todo)):
+                results = pool.map(build, todo)
+                for index, rec in zip(todo, results):
                     if rec is None:
                         skipped += 1
-                    fh.write(_record_line(index, rec, reason="non-finite") + "\n")
+                    fh.write(_record_bytes(points[index], rec))
         else:
             for index in todo:
                 rec = build(index)
                 if rec is None:
                     skipped += 1
-                fh.write(_record_line(index, rec, reason="non-finite") + "\n")
-    return {"total": points.shape[0], "computed": len(todo), "resumed": done, "skipped": skipped}
+                fh.write(_record_bytes(points[index], rec))
+    return {"total": points.shape[0], "computed": len(todo), "resumed": min(done, points.shape[0]), "skipped": skipped}
 
 
-def read_cache(cache_path, expect_arch: rom.RomArch | None = None) -> tuple[dict, list[GramRecord]]:
-    """Load a Gram cache; optionally enforce the architecture hash."""
-    with open(cache_path) as fh:
-        header = json.loads(fh.readline())
-        if header.get("kind") != "gram_cache":
-            raise CacheMismatch(f"{cache_path} is not a gram cache")
-        if expect_arch is not None and header["arch_hash"] != rom.arch_hash(expect_arch):
-            raise CacheMismatch("cache arch_hash does not match the requested architecture")
-        m = header["m"]
-        records = []
-        for line in fh:
-            if not line.strip():
-                continue
-            doc = json.loads(line)
-            if doc.get("skipped"):
-                continue
-            records.append(
-                GramRecord(
-                    theta=np.array(doc["theta"]),
-                    gram=np.array(doc["gram"]).reshape(m, m),
-                    rhs=np.array(doc["rhs"]),
-                    n_x=doc["n_x"],
-                    seed=doc["seed"],
-                )
-            )
-    return header, records
+def read_cache(cache_path, expect_arch: rom.RomArch | None = None, n_records: int | None = None) -> GramCache:
+    """Memory-map a Gram cache; optionally enforce the architecture hash and
+    take exactly the first n_records records.
+
+    Raises CacheMismatch for a foreign, old-format or torn cache, and
+    MissingArtifact when fewer than n_records records are finished.
+    """
+    header, offset = binfile.read_header(cache_path, "gram_cache", CACHE_FORMAT_VERSION, _RERUN)
+    if expect_arch is not None and header["arch_hash"] != rom.arch_hash(expect_arch):
+        raise CacheMismatch("cache arch_hash does not match the requested architecture")
+    records, torn = _map_records(cache_path, header, offset)
+    done = _finished(records[:, -1])
+    if torn or done < records.shape[0]:
+        raise CacheMismatch(f"{cache_path} holds a partly written record; {_RERUN} to repair it")
+    if n_records is not None:
+        if done < n_records:
+            raise MissingArtifact(f"{cache_path} has {done} of {n_records} records; {_RERUN}")
+        records = records[:n_records]
+    m = header["m"]
+    return GramCache(
+        header=header,
+        theta=records[:, :m],
+        rhs=records[:, m : 2 * m],
+        gram=records[:, 2 * m : -1].reshape(-1, m, m),
+        rows=np.flatnonzero(records[:, -1] == STATUS_OK),
+    )
 
 
 # ---------------------------------------------------------------------------

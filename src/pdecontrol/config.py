@@ -12,6 +12,7 @@ Relative paths in the config resolve against out_dir.
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 from dataclasses import dataclass, field
@@ -297,7 +298,7 @@ class RunConfig:
 
     def path(self, name: str) -> str:
         defaults = {
-            "gram_cache": "caches/gram.jsonl",
+            "gram_cache": "caches/gram.bin",
             "traj_cache": "caches/traj.jsonl",
             "anchors": "caches/anchors.jsonl",
             "checkpoints": "checkpoints",
@@ -320,7 +321,8 @@ def load_config(path, overrides=(), out_dir: str | None = None, seed: int | None
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    doc = _merge(_DEFAULTS, doc)
+    # a deep copy: overrides below write into nested dicts of the result
+    doc = _merge(copy.deepcopy(_DEFAULTS), doc)
     for expr in overrides:
         key, value = parse_override(expr)
         apply_override(doc, key, value)

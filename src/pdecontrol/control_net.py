@@ -19,16 +19,17 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import erf
 
+from . import binfile
 from .errors import CacheMismatch, NonFiniteError
 from .optim import Adam, plateau_triggered
 from .sampling import rng_for
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -108,6 +109,8 @@ def _unpack(arch: ControlArch, xi: np.ndarray):
 class ControlNet:
     arch: ControlArch
     xi: np.ndarray
+    # the layer views of xi, unpacked once (views, so they share xi's memory)
+    params: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         xi = np.ascontiguousarray(self.xi, dtype=np.float64)
@@ -115,6 +118,7 @@ class ControlNet:
         expect = control_param_count(self.arch)
         if xi.shape != (expect,):
             raise ValueError(f"xi must have shape ({expect},), got {xi.shape}")
+        object.__setattr__(self, "params", _unpack(self.arch, xi))
 
     def __call__(self, theta: np.ndarray) -> np.ndarray:
         return forward(self, theta)
@@ -140,7 +144,7 @@ def init_control_params(arch: ControlArch, seed: int) -> np.ndarray:
 
 
 def _forward_cached(net: ControlNet, TH: np.ndarray):
-    U0, b0, blocks, W_out, b_out = _unpack(net.arch, net.xi)
+    U0, b0, blocks, W_out, b_out = net.params
     H = np.tanh(TH @ U0.T + b0)
     cache = {"H0": H, "TH": TH, "gates": [], "tanhs": [], "h_in": [], "pre_gate": []}
     for U, b, Ug, bg in blocks:
@@ -154,7 +158,7 @@ def _forward_cached(net: ControlNet, TH: np.ndarray):
         H = H + gate * T
     out = H @ W_out.T + b_out
     cache["H_last"] = H
-    return out, cache, (U0, b0, blocks, W_out, b_out)
+    return out, cache
 
 
 def forward(net: ControlNet, theta) -> np.ndarray:
@@ -164,15 +168,15 @@ def forward(net: ControlNet, theta) -> np.ndarray:
     TH = th[None, :] if single else th
     if TH.shape[1] != net.arch.input_dim:
         raise ValueError("theta dimension does not match the control net")
-    out, _, _ = _forward_cached(net, TH)
+    out, _ = _forward_cached(net, TH)
     if not np.all(np.isfinite(out)):
         raise NonFiniteError("control field evaluation overflowed")
     return out[0] if single else out
 
 
-def _backward_xi(net: ControlNet, cache, params, dout: np.ndarray) -> np.ndarray:
+def _backward_xi(net: ControlNet, cache, dout: np.ndarray) -> np.ndarray:
     """Gradient of sum(dout * out) with respect to the flat xi."""
-    U0, b0, blocks, W_out, b_out = params
+    U0, b0, blocks, W_out, b_out = net.params
     TH = cache["TH"]
     grads = np.empty_like(net.xi)
     m, w = net.arch.input_dim, net.arch.width
@@ -224,7 +228,7 @@ def _backward_xi(net: ControlNet, cache, params, dout: np.ndarray) -> np.ndarray
 
 def jvp_theta(net: ControlNet, TH: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Directional derivative (d/ds) V(theta + s v) at s=0, batched."""
-    U0, b0, blocks, W_out, b_out = _unpack(net.arch, net.xi)
+    U0, b0, blocks, W_out, b_out = net.params
     A0 = TH @ U0.T + b0
     H = np.tanh(A0)
     Hd = (1.0 - H * H) * (V @ U0.T)
@@ -242,8 +246,8 @@ def jvp_theta(net: ControlNet, TH: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 def vjp_theta(net: ControlNet, TH: np.ndarray, U_cot: np.ndarray) -> np.ndarray:
     """Cotangent pullback J(theta)^T u, batched over rows."""
-    out, cache, params = _forward_cached(net, TH)
-    U0, b0, blocks, W_out, b_out = params
+    _, cache = _forward_cached(net, TH)
+    U0, b0, blocks, W_out, b_out = net.params
     dH = U_cot @ W_out
     dTH = np.zeros_like(TH)
     for k in range(net.arch.n_blocks - 1, -1, -1):
@@ -264,21 +268,15 @@ def vjp_theta(net: ControlNet, TH: np.ndarray, U_cot: np.ndarray) -> np.ndarray:
 # losses
 
 
-def loss_l1(net: ControlNet, records) -> tuple[float, np.ndarray]:
-    """Mean squared projection residual |G V(theta) - p|^2 and its xi-gradient."""
-    TH = np.stack([r.theta for r in records])
-    G = np.stack([r.gram for r in records])
-    P = np.stack([r.rhs for r in records])
-    return _loss_l1_arrays(net, TH, G, P)
-
-
-def _loss_l1_arrays(net, TH, G, P):
-    out, cache, params = _forward_cached(net, TH)
+def loss_l1(net: ControlNet, TH: np.ndarray, G: np.ndarray, P: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean squared projection residual |G V(theta) - p|^2 over the rows of
+    (TH, G, P), shapes (n, m), (n, m, m), (n, m), and its xi-gradient."""
+    out, cache = _forward_cached(net, TH)
     res = np.einsum("nij,nj->ni", G, out) - P
     n = TH.shape[0]
     loss = float(np.mean(np.sum(res * res, axis=1)))
     dout = 2.0 * np.einsum("nij,ni->nj", G, res) / n  # G symmetric
-    grad = _backward_xi(net, cache, params, dout)
+    grad = _backward_xi(net, cache, dout)
     return loss, grad
 
 
@@ -292,12 +290,12 @@ def loss_l2(net: ControlNet, traj_pairs) -> tuple[float, np.ndarray]:
 
 
 def _loss_l2_arrays(net, TH, V):
-    out, cache, params = _forward_cached(net, TH)
+    out, cache = _forward_cached(net, TH)
     res = out - V
     n = TH.shape[0]
     loss = float(np.mean(np.sum(res * res, axis=1)))
     dout = 2.0 * res / n
-    grad = _backward_xi(net, cache, params, dout)
+    grad = _backward_xi(net, cache, dout)
     return loss, grad
 
 
@@ -329,13 +327,14 @@ class TrainConfig:
 
 
 class _Batcher:
-    """Deterministic epoch-shuffled minibatch index stream."""
+    """Deterministic epoch-shuffled minibatch stream over the given rows."""
 
-    def __init__(self, n: int, batch_size: int, rng: np.random.Generator):
+    def __init__(self, rows: np.ndarray, batch_size: int, rng: np.random.Generator):
+        n = rows.shape[0]
         self.n = n
         self.bs = n if batch_size in (0, None) or batch_size >= n else batch_size
         self.rng = rng
-        self.order = np.arange(n)
+        self.order = rows.copy()
         self.pos = n  # force shuffle on first call
 
     def next(self) -> np.ndarray:
@@ -349,25 +348,31 @@ class _Batcher:
 
 def train(
     net: ControlNet,
-    gram_records,
+    gram,
     traj_pairs,
     cfg: TrainConfig,
+    rows: np.ndarray | None = None,
 ) -> tuple[ControlNet, list[tuple[int, float, float, float]]]:
     """Minimize l1 + zeta*l2 with ADAM over shuffled minibatches.
 
-    gram_records: list of GramRecord (may be empty only if traj_pairs given).
+    gram: (thetas, grams, rhs) arrays of shapes (n, m), (n, m, m), (n, m),
+    e.g. the memory-mapped views of assembly.read_cache, or None. Each
+    minibatch is gathered from them directly. rows selects the records to
+    train on (default all), e.g. GramCache.rows to leave out skipped ones.
     traj_pairs: (thetas, velocities) arrays or None.
     Stops at stop_loss, on loss plateau, or at max_steps. Returns the trained
     net and the per-step history (step, l1, l2, l_total).
     """
     m = net.arch.input_dim
     TH = G = P = None
-    if gram_records:
-        TH = np.stack([r.theta for r in gram_records])
-        G = np.stack([r.gram for r in gram_records])
-        P = np.stack([r.rhs for r in gram_records])
+    if gram is not None:
+        TH, G, P = gram
+        if rows is None:
+            rows = np.arange(TH.shape[0])
         if TH.shape[1] != m:
             raise CacheMismatch("gram cache dimension does not match control net")
+        if rows.shape[0] == 0:
+            TH = None
     T2 = V2 = None
     use_l2 = traj_pairs is not None and cfg.zeta > 0
     if use_l2:
@@ -381,8 +386,8 @@ def train(
         raise ValueError("nothing to train on: empty gram cache and no trajectory pairs")
 
     rng = rng_for(cfg.seed, stream=2)
-    batcher1 = _Batcher(TH.shape[0], cfg.batch_size, rng) if TH is not None else None
-    batcher2 = _Batcher(T2.shape[0], cfg.batch_size, rng) if use_l2 else None
+    batcher1 = _Batcher(rows, cfg.batch_size, rng) if TH is not None else None
+    batcher2 = _Batcher(np.arange(T2.shape[0]), cfg.batch_size, rng) if use_l2 else None
 
     xi = net.xi.copy()
     adam = Adam(xi.size, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps)
@@ -395,7 +400,7 @@ def train(
         grad = np.zeros_like(xi)
         if batcher1 is not None:
             idx = batcher1.next()
-            l1, g1 = _loss_l1_arrays(current, TH[idx], G[idx], P[idx])
+            l1, g1 = loss_l1(current, TH[idx], G[idx], P[idx])
             grad += g1
         if batcher2 is not None:
             idx2 = batcher2.next()
@@ -417,13 +422,9 @@ def train(
     return ControlNet(net.arch, xi), history
 
 
-def residual_scan(net: ControlNet, records) -> np.ndarray:
+def residual_scan(net: ControlNet, TH: np.ndarray, G: np.ndarray, P: np.ndarray) -> np.ndarray:
     """|G V(theta) - p| per cached record (training-quality diagnostic)."""
-    TH = np.stack([r.theta for r in records])
-    out = forward(net, TH)
-    res = np.einsum("nij,nj->ni", np.stack([r.gram for r in records]), out) - np.stack(
-        [r.rhs for r in records]
-    )
+    res = np.einsum("nij,nj->ni", G, forward(net, TH)) - P
     return np.linalg.norm(res, axis=1)
 
 
@@ -431,21 +432,29 @@ def residual_scan(net: ControlNet, records) -> np.ndarray:
 # persistence
 
 
+# A checkpoint is a binfile: the header {format_version, kind, arch} and the
+# flat xi as control_param_count(arch) float64.
+
+
 def save_control_checkpoint(net: ControlNet, path) -> None:
-    doc = {
+    header = {
         "format_version": FORMAT_VERSION,
+        "kind": "control_checkpoint",
         "arch": {"input_dim": net.arch.input_dim, "width": net.arch.width, "depth": net.arch.depth},
-        "xi": net.xi.tolist(),
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    with open(path, "wb") as fh:
+        fh.write(binfile.encode_header(header))
+        fh.write(net.xi.astype(binfile.DTYPE, copy=False).tobytes())
 
 
 def load_control_checkpoint(path) -> ControlNet:
-    with open(path) as fh:
-        doc = json.load(fh)
-    arch = ControlArch(**doc["arch"])
-    return ControlNet(arch=arch, xi=np.array(doc["xi"], dtype=np.float64))
+    header, offset = binfile.read_header(path, "control_checkpoint", FORMAT_VERSION, "rerun train-control")
+    arch = ControlArch(**header["arch"])
+    n = control_param_count(arch)
+    xi = np.fromfile(path, dtype=binfile.DTYPE, offset=offset)
+    if xi.shape != (n,):
+        raise CacheMismatch(f"{path} holds {xi.size} of {n} parameters; rerun train-control")
+    return ControlNet(arch=arch, xi=xi)
 
 
 def save_loss_history(history, path) -> None:

@@ -172,7 +172,7 @@ def cmd_gen_trajectories(cfg: RunConfig) -> dict:
 
 
 def control_checkpoint_path(cfg: RunConfig) -> str:
-    return os.path.join(cfg.path("checkpoints"), "control.json")
+    return os.path.join(cfg.path("checkpoints"), "control.bin")
 
 
 def cmd_train_control(
@@ -185,12 +185,12 @@ def cmd_train_control(
     the trajectory pairs alone (curriculum warmup for stiff selections)."""
     cfg.ensure_layout()
     arch = cfg.rom_arch()
-    records = []
+    cache = None
     if not pairs_only:
         gram_path = cfg.path("gram_cache")
         if not os.path.exists(gram_path):
             raise MissingArtifact(f"gram cache {gram_path} not found; run sample-gram first")
-        _, records = assembly.read_cache(gram_path, expect_arch=arch)
+        cache = assembly.read_cache(gram_path, expect_arch=arch, n_records=cfg.raw["counts"]["n_theta"])
     pairs = None
     traj_path = cfg.path("traj_cache")
     if os.path.exists(traj_path):
@@ -212,7 +212,10 @@ def cmd_train_control(
     tcfg = cfg.train_config(**(train_overrides or {}))
     if pairs_only and tcfg.zeta == 0:
         tcfg.zeta = 1.0
-    net, history = cn.train(net, records, pairs, tcfg)
+    if cache is None:
+        net, history = cn.train(net, None, pairs, tcfg)
+    else:
+        net, history = cn.train(net, (cache.theta, cache.gram, cache.rhs), pairs, tcfg, rows=cache.rows)
     cn.save_control_checkpoint(net, ckpt)
     mode = "a" if resume else "w"
     hist_path = os.path.join(cfg.out_dir, "curves", "loss_history.csv")
@@ -222,7 +225,8 @@ def cmd_train_control(
         for step, l1, l2, total in history:
             fh.write(f"{step},{l1!r},{l2!r},{total!r}\n")
     final = history[-1][3] if history else float("nan")
-    return {"steps": len(history), "final_loss": final, "records": len(records),
+    records = 0 if cache is None else int(cache.rows.shape[0])
+    return {"steps": len(history), "final_loss": final, "records": records,
             "pairs": 0 if pairs is None else int(pairs[0].shape[0])}
 
 
@@ -267,7 +271,7 @@ def cmd_solve(cfg: RunConfig, anchor_index: int = 0) -> dict:
     }
     path = solution_path(cfg, anchor_index)
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))
     return {
         "path": path,
         "steps": traj.thetas.shape[0] - 1,

@@ -110,26 +110,18 @@ def check_control_gradients(n_cases: int = 100, seed: int = 1, tol: float = 1e-4
         xi = cn.init_control_params(arch, seed + case) + 0.2 * rng.standard_normal(size)
         net = cn.ControlNet(arch, xi)
         A = rng.standard_normal((5, 5))
-        recs = [
-            assembly.GramRecord(
-                theta=rng.uniform(-1, 1, 5),
-                gram=A @ A.T / 5.0,
-                rhs=rng.standard_normal(5),
-                n_x=1,
-                seed=0,
-            )
-            for _ in range(2)
-        ]
+        draws = [(rng.uniform(-1, 1, 5), rng.standard_normal(5)) for _ in range(2)]
+        gram = (np.array([th for th, _ in draws]), np.stack([A @ A.T / 5.0] * 2), np.array([p for _, p in draws]))
         pairs = (rng.uniform(-1, 1, (3, 5)), rng.standard_normal((3, 5)))
-        _, g1 = cn.loss_l1(net, recs)
+        _, g1 = cn.loss_l1(net, *gram)
         _, g2 = cn.loss_l2(net, pairs)
         h = 1e-6
         for j in rng.choice(size, size=4, replace=False):
             xp, xm = xi.copy(), xi.copy()
             xp[j] += h
             xm[j] -= h
-            f1p, _ = cn.loss_l1(cn.ControlNet(arch, xp), recs)
-            f1m, _ = cn.loss_l1(cn.ControlNet(arch, xm), recs)
+            f1p, _ = cn.loss_l1(cn.ControlNet(arch, xp), *gram)
+            f1m, _ = cn.loss_l1(cn.ControlNet(arch, xm), *gram)
             fd1 = (f1p - f1m) / (2 * h)
             worst = max(worst, abs(g1[j] - fd1) / max(abs(fd1), 1e-2))
             f2p, _ = cn.loss_l2(cn.ControlNet(arch, xp), pairs)
@@ -259,8 +251,8 @@ def check_cache_determinism(tmp_dir: str | None = None) -> VerifyResult:
     ctx = tempfile.TemporaryDirectory() if tmp_dir is None else None
     root = tmp_dir or ctx.name
     try:
-        p1 = os.path.join(root, "a.jsonl")
-        p2 = os.path.join(root, "b.jsonl")
+        p1 = os.path.join(root, "a.bin")
+        p2 = os.path.join(root, "b.bin")
         assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 64, 3, p1, dom, threads=1)
         b1 = open(p1, "rb").read()
         assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 64, 3, p1, dom, threads=1)
@@ -269,10 +261,11 @@ def check_cache_determinism(tmp_dir: str | None = None) -> VerifyResult:
         b2 = open(p2, "rb").read()
         resume_ok = b1 == b1_rerun
         thread_ok = b1 == b2
-        # partial resume: truncate to half the records and rerun
-        lines = b1.decode().strip().split("\n")
-        with open(p1, "w") as fh:
-            fh.write("\n".join(lines[: 1 + 6]) + "\n")
+        # partial resume: cut the file inside the seventh record and rerun
+        m = rom.param_count(arch)
+        record = 8 * (2 * m + m * m + 1)
+        with open(p1, "wb") as fh:
+            fh.write(b1[: len(b1) - 6 * record + 100])
         assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 64, 3, p1, dom, threads=2)
         resume_partial_ok = open(p1, "rb").read() == b1
     finally:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pdecontrol import assembly, linalg, pde_ops, rom
-from pdecontrol.errors import CacheMismatch, StepTooLarge
+from pdecontrol.errors import CacheMismatch, MissingArtifact, PdeControlError, StepTooLarge
 from pdecontrol.sampling import Box, sample_omega, sample_theta
 
 
@@ -63,7 +63,7 @@ def test_monte_carlo_consistency_rate(unit_interval):
 def test_cache_resume_and_thread_determinism(tmp_path, unit_interval):
     arch = rom.RomArch("resnet_zero_boundary", 1, 4, 2, "tanh", {"family": "unit_box"})
     thetas = sample_theta(Box(1.0, rom.param_count(arch)), 10, seed=1)
-    p1 = tmp_path / "cache1.jsonl"
+    p1 = tmp_path / "cache1.bin"
     stats = assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 7, p1, unit_interval, threads=1)
     assert stats["computed"] == 10
     payload = p1.read_bytes()
@@ -72,7 +72,7 @@ def test_cache_resume_and_thread_determinism(tmp_path, unit_interval):
     assert stats2["computed"] == 0 and stats2["resumed"] == 10
     assert p1.read_bytes() == payload
 
-    p2 = tmp_path / "cache2.jsonl"
+    p2 = tmp_path / "cache2.bin"
     assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 7, p2, unit_interval, threads=4)
     assert p2.read_bytes() == payload
 
@@ -80,7 +80,7 @@ def test_cache_resume_and_thread_determinism(tmp_path, unit_interval):
 def test_cache_header_mismatch(tmp_path, unit_interval):
     arch = rom.fourier_sine_arch(3)
     thetas = sample_theta(Box(1.0, 3), 2, seed=0)
-    path = tmp_path / "c.jsonl"
+    path = tmp_path / "c.bin"
     assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 16, 0, path, unit_interval)
     with pytest.raises(CacheMismatch):
         assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 0, path, unit_interval)
@@ -93,11 +93,12 @@ def test_empty_batch_cache(tmp_path, unit_interval):
     arch = rom.fourier_sine_arch(2)
     empty = sample_theta(Box(1.0, 2), 1, seed=0)
     empty.points = empty.points[:0]
-    path = tmp_path / "empty.jsonl"
+    path = tmp_path / "empty.bin"
     stats = assembly.assemble_batch(arch, empty, pde_ops.Heat(), 16, 0, path, unit_interval)
     assert stats["total"] == 0
-    header, records = assembly.read_cache(path)
-    assert header["kind"] == "gram_cache" and records == []
+    cache = assembly.read_cache(path)
+    assert cache.header["kind"] == "gram_cache" and cache.rows.size == 0
+    assert cache.theta.shape == (0, 2) and cache.gram.shape == (0, 2, 2)
 
 
 def test_nonfinite_records_skipped(tmp_path, unit_interval):
@@ -106,14 +107,96 @@ def test_nonfinite_records_skipped(tmp_path, unit_interval):
     arch = rom.RomArch("linear_basis", 1, basis_spec=(("monomial", 1), ("monomial", 2)))
     thetas = sample_theta(Box(1.0, 2), 3, seed=0)
     thetas.points[1] = np.array([1e300, 1e300])
-    path = tmp_path / "skip.jsonl"
+    path = tmp_path / "skip.bin"
     with np.errstate(over="ignore", invalid="ignore"):
         stats = assembly.assemble_batch(arch, thetas, pde_ops.AllenCahn(1e-4), 16, 0, path, unit_interval)
     assert stats["skipped"] == 1
-    lines = path.read_text().strip().split("\n")
-    assert json.loads(lines[2]).get("skipped") is True
-    header, records = assembly.read_cache(path)
-    assert len(records) == 2
+    cache = assembly.read_cache(path)
+    assert cache.theta.shape[0] == 3
+    assert cache.rows.tolist() == [0, 2]
+    assert np.array_equal(cache.theta[1], thetas.points[1])
+
+
+def _small_cache(tmp_path, n=6, name="c.bin", threads=1, half_width=1.0, quadrature="mc"):
+    arch = rom.RomArch("resnet_zero_boundary", 1, 3, 2, "tanh", {"family": "unit_box"})
+    thetas = sample_theta(Box(half_width, rom.param_count(arch)), n, seed=2)
+    path = tmp_path / name
+    dom = (np.array([0.0]), np.array([1.0]))
+    stats = assembly.assemble_batch(
+        arch, thetas, pde_ops.Heat(), 24, 5, path, dom, threads=threads, quadrature=quadrature
+    )
+    return arch, thetas, path, stats
+
+
+def test_cache_roundtrip_exact_and_mapped(tmp_path, unit_interval):
+    arch, thetas, path, _ = _small_cache(tmp_path)
+    m = rom.param_count(arch)
+    cache = assembly.read_cache(path, expect_arch=arch)
+    record_bytes = 8 * (2 * m + m * m + 1)
+    # views into the mapped records, not copies
+    for a in (cache.theta, cache.gram, cache.rhs):
+        assert isinstance(a, np.memmap) and a.strides[0] == record_bytes
+    header_bytes = path.stat().st_size - 6 * record_bytes
+    assert header_bytes > 0 and header_bytes % 64 == 0
+    assert cache.rows.tolist() == list(range(6))
+    for i in range(6):
+        rec = assembly.assemble_at(arch, thetas.points[i], pde_ops.Heat(), unit_interval, 24, 5, stream=i + 1)
+        assert cache.theta[i].tobytes() == rec.theta.tobytes()
+        assert cache.gram[i].tobytes() == rec.gram.tobytes()
+        assert cache.rhs[i].tobytes() == rec.rhs.tobytes()
+
+
+def test_cache_torn_tail_is_recomputed(tmp_path):
+    _, _, clean, _ = _small_cache(tmp_path, name="clean.bin")
+    payload = clean.read_bytes()
+    arch, thetas, torn, _ = _small_cache(tmp_path, name="torn.bin")
+    torn.write_bytes(payload[:-37])
+    with pytest.raises(PdeControlError):
+        assembly.read_cache(torn)
+    stats = assembly.assemble_batch(
+        arch, thetas, pde_ops.Heat(), 24, 5, torn, (np.array([0.0]), np.array([1.0])), threads=2
+    )
+    assert stats["computed"] == 1 and stats["resumed"] == 5
+    assert torn.read_bytes() == payload
+    # a record whose status word never landed (zero-filled tail) is not finished
+    torn.write_bytes(payload[:-8] + bytes(8))
+    with pytest.raises(CacheMismatch):
+        assembly.read_cache(torn)
+    stats = assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 24, 5, torn, (np.array([0.0]), np.array([1.0])))
+    assert stats["computed"] == 1 and torn.read_bytes() == payload
+
+
+def test_cache_rejects_changed_theta_and_quadrature(tmp_path):
+    _small_cache(tmp_path, n=4)
+    with pytest.raises(CacheMismatch, match="different theta"):
+        _small_cache(tmp_path, n=4, half_width=5.0)
+    with pytest.raises(CacheMismatch, match="quadrature"):
+        _small_cache(tmp_path, n=4, quadrature="gauss")
+    # a longer run over the same thetas extends the cache
+    _, _, path, stats = _small_cache(tmp_path, n=6)
+    assert stats["resumed"] == 4 and stats["computed"] == 2
+
+
+def test_read_cache_first_n_records(tmp_path):
+    arch, thetas, path, _ = _small_cache(tmp_path, n=6)
+    cache = assembly.read_cache(path, n_records=4)
+    assert cache.theta.shape[0] == 4 and cache.rows.tolist() == [0, 1, 2, 3]
+    assert np.array_equal(cache.theta, thetas.points[:4])
+    with pytest.raises(MissingArtifact):
+        assembly.read_cache(path, n_records=7)
+
+
+def test_old_json_cache_rejected(tmp_path, unit_interval):
+    arch = rom.fourier_sine_arch(2)
+    path = tmp_path / "gram.jsonl"
+    old = {"format_version": 1, "kind": "gram_cache", "arch_hash": rom.arch_hash(arch), "op_tag": "heat",
+           "n_x": 16, "m": 2, "seed": 0}
+    path.write_text(json.dumps(old) + "\n" + json.dumps({"index": 0, "theta": [0.1, 0.2]}) + "\n")
+    with pytest.raises(CacheMismatch, match="rerun sample-gram"):
+        assembly.read_cache(path)
+    thetas = sample_theta(Box(1.0, 2), 2, seed=0)
+    with pytest.raises(CacheMismatch, match="rerun sample-gram"):
+        assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 16, 0, path, unit_interval)
 
 
 def test_gd_projection_identity_gram():

@@ -1,11 +1,13 @@
+import io
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pdecontrol import cli, config, fit, pipeline, rom
-from pdecontrol.errors import ConfigError
+from pdecontrol.errors import ConfigError, MissingArtifact
 
 HEAT_CFG = {
     "problem": {
@@ -183,3 +185,72 @@ def test_spec_from_dict_roundtrip():
         assert rebuilt.describe() == spec.describe()
     with pytest.raises(ConfigError):
         pipeline.spec_from_dict({"kind": "closure", "label": "x"})
+
+
+def test_overrides_do_not_leak_across_loads(heat_config, tmp_path):
+    # paths and initials.fit are nested keys the file omits: defaults fill them
+    first = config.load_config(
+        heat_config, overrides=["paths.gram_cache=elsewhere.bin", "initials.fit.lr=0.5"], out_dir=str(tmp_path)
+    )
+    assert first.path("gram_cache").endswith("elsewhere.bin")
+    second = config.load_config(heat_config, out_dir=str(tmp_path))
+    assert second.raw["paths"] == {}
+    assert second.raw["initials"]["fit"] == HEAT_CFG["initials"]["fit"]
+    assert config._DEFAULTS["paths"] == {} and config._DEFAULTS["initials"]["fit"] == {}
+
+
+def test_sample_gram_rejects_changed_theta_space(heat_config, tmp_path, capsys):
+    # a rerun with a wider box used to report resumed: 20, computed: 0
+    out = str(tmp_path / "out")
+    args = ["sample-gram", "--config", str(heat_config), "--out", out, "--set", "counts.n_theta=20"]
+    assert cli.main(args) == 0
+    assert cli.main(args + ["--set", "theta_space.half_width=5"]) == cli.EXIT_NUMERIC
+    assert "different theta" in capsys.readouterr().err
+    cfg = config.load_config(heat_config, out_dir=out, overrides=["counts.n_theta=20"])
+    assert pipeline.cmd_sample_gram(cfg) == {"total": 20, "computed": 0, "resumed": 20, "skipped": 0}
+
+
+def test_train_control_uses_exactly_n_theta_records(heat_config, tmp_path):
+    out = str(tmp_path / "out")
+    cfg = config.load_config(heat_config, out_dir=out)
+    pipeline.cmd_sample_gram(cfg)
+    fewer = config.load_config(heat_config, out_dir=out, overrides=["counts.n_theta=4"])
+    assert pipeline.cmd_train_control(fewer)["records"] == 4
+    more = config.load_config(heat_config, out_dir=out, overrides=["counts.n_theta=8"])
+    with pytest.raises(MissingArtifact):
+        pipeline.cmd_train_control(more)
+
+
+def test_torn_gram_cache_exit_code_and_repair(heat_config, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    cfg = config.load_config(heat_config, out_dir=out)
+    pipeline.cmd_sample_gram(cfg)
+    path = cfg.path("gram_cache")
+    payload = Path(path).read_bytes()
+    Path(path).write_bytes(payload[:-5])
+    assert cli.main(["train-control", "--config", str(heat_config), "--out", out]) == cli.EXIT_NUMERIC
+    assert "partly written" in capsys.readouterr().err
+    stats = pipeline.cmd_sample_gram(cfg)
+    assert stats["computed"] == 1
+    assert Path(path).read_bytes() == payload
+
+
+def test_json_artifacts_match_json_dump_bytes(heat_config, tmp_path):
+    out = str(tmp_path / "out")
+    cfg = config.load_config(heat_config, out_dir=out)
+    pipeline.cmd_fit_initial(cfg)
+    pipeline.cmd_sample_gram(cfg)
+    pipeline.cmd_gen_trajectories(cfg)
+    pipeline.cmd_train_control(cfg)
+    path = pipeline.cmd_solve(cfg, anchor_index=0)["path"]
+    written = Path(path).read_text()
+    old = io.StringIO()
+    json.dump(json.loads(written), old)
+    assert written == old.getvalue()
+    for name in ("anchors", "traj_cache"):
+        text = Path(cfg.path(name)).read_text()
+        old = io.StringIO()
+        for line in text.splitlines():
+            json.dump(json.loads(line), old)
+            old.write("\n")
+        assert text == old.getvalue()

@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
-from pdecontrol import assembly, control_net as cn
+from pdecontrol import assembly, control_net as cn, pde_ops, rom
 from pdecontrol.errors import CacheMismatch, NonFiniteError
 from pdecontrol.optim import Adam, plateau_triggered
+from pdecontrol.sampling import Box, sample_theta
 
 
 @pytest.fixture
@@ -64,11 +67,8 @@ def test_vjp_matches_jvp(small_arch, rng):
 
 def test_loss_l1_trivial_cases(small_arch, rng):
     net = make_net(small_arch)  # zero field
-    recs = [
-        assembly.GramRecord(theta=rng.uniform(-1, 1, 4), gram=np.eye(4), rhs=np.zeros(4), n_x=1, seed=0)
-        for _ in range(3)
-    ]
-    loss, grad = cn.loss_l1(net, recs)
+    TH = rng.uniform(-1, 1, (3, 4))
+    loss, grad = cn.loss_l1(net, TH, np.stack([np.eye(4)] * 3), np.zeros((3, 4)))
     assert loss == 0.0
     assert np.all(grad == 0.0)
 
@@ -82,16 +82,15 @@ def test_loss_l2_zero_net_unit_targets():
 
 def test_loss_gradients_match_fd(small_arch, rng):
     net = make_net(small_arch, jitter=0.2, rng=rng)
-    recs = []
+    TH, G, P = [], [], []
     for _ in range(3):
         A = rng.standard_normal((4, 4))
-        recs.append(
-            assembly.GramRecord(
-                theta=rng.uniform(-1, 1, 4), gram=A @ A.T / 4, rhs=rng.standard_normal(4), n_x=1, seed=0
-            )
-        )
+        TH.append(rng.uniform(-1, 1, 4))
+        G.append(A @ A.T / 4)
+        P.append(rng.standard_normal(4))
+    gram = (np.array(TH), np.array(G), np.array(P))
     pairs = (rng.uniform(-1, 1, (4, 4)), rng.standard_normal((4, 4)))
-    _, g1 = cn.loss_l1(net, recs)
+    _, g1 = cn.loss_l1(net, *gram)
     _, g2 = cn.loss_l2(net, pairs)
     h = 1e-6
     xi = net.xi
@@ -99,7 +98,7 @@ def test_loss_gradients_match_fd(small_arch, rng):
         xp, xm = xi.copy(), xi.copy()
         xp[j] += h
         xm[j] -= h
-        for grad, loss_fn in ((g1, lambda n: cn.loss_l1(n, recs)[0]), (g2, lambda n: cn.loss_l2(n, pairs)[0])):
+        for grad, loss_fn in ((g1, lambda n: cn.loss_l1(n, *gram)[0]), (g2, lambda n: cn.loss_l2(n, pairs)[0])):
             fd = (loss_fn(cn.ControlNet(small_arch, xp)) - loss_fn(cn.ControlNet(small_arch, xm))) / (2 * h)
             assert abs(grad[j] - fd) <= 1e-4 * max(abs(fd), 1e-3)
 
@@ -134,11 +133,8 @@ def test_plateau_detector_iff():
 def _toy_records(rng, n, m=4, scale=0.05):
     # exact-quadrature heat records on a small box: G = I, p = D theta
     D = -np.array([(k * np.pi) ** 2 for k in range(1, m + 1)])
-    recs = []
-    for _ in range(n):
-        th = rng.uniform(-scale, scale, m)
-        recs.append(assembly.GramRecord(theta=th, gram=np.eye(m), rhs=D * th, n_x=1, seed=0))
-    return recs
+    TH = np.array([rng.uniform(-scale, scale, m) for _ in range(n)])
+    return TH, np.stack([np.eye(m)] * n), TH * D
 
 
 def test_train_toy_linear_field_reaches_tolerance(rng):
@@ -184,9 +180,7 @@ def test_train_rejects_mismatched_cache(rng):
 
 
 def test_train_nonfinite_divergence(rng):
-    recs = [
-        assembly.GramRecord(theta=np.full(2, 1e160), gram=np.eye(2) * 1e160, rhs=np.zeros(2), n_x=1, seed=0)
-    ]
+    recs = (np.full((1, 2), 1e160), np.eye(2)[None] * 1e160, np.zeros((1, 2)))
     arch = cn.ControlArch(input_dim=2, width=4, depth=2)
     xi = cn.init_control_params(arch, 0)
     xi[-2:] = 1e160  # output bias enormous
@@ -198,26 +192,71 @@ def test_residual_scan_zero_when_exact(rng):
     # constant rhs with identity grams: output bias = p gives an exact fit
     m = 3
     p = rng.standard_normal(m)
-    recs = [
-        assembly.GramRecord(theta=rng.uniform(-1, 1, m), gram=np.eye(m), rhs=p.copy(), n_x=1, seed=0)
-        for _ in range(4)
-    ]
+    gram = (rng.uniform(-1, 1, (4, m)), np.stack([np.eye(m)] * 4), np.tile(p, (4, 1)))
     arch = cn.ControlArch(input_dim=m, width=4, depth=2)
     xi = cn.init_control_params(arch, 0)
     xi[-m:] = p  # output bias
     net = cn.ControlNet(arch, xi)
-    loss, _ = cn.loss_l1(net, recs)
+    loss, _ = cn.loss_l1(net, *gram)
     assert loss < 1e-28
-    assert np.all(cn.residual_scan(net, recs) < 1e-14)
+    assert np.all(cn.residual_scan(net, *gram) < 1e-14)
 
 
 def test_checkpoint_roundtrip(tmp_path, small_arch, rng):
     net = make_net(small_arch, jitter=0.1, rng=rng)
-    path = tmp_path / "control.json"
+    path = tmp_path / "control.bin"
     cn.save_control_checkpoint(net, path)
     loaded = cn.load_control_checkpoint(path)
     assert loaded.arch == small_arch
     assert np.array_equal(loaded.xi, net.xi)
+
+
+def test_checkpoint_rejects_old_json_and_torn_files(tmp_path, small_arch, rng):
+    net = make_net(small_arch, jitter=0.1, rng=rng)
+    old = tmp_path / "control.json"
+    old.write_text(json.dumps({"format_version": 1, "arch": {"input_dim": 4, "width": 8, "depth": 3},
+                               "xi": net.xi.tolist()}))
+    with pytest.raises(CacheMismatch, match="rerun train-control"):
+        cn.load_control_checkpoint(old)
+    path = tmp_path / "control.bin"
+    cn.save_control_checkpoint(net, path)
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(CacheMismatch):
+        cn.load_control_checkpoint(path)
+
+
+def _reference_forward(arch, xi, TH):
+    # the layer formula with the flat layout unpacked afresh on every call
+    U0, b0, blocks, W_out, b_out = cn._unpack(arch, xi.copy())
+    H = np.tanh(TH @ U0.T + b0)
+    for U, b, Ug, bg in blocks:
+        H = H + cn.gelu(TH @ Ug.T + bg) * np.tanh(H @ U.T + b)
+    return H @ W_out.T + b_out
+
+
+def test_forward_and_train_bit_identical(tmp_path, small_arch, rng):
+    net = make_net(small_arch, jitter=0.3, rng=rng)
+    TH = rng.uniform(-1, 1, (7, 4))
+    assert cn.forward(net, TH).tobytes() == _reference_forward(small_arch, net.xi, TH).tobytes()
+    assert cn.forward(net, TH[2]).tobytes() == _reference_forward(small_arch, net.xi, TH[2:3])[0].tobytes()
+
+    # training on a subset of rows of the mapped cache equals training on the
+    # stacked copies of those rows
+    arch = rom.RomArch("resnet_zero_boundary", 1, 2, 2, "tanh", {"family": "unit_box"})
+    m = rom.param_count(arch)
+    thetas = sample_theta(Box(1.0, m), 12, seed=3)
+    path = tmp_path / "gram.bin"
+    assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 1, path, (np.array([0.0]), np.array([1.0])))
+    cache = assembly.read_cache(path)
+    rows = np.array([0, 2, 3, 5, 7, 8, 9, 11])
+    carch = cn.ControlArch(input_dim=m, width=8, depth=3)
+    cfg = cn.TrainConfig(lr=1e-2, zeta=0.0, batch_size=3, stop_loss=0.0, stop_plateau_pct=None, max_steps=25, seed=4)
+    start = cn.ControlNet(carch, cn.init_control_params(carch, 1))
+    mapped, h1 = cn.train(start, (cache.theta, cache.gram, cache.rhs), None, cfg, rows=rows)
+    stacked = tuple(np.array(a[rows]) for a in (cache.theta, cache.gram, cache.rhs))
+    copied, h2 = cn.train(start, stacked, None, cfg)
+    assert h1 == h2
+    assert mapped.xi.tobytes() == copied.xi.tobytes()
 
 
 def test_loss_history_csv(tmp_path):
