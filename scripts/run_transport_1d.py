@@ -2,9 +2,10 @@
 """End-to-end 1-D transport experiment with the periodic ReLU model.
 
 The workflow mirrors configs/transport_1d.json: sample the projection cache
-over the box, generate Gram-march trajectories, train the control field with
-a trajectory-loss warmup followed by joint annealed stages, then solve and
-evaluate fresh random initial parameters against the shifted truth.
+over the box, train the control field on it in annealed stages, then solve
+and evaluate fresh random initial parameters against the shifted truth. The
+preset generates no trajectories (counts.n_traj = 0, train.zeta = 0), so
+training uses the projection loss alone and there is no trajectory warmup.
 """
 
 import argparse
@@ -16,8 +17,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from pdecontrol import pipeline
 from pdecontrol.config import load_config
 
-WARMUP = [(1e-2, 1200), (1e-3, 1200), (1e-4, 800)]  # trajectory loss only
-JOINT = [(3e-4, 3000), (1e-4, 3000)]
+STAGES = [(3e-4, 3000), (1e-4, 3000)]
 
 
 def main():
@@ -34,17 +34,11 @@ def main():
     print(pipeline.cmd_sample_gram(cfg))
     print("generating trajectories...")
     print(pipeline.cmd_gen_trajectories(cfg))
-    resume = False
-    for lr, steps in WARMUP:
+    for i, (lr, steps) in enumerate(STAGES):
         stats = pipeline.cmd_train_control(
-            cfg, resume=resume, pairs_only=True,
-            train_overrides={"lr": lr, "max_steps": steps, "batch_size": 0},
+            cfg, resume=(i > 0), train_overrides={"lr": lr, "max_steps": steps}
         )
-        resume = True
-        print(f"warmup lr={lr:g}: l_total={stats['final_loss']:.3e}")
-    for lr, steps in JOINT:
-        stats = pipeline.cmd_train_control(cfg, resume=True, train_overrides={"lr": lr, "max_steps": steps})
-        print(f"joint lr={lr:g}: l_total={stats['final_loss']:.3e}")
+        print(f"stage lr={lr:g}: l_total={stats['final_loss']:.3e}")
     for k in range(cfg.raw["initials"]["count"]):
         pipeline.cmd_solve(cfg, anchor_index=k)
         stats = pipeline.cmd_eval(cfg, anchor_index=k)

@@ -14,11 +14,9 @@ from .errors import (
     ConfigError,
     FactorizationFailure,
     MissingArtifact,
-    MissingDerivative,
     NoConvergence,
     NonFiniteError,
     PdeControlError,
-    StepTooLarge,
 )
 
 __version__ = "0.1.0"

@@ -6,9 +6,6 @@ with g_i = grad_theta u_theta(x_i). Records are cached as fixed-size float64
 rows after a JSON header line (layout below), so long sampling runs are
 resumable, byte-reproducible across thread counts, and the trainer reads
 minibatches straight from the memory-mapped file.
-
-Also hosts the unrolled-gradient-descent projection field: the K-step descent
-on the convex quadratic  w^T G w - 2 w^T p  from w = 0.
 """
 
 from __future__ import annotations
@@ -19,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import binfile, linalg, pde_ops, rom
-from .errors import CacheMismatch, MissingArtifact, NonFiniteError, StepTooLarge
-from .sampling import SampleBatch, rng_for, sample_omega
+from . import binfile, pde_ops, rom
+from .errors import CacheMismatch, MissingArtifact, NonFiniteError
+from .sampling import SampleBatch, sample_omega
 
 CACHE_FORMAT_VERSION = 2
 
@@ -285,28 +282,3 @@ def read_cache(cache_path, expect_arch: rom.RomArch | None = None, n_records: in
         gram=records[:, 2 * m : -1].reshape(-1, m, m),
         rows=np.flatnonzero(records[:, -1] == STATUS_OK),
     )
-
-
-# ---------------------------------------------------------------------------
-# unrolled gradient descent on the projection quadratic
-
-def quadratic_objective(record: GramRecord, w: np.ndarray, constant: float = 0.0) -> float:
-    """psi(w) = w^T G w - 2 w^T p (+ constant; the |F|^2 term is w-free)."""
-    return float(w @ (record.gram @ w) - 2.0 * w @ record.rhs + constant)
-
-
-def gd_projection_field(record: GramRecord, n_steps: int, h: float) -> np.ndarray:
-    """K-step gradient descent on the projection quadratic from w = 0.
-
-    Requires 0 < h < 1/lambda_max(G); grad psi(w) = 2(Gw - p).
-    """
-    if n_steps < 0:
-        raise ValueError("n_steps must be nonnegative")
-    lam = linalg.sym_eig_max(record.gram)
-    if h <= 0 or (lam > 0 and h >= 1.0 / lam):
-        raise StepTooLarge(f"need 0 < h < 1/lambda_max = {1.0 / lam if lam > 0 else np.inf:g}")
-    w = np.zeros_like(record.rhs)
-    G, p = record.gram, record.rhs
-    for _ in range(n_steps):
-        w = w - h * 2.0 * (G @ w - p)
-    return w

@@ -9,7 +9,6 @@ failure, 5 verification failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 

@@ -3,7 +3,7 @@ construction of the problem/architecture objects the commands share.
 
 Artifacts live under a fixed out_dir layout:
     out/caches/      gram + trajectory caches, anchor store
-    out/checkpoints/ control-field and model checkpoints
+    out/checkpoints/ control-field checkpoint
     out/curves/      loss history and error curves (CSV)
     out/slices/      pointwise comparison slices (CSV)
     out/report.json  verification report
@@ -15,7 +15,7 @@ from __future__ import annotations
 import copy
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import jsonschema
 import numpy as np
@@ -50,12 +50,9 @@ SCHEMA = {
             "type": "object",
             "required": ["kind", "domain", "horizon"],
             "properties": {
-                "kind": {"enum": ["transport", "heat", "allen_cahn", "semilinear"]},
+                "kind": {"enum": ["transport", "heat", "allen_cahn"]},
                 "velocity": {"type": "array", "items": {"type": "number"}},
                 "epsilon": {"type": "number", "exclusiveMinimum": 0},
-                "diffusion": {"type": "number", "minimum": 0},
-                "drift": {"type": "array", "items": {"type": "number"}},
-                "nonlinearity": {"enum": ["zero", "identity", "allen_cahn"]},
                 "domain": {
                     "type": "object",
                     "required": ["lo", "hi"],
@@ -65,7 +62,6 @@ SCHEMA = {
                     },
                 },
                 "horizon": {"type": "number", "exclusiveMinimum": 0},
-                "boundary": {"enum": ["zero_dirichlet", "periodic"]},
             },
             "additionalProperties": False,
         },
@@ -231,22 +227,12 @@ class RunConfig:
         kind = p["kind"]
         if kind == "transport":
             op = pde_ops.Transport(velocity=np.array(p.get("velocity", [1.0] * len(lo))))
-            boundary = p.get("boundary", "periodic")
         elif kind == "heat":
             op = pde_ops.Heat()
-            boundary = p.get("boundary", "zero_dirichlet")
-        elif kind == "allen_cahn":
-            op = pde_ops.AllenCahn(epsilon=p["epsilon"])
-            boundary = p.get("boundary", "zero_dirichlet")
         else:
-            op = pde_ops.Semilinear(
-                diffusion=p.get("diffusion", 0.0),
-                drift=np.array(p.get("drift", [0.0] * len(lo))),
-                nonlinearity=p.get("nonlinearity", "zero"),
-            )
-            boundary = p.get("boundary", "zero_dirichlet")
+            op = pde_ops.AllenCahn(epsilon=p["epsilon"])
         try:
-            return pde_ops.Problem(operator=op, lo=lo, hi=hi, horizon=p["horizon"], boundary=boundary)
+            return pde_ops.Problem(operator=op, lo=lo, hi=hi, horizon=p["horizon"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 

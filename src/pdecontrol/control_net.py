@@ -17,8 +17,7 @@ fresh net is the zero field.
 
 from __future__ import annotations
 
-import hashlib
-import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +26,7 @@ from scipy.special import erf
 from . import binfile
 from .errors import CacheMismatch, NonFiniteError
 from .optim import Adam, plateau_triggered
+from .rom import _split_flat
 from .sampling import rng_for
 
 FORMAT_VERSION = 2
@@ -70,38 +70,13 @@ def control_param_count(arch: ControlArch) -> int:
     return (w * m + w) + arch.n_blocks * per_block + (m * w + m)
 
 
-def control_arch_hash(arch: ControlArch) -> str:
-    blob = json.dumps(
-        {"input_dim": arch.input_dim, "width": arch.width, "depth": arch.depth},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
 def _unpack(arch: ControlArch, xi: np.ndarray):
     m, w = arch.input_dim, arch.width
-    pos = 0
-
-    def take(shape):
-        nonlocal pos
-        size = int(np.prod(shape))
-        out = xi[pos : pos + size].reshape(shape)
-        pos += size
-        return out
-
-    U0 = take((w, m))
-    b0 = take((w,))
-    blocks = []
-    for _ in range(arch.n_blocks):
-        U = take((w, w))
-        b = take((w,))
-        Ug = take((w, m))
-        bg = take((w,))
-        blocks.append((U, b, Ug, bg))
-    W_out = take((m, w))
-    b_out = take((m,))
-    assert pos == xi.shape[0]
+    shapes = [(w, m), (w,)] + [(w, w), (w,), (w, m), (w,)] * arch.n_blocks + [(m, w), (m,)]
+    views = iter(_split_flat(xi, shapes))
+    U0, b0 = next(views), next(views)
+    blocks = [(next(views), next(views), next(views), next(views)) for _ in range(arch.n_blocks)]
+    W_out, b_out = next(views), next(views)
     return U0, b0, blocks, W_out, b_out
 
 
@@ -457,8 +432,20 @@ def load_control_checkpoint(path) -> ControlNet:
     return ControlNet(arch=arch, xi=xi)
 
 
-def save_loss_history(history, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("step,l1,l2,l_total\n")
+def save_loss_history(history, path, resume: bool = False) -> None:
+    """Write the per-step (step, l1, l2, l_total) rows as CSV. With resume the
+    rows are appended to an existing file and their steps continue from its
+    last row, so annealed stages share one step count."""
+    offset = 0
+    append = resume and os.path.exists(path)
+    if append:
+        with open(path, "rb") as fh:
+            fh.seek(max(0, os.path.getsize(path) - 512))  # rows are under 100 bytes
+            last = fh.read().rstrip(b"\n").rsplit(b"\n", 1)[-1]
+        if last[:1].isdigit():  # not just the header
+            offset = int(last.split(b",", 1)[0])
+    with open(path, "a" if append else "w") as fh:
+        if not append:
+            fh.write("step,l1,l2,l_total\n")
         for step, l1, l2, total in history:
-            fh.write(f"{step},{l1!r},{l2!r},{total!r}\n")
+            fh.write(f"{step + offset},{l1!r},{l2!r},{total!r}\n")

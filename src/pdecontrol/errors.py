@@ -22,14 +22,6 @@ class NoConvergence(PdeControlError):
     """An iterative routine did not reach its tolerance."""
 
 
-class StepTooLarge(PdeControlError):
-    """Gradient-descent step size violates the stability bound h < 1/lambda_max."""
-
-
-class MissingDerivative(PdeControlError):
-    """An evaluation bundle lacks a derivative the operator needs."""
-
-
 class CacheMismatch(PdeControlError):
     """A cache or checkpoint does not match the requested architecture/operator."""
 

@@ -11,11 +11,11 @@ reported instead of crashing downstream consumers.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import assembly, linalg, pde_ops, rom
+from . import assembly, control_net as cn, linalg, pde_ops, rom
 from .errors import CacheMismatch, NonFiniteError
 from .sampling import SampleBatch, ThetaSpace, rng_for
 
@@ -36,9 +36,6 @@ class ParamTrajectory:
     @property
     def escaped(self) -> bool:
         return self.escape_step is not None
-
-    def state_at(self, j: int) -> np.ndarray:
-        return self.thetas[j]
 
 
 def _first_escape(thetas: np.ndarray, space: ThetaSpace | None) -> int | None:
@@ -112,15 +109,8 @@ def gen_trajectory(
     return traj
 
 
-def _field_callable(field_obj):
-    """Accept a ControlNet or any theta -> velocity callable."""
-    if callable(field_obj):
-        return field_obj
-    raise TypeError("field must be callable (ControlNet instances are)")
-
-
 def solve_ivp(
-    field_obj,
+    V,
     theta0: np.ndarray,
     horizon: float,
     n_steps: int,
@@ -128,7 +118,8 @@ def solve_ivp(
     theta_space: ThetaSpace | None = None,
     max_norm: float | None = None,
 ) -> ParamTrajectory:
-    """Integrate theta' = V(theta) with a classical explicit scheme.
+    """Integrate theta' = V(theta) with a classical explicit scheme; V is a
+    ControlNet or any theta -> velocity callable.
 
     scheme is "euler" or "rk4". If theta_space is given, escapes from it are
     flagged (not fatal); max_norm (defaulting to 10x the space diameter when a
@@ -138,7 +129,6 @@ def solve_ivp(
         raise ValueError("n_steps must be >= 1")
     if scheme not in ("euler", "rk4"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    V = _field_callable(field_obj)
     if max_norm is None and theta_space is not None:
         max_norm = GUARD_DIAMETER_FACTOR * theta_space.diameter()
 
@@ -179,59 +169,27 @@ def solve_ivp(
     return traj
 
 
-def field_stats(field_obj, thetas: SampleBatch, n_probe_iters: int = 8) -> tuple[float, float]:
-    """(M_V, L_V) estimates over a sample: the max field magnitude and the max
-    Jacobian operator norm, the latter by randomized power iteration using
-    forward/reverse directional products."""
-    from . import control_net as cn
-
+def field_stats(net: cn.ControlNet, thetas: SampleBatch, n_probe_iters: int = 8) -> tuple[float, float]:
+    """(M_V, L_V) estimates of a control net over a sample: the max field
+    magnitude and the max Jacobian operator norm, the latter by randomized
+    power iteration on the net's analytic forward/reverse directional
+    products (jvp_theta, vjp_theta)."""
     pts = thetas.points
     if pts.shape[0] == 0:
         raise ValueError("empty sample batch")
-    if isinstance(field_obj, cn.ControlNet):
-        vals = cn.forward(field_obj, pts)
-        m_v = float(np.linalg.norm(vals, axis=1).max())
-        rng = rng_for(thetas.seed, stream=3)
-        v = rng.standard_normal(pts.shape)
-        v /= np.maximum(np.linalg.norm(v, axis=1, keepdims=True), 1e-300)
-        sigma = np.zeros(pts.shape[0])
-        for _ in range(n_probe_iters):
-            w = cn.jvp_theta(field_obj, pts, v)
-            sigma = np.linalg.norm(w, axis=1)
-            u = w / np.maximum(sigma[:, None], 1e-300)
-            v = cn.vjp_theta(field_obj, pts, u)
-            v /= np.maximum(np.linalg.norm(v, axis=1, keepdims=True), 1e-300)
-        return m_v, float(sigma.max())
-
-    # generic callable: finite-difference Jacobian probes
-    V = _field_callable(field_obj)
-    vals = np.stack([V(p) for p in pts])
+    vals = cn.forward(net, pts)
     m_v = float(np.linalg.norm(vals, axis=1).max())
     rng = rng_for(thetas.seed, stream=3)
-    fd = 1e-6
-    sig_max = 0.0
-    for p in pts:
-        v = rng.standard_normal(p.shape)
-        v /= np.linalg.norm(v)
-        sigma = 0.0
-        for _ in range(n_probe_iters):
-            w = (V(p + fd * v) - V(p - fd * v)) / (2 * fd)
-            sigma = np.linalg.norm(w)
-            if sigma == 0.0:
-                break
-            # push back through the Jacobian transpose via central differences
-            jt = np.empty_like(p)
-            u = w / sigma
-            for i in range(p.shape[0]):
-                e = np.zeros_like(p)
-                e[i] = fd
-                jt[i] = (V(p + e) - V(p - e)) @ u / (2 * fd)
-            nv = np.linalg.norm(jt)
-            if nv == 0.0:
-                break
-            v = jt / nv
-        sig_max = max(sig_max, sigma)
-    return m_v, sig_max
+    v = rng.standard_normal(pts.shape)
+    v /= np.maximum(np.linalg.norm(v, axis=1, keepdims=True), 1e-300)
+    sigma = np.zeros(pts.shape[0])
+    for _ in range(n_probe_iters):
+        w = cn.jvp_theta(net, pts, v)
+        sigma = np.linalg.norm(w, axis=1)
+        u = w / np.maximum(sigma[:, None], 1e-300)
+        v = cn.vjp_theta(net, pts, u)
+        v /= np.maximum(np.linalg.norm(v, axis=1, keepdims=True), 1e-300)
+    return m_v, float(sigma.max())
 
 
 # ---------------------------------------------------------------------------

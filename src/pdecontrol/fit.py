@@ -12,11 +12,12 @@ Initial-condition families:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import rom
+from .errors import ConfigError
 from .optim import Adam
 from .sampling import sample_omega, sample_theta
 from .control_net import TrainConfig
@@ -78,6 +79,18 @@ class Closure:
 
 
 InitialSpec = RandomTheta | HeatCombo | ChebCombo | Closure
+
+
+def spec_from_dict(doc: dict) -> InitialSpec:
+    """Rebuild a spec from its describe() dict; closures cannot be rebuilt."""
+    kind = doc.get("kind")
+    if kind == "random_theta":
+        return RandomTheta(seed=doc["seed"])
+    if kind == "heat_combo":
+        return HeatCombo(coeffs=np.array(doc["coeffs"]))
+    if kind == "cheb_combo":
+        return ChebCombo(terms=tuple(tuple(t) for t in doc["terms"]))
+    raise ConfigError(f"cannot reconstruct initial spec of kind {kind!r}")
 
 
 def _heat_basis_values(X: np.ndarray) -> np.ndarray:
@@ -145,7 +158,6 @@ def fit_initial(
     cfg: TrainConfig,
     seed: int,
     theta_init: np.ndarray | None = None,
-    holdout_n: int | None = None,
 ) -> FitResult:
     """ADAM on the empirical squared error (1/N) sum (u_theta(x_n) - g(x_n))^2.
 
@@ -179,7 +191,7 @@ def fit_initial(
         grad = 2.0 * (ev.grad_theta.T @ res) / n
         theta = adam.step(theta, grad)
 
-    holdout = sample_omega(domain, holdout_n or n_x, seed, stream=HOLDOUT_STREAM)
+    holdout = sample_omega(domain, n_x, seed, stream=HOLDOUT_STREAM)
     model = rom.RomModel(arch, best_theta)
     res_h = rom.eval_batch(model, holdout.points, rom.EvalFlags(value=True)).value - eval_initial(
         spec, holdout.points

@@ -1,4 +1,5 @@
-"""Dense symmetric solves and spectral estimates used throughout the package.
+"""Dense symmetric linear algebra: the ridge solve behind each Gram-march
+step and the power-iteration top eigenvalue used by the verify checks.
 
 Vectors and matrices are plain float64 numpy arrays (1-D and row-major 2-D).
 Everything here is pure and deterministic: identical inputs give bit-identical
@@ -122,29 +123,3 @@ def sym_eig_max(gram) -> float:
             return ray
         prev = ray
     raise NoConvergence("power iteration did not converge in 10000 iterations")
-
-
-def gaussian_elimination_solve(gram, rhs) -> np.ndarray:
-    """Naive Gaussian elimination with partial pivoting.
-
-    Independent oracle for ridge_solve (lambda=0) on small invertible systems;
-    kept free of numpy.linalg on purpose.
-    """
-    G = as_matrix(gram).copy()
-    p = as_vector(rhs).copy()
-    m = G.shape[0]
-    for col in range(m):
-        pivot = col + int(np.argmax(np.abs(G[col:, col])))
-        if abs(G[pivot, col]) < 1e-14:
-            raise FactorizationFailure("pivot vanished in elimination oracle")
-        if pivot != col:
-            G[[col, pivot]] = G[[pivot, col]]
-            p[[col, pivot]] = p[[pivot, col]]
-        for row in range(col + 1, m):
-            factor = G[row, col] / G[col, col]
-            G[row, col:] -= factor * G[col, col:]
-            p[row] -= factor * p[col]
-    v = np.zeros(m)
-    for row in range(m - 1, -1, -1):
-        v[row] = (p[row] - G[row, row + 1 :] @ v[row + 1 :]) / G[row, row]
-    return v

@@ -1,20 +1,17 @@
-"""Differential operators for semilinear evolution equations and the
-closed-form error bounds used for verification.
+"""The three evolution operators of the presets (constant transport, heat,
+Allen-Cahn), the problem box they act on, and the closed-form error bounds
+used for verification.
 
-Operators have the shape F[u] = div(A grad u) + b . grad u + f(u) with
-constant coefficients; each concrete form declares the Lipschitz/ellipticity
-metadata consumed by the bound evaluators (never by the dynamics).
+Each operator declares the Lipschitz/ellipticity metadata consumed by the
+bound evaluators (never by the dynamics).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import MissingDerivative
-from .rom import EvalBundle
 
 
 @dataclass(frozen=True)
@@ -78,107 +75,36 @@ class AllenCahn:
         return f"allen_cahn[eps={self.epsilon!r}]"
 
 
-@dataclass(frozen=True)
-class Semilinear:
-    """Generic constant-coefficient form a*laplacian(u) + drift . grad u + f(u).
-
-    The diffusion tensor is restricted to scalar multiples of the identity so
-    the operator is computable from the Laplacian alone.
-    """
-
-    diffusion: float
-    drift: np.ndarray
-    nonlinearity: str  # "zero" | "identity" | "allen_cahn"
-
-    def __post_init__(self):
-        object.__setattr__(self, "drift", np.asarray(self.drift, dtype=np.float64))
-        if self.nonlinearity not in ("zero", "identity", "allen_cahn"):
-            raise ValueError(f"unknown nonlinearity {self.nonlinearity!r}")
-        if self.diffusion < 0:
-            raise ValueError("diffusion must be nonnegative")
-
-    @property
-    def lipschitz_f(self) -> float:
-        return {"zero": 0.0, "identity": 1.0, "allen_cahn": 1.5 * (3.0 * _AC_UMAX**2 - 1.0)}[
-            self.nonlinearity
-        ]
-
-    @property
-    def ellipticity(self) -> float:
-        return self.diffusion
-
-    div_b_bound: float = 0.0
-
-    @property
-    def tag(self) -> str:
-        comps = ",".join(repr(float(v)) for v in self.drift)
-        return f"semilinear[a={self.diffusion!r},b=({comps}),f={self.nonlinearity}]"
-
-
-PdeOperator = Transport | Heat | AllenCahn | Semilinear
-
-
-def _nonlin(tag: str, u):
-    if tag == "zero":
-        return 0.0 * u
-    if tag == "identity":
-        return u
-    return 1.5 * (u - u**3)
+PdeOperator = Transport | Heat | AllenCahn
 
 
 def required_flags(op: PdeOperator) -> dict:
-    """Minimal EvalBundle fields the operator consumes."""
+    """Minimal BatchEval fields the operator consumes."""
     if isinstance(op, Transport):
         return {"value": False, "grad_x": True, "laplacian": False}
     if isinstance(op, Heat):
         return {"value": False, "grad_x": False, "laplacian": True}
-    if isinstance(op, AllenCahn):
-        return {"value": True, "grad_x": False, "laplacian": True}
-    need_grad = bool(np.any(op.drift != 0.0))
-    return {"value": op.nonlinearity != "zero", "grad_x": need_grad, "laplacian": op.diffusion != 0.0}
-
-
-def apply_operator(op: PdeOperator, bundle: EvalBundle) -> float:
-    """F[u_theta](x) from a single-point evaluation bundle."""
-    need = required_flags(op)
-    if need["value"] and not bundle.flags.value:
-        raise MissingDerivative(f"{op.tag} needs the value")
-    if need["grad_x"] and not bundle.flags.grad_x:
-        raise MissingDerivative(f"{op.tag} needs grad_x")
-    if need["laplacian"] and not bundle.flags.laplacian:
-        raise MissingDerivative(f"{op.tag} needs the laplacian")
-    out = apply_operator_arrays(
-        op,
-        np.atleast_1d(np.float64(bundle.value)),
-        np.atleast_2d(bundle.grad_x),
-        np.atleast_1d(np.float64(bundle.laplacian)),
-    )
-    return float(out[0])
+    return {"value": True, "grad_x": False, "laplacian": True}
 
 
 def apply_operator_arrays(op: PdeOperator, value, grad_x, laplacian) -> np.ndarray:
-    """Vectorized F[u] over a batch; used by the assembly fast path."""
+    """F[u] over a batch of points from the rom.eval_batch fields."""
     if isinstance(op, Transport):
         return -(grad_x @ op.velocity)
     if isinstance(op, Heat):
         return np.asarray(laplacian, dtype=np.float64)
-    if isinstance(op, AllenCahn):
-        return op.epsilon * laplacian + 1.5 * (value - value**3)
-    out = op.diffusion * laplacian + _nonlin(op.nonlinearity, value)
-    if np.any(op.drift != 0.0):
-        out = out + grad_x @ op.drift
-    return out
+    return op.epsilon * laplacian + 1.5 * (value - value**3)
 
 
 @dataclass(frozen=True)
 class Problem:
-    """An operator on an axis-aligned box with a horizon and boundary type."""
+    """An operator on an axis-aligned box with a horizon. The boundary
+    condition is not stored here: the rom_arch kind enforces it."""
 
     operator: PdeOperator
     lo: np.ndarray
     hi: np.ndarray
     horizon: float
-    boundary: str  # "zero_dirichlet" | "periodic"
 
     def __post_init__(self):
         lo = np.asarray(self.lo, dtype=np.float64)
@@ -191,8 +117,6 @@ class Problem:
             raise ValueError("domain requires lo < hi per coordinate")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
-        if self.boundary not in ("zero_dirichlet", "periodic"):
-            raise ValueError(f"unknown boundary {self.boundary!r}")
 
     @property
     def dim(self) -> int:

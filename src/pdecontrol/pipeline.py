@@ -18,17 +18,6 @@ from .sampling import AnchorBalls, Box, rng_for, sample_theta
 SOLUTION_FORMAT_VERSION = 1
 
 
-def spec_from_dict(doc: dict) -> fit.InitialSpec:
-    kind = doc.get("kind")
-    if kind == "random_theta":
-        return fit.RandomTheta(seed=doc["seed"])
-    if kind == "heat_combo":
-        return fit.HeatCombo(coeffs=np.array(doc["coeffs"]))
-    if kind == "cheb_combo":
-        return fit.ChebCombo(terms=tuple(tuple(t) for t in doc["terms"]))
-    raise ConfigError(f"cannot reconstruct initial spec of kind {kind!r}")
-
-
 def sample_initial_specs(cfg: RunConfig, count: int | None = None, stream_offset: int = 0):
     """Draw initial-condition specs from the configured family."""
     ini = cfg.raw["initials"]
@@ -217,13 +206,7 @@ def cmd_train_control(
     else:
         net, history = cn.train(net, (cache.theta, cache.gram, cache.rhs), pairs, tcfg, rows=cache.rows)
     cn.save_control_checkpoint(net, ckpt)
-    mode = "a" if resume else "w"
-    hist_path = os.path.join(cfg.out_dir, "curves", "loss_history.csv")
-    with open(hist_path, mode) as fh:
-        if mode == "w":
-            fh.write("step,l1,l2,l_total\n")
-        for step, l1, l2, total in history:
-            fh.write(f"{step},{l1!r},{l2!r},{total!r}\n")
+    cn.save_loss_history(history, os.path.join(cfg.out_dir, "curves", "loss_history.csv"), resume=resume)
     final = history[-1][3] if history else float("nan")
     records = 0 if cache is None else int(cache.rows.shape[0])
     return {"steps": len(history), "final_loss": final, "records": records,
@@ -318,7 +301,7 @@ def cmd_reference(cfg: RunConfig, anchor_index: int = 0, nx: int = 100, nt: int 
     thetas, docs = fit.load_anchors(cfg.path("anchors"))
     if anchor_index >= len(docs):
         raise MissingArtifact(f"anchor {anchor_index} not in store")
-    spec = spec_from_dict(docs[anchor_index]["spec"])
+    spec = fit.spec_from_dict(docs[anchor_index]["spec"])
     grid = reference.solve_allen_cahn_imex(
         spec,
         cfg.raw["problem"]["epsilon"],
@@ -338,7 +321,7 @@ def build_reference(cfg: RunConfig, solution_doc: dict):
     problem = cfg.problem()
     kind = cfg.raw["problem"]["kind"]
     arch = cfg.rom_arch()
-    spec = spec_from_dict(solution_doc["initial"])
+    spec = fit.spec_from_dict(solution_doc["initial"])
     if kind == "transport":
         model = None
         if isinstance(spec, fit.RandomTheta):

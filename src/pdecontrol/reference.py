@@ -10,8 +10,7 @@ time-linear interpolation of strided snapshots.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -218,11 +217,9 @@ def error_curve(
     n_x: int,
     seed: int,
     max_times: int = 0,
-    squared: bool = False,
 ) -> ErrorCurve:
     """Monte-Carlo L2 error of u_{theta_t} against the reference along a
-    trajectory. One spatial sample is shared across times. With squared=True
-    the columns are reported in the squared-norm convention."""
+    trajectory. One spatial sample is shared across times."""
     lo = np.asarray(domain[0], dtype=np.float64)
     hi = np.asarray(domain[1], dtype=np.float64)
     vol = float(np.prod(hi - lo))
@@ -248,9 +245,6 @@ def error_curve(
         if nrm > REL_NORM_FLOOR:
             rel[out_i] = a / nrm
             defined[out_i] = True
-    if squared:
-        abs_err = abs_err**2
-        rel = rel**2
     return ErrorCurve(times=times, abs_err=abs_err, rel_err=rel, rel_defined=defined, n_x=n_x, seed=seed)
 
 

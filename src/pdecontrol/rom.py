@@ -11,8 +11,8 @@ where s = x for the zero-boundary wrapper (output multiplied by a distance
 function alpha) and s = beta(x) = (cos 2pi(x-b), sin 2pi(x-b)) for the
 periodic wrapper with trainable shift b.
 
-Parameter layout (frozen; checkpoints depend on it)
----------------------------------------------------
+Parameter layout (frozen; caches and anchor stores depend on it)
+----------------------------------------------------------------
 theta = [W0 (row-major), b0, W1, b1, ..., W_{L-1}, b_{L-1}, w_L, shift?]
 with the shift present only for the periodic wrapper. For linear bases theta
 holds the combination coefficients in basis order.
@@ -28,14 +28,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NonFiniteError
 from .sampling import rng_for
-
-FORMAT_VERSION = 1
 
 RESNET_ZERO_BOUNDARY = "resnet_zero_boundary"
 RESNET_PERIODIC = "resnet_periodic"
@@ -125,24 +124,31 @@ def param_count(arch: RomArch) -> int:
     return m
 
 
+def _split_flat(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive reshaped views of a flat parameter vector, one per shape;
+    the shapes must cover the vector exactly."""
+    views = []
+    pos = 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[pos : pos + size].reshape(shape))
+        pos += size
+    assert pos == flat.shape[0]
+    return views
+
+
 def _unpack(arch: RomArch, theta: np.ndarray):
     """Views into the flat parameter vector following the frozen layout."""
     din, w, L = arch.net_input_dim, arch.width, arch.depth
-    pos = 0
-
-    def take(shape):
-        nonlocal pos
-        size = int(np.prod(shape))
-        out = theta[pos : pos + size].reshape(shape)
-        pos += size
-        return out
-
-    W0 = take((w, din))
-    b0 = take((w,))
-    blocks = [(take((w, w)), take((w,))) for _ in range(L - 1)]
-    w_out = take((w,))
-    shift = take((arch.input_dim,)) if arch.kind == RESNET_PERIODIC else None
-    assert pos == theta.shape[0]
+    periodic = arch.kind == RESNET_PERIODIC
+    shapes = [(w, din), (w,)] + [(w, w), (w,)] * (L - 1) + [(w,)]
+    if periodic:
+        shapes.append((arch.input_dim,))
+    views = iter(_split_flat(theta, shapes))
+    W0, b0 = next(views), next(views)
+    blocks = [(next(views), next(views)) for _ in range(L - 1)]
+    w_out = next(views)
+    shift = next(views) if periodic else None
     return W0, b0, blocks, w_out, shift
 
 
@@ -192,17 +198,6 @@ class EvalFlags:
 
 
 @dataclass
-class EvalBundle:
-    """Single-point evaluation results; unrequested fields are zeroed."""
-
-    value: float
-    grad_x: np.ndarray
-    laplacian: float
-    grad_theta: np.ndarray
-    flags: EvalFlags
-
-
-@dataclass
 class BatchEval:
     """Batched evaluation over n points; unrequested fields are None."""
 
@@ -217,15 +212,9 @@ class BatchEval:
 # wrappers
 
 
-def wrapper_alpha(X, spec: dict) -> np.ndarray:
-    """Distance-like boundary factor: product over coordinates of
-    4(x - x^2) for the unit box (0,1)^d or (1 - x^2) for (-1,1)^d."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    factors, _, _ = _alpha_factors(X, spec)
-    return factors.prod(axis=1)
-
-
 def _alpha_factors(X: np.ndarray, spec: dict):
+    """Per-coordinate factors of the distance-like boundary factor alpha:
+    4(x - x^2) for the unit box (0,1)^d or (1 - x^2) for (-1,1)^d."""
     family = spec.get("family")
     if family == "unit_box":
         f = 4.0 * (X - X * X)
@@ -255,13 +244,6 @@ def _alpha_with_derivs(X: np.ndarray, spec: dict):
     dalpha = df * loo
     ddalpha = ddf * loo
     return alpha, dalpha, ddalpha
-
-
-def wrapper_beta(X, shift) -> np.ndarray:
-    """1-periodic features (cos 2pi(x-b), sin 2pi(x-b)), stacked column-wise."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    arg = TWO_PI * (X - np.asarray(shift, dtype=np.float64))
-    return np.concatenate([np.cos(arg), np.sin(arg)], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -506,39 +488,3 @@ def _check_finite_batch(out: BatchEval) -> None:
     for a in (out.value, out.grad_x, out.laplacian, out.grad_theta):
         if a is not None and not np.all(np.isfinite(a)):
             raise NonFiniteError("rom evaluation produced non-finite values")
-
-
-def eval(model: RomModel, x, need: EvalFlags = EvalFlags()) -> EvalBundle:
-    """Single-point evaluation; unrequested fields are zeroed."""
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    b = eval_batch(model, x, need)
-    d = model.arch.input_dim
-    m = model.theta.shape[0]
-    return EvalBundle(
-        value=float(b.value[0]) if b.value is not None else 0.0,
-        grad_x=b.grad_x[0].copy() if b.grad_x is not None else np.zeros(d),
-        laplacian=float(b.laplacian[0]) if b.laplacian is not None else 0.0,
-        grad_theta=b.grad_theta[0].copy() if b.grad_theta is not None else np.zeros(m),
-        flags=need,
-    )
-
-
-# ---------------------------------------------------------------------------
-# checkpoints
-
-
-def save_checkpoint(model: RomModel, path) -> None:
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "arch": arch_to_dict(model.arch),
-        "theta": model.theta.tolist(),
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-
-
-def load_checkpoint(path) -> RomModel:
-    with open(path) as fh:
-        doc = json.load(fh)
-    arch = arch_from_dict(doc["arch"])
-    return RomModel(arch=arch, theta=np.array(doc["theta"], dtype=np.float64))

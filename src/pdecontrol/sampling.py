@@ -7,7 +7,7 @@ pair alone, so parallel assembly is reproducible regardless of thread count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import assembly, control_net as cn, evolve, linalg, pde_ops, reference, rom
-from .sampling import Box, SampleBatch, rng_for, sample_omega, sample_theta
+from .sampling import Box, rng_for, sample_theta
 
 
 @dataclass
@@ -159,7 +159,8 @@ def check_euler_discrete_bound() -> VerifyResult:
     theta0 = np.array([1.0])
     space = Box(half_width=1.0, dim=1)
     batch = sample_theta(space, 512, seed=3)
-    m_v, l_v = evolve.field_stats(field, batch)
+    # the exact constants of V = -theta: |V(theta)| = |theta| and L_V = 1
+    m_v, l_v = float(np.abs(batch.points).max()), 1.0
     h = 0.05
     n = int(round(1.0 / h))
     euler = evolve.solve_ivp(field, theta0, 1.0, n, scheme="euler")
@@ -206,7 +207,8 @@ def check_gram_oracles() -> VerifyResult:
 
 
 def check_descent_lemma(n_quadratics: int = 200, seed: int = 5) -> VerifyResult:
-    """psi(w_K) - psi(v*) <= |v*|^2 / (2 K h) for K = 1..100, zero violations."""
+    """Gradient descent on psi(w) = w^T G w - 2 w^T p from w = 0 obeys
+    psi(w_K) - psi(v*) <= |v*|^2 / (2 K h) for K = 1..100, zero violations."""
     rng = rng_for(seed, stream=23)
     violations = 0
     for _ in range(n_quadratics):
@@ -214,15 +216,14 @@ def check_descent_lemma(n_quadratics: int = 200, seed: int = 5) -> VerifyResult:
         A = rng.standard_normal((m, m))
         G = A @ A.T / m + 0.05 * np.eye(m)
         p = rng.standard_normal(m)
-        rec = assembly.GramRecord(theta=np.zeros(m), gram=G, rhs=p, n_x=1, seed=0)
         lam = linalg.sym_eig_max(G)
         h = float(rng.uniform(0.05, 0.95)) / lam
         v_star = linalg.ridge_solve(G, p, 0.0)
-        psi_star = assembly.quadratic_objective(rec, v_star)
+        psi_star = float(v_star @ (G @ v_star) - 2.0 * v_star @ p)
         w = np.zeros(m)
         for k in range(1, 101):
             w = w - h * 2.0 * (G @ w - p)
-            gap = assembly.quadratic_objective(rec, w) - psi_star
+            gap = float(w @ (G @ w) - 2.0 * w @ p) - psi_star
             bound = float(v_star @ v_star) / (2.0 * k * h)
             if gap > bound + 1e-10:
                 violations += 1
@@ -231,7 +232,7 @@ def check_descent_lemma(n_quadratics: int = 200, seed: int = 5) -> VerifyResult:
 
 def check_theory_bound_shape() -> VerifyResult:
     """Monotone growth when the rate is nonnegative; t=0 returns eps0."""
-    op = pde_ops.Semilinear(diffusion=0.0, drift=[0.0], nonlinearity="identity")
+    op = pde_ops.AllenCahn(epsilon=1e-4)
     ts = np.linspace(0.0, 2.0, 40)
     vals = [pde_ops.theory_bound(op, 1.0, 0.02, 0.1, t) for t in ts]
     monotone = all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))

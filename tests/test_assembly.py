@@ -4,8 +4,38 @@ import numpy as np
 import pytest
 
 from pdecontrol import assembly, linalg, pde_ops, rom
-from pdecontrol.errors import CacheMismatch, MissingArtifact, PdeControlError, StepTooLarge
+from pdecontrol.errors import CacheMismatch, MissingArtifact, PdeControlError
 from pdecontrol.sampling import Box, sample_omega, sample_theta
+
+
+# Unrolled gradient descent on the projection quadratic: the oracle the
+# descent-lemma tests check the ridge solve and the projection system against.
+
+
+class StepTooLarge(ValueError):
+    """Gradient-descent step size violates the stability bound h < 1/lambda_max."""
+
+
+def quadratic_objective(record: assembly.GramRecord, w: np.ndarray, constant: float = 0.0) -> float:
+    """psi(w) = w^T G w - 2 w^T p (+ constant; the |F|^2 term is w-free)."""
+    return float(w @ (record.gram @ w) - 2.0 * w @ record.rhs + constant)
+
+
+def gd_projection_field(record: assembly.GramRecord, n_steps: int, h: float) -> np.ndarray:
+    """K-step gradient descent on the projection quadratic from w = 0.
+
+    Requires 0 < h < 1/lambda_max(G); grad psi(w) = 2(Gw - p).
+    """
+    if n_steps < 0:
+        raise ValueError("n_steps must be nonnegative")
+    lam = linalg.sym_eig_max(record.gram)
+    if h <= 0 or (lam > 0 and h >= 1.0 / lam):
+        raise StepTooLarge(f"need 0 < h < 1/lambda_max = {1.0 / lam if lam > 0 else np.inf:g}")
+    w = np.zeros_like(record.rhs)
+    G, p = record.gram, record.rhs
+    for _ in range(n_steps):
+        w = w - h * 2.0 * (G @ w - p)
+    return w
 
 
 def test_fourier_gram_is_identity(unit_interval):
@@ -201,9 +231,9 @@ def test_old_json_cache_rejected(tmp_path, unit_interval):
 
 def test_gd_projection_identity_gram():
     rec = assembly.GramRecord(theta=np.zeros(2), gram=np.eye(2), rhs=np.array([2.0, -1.0]), n_x=1, seed=0)
-    w1 = assembly.gd_projection_field(rec, 1, 0.4)
+    w1 = gd_projection_field(rec, 1, 0.4)
     assert np.allclose(w1, 0.8 * rec.rhs, atol=1e-14)
-    w_many = assembly.gd_projection_field(rec, 200, 0.4)
+    w_many = gd_projection_field(rec, 200, 0.4)
     assert np.allclose(w_many, rec.rhs, atol=1e-12)
 
 
@@ -211,14 +241,14 @@ def test_gd_projection_zero_rhs_fixed_point(rng):
     A = rng.standard_normal((4, 4))
     rec = assembly.GramRecord(theta=np.zeros(4), gram=A @ A.T, rhs=np.zeros(4), n_x=1, seed=0)
     lam = linalg.sym_eig_max(rec.gram)
-    w = assembly.gd_projection_field(rec, 50, 0.5 / lam)
+    w = gd_projection_field(rec, 50, 0.5 / lam)
     assert np.all(w == 0.0)
 
 
 def test_gd_projection_step_too_large(rng):
     rec = assembly.GramRecord(theta=np.zeros(2), gram=np.eye(2), rhs=np.ones(2), n_x=1, seed=0)
     with pytest.raises(StepTooLarge):
-        assembly.gd_projection_field(rec, 5, 1.0)  # 1/lambda_max = 1
+        gd_projection_field(rec, 5, 1.0)  # 1/lambda_max = 1
 
 
 def test_gd_objective_descent(rng):
@@ -230,10 +260,10 @@ def test_gd_objective_descent(rng):
         rec = assembly.GramRecord(theta=np.zeros(m), gram=G, rhs=p, n_x=1, seed=0)
         lam = linalg.sym_eig_max(G)
         h = float(rng.uniform(0.1, 0.9)) / max(lam, 1e-12)
-        psi0 = assembly.quadratic_objective(rec, np.zeros(m))
+        psi0 = quadratic_objective(rec, np.zeros(m))
         for K in (1, 3, 10, 40):
-            w = assembly.gd_projection_field(rec, K, h)
-            assert assembly.quadratic_objective(rec, w) <= psi0 + 1e-12
+            w = gd_projection_field(rec, K, h)
+            assert quadratic_objective(rec, w) <= psi0 + 1e-12
 
 
 def test_descent_lemma_bound(rng):
@@ -247,10 +277,10 @@ def test_descent_lemma_bound(rng):
         lam = linalg.sym_eig_max(G)
         h = float(rng.uniform(0.05, 0.95)) / lam
         v_star = linalg.ridge_solve(G, p, 0.0)
-        psi_star = assembly.quadratic_objective(rec, v_star)
+        psi_star = quadratic_objective(rec, v_star)
         for K in (1, 2, 5, 20, 100):
-            w = assembly.gd_projection_field(rec, K, h)
-            gap = assembly.quadratic_objective(rec, w) - psi_star
+            w = gd_projection_field(rec, K, h)
+            gap = quadratic_objective(rec, w) - psi_star
             assert gap <= (v_star @ v_star) / (2 * K * h) + 1e-10
 
 
@@ -260,6 +290,6 @@ def test_gd_converges_to_ridge_solution(rng):
     p = rng.standard_normal(5)
     rec = assembly.GramRecord(theta=np.zeros(5), gram=G, rhs=p, n_x=1, seed=0)
     lam = linalg.sym_eig_max(G)
-    w = assembly.gd_projection_field(rec, 4000, 0.9 / lam)
+    w = gd_projection_field(rec, 4000, 0.9 / lam)
     v = linalg.ridge_solve(G, p, 0.0)
     assert np.abs(w - v).max() < 1e-6

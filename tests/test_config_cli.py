@@ -9,12 +9,13 @@ import pytest
 from pdecontrol import cli, config, fit, pipeline, rom
 from pdecontrol.errors import ConfigError, MissingArtifact
 
+PRESETS = Path(__file__).resolve().parents[1] / "configs"
+
 HEAT_CFG = {
     "problem": {
         "kind": "heat",
         "domain": {"lo": [0.0], "hi": [1.0]},
         "horizon": 0.05,
-        "boundary": "zero_dirichlet",
     },
     "rom_arch": {
         "kind": "linear_basis",
@@ -181,10 +182,10 @@ def test_spec_from_dict_roundtrip():
         fit.ChebCombo(terms=((1, 2, 0.5),)),
     ]
     for spec in specs:
-        rebuilt = pipeline.spec_from_dict(spec.describe())
+        rebuilt = fit.spec_from_dict(spec.describe())
         assert rebuilt.describe() == spec.describe()
     with pytest.raises(ConfigError):
-        pipeline.spec_from_dict({"kind": "closure", "label": "x"})
+        fit.spec_from_dict({"kind": "closure", "label": "x"})
 
 
 def test_overrides_do_not_leak_across_loads(heat_config, tmp_path):
@@ -254,3 +255,46 @@ def test_json_artifacts_match_json_dump_bytes(heat_config, tmp_path):
             json.dump(json.loads(line), old)
             old.write("\n")
         assert text == old.getvalue()
+
+
+def test_resumed_training_continues_loss_history_steps(heat_config, tmp_path):
+    out = str(tmp_path / "out")
+    cfg = config.load_config(heat_config, out_dir=out)
+    pipeline.cmd_sample_gram(cfg)
+    pipeline.cmd_gen_trajectories(cfg)
+    first = pipeline.cmd_train_control(cfg)
+    second = pipeline.cmd_train_control(cfg, resume=True, train_overrides={"lr": 1e-3})
+    lines = Path(out, "curves", "loss_history.csv").read_text().splitlines()
+    assert lines[0] == "step,l1,l2,l_total"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(r[0]) for r in rows] == list(range(1, first["steps"] + second["steps"] + 1))
+    assert rows[first["steps"] - 1][3] == repr(first["final_loss"])
+    assert rows[-1][3] == repr(second["final_loss"])
+
+
+def test_verify_command_passes_all_checks(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = cli.main(["verify", "--config", str(PRESETS / "heat_fourier_1d.json"), "--out", str(out)])
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    assert [c["name"] for c in report["checks"]] == [
+        "rom-gradients-vs-fd",
+        "control-loss-gradients-vs-fd",
+        "ode-solver-orders",
+        "euler-discrete-bound",
+        "gram-oracles",
+        "descent-lemma-bound",
+        "theory-bound-shape",
+        "cache-determinism-resume",
+        "csv-determinism",
+    ]
+    assert report["passed"] and all(c["passed"] for c in report["checks"])
+    assert capsys.readouterr().out.count("[PASS]") == 9
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in PRESETS.glob("*.json")))
+def test_shipped_presets_load(name, tmp_path):
+    cfg = config.load_config(PRESETS / name, out_dir=str(tmp_path))
+    cfg.problem()
+    cfg.rom_arch()
+    cfg.control_arch()

@@ -82,10 +82,13 @@ def test_gen_trajectory_single_step_contract(unit_interval):
 def test_field_stats_zero_and_constant():
     space = Box(1.0, 3)
     batch = sample_theta(space, 64, seed=0)
-    m_v, l_v = evolve.field_stats(lambda th: np.zeros_like(th), batch)
+    arch = cn.ControlArch(input_dim=3, width=8, depth=2)
+    xi = np.zeros(cn.control_param_count(arch))
+    m_v, l_v = evolve.field_stats(cn.ControlNet(arch, xi), batch)
     assert (m_v, l_v) == (0.0, 0.0)
     c = np.array([1.0, -2.0, 2.0])
-    m_v, l_v = evolve.field_stats(lambda th: c, batch)
+    xi[-3:] = c  # b_out: the constant field V = c
+    m_v, l_v = evolve.field_stats(cn.ControlNet(arch, xi), batch)
     assert m_v == pytest.approx(3.0)
     assert l_v < 1e-6
 
@@ -95,7 +98,15 @@ def test_field_stats_linear_field(rng):
     sigma = np.linalg.svd(A, compute_uv=False)[0]
     space = Box(1.0, 4)
     batch = sample_theta(space, 128, seed=3)
-    m_v, l_v = evolve.field_stats(lambda th: A @ th, batch)
+    # V(theta) = A tanh(eps theta) / eps: zero gates leave eta = tanh(eps
+    # theta), so V = A theta + O(eps^2) with |V(theta)| <= ||A|| |theta|
+    eps = 1e-3
+    arch = cn.ControlArch(input_dim=4, width=4, depth=2)
+    xi = np.zeros(cn.control_param_count(arch))
+    U0, _, _, W_out, _ = cn._unpack(arch, xi)
+    U0[:] = eps * np.eye(4)
+    W_out[:] = A / eps
+    m_v, l_v = evolve.field_stats(cn.ControlNet(arch, xi), batch)
     assert m_v <= sigma * 2.0 + 1e-9  # |A theta| <= ||A|| |theta|, |theta| <= 2
     assert abs(l_v - sigma) / sigma < 0.1
 

@@ -3,7 +3,33 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pdecontrol import linalg
-from pdecontrol.errors import NonFiniteError, StepTooLarge
+from pdecontrol.errors import FactorizationFailure, NonFiniteError
+
+
+def gaussian_elimination_solve(gram, rhs) -> np.ndarray:
+    """Naive Gaussian elimination with partial pivoting.
+
+    Independent oracle for ridge_solve (lambda=0) on small invertible systems;
+    kept free of numpy.linalg on purpose.
+    """
+    G = linalg.as_matrix(gram).copy()
+    p = linalg.as_vector(rhs).copy()
+    m = G.shape[0]
+    for col in range(m):
+        pivot = col + int(np.argmax(np.abs(G[col:, col])))
+        if abs(G[pivot, col]) < 1e-14:
+            raise FactorizationFailure("pivot vanished in elimination oracle")
+        if pivot != col:
+            G[[col, pivot]] = G[[pivot, col]]
+            p[[col, pivot]] = p[[pivot, col]]
+        for row in range(col + 1, m):
+            factor = G[row, col] / G[col, col]
+            G[row, col:] -= factor * G[col, col:]
+            p[row] -= factor * p[col]
+    v = np.zeros(m)
+    for row in range(m - 1, -1, -1):
+        v[row] = (p[row] - G[row, row + 1 :] @ v[row + 1 :]) / G[row, row]
+    return v
 
 
 def test_ridge_identity_system():
@@ -68,7 +94,7 @@ def test_ridge_matches_elimination_oracle(m, seed):
     G = A @ A.T + 0.2 * np.eye(m)
     p = rng.standard_normal(m)
     v = linalg.ridge_solve(G, p, 0.0)
-    v_oracle = linalg.gaussian_elimination_solve(G, p)
+    v_oracle = gaussian_elimination_solve(G, p)
     assert np.allclose(v, v_oracle, rtol=1e-8, atol=1e-10)
 
 

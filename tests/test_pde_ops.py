@@ -2,56 +2,30 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from pdecontrol import pde_ops, rom
-from pdecontrol.errors import MissingDerivative
+from pdecontrol import pde_ops
 
 
-def bundle(value=0.0, grad=None, lap=0.0, flags=None):
+def apply_at_point(op, value=0.0, grad=None, lap=0.0):
+    """F[u] at one point from its value, gradient and Laplacian."""
     grad = np.zeros(1) if grad is None else np.asarray(grad, dtype=float)
-    flags = flags or rom.EvalFlags(value=True, grad_x=True, laplacian=True)
-    return rom.EvalBundle(value=value, grad_x=grad, laplacian=lap, grad_theta=np.zeros(1), flags=flags)
+    return float(pde_ops.apply_operator_arrays(op, np.array([value]), grad[None, :], np.array([lap]))[0])
 
 
 def test_heat_passthrough():
-    b = bundle(lap=-np.pi**2 * np.sqrt(2.0))
-    assert pde_ops.apply_operator(pde_ops.Heat(), b) == pytest.approx(-np.pi**2 * np.sqrt(2.0))
+    assert apply_at_point(pde_ops.Heat(), lap=-np.pi**2 * np.sqrt(2.0)) == pytest.approx(-np.pi**2 * np.sqrt(2.0))
 
 
 def test_transport_dot_product():
     d = 4
     c = 0.37
-    b = bundle(grad=np.full(d, c))
     op = pde_ops.Transport(velocity=np.ones(d))
-    assert pde_ops.apply_operator(op, b) == pytest.approx(-d * c)
+    assert apply_at_point(op, grad=np.full(d, c)) == pytest.approx(-d * c)
 
 
 def test_allen_cahn_fixed_points():
     op = pde_ops.AllenCahn(epsilon=1e-4)
     for u in (-1.0, 0.0, 1.0):
-        assert pde_ops.apply_operator(op, bundle(value=u, lap=0.0)) == pytest.approx(0.0)
-
-
-def test_missing_derivative_errors():
-    op = pde_ops.Heat()
-    no_lap = bundle(flags=rom.EvalFlags(value=True, grad_x=True, laplacian=False))
-    with pytest.raises(MissingDerivative):
-        pde_ops.apply_operator(op, no_lap)
-    tr = pde_ops.Transport(velocity=np.ones(1))
-    no_grad = bundle(flags=rom.EvalFlags(value=True, grad_x=False, laplacian=True))
-    with pytest.raises(MissingDerivative):
-        pde_ops.apply_operator(tr, no_grad)
-
-
-@given(st.integers(min_value=0, max_value=2**31 - 1))
-def test_semilinear_identity_matches_heat_plus_value(seed):
-    rng = np.random.default_rng(seed)
-    value = rng.standard_normal(6)
-    lap = rng.standard_normal(6)
-    grad = rng.standard_normal((6, 2))
-    generic = pde_ops.Semilinear(diffusion=1.0, drift=[0.0, 0.0], nonlinearity="identity")
-    got = pde_ops.apply_operator_arrays(generic, value, grad, lap)
-    heat = pde_ops.apply_operator_arrays(pde_ops.Heat(), value, grad, lap)
-    assert np.allclose(got, heat + value, rtol=1e-14)
+        assert apply_at_point(op, value=u, lap=0.0) == pytest.approx(0.0)
 
 
 def test_theory_bound_examples():
@@ -59,7 +33,7 @@ def test_theory_bound_examples():
     got = pde_ops.theory_bound(pde_ops.Heat(), 1.0 / np.pi**2, 0.0, 0.1, 1.0)
     assert got == pytest.approx(0.1 * np.exp(-np.pi**2), rel=1e-12)
     # zero net rate keeps the bound constant in t
-    op = pde_ops.Semilinear(diffusion=0.0, drift=[0.0], nonlinearity="zero")
+    op = pde_ops.Transport(velocity=[1.0])
     for t in (0.0, 1.0, 7.0):
         assert pde_ops.theory_bound(op, 1.0, 0.01, 0.0, t) == pytest.approx(0.01)
 
@@ -69,7 +43,7 @@ def test_theory_bound_examples():
     st.floats(min_value=0.0, max_value=3.0),
 )
 def test_theory_bound_monotone_when_rate_nonneg(t1, t2):
-    op = pde_ops.Semilinear(diffusion=0.0, drift=[0.0], nonlinearity="identity")  # rate = 1
+    op = pde_ops.AllenCahn(epsilon=1e-4)  # rate = L_f - eps / C_p > 0
     lo, hi = min(t1, t2), max(t1, t2)
     assert pde_ops.theory_bound(op, 1.0, 0.1, 0.2, hi) >= pde_ops.theory_bound(op, 1.0, 0.1, 0.2, lo) - 1e-15
 
@@ -92,9 +66,9 @@ def test_operator_metadata():
 
 def test_problem_validation():
     with pytest.raises(ValueError):
-        pde_ops.Problem(pde_ops.Heat(), lo=[0.0], hi=[0.0], horizon=1.0, boundary="zero_dirichlet")
+        pde_ops.Problem(pde_ops.Heat(), lo=[0.0], hi=[0.0], horizon=1.0)
     with pytest.raises(ValueError):
-        pde_ops.Problem(pde_ops.Heat(), lo=[0.0], hi=[1.0], horizon=0.0, boundary="zero_dirichlet")
-    prob = pde_ops.Problem(pde_ops.Heat(), lo=[0.0, 0.0], hi=[1.0, 2.0], horizon=0.5, boundary="zero_dirichlet")
+        pde_ops.Problem(pde_ops.Heat(), lo=[0.0], hi=[1.0], horizon=0.0)
+    prob = pde_ops.Problem(pde_ops.Heat(), lo=[0.0, 0.0], hi=[1.0, 2.0], horizon=0.5)
     assert prob.volume == pytest.approx(2.0)
     assert prob.dim == 2

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pdecontrol import evolve, fit, pde_ops, reference, rom
+from pdecontrol import evolve, fit, reference, rom
 from pdecontrol.control_net import TrainConfig
 from pdecontrol.reference import OutOfDomain
 
@@ -172,18 +172,6 @@ def test_error_curve_undefined_relative(unit_interval):
     curve = reference.error_curve(arch, traj, ref, unit_interval, 128, seed=0)
     assert not curve.rel_defined[0]
     assert np.isnan(curve.rel_err[0])
-
-
-def test_squared_convention_flag(unit_interval):
-    arch = rom.fourier_sine_arch(2)
-    ref = reference.HeatSeries(modes=(((1,), 0.9),))
-    traj = evolve.ParamTrajectory(
-        times=np.array([0.0]), thetas=np.array([[0.5, 0.1]]), velocities=None, source="control_field", step=0.0
-    )
-    plain = reference.error_curve(arch, traj, ref, unit_interval, 256, seed=1)
-    squared = reference.error_curve(arch, traj, ref, unit_interval, 256, seed=1, squared=True)
-    assert squared.abs_err[0] == pytest.approx(plain.abs_err[0] ** 2)
-    assert squared.rel_err[0] == pytest.approx(plain.rel_err[0] ** 2)
 
 
 def test_save_error_curve_csv(tmp_path, unit_interval):

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -103,23 +101,32 @@ def test_boundary_exactness_zero_boundary(rng):
     assert np.all(vals == 0.0)
 
 
+def alpha(X, spec):
+    """The zero-boundary factor the resnet_zero_boundary wrapper multiplies by."""
+    return rom._alpha_with_derivs(X, spec)[0]
+
+
 def test_allen_cahn_alpha_boundary():
     spec = {"family": "sym_box"}
-    assert rom.wrapper_alpha(np.array([[1.0, 0.3]]), spec)[0] == 0.0
-    assert rom.wrapper_alpha(np.array([[-1.0, -0.8]]), spec)[0] == 0.0
+    assert alpha(np.array([[1.0, 0.3]]), spec)[0] == 0.0
+    assert alpha(np.array([[-1.0, -0.8]]), spec)[0] == 0.0
 
 
 def test_heat_alpha_center():
     spec = {"family": "unit_box"}
     x = np.full((1, 10), 0.5)
-    assert rom.wrapper_alpha(x, spec)[0] == pytest.approx(1.0)
+    assert alpha(x, spec)[0] == pytest.approx(1.0)
 
 
 def test_beta_periodicity(rng):
-    shift = rng.uniform(-1, 1, 3)
+    # the periodic features cos/sin 2pi(x - shift) make the model 1-periodic
+    # for any trainable shift
+    arch = rom.RomArch("resnet_periodic", 3, 4, 2, "tanh")
+    theta = rom.init_params(arch, 6)
+    theta[-3:] = rng.uniform(-1, 1, 3)
     X = rng.uniform(0, 1, (6, 3))
-    b1 = rom.wrapper_beta(X, shift)
-    b2 = rom.wrapper_beta(X + 1.0, shift)
+    b1 = value_fn(arch, theta, X)
+    b2 = value_fn(arch, theta, X + 1.0)
     assert np.allclose(b1, b2, atol=1e-12)
 
 
@@ -138,9 +145,9 @@ def test_linear_basis_eigenfunction():
     arch = rom.fourier_sine_arch(8)
     theta = np.zeros(8)
     theta[0] = 1.0
-    b = rom.eval(rom.RomModel(arch, theta), [0.5], rom.EvalFlags(value=True, laplacian=True))
-    assert b.value == pytest.approx(np.sqrt(2.0))
-    assert b.laplacian == pytest.approx(-np.pi**2 * np.sqrt(2.0))
+    b = rom.eval_batch(rom.RomModel(arch, theta), [[0.5]], rom.EvalFlags(value=True, laplacian=True))
+    assert b.value[0] == pytest.approx(np.sqrt(2.0))
+    assert b.laplacian[0] == pytest.approx(-np.pi**2 * np.sqrt(2.0))
 
 
 def test_linear_basis_homogeneity(rng):
@@ -172,12 +179,12 @@ def test_init_params_deterministic_and_bounded():
         assert np.abs(W).max() <= np.sqrt(1.0 / arch.width)
 
 
-def test_unrequested_fields_zeroed():
+def test_unrequested_fields_are_none():
     arch = rom.fourier_sine_arch(3)
-    bundle = rom.eval(rom.RomModel(arch, np.ones(3)), [0.3], rom.EvalFlags(value=True))
-    assert bundle.laplacian == 0.0
-    assert np.all(bundle.grad_theta == 0.0)
-    assert not bundle.flags.laplacian
+    batch = rom.eval_batch(rom.RomModel(arch, np.ones(3)), [[0.3]], rom.EvalFlags(value=True))
+    assert batch.laplacian is None
+    assert batch.grad_theta is None
+    assert not batch.flags.laplacian
 
 
 def test_nonfinite_guard():
@@ -185,18 +192,6 @@ def test_nonfinite_guard():
     model = rom.RomModel(arch, np.array([1e308]))
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
         rom.eval_batch(model, np.array([[1e40]]), VAL)
-
-
-def test_checkpoint_roundtrip(tmp_path):
-    arch = rom.RomArch("resnet_zero_boundary", 2, 4, 2, "tanh", {"family": "sym_box"})
-    model = rom.RomModel(arch, rom.init_params(arch, 2))
-    path = tmp_path / "model.json"
-    rom.save_checkpoint(model, path)
-    loaded = rom.load_checkpoint(path)
-    assert loaded.arch == arch
-    assert np.array_equal(loaded.theta, model.theta)
-    doc = json.loads(path.read_text())
-    assert doc["format_version"] == 1
 
 
 def test_arch_hash_stability():
