@@ -4,7 +4,8 @@
 Mirrors configs/allen_cahn_2d.json: fit Chebyshev anchors, build the
 anchor-ball parameter space, assemble the projection cache, generate
 Gram-march trajectories, train with a trajectory warmup plus joint stages,
-then solve/evaluate against freshly computed IMEX references.
+then solve/evaluate against freshly computed IMEX references and write the
+verify report.
 """
 
 import argparse
@@ -52,6 +53,8 @@ def main():
         stats = pipeline.cmd_eval(cfg, anchor_index=k)
         print(f"anchor {k}: max rel err {stats['rel_err_max']:.4f}")
         pipeline.cmd_export_slice(cfg, anchor_index=k, t=cfg.problem().horizon)
+    report = pipeline.cmd_verify(cfg)
+    print(f"verify: {'passed' if report['totals']['passed'] else 'FAILED'} -> {report['path']}")
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 
 Runs the full workflow against configs/heat_fourier_1d.json: fit anchors,
 assemble the exact-quadrature projection cache, generate trajectories, train
-the control field in annealed stages, then solve and evaluate every anchor.
+the control field in annealed stages, then solve and evaluate every anchor
+and write the verify report.
 """
 
 import argparse
@@ -41,6 +42,8 @@ def main():
         pipeline.cmd_solve(cfg, anchor_index=k)
         stats = pipeline.cmd_eval(cfg, anchor_index=k)
         print(f"anchor {k}: max rel err {stats['rel_err_max']:.4f} -> {stats['path']}")
+    report = pipeline.cmd_verify(cfg)
+    print(f"verify: {'passed' if report['totals']['passed'] else 'FAILED'} -> {report['path']}")
 
 
 if __name__ == "__main__":

@@ -3,9 +3,10 @@
 
 The workflow mirrors configs/transport_1d.json: sample the projection cache
 over the box, train the control field on it in annealed stages, then solve
-and evaluate fresh random initial parameters against the shifted truth. The
-preset generates no trajectories (counts.n_traj = 0, train.zeta = 0), so
-training uses the projection loss alone and there is no trajectory warmup.
+and evaluate fresh random initial parameters against the shifted truth,
+then write the verify report. The preset generates no trajectories
+(counts.n_traj = 0, train.zeta = 0), so training uses the projection loss
+alone and there is no trajectory warmup.
 """
 
 import argparse
@@ -43,6 +44,8 @@ def main():
         pipeline.cmd_solve(cfg, anchor_index=k)
         stats = pipeline.cmd_eval(cfg, anchor_index=k)
         print(f"anchor {k}: max rel err {stats['rel_err_max']:.4f}")
+    report = pipeline.cmd_verify(cfg)
+    print(f"verify: {'passed' if report['totals']['passed'] else 'FAILED'} -> {report['path']}")
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ from .errors import (
     ConfigError,
     FactorizationFailure,
     MissingArtifact,
-    NoConvergence,
     NonFiniteError,
     PdeControlError,
 )

@@ -3,25 +3,16 @@
 Subcommands cover the full workflow: fit-initial, sample-gram,
 gen-trajectories, train-control, solve, reference, eval, export-slice, and
 verify. Exit codes: 0 ok, 2 config error, 3 missing artifact, 4 numeric
-failure, 5 verification failure.
+failure, 5 verify found a blown-up solve or a non-finite number.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
-from . import verification
 from .config import load_config
-from .errors import (
-    CacheMismatch,
-    ConfigError,
-    MissingArtifact,
-    NoConvergence,
-    NonFiniteError,
-    PdeControlError,
-)
+from .errors import CacheMismatch, ConfigError, MissingArtifact, NonFiniteError, PdeControlError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -52,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("reference", "materialize the reference solution (Allen-Cahn IMEX)"),
         ("eval", "error curve of a stored solution against the reference"),
         ("export-slice", "pointwise 2-D comparison slice at a time"),
-        ("verify", "run the verification suites and write report.json"),
+        ("verify", "report on the run's cache, solutions and error curves in report.json"),
     ):
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
@@ -117,14 +108,23 @@ def _run(args) -> int:
         stats = pipeline.cmd_export_slice(cfg, anchor_index=args.anchor, t=args.time)
         print(f"slice -> {stats['path']} (t={stats['time']:.4f})")
     elif args.command == "verify":
-        cfg.ensure_layout()
-        results = verification.run_all()
-        for r in results:
-            print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}")
-        report = os.path.join(cfg.out_dir, "report.json")
-        verification.write_report(results, report)
-        print(f"report -> {report}")
-        if not all(r.passed for r in results):
+        report = pipeline.cmd_verify(cfg)
+        res = report["cache"]["residual"]
+        print(f"gram cache: {report['cache']['records']} records; |G V - p| p50 {res['p50']:.3e}, "
+              f"p90 {res['p90']:.3e}, max {res['max']:.3e}")
+        for a in report["anchors"]:
+            msg = f"anchor {a['anchor']:3d}: M_V={a['m_v']:.3e} L_V={a['l_v']:.3e} euler bound {a['euler_bound']:.3e}"
+            if "abs_err_max" in a:
+                msg += f"; max abs err {a['abs_err_max']:.3e}"
+            if a["blowup_step"] is not None:
+                msg += f"; BLEW UP at step {a['blowup_step']}"
+            if a["escape_step"] is not None:
+                msg += f"; left the training region at step {a['escape_step']}"
+            print(msg)
+        totals = report["totals"]
+        print(f"{'PASS' if totals['passed'] else 'FAIL'}: {totals['blowups']} blow-ups, "
+              f"{totals['escapes']} escapes; report -> {report['path']}")
+        if not totals["passed"]:
             return EXIT_VERIFY
     return EXIT_OK
 
@@ -139,7 +139,7 @@ def main(argv=None) -> int:
     except MissingArtifact as exc:
         print(f"missing artifact: {exc}", file=sys.stderr)
         return EXIT_MISSING
-    except (NonFiniteError, NoConvergence, CacheMismatch) as exc:
+    except (NonFiniteError, CacheMismatch) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except PdeControlError as exc:

@@ -6,7 +6,7 @@ Artifacts live under a fixed out_dir layout:
     out/checkpoints/ control-field checkpoint
     out/curves/      loss history and error curves (CSV)
     out/slices/      pointwise comparison slices (CSV)
-    out/report.json  verification report
+    out/report.json  verify report on the run's artifacts
 Relative paths in the config resolve against out_dir.
 """
 
@@ -63,6 +63,8 @@ SCHEMA = {
                 },
                 "horizon": {"type": "number", "exclusiveMinimum": 0},
             },
+            "if": {"properties": {"kind": {"const": "allen_cahn"}}},
+            "then": {"required": ["epsilon"]},
             "additionalProperties": False,
         },
         "rom_arch": {
@@ -102,7 +104,7 @@ SCHEMA = {
         "counts": {
             "type": "object",
             "properties": {
-                "n_theta": {"type": "integer", "minimum": 0},
+                "n_theta": {"type": "integer", "minimum": 1},
                 "n_x": {"type": "integer", "minimum": 1},
                 "n_traj": {"type": "integer", "minimum": 0},
                 "n_t": {"type": "integer", "minimum": 1},

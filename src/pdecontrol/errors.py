@@ -18,10 +18,6 @@ class FactorizationFailure(PdeControlError):
     """A symmetric factorization failed; the system is numerically singular."""
 
 
-class NoConvergence(PdeControlError):
-    """An iterative routine did not reach its tolerance."""
-
-
 class CacheMismatch(PdeControlError):
     """A cache or checkpoint does not match the requested architecture/operator."""
 

@@ -1,5 +1,5 @@
 """Dense symmetric linear algebra: the ridge solve behind each Gram-march
-step and the power-iteration top eigenvalue used by the verify checks.
+step.
 
 Vectors and matrices are plain float64 numpy arrays (1-D and row-major 2-D).
 Everything here is pure and deterministic: identical inputs give bit-identical
@@ -11,12 +11,10 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import FactorizationFailure, NoConvergence, NonFiniteError
+from .errors import FactorizationFailure, NonFiniteError
 
 SYMMETRY_RTOL = 1e-10
 EIG_CLIP = 1e-12
-POWER_ITER_MAX = 10_000
-POWER_ITER_RTOL = 1e-8
 
 
 def as_vector(x) -> np.ndarray:
@@ -87,39 +85,3 @@ def ridge_solve(gram, rhs, lambda_reg: float = 0.0) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise FactorizationFailure("solve produced non-finite values; lambda_reg too small")
     return v
-
-
-def sym_eig_max(gram) -> float:
-    """Largest eigenvalue of a symmetric matrix by shifted power iteration.
-
-    Deterministic: fixed start vector, fixed iteration cap (10,000) and
-    relative tolerance 1e-8. Raises NoConvergence if the tolerance is not met.
-    """
-    G = as_matrix(gram)
-    require_finite(G)
-    check_symmetric(G)
-    m = G.shape[0]
-    if m == 0:
-        raise ValueError("empty matrix")
-
-    # Gershgorin shift makes the target eigenvalue the one of largest magnitude.
-    shift = float(np.abs(G).sum(axis=1).max())
-    if shift == 0.0:
-        return 0.0
-    # Fixed, slightly uneven start vector avoids exact orthogonality to the
-    # leading eigenvector for structured matrices.
-    v = 1.0 + 0.01 * ((np.arange(m) % 7) - 3.0)
-    v /= np.linalg.norm(v)
-
-    prev = None
-    for _ in range(POWER_ITER_MAX):
-        w = G @ v + shift * v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return -shift  # v lies in the kernel of G + shift*I
-        v = w / norm
-        ray = float(v @ (G @ v))
-        if prev is not None and abs(ray - prev) <= POWER_ITER_RTOL * max(1.0, abs(ray)):
-            return ray
-        prev = ray
-    raise NoConvergence("power iteration did not converge in 10000 iterations")

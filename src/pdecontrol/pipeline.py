@@ -6,16 +6,20 @@ arch_hash, seed} so downstream consumers can fail fast on mismatches.
 from __future__ import annotations
 
 import json
+import math
 import os
+import re
 
 import numpy as np
 
-from . import assembly, control_net as cn, evolve, fit, reference, rom
+from . import assembly, control_net as cn, evolve, fit, pde_ops, reference, rom
 from .config import RunConfig
 from .errors import ChecksumMismatch, ConfigError, MissingArtifact
-from .sampling import AnchorBalls, Box, rng_for, sample_theta
+from .sampling import AnchorBalls, Box, SampleBatch, rng_for, sample_theta
 
 SOLUTION_FORMAT_VERSION = 1
+# Gram records per residual_scan call in verify: holds chunk * m^2 floats of G
+_VERIFY_CHUNK = 256
 
 
 def sample_initial_specs(cfg: RunConfig, count: int | None = None, stream_offset: int = 0):
@@ -344,6 +348,10 @@ def build_reference(cfg: RunConfig, solution_doc: dict):
     raise ConfigError(f"no reference construction for problem kind {kind!r}")
 
 
+def _curve_path(cfg: RunConfig, index: int) -> str:
+    return os.path.join(cfg.out_dir, "curves", f"errors_{index:03d}.csv")
+
+
 def cmd_eval(cfg: RunConfig, anchor_index: int = 0, n_x: int = 4096, max_times: int = 64) -> dict:
     cfg.ensure_layout()
     doc, traj = load_solution(cfg, anchor_index)
@@ -352,7 +360,7 @@ def cmd_eval(cfg: RunConfig, anchor_index: int = 0, n_x: int = 4096, max_times: 
     curve = reference.error_curve(
         cfg.rom_arch(), traj, ref, problem.domain, n_x, seed=cfg.seed + 17, max_times=max_times
     )
-    path = os.path.join(cfg.out_dir, "curves", f"errors_{anchor_index:03d}.csv")
+    path = _curve_path(cfg, anchor_index)
     reference.save_error_curve(curve, path)
     finite = curve.rel_err[np.isfinite(curve.rel_err)]
     return {
@@ -376,3 +384,78 @@ def cmd_export_slice(cfg: RunConfig, anchor_index: int, t: float, grid_n: int = 
         cfg.rom_arch(), traj.thetas[j], ref, problem.domain, float(traj.times[j]), path, grid_n=grid_n
     )
     return {"path": path, "time": float(traj.times[j])}
+
+
+def _curve_maxima(path) -> tuple[float, float | None]:
+    """Max abs and rel error of an error-curve CSV (rel None if undefined)."""
+    with open(path) as fh:
+        rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+    rel = [float(r[2]) for r in rows if r[2]]
+    return max(float(r[1]) for r in rows), (max(rel) if rel else None)
+
+
+def cmd_verify(cfg: RunConfig) -> dict:
+    """Report on this run's artifacts and write out/report.json: the
+    projection residual |G V(theta) - p| of the control field over the Gram
+    cache, and per stored solution the field statistics M_V, L_V along its
+    states, the Euler bound they give, and the measured error curve."""
+    cfg.ensure_layout()
+    arch = cfg.rom_arch()
+    problem = cfg.problem()
+    ckpt = control_checkpoint_path(cfg)
+    if not os.path.exists(ckpt):
+        raise MissingArtifact(f"control checkpoint {ckpt} not found; run train-control first")
+    net = cn.load_control_checkpoint(ckpt)
+    if net.arch.input_dim != rom.param_count(arch):
+        raise ChecksumMismatch("control net dimension does not match the model architecture")
+    gram_path = cfg.path("gram_cache")
+    if not os.path.exists(gram_path):
+        raise MissingArtifact(f"gram cache {gram_path} not found; run sample-gram first")
+    cache = assembly.read_cache(gram_path, expect_arch=arch, n_records=cfg.raw["counts"]["n_theta"])
+    sol_dir = os.path.dirname(solution_path(cfg, 0))
+    names = (re.fullmatch(r"solution_(\d+)\.json", name) for name in os.listdir(sol_dir))
+    indices = sorted(int(match.group(1)) for match in names if match)
+    if not indices:
+        raise MissingArtifact(f"no solutions in {sol_dir}; run solve first")
+
+    rows = cache.rows
+    res = np.empty(rows.size)
+    for i in range(0, rows.size, _VERIFY_CHUNK):
+        idx = rows[i : i + _VERIFY_CHUNK]
+        res[i : i + idx.size] = cn.residual_scan(net, cache.theta[idx], cache.gram[idx], cache.rhs[idx])
+    q = np.quantile(res, [0.5, 0.9, 1.0]).tolist() if res.size else [math.nan] * 3
+    anchors = []
+    for k in indices:
+        doc, traj = load_solution(cfg, k)
+        m_v, l_v = evolve.field_stats(net, SampleBatch(points=traj.thetas, seed=cfg.seed, generator_tag="solution"))
+        entry = {
+            "anchor": k,
+            "fit_rmse": doc["fit_rmse"],
+            "steps": traj.thetas.shape[0] - 1,
+            "blowup_step": traj.blowup_step,
+            "escape_step": traj.escape_step,
+            "m_v": m_v,
+            "l_v": l_v,
+            "euler_bound": pde_ops.euler_bound(l_v, m_v, problem.volume, traj.step, problem.horizon),
+        }
+        curve = _curve_path(cfg, k)
+        if os.path.exists(curve):
+            entry["abs_err_max"], entry["rel_err_max"] = _curve_maxima(curve)
+        anchors.append(entry)
+
+    # the float fields; counts and step indices are ints
+    numbers = q + [v for a in anchors for v in a.values() if isinstance(v, float)]
+    blowups = sum(a["blowup_step"] is not None for a in anchors)
+    report = {
+        "cache": {"records": int(res.size), "residual": dict(zip(("p50", "p90", "max"), q))},
+        "anchors": anchors,
+        "totals": {
+            "blowups": blowups,
+            "escapes": sum(a["escape_step"] is not None for a in anchors),
+            "passed": blowups == 0 and all(math.isfinite(v) for v in numbers),
+        },
+    }
+    path = os.path.join(cfg.out_dir, "report.json")
+    with open(path, "w") as fh:
+        json.dump(report, fh, indent=2)
+    return dict(report, path=path)

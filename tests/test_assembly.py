@@ -28,7 +28,7 @@ def gd_projection_field(record: assembly.GramRecord, n_steps: int, h: float) -> 
     """
     if n_steps < 0:
         raise ValueError("n_steps must be nonnegative")
-    lam = linalg.sym_eig_max(record.gram)
+    lam = np.linalg.eigvalsh(record.gram)[-1]
     if h <= 0 or (lam > 0 and h >= 1.0 / lam):
         raise StepTooLarge(f"need 0 < h < 1/lambda_max = {1.0 / lam if lam > 0 else np.inf:g}")
     w = np.zeros_like(record.rhs)
@@ -240,7 +240,7 @@ def test_gd_projection_identity_gram():
 def test_gd_projection_zero_rhs_fixed_point(rng):
     A = rng.standard_normal((4, 4))
     rec = assembly.GramRecord(theta=np.zeros(4), gram=A @ A.T, rhs=np.zeros(4), n_x=1, seed=0)
-    lam = linalg.sym_eig_max(rec.gram)
+    lam = np.linalg.eigvalsh(rec.gram)[-1]
     w = gd_projection_field(rec, 50, 0.5 / lam)
     assert np.all(w == 0.0)
 
@@ -258,7 +258,7 @@ def test_gd_objective_descent(rng):
         G = A @ A.T
         p = rng.standard_normal(m)
         rec = assembly.GramRecord(theta=np.zeros(m), gram=G, rhs=p, n_x=1, seed=0)
-        lam = linalg.sym_eig_max(G)
+        lam = np.linalg.eigvalsh(G)[-1]
         h = float(rng.uniform(0.1, 0.9)) / max(lam, 1e-12)
         psi0 = quadratic_objective(rec, np.zeros(m))
         for K in (1, 3, 10, 40):
@@ -274,7 +274,7 @@ def test_descent_lemma_bound(rng):
         G = A @ A.T / m + 0.05 * np.eye(m)
         p = rng.standard_normal(m)
         rec = assembly.GramRecord(theta=np.zeros(m), gram=G, rhs=p, n_x=1, seed=0)
-        lam = linalg.sym_eig_max(G)
+        lam = np.linalg.eigvalsh(G)[-1]
         h = float(rng.uniform(0.05, 0.95)) / lam
         v_star = linalg.ridge_solve(G, p, 0.0)
         psi_star = quadratic_objective(rec, v_star)
@@ -289,7 +289,7 @@ def test_gd_converges_to_ridge_solution(rng):
     G = A @ A.T + 0.5 * np.eye(5)
     p = rng.standard_normal(5)
     rec = assembly.GramRecord(theta=np.zeros(5), gram=G, rhs=p, n_x=1, seed=0)
-    lam = linalg.sym_eig_max(G)
+    lam = np.linalg.eigvalsh(G)[-1]
     w = gd_projection_field(rec, 4000, 0.9 / lam)
     v = linalg.ridge_solve(G, p, 0.0)
     assert np.abs(w - v).max() < 1e-6

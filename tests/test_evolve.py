@@ -36,6 +36,19 @@ def test_rk4_fourth_order():
     assert abs(slope - 4.0) < 0.2
 
 
+def test_euler_discrete_bound():
+    # Euler error against an RK4-fine path obeys (h M_V / 2)(e^{L_V t} - 1)
+    # with the exact constants of V = -theta: M_V = max |theta|, L_V = 1
+    field = lambda th: -th
+    m_v = float(np.abs(sample_theta(Box(1.0, 1), 512, seed=3).points).max())
+    h, n = 0.05, 20
+    euler = evolve.solve_ivp(field, np.array([1.0]), 1.0, n, scheme="euler")
+    fine = evolve.solve_ivp(field, np.array([1.0]), 1.0, n * 20, scheme="rk4")
+    for j, t in enumerate(euler.times):
+        err = float(np.abs(euler.thetas[j] - fine.thetas[j * 20]).max())
+        assert err <= 0.5 * h * m_v * np.expm1(t) + 1e-12
+
+
 def test_euler_chaining_bit_exact():
     field = lambda th: np.sin(th) - 0.5 * th
     theta0 = np.array([0.9, -0.4])

@@ -111,25 +111,3 @@ def test_ridge_deterministic_bit_identical():
 def test_default_ridge_lambda_scale():
     G = np.diag([1.0, 2.0, 3.0])
     assert linalg.default_ridge_lambda(G) == pytest.approx(1e-6 * 2.0)
-
-
-def test_sym_eig_max_examples():
-    assert linalg.sym_eig_max(np.diag([1.0, 5.0, 2.0])) == pytest.approx(5.0, rel=1e-7)
-    assert linalg.sym_eig_max(np.eye(4)) == pytest.approx(1.0, rel=1e-8)
-    assert linalg.sym_eig_max(np.array([[2.0, 1.0], [1.0, 2.0]])) == pytest.approx(3.0, rel=1e-7)
-    assert linalg.sym_eig_max(np.zeros((3, 3))) == 0.0
-
-
-def test_sym_eig_max_negative_definite():
-    # the largest eigenvalue, not the largest magnitude
-    assert linalg.sym_eig_max(np.diag([-5.0, -1.0])) == pytest.approx(-1.0, rel=1e-6, abs=1e-6)
-
-
-@given(st.integers(min_value=2, max_value=10), st.integers(min_value=0, max_value=2**31 - 1))
-def test_sym_eig_max_matches_numpy(m, seed):
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((m, m))
-    G = 0.5 * (A + A.T)
-    expect = np.linalg.eigvalsh(G).max()
-    got = linalg.sym_eig_max(G)
-    assert got == pytest.approx(expect, rel=1e-6, abs=1e-7)

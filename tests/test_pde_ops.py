@@ -31,7 +31,7 @@ def test_allen_cahn_fixed_points():
 def test_theory_bound_examples():
     assert pde_ops.theory_bound(pde_ops.AllenCahn(epsilon=1e-4), 1.0, 0.25, 0.0, 0.0) == pytest.approx(0.25)
     got = pde_ops.theory_bound(pde_ops.Heat(), 1.0 / np.pi**2, 0.0, 0.1, 1.0)
-    assert got == pytest.approx(0.1 * np.exp(-np.pi**2), rel=1e-12)
+    assert got == pytest.approx(0.1 * (1.0 - np.exp(-np.pi**2)) / np.pi**2, rel=1e-12)
     # zero net rate keeps the bound constant in t
     op = pde_ops.Transport(velocity=[1.0])
     for t in (0.0, 1.0, 7.0):
@@ -48,10 +48,19 @@ def test_theory_bound_monotone_when_rate_nonneg(t1, t2):
     assert pde_ops.theory_bound(op, 1.0, 0.1, 0.2, hi) >= pde_ops.theory_bound(op, 1.0, 0.1, 0.2, lo) - 1e-15
 
 
+def test_theory_bound_covers_decaying_error():
+    # e' = -pi^2 e + 0.1, e(0) = 0 (rate -pi^2 for heat with C_p = 1/pi^2):
+    # the bound must not fall below the true error at any t
+    for t in (0.01, 0.1, 0.5, 1.0):
+        true = 0.1 * (1.0 - np.exp(-np.pi**2 * t)) / np.pi**2
+        assert pde_ops.theory_bound(pde_ops.Heat(), 1.0 / np.pi**2, 0.0, 0.1, t) >= true * (1 - 1e-12)
+
+
 def test_euler_bound_examples():
     assert pde_ops.euler_bound(1.0, 2.0, 1.0, 0.0, 1.0) == 0.0
     assert pde_ops.euler_bound(1.0, 2.0, 1.0, 0.1, 0.0) == 0.0
     assert pde_ops.euler_bound(1.0, 2.0, 1.0, 0.1, 1.0) == pytest.approx(0.1 * (np.e - 1.0), rel=1e-12)
+    assert pde_ops.euler_bound(1000.0, 2.0, 1.0, 0.1, 1.0) == np.inf  # e^{L_V t} overflows
 
 
 def test_operator_metadata():

@@ -187,6 +187,10 @@ def test_save_error_curve_csv(tmp_path, unit_interval):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "t,abs_err,rel_err"
     assert len(lines) == 3
+    # the same seed gives a byte-identical file
+    again = tmp_path / "again.csv"
+    reference.save_error_curve(reference.error_curve(arch, traj, ref, unit_interval, 128, seed=1), again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_export_slice(tmp_path):
