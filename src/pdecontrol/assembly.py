@@ -4,14 +4,14 @@ For a model at parameters theta and operator F, the empirical system is
     G = (1/N) sum_i  g_i g_i^T,      p = (1/N) sum_i  g_i F[u_theta](x_i),
 with g_i = grad_theta u_theta(x_i). Records are cached as fixed-size float64
 rows after a JSON header line (layout below), so long sampling runs are
-resumable, byte-reproducible across thread counts, and the trainer reads
+resumable and byte-reproducible on rerun and resume, and the trainer reads
 minibatches straight from the memory-mapped file.
 """
 
 from __future__ import annotations
 
+import functools
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,12 +32,21 @@ class GramRecord:
     seed: int
 
 
+@functools.lru_cache(maxsize=None)
+def _leggauss(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights on [-1, 1]; they cost more than a small record."""
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def gauss_legendre_batch(domain, n_nodes: int) -> tuple[SampleBatch, np.ndarray]:
     """Gauss-Legendre nodes/weights on a 1-D interval, packaged like a sample
     batch. Weights are normalized to integrate the uniform density (mean
     convention), so assembly code can treat quadrature and MC uniformly."""
     lo, hi = float(domain[0][0]), float(domain[1][0])
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x, w = _leggauss(n_nodes)
     pts = 0.5 * (hi - lo) * (x + 1.0) + lo
     weights = 0.5 * w  # integrates f over (lo,hi)/|domain| like a mean
     batch = SampleBatch(points=pts[:, None], seed=0, generator_tag=f"gauss/{n_nodes}")
@@ -162,30 +171,23 @@ def _finished(status: np.ndarray) -> int:
     return int(bad[0]) if bad.size else status.shape[0]
 
 
-def _resume_count(cache_path, header: dict, points: np.ndarray) -> int:
-    """Finished records of an existing cache that match header and thetas;
-    cuts off a torn tail. -1 when there is no cache yet."""
-    if not os.path.exists(cache_path) or os.path.getsize(cache_path) == 0:
-        return -1
+def _check_cache(cache_path, header: dict | None, thetas: np.ndarray | None):
+    """(header, offset, records, torn, done) of an existing cache, after the
+    check sample-gram and the readers share: the expected header, and each
+    finished record's theta against the one sampled for its index."""
     existing, offset = binfile.read_header(cache_path, "gram_cache", CACHE_FORMAT_VERSION, _RERUN)
-    for key, value in header.items():
-        if existing.get(key) != value:
-            raise CacheMismatch(f"cache header mismatch on {key!r} in {cache_path}; delete it and {_RERUN}")
-    records, _ = _map_records(cache_path, header, offset)
-    m = header["m"]
+    binfile.check_header(cache_path, existing, header, f"delete it and {_RERUN}")
+    records, torn = _map_records(cache_path, existing, offset)
     done = _finished(records[:, -1])
-    check = min(done, points.shape[0])
-    stale = np.flatnonzero(np.any(records[:check, :m] != points[:check], axis=1))
-    del records
-    if stale.size:
-        raise CacheMismatch(
-            f"record {int(stale[0])} of {cache_path} was assembled at a different theta "
-            f"(theta_space or anchors changed); delete it and {_RERUN}"
-        )
-    end = offset + done * _record_floats(m) * binfile.DTYPE.itemsize
-    if os.path.getsize(cache_path) != end:
-        os.truncate(cache_path, end)
-    return done
+    if thetas is not None:
+        check = min(done, thetas.shape[0])
+        stale = np.flatnonzero(np.any(records[:check, : existing["m"]] != thetas[:check], axis=1))
+        if stale.size:
+            raise CacheMismatch(
+                f"record {int(stale[0])} of {cache_path} was assembled at a different theta "
+                f"(theta_space or anchors changed); delete it and {_RERUN}"
+            )
+    return existing, offset, records, torn, done
 
 
 def _record_bytes(theta: np.ndarray, rec: GramRecord | None) -> bytes:
@@ -209,7 +211,6 @@ def assemble_batch(
     seed: int,
     cache_path,
     domain,
-    threads: int = 1,
     quadrature: str = "mc",
 ) -> dict:
     """Assemble records for every theta in order, appending to cache_path.
@@ -217,63 +218,50 @@ def assemble_batch(
     Resumable: finished records whose header and theta match are kept (the
     file is extended, not rewritten) and a torn final record is cut off and
     recomputed. Per-record sample streams depend only on (seed, index), so
-    reruns and different thread counts produce byte-identical files.
+    reruns and resumed runs produce byte-identical files.
     Non-finite records are stored as skipped; returns summary stats.
     """
     header = cache_header(arch, op, n_x, seed, quadrature)
     points = thetas.points
-    done = _resume_count(cache_path, header, points)
-    mode = "ab"
-    if done < 0:
-        mode = "wb"
-        done = 0
+    done, mode = 0, "wb"
+    if os.path.exists(cache_path) and os.path.getsize(cache_path) > 0:
+        _, offset, records, _, done = _check_cache(cache_path, header, points)
+        del records
+        end = offset + done * _record_floats(header["m"]) * binfile.DTYPE.itemsize
+        if os.path.getsize(cache_path) != end:
+            os.truncate(cache_path, end)  # cut off a torn tail
+        mode = "ab"
 
-    todo = list(range(done, points.shape[0]))
+    todo = range(done, points.shape[0])
     skipped = 0
-
-    def build(index: int):
-        try:
-            return assemble_at(arch, points[index], op, domain, n_x, seed, stream=index + 1, quadrature=quadrature)
-        except NonFiniteError:
-            return None
-
     with open(cache_path, mode) as fh:
         if mode == "wb":
             fh.write(binfile.encode_header(header))
-        if threads > 1 and todo:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = pool.map(build, todo)
-                for index, rec in zip(todo, results):
-                    if rec is None:
-                        skipped += 1
-                    fh.write(_record_bytes(points[index], rec))
-        else:
-            for index in todo:
-                rec = build(index)
-                if rec is None:
-                    skipped += 1
-                fh.write(_record_bytes(points[index], rec))
+        for index in todo:
+            try:
+                rec = assemble_at(arch, points[index], op, domain, n_x, seed, stream=index + 1, quadrature=quadrature)
+            except NonFiniteError:
+                rec = None
+                skipped += 1
+            fh.write(_record_bytes(points[index], rec))
     return {"total": points.shape[0], "computed": len(todo), "resumed": min(done, points.shape[0]), "skipped": skipped}
 
 
-def read_cache(cache_path, expect_arch: rom.RomArch | None = None, n_records: int | None = None) -> GramCache:
-    """Memory-map a Gram cache; optionally enforce the architecture hash and
-    take exactly the first n_records records.
+def read_cache(cache_path, header: dict | None = None, thetas: np.ndarray | None = None) -> GramCache:
+    """Memory-map a Gram cache. Given the expected cache_header and the theta
+    sampled for each wanted record, check both as sample-gram does and take
+    exactly the first len(thetas) records.
 
-    Raises CacheMismatch for a foreign, old-format or torn cache, and
-    MissingArtifact when fewer than n_records records are finished.
+    Raises CacheMismatch for a foreign, old-format, torn or stale cache, and
+    MissingArtifact when fewer than len(thetas) records are finished.
     """
-    header, offset = binfile.read_header(cache_path, "gram_cache", CACHE_FORMAT_VERSION, _RERUN)
-    if expect_arch is not None and header["arch_hash"] != rom.arch_hash(expect_arch):
-        raise CacheMismatch("cache arch_hash does not match the requested architecture")
-    records, torn = _map_records(cache_path, header, offset)
-    done = _finished(records[:, -1])
+    header, _, records, torn, done = _check_cache(cache_path, header, thetas)
     if torn or done < records.shape[0]:
         raise CacheMismatch(f"{cache_path} holds a partly written record; {_RERUN} to repair it")
-    if n_records is not None:
-        if done < n_records:
-            raise MissingArtifact(f"{cache_path} has {done} of {n_records} records; {_RERUN}")
-        records = records[:n_records]
+    if thetas is not None:
+        if done < thetas.shape[0]:
+            raise MissingArtifact(f"{cache_path} has {done} of {thetas.shape[0]} records; {_RERUN}")
+        records = records[: thetas.shape[0]]
     m = header["m"]
     return GramCache(
         header=header,

@@ -1,13 +1,16 @@
-"""Layout shared by the binary artifacts (Gram cache, control checkpoint).
+"""File handling shared by the artifacts.
 
-A file is one JSON header line, space-padded so that the data starts at a
-multiple of 64 bytes, followed by fixed-size little-endian float64 data. The
-header says what the data is; readers memory-map the data in place.
+A binary artifact (Gram cache, control checkpoint) is one JSON header line,
+space-padded so that the data starts at a multiple of 64 bytes, followed by
+fixed-size little-endian float64 data that readers memory-map in place. The
+JSON-lines artifacts (trajectory cache, anchor store) are moved into place
+whole, so a cut run never leaves a torn one.
 """
 
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 
@@ -48,3 +51,35 @@ def read_header(path, kind: str, format_version: int, remedy: str) -> tuple[dict
             f"(older JSON artifacts are not read); delete it and {remedy}"
         )
     return header, len(line)
+
+
+def check_header(path, existing: dict, expected: dict | None, remedy: str) -> None:
+    """Raise CacheMismatch, naming the first differing field and the remedy,
+    unless existing carries every field of expected with the same value."""
+    for key, value in (expected or {}).items():
+        if existing.get(key) != value:
+            raise CacheMismatch(f"header mismatch on {key!r} in {path}; {remedy}")
+
+
+def write_json_lines(path, docs) -> None:
+    """One JSON document per line, via a temporary file and os.replace."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w") as fh:
+        for doc in docs:
+            fh.write(json.dumps(doc) + "\n")
+    os.replace(tmp, path)
+
+
+def read_json_lines(path, remedy: str) -> list:
+    """The documents of a JSON-lines file, blank lines skipped; a line that
+    does not parse raises CacheMismatch naming the remedy."""
+    docs = []
+    with open(path) as fh:
+        for n, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                docs.append(json.loads(line))
+            except json.JSONDecodeError:
+                raise CacheMismatch(f"line {n} of {path} does not parse; {remedy}") from None
+    return docs

@@ -26,7 +26,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--set", dest="overrides", action="append", default=[], metavar="K=V",
                    help="dotted-path config override, repeatable")
-    p.add_argument("--threads", type=int, default=None, help="worker threads for assembly")
     p.add_argument("--out", default=None, help="output directory (default: config paths.out_dir or ./out)")
 
 
@@ -67,8 +66,6 @@ def _run(args) -> int:
     from . import pipeline
 
     cfg = load_config(args.config, overrides=args.overrides, out_dir=args.out, seed=args.seed)
-    if args.threads is not None:
-        cfg.raw["threads"] = args.threads
 
     if args.command == "fit-initial":
         report = pipeline.cmd_fit_initial(cfg)

@@ -41,6 +41,8 @@ _TRAIN_SCHEMA = {
     },
     "additionalProperties": False,
 }
+# the train keys fit.fit_initial reads
+_FIT_KEYS = ("lr", "beta1", "beta2", "adam_eps", "max_steps")
 
 SCHEMA = {
     "type": "object",
@@ -131,7 +133,7 @@ SCHEMA = {
                 "degree_max": {"type": "integer", "minimum": 0, "maximum": 6},
                 "max_terms": {"type": "integer", "minimum": 1, "maximum": 36},
                 "amplitude": {"type": "number", "exclusiveMinimum": 0},
-                "fit": _TRAIN_SCHEMA,
+                "fit": {**_TRAIN_SCHEMA, "properties": {k: _TRAIN_SCHEMA["properties"][k] for k in _FIT_KEYS}},
             },
             "additionalProperties": False,
         },
@@ -147,6 +149,7 @@ SCHEMA = {
             "additionalProperties": False,
         },
         "seed": {"type": "integer", "minimum": 0},
+        # ignored: benchmark configs still carry it
         "threads": {"type": "integer", "minimum": 1},
         "notes": {"type": "string"},
     },
@@ -171,7 +174,6 @@ _DEFAULTS = {
         "fit": {},
     },
     "paths": {},
-    "threads": 1,
 }
 
 
@@ -215,10 +217,6 @@ class RunConfig:
     @property
     def seed(self) -> int:
         return self.raw["seed"]
-
-    @property
-    def threads(self) -> int:
-        return self.raw["threads"]
 
     # -- constructed objects ------------------------------------------------
 
@@ -277,10 +275,7 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
     def fit_config(self) -> TrainConfig:
-        merged = {"batch_size": 0, "stop_loss": 0.0, "stop_plateau_pct": None, "max_steps": 5000}
-        merged.update(self.raw["initials"].get("fit", {}))
-        merged.setdefault("seed", self.seed)
-        return TrainConfig(**merged)
+        return TrainConfig(**{"max_steps": 5000, **self.raw["initials"].get("fit", {})})
 
     # -- paths ---------------------------------------------------------------
 

@@ -10,16 +10,17 @@ reported instead of crashing downstream consumers.
 
 from __future__ import annotations
 
-import json
+import hashlib
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import assembly, control_net as cn, linalg, pde_ops, rom
-from .errors import CacheMismatch, NonFiniteError
+from . import assembly, binfile, control_net as cn, linalg, pde_ops, rom
+from .errors import NonFiniteError
 from .sampling import SampleBatch, ThetaSpace, rng_for
 
-TRAJ_FORMAT_VERSION = 1
+TRAJ_FORMAT_VERSION = 2
 GUARD_DIAMETER_FACTOR = 10.0
 
 
@@ -58,7 +59,6 @@ def gen_trajectory(
     seed: int,
     lambda_reg: float | None = None,
     quadrature: str = "mc",
-    theta_space: ThetaSpace | None = None,
     stream_base: int = 0,
 ) -> ParamTrajectory:
     """Euler march theta_{j+1} = theta_j + h v_j with v_j solved from the
@@ -96,17 +96,14 @@ def gen_trajectory(
             if not np.all(np.isfinite(theta)):
                 blowup = j + 1
                 break
-    times = h * np.arange(count)
-    traj = ParamTrajectory(
-        times=times,
+    return ParamTrajectory(
+        times=h * np.arange(count),
         thetas=thetas[:count],
         velocities=vels[:count],
         source="gram_march",
         step=h,
         blowup_step=blowup,
     )
-    traj.escape_step = _first_escape(traj.thetas, theta_space)
-    return traj
 
 
 def solve_ivp(
@@ -196,54 +193,47 @@ def field_stats(net: cn.ControlNet, thetas: SampleBatch, n_probe_iters: int = 8)
 # trajectory cache
 
 
-def traj_cache_header(arch: rom.RomArch, op: pde_ops.PdeOperator, h: float, n_x: int, seed: int) -> dict:
+def traj_cache_header(arch: rom.RomArch, op: pde_ops.PdeOperator, domain, h: float, n_t: int, n_x: int,
+                      seed: int, quadrature: str, starts: np.ndarray) -> dict:
+    """Every input that shapes the cached marches; the start thetas (drawn
+    from the theta space or the anchor store) enter as a sha256 digest."""
+    starts = np.ascontiguousarray(starts, dtype=np.float64)
     return {
         "format_version": TRAJ_FORMAT_VERSION,
         "kind": "traj_cache",
         "arch_hash": rom.arch_hash(arch),
         "op_tag": op.tag,
         "m": rom.param_count(arch),
+        "domain": [np.asarray(domain[0]).tolist(), np.asarray(domain[1]).tolist()],
         "h": h,
+        "n_t": n_t,
         "n_x": n_x,
         "seed": seed,
+        "quadrature": quadrature,
+        "n_traj": starts.shape[0],
+        "starts_sha256": hashlib.sha256(starts.tobytes()).hexdigest(),
     }
 
 
 def write_traj_cache(path, header: dict, trajectories: list[ParamTrajectory]) -> None:
-    with open(path, "w") as fh:
-        fh.write(json.dumps(header) + "\n")
-        for tid, traj in enumerate(trajectories):
-            for j in range(traj.thetas.shape[0]):
-                fh.write(
-                    json.dumps(
-                        {
-                            "traj_id": tid,
-                            "j": j,
-                            "t": float(traj.times[j]),
-                            "theta": traj.thetas[j].tolist(),
-                            "v": traj.velocities[j].tolist(),
-                        }
-                    )
-                    + "\n"
-                )
+    rows = (
+        {"traj_id": tid, "j": j, "t": float(traj.times[j]), "theta": traj.thetas[j].tolist(),
+         "v": traj.velocities[j].tolist()}
+        for tid, traj in enumerate(trajectories)
+        for j in range(traj.thetas.shape[0])
+    )
+    binfile.write_json_lines(path, itertools.chain([header], rows))
 
 
-def read_traj_cache(path, expect_arch: rom.RomArch | None = None):
-    """Returns (header, thetas, velocities) with rows stacked across trajectories."""
-    with open(path) as fh:
-        header = json.loads(fh.readline())
-        if header.get("kind") != "traj_cache":
-            raise CacheMismatch(f"{path} is not a trajectory cache")
-        if expect_arch is not None and header["arch_hash"] != rom.arch_hash(expect_arch):
-            raise CacheMismatch("trajectory cache arch_hash mismatch")
-        thetas, vels = [], []
-        for line in fh:
-            if not line.strip():
-                continue
-            doc = json.loads(line)
-            thetas.append(doc["theta"])
-            vels.append(doc["v"])
-    if thetas:
-        return header, np.array(thetas), np.array(vels)
-    m = header["m"]
-    return header, np.zeros((0, m)), np.zeros((0, m))
+def read_traj_cache(path, header: dict | None = None):
+    """(header, thetas, velocities), rows stacked across trajectories; checks
+    the expected header. CacheMismatch names gen-trajectories."""
+    remedy = "rerun gen-trajectories"
+    docs = binfile.read_json_lines(path, remedy)
+    existing = docs.pop(0) if docs else {}
+    kind = {"kind": "traj_cache", "format_version": TRAJ_FORMAT_VERSION}
+    binfile.check_header(path, existing, {**kind, **(header or {})}, remedy)
+    if docs:
+        return existing, np.array([d["theta"] for d in docs]), np.array([d["v"] for d in docs])
+    m = existing["m"]
+    return existing, np.zeros((0, m)), np.zeros((0, m))

@@ -11,12 +11,11 @@ Initial-condition families:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import rom
+from . import binfile, rom
 from .errors import ConfigError
 from .optim import Adam
 from .sampling import sample_omega, sample_theta
@@ -211,21 +210,12 @@ def fit_initial(
 
 
 def save_anchors(path, entries: list[tuple[InitialSpec, np.ndarray, float]]) -> None:
-    with open(path, "w") as fh:
-        for spec, theta, rmse in entries:
-            fh.write(
-                json.dumps({"spec": spec.describe(), "theta": np.asarray(theta).tolist(), "rmse": rmse})
-                + "\n"
-            )
+    binfile.write_json_lines(
+        path,
+        ({"spec": spec.describe(), "theta": np.asarray(theta).tolist(), "rmse": rmse} for spec, theta, rmse in entries),
+    )
 
 
 def load_anchors(path) -> tuple[np.ndarray, list[dict]]:
-    thetas, specs = [], []
-    with open(path) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            doc = json.loads(line)
-            thetas.append(doc["theta"])
-            specs.append(doc)
-    return np.array(thetas), specs
+    docs = binfile.read_json_lines(path, "rerun fit-initial")
+    return np.array([doc["theta"] for doc in docs]), docs

@@ -98,24 +98,53 @@ def cmd_fit_initial(cfg: RunConfig, specs=None) -> list[dict]:
     ]
 
 
+def _gram_thetas(cfg: RunConfig) -> SampleBatch:
+    return sample_theta(cfg.theta_space(), cfg.raw["counts"]["n_theta"], cfg.seed, stream=40)
+
+
+def _read_gram_cache(cfg: RunConfig) -> assembly.GramCache:
+    """The first counts.n_theta records of the run's Gram cache, checked as
+    sample-gram checks them before it resumes."""
+    path = cfg.path("gram_cache")
+    if not os.path.exists(path):
+        raise MissingArtifact(f"gram cache {path} not found; run sample-gram first")
+    header = assembly.cache_header(
+        cfg.rom_arch(), cfg.problem().operator, cfg.raw["counts"]["n_x"], cfg.seed, cfg.raw["quadrature"]
+    )
+    return assembly.read_cache(path, header, _gram_thetas(cfg).points)
+
+
 def cmd_sample_gram(cfg: RunConfig) -> dict:
     cfg.ensure_layout()
-    arch = cfg.rom_arch()
     problem = cfg.problem()
-    space = cfg.theta_space()
-    counts = cfg.raw["counts"]
-    thetas = sample_theta(space, counts["n_theta"], cfg.seed, stream=40)
     return assembly.assemble_batch(
-        arch,
-        thetas,
+        cfg.rom_arch(),
+        _gram_thetas(cfg),
         problem.operator,
-        counts["n_x"],
+        cfg.raw["counts"]["n_x"],
         cfg.seed,
         cfg.path("gram_cache"),
         problem.domain,
-        threads=cfg.threads,
         quadrature=cfg.raw["quadrature"],
     )
+
+
+def _traj_plan(cfg: RunConfig) -> tuple[dict, np.ndarray]:
+    """The trajectory cache header and the start thetas the config implies."""
+    arch = cfg.rom_arch()
+    problem = cfg.problem()
+    counts = cfg.raw["counts"]
+    n_traj = counts["n_traj"]
+    starts = np.zeros((0, rom.param_count(arch)))
+    if n_traj:
+        space = cfg.theta_space()
+        if isinstance(space, AnchorBalls):
+            starts = space.anchors[np.arange(n_traj) % len(space.anchors)]
+        else:
+            starts = sample_theta(space, n_traj, cfg.seed, stream=41).points
+    header = evolve.traj_cache_header(arch, problem.operator, problem.domain, problem.horizon / counts["n_t"],
+                                      counts["n_t"], counts["n_x"], cfg.seed, cfg.raw["quadrature"], starts)
+    return header, starts
 
 
 def cmd_gen_trajectories(cfg: RunConfig) -> dict:
@@ -123,45 +152,27 @@ def cmd_gen_trajectories(cfg: RunConfig) -> dict:
     arch = cfg.rom_arch()
     problem = cfg.problem()
     counts = cfg.raw["counts"]
-    n_traj = counts["n_traj"]
-    if n_traj == 0:
-        evolve.write_traj_cache(
-            cfg.path("traj_cache"),
-            evolve.traj_cache_header(arch, problem.operator, 0.0, counts["n_x"], cfg.seed),
-            [],
-        )
-        return {"trajectories": 0, "pairs": 0, "blowups": 0}
-    space = cfg.theta_space()
-    if isinstance(space, AnchorBalls):
-        starts = space.anchors[np.arange(n_traj) % len(space.anchors)]
-    else:
-        starts = sample_theta(space, n_traj, cfg.seed, stream=41).points
-    h = problem.horizon / counts["n_t"]
+    header, starts = _traj_plan(cfg)
     trajs = []
     blowups = 0
-    for i in range(n_traj):
+    for i in range(starts.shape[0]):
         traj = evolve.gen_trajectory(
             arch,
             starts[i],
             problem.operator,
             problem.domain,
             counts["n_t"],
-            h,
+            header["h"],
             counts["n_x"],
             cfg.seed,
             quadrature=cfg.raw["quadrature"],
-            theta_space=space,
             stream_base=100_000 * (i + 1),
         )
         blowups += int(traj.blowup_step is not None)
         trajs.append(traj)
-    evolve.write_traj_cache(
-        cfg.path("traj_cache"),
-        evolve.traj_cache_header(arch, problem.operator, h, counts["n_x"], cfg.seed),
-        trajs,
-    )
+    evolve.write_traj_cache(cfg.path("traj_cache"), header, trajs)
     pairs = sum(t.thetas.shape[0] for t in trajs)
-    return {"trajectories": n_traj, "pairs": pairs, "blowups": blowups}
+    return {"trajectories": len(trajs), "pairs": pairs, "blowups": blowups}
 
 
 def control_checkpoint_path(cfg: RunConfig) -> str:
@@ -177,17 +188,11 @@ def cmd_train_control(
     """Train the control field. pairs_only skips the projection loss and fits
     the trajectory pairs alone (curriculum warmup for stiff selections)."""
     cfg.ensure_layout()
-    arch = cfg.rom_arch()
-    cache = None
-    if not pairs_only:
-        gram_path = cfg.path("gram_cache")
-        if not os.path.exists(gram_path):
-            raise MissingArtifact(f"gram cache {gram_path} not found; run sample-gram first")
-        cache = assembly.read_cache(gram_path, expect_arch=arch, n_records=cfg.raw["counts"]["n_theta"])
+    cache = None if pairs_only else _read_gram_cache(cfg)
     pairs = None
     traj_path = cfg.path("traj_cache")
     if os.path.exists(traj_path):
-        _, th2, v2 = evolve.read_traj_cache(traj_path, expect_arch=arch)
+        _, th2, v2 = evolve.read_traj_cache(traj_path, header=_traj_plan(cfg)[0])
         if th2.shape[0]:
             pairs = (th2, v2)
     if pairs_only and pairs is None:
@@ -408,10 +413,7 @@ def cmd_verify(cfg: RunConfig) -> dict:
     net = cn.load_control_checkpoint(ckpt)
     if net.arch.input_dim != rom.param_count(arch):
         raise ChecksumMismatch("control net dimension does not match the model architecture")
-    gram_path = cfg.path("gram_cache")
-    if not os.path.exists(gram_path):
-        raise MissingArtifact(f"gram cache {gram_path} not found; run sample-gram first")
-    cache = assembly.read_cache(gram_path, expect_arch=arch, n_records=cfg.raw["counts"]["n_theta"])
+    cache = _read_gram_cache(cfg)
     sol_dir = os.path.dirname(solution_path(cfg, 0))
     names = (re.fullmatch(r"solution_(\d+)\.json", name) for name in os.listdir(sol_dir))
     indices = sorted(int(match.group(1)) for match in names if match)

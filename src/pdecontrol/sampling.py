@@ -1,8 +1,8 @@
 """Deterministic sampling of spatial points and parameter points.
 
 Streams are built on the counter-based Philox generator keyed by
-(seed, stream): any worker can reproduce any record's sample set from the
-pair alone, so parallel assembly is reproducible regardless of thread count.
+(seed, stream): any record's sample set is reproducible from the pair alone,
+so a resumed assembly writes the same bytes as a fresh one.
 """
 
 from __future__ import annotations

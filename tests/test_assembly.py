@@ -5,7 +5,7 @@ import pytest
 
 from pdecontrol import assembly, linalg, pde_ops, rom
 from pdecontrol.errors import CacheMismatch, MissingArtifact, PdeControlError
-from pdecontrol.sampling import Box, sample_omega, sample_theta
+from pdecontrol.sampling import Box, SampleBatch, sample_omega, sample_theta
 
 
 # Unrolled gradient descent on the projection quadratic: the oracle the
@@ -90,21 +90,29 @@ def test_monte_carlo_consistency_rate(unit_interval):
     assert errs[2] < errs[0] / 4.0 * 3.0  # ~1/2 per quadrupling, 3x slack
 
 
-def test_cache_resume_and_thread_determinism(tmp_path, unit_interval):
+def test_cache_resume_determinism(tmp_path, unit_interval):
     arch = rom.RomArch("resnet_zero_boundary", 1, 4, 2, "tanh", {"family": "unit_box"})
     thetas = sample_theta(Box(1.0, rom.param_count(arch)), 10, seed=1)
     p1 = tmp_path / "cache1.bin"
-    stats = assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 7, p1, unit_interval, threads=1)
+    stats = assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 7, p1, unit_interval)
     assert stats["computed"] == 10
     payload = p1.read_bytes()
 
-    stats2 = assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 7, p1, unit_interval, threads=1)
+    stats2 = assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 7, p1, unit_interval)
     assert stats2["computed"] == 0 and stats2["resumed"] == 10
     assert p1.read_bytes() == payload
 
+    # a run cut after four records, resumed over all ten
     p2 = tmp_path / "cache2.bin"
-    assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 7, p2, unit_interval, threads=4)
+    first = SampleBatch(points=thetas.points[:4], seed=thetas.seed, generator_tag=thetas.generator_tag)
+    assembly.assemble_batch(arch, first, pde_ops.Heat(), 32, 7, p2, unit_interval)
+    stats3 = assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 7, p2, unit_interval)
+    assert stats3["resumed"] == 4 and stats3["computed"] == 6
     assert p2.read_bytes() == payload
+
+    p3 = tmp_path / "cache3.bin"
+    assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 7, p3, unit_interval)
+    assert p3.read_bytes() == payload
 
 
 def test_cache_header_mismatch(tmp_path, unit_interval):
@@ -115,8 +123,8 @@ def test_cache_header_mismatch(tmp_path, unit_interval):
     with pytest.raises(CacheMismatch):
         assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 0, path, unit_interval)
     other = rom.fourier_sine_arch(4)
-    with pytest.raises(CacheMismatch):
-        assembly.read_cache(path, expect_arch=other)
+    with pytest.raises(CacheMismatch, match="arch_hash"):
+        assembly.read_cache(path, assembly.cache_header(other, pde_ops.Heat(), 16, 0, "mc"))
 
 
 def test_empty_batch_cache(tmp_path, unit_interval):
@@ -147,21 +155,19 @@ def test_nonfinite_records_skipped(tmp_path, unit_interval):
     assert np.array_equal(cache.theta[1], thetas.points[1])
 
 
-def _small_cache(tmp_path, n=6, name="c.bin", threads=1, half_width=1.0, quadrature="mc"):
+def _small_cache(tmp_path, n=6, name="c.bin", half_width=1.0, quadrature="mc"):
     arch = rom.RomArch("resnet_zero_boundary", 1, 3, 2, "tanh", {"family": "unit_box"})
     thetas = sample_theta(Box(half_width, rom.param_count(arch)), n, seed=2)
     path = tmp_path / name
     dom = (np.array([0.0]), np.array([1.0]))
-    stats = assembly.assemble_batch(
-        arch, thetas, pde_ops.Heat(), 24, 5, path, dom, threads=threads, quadrature=quadrature
-    )
+    stats = assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 24, 5, path, dom, quadrature=quadrature)
     return arch, thetas, path, stats
 
 
 def test_cache_roundtrip_exact_and_mapped(tmp_path, unit_interval):
     arch, thetas, path, _ = _small_cache(tmp_path)
     m = rom.param_count(arch)
-    cache = assembly.read_cache(path, expect_arch=arch)
+    cache = assembly.read_cache(path, assembly.cache_header(arch, pde_ops.Heat(), 24, 5, "mc"), thetas.points)
     record_bytes = 8 * (2 * m + m * m + 1)
     # views into the mapped records, not copies
     for a in (cache.theta, cache.gram, cache.rhs):
@@ -183,9 +189,7 @@ def test_cache_torn_tail_is_recomputed(tmp_path):
     torn.write_bytes(payload[:-37])
     with pytest.raises(PdeControlError):
         assembly.read_cache(torn)
-    stats = assembly.assemble_batch(
-        arch, thetas, pde_ops.Heat(), 24, 5, torn, (np.array([0.0]), np.array([1.0])), threads=2
-    )
+    stats = assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 24, 5, torn, (np.array([0.0]), np.array([1.0])))
     assert stats["computed"] == 1 and stats["resumed"] == 5
     assert torn.read_bytes() == payload
     # a record whose status word never landed (zero-filled tail) is not finished
@@ -209,11 +213,15 @@ def test_cache_rejects_changed_theta_and_quadrature(tmp_path):
 
 def test_read_cache_first_n_records(tmp_path):
     arch, thetas, path, _ = _small_cache(tmp_path, n=6)
-    cache = assembly.read_cache(path, n_records=4)
+    cache = assembly.read_cache(path, thetas=thetas.points[:4])
     assert cache.theta.shape[0] == 4 and cache.rows.tolist() == [0, 1, 2, 3]
     assert np.array_equal(cache.theta, thetas.points[:4])
+    more = sample_theta(Box(1.0, rom.param_count(arch)), 7, seed=2).points
+    assert np.array_equal(more[:6], thetas.points)
     with pytest.raises(MissingArtifact):
-        assembly.read_cache(path, n_records=7)
+        assembly.read_cache(path, thetas=more)
+    with pytest.raises(CacheMismatch, match="different theta"):
+        assembly.read_cache(path, thetas=thetas.points[:4] + 1.0)
 
 
 def test_old_json_cache_rejected(tmp_path, unit_interval):

@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import json
 import os
@@ -6,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pdecontrol import assembly, cli, config, control_net as cn, fit, pipeline, rom
+from pdecontrol import assembly, cli, config, control_net as cn, evolve, fit, pipeline, rom
 from pdecontrol.errors import ConfigError, MissingArtifact
 
-PRESETS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+PRESETS = ROOT / "configs"
 
 HEAT_CFG = {
     "problem": {
@@ -327,3 +329,92 @@ def test_shipped_presets_load(name, tmp_path):
     cfg.problem()
     cfg.rom_arch()
     cfg.control_arch()
+
+
+@pytest.mark.parametrize("override", ["seed=4", "counts.n_x=64", "quadrature=mc", "theta_space.half_width=5"])
+def test_train_control_rejects_stale_gram_cache(heat_config, tmp_path, capsys, override):
+    # the readers used to check only arch_hash and trained on the old records
+    base = ["--config", str(heat_config), "--out", str(tmp_path / "out")]
+    assert cli.main(["sample-gram", *base]) == 0
+    assert cli.main(["train-control", *base, "--set", override]) == cli.EXIT_NUMERIC
+    assert "rerun sample-gram" in capsys.readouterr().err
+    assert cli.main(["train-control", *base]) == 0
+
+
+def test_changed_velocity_rejects_gram_cache(tmp_path, capsys):
+    base = ["--config", str(PRESETS / "transport_1d.json"), "--out", str(tmp_path / "out"),
+            "--set", "counts.n_theta=4", "--set", "counts.n_x=16", "--set", "train.max_steps=2"]
+    assert cli.main(["sample-gram", *base]) == 0
+    assert cli.main(["train-control", *base]) == 0
+    for command in ("train-control", "verify"):
+        assert cli.main([command, *base, "--set", "problem.velocity=[-3.0]"]) == cli.EXIT_NUMERIC
+        assert "mismatch on 'op_tag'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "override", ["counts.n_t=50", "seed=4", "quadrature=mc", "counts.n_traj=3", "theta_space.half_width=0.5"]
+)
+def test_train_control_rejects_stale_traj_cache(heat_config, tmp_path, capsys, override):
+    base = ["--config", str(heat_config), "--out", str(tmp_path / "out")]
+    assert cli.main(["sample-gram", *base, "--set", override]) == 0
+    assert cli.main(["gen-trajectories", *base]) == 0
+    assert cli.main(["train-control", *base, "--set", override]) == cli.EXIT_NUMERIC
+    assert "rerun gen-trajectories" in capsys.readouterr().err
+    assert cli.main(["gen-trajectories", *base, "--set", override]) == 0
+    assert cli.main(["train-control", *base, "--set", override]) == 0
+
+
+def test_empty_traj_cache_records_the_step(heat_config, tmp_path):
+    cfg = config.load_config(heat_config, out_dir=str(tmp_path), overrides=["counts.n_traj=0"])
+    pipeline.cmd_sample_gram(cfg)
+    assert pipeline.cmd_gen_trajectories(cfg) == {"trajectories": 0, "pairs": 0, "blowups": 0}
+    header, thetas, _ = evolve.read_traj_cache(cfg.path("traj_cache"))
+    assert header["h"] == HEAT_CFG["problem"]["horizon"] / HEAT_CFG["counts"]["n_t"]
+    assert thetas.shape == (0, 2)
+    assert pipeline.cmd_train_control(cfg)["pairs"] == 0
+
+
+def test_torn_json_lines_artifacts_exit_code(heat_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    base = ["--config", str(heat_config), "--out", str(out)]
+    for command in ("fit-initial", "sample-gram", "gen-trajectories"):
+        assert cli.main([command, *base]) == 0
+    traj = out / "caches" / "traj.jsonl"
+    traj.write_text(traj.read_text()[:-7])
+    assert cli.main(["train-control", *base]) == cli.EXIT_NUMERIC
+    assert "rerun gen-trajectories" in capsys.readouterr().err
+    assert cli.main(["gen-trajectories", *base]) == 0
+    assert cli.main(["train-control", *base]) == 0
+    anchors = out / "caches" / "anchors.jsonl"
+    anchors.write_text(anchors.read_text()[:-7])
+    assert cli.main(["solve", *base]) == cli.EXIT_NUMERIC
+    assert "rerun fit-initial" in capsys.readouterr().err
+    assert sorted(p.name for p in (out / "caches").iterdir()) == ["anchors.jsonl", "gram.bin", "traj.jsonl"]
+
+
+@pytest.mark.parametrize("key", ["zeta", "batch_size", "stop_loss", "stop_plateau_pct", "plateau_window"])
+def test_fit_keys_nothing_reads_are_config_errors(heat_config, tmp_path, key):
+    args = ["fit-initial", "--config", str(heat_config), "--out", str(tmp_path), "--set", f"initials.fit.{key}=1"]
+    assert cli.main(args) == cli.EXIT_CONFIG
+
+
+def test_threads_key_still_loads(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(HEAT_CFG, threads=2)))
+    assert config.load_config(path, out_dir=str(tmp_path)).raw["threads"] == 2
+
+
+def test_benchmark_workload_configs_load(tmp_path):
+    # perfbench writes its own configs (with "threads"); a schema change that
+    # rejects them would break every benchmark run
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert sorted(workloads.WORKLOADS) == ["allen_cahn2d", "heat1d", "transport1d"]
+    for name in workloads.WORKLOADS:
+        path = tmp_path / f"{name}.json"
+        workloads.write_config(str(ROOT), name, 1, 2, str(path))
+        cfg = config.load_config(path, out_dir=str(tmp_path / name))
+        cfg.control_arch()
+        cfg.train_config()
+        cfg.fit_config()

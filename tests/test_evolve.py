@@ -163,15 +163,37 @@ def test_escape_flag_without_blowup():
 def test_traj_cache_roundtrip(tmp_path, unit_interval):
     arch = rom.fourier_sine_arch(3)
     op = pde_ops.Heat()
+    starts = np.array([[0.4, 0.1, 0.0]] * 2)
     trajs = [
-        evolve.gen_trajectory(arch, np.array([0.4, 0.1, 0.0]), op, unit_interval, 4, 0.01, 32, 0,
+        evolve.gen_trajectory(arch, starts[i], op, unit_interval, 4, 0.01, 32, 0,
                               lambda_reg=0.0, quadrature="gauss", stream_base=100 * i)
         for i in range(2)
     ]
     path = tmp_path / "traj.jsonl"
-    evolve.write_traj_cache(path, evolve.traj_cache_header(arch, op, 0.01, 32, 0), trajs)
-    header, thetas, vels = evolve.read_traj_cache(path, expect_arch=arch)
-    assert header["op_tag"] == "heat"
+    header = evolve.traj_cache_header(arch, op, unit_interval, 0.01, 4, 32, 0, "gauss", starts)
+    evolve.write_traj_cache(path, header, trajs)
+    assert [p.name for p in tmp_path.iterdir()] == ["traj.jsonl"]
+    read, thetas, vels = evolve.read_traj_cache(path, header=header)
+    assert read == header and read["op_tag"] == "heat" and read["n_traj"] == 2
     assert thetas.shape == (10, 3) and vels.shape == (10, 3)
-    with pytest.raises(CacheMismatch):
-        evolve.read_traj_cache(path, expect_arch=rom.fourier_sine_arch(4))
+    other = rom.fourier_sine_arch(4)
+    with pytest.raises(CacheMismatch, match="arch_hash"):
+        evolve.read_traj_cache(path, header=evolve.traj_cache_header(other, op, unit_interval, 0.01, 4, 32, 0,
+                                                                     "gauss", np.zeros((2, 4))))
+    with pytest.raises(CacheMismatch, match="starts_sha256"):
+        evolve.read_traj_cache(path, header=evolve.traj_cache_header(arch, op, unit_interval, 0.01, 4, 32, 0,
+                                                                     "gauss", starts + 1.0))
+
+
+def test_traj_cache_torn_line_names_the_remedy(tmp_path, unit_interval):
+    arch = rom.fourier_sine_arch(2)
+    starts = np.array([[0.3, -0.2]])
+    traj = evolve.gen_trajectory(arch, starts[0], pde_ops.Heat(), unit_interval, 3, 0.01, 16, 0,
+                                 lambda_reg=0.0, quadrature="gauss")
+    path = tmp_path / "traj.jsonl"
+    header = evolve.traj_cache_header(arch, pde_ops.Heat(), unit_interval, 0.01, 3, 16, 0, "gauss", starts)
+    evolve.write_traj_cache(path, header, [traj])
+    text = path.read_text()
+    path.write_text(text[:-10])
+    with pytest.raises(CacheMismatch, match="line 5 .* rerun gen-trajectories"):
+        evolve.read_traj_cache(path)
