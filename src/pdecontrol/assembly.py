@@ -18,9 +18,9 @@ import numpy as np
 
 from . import binfile, pde_ops, rom
 from .errors import CacheMismatch, MissingArtifact, NonFiniteError
-from .sampling import SampleBatch, sample_omega
+from .sampling import sample_omega
 
-CACHE_FORMAT_VERSION = 2
+CACHE_FORMAT_VERSION = 3
 
 
 @dataclass
@@ -28,8 +28,6 @@ class GramRecord:
     theta: np.ndarray
     gram: np.ndarray  # (m, m), exactly symmetric
     rhs: np.ndarray  # (m,)
-    n_x: int
-    seed: int
 
 
 @functools.lru_cache(maxsize=None)
@@ -41,30 +39,27 @@ def _leggauss(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def gauss_legendre_batch(domain, n_nodes: int) -> tuple[SampleBatch, np.ndarray]:
-    """Gauss-Legendre nodes/weights on a 1-D interval, packaged like a sample
-    batch. Weights are normalized to integrate the uniform density (mean
+def gauss_legendre_batch(domain, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """(points, weights): Gauss-Legendre nodes (n_nodes, 1) on a 1-D interval
+    and their weights, normalized to integrate the uniform density (mean
     convention), so assembly code can treat quadrature and MC uniformly."""
     lo, hi = float(domain[0][0]), float(domain[1][0])
     x, w = _leggauss(n_nodes)
     pts = 0.5 * (hi - lo) * (x + 1.0) + lo
-    weights = 0.5 * w  # integrates f over (lo,hi)/|domain| like a mean
-    batch = SampleBatch(points=pts[:, None], seed=0, generator_tag=f"gauss/{n_nodes}")
-    return batch, weights
+    return pts[:, None], 0.5 * w  # weights integrate f over (lo,hi)/|domain| like a mean
 
 
 def assemble(
     model: rom.RomModel,
     op: pde_ops.PdeOperator,
-    xs: SampleBatch,
+    X: np.ndarray,
     weights: np.ndarray | None = None,
 ) -> GramRecord:
-    """One projection record at model.theta from the given spatial sample.
+    """One projection record at model.theta from the spatial points X (n, d).
 
     With weights=None each point carries mass 1/N (Monte-Carlo mean);
     explicit weights enable exact quadrature for 1-D linear bases.
     """
-    X = xs.points
     if X.shape[0] == 0:
         raise ValueError("empty sample batch")
     flags_needed = pde_ops.required_flags(op)
@@ -88,7 +83,7 @@ def assemble(
     gram = 0.5 * (gram + gram.T)  # exact symmetry
     if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs))):
         raise NonFiniteError("assembly produced non-finite entries")
-    return GramRecord(theta=model.theta.copy(), gram=gram, rhs=rhs, n_x=X.shape[0], seed=xs.seed)
+    return GramRecord(theta=model.theta.copy(), gram=gram, rhs=rhs)
 
 
 def assemble_at(
@@ -104,10 +99,9 @@ def assemble_at(
     """Assemble at one parameter point with a stream-split x-sample."""
     model = rom.RomModel(arch, theta)
     if quadrature == "gauss":
-        xs, w = gauss_legendre_batch(domain, n_x)
-        return assemble(model, op, xs, weights=w)
-    xs = sample_omega(domain, n_x, seed, stream=stream)
-    return assemble(model, op, xs)
+        X, w = gauss_legendre_batch(domain, n_x)
+        return assemble(model, op, X, weights=w)
+    return assemble(model, op, sample_omega(domain, n_x, seed, stream=stream))
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +130,7 @@ class GramCache:
     rows: np.ndarray  # indices of the STATUS_OK records
 
 
-def cache_header(arch: rom.RomArch, op: pde_ops.PdeOperator, n_x: int, seed: int, quadrature: str) -> dict:
+def cache_header(arch: rom.RomArch, op: pde_ops.PdeOperator, domain, n_x: int, seed: int, quadrature: str) -> dict:
     """Every input that shapes a record; theta itself is checked per record."""
     return {
         "format_version": CACHE_FORMAT_VERSION,
@@ -144,6 +138,8 @@ def cache_header(arch: rom.RomArch, op: pde_ops.PdeOperator, n_x: int, seed: int
         "arch_hash": rom.arch_hash(arch),
         "op_tag": op.tag,
         "m": rom.param_count(arch),
+        "lo": np.asarray(domain[0], dtype=np.float64).tolist(),
+        "hi": np.asarray(domain[1], dtype=np.float64).tolist(),
         "n_x": n_x,
         "seed": seed,
         "quadrature": quadrature,
@@ -205,7 +201,7 @@ def _record_bytes(theta: np.ndarray, rec: GramRecord | None) -> bytes:
 
 def assemble_batch(
     arch: rom.RomArch,
-    thetas: SampleBatch,
+    thetas: np.ndarray,
     op: pde_ops.PdeOperator,
     n_x: int,
     seed: int,
@@ -213,7 +209,7 @@ def assemble_batch(
     domain,
     quadrature: str = "mc",
 ) -> dict:
-    """Assemble records for every theta in order, appending to cache_path.
+    """Assemble records for every row of thetas in order, appending to cache_path.
 
     Resumable: finished records whose header and theta match are kept (the
     file is extended, not rewritten) and a torn final record is cut off and
@@ -221,30 +217,29 @@ def assemble_batch(
     reruns and resumed runs produce byte-identical files.
     Non-finite records are stored as skipped; returns summary stats.
     """
-    header = cache_header(arch, op, n_x, seed, quadrature)
-    points = thetas.points
+    header = cache_header(arch, op, domain, n_x, seed, quadrature)
     done, mode = 0, "wb"
     if os.path.exists(cache_path) and os.path.getsize(cache_path) > 0:
-        _, offset, records, _, done = _check_cache(cache_path, header, points)
+        _, offset, records, _, done = _check_cache(cache_path, header, thetas)
         del records
         end = offset + done * _record_floats(header["m"]) * binfile.DTYPE.itemsize
         if os.path.getsize(cache_path) != end:
             os.truncate(cache_path, end)  # cut off a torn tail
         mode = "ab"
 
-    todo = range(done, points.shape[0])
+    todo = range(done, thetas.shape[0])
     skipped = 0
     with open(cache_path, mode) as fh:
         if mode == "wb":
             fh.write(binfile.encode_header(header))
         for index in todo:
             try:
-                rec = assemble_at(arch, points[index], op, domain, n_x, seed, stream=index + 1, quadrature=quadrature)
+                rec = assemble_at(arch, thetas[index], op, domain, n_x, seed, stream=index + 1, quadrature=quadrature)
             except NonFiniteError:
                 rec = None
                 skipped += 1
-            fh.write(_record_bytes(points[index], rec))
-    return {"total": points.shape[0], "computed": len(todo), "resumed": min(done, points.shape[0]), "skipped": skipped}
+            fh.write(_record_bytes(thetas[index], rec))
+    return {"total": thetas.shape[0], "computed": len(todo), "resumed": min(done, thetas.shape[0]), "skipped": skipped}
 
 
 def read_cache(cache_path, header: dict | None = None, thetas: np.ndarray | None = None) -> GramCache:

@@ -13,6 +13,8 @@ Flat parameter layout (frozen; checkpoints depend on it):
     xi = [U_0, b_0, {U_l, b_l, Ubar_l, bbar_l} per block, W_out, b_out]
 with matrices stored row-major. The output layer is zero-initialized so a
 fresh net is the zero field.
+
+The gradients, _jvp, _vjp and field_stats share one forward cache and one reverse pass.
 """
 
 from __future__ import annotations
@@ -119,21 +121,18 @@ def init_control_params(arch: ControlArch, seed: int) -> np.ndarray:
 
 
 def _forward_cached(net: ControlNet, TH: np.ndarray):
+    """(out, cache): V at the rows of TH and what every derivative reuses,
+    cache = (TH, H0 the first tanh, per block (H_in, R, gate, T), H_last)."""
     U0, b0, blocks, W_out, b_out = net.params
-    H = np.tanh(TH @ U0.T + b0)
-    cache = {"H0": H, "TH": TH, "gates": [], "tanhs": [], "h_in": [], "pre_gate": []}
+    H0 = H = np.tanh(TH @ U0.T + b0)
+    layers = []
     for U, b, Ug, bg in blocks:
         R = TH @ Ug.T + bg
         gate = gelu(R)
         T = np.tanh(H @ U.T + b)
-        cache["h_in"].append(H)
-        cache["pre_gate"].append(R)
-        cache["gates"].append(gate)
-        cache["tanhs"].append(T)
+        layers.append((H, R, gate, T))
         H = H + gate * T
-    out = H @ W_out.T + b_out
-    cache["H_last"] = H
-    return out, cache
+    return H @ W_out.T + b_out, (TH, H0, layers, H)
 
 
 def forward(net: ControlNet, theta) -> np.ndarray:
@@ -149,94 +148,79 @@ def forward(net: ControlNet, theta) -> np.ndarray:
     return out[0] if single else out
 
 
+def _reverse(net: ControlNet, cache, dout: np.ndarray):
+    """Reverse pass of sum(dout * out): (dA0, [(dS, dR) per block]), the
+    cotangents of the first pre-activation and of each block's tanh (S) and
+    gate (R) pre-activations."""
+    _, _, blocks, W_out, _ = net.params
+    _, H0, layers, _ = cache
+    dH = dout @ W_out
+    per_block = [None] * len(layers)
+    for k in range(len(layers) - 1, -1, -1):
+        U = blocks[k][0]
+        _, R, gate, T = layers[k]
+        dS = dH * gate * (1.0 - T * T)
+        per_block[k] = (dS, dH * T * gelu_deriv(R))
+        dH = dH + dS @ U
+    return dH * (1.0 - H0**2), per_block
+
+
 def _backward_xi(net: ControlNet, cache, dout: np.ndarray) -> np.ndarray:
     """Gradient of sum(dout * out) with respect to the flat xi."""
-    U0, b0, blocks, W_out, b_out = net.params
-    TH = cache["TH"]
-    grads = np.empty_like(net.xi)
-    m, w = net.arch.input_dim, net.arch.width
-
-    gW_out = dout.T @ cache["H_last"]
-    gb_out = dout.sum(axis=0)
-    dH = dout @ W_out
-
-    block_grads = []
-    for k in range(net.arch.n_blocks - 1, -1, -1):
-        U, b, Ug, bg = blocks[k]
-        gate, T, R, H_in = cache["gates"][k], cache["tanhs"][k], cache["pre_gate"][k], cache["h_in"][k]
-        dgate = dH * T
-        dT = dH * gate
-        dS = dT * (1.0 - T * T)
-        gU = dS.T @ H_in
-        gb = dS.sum(axis=0)
-        dR = dgate * gelu_deriv(R)
-        gUg = dR.T @ TH
-        gbg = dR.sum(axis=0)
-        block_grads.append((gU, gb, gUg, gbg))
-        dH = dH + dS @ U
-    block_grads.reverse()
-
-    dA0 = dH * (1.0 - cache["H0"] ** 2)
-    gU0 = dA0.T @ TH
-    gb0 = dA0.sum(axis=0)
-
-    pos = 0
-
-    def put(a):
-        nonlocal pos
-        flat = a.ravel()
-        grads[pos : pos + flat.size] = flat
-        pos += flat.size
-
-    put(gU0)
-    put(gb0)
-    for gU, gb, gUg, gbg in block_grads:
-        put(gU)
-        put(gb)
-        put(gUg)
-        put(gbg)
-    put(gW_out)
-    put(gb_out)
-    assert pos == grads.size
+    TH, _, layers, H_last = cache
+    dA0, per_block = _reverse(net, cache, dout)
+    parts = [dA0.T @ TH, dA0.sum(axis=0)]
+    for (H_in, *_), (dS, dR) in zip(layers, per_block):
+        parts += [dS.T @ H_in, dS.sum(axis=0), dR.T @ TH, dR.sum(axis=0)]
+    parts += [dout.T @ H_last, dout.sum(axis=0)]
+    grads = np.concatenate([a.ravel() for a in parts])
+    assert grads.size == net.xi.size
     return grads
 
 
-def jvp_theta(net: ControlNet, TH: np.ndarray, V: np.ndarray) -> np.ndarray:
+def _jvp(net: ControlNet, cache, v: np.ndarray) -> np.ndarray:
     """Directional derivative (d/ds) V(theta + s v) at s=0, batched."""
-    U0, b0, blocks, W_out, b_out = net.params
-    A0 = TH @ U0.T + b0
-    H = np.tanh(A0)
-    Hd = (1.0 - H * H) * (V @ U0.T)
-    for U, b, Ug, bg in blocks:
-        R = TH @ Ug.T + bg
-        gate = gelu(R)
-        gate_d = gelu_deriv(R) * (V @ Ug.T)
-        S = H @ U.T + b
-        T = np.tanh(S)
+    U0, _, blocks, W_out, _ = net.params
+    _, H0, layers, _ = cache
+    Hd = (1.0 - H0 * H0) * (v @ U0.T)
+    for (U, _, Ug, _), (_, R, gate, T) in zip(blocks, layers):
+        gate_d = gelu_deriv(R) * (v @ Ug.T)
         Td = (1.0 - T * T) * (Hd @ U.T)
-        H = H + gate * T
         Hd = Hd + gate_d * T + gate * Td
     return Hd @ W_out.T
 
 
-def vjp_theta(net: ControlNet, TH: np.ndarray, U_cot: np.ndarray) -> np.ndarray:
-    """Cotangent pullback J(theta)^T u, batched over rows."""
-    _, cache = _forward_cached(net, TH)
-    U0, b0, blocks, W_out, b_out = net.params
-    dH = U_cot @ W_out
-    dTH = np.zeros_like(TH)
-    for k in range(net.arch.n_blocks - 1, -1, -1):
-        U, b, Ug, bg = blocks[k]
-        gate, T, R = cache["gates"][k], cache["tanhs"][k], cache["pre_gate"][k]
-        dgate = dH * T
-        dT = dH * gate
-        dS = dT * (1.0 - T * T)
-        dR = dgate * gelu_deriv(R)
+def _vjp(net: ControlNet, cache, u: np.ndarray) -> np.ndarray:
+    """Cotangent pullback J(theta)^T u, batched: dA0 U0 + sum of dR Ug."""
+    U0, _, blocks, _, _ = net.params
+    dA0, per_block = _reverse(net, cache, u)
+    dTH = np.zeros_like(cache[0])
+    for (_, dR), (_, _, Ug, _) in zip(per_block[::-1], blocks[::-1]):
         dTH += dR @ Ug
-        dH = dH + dS @ U
-    dA0 = dH * (1.0 - cache["H0"] ** 2)
     dTH += dA0 @ U0
     return dTH
+
+
+def field_stats(net: ControlNet, points: np.ndarray, seed: int, n_probe_iters: int = 8) -> tuple[float, float]:
+    """(M_V, L_V) estimates over the rows of points: the max field magnitude
+    and the max Jacobian operator norm, the latter by randomized power
+    iteration on _jvp and _vjp over one forward cache."""
+    TH = np.asarray(points, dtype=np.float64)
+    if TH.shape[0] == 0:
+        raise ValueError("empty sample")
+    out, cache = _forward_cached(net, TH)
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteError("control field evaluation overflowed")
+    m_v = float(np.linalg.norm(out, axis=1).max())
+    v = rng_for(seed, stream=3).standard_normal(TH.shape)
+    v /= np.maximum(np.linalg.norm(v, axis=1, keepdims=True), 1e-300)
+    sigma = np.zeros(TH.shape[0])
+    for _ in range(n_probe_iters):
+        w = _jvp(net, cache, v)
+        sigma = np.linalg.norm(w, axis=1)
+        v = _vjp(net, cache, w / np.maximum(sigma[:, None], 1e-300))
+        v /= np.maximum(np.linalg.norm(v, axis=1, keepdims=True), 1e-300)
+    return m_v, float(sigma.max())
 
 
 # ---------------------------------------------------------------------------
@@ -255,16 +239,9 @@ def loss_l1(net: ControlNet, TH: np.ndarray, G: np.ndarray, P: np.ndarray) -> tu
     return loss, grad
 
 
-def loss_l2(net: ControlNet, traj_pairs) -> tuple[float, np.ndarray]:
-    """Mean squared deviation from trajectory velocities and its xi-gradient.
-
-    traj_pairs is (thetas, velocities) as arrays of shape (n, m).
-    """
-    TH, V = traj_pairs
-    return _loss_l2_arrays(net, np.asarray(TH, dtype=np.float64), np.asarray(V, dtype=np.float64))
-
-
-def _loss_l2_arrays(net, TH, V):
+def loss_l2(net: ControlNet, TH: np.ndarray, V: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean squared deviation |V(theta) - v|^2 from the trajectory velocities
+    over the rows of (TH, V), both (n, m), and its xi-gradient."""
     out, cache = _forward_cached(net, TH)
     res = out - V
     n = TH.shape[0]
@@ -379,7 +356,7 @@ def train(
             grad += g1
         if batcher2 is not None:
             idx2 = batcher2.next()
-            l2, g2 = _loss_l2_arrays(current, T2[idx2], V2[idx2])
+            l2, g2 = loss_l2(current, T2[idx2], V2[idx2])
             grad += cfg.zeta * g2
         total = l1 + cfg.zeta * l2
         if not np.isfinite(total):

@@ -1,6 +1,5 @@
 """Parameter-space dynamics: Gram-march trajectory generation for training
-data, explicit ODE solvers for deployment, and field statistics for the
-discrete error bounds.
+data and explicit ODE solvers for deployment.
 
 Trajectories carry a blow-up guard: integration aborts (retaining the prefix)
 when a state goes non-finite or leaves a configurable norm ball, and records
@@ -16,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import assembly, binfile, control_net as cn, linalg, pde_ops, rom
+from . import assembly, binfile, linalg, pde_ops, rom
 from .errors import NonFiniteError
-from .sampling import SampleBatch, ThetaSpace, rng_for
+from .sampling import ThetaSpace
 
 TRAJ_FORMAT_VERSION = 2
 GUARD_DIAMETER_FACTOR = 10.0
@@ -29,14 +28,9 @@ class ParamTrajectory:
     times: np.ndarray  # (k,)
     thetas: np.ndarray  # (k, m)
     velocities: np.ndarray | None  # (k, m) for Gram marches
-    source: str  # "gram_march" | "control_field"
     step: float
     blowup_step: int | None = None  # first aborted step, if any
     escape_step: int | None = None  # first grid index outside the training region
-
-    @property
-    def escaped(self) -> bool:
-        return self.escape_step is not None
 
 
 def _first_escape(thetas: np.ndarray, space: ThetaSpace | None) -> int | None:
@@ -100,7 +94,6 @@ def gen_trajectory(
         times=h * np.arange(count),
         thetas=thetas[:count],
         velocities=vels[:count],
-        source="gram_march",
         step=h,
         blowup_step=blowup,
     )
@@ -154,39 +147,14 @@ def solve_ivp(
             break
         thetas[count] = theta
         count += 1
-    traj = ParamTrajectory(
+    return ParamTrajectory(
         times=h * np.arange(count),
         thetas=thetas[:count],
         velocities=None,
-        source="control_field",
         step=h,
         blowup_step=blowup,
+        escape_step=_first_escape(thetas[:count], theta_space),
     )
-    traj.escape_step = _first_escape(traj.thetas, theta_space)
-    return traj
-
-
-def field_stats(net: cn.ControlNet, thetas: SampleBatch, n_probe_iters: int = 8) -> tuple[float, float]:
-    """(M_V, L_V) estimates of a control net over a sample: the max field
-    magnitude and the max Jacobian operator norm, the latter by randomized
-    power iteration on the net's analytic forward/reverse directional
-    products (jvp_theta, vjp_theta)."""
-    pts = thetas.points
-    if pts.shape[0] == 0:
-        raise ValueError("empty sample batch")
-    vals = cn.forward(net, pts)
-    m_v = float(np.linalg.norm(vals, axis=1).max())
-    rng = rng_for(thetas.seed, stream=3)
-    v = rng.standard_normal(pts.shape)
-    v /= np.maximum(np.linalg.norm(v, axis=1, keepdims=True), 1e-300)
-    sigma = np.zeros(pts.shape[0])
-    for _ in range(n_probe_iters):
-        w = cn.jvp_theta(net, pts, v)
-        sigma = np.linalg.norm(w, axis=1)
-        u = w / np.maximum(sigma[:, None], 1e-300)
-        v = cn.vjp_theta(net, pts, u)
-        v /= np.maximum(np.linalg.norm(v, axis=1, keepdims=True), 1e-300)
-    return m_v, float(sigma.max())
 
 
 # ---------------------------------------------------------------------------

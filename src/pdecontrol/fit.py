@@ -135,8 +135,7 @@ def eval_initial(spec: InitialSpec, X, model: rom.RomModel | None = None) -> np.
 
 def resolve_random_theta(spec: RandomTheta, arch: rom.RomArch, theta_space) -> rom.RomModel:
     """Materialize the model whose parameters define a RandomTheta initial."""
-    batch = sample_theta(theta_space, 1, spec.seed, stream=7)
-    return rom.RomModel(arch, batch.points[0])
+    return rom.RomModel(arch, sample_theta(theta_space, 1, spec.seed, stream=7)[0])
 
 
 @dataclass
@@ -165,8 +164,7 @@ def fit_initial(
     computed on a disjoint sample (stream-split from the same seed).
     theta_init warm-starts the fit (used when building anchor sets).
     """
-    train_batch = sample_omega(domain, n_x, seed, stream=TRAIN_STREAM)
-    X = train_batch.points
+    X = sample_omega(domain, n_x, seed, stream=TRAIN_STREAM)
     g_train = eval_initial(spec, X)
 
     theta = rom.init_params(arch, seed) if theta_init is None else np.array(theta_init, dtype=np.float64)
@@ -192,9 +190,7 @@ def fit_initial(
 
     holdout = sample_omega(domain, n_x, seed, stream=HOLDOUT_STREAM)
     model = rom.RomModel(arch, best_theta)
-    res_h = rom.eval_batch(model, holdout.points, rom.EvalFlags(value=True)).value - eval_initial(
-        spec, holdout.points
-    )
+    res_h = rom.eval_batch(model, holdout, rom.EvalFlags(value=True)).value - eval_initial(spec, holdout)
     rmse_h = float(np.sqrt(np.mean(res_h * res_h)))
     return FitResult(
         theta=best_theta,

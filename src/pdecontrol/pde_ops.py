@@ -155,7 +155,3 @@ def euler_bound(l_v: float, m_v: float, vol_omega: float, h: float, t: float) ->
     except OverflowError:
         growth = math.inf
     return 0.5 * l_v * m_v * vol_omega * h * growth
-
-
-# Reporting convention for the unit-scale boxes used in the experiments.
-POINCARE_UNIT_BOX = 1.0 / math.pi

@@ -15,7 +15,7 @@ import numpy as np
 from . import assembly, control_net as cn, evolve, fit, pde_ops, reference, rom
 from .config import RunConfig
 from .errors import ChecksumMismatch, ConfigError, MissingArtifact
-from .sampling import AnchorBalls, Box, SampleBatch, rng_for, sample_theta
+from .sampling import AnchorBalls, Box, rng_for, sample_theta
 
 SOLUTION_FORMAT_VERSION = 1
 # Gram records per residual_scan call in verify: holds chunk * m^2 floats of G
@@ -98,7 +98,7 @@ def cmd_fit_initial(cfg: RunConfig, specs=None) -> list[dict]:
     ]
 
 
-def _gram_thetas(cfg: RunConfig) -> SampleBatch:
+def _gram_thetas(cfg: RunConfig) -> np.ndarray:
     return sample_theta(cfg.theta_space(), cfg.raw["counts"]["n_theta"], cfg.seed, stream=40)
 
 
@@ -108,10 +108,11 @@ def _read_gram_cache(cfg: RunConfig) -> assembly.GramCache:
     path = cfg.path("gram_cache")
     if not os.path.exists(path):
         raise MissingArtifact(f"gram cache {path} not found; run sample-gram first")
+    problem = cfg.problem()
     header = assembly.cache_header(
-        cfg.rom_arch(), cfg.problem().operator, cfg.raw["counts"]["n_x"], cfg.seed, cfg.raw["quadrature"]
+        cfg.rom_arch(), problem.operator, problem.domain, cfg.raw["counts"]["n_x"], cfg.seed, cfg.raw["quadrature"]
     )
-    return assembly.read_cache(path, header, _gram_thetas(cfg).points)
+    return assembly.read_cache(path, header, _gram_thetas(cfg))
 
 
 def cmd_sample_gram(cfg: RunConfig) -> dict:
@@ -141,7 +142,7 @@ def _traj_plan(cfg: RunConfig) -> tuple[dict, np.ndarray]:
         if isinstance(space, AnchorBalls):
             starts = space.anchors[np.arange(n_traj) % len(space.anchors)]
         else:
-            starts = sample_theta(space, n_traj, cfg.seed, stream=41).points
+            starts = sample_theta(space, n_traj, cfg.seed, stream=41)
     header = evolve.traj_cache_header(arch, problem.operator, problem.domain, problem.horizon / counts["n_t"],
                                       counts["n_t"], counts["n_x"], cfg.seed, cfg.raw["quadrature"], starts)
     return header, starts
@@ -177,6 +178,17 @@ def cmd_gen_trajectories(cfg: RunConfig) -> dict:
 
 def control_checkpoint_path(cfg: RunConfig) -> str:
     return os.path.join(cfg.path("checkpoints"), "control.bin")
+
+
+def _load_control(cfg: RunConfig) -> cn.ControlNet:
+    """The trained control net, checked against the config's ROM dimension."""
+    ckpt = control_checkpoint_path(cfg)
+    if not os.path.exists(ckpt):
+        raise MissingArtifact(f"control checkpoint {ckpt} not found; run train-control first")
+    net = cn.load_control_checkpoint(ckpt)
+    if net.arch.input_dim != rom.param_count(cfg.rom_arch()):
+        raise ChecksumMismatch("control net dimension does not match the model architecture")
+    return net
 
 
 def cmd_train_control(
@@ -233,12 +245,7 @@ def cmd_solve(cfg: RunConfig, anchor_index: int = 0) -> dict:
     thetas, docs = fit.load_anchors(cfg.path("anchors"))
     if anchor_index >= len(thetas):
         raise MissingArtifact(f"anchor {anchor_index} not in store of size {len(thetas)}")
-    ckpt = control_checkpoint_path(cfg)
-    if not os.path.exists(ckpt):
-        raise MissingArtifact(f"control checkpoint {ckpt} not found; run train-control first")
-    net = cn.load_control_checkpoint(ckpt)
-    if net.arch.input_dim != rom.param_count(arch):
-        raise ChecksumMismatch("control net dimension does not match the model architecture")
+    net = _load_control(cfg)
     space = cfg.theta_space()
     solve_cfg = cfg.raw["solve"]
     traj = evolve.solve_ivp(
@@ -287,7 +294,6 @@ def load_solution(cfg: RunConfig, index: int) -> tuple[dict, evolve.ParamTraject
         times=times,
         thetas=thetas,
         velocities=None,
-        source="control_field",
         step=step,
         blowup_step=doc.get("blowup_step"),
         escape_step=doc.get("escape_step"),
@@ -405,14 +411,8 @@ def cmd_verify(cfg: RunConfig) -> dict:
     cache, and per stored solution the field statistics M_V, L_V along its
     states, the Euler bound they give, and the measured error curve."""
     cfg.ensure_layout()
-    arch = cfg.rom_arch()
     problem = cfg.problem()
-    ckpt = control_checkpoint_path(cfg)
-    if not os.path.exists(ckpt):
-        raise MissingArtifact(f"control checkpoint {ckpt} not found; run train-control first")
-    net = cn.load_control_checkpoint(ckpt)
-    if net.arch.input_dim != rom.param_count(arch):
-        raise ChecksumMismatch("control net dimension does not match the model architecture")
+    net = _load_control(cfg)
     cache = _read_gram_cache(cfg)
     sol_dir = os.path.dirname(solution_path(cfg, 0))
     names = (re.fullmatch(r"solution_(\d+)\.json", name) for name in os.listdir(sol_dir))
@@ -429,7 +429,7 @@ def cmd_verify(cfg: RunConfig) -> dict:
     anchors = []
     for k in indices:
         doc, traj = load_solution(cfg, k)
-        m_v, l_v = evolve.field_stats(net, SampleBatch(points=traj.thetas, seed=cfg.seed, generator_tag="solution"))
+        m_v, l_v = cn.field_stats(net, traj.thetas, cfg.seed)
         entry = {
             "anchor": k,
             "fit_rmse": doc["fit_rmse"],

@@ -223,8 +223,7 @@ def error_curve(
     lo = np.asarray(domain[0], dtype=np.float64)
     hi = np.asarray(domain[1], dtype=np.float64)
     vol = float(np.prod(hi - lo))
-    batch = sample_omega(domain, n_x, seed, stream=11)
-    X = batch.points
+    X = sample_omega(domain, n_x, seed, stream=11)
 
     idx = np.arange(traj.times.shape[0])
     if max_times and idx.size > max_times:

@@ -318,15 +318,6 @@ def _basis_tables(basis_spec, x: np.ndarray, order: int):
     return B, dB, ddB
 
 
-def fourier_sine_arch(n_modes: int) -> RomArch:
-    """Orthonormal sine basis sqrt(2) sin(k pi x), k = 1..n_modes, on (0,1)."""
-    return RomArch(
-        kind=LINEAR_BASIS,
-        input_dim=1,
-        basis_spec=tuple(("fourier_sine", k) for k in range(1, n_modes + 1)),
-    )
-
-
 def _eval_linear_basis(model: RomModel, X: np.ndarray, need: EvalFlags) -> BatchEval:
     order = 2 if need.laplacian else (1 if need.grad_x else 0)
     x = X[:, 0]

@@ -71,17 +71,8 @@ class AnchorBalls:
 ThetaSpace = Box | AnchorBalls
 
 
-@dataclass
-class SampleBatch:
-    """A reproducible batch of points with its provenance."""
-
-    points: np.ndarray  # (n, dim)
-    seed: int
-    generator_tag: str
-
-
-def sample_omega(domain, n: int, seed: int, stream: int = 0) -> SampleBatch:
-    """n i.i.d. uniform points strictly inside an axis-aligned box.
+def sample_omega(domain, n: int, seed: int, stream: int = 0) -> np.ndarray:
+    """(n, dim) i.i.d. uniform points strictly inside an axis-aligned box.
 
     domain is (lo, hi) with lo/hi arrays of equal length.
     """
@@ -91,29 +82,27 @@ def sample_omega(domain, n: int, seed: int, stream: int = 0) -> SampleBatch:
     hi = np.asarray(domain[1], dtype=np.float64)
     rng = rng_for(seed, stream)
     u = rng.random((n, lo.shape[0]))
-    pts = lo + (hi - lo) * u
-    return SampleBatch(points=pts, seed=seed, generator_tag=f"omega/{stream}")
+    return lo + (hi - lo) * u
 
 
-def sample_theta(space: ThetaSpace, n: int, seed: int, stream: int = 0) -> SampleBatch:
-    """n parameter points from a Box or AnchorBalls space.
+def sample_theta(space: ThetaSpace, n: int, seed: int, stream: int = 0) -> np.ndarray:
+    """(n, dim) parameter points from a Box or AnchorBalls space. Point i
+    depends only on (seed, stream, i), so a larger n extends a smaller one.
 
     Box: uniform per coordinate in [-w, w].
-    AnchorBalls: anchor chosen uniformly, offset uniform in the L2 ball
-    (direction from a normalized Gaussian, radius scaled by U^(1/m)).
+    AnchorBalls: per point in turn, an anchor chosen uniformly and an offset
+    uniform in the L2 ball (direction from a normalized Gaussian, radius
+    scaled by U^(1/m)).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = rng_for(seed, stream)
     if isinstance(space, Box):
-        pts = rng.uniform(-space.half_width, space.half_width, (n, space.dim))
-        tag = f"theta-box/{stream}"
-    else:
-        m = space.dim
-        idx = rng.integers(0, len(space.anchors), size=n)
-        z = rng.standard_normal((n, m))
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
-        r = space.radius * rng.random(n) ** (1.0 / m)
-        pts = space.anchors[idx] + z * r[:, None]
-        tag = f"theta-anchors/{stream}"
-    return SampleBatch(points=pts, seed=seed, generator_tag=tag)
+        return rng.uniform(-space.half_width, space.half_width, (n, space.dim))
+    m = space.dim
+    pts = np.empty((n, m))
+    for i in range(n):
+        anchor = space.anchors[rng.integers(0, len(space.anchors))]
+        z = rng.standard_normal(m)
+        pts[i] = anchor + z * (space.radius * rng.random() ** (1.0 / m) / np.linalg.norm(z))
+    return pts

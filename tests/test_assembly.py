@@ -5,7 +5,9 @@ import pytest
 
 from pdecontrol import assembly, linalg, pde_ops, rom
 from pdecontrol.errors import CacheMismatch, MissingArtifact, PdeControlError
-from pdecontrol.sampling import Box, SampleBatch, sample_omega, sample_theta
+from pdecontrol.sampling import Box, sample_omega, sample_theta
+
+from conftest import fourier_sine_arch
 
 
 # Unrolled gradient descent on the projection quadratic: the oracle the
@@ -39,7 +41,7 @@ def gd_projection_field(record: assembly.GramRecord, n_steps: int, h: float) -> 
 
 
 def test_fourier_gram_is_identity(unit_interval):
-    arch = rom.fourier_sine_arch(4)
+    arch = fourier_sine_arch(4)
     rec = assembly.assemble_at(
         arch, np.array([0.3, -0.2, 0.9, 0.0]), pde_ops.Heat(), unit_interval, 96, 0, stream=0, quadrature="gauss"
     )
@@ -56,7 +58,7 @@ def test_monomial_gram_analytic(unit_interval):
 
 
 def test_heat_rhs_eigenmode(unit_interval):
-    arch = rom.fourier_sine_arch(4)
+    arch = fourier_sine_arch(4)
     theta = np.array([1.0, 0.0, 0.0, 0.0])
     rec = assembly.assemble_at(arch, theta, pde_ops.Heat(), unit_interval, 96, 0, stream=0, quadrature="gauss")
     assert np.allclose(rec.rhs, [-np.pi**2, 0.0, 0.0, 0.0], atol=1e-10)
@@ -75,7 +77,7 @@ def test_gram_exactly_symmetric_and_psd(rng, unit_interval):
 
 def test_monte_carlo_consistency_rate(unit_interval):
     # || G_tilde - I ||_max should roughly halve when N_x quadruples
-    arch = rom.fourier_sine_arch(4)
+    arch = fourier_sine_arch(4)
     theta = np.array([0.5, 0.5, 0.0, -0.5])
     errs = []
     for n_x in (250, 1000, 4000):
@@ -104,8 +106,7 @@ def test_cache_resume_determinism(tmp_path, unit_interval):
 
     # a run cut after four records, resumed over all ten
     p2 = tmp_path / "cache2.bin"
-    first = SampleBatch(points=thetas.points[:4], seed=thetas.seed, generator_tag=thetas.generator_tag)
-    assembly.assemble_batch(arch, first, pde_ops.Heat(), 32, 7, p2, unit_interval)
+    assembly.assemble_batch(arch, thetas[:4], pde_ops.Heat(), 32, 7, p2, unit_interval)
     stats3 = assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 7, p2, unit_interval)
     assert stats3["resumed"] == 4 and stats3["computed"] == 6
     assert p2.read_bytes() == payload
@@ -116,21 +117,20 @@ def test_cache_resume_determinism(tmp_path, unit_interval):
 
 
 def test_cache_header_mismatch(tmp_path, unit_interval):
-    arch = rom.fourier_sine_arch(3)
+    arch = fourier_sine_arch(3)
     thetas = sample_theta(Box(1.0, 3), 2, seed=0)
     path = tmp_path / "c.bin"
     assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 16, 0, path, unit_interval)
     with pytest.raises(CacheMismatch):
         assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 0, path, unit_interval)
-    other = rom.fourier_sine_arch(4)
+    other = fourier_sine_arch(4)
     with pytest.raises(CacheMismatch, match="arch_hash"):
-        assembly.read_cache(path, assembly.cache_header(other, pde_ops.Heat(), 16, 0, "mc"))
+        assembly.read_cache(path, assembly.cache_header(other, pde_ops.Heat(), unit_interval, 16, 0, "mc"))
 
 
 def test_empty_batch_cache(tmp_path, unit_interval):
-    arch = rom.fourier_sine_arch(2)
-    empty = sample_theta(Box(1.0, 2), 1, seed=0)
-    empty.points = empty.points[:0]
+    arch = fourier_sine_arch(2)
+    empty = sample_theta(Box(1.0, 2), 1, seed=0)[:0]
     path = tmp_path / "empty.bin"
     stats = assembly.assemble_batch(arch, empty, pde_ops.Heat(), 16, 0, path, unit_interval)
     assert stats["total"] == 0
@@ -144,7 +144,7 @@ def test_nonfinite_records_skipped(tmp_path, unit_interval):
     # via enormous coefficients so grad products go non-finite
     arch = rom.RomArch("linear_basis", 1, basis_spec=(("monomial", 1), ("monomial", 2)))
     thetas = sample_theta(Box(1.0, 2), 3, seed=0)
-    thetas.points[1] = np.array([1e300, 1e300])
+    thetas[1] = np.array([1e300, 1e300])
     path = tmp_path / "skip.bin"
     with np.errstate(over="ignore", invalid="ignore"):
         stats = assembly.assemble_batch(arch, thetas, pde_ops.AllenCahn(1e-4), 16, 0, path, unit_interval)
@@ -152,7 +152,7 @@ def test_nonfinite_records_skipped(tmp_path, unit_interval):
     cache = assembly.read_cache(path)
     assert cache.theta.shape[0] == 3
     assert cache.rows.tolist() == [0, 2]
-    assert np.array_equal(cache.theta[1], thetas.points[1])
+    assert np.array_equal(cache.theta[1], thetas[1])
 
 
 def _small_cache(tmp_path, n=6, name="c.bin", half_width=1.0, quadrature="mc"):
@@ -167,7 +167,7 @@ def _small_cache(tmp_path, n=6, name="c.bin", half_width=1.0, quadrature="mc"):
 def test_cache_roundtrip_exact_and_mapped(tmp_path, unit_interval):
     arch, thetas, path, _ = _small_cache(tmp_path)
     m = rom.param_count(arch)
-    cache = assembly.read_cache(path, assembly.cache_header(arch, pde_ops.Heat(), 24, 5, "mc"), thetas.points)
+    cache = assembly.read_cache(path, assembly.cache_header(arch, pde_ops.Heat(), unit_interval, 24, 5, "mc"), thetas)
     record_bytes = 8 * (2 * m + m * m + 1)
     # views into the mapped records, not copies
     for a in (cache.theta, cache.gram, cache.rhs):
@@ -176,7 +176,7 @@ def test_cache_roundtrip_exact_and_mapped(tmp_path, unit_interval):
     assert header_bytes > 0 and header_bytes % 64 == 0
     assert cache.rows.tolist() == list(range(6))
     for i in range(6):
-        rec = assembly.assemble_at(arch, thetas.points[i], pde_ops.Heat(), unit_interval, 24, 5, stream=i + 1)
+        rec = assembly.assemble_at(arch, thetas[i], pde_ops.Heat(), unit_interval, 24, 5, stream=i + 1)
         assert cache.theta[i].tobytes() == rec.theta.tobytes()
         assert cache.gram[i].tobytes() == rec.gram.tobytes()
         assert cache.rhs[i].tobytes() == rec.rhs.tobytes()
@@ -213,19 +213,19 @@ def test_cache_rejects_changed_theta_and_quadrature(tmp_path):
 
 def test_read_cache_first_n_records(tmp_path):
     arch, thetas, path, _ = _small_cache(tmp_path, n=6)
-    cache = assembly.read_cache(path, thetas=thetas.points[:4])
+    cache = assembly.read_cache(path, thetas=thetas[:4])
     assert cache.theta.shape[0] == 4 and cache.rows.tolist() == [0, 1, 2, 3]
-    assert np.array_equal(cache.theta, thetas.points[:4])
-    more = sample_theta(Box(1.0, rom.param_count(arch)), 7, seed=2).points
-    assert np.array_equal(more[:6], thetas.points)
+    assert np.array_equal(cache.theta, thetas[:4])
+    more = sample_theta(Box(1.0, rom.param_count(arch)), 7, seed=2)
+    assert np.array_equal(more[:6], thetas)
     with pytest.raises(MissingArtifact):
         assembly.read_cache(path, thetas=more)
     with pytest.raises(CacheMismatch, match="different theta"):
-        assembly.read_cache(path, thetas=thetas.points[:4] + 1.0)
+        assembly.read_cache(path, thetas=thetas[:4] + 1.0)
 
 
 def test_old_json_cache_rejected(tmp_path, unit_interval):
-    arch = rom.fourier_sine_arch(2)
+    arch = fourier_sine_arch(2)
     path = tmp_path / "gram.jsonl"
     old = {"format_version": 1, "kind": "gram_cache", "arch_hash": rom.arch_hash(arch), "op_tag": "heat",
            "n_x": 16, "m": 2, "seed": 0}
@@ -238,7 +238,7 @@ def test_old_json_cache_rejected(tmp_path, unit_interval):
 
 
 def test_gd_projection_identity_gram():
-    rec = assembly.GramRecord(theta=np.zeros(2), gram=np.eye(2), rhs=np.array([2.0, -1.0]), n_x=1, seed=0)
+    rec = assembly.GramRecord(theta=np.zeros(2), gram=np.eye(2), rhs=np.array([2.0, -1.0]))
     w1 = gd_projection_field(rec, 1, 0.4)
     assert np.allclose(w1, 0.8 * rec.rhs, atol=1e-14)
     w_many = gd_projection_field(rec, 200, 0.4)
@@ -247,14 +247,14 @@ def test_gd_projection_identity_gram():
 
 def test_gd_projection_zero_rhs_fixed_point(rng):
     A = rng.standard_normal((4, 4))
-    rec = assembly.GramRecord(theta=np.zeros(4), gram=A @ A.T, rhs=np.zeros(4), n_x=1, seed=0)
+    rec = assembly.GramRecord(theta=np.zeros(4), gram=A @ A.T, rhs=np.zeros(4))
     lam = np.linalg.eigvalsh(rec.gram)[-1]
     w = gd_projection_field(rec, 50, 0.5 / lam)
     assert np.all(w == 0.0)
 
 
 def test_gd_projection_step_too_large(rng):
-    rec = assembly.GramRecord(theta=np.zeros(2), gram=np.eye(2), rhs=np.ones(2), n_x=1, seed=0)
+    rec = assembly.GramRecord(theta=np.zeros(2), gram=np.eye(2), rhs=np.ones(2))
     with pytest.raises(StepTooLarge):
         gd_projection_field(rec, 5, 1.0)  # 1/lambda_max = 1
 
@@ -265,7 +265,7 @@ def test_gd_objective_descent(rng):
         A = rng.standard_normal((m, m))
         G = A @ A.T
         p = rng.standard_normal(m)
-        rec = assembly.GramRecord(theta=np.zeros(m), gram=G, rhs=p, n_x=1, seed=0)
+        rec = assembly.GramRecord(theta=np.zeros(m), gram=G, rhs=p)
         lam = np.linalg.eigvalsh(G)[-1]
         h = float(rng.uniform(0.1, 0.9)) / max(lam, 1e-12)
         psi0 = quadratic_objective(rec, np.zeros(m))
@@ -281,7 +281,7 @@ def test_descent_lemma_bound(rng):
         A = rng.standard_normal((m, m))
         G = A @ A.T / m + 0.05 * np.eye(m)
         p = rng.standard_normal(m)
-        rec = assembly.GramRecord(theta=np.zeros(m), gram=G, rhs=p, n_x=1, seed=0)
+        rec = assembly.GramRecord(theta=np.zeros(m), gram=G, rhs=p)
         lam = np.linalg.eigvalsh(G)[-1]
         h = float(rng.uniform(0.05, 0.95)) / lam
         v_star = linalg.ridge_solve(G, p, 0.0)
@@ -296,7 +296,7 @@ def test_gd_converges_to_ridge_solution(rng):
     A = rng.standard_normal((5, 5))
     G = A @ A.T + 0.5 * np.eye(5)
     p = rng.standard_normal(5)
-    rec = assembly.GramRecord(theta=np.zeros(5), gram=G, rhs=p, n_x=1, seed=0)
+    rec = assembly.GramRecord(theta=np.zeros(5), gram=G, rhs=p)
     lam = np.linalg.eigvalsh(G)[-1]
     w = gd_projection_field(rec, 4000, 0.9 / lam)
     v = linalg.ridge_solve(G, p, 0.0)

@@ -351,6 +351,42 @@ def test_changed_velocity_rejects_gram_cache(tmp_path, capsys):
         assert "mismatch on 'op_tag'" in capsys.readouterr().err
 
 
+def test_changed_domain_rejects_gram_cache(tmp_path, capsys):
+    # records assembled over [0, 1] must not train or verify a field on [0, 2]
+    base = ["--config", str(PRESETS / "transport_1d.json"), "--out", str(tmp_path / "out"),
+            "--set", "counts.n_theta=4", "--set", "counts.n_x=16", "--set", "train.max_steps=2"]
+    assert cli.main(["sample-gram", *base]) == 0
+    assert cli.main(["train-control", *base]) == 0
+    for command in ("train-control", "verify"):
+        assert cli.main([command, *base, "--set", 'problem.domain={"lo":[0.0],"hi":[2.0]}']) == cli.EXIT_NUMERIC
+        assert "mismatch on 'hi'" in capsys.readouterr().err
+
+
+def test_anchor_ball_count_change_keeps_gram_records(tmp_path):
+    # anchor-ball point i depends only on (seed, i): a smaller count reads the
+    # prefix of the cache and a larger one extends it
+    preset, out = PRESETS / "allen_cahn_2d.json", str(tmp_path / "out")
+    shrink = ["rom_arch.width=3", "control_arch.width=8", "counts.n_theta=6", "counts.n_x=16", "counts.n_traj=0",
+              "initials.count=2", "initials.fit_n_x=32", "initials.fit.max_steps=5", "train.max_steps=2"]
+    base = ["--config", str(preset), "--out", out] + [arg for key in shrink for arg in ("--set", key)]
+    for command in ("fit-initial", "sample-gram"):
+        assert cli.main([command, *base]) == 0
+    assert cli.main(["train-control", *base, "--set", "counts.n_theta=4"]) == 0
+    cfg = config.load_config(preset, out_dir=out, overrides=shrink + ["counts.n_theta=8"])
+    assert pipeline.cmd_sample_gram(cfg) == {"total": 8, "computed": 2, "resumed": 6, "skipped": 0}
+
+
+def test_control_dimension_mismatch_exit(heat_config, tmp_path, capsys):
+    base = ["--config", str(heat_config), "--out", str(tmp_path / "out")]
+    four = 'rom_arch.basis_spec=[["fourier_sine",1],["fourier_sine",2],["fourier_sine",3],["fourier_sine",4]]'
+    three = 'rom_arch.basis_spec=[["fourier_sine",1],["fourier_sine",2],["fourier_sine",3]]'
+    for command in ("fit-initial", "sample-gram", "train-control"):
+        assert cli.main([command, *base, "--set", four]) == 0
+    for command in ("solve", "verify"):
+        assert cli.main([command, *base, "--set", three]) == cli.EXIT_NUMERIC
+        assert "control net dimension does not match" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "override", ["counts.n_t=50", "seed=4", "quadrature=mc", "counts.n_traj=3", "theta_space.half_width=0.5"]
 )

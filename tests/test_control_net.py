@@ -49,7 +49,7 @@ def test_forward_jvp_consistency(small_arch, rng):
     net = make_net(small_arch, jitter=0.3, rng=rng)
     TH = rng.uniform(-1, 1, (5, 4))
     V = rng.standard_normal((5, 4))
-    jv = cn.jvp_theta(net, TH, V)
+    jv = cn._jvp(net, cn._forward_cached(net, TH)[1], V)
     h = 1e-6
     fd = (cn.forward(net, TH + h * V) - cn.forward(net, TH - h * V)) / (2 * h)
     assert np.abs(jv - fd).max() < 1e-5
@@ -60,9 +60,68 @@ def test_vjp_matches_jvp(small_arch, rng):
     TH = rng.uniform(-1, 1, (4, 4))
     V = rng.standard_normal((4, 4))
     U = rng.standard_normal((4, 4))
-    lhs = np.sum(cn.jvp_theta(net, TH, V) * U, axis=1)
-    rhs = np.sum(cn.vjp_theta(net, TH, U) * V, axis=1)
+    _, cache = cn._forward_cached(net, TH)
+    lhs = np.sum(cn._jvp(net, cache, V) * U, axis=1)
+    rhs = np.sum(cn._vjp(net, cache, U) * V, axis=1)
     assert np.allclose(lhs, rhs, rtol=1e-10)
+
+
+def test_field_stats_zero_and_constant():
+    space = Box(1.0, 3)
+    thetas = sample_theta(space, 64, seed=0)
+    arch = cn.ControlArch(input_dim=3, width=8, depth=2)
+    xi = np.zeros(cn.control_param_count(arch))
+    m_v, l_v = cn.field_stats(cn.ControlNet(arch, xi), thetas, seed=0)
+    assert (m_v, l_v) == (0.0, 0.0)
+    c = np.array([1.0, -2.0, 2.0])
+    xi[-3:] = c  # b_out: the constant field V = c
+    m_v, l_v = cn.field_stats(cn.ControlNet(arch, xi), thetas, seed=0)
+    assert m_v == pytest.approx(3.0)
+    assert l_v < 1e-6
+
+
+def test_field_stats_linear_field(rng):
+    A = rng.standard_normal((4, 4))
+    sigma = np.linalg.svd(A, compute_uv=False)[0]
+    space = Box(1.0, 4)
+    thetas = sample_theta(space, 128, seed=3)
+    # V(theta) = A tanh(eps theta) / eps: zero gates leave eta = tanh(eps
+    # theta), so V = A theta + O(eps^2) with |V(theta)| <= ||A|| |theta|
+    eps = 1e-3
+    arch = cn.ControlArch(input_dim=4, width=4, depth=2)
+    xi = np.zeros(cn.control_param_count(arch))
+    U0, _, _, W_out, _ = cn._unpack(arch, xi)
+    U0[:] = eps * np.eye(4)
+    W_out[:] = A / eps
+    m_v, l_v = cn.field_stats(cn.ControlNet(arch, xi), thetas, seed=3)
+    assert m_v <= sigma * 2.0 + 1e-9  # |A theta| <= ||A|| |theta|, |theta| <= 2
+    assert abs(l_v - sigma) / sigma < 0.1
+
+
+def test_field_stats_on_control_net(rng):
+    arch = cn.ControlArch(input_dim=3, width=8, depth=2)
+    xi = cn.init_control_params(arch, 0) + 0.3 * rng.standard_normal(cn.control_param_count(arch))
+    net = cn.ControlNet(arch, xi)
+    thetas = sample_theta(Box(1.0, 3), 64, seed=5)
+    m_v, l_v = cn.field_stats(net, thetas, seed=5)
+    vals = cn.forward(net, thetas)
+    assert m_v == pytest.approx(np.linalg.norm(vals, axis=1).max())
+    # compare against dense Jacobians from jvp columns
+    worst = 0.0
+    for p in thetas[:16]:
+        _, cache = cn._forward_cached(net, p[None, :])
+        J = np.stack([cn._jvp(net, cache, e[None, :])[0] for e in np.eye(3)], axis=1)
+        worst = max(worst, np.linalg.svd(J, compute_uv=False)[0])
+    assert l_v == pytest.approx(worst, rel=0.1)
+
+
+def test_field_stats_runs_one_forward_pass(small_arch, rng, monkeypatch):
+    net = make_net(small_arch, jitter=0.3, rng=rng)
+    calls = []
+    forward_cached = cn._forward_cached
+    monkeypatch.setattr(cn, "_forward_cached", lambda *args: calls.append(1) or forward_cached(*args))
+    cn.field_stats(net, rng.uniform(-1, 1, (5, 4)), seed=0)
+    assert len(calls) == 1
 
 
 def test_loss_l1_trivial_cases(small_arch, rng):
@@ -76,7 +135,7 @@ def test_loss_l1_trivial_cases(small_arch, rng):
 def test_loss_l2_zero_net_unit_targets():
     arch = cn.ControlArch(input_dim=3, width=4, depth=2)
     net = cn.ControlNet(arch, cn.init_control_params(arch, 0))
-    loss, _ = cn.loss_l2(net, (np.zeros((5, 3)), np.ones((5, 3))))
+    loss, _ = cn.loss_l2(net, np.zeros((5, 3)), np.ones((5, 3)))
     assert loss == pytest.approx(3.0)
 
 
@@ -91,14 +150,14 @@ def test_loss_gradients_match_fd(small_arch, rng):
     gram = (np.array(TH), np.array(G), np.array(P))
     pairs = (rng.uniform(-1, 1, (4, 4)), rng.standard_normal((4, 4)))
     _, g1 = cn.loss_l1(net, *gram)
-    _, g2 = cn.loss_l2(net, pairs)
+    _, g2 = cn.loss_l2(net, *pairs)
     h = 1e-6
     xi = net.xi
     for j in rng.choice(xi.size, 30, replace=False):
         xp, xm = xi.copy(), xi.copy()
         xp[j] += h
         xm[j] -= h
-        for grad, loss_fn in ((g1, lambda n: cn.loss_l1(n, *gram)[0]), (g2, lambda n: cn.loss_l2(n, pairs)[0])):
+        for grad, loss_fn in ((g1, lambda n: cn.loss_l1(n, *gram)[0]), (g2, lambda n: cn.loss_l2(n, *pairs)[0])):
             fd = (loss_fn(cn.ControlNet(small_arch, xp)) - loss_fn(cn.ControlNet(small_arch, xm))) / (2 * h)
             assert abs(grad[j] - fd) <= 1e-4 * max(abs(fd), 1e-3)
 

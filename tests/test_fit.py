@@ -5,6 +5,8 @@ from pdecontrol import fit, linalg, rom
 from pdecontrol.control_net import TrainConfig
 from pdecontrol.sampling import Box, sample_omega
 
+from conftest import fourier_sine_arch
+
 
 def test_heat_combo_center_10d():
     spec = fit.HeatCombo(np.array([1.0, 0.0, 0.0, 0.0]))
@@ -49,7 +51,7 @@ def test_closure_spec(rng):
 
 
 def test_fit_linear_basis_exact(unit_interval):
-    arch = rom.fourier_sine_arch(8)
+    arch = fourier_sine_arch(8)
     spec = fit.HeatCombo(np.array([1.0, 0.0, 0.0, 0.0]))  # g = sin(pi x) = phi_1/sqrt(2)
     cfg = TrainConfig(lr=1e-2, batch_size=0, stop_loss=0.0, stop_plateau_pct=None, max_steps=4000, seed=0)
     res = fit.fit_initial(arch, spec, unit_interval, 256, 1e-8, cfg, seed=3)
@@ -63,7 +65,7 @@ def test_fit_linear_basis_exact(unit_interval):
 def test_fit_matches_normal_equations(unit_interval):
     # staged ADAM refinement converges to the least-squares solution of the
     # same sampled objective
-    arch = rom.fourier_sine_arch(4)
+    arch = fourier_sine_arch(4)
     spec = fit.Closure(fn=lambda X: X[:, 0] * (1 - X[:, 0]), label="parabola")
     seed = 11
     n_x = 256
@@ -74,7 +76,7 @@ def test_fit_matches_normal_equations(unit_interval):
         res = fit.fit_initial(arch, spec, unit_interval, n_x, 1e-12, cfg, seed=seed, theta_init=theta)
         theta = res.theta
     # normal equations on the identical training sample
-    X = sample_omega(unit_interval, n_x, seed, stream=fit.TRAIN_STREAM).points
+    X = sample_omega(unit_interval, n_x, seed, stream=fit.TRAIN_STREAM)
     B = rom.eval_batch(rom.RomModel(arch, np.zeros(4)), X, rom.EvalFlags(grad_theta=True)).grad_theta
     gram = B.T @ B / n_x
     rhs = B.T @ spec.fn(X) / n_x
@@ -88,7 +90,7 @@ def test_fit_zero_target_zero_head(unit_interval):
     # zero the output weights: value is identically 0 = g
     W0, b0, blocks, w_out, _ = rom._unpack(arch, theta)
     w_out[:] = 0.0
-    X = sample_omega(unit_interval, 64, 0).points
+    X = sample_omega(unit_interval, 64, 0)
     vals = rom.eval_batch(rom.RomModel(arch, theta), X, rom.EvalFlags(value=True)).value
     assert np.all(vals == 0.0)
     spec = fit.Closure(fn=lambda X: np.zeros(X.shape[0]), label="zero")
@@ -118,13 +120,13 @@ def test_fit_resnet_heat_initial_regression(unit_interval):
 
 
 def test_fit_holdout_disjoint_from_training(unit_interval):
-    a = sample_omega(unit_interval, 128, 9, stream=fit.TRAIN_STREAM).points
-    b = sample_omega(unit_interval, 128, 9, stream=fit.HOLDOUT_STREAM).points
+    a = sample_omega(unit_interval, 128, 9, stream=fit.TRAIN_STREAM)
+    b = sample_omega(unit_interval, 128, 9, stream=fit.HOLDOUT_STREAM)
     assert not np.array_equal(a, b)
 
 
 def test_fit_target_not_reached_flag(unit_interval):
-    arch = rom.fourier_sine_arch(2)
+    arch = fourier_sine_arch(2)
     spec = fit.Closure(fn=lambda X: np.cos(np.pi * X[:, 0]), label="cosine")  # not in span
     cfg = TrainConfig(lr=1e-2, batch_size=0, stop_loss=0.0, stop_plateau_pct=None, max_steps=200, seed=0)
     res = fit.fit_initial(arch, spec, unit_interval, 128, 1e-10, cfg, seed=2)
@@ -133,7 +135,7 @@ def test_fit_target_not_reached_flag(unit_interval):
 
 
 def test_random_theta_resolution():
-    arch = rom.fourier_sine_arch(3)
+    arch = fourier_sine_arch(3)
     spec = fit.RandomTheta(seed=4)
     model1 = fit.resolve_random_theta(spec, arch, Box(1.0, 3))
     model2 = fit.resolve_random_theta(spec, arch, Box(1.0, 3))

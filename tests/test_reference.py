@@ -5,6 +5,8 @@ from pdecontrol import evolve, fit, reference, rom
 from pdecontrol.control_net import TrainConfig
 from pdecontrol.reference import OutOfDomain
 
+from conftest import fourier_sine_arch
+
 
 def test_transport_shift_sine(rng):
     spec = fit.Closure(fn=lambda X: np.sin(2 * np.pi * X[:, 0]), label="sine")
@@ -113,7 +115,7 @@ def test_out_of_domain_errors():
 
 
 def test_error_curve_self_comparison_zero(unit_interval):
-    arch = rom.fourier_sine_arch(3)
+    arch = fourier_sine_arch(3)
     theta0 = np.array([0.6, -0.2, 0.1])
     # reference IS the model snapshot: wrap via closure at each queried time
     model = rom.RomModel(arch, theta0)
@@ -122,8 +124,7 @@ def test_error_curve_self_comparison_zero(unit_interval):
         initial=spec, velocity=np.array([0.0]), lo=unit_interval[0], hi=unit_interval[1]
     )
     traj = evolve.ParamTrajectory(
-        times=np.array([0.0, 0.1]), thetas=np.stack([theta0, theta0]), velocities=None,
-        source="control_field", step=0.1,
+        times=np.array([0.0, 0.1]), thetas=np.stack([theta0, theta0]), velocities=None, step=0.1,
     )
     curve = reference.error_curve(arch, traj, ref, unit_interval, 512, seed=0)
     assert np.abs(curve.abs_err).max() < 1e-13
@@ -131,13 +132,13 @@ def test_error_curve_self_comparison_zero(unit_interval):
 
 
 def test_error_curve_t0_matches_fit_rmse(unit_interval):
-    arch = rom.fourier_sine_arch(4)
+    arch = fourier_sine_arch(4)
     spec = fit.HeatCombo(np.array([0.8, 0.4, 0.0, 0.0]))
     cfg = TrainConfig(lr=1e-2, batch_size=0, stop_loss=0.0, stop_plateau_pct=None, max_steps=800, seed=0)
     res = fit.fit_initial(arch, spec, unit_interval, 512, 5e-4, cfg, seed=21)
     ref = reference.heat_series_from_combo(spec.coeffs)
     traj = evolve.ParamTrajectory(
-        times=np.array([0.0]), thetas=res.theta[None, :], velocities=None, source="control_field", step=0.0
+        times=np.array([0.0]), thetas=res.theta[None, :], velocities=None, step=0.0
     )
     curve = reference.error_curve(arch, traj, ref, unit_interval, 8192, seed=5)
     # |Omega| = 1: the L2 error at t=0 is the fit RMSE, within 2x
@@ -146,11 +147,11 @@ def test_error_curve_t0_matches_fit_rmse(unit_interval):
 
 
 def test_error_curve_mc_scaling(unit_interval):
-    arch = rom.fourier_sine_arch(2)
+    arch = fourier_sine_arch(2)
     theta = np.array([0.5, 0.2])
     ref = reference.HeatSeries(modes=(((1,), 0.9),))  # deliberate mismatch
     traj = evolve.ParamTrajectory(
-        times=np.array([0.0]), thetas=theta[None, :], velocities=None, source="control_field", step=0.0
+        times=np.array([0.0]), thetas=theta[None, :], velocities=None, step=0.0
     )
     def spread(n_x):
         vals = [
@@ -164,10 +165,10 @@ def test_error_curve_mc_scaling(unit_interval):
 
 
 def test_error_curve_undefined_relative(unit_interval):
-    arch = rom.fourier_sine_arch(2)
+    arch = fourier_sine_arch(2)
     ref = reference.HeatSeries(modes=(((1,), 0.0),))  # identically zero reference
     traj = evolve.ParamTrajectory(
-        times=np.array([0.0]), thetas=np.array([[0.1, 0.0]]), velocities=None, source="control_field", step=0.0
+        times=np.array([0.0]), thetas=np.array([[0.1, 0.0]]), velocities=None, step=0.0
     )
     curve = reference.error_curve(arch, traj, ref, unit_interval, 128, seed=0)
     assert not curve.rel_defined[0]
@@ -175,11 +176,10 @@ def test_error_curve_undefined_relative(unit_interval):
 
 
 def test_save_error_curve_csv(tmp_path, unit_interval):
-    arch = rom.fourier_sine_arch(2)
+    arch = fourier_sine_arch(2)
     ref = reference.HeatSeries(modes=(((1,), 0.9),))
     traj = evolve.ParamTrajectory(
-        times=np.array([0.0, 0.1]), thetas=np.array([[0.5, 0.1], [0.4, 0.05]]), velocities=None,
-        source="control_field", step=0.1,
+        times=np.array([0.0, 0.1]), thetas=np.array([[0.5, 0.1], [0.4, 0.05]]), velocities=None, step=0.1,
     )
     curve = reference.error_curve(arch, traj, ref, unit_interval, 128, seed=1)
     path = tmp_path / "curve.csv"

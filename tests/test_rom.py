@@ -4,6 +4,8 @@ import pytest
 from pdecontrol import assembly, pde_ops, rom
 from pdecontrol.errors import NonFiniteError
 
+from conftest import fourier_sine_arch
+
 FULL = rom.EvalFlags(value=True, grad_x=True, laplacian=True, grad_theta=True)
 VAL = rom.EvalFlags(value=True)
 
@@ -13,7 +15,7 @@ def value_fn(arch, theta, X):
 
 
 def test_param_count_examples():
-    assert rom.param_count(rom.fourier_sine_arch(8)) == 8
+    assert rom.param_count(fourier_sine_arch(8)) == 8
     periodic = rom.RomArch("resnet_periodic", 1, 4, 3, "tanh")
     assert rom.param_count(periodic) == 57
     zero = rom.RomArch("resnet_zero_boundary", 2, 3, 2, "tanh", {"family": "unit_box"})
@@ -37,7 +39,7 @@ def _random_cases():
         rom.RomArch("resnet_zero_boundary", 2, 4, 2, "tanh", {"family": "sym_box"}),
         rom.RomArch("resnet_periodic", 1, 6, 3, "tanh"),
         rom.RomArch("resnet_periodic", 2, 4, 2, "tanh"),
-        rom.fourier_sine_arch(6),
+        fourier_sine_arch(6),
     ]
 
 
@@ -142,7 +144,7 @@ def test_model_periodicity(rng):
 
 
 def test_linear_basis_eigenfunction():
-    arch = rom.fourier_sine_arch(8)
+    arch = fourier_sine_arch(8)
     theta = np.zeros(8)
     theta[0] = 1.0
     b = rom.eval_batch(rom.RomModel(arch, theta), [[0.5]], rom.EvalFlags(value=True, laplacian=True))
@@ -151,7 +153,7 @@ def test_linear_basis_eigenfunction():
 
 
 def test_linear_basis_homogeneity(rng):
-    arch = rom.fourier_sine_arch(5)
+    arch = fourier_sine_arch(5)
     theta = rng.standard_normal(5)
     X = rng.uniform(0, 1, (7, 1))
     v1 = value_fn(arch, theta, X)
@@ -160,7 +162,7 @@ def test_linear_basis_homogeneity(rng):
 
 
 def test_linear_basis_gram_identity_via_assembly(unit_interval):
-    arch = rom.fourier_sine_arch(6)
+    arch = fourier_sine_arch(6)
     theta = np.linspace(-1, 1, 6)
     rec = assembly.assemble_at(arch, theta, pde_ops.Heat(), unit_interval, 96, 0, stream=0, quadrature="gauss")
     assert np.abs(rec.gram - np.eye(6)).max() < 1e-10
@@ -180,7 +182,7 @@ def test_init_params_deterministic_and_bounded():
 
 
 def test_unrequested_fields_are_none():
-    arch = rom.fourier_sine_arch(3)
+    arch = fourier_sine_arch(3)
     batch = rom.eval_batch(rom.RomModel(arch, np.ones(3)), [[0.3]], rom.EvalFlags(value=True))
     assert batch.laplacian is None
     assert batch.grad_theta is None
