@@ -2,15 +2,17 @@
 
 A binary artifact (Gram cache, control checkpoint) is one JSON header line,
 space-padded so that the data starts at a multiple of 64 bytes, followed by
-fixed-size little-endian float64 data that readers memory-map in place. The
-JSON-lines artifacts (trajectory cache, anchor store) are moved into place
-whole, so a cut run never leaves a torn one.
+fixed-size little-endian float64 data that readers memory-map in place.
+Every artifact written whole (all but the appended Gram cache and loss
+history) goes through atomic_write, so a cut run leaves either the previous
+file or the new one, never a torn one.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -61,13 +63,25 @@ def check_header(path, existing: dict, expected: dict | None, remedy: str) -> No
             raise CacheMismatch(f"header mismatch on {key!r} in {path}; {remedy}")
 
 
-def write_json_lines(path, docs) -> None:
-    """One JSON document per line, via a temporary file and os.replace."""
+@contextmanager
+def atomic_write(path, mode: str = "w"):
+    """A handle on a temporary file that replaces path (os.replace) when the
+    block completes; if the block fails, path is left as it was."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def write_json_lines(path, docs) -> None:
+    """One JSON document per line, written through atomic_write."""
+    with atomic_write(path) as fh:
         for doc in docs:
             fh.write(json.dumps(doc) + "\n")
-    os.replace(tmp, path)
 
 
 def read_json_lines(path, remedy: str) -> list:

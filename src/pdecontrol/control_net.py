@@ -28,7 +28,7 @@ from scipy.special import erf
 from . import binfile
 from .errors import CacheMismatch, NonFiniteError
 from .optim import Adam, plateau_triggered
-from .rom import _split_flat
+from .rom import _join, _size, _split_flat
 from .sampling import rng_for
 
 FORMAT_VERSION = 2
@@ -37,14 +37,21 @@ _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
+def _norm_cdf(x):
+    return 0.5 * (1.0 + erf(x / _SQRT2))
+
+
 def gelu(x):
-    return 0.5 * x * (1.0 + erf(x / _SQRT2))
+    return x * _norm_cdf(x)
+
+
+def _gelu_deriv(x, cdf):
+    """GeLU'(x) from Phi(x), which the forward pass has already computed."""
+    return cdf + x * (_INV_SQRT_2PI * np.exp(-0.5 * x * x))
 
 
 def gelu_deriv(x):
-    cdf = 0.5 * (1.0 + erf(x / _SQRT2))
-    pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-    return cdf + x * pdf
+    return _gelu_deriv(x, _norm_cdf(x))
 
 
 @dataclass(frozen=True)
@@ -66,16 +73,18 @@ class ControlArch:
         return self.depth - 1
 
 
-def control_param_count(arch: ControlArch) -> int:
+def _layout(arch: ControlArch) -> list[tuple[int, ...]]:
+    """The shapes of the flat xi's parts, in layout order."""
     m, w = arch.input_dim, arch.width
-    per_block = w * w + w + w * m + w
-    return (w * m + w) + arch.n_blocks * per_block + (m * w + m)
+    return [(w, m), (w,)] + [(w, w), (w,), (w, m), (w,)] * arch.n_blocks + [(m, w), (m,)]
+
+
+def control_param_count(arch: ControlArch) -> int:
+    return _size(_layout(arch))
 
 
 def _unpack(arch: ControlArch, xi: np.ndarray):
-    m, w = arch.input_dim, arch.width
-    shapes = [(w, m), (w,)] + [(w, w), (w,), (w, m), (w,)] * arch.n_blocks + [(m, w), (m,)]
-    views = iter(_split_flat(xi, shapes))
+    views = iter(_split_flat(xi, _layout(arch)))
     U0, b0 = next(views), next(views)
     blocks = [(next(views), next(views), next(views), next(views)) for _ in range(arch.n_blocks)]
     W_out, b_out = next(views), next(views)
@@ -122,15 +131,17 @@ def init_control_params(arch: ControlArch, seed: int) -> np.ndarray:
 
 def _forward_cached(net: ControlNet, TH: np.ndarray):
     """(out, cache): V at the rows of TH and what every derivative reuses,
-    cache = (TH, H0 the first tanh, per block (H_in, R, gate, T), H_last)."""
+    cache = (TH, H0 the first tanh, per block (H_in, R, Phi(R), gate, T),
+    H_last)."""
     U0, b0, blocks, W_out, b_out = net.params
     H0 = H = np.tanh(TH @ U0.T + b0)
     layers = []
     for U, b, Ug, bg in blocks:
         R = TH @ Ug.T + bg
-        gate = gelu(R)
+        cdf = _norm_cdf(R)
+        gate = R * cdf
         T = np.tanh(H @ U.T + b)
-        layers.append((H, R, gate, T))
+        layers.append((H, R, cdf, gate, T))
         H = H + gate * T
     return H @ W_out.T + b_out, (TH, H0, layers, H)
 
@@ -158,9 +169,9 @@ def _reverse(net: ControlNet, cache, dout: np.ndarray):
     per_block = [None] * len(layers)
     for k in range(len(layers) - 1, -1, -1):
         U = blocks[k][0]
-        _, R, gate, T = layers[k]
+        _, R, cdf, gate, T = layers[k]
         dS = dH * gate * (1.0 - T * T)
-        per_block[k] = (dS, dH * T * gelu_deriv(R))
+        per_block[k] = (dS, dH * T * _gelu_deriv(R, cdf))
         dH = dH + dS @ U
     return dH * (1.0 - H0**2), per_block
 
@@ -173,9 +184,7 @@ def _backward_xi(net: ControlNet, cache, dout: np.ndarray) -> np.ndarray:
     for (H_in, *_), (dS, dR) in zip(layers, per_block):
         parts += [dS.T @ H_in, dS.sum(axis=0), dR.T @ TH, dR.sum(axis=0)]
     parts += [dout.T @ H_last, dout.sum(axis=0)]
-    grads = np.concatenate([a.ravel() for a in parts])
-    assert grads.size == net.xi.size
-    return grads
+    return _join(parts, _layout(net.arch))
 
 
 def _jvp(net: ControlNet, cache, v: np.ndarray) -> np.ndarray:
@@ -183,8 +192,8 @@ def _jvp(net: ControlNet, cache, v: np.ndarray) -> np.ndarray:
     U0, _, blocks, W_out, _ = net.params
     _, H0, layers, _ = cache
     Hd = (1.0 - H0 * H0) * (v @ U0.T)
-    for (U, _, Ug, _), (_, R, gate, T) in zip(blocks, layers):
-        gate_d = gelu_deriv(R) * (v @ Ug.T)
+    for (U, _, Ug, _), (_, R, cdf, gate, T) in zip(blocks, layers):
+        gate_d = _gelu_deriv(R, cdf) * (v @ Ug.T)
         Td = (1.0 - T * T) * (Hd @ U.T)
         Hd = Hd + gate_d * T + gate * Td
     return Hd @ W_out.T
@@ -394,7 +403,7 @@ def save_control_checkpoint(net: ControlNet, path) -> None:
         "kind": "control_checkpoint",
         "arch": {"input_dim": net.arch.input_dim, "width": net.arch.width, "depth": net.arch.depth},
     }
-    with open(path, "wb") as fh:
+    with binfile.atomic_write(path, "wb") as fh:
         fh.write(binfile.encode_header(header))
         fh.write(net.xi.astype(binfile.DTYPE, copy=False).tobytes())
 

@@ -17,33 +17,6 @@ SYMMETRY_RTOL = 1e-10
 EIG_CLIP = 1e-12
 
 
-def as_vector(x) -> np.ndarray:
-    v = np.ascontiguousarray(x, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"expected 1-D vector, got shape {v.shape}")
-    return v
-
-
-def as_matrix(x) -> np.ndarray:
-    a = np.ascontiguousarray(x, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"expected 2-D matrix, got shape {a.shape}")
-    return a
-
-
-def require_finite(*arrays) -> None:
-    for a in arrays:
-        if not np.all(np.isfinite(a)):
-            raise NonFiniteError("non-finite entry in input array")
-
-
-def check_symmetric(gram: np.ndarray) -> None:
-    scale = np.abs(gram).max() if gram.size else 0.0
-    tol = SYMMETRY_RTOL * max(scale, 1.0)
-    if np.abs(gram - gram.T).max() > tol:
-        raise ValueError("matrix is not symmetric within tolerance")
-
-
 def default_ridge_lambda(gram: np.ndarray) -> float:
     """Scale-aware ridge weight: 1e-6 * trace(G)/m (0 for an all-zero matrix)."""
     m = gram.shape[0]
@@ -59,16 +32,23 @@ def ridge_solve(gram, rhs, lambda_reg: float = 0.0) -> np.ndarray:
     falling back to an eigendecomposition with eigenvalues clipped at 1e-12
     when the factorization breaks down (rank-deficient G with lambda ~ 0).
     """
-    G = as_matrix(gram)
-    p = as_vector(rhs)
-    require_finite(G, p)
+    G = np.ascontiguousarray(gram, dtype=np.float64)
+    p = np.ascontiguousarray(rhs, dtype=np.float64)
+    if G.ndim != 2:
+        raise ValueError(f"expected 2-D matrix, got shape {G.shape}")
+    if p.ndim != 1:
+        raise ValueError(f"expected 1-D vector, got shape {p.shape}")
+    if not (np.all(np.isfinite(G)) and np.all(np.isfinite(p))):
+        raise NonFiniteError("non-finite entry in input array")
     if G.shape[0] != G.shape[1]:
         raise ValueError("G must be square")
     if p.shape[0] != G.shape[0]:
         raise ValueError("p length must match G")
     if lambda_reg < 0:
         raise ValueError("lambda_reg must be nonnegative")
-    check_symmetric(G)
+    scale = np.abs(G).max() if G.size else 0.0
+    if np.abs(G - G.T).max() > SYMMETRY_RTOL * max(scale, 1.0):
+        raise ValueError("matrix is not symmetric within tolerance")
 
     m = G.shape[0]
     shifted = G + lambda_reg * np.eye(m)

@@ -12,9 +12,9 @@ import re
 
 import numpy as np
 
-from . import assembly, control_net as cn, evolve, fit, pde_ops, reference, rom
+from . import assembly, binfile, control_net as cn, evolve, fit, pde_ops, reference, rom
 from .config import RunConfig
-from .errors import ChecksumMismatch, ConfigError, MissingArtifact
+from .errors import CacheMismatch, ChecksumMismatch, ConfigError, MissingArtifact
 from .sampling import AnchorBalls, Box, rng_for, sample_theta
 
 SOLUTION_FORMAT_VERSION = 1
@@ -238,13 +238,20 @@ def solution_path(cfg: RunConfig, index: int) -> str:
     return os.path.join(cfg.out_dir, "solutions", f"solution_{index:03d}.json")
 
 
+def _load_anchors(cfg: RunConfig, index: int):
+    """The anchor store's (thetas, docs), once anchor index is known to be in
+    it; solve, reference, eval and export-slice take their --anchor here."""
+    thetas, docs = fit.load_anchors(cfg.path("anchors"))
+    if not 0 <= index < len(docs):
+        raise MissingArtifact(f"anchor {index} not in store of size {len(docs)}")
+    return thetas, docs
+
+
 def cmd_solve(cfg: RunConfig, anchor_index: int = 0) -> dict:
     cfg.ensure_layout()
     arch = cfg.rom_arch()
     problem = cfg.problem()
-    thetas, docs = fit.load_anchors(cfg.path("anchors"))
-    if anchor_index >= len(thetas):
-        raise MissingArtifact(f"anchor {anchor_index} not in store of size {len(thetas)}")
+    thetas, docs = _load_anchors(cfg, anchor_index)
     net = _load_control(cfg)
     space = cfg.theta_space()
     solve_cfg = cfg.raw["solve"]
@@ -269,7 +276,7 @@ def cmd_solve(cfg: RunConfig, anchor_index: int = 0) -> dict:
         "escape_step": traj.escape_step,
     }
     path = solution_path(cfg, anchor_index)
-    with open(path, "w") as fh:
+    with binfile.atomic_write(path) as fh:
         fh.write(json.dumps(doc))
     return {
         "path": path,
@@ -284,7 +291,10 @@ def load_solution(cfg: RunConfig, index: int) -> tuple[dict, evolve.ParamTraject
     if not os.path.exists(path):
         raise MissingArtifact(f"solution {path} not found; run solve first")
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError:
+            raise CacheMismatch(f"solution {path} does not parse; rerun solve") from None
     if doc["arch_hash"] != rom.arch_hash(cfg.rom_arch()):
         raise ChecksumMismatch(f"solution {path} was produced with a different architecture")
     times = np.array(doc["times"])
@@ -313,9 +323,7 @@ def cmd_reference(cfg: RunConfig, anchor_index: int = 0, nx: int = 100, nt: int 
     kind = cfg.raw["problem"]["kind"]
     if kind != "allen_cahn":
         return {"note": f"{kind} uses a closed-form reference; nothing to compute"}
-    thetas, docs = fit.load_anchors(cfg.path("anchors"))
-    if anchor_index >= len(docs):
-        raise MissingArtifact(f"anchor {anchor_index} not in store")
+    _, docs = _load_anchors(cfg, anchor_index)
     spec = fit.spec_from_dict(docs[anchor_index]["spec"])
     grid = reference.solve_allen_cahn_imex(
         spec,
@@ -365,6 +373,7 @@ def _curve_path(cfg: RunConfig, index: int) -> str:
 
 def cmd_eval(cfg: RunConfig, anchor_index: int = 0, n_x: int = 4096, max_times: int = 64) -> dict:
     cfg.ensure_layout()
+    _load_anchors(cfg, anchor_index)
     doc, traj = load_solution(cfg, anchor_index)
     ref = build_reference(cfg, doc)
     problem = cfg.problem()
@@ -387,6 +396,7 @@ def cmd_export_slice(cfg: RunConfig, anchor_index: int, t: float, grid_n: int = 
     problem = cfg.problem()
     if problem.dim != 2:
         raise ConfigError("export-slice needs a 2-D problem")
+    _load_anchors(cfg, anchor_index)
     doc, traj = load_solution(cfg, anchor_index)
     ref = build_reference(cfg, doc)
     j = int(np.argmin(np.abs(traj.times - t)))
@@ -400,9 +410,15 @@ def cmd_export_slice(cfg: RunConfig, anchor_index: int, t: float, grid_n: int = 
 def _curve_maxima(path) -> tuple[float, float | None]:
     """Max abs and rel error of an error-curve CSV (rel None if undefined)."""
     with open(path) as fh:
-        rows = [line.split(",") for line in fh.read().splitlines()[1:]]
-    rel = [float(r[2]) for r in rows if r[2]]
-    return max(float(r[1]) for r in rows), (max(rel) if rel else None)
+        text = fh.read()
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    if rows and text.endswith("\n") and all(len(r) == 3 for r in rows):
+        try:
+            rel = [float(r[2]) for r in rows if r[2]]
+            return max(float(r[1]) for r in rows), (max(rel) if rel else None)
+        except ValueError:
+            pass
+    raise CacheMismatch(f"error curve {path} does not parse; rerun eval")
 
 
 def cmd_verify(cfg: RunConfig) -> dict:
@@ -458,6 +474,6 @@ def cmd_verify(cfg: RunConfig) -> dict:
         },
     }
     path = os.path.join(cfg.out_dir, "report.json")
-    with open(path, "w") as fh:
+    with binfile.atomic_write(path) as fh:
         json.dump(report, fh, indent=2)
     return dict(report, path=path)

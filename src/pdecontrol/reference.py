@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import fit, rom
+from . import binfile, fit, rom
 from .errors import PdeControlError
 from .evolve import ParamTrajectory
 from .sampling import sample_omega
@@ -248,7 +248,7 @@ def error_curve(
 
 
 def save_error_curve(curve: ErrorCurve, path) -> None:
-    with open(path, "w") as fh:
+    with binfile.atomic_write(path) as fh:
         fh.write("t,abs_err,rel_err\n")
         for t, a, r in zip(curve.times, curve.abs_err, curve.rel_err):
             rs = "" if not np.isfinite(r) else repr(float(r))
@@ -276,16 +276,15 @@ def export_slice(
     pts = np.stack([XX.ravel(), YY.ravel()], axis=1)
     u_rom = rom.eval_batch(rom.RomModel(arch, theta), pts, rom.EvalFlags(value=True)).value
     u_ref = eval_reference(ref, pts, t)
-    with open(path, "w") as fh:
+    with binfile.atomic_write(path) as fh:
         fh.write("x1,x2,u_ref,u_rom,abs_diff\n")
         for row, ur, um in zip(pts, u_ref, u_rom):
             fh.write(f"{row[0]!r},{row[1]!r},{ur!r},{um!r},{abs(ur - um)!r}\n")
 
 
 def save_grid_solution(ref: GridSolution, path) -> None:
-    np.savez_compressed(
-        path, xs=ref.xs, times=ref.times, snapshots=ref.snapshots, lo=ref.lo, hi=ref.hi
-    )
+    with binfile.atomic_write(path, "wb") as fh:
+        np.savez_compressed(fh, xs=ref.xs, times=ref.times, snapshots=ref.snapshots, lo=ref.lo, hi=ref.hi)
 
 
 def load_grid_solution(path) -> GridSolution:

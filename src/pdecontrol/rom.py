@@ -7,15 +7,23 @@ Architectures
 Residual nets follow
     z0 = act(W0 s + b0),   z_l = z_{l-1} + act(W_l z_{l-1} + b_l),  l = 1..L-1,
     net(s) = w_L . z_{L-1},
-where s = x for the zero-boundary wrapper (output multiplied by a distance
-function alpha) and s = beta(x) = (cos 2pi(x-b), sin 2pi(x-b)) for the
-periodic wrapper with trainable shift b.
+    u(x) = net(S(x))            (periodic wrapper)
+    u(x) = alpha(x) net(S(x))   (zero-boundary wrapper).
+The wrapper enters in two places only. The feature map S gives the net
+input: S(x) = x for the zero-boundary wrapper and
+S(x) = (cos 2pi(x-b), sin 2pi(x-b)) for the periodic wrapper with trainable
+shift b. Each column of S depends on one coordinate, so one column derivative
+per coordinate carries grad_x and the Laplacian into the net. The output
+factor alpha(x) = prod_i f(x_i) vanishes on the boundary of the box, with
+f(x) = 4(x - x^2) on (0,1)^d or 1 - x^2 on (-1,1)^d; the periodic wrapper has
+none.
 
 Parameter layout (frozen; caches and anchor stores depend on it)
 ----------------------------------------------------------------
 theta = [W0 (row-major), b0, W1, b1, ..., W_{L-1}, b_{L-1}, w_L, shift?]
 with the shift present only for the periodic wrapper. For linear bases theta
-holds the combination coefficients in basis order.
+holds the combination coefficients in basis order. _layout lists the part
+shapes; the count, the unpacking and the gradient assembly derive from it.
 
 Derivatives are computed analytically: grad_x and the Laplacian by forward
 propagation of first and second directional derivatives (one pass per spatial
@@ -114,14 +122,23 @@ def arch_hash(arch) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def param_count(arch: RomArch) -> int:
+def _layout(arch: RomArch) -> list[tuple[int, ...]]:
+    """The shapes of the flat parameter vector's parts, in layout order."""
     if arch.kind == LINEAR_BASIS:
-        return len(arch.basis_spec)
+        return [(len(arch.basis_spec),)]
     din, w, L = arch.net_input_dim, arch.width, arch.depth
-    m = w * din + w + (L - 1) * (w * w + w) + w
+    shapes = [(w, din), (w,)] + [(w, w), (w,)] * (L - 1) + [(w,)]
     if arch.kind == RESNET_PERIODIC:
-        m += arch.input_dim
-    return m
+        shapes.append((arch.input_dim,))
+    return shapes
+
+
+def _size(shapes) -> int:
+    return sum(math.prod(shape) for shape in shapes)
+
+
+def param_count(arch: RomArch) -> int:
+    return _size(_layout(arch))
 
 
 def _split_flat(flat: np.ndarray, shapes) -> list[np.ndarray]:
@@ -137,19 +154,21 @@ def _split_flat(flat: np.ndarray, shapes) -> list[np.ndarray]:
     return views
 
 
+def _join(parts, shapes, batch: tuple = ()) -> np.ndarray:
+    """The inverse of _split_flat for gradients: the parts, each checked
+    against its layout shape behind the batch dimensions, flattened and
+    concatenated in layout order."""
+    assert [p.shape for p in parts] == [batch + tuple(shape) for shape in shapes]
+    return np.concatenate([p.reshape(*batch, -1) for p in parts], axis=-1)
+
+
 def _unpack(arch: RomArch, theta: np.ndarray):
-    """Views into the flat parameter vector following the frozen layout."""
-    din, w, L = arch.net_input_dim, arch.width, arch.depth
-    periodic = arch.kind == RESNET_PERIODIC
-    shapes = [(w, din), (w,)] + [(w, w), (w,)] * (L - 1) + [(w,)]
-    if periodic:
-        shapes.append((arch.input_dim,))
-    views = iter(_split_flat(theta, shapes))
+    """Views into the flat parameter vector following the frozen layout:
+    (W0, b0, [(W_l, b_l)], w_L, shift or None)."""
+    views = iter(_split_flat(theta, _layout(arch)))
     W0, b0 = next(views), next(views)
-    blocks = [(next(views), next(views)) for _ in range(L - 1)]
-    w_out = next(views)
-    shift = next(views) if periodic else None
-    return W0, b0, blocks, w_out, shift
+    blocks = [(next(views), next(views)) for _ in range(arch.depth - 1)]
+    return W0, b0, blocks, next(views), next(views, None)
 
 
 @dataclass(frozen=True)
@@ -212,38 +231,47 @@ class BatchEval:
 # wrappers
 
 
-def _alpha_factors(X: np.ndarray, spec: dict):
-    """Per-coordinate factors of the distance-like boundary factor alpha:
-    4(x - x^2) for the unit box (0,1)^d or (1 - x^2) for (-1,1)^d."""
-    family = spec.get("family")
-    if family == "unit_box":
-        f = 4.0 * (X - X * X)
-        df = 4.0 * (1.0 - 2.0 * X)
-        ddf = np.full_like(X, -8.0)
-    elif family == "sym_box":
-        f = 1.0 - X * X
-        df = -2.0 * X
-        ddf = np.full_like(X, -2.0)
-    else:
-        raise ValueError(f"unknown alpha family {family!r}")
-    return f, df, ddf
-
-
-def _alpha_with_derivs(X: np.ndarray, spec: dict):
-    """alpha, d alpha/dx_i, d^2 alpha/dx_i^2 via leave-one-out products."""
-    f, df, ddf = _alpha_factors(X, spec)
+def _alpha(X: np.ndarray, spec: dict, order: int):
+    """The zero-boundary factor alpha = prod_i f(x_i), with f(x) = 4(x - x^2)
+    on the unit box (0,1)^d and 1 - x^2 on (-1,1)^d, and for order >= 1 its
+    first and second derivatives along each x_i (from leave-one-out
+    products; None for order 0)."""
+    unit = spec["family"] == "unit_box"
+    f = 4.0 * (X - X * X) if unit else 1.0 - X * X
     n, d = X.shape
     prefix = np.ones((n, d + 1))
-    suffix = np.ones((n, d + 1))
     for i in range(d):
         prefix[:, i + 1] = prefix[:, i] * f[:, i]
+    if not order:
+        return prefix[:, d], None, None
+    suffix = np.ones((n, d + 1))
     for i in range(d - 1, -1, -1):
         suffix[:, i] = suffix[:, i + 1] * f[:, i]
-    alpha = prefix[:, d]
     loo = prefix[:, :d] * suffix[:, 1:]  # product of all factors except i
-    dalpha = df * loo
-    ddalpha = ddf * loo
-    return alpha, dalpha, ddalpha
+    df = 4.0 * (1.0 - 2.0 * X) if unit else -2.0 * X
+    return prefix[:, d], df * loo, (-8.0 if unit else -2.0) * loo
+
+
+def _features(arch: RomArch, X: np.ndarray, shift, order: int):
+    """The wrapper seen from the net: (S, dS, ddS, alpha).
+
+    S is the net input: X for the zero-boundary wrapper, (cos, sin) of
+    2pi(X - shift) for the periodic one. Net input column j depends on the
+    single coordinate x_(j mod d); for order >= 1, dS and (order 2) ddS hold
+    each column's first and second derivative along that coordinate, else
+    None. alpha is the output factor (alpha, its first and its second
+    derivatives along each x_i, per _alpha) for the zero-boundary wrapper
+    and None for the periodic one.
+    """
+    if arch.kind == RESNET_PERIODIC:
+        arg = TWO_PI * (X - shift)
+        c, s = np.cos(arg), np.sin(arg)
+        dS = np.concatenate([-TWO_PI * s, TWO_PI * c], axis=1) if order else None
+        ddS = np.concatenate([-TWO_PI * TWO_PI * c, -TWO_PI * TWO_PI * s], axis=1) if order == 2 else None
+        return np.concatenate([c, s], axis=1), dS, ddS, None
+    dS = np.ones_like(X) if order else None
+    ddS = np.zeros_like(X) if order == 2 else None
+    return X, dS, ddS, _alpha(X, arch.wrapper_spec, order)
 
 
 # ---------------------------------------------------------------------------
@@ -338,138 +366,72 @@ def _eval_linear_basis(model: RomModel, X: np.ndarray, need: EvalFlags) -> Batch
 
 def _eval_resnet(model: RomModel, X: np.ndarray, need: EvalFlags) -> BatchEval:
     arch = model.arch
-    act = arch.activation
     n, d = X.shape
     W0, b0, blocks, w_out, shift = _unpack(arch, model.theta)
-    periodic = arch.kind == RESNET_PERIODIC
+    order = 2 if need.laplacian else int(need.grad_x)
+    S, dS, ddS, alpha = _features(arch, X, shift, order)
 
-    # Wrapper features and their per-coordinate directional derivatives.
-    if periodic:
-        arg = TWO_PI * (X - shift)
-        c, s = np.cos(arg), np.sin(arg)
-        S = np.concatenate([c, s], axis=1)
-    else:
-        S = X
-
-    want_second = need.laplacian
-    want_first = need.grad_x or need.laplacian
-    order = 2 if want_second else (1 if want_first else 0)
-
-    # Forward pass, caching activation derivatives per layer.
-    A0 = S @ W0.T + b0
-    Z, d1_0, d2_0 = _act(act, A0, order if order else (1 if need.grad_theta else 0))
-    layer_d1 = [d1_0]
-    layer_d2 = [d2_0]
-    zs_in = []
+    # Forward pass, caching (layer input, act', act'') per layer.
+    act_order = max(order, int(need.grad_theta))
+    Z, d1, d2 = _act(arch.activation, S @ W0.T + b0, act_order)
+    cache = [(S, d1, d2)]
     for W, b in blocks:
-        zs_in.append(Z)
-        A = Z @ W.T + b
-        phi, d1, d2 = _act(act, A, order if order else (1 if need.grad_theta else 0))
+        phi, d1, d2 = _act(arch.activation, Z @ W.T + b, act_order)
+        cache.append((Z, d1, d2))
         Z = Z + phi
-        layer_d1.append(d1)
-        layer_d2.append(d2)
-    z_net = Z @ w_out  # (n,)
-
-    if periodic:
-        alpha = None
-        value_net = z_net
-    else:
-        alpha, dalpha, ddalpha = _alpha_with_derivs(X, arch.wrapper_spec)
-        value_net = alpha * z_net
+    z = Z @ w_out
 
     out = BatchEval(value=None, grad_x=None, laplacian=None, grad_theta=None, flags=need)
     if need.value:
-        out.value = value_net
+        out.value = z if alpha is None else alpha[0] * z
 
-    # Forward-mode first/second directional derivatives, one pass per coordinate.
-    if want_first:
-        grad = np.empty((n, d))
-        lap = np.zeros(n) if want_second else None
+    # Forward-mode first and second derivatives of z, one pass per coordinate.
+    if order:
+        zd = np.empty((n, d))
+        zdd = np.empty((n, d)) if order == 2 else None
+        owner = np.arange(S.shape[1]) % d
+        _, d1, d2 = cache[0]
         for i in range(d):
-            if periodic:
-                Sdot = np.zeros((n, 2 * d))
-                Sdot[:, i] = -TWO_PI * s[:, i]
-                Sdot[:, d + i] = TWO_PI * c[:, i]
-                if want_second:
-                    Sddot = np.zeros((n, 2 * d))
-                    Sddot[:, i] = -TWO_PI * TWO_PI * c[:, i]
-                    Sddot[:, d + i] = -TWO_PI * TWO_PI * s[:, i]
-            else:
-                Sdot = np.zeros((n, d))
-                Sdot[:, i] = 1.0
-                Sddot = None  # zero for the identity map
-
-            Ad = Sdot @ W0.T
-            Zdot = layer_d1[0] * Ad
-            if want_second:
-                Add = Sddot @ W0.T if (periodic and Sddot is not None) else np.zeros_like(Ad)
-                Zddot = layer_d2[0] * Ad * Ad + layer_d1[0] * Add
-            for k, (W, b) in enumerate(blocks, start=1):
-                Ad = Zdot @ W.T
-                if want_second:
-                    Add = Zddot @ W.T
-                    Zddot = Zddot + layer_d2[k] * Ad * Ad + layer_d1[k] * Add
-                Zdot = Zdot + layer_d1[k] * Ad
-            zdot = Zdot @ w_out
-            if want_second:
-                zddot = Zddot @ w_out
-            if periodic:
-                grad[:, i] = zdot
-                if want_second:
-                    lap += zddot
-            else:
-                grad[:, i] = dalpha[:, i] * z_net + alpha * zdot
-                if want_second:
-                    lap += ddalpha[:, i] * z_net + 2.0 * dalpha[:, i] * zdot + alpha * zddot
+            Ad = np.where(owner == i, dS, 0.0) @ W0.T
+            Zd = d1 * Ad
+            if order == 2:
+                Zdd = d2 * Ad * Ad + d1 * (np.where(owner == i, ddS, 0.0) @ W0.T)
+            for (W, _), (_, d1k, d2k) in zip(blocks, cache[1:]):
+                Ad = Zd @ W.T
+                if order == 2:
+                    Zdd = Zdd + d2k * Ad * Ad + d1k * (Zdd @ W.T)
+                Zd = Zd + d1k * Ad
+            zd[:, i] = Zd @ w_out
+            if order == 2:
+                zdd[:, i] = Zdd @ w_out
+        if alpha is not None:  # product rule for u = alpha z
+            a, da, dda = alpha
+            if order == 2:
+                zdd = dda * z[:, None] + 2.0 * da * zd + a[:, None] * zdd
+            zd = da * z[:, None] + a[:, None] * zd
         if need.grad_x:
-            out.grad_x = grad
+            out.grad_x = zd
         if need.laplacian:
-            out.laplacian = lap
+            out.laplacian = np.zeros(n)
+            for col in zdd.T:
+                out.laplacian += col
 
-    # Reverse accumulation for the parameter gradient.
+    # Reverse accumulation for the parameter gradient, in layout order.
     if need.grad_theta:
-        m = model.theta.shape[0]
-        gt = np.empty((n, m))
-        sz_W0 = W0.size
-        w = arch.width
-
-        out_scale = alpha if not periodic else np.ones(n)
-        # d value / d w_out and running gradient wrt the block output
-        Gz = out_scale[:, None] * w_out[None, :]
-        grads_blocks = []
-        for k in range(len(blocks) - 1, -1, -1):
-            W, b = blocks[k]
-            Dk = Gz * layer_d1[k + 1]
-            # per-point outer products D_k (x) z_in
-            gW = np.einsum("np,nq->npq", Dk, zs_in[k])
-            grads_blocks.append((gW, Dk))
-            Gz = Gz + Dk @ W
-        grads_blocks.reverse()
-        D0 = Gz * layer_d1[0]
-        gW0 = np.einsum("np,nq->npq", D0, S)
-
-        pos = 0
-        gt[:, pos : pos + sz_W0] = gW0.reshape(n, -1)
-        pos += sz_W0
-        gt[:, pos : pos + w] = D0
-        pos += w
-        for k in range(len(blocks)):
-            gW, Dk = grads_blocks[k]
-            gt[:, pos : pos + w * w] = gW.reshape(n, -1)
-            pos += w * w
-            gt[:, pos : pos + w] = Dk
-            pos += w
-        # gradient wrt output weights: the final hidden state times out_scale
-        gt[:, pos : pos + w] = out_scale[:, None] * Z
-        pos += w
-        if periodic:
-            gS = D0 @ W0  # (n, 2d)
-            for j in range(d):
-                # dS/db_j = -dS/dx_j, nonzero only in columns j and d+j
-                gt[:, pos + j] = -(gS[:, j] * (-TWO_PI * s[:, j]) + gS[:, d + j] * (TWO_PI * c[:, j]))
-            pos += d
-        assert pos == m
-        out.grad_theta = gt
+        scale = np.ones(n) if alpha is None else alpha[0]
+        G = scale[:, None] * w_out[None, :]  # d value / d(block output)
+        block_parts = []
+        for (W, _), (Z_in, d1, _) in zip(blocks[::-1], cache[:0:-1]):
+            D = G * d1
+            block_parts = [np.einsum("np,nq->npq", D, Z_in), D] + block_parts
+            G = G + D @ W
+        D = G * cache[0][1]
+        parts = [np.einsum("np,nq->npq", D, S), D] + block_parts + [scale[:, None] * Z]
+        if shift is not None:
+            gS = D @ W0
+            # dS/dshift_j = -dS/dx_j, nonzero only in columns j and d + j
+            parts.append(-(gS[:, :d] * (-TWO_PI * S[:, d:]) + gS[:, d:] * (TWO_PI * S[:, :d])))
+        out.grad_theta = _join(parts, _layout(arch), (n,))
 
     _check_finite_batch(out)
     return out

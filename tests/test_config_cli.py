@@ -454,3 +454,80 @@ def test_benchmark_workload_configs_load(tmp_path):
         cfg.control_arch()
         cfg.train_config()
         cfg.fit_config()
+
+
+def test_anchor_index_must_be_in_store(heat_config, tmp_path):
+    out = tmp_path / "out"
+    base = ["--config", str(heat_config), "--out", str(out)]
+    for command in ("fit-initial", "sample-gram", "gen-trajectories", "train-control"):
+        assert cli.main([command, *base]) == 0
+    assert cli.main(["solve", *base, "--anchor", "0"]) == 0
+    for k in ("-1", "2"):  # the store holds anchors 0 and 1
+        assert cli.main(["solve", *base, "--anchor", k]) == cli.EXIT_MISSING
+    # a solution under a negative index is not one of the run's solutions
+    solutions = out / "solutions"
+    (solutions / "solution_-01.json").write_bytes((solutions / "solution_000.json").read_bytes())
+    assert cli.main(["eval", *base, "--anchor", "-1"]) == cli.EXIT_MISSING
+    assert not (out / "curves" / "errors_-01.csv").exists()
+
+    # the 2-D commands check the index before any work
+    cfg = config.load_config(PRESETS / "allen_cahn_2d.json", out_dir=str(tmp_path / "ac"))
+    cfg.ensure_layout()
+    anchor = (fit.ChebCombo(terms=((1, 1, 0.5),)), np.zeros(rom.param_count(cfg.rom_arch())), 0.0)
+    fit.save_anchors(cfg.path("anchors"), [anchor])
+    for k in (-1, 1):
+        with pytest.raises(MissingArtifact):
+            pipeline.cmd_reference(cfg, anchor_index=k, nx=16, nt=16)
+        with pytest.raises(MissingArtifact):
+            pipeline.cmd_export_slice(cfg, k, 0.0)
+
+
+def _solved_run(heat_config, out):
+    cfg = config.load_config(heat_config, out_dir=str(out))
+    for stage in (pipeline.cmd_fit_initial, pipeline.cmd_sample_gram, pipeline.cmd_gen_trajectories,
+                  pipeline.cmd_train_control, pipeline.cmd_solve):
+        stage(cfg)
+    pipeline.cmd_eval(cfg, anchor_index=0, n_x=256)
+    return cfg
+
+
+def test_torn_solution_and_error_curve_exit_code(heat_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    _solved_run(heat_config, out)
+    base = ["--config", str(heat_config), "--out", str(out)]
+    curve = out / "curves" / "errors_000.csv"
+    curve.write_text(curve.read_text()[:-5])
+    assert cli.main(["verify", *base]) == cli.EXIT_NUMERIC
+    assert "rerun eval" in capsys.readouterr().err
+    solution = out / "solutions" / "solution_000.json"
+    solution.write_text(solution.read_text()[:-9])
+    for command in ("eval", "verify"):
+        assert cli.main([command, *base]) == cli.EXIT_NUMERIC
+        assert "rerun solve" in capsys.readouterr().err
+
+
+def test_cut_write_keeps_the_previous_artifact(heat_config, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    cfg = _solved_run(heat_config, out)
+    pipeline.cmd_verify(cfg)
+    writers = {
+        pipeline.control_checkpoint_path(cfg): lambda: pipeline.cmd_train_control(cfg),
+        pipeline.solution_path(cfg, 0): lambda: pipeline.cmd_solve(cfg, anchor_index=0),
+        out / "curves" / "errors_000.csv": lambda: pipeline.cmd_eval(cfg, anchor_index=0, n_x=256),
+        out / "report.json": lambda: pipeline.cmd_verify(cfg),
+    }
+
+    def cut(src, dst):
+        raise OSError("cut before the rename")
+
+    for path, write in writers.items():
+        path = Path(path)
+        payload = path.read_bytes()
+        path.write_bytes(b"previous")
+        with monkeypatch.context() as m:
+            m.setattr(os, "replace", cut)
+            with pytest.raises(OSError, match="cut"):
+                write()
+        assert path.read_bytes() == b"previous"
+        path.write_bytes(payload)
+    assert not list(out.rglob("*.tmp"))

@@ -12,8 +12,8 @@ def gaussian_elimination_solve(gram, rhs) -> np.ndarray:
     Independent oracle for ridge_solve (lambda=0) on small invertible systems;
     kept free of numpy.linalg on purpose.
     """
-    G = linalg.as_matrix(gram).copy()
-    p = linalg.as_vector(rhs).copy()
+    G = np.asarray(gram, dtype=np.float64).copy()
+    p = np.asarray(rhs, dtype=np.float64).copy()
     m = G.shape[0]
     for col in range(m):
         pivot = col + int(np.argmax(np.abs(G[col:, col])))

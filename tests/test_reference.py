@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -204,3 +206,33 @@ def test_export_slice(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "x1,x2,u_ref,u_rom,abs_diff"
     assert len(lines) == 101
+
+
+def test_grid_and_slice_writes_replace_whole_files(tmp_path, monkeypatch):
+    spec = fit.ChebCombo(terms=((1, 1, 0.5),))
+    grid = reference.solve_allen_cahn_imex(spec, 1e-4, 16, 16, 0.1, max_snapshots=4)
+    npz = tmp_path / "ref_000.npz"
+    reference.save_grid_solution(grid, npz)
+    back = reference.load_grid_solution(npz)
+    for name in ("xs", "times", "snapshots", "lo", "hi"):
+        assert getattr(back, name).tobytes() == getattr(grid, name).tobytes()
+
+    # a write cut before its rename leaves the previous file in place
+    arch = rom.RomArch("resnet_zero_boundary", 2, 4, 2, "tanh", {"family": "sym_box"})
+    dom = (np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+    csv = tmp_path / "slice.csv"
+    writes = {
+        npz: lambda: reference.save_grid_solution(grid, npz),
+        csv: lambda: reference.export_slice(arch, rom.init_params(arch, 0), grid, dom, 0.05, csv, grid_n=4),
+    }
+
+    def cut(src, dst):
+        raise OSError("cut before the rename")
+
+    monkeypatch.setattr(os, "replace", cut)
+    for path, write in writes.items():
+        path.write_bytes(b"previous")
+        with pytest.raises(OSError, match="cut"):
+            write()
+        assert path.read_bytes() == b"previous"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ref_000.npz", "slice.csv"]
