@@ -10,7 +10,6 @@ the differential operator onto the model's tangent space.
 from . import assembly, control_net, evolve, fit, linalg, pde_ops, reference, rom, sampling
 from .errors import (
     CacheMismatch,
-    ChecksumMismatch,
     ConfigError,
     FactorizationFailure,
     MissingArtifact,

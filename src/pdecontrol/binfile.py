@@ -1,31 +1,38 @@
 """File handling shared by the artifacts.
 
-A binary artifact (Gram cache, control checkpoint) is one JSON header line,
-space-padded so that the data starts at a multiple of 64 bytes, followed by
-fixed-size little-endian float64 data that readers memory-map in place.
-Every artifact written whole (all but the appended Gram cache and loss
-history) goes through atomic_write, so a cut run leaves either the previous
-file or the new one, never a torn one.
+A binfile is one JSON header line, space-padded so that the data starts at
+a multiple of 64 bytes, followed by little-endian float64 data. The Gram
+cache appends fixed-size records that readers memory-map in place; every
+other array the pipeline reads back is written by save and read by load.
+Every artifact written whole (all but the appended Gram cache) goes through
+atomic_write, so a cut run leaves either the previous file or the new one,
+never a torn one.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import CacheMismatch
+from .errors import CacheMismatch, MissingArtifact
 
 DTYPE = np.dtype("<f8")
 ALIGN = 64
-_MAX_HEADER = 1 << 16
+# read_header reads at most this many bytes, so a file that is not a binfile
+# costs at most this much; encode_header refuses a longer header (16 MB holds
+# the specs of about 98,000 Chebyshev anchors)
+_MAX_HEADER = 1 << 24
 
 
 def encode_header(header: dict) -> bytes:
     text = json.dumps(header)
     pad = -(len(text) + 1) % ALIGN
+    if len(text) + pad + 1 > _MAX_HEADER:
+        raise ValueError(f"a header of {len(text)} bytes exceeds the {_MAX_HEADER}-byte limit")
     return (text + " " * pad + "\n").encode()
 
 
@@ -77,23 +84,30 @@ def atomic_write(path, mode: str = "w"):
             os.remove(tmp)
 
 
-def write_json_lines(path, docs) -> None:
-    """One JSON document per line, written through atomic_write."""
-    with atomic_write(path) as fh:
-        for doc in docs:
-            fh.write(json.dumps(doc) + "\n")
+def save(path, header: dict, array) -> None:
+    """Write header, with the array's shape added, and the array as float64
+    through atomic_write."""
+    array = np.ascontiguousarray(array, dtype=DTYPE)
+    with atomic_write(path, "wb") as fh:
+        fh.write(encode_header({**header, "shape": list(array.shape)}))
+        fh.write(array.tobytes())
 
 
-def read_json_lines(path, remedy: str) -> list:
-    """The documents of a JSON-lines file, blank lines skipped; a line that
-    does not parse raises CacheMismatch naming the remedy."""
-    docs = []
-    with open(path) as fh:
-        for n, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                docs.append(json.loads(line))
-            except json.JSONDecodeError:
-                raise CacheMismatch(f"line {n} of {path} does not parse; {remedy}") from None
-    return docs
+def load(path, kind: str, version: int, expected: dict | None, remedy: str) -> tuple[dict, np.ndarray]:
+    """The header and the array of a file written by save. Raises
+    MissingArtifact if there is no file, and CacheMismatch for a file that is
+    not a `kind` of this version, a header that differs from expected, or
+    data that is not exactly the header's shape; both name the remedy."""
+    if not os.path.exists(path):
+        raise MissingArtifact(f"{path} not found; {remedy}")
+    header, offset = read_header(path, kind, version, remedy)
+    check_header(path, header, expected, remedy)
+    shape = header.get("shape")
+    nbytes = os.path.getsize(path) - offset
+    if not (
+        isinstance(shape, list)
+        and all(isinstance(n, int) and n >= 0 for n in shape)
+        and nbytes == math.prod(shape) * DTYPE.itemsize
+    ):
+        raise CacheMismatch(f"{path} holds {nbytes} data bytes, not a float64 array of shape {shape}; {remedy}")
+    return header, np.fromfile(path, dtype=DTYPE, offset=offset).reshape(shape)

@@ -29,6 +29,16 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output directory (default: config paths.out_dir or ./out)")
 
 
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"{text} is less than {low}")
+        return int(text)
+
+    parse.__name__ = "int"  # argparse names the type in its message for a non-integer
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="pdecontrol", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -53,10 +63,11 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("solve", "reference", "eval", "export-slice"):
             p.add_argument("--anchor", type=int, default=0, help="anchor index in the store")
         if name == "reference":
-            p.add_argument("--nx", type=int, default=100)
-            p.add_argument("--nt", type=int, default=2000)
+            # the IMEX solver needs at least 16 grid cells and 16 steps
+            p.add_argument("--nx", type=_int_at_least(16), default=100)
+            p.add_argument("--nt", type=_int_at_least(16), default=2000)
         if name == "eval":
-            p.add_argument("--n-x", type=int, default=4096)
+            p.add_argument("--n-x", type=_int_at_least(1), default=4096)
         if name == "export-slice":
             p.add_argument("--time", type=float, required=True)
     return ap

@@ -2,10 +2,12 @@
 construction of the problem/architecture objects the commands share.
 
 Artifacts live under a fixed out_dir layout:
-    out/caches/      gram + trajectory caches, anchor store
-    out/checkpoints/ control-field checkpoint
+    out/caches/      gram + trajectory caches, anchor store (binfiles)
+    out/checkpoints/ control-field checkpoint (binfile)
     out/curves/      loss history and error curves (CSV)
     out/slices/      pointwise comparison slices (CSV)
+    out/solutions/   solved parameter trajectories (binfiles)
+    out/reference/   IMEX reference grids (npz)
     out/report.json  verify report on the run's artifacts
 Relative paths in the config resolve against out_dir.
 """
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import fit, pde_ops, rom
 from .control_net import ControlArch, TrainConfig
-from .errors import ConfigError, MissingArtifact
+from .errors import ConfigError
 from .sampling import AnchorBalls, Box
 
 _TRAIN_SCHEMA = {
@@ -250,20 +252,25 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def theta_space(self, anchors: np.ndarray | None = None):
+    def theta_space(self):
         ts = self.raw["theta_space"]
         if ts["kind"] == "box":
             return Box(half_width=ts.get("half_width", 1.0), dim=rom.param_count(self.rom_arch()))
-        if anchors is None:
-            anchors = self.load_anchor_thetas()
+        _, anchors = fit.load_anchors(self.path("anchors"), self.anchor_header())
         return AnchorBalls(anchors=anchors, radius=ts.get("radius", 3.0))
 
-    def load_anchor_thetas(self) -> np.ndarray:
-        path = self.path("anchors")
-        if not os.path.exists(path):
-            raise MissingArtifact(f"anchor store {path} not found; run fit-initial first")
-        thetas, _ = fit.load_anchors(path)
-        return thetas
+    def anchor_header(self) -> dict:
+        """Every input of fit-initial, as the anchor store header records it."""
+        ini = self.raw["initials"]
+        arch = self.rom_arch()
+        return {
+            "arch_hash": rom.arch_hash(arch),
+            "m": rom.param_count(arch),
+            "domain": self.raw["problem"]["domain"],
+            "seed": self.seed,
+            "initials": ini,
+            "theta_space": self.raw["theta_space"] if ini["family"] == "random_theta" else None,
+        }
 
     def train_config(self, **overrides) -> TrainConfig:
         merged = dict(self.raw["train"])
@@ -282,8 +289,8 @@ class RunConfig:
     def path(self, name: str) -> str:
         defaults = {
             "gram_cache": "caches/gram.bin",
-            "traj_cache": "caches/traj.jsonl",
-            "anchors": "caches/anchors.jsonl",
+            "traj_cache": "caches/traj.bin",
+            "anchors": "caches/anchors.bin",
             "checkpoints": "checkpoints",
         }
         rel = self.raw["paths"].get(name, defaults[name])

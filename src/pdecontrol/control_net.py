@@ -31,7 +31,7 @@ from .optim import Adam, plateau_triggered
 from .rom import _join, _size, _split_flat
 from .sampling import rng_for
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -403,35 +403,42 @@ def save_control_checkpoint(net: ControlNet, path) -> None:
         "kind": "control_checkpoint",
         "arch": {"input_dim": net.arch.input_dim, "width": net.arch.width, "depth": net.arch.depth},
     }
-    with binfile.atomic_write(path, "wb") as fh:
-        fh.write(binfile.encode_header(header))
-        fh.write(net.xi.astype(binfile.DTYPE, copy=False).tobytes())
+    binfile.save(path, header, net.xi)
 
 
 def load_control_checkpoint(path) -> ControlNet:
-    header, offset = binfile.read_header(path, "control_checkpoint", FORMAT_VERSION, "rerun train-control")
+    header, xi = binfile.load(path, "control_checkpoint", FORMAT_VERSION, None, "rerun train-control")
     arch = ControlArch(**header["arch"])
     n = control_param_count(arch)
-    xi = np.fromfile(path, dtype=binfile.DTYPE, offset=offset)
     if xi.shape != (n,):
         raise CacheMismatch(f"{path} holds {xi.size} of {n} parameters; rerun train-control")
     return ControlNet(arch=arch, xi=xi)
 
 
+def _is_loss_row(line: str) -> bool:
+    step, *losses = line.split(",")
+    try:
+        int(step)
+        for value in losses:
+            float(value)
+    except ValueError:
+        return False
+    return len(losses) == 3 and line.endswith("\n")
+
+
 def save_loss_history(history, path, resume: bool = False) -> None:
-    """Write the per-step (step, l1, l2, l_total) rows as CSV. With resume the
-    rows are appended to an existing file and their steps continue from its
-    last row, so annealed stages share one step count."""
-    offset = 0
-    append = resume and os.path.exists(path)
-    if append:
-        with open(path, "rb") as fh:
-            fh.seek(max(0, os.path.getsize(path) - 512))  # rows are under 100 bytes
-            last = fh.read().rstrip(b"\n").rsplit(b"\n", 1)[-1]
-        if last[:1].isdigit():  # not just the header
-            offset = int(last.split(b",", 1)[0])
-    with open(path, "a" if append else "w") as fh:
-        if not append:
-            fh.write("step,l1,l2,l_total\n")
-        for step, l1, l2, total in history:
-            fh.write(f"{step + offset},{l1!r},{l2!r},{total!r}\n")
+    """Write the per-step (step, l1, l2, l_total) rows as CSV, the whole file
+    through atomic_write. With resume the rows of an existing file are kept
+    and the new steps continue from its last row, so annealed stages share
+    one step count; a kept row that does not parse raises CacheMismatch."""
+    lines = ["step,l1,l2,l_total\n"]
+    if resume and os.path.exists(path):
+        with open(path) as fh:
+            kept = fh.readlines()
+        if kept[:1] != lines or not all(map(_is_loss_row, kept[1:])):
+            raise CacheMismatch(f"loss history {path} does not parse; rerun train-control without --resume")
+        lines = kept
+    offset = int(lines[-1].split(",", 1)[0]) if len(lines) > 1 else 0
+    lines += [f"{step + offset},{l1!r},{l2!r},{total!r}\n" for step, l1, l2, total in history]
+    with binfile.atomic_write(path) as fh:
+        fh.writelines(lines)

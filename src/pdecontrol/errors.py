@@ -28,7 +28,3 @@ class ConfigError(PdeControlError):
 
 class MissingArtifact(PdeControlError):
     """An upstream artifact required by a command does not exist."""
-
-
-class ChecksumMismatch(CacheMismatch):
-    """An artifact's embedded arch hash disagrees with the active config."""

@@ -10,7 +10,6 @@ reported instead of crashing downstream consumers.
 from __future__ import annotations
 
 import hashlib
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,7 @@ from . import assembly, binfile, linalg, pde_ops, rom
 from .errors import NonFiniteError
 from .sampling import ThetaSpace
 
-TRAJ_FORMAT_VERSION = 2
+TRAJ_FORMAT_VERSION = 3
 GUARD_DIAMETER_FACTOR = 10.0
 
 
@@ -106,21 +105,19 @@ def solve_ivp(
     n_steps: int,
     scheme: str = "rk4",
     theta_space: ThetaSpace | None = None,
-    max_norm: float | None = None,
 ) -> ParamTrajectory:
     """Integrate theta' = V(theta) with a classical explicit scheme; V is a
     ControlNet or any theta -> velocity callable.
 
     scheme is "euler" or "rk4". If theta_space is given, escapes from it are
-    flagged (not fatal); max_norm (defaulting to 10x the space diameter when a
-    space is given) aborts the run, returning the prefix with blowup_step set.
+    flagged (not fatal), and a state whose norm exceeds 10x the space
+    diameter aborts the run, returning the prefix with blowup_step set.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if scheme not in ("euler", "rk4"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    if max_norm is None and theta_space is not None:
-        max_norm = GUARD_DIAMETER_FACTOR * theta_space.diameter()
+    max_norm = None if theta_space is None else GUARD_DIAMETER_FACTOR * theta_space.diameter()
 
     h = horizon / n_steps
     theta = np.ascontiguousarray(theta0, dtype=np.float64).copy()
@@ -184,24 +181,14 @@ def traj_cache_header(arch: rom.RomArch, op: pde_ops.PdeOperator, domain, h: flo
 
 
 def write_traj_cache(path, header: dict, trajectories: list[ParamTrajectory]) -> None:
-    rows = (
-        {"traj_id": tid, "j": j, "t": float(traj.times[j]), "theta": traj.thetas[j].tolist(),
-         "v": traj.velocities[j].tolist()}
-        for tid, traj in enumerate(trajectories)
-        for j in range(traj.thetas.shape[0])
-    )
-    binfile.write_json_lines(path, itertools.chain([header], rows))
+    """One binfile row [theta | v] per grid point, trajectories stacked."""
+    rows = [np.hstack([traj.thetas, traj.velocities]) for traj in trajectories]
+    binfile.save(path, header, np.vstack([np.zeros((0, 2 * header["m"]))] + rows))
 
 
 def read_traj_cache(path, header: dict | None = None):
     """(header, thetas, velocities), rows stacked across trajectories; checks
     the expected header. CacheMismatch names gen-trajectories."""
-    remedy = "rerun gen-trajectories"
-    docs = binfile.read_json_lines(path, remedy)
-    existing = docs.pop(0) if docs else {}
-    kind = {"kind": "traj_cache", "format_version": TRAJ_FORMAT_VERSION}
-    binfile.check_header(path, existing, {**kind, **(header or {})}, remedy)
-    if docs:
-        return existing, np.array([d["theta"] for d in docs]), np.array([d["v"] for d in docs])
-    m = existing["m"]
-    return existing, np.zeros((0, m)), np.zeros((0, m))
+    existing, rows = binfile.load(path, "traj_cache", TRAJ_FORMAT_VERSION, header, "rerun gen-trajectories")
+    thetas, vels = np.hsplit(rows, 2)
+    return existing, np.ascontiguousarray(thetas), np.ascontiguousarray(vels)

@@ -204,14 +204,22 @@ def fit_initial(
 # ---------------------------------------------------------------------------
 # anchor store
 
-
-def save_anchors(path, entries: list[tuple[InitialSpec, np.ndarray, float]]) -> None:
-    binfile.write_json_lines(
-        path,
-        ({"spec": spec.describe(), "theta": np.asarray(theta).tolist(), "rmse": rmse} for spec, theta, rmse in entries),
-    )
+ANCHOR_FORMAT_VERSION = 2
 
 
-def load_anchors(path) -> tuple[np.ndarray, list[dict]]:
-    docs = binfile.read_json_lines(path, "rerun fit-initial")
-    return np.array([doc["theta"] for doc in docs]), docs
+def save_anchors(path, header: dict, entries: list[tuple[InitialSpec, np.ndarray, float]]) -> None:
+    """The anchor thetas as binfile rows of length header["m"]; the header
+    gains the specs and the fit RMSEs."""
+    header = {
+        "format_version": ANCHOR_FORMAT_VERSION,
+        "kind": "anchor_store",
+        **header,
+        "specs": [spec.describe() for spec, _, _ in entries],
+        "rmse": [rmse for _, _, rmse in entries],
+    }
+    binfile.save(path, header, np.reshape([theta for _, theta, _ in entries], (len(entries), header["m"])))
+
+
+def load_anchors(path, header: dict | None = None) -> tuple[dict, np.ndarray]:
+    """(header, thetas) of an anchor store; checks the expected header."""
+    return binfile.load(path, "anchor_store", ANCHOR_FORMAT_VERSION, header, "rerun fit-initial")

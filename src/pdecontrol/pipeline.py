@@ -1,6 +1,7 @@
 """Command bodies shared by the CLI: each function reads/writes only its
-declared artifacts under the run's out_dir and embeds {format_version,
-arch_hash, seed} so downstream consumers can fail fast on mismatches.
+declared artifacts under the run's out_dir. Each artifact's header records
+the inputs that shaped it, and every reader checks them against the config,
+so a stale artifact fails fast (exit 4) naming the command to rerun.
 """
 
 from __future__ import annotations
@@ -14,20 +15,20 @@ import numpy as np
 
 from . import assembly, binfile, control_net as cn, evolve, fit, pde_ops, reference, rom
 from .config import RunConfig
-from .errors import CacheMismatch, ChecksumMismatch, ConfigError, MissingArtifact
+from .errors import CacheMismatch, ConfigError, MissingArtifact
 from .sampling import AnchorBalls, Box, rng_for, sample_theta
 
-SOLUTION_FORMAT_VERSION = 1
+SOLUTION_FORMAT_VERSION = 2
 # Gram records per residual_scan call in verify: holds chunk * m^2 floats of G
 _VERIFY_CHUNK = 256
 
 
-def sample_initial_specs(cfg: RunConfig, count: int | None = None, stream_offset: int = 0):
+def sample_initial_specs(cfg: RunConfig):
     """Draw initial-condition specs from the configured family."""
     ini = cfg.raw["initials"]
     family = ini["family"]
-    n = ini["count"] if count is None else count
-    rng = rng_for(cfg.seed, stream=60 + stream_offset)
+    n = ini["count"]
+    rng = rng_for(cfg.seed, stream=60)
     specs: list[fit.InitialSpec] = []
     if family == "random_theta":
         for i in range(n):
@@ -62,18 +63,16 @@ def sample_initial_specs(cfg: RunConfig, count: int | None = None, stream_offset
     return specs
 
 
-def cmd_fit_initial(cfg: RunConfig, specs=None) -> list[dict]:
+def cmd_fit_initial(cfg: RunConfig) -> list[dict]:
     """Fit (or directly sample) anchor parameters for each initial spec and
     write the anchor store."""
     cfg.ensure_layout()
     arch = cfg.rom_arch()
     problem = cfg.problem()
     ini = cfg.raw["initials"]
-    if specs is None:
-        specs = sample_initial_specs(cfg)
     entries = []
     fitcfg = cfg.fit_config()
-    for k, spec in enumerate(specs):
+    for k, spec in enumerate(sample_initial_specs(cfg)):
         if isinstance(spec, fit.RandomTheta):
             space = cfg.theta_space()
             if not isinstance(space, Box):
@@ -91,7 +90,7 @@ def cmd_fit_initial(cfg: RunConfig, specs=None) -> list[dict]:
                 seed=cfg.seed + 1000 + k,
             )
             entries.append((spec, res.theta, res.rmse))
-    fit.save_anchors(cfg.path("anchors"), entries)
+    fit.save_anchors(cfg.path("anchors"), cfg.anchor_header(), entries)
     return [
         {"spec": spec.describe(), "rmse": rmse, "theta_norm": float(np.linalg.norm(theta))}
         for spec, theta, rmse in entries
@@ -182,12 +181,9 @@ def control_checkpoint_path(cfg: RunConfig) -> str:
 
 def _load_control(cfg: RunConfig) -> cn.ControlNet:
     """The trained control net, checked against the config's ROM dimension."""
-    ckpt = control_checkpoint_path(cfg)
-    if not os.path.exists(ckpt):
-        raise MissingArtifact(f"control checkpoint {ckpt} not found; run train-control first")
-    net = cn.load_control_checkpoint(ckpt)
+    net = cn.load_control_checkpoint(control_checkpoint_path(cfg))
     if net.arch.input_dim != rom.param_count(cfg.rom_arch()):
-        raise ChecksumMismatch("control net dimension does not match the model architecture")
+        raise CacheMismatch("control net dimension does not match the model architecture")
     return net
 
 
@@ -212,11 +208,9 @@ def cmd_train_control(
     carch = cfg.control_arch()
     ckpt = control_checkpoint_path(cfg)
     if resume:
-        if not os.path.exists(ckpt):
-            raise MissingArtifact(f"cannot resume: {ckpt} not found")
         net = cn.load_control_checkpoint(ckpt)
         if net.arch != carch:
-            raise ChecksumMismatch("checkpoint control architecture differs from config")
+            raise CacheMismatch("checkpoint control architecture differs from config")
     else:
         net = cn.ControlNet(carch, cn.init_control_params(carch, cfg.seed))
     tcfg = cfg.train_config(**(train_overrides or {}))
@@ -235,49 +229,43 @@ def cmd_train_control(
 
 
 def solution_path(cfg: RunConfig, index: int) -> str:
-    return os.path.join(cfg.out_dir, "solutions", f"solution_{index:03d}.json")
+    return os.path.join(cfg.out_dir, "solutions", f"solution_{index:03d}.bin")
 
 
-def _load_anchors(cfg: RunConfig, index: int):
-    """The anchor store's (thetas, docs), once anchor index is known to be in
-    it; solve, reference, eval and export-slice take their --anchor here."""
-    thetas, docs = fit.load_anchors(cfg.path("anchors"))
-    if not 0 <= index < len(docs):
-        raise MissingArtifact(f"anchor {index} not in store of size {len(docs)}")
-    return thetas, docs
+def _load_anchors(cfg: RunConfig, index: int) -> tuple[dict, np.ndarray]:
+    """The anchor store's (header, thetas), once anchor index is known to be
+    in it; solve, reference, eval and export-slice take their --anchor here."""
+    header, thetas = fit.load_anchors(cfg.path("anchors"), cfg.anchor_header())
+    if not 0 <= index < len(thetas):
+        raise MissingArtifact(f"anchor {index} not in store of size {len(thetas)}")
+    return header, thetas
 
 
 def cmd_solve(cfg: RunConfig, anchor_index: int = 0) -> dict:
     cfg.ensure_layout()
-    arch = cfg.rom_arch()
-    problem = cfg.problem()
-    thetas, docs = _load_anchors(cfg, anchor_index)
     net = _load_control(cfg)
-    space = cfg.theta_space()
+    anchors, thetas = _load_anchors(cfg, anchor_index)
     solve_cfg = cfg.raw["solve"]
     traj = evolve.solve_ivp(
         net,
         thetas[anchor_index],
-        problem.horizon,
+        cfg.problem().horizon,
         solve_cfg["n_steps"],
         scheme=solve_cfg["scheme"],
-        theta_space=space,
+        theta_space=cfg.theta_space(),
     )
-    doc = {
+    header = {
         "format_version": SOLUTION_FORMAT_VERSION,
-        "arch_hash": rom.arch_hash(arch),
-        "seed": cfg.seed,
-        "anchor_index": anchor_index,
-        "initial": docs[anchor_index]["spec"],
-        "fit_rmse": docs[anchor_index]["rmse"],
-        "times": traj.times.tolist(),
-        "thetas": traj.thetas.tolist(),
+        "kind": "solution",
+        "arch_hash": rom.arch_hash(cfg.rom_arch()),
+        "initial": anchors["specs"][anchor_index],
+        "fit_rmse": anchors["rmse"][anchor_index],
+        "step": traj.step,
         "blowup_step": traj.blowup_step,
         "escape_step": traj.escape_step,
     }
     path = solution_path(cfg, anchor_index)
-    with binfile.atomic_write(path) as fh:
-        fh.write(json.dumps(doc))
+    binfile.save(path, header, traj.thetas)
     return {
         "path": path,
         "steps": traj.thetas.shape[0] - 1,
@@ -287,32 +275,29 @@ def cmd_solve(cfg: RunConfig, anchor_index: int = 0) -> dict:
 
 
 def load_solution(cfg: RunConfig, index: int) -> tuple[dict, evolve.ParamTrajectory]:
-    path = solution_path(cfg, index)
-    if not os.path.exists(path):
-        raise MissingArtifact(f"solution {path} not found; run solve first")
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError:
-            raise CacheMismatch(f"solution {path} does not parse; rerun solve") from None
-    if doc["arch_hash"] != rom.arch_hash(cfg.rom_arch()):
-        raise ChecksumMismatch(f"solution {path} was produced with a different architecture")
-    times = np.array(doc["times"])
-    thetas = np.array(doc["thetas"])
-    step = float(times[1] - times[0]) if len(times) > 1 else 0.0
+    """The solution's header and its trajectory, times rebuilt as step * j."""
+    expected = {"arch_hash": rom.arch_hash(cfg.rom_arch())}
+    header, thetas = binfile.load(solution_path(cfg, index), "solution", SOLUTION_FORMAT_VERSION, expected,
+                                  "rerun solve")
     traj = evolve.ParamTrajectory(
-        times=times,
+        times=header["step"] * np.arange(thetas.shape[0]),
         thetas=thetas,
         velocities=None,
-        step=step,
-        blowup_step=doc.get("blowup_step"),
-        escape_step=doc.get("escape_step"),
+        step=header["step"],
+        blowup_step=header["blowup_step"],
+        escape_step=header["escape_step"],
     )
-    return doc, traj
+    return header, traj
 
 
 def reference_path(cfg: RunConfig, index: int) -> str:
     return os.path.join(cfg.out_dir, "reference", f"ref_{index:03d}.npz")
+
+
+def _reference_header(cfg: RunConfig, initial: dict) -> dict:
+    """Every input of an IMEX reference but the grid sizes."""
+    p = cfg.raw["problem"]
+    return {"initial": initial, "epsilon": p["epsilon"], "horizon": p["horizon"], "domain": p["domain"]}
 
 
 def cmd_reference(cfg: RunConfig, anchor_index: int = 0, nx: int = 100, nt: int = 2000) -> dict:
@@ -323,10 +308,9 @@ def cmd_reference(cfg: RunConfig, anchor_index: int = 0, nx: int = 100, nt: int 
     kind = cfg.raw["problem"]["kind"]
     if kind != "allen_cahn":
         return {"note": f"{kind} uses a closed-form reference; nothing to compute"}
-    _, docs = _load_anchors(cfg, anchor_index)
-    spec = fit.spec_from_dict(docs[anchor_index]["spec"])
+    initial = _load_anchors(cfg, anchor_index)[0]["specs"][anchor_index]
     grid = reference.solve_allen_cahn_imex(
-        spec,
+        fit.spec_from_dict(initial),
         cfg.raw["problem"]["epsilon"],
         nx,
         nt,
@@ -335,22 +319,21 @@ def cmd_reference(cfg: RunConfig, anchor_index: int = 0, nx: int = 100, nt: int 
         hi=problem.hi,
     )
     path = reference_path(cfg, anchor_index)
-    reference.save_grid_solution(grid, path)
+    reference.save_grid_solution(grid, path, _reference_header(cfg, initial))
     return {"path": path, "snapshots": len(grid.times)}
 
 
-def build_reference(cfg: RunConfig, solution_doc: dict):
-    """Reference solution object matching a stored solution's initial."""
+def build_reference(cfg: RunConfig, index: int, initial: dict):
+    """Reference solution object for anchor index with the initial spec
+    (a describe() dict) that its solution records."""
     problem = cfg.problem()
     kind = cfg.raw["problem"]["kind"]
-    arch = cfg.rom_arch()
-    spec = fit.spec_from_dict(solution_doc["initial"])
+    spec = fit.spec_from_dict(initial)
     if kind == "transport":
         model = None
         if isinstance(spec, fit.RandomTheta):
             # the anchor theta defines the initial function u_theta0
-            thetas, _ = fit.load_anchors(cfg.path("anchors"))
-            model = rom.RomModel(arch, thetas[solution_doc["anchor_index"]])
+            model = rom.RomModel(cfg.rom_arch(), _load_anchors(cfg, index)[1][index])
         op = problem.operator
         return reference.TransportShift(
             initial=spec, velocity=op.velocity, lo=problem.lo, hi=problem.hi, model=model
@@ -358,12 +341,12 @@ def build_reference(cfg: RunConfig, solution_doc: dict):
     if kind == "heat":
         if problem.dim != 1 or not isinstance(spec, fit.HeatCombo):
             raise ConfigError("closed-form heat references cover 1-D combo initials")
-        return reference.heat_series_from_combo(spec.coeffs, dim=1)
+        return reference.heat_series_from_combo(spec.coeffs)
     if kind == "allen_cahn":
-        path = reference_path(cfg, solution_doc["anchor_index"])
+        path = reference_path(cfg, index)
         if not os.path.exists(path):
             raise MissingArtifact(f"reference {path} not found; run the reference command first")
-        return reference.load_grid_solution(path)
+        return reference.load_grid_solution(path, _reference_header(cfg, initial))
     raise ConfigError(f"no reference construction for problem kind {kind!r}")
 
 
@@ -374,8 +357,8 @@ def _curve_path(cfg: RunConfig, index: int) -> str:
 def cmd_eval(cfg: RunConfig, anchor_index: int = 0, n_x: int = 4096, max_times: int = 64) -> dict:
     cfg.ensure_layout()
     _load_anchors(cfg, anchor_index)
-    doc, traj = load_solution(cfg, anchor_index)
-    ref = build_reference(cfg, doc)
+    header, traj = load_solution(cfg, anchor_index)
+    ref = build_reference(cfg, anchor_index, header["initial"])
     problem = cfg.problem()
     curve = reference.error_curve(
         cfg.rom_arch(), traj, ref, problem.domain, n_x, seed=cfg.seed + 17, max_times=max_times
@@ -397,28 +380,14 @@ def cmd_export_slice(cfg: RunConfig, anchor_index: int, t: float, grid_n: int = 
     if problem.dim != 2:
         raise ConfigError("export-slice needs a 2-D problem")
     _load_anchors(cfg, anchor_index)
-    doc, traj = load_solution(cfg, anchor_index)
-    ref = build_reference(cfg, doc)
+    header, traj = load_solution(cfg, anchor_index)
+    ref = build_reference(cfg, anchor_index, header["initial"])
     j = int(np.argmin(np.abs(traj.times - t)))
     path = os.path.join(cfg.out_dir, "slices", f"slice_{anchor_index:03d}_t{traj.times[j]:.4f}.csv")
     reference.export_slice(
         cfg.rom_arch(), traj.thetas[j], ref, problem.domain, float(traj.times[j]), path, grid_n=grid_n
     )
     return {"path": path, "time": float(traj.times[j])}
-
-
-def _curve_maxima(path) -> tuple[float, float | None]:
-    """Max abs and rel error of an error-curve CSV (rel None if undefined)."""
-    with open(path) as fh:
-        text = fh.read()
-    rows = [line.split(",") for line in text.splitlines()[1:]]
-    if rows and text.endswith("\n") and all(len(r) == 3 for r in rows):
-        try:
-            rel = [float(r[2]) for r in rows if r[2]]
-            return max(float(r[1]) for r in rows), (max(rel) if rel else None)
-        except ValueError:
-            pass
-    raise CacheMismatch(f"error curve {path} does not parse; rerun eval")
 
 
 def cmd_verify(cfg: RunConfig) -> dict:
@@ -431,7 +400,7 @@ def cmd_verify(cfg: RunConfig) -> dict:
     net = _load_control(cfg)
     cache = _read_gram_cache(cfg)
     sol_dir = os.path.dirname(solution_path(cfg, 0))
-    names = (re.fullmatch(r"solution_(\d+)\.json", name) for name in os.listdir(sol_dir))
+    names = (re.fullmatch(r"solution_(\d+)\.bin", name) for name in os.listdir(sol_dir))
     indices = sorted(int(match.group(1)) for match in names if match)
     if not indices:
         raise MissingArtifact(f"no solutions in {sol_dir}; run solve first")
@@ -444,11 +413,11 @@ def cmd_verify(cfg: RunConfig) -> dict:
     q = np.quantile(res, [0.5, 0.9, 1.0]).tolist() if res.size else [math.nan] * 3
     anchors = []
     for k in indices:
-        doc, traj = load_solution(cfg, k)
+        header, traj = load_solution(cfg, k)
         m_v, l_v = cn.field_stats(net, traj.thetas, cfg.seed)
         entry = {
             "anchor": k,
-            "fit_rmse": doc["fit_rmse"],
+            "fit_rmse": header["fit_rmse"],
             "steps": traj.thetas.shape[0] - 1,
             "blowup_step": traj.blowup_step,
             "escape_step": traj.escape_step,
@@ -458,7 +427,7 @@ def cmd_verify(cfg: RunConfig) -> dict:
         }
         curve = _curve_path(cfg, k)
         if os.path.exists(curve):
-            entry["abs_err_max"], entry["rel_err_max"] = _curve_maxima(curve)
+            entry["abs_err_max"], entry["rel_err_max"] = reference.error_curve_maxima(curve)
         anchors.append(entry)
 
     # the float fields; counts and step indices are ints

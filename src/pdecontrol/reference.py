@@ -10,6 +10,7 @@ time-linear interpolation of strided snapshots.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import binfile, fit, rom
-from .errors import PdeControlError
+from .errors import CacheMismatch, PdeControlError
 from .evolve import ParamTrajectory
 from .sampling import sample_omega
 
@@ -73,10 +74,8 @@ class GridSolution:
 ReferenceSolution = TransportShift | HeatSeries | GridSolution
 
 
-def heat_series_from_combo(coeffs, dim: int = 1) -> HeatSeries:
+def heat_series_from_combo(coeffs) -> HeatSeries:
     """HeatSeries for a HeatCombo initial (the 1-D pure-mode family)."""
-    if dim != 1:
-        raise ValueError("series construction from combos is provided in 1-D")
     modes = tuple(((k,), float(c)) for k, c in zip(range(1, 5), np.asarray(coeffs)) if c != 0.0)
     return HeatSeries(modes=modes)
 
@@ -142,7 +141,6 @@ def solve_allen_cahn_imex(
     lo=(-1.0, -1.0),
     hi=(1.0, 1.0),
     max_snapshots: int = 64,
-    model: rom.RomModel | None = None,
 ) -> GridSolution:
     """IMEX integration of u_t = eps*lap(u) + 1.5(u - u^3) on a square with
     zero Dirichlet data:
@@ -159,7 +157,7 @@ def solve_allen_cahn_imex(
     inner = xs[1:-1]
     XX, YY = np.meshgrid(inner, inner, indexing="ij")
     pts = np.stack([XX.ravel(), YY.ravel()], axis=1)
-    u = fit.eval_initial(initial, pts, model=model).reshape(nx, nx)
+    u = fit.eval_initial(initial, pts).reshape(nx, nx)
 
     dt = horizon / nt
     lap1 = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(nx, nx)) / hx**2
@@ -202,8 +200,6 @@ class ErrorCurve:
     abs_err: np.ndarray  # L2-norm estimates of the difference
     rel_err: np.ndarray  # abs / ||u*||, NaN where the norm is degenerate
     rel_defined: np.ndarray  # bool mask
-    n_x: int
-    seed: int
 
 
 REL_NORM_FLOOR = 1e-12
@@ -244,7 +240,7 @@ def error_curve(
         if nrm > REL_NORM_FLOOR:
             rel[out_i] = a / nrm
             defined[out_i] = True
-    return ErrorCurve(times=times, abs_err=abs_err, rel_err=rel, rel_defined=defined, n_x=n_x, seed=seed)
+    return ErrorCurve(times=times, abs_err=abs_err, rel_err=rel, rel_defined=defined)
 
 
 def save_error_curve(curve: ErrorCurve, path) -> None:
@@ -253,6 +249,20 @@ def save_error_curve(curve: ErrorCurve, path) -> None:
         for t, a, r in zip(curve.times, curve.abs_err, curve.rel_err):
             rs = "" if not np.isfinite(r) else repr(float(r))
             fh.write(f"{float(t)!r},{float(a)!r},{rs}\n")
+
+
+def error_curve_maxima(path) -> tuple[float, float | None]:
+    """Max abs and rel error of an error-curve CSV (rel None if undefined)."""
+    with open(path) as fh:
+        text = fh.read()
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    if rows and text.endswith("\n") and all(len(r) == 3 for r in rows):
+        try:
+            rel = [float(r[2]) for r in rows if r[2]]
+            return max(float(r[1]) for r in rows), (max(rel) if rel else None)
+        except ValueError:
+            pass
+    raise CacheMismatch(f"error curve {path} does not parse; rerun eval")
 
 
 def export_slice(
@@ -282,13 +292,20 @@ def export_slice(
             fh.write(f"{row[0]!r},{row[1]!r},{ur!r},{um!r},{abs(ur - um)!r}\n")
 
 
-def save_grid_solution(ref: GridSolution, path) -> None:
+def save_grid_solution(ref: GridSolution, path, header: dict) -> None:
+    """A compressed npz of the arrays, plus the JSON text of header (the
+    inputs that shaped them)."""
     with binfile.atomic_write(path, "wb") as fh:
-        np.savez_compressed(fh, xs=ref.xs, times=ref.times, snapshots=ref.snapshots, lo=ref.lo, hi=ref.hi)
+        np.savez_compressed(fh, xs=ref.xs, times=ref.times, snapshots=ref.snapshots, lo=ref.lo, hi=ref.hi,
+                            header=np.array(json.dumps(header)))
 
 
-def load_grid_solution(path) -> GridSolution:
-    data = np.load(path)
-    return GridSolution(
-        xs=data["xs"], times=data["times"], snapshots=data["snapshots"], lo=data["lo"], hi=data["hi"]
-    )
+def load_grid_solution(path, expected: dict | None = None) -> GridSolution:
+    """The stored reference; CacheMismatch names the reference command
+    unless its header carries every field of expected."""
+    with np.load(path) as data:
+        header = json.loads(data["header"].item()) if "header" in data else {}
+        binfile.check_header(path, header, expected, "rerun reference")
+        return GridSolution(
+            xs=data["xs"], times=data["times"], snapshots=data["snapshots"], lo=data["lo"], hi=data["hi"]
+        )

@@ -61,9 +61,9 @@ def test_heat_sine_field_is_exact(tmp_path):
     # solved with V*, the error is the fit error of theta0, which decays
     pipeline.cmd_fit_initial(cfg)
     problem = cfg.problem()
-    thetas, docs = fit.load_anchors(cfg.path("anchors"))
-    for k, doc in enumerate(docs):
+    header, thetas = fit.load_anchors(cfg.path("anchors"), cfg.anchor_header())
+    for k, spec in enumerate(header["specs"]):
         traj = evolve.solve_ivp(lambda th: -rates * th, thetas[k], problem.horizon, cfg.raw["solve"]["n_steps"])
-        ref = pipeline.build_reference(cfg, {"initial": doc["spec"], "anchor_index": k})
+        ref = pipeline.build_reference(cfg, k, spec)
         curve = reference.error_curve(cfg.rom_arch(), traj, ref, problem.domain, 4096, seed=cfg.seed, max_times=64)
         assert curve.abs_err.max() <= curve.abs_err[0]

@@ -1,5 +1,4 @@
 import importlib.util
-import io
 import json
 import os
 from pathlib import Path
@@ -7,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pdecontrol import assembly, cli, config, control_net as cn, evolve, fit, pipeline, rom
+from pdecontrol import assembly, binfile, cli, config, control_net as cn, evolve, fit, pipeline, rom
 from pdecontrol.errors import ConfigError, MissingArtifact
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -191,9 +190,8 @@ def test_verify_fails_on_blown_up_solve(heat_config, tmp_path, capsys):
     pipeline.cmd_train_control(cfg)
     path = pipeline.cmd_solve(cfg, anchor_index=0)["path"]
     assert cli.main(["verify", "--config", str(heat_config), "--out", out]) == 0
-    doc = json.loads(Path(path).read_text())
-    doc["blowup_step"] = 3
-    Path(path).write_text(json.dumps(doc))
+    header, thetas = binfile.load(path, "solution", pipeline.SOLUTION_FORMAT_VERSION, None, "")
+    binfile.save(path, dict(header, blowup_step=3), thetas)
     assert cli.main(["verify", "--config", str(heat_config), "--out", out]) == cli.EXIT_VERIFY
     report = json.loads(Path(out, "report.json").read_text())
     assert report["anchors"][0]["blowup_step"] == 3
@@ -285,27 +283,6 @@ def test_torn_gram_cache_exit_code_and_repair(heat_config, tmp_path, capsys):
     stats = pipeline.cmd_sample_gram(cfg)
     assert stats["computed"] == 1
     assert Path(path).read_bytes() == payload
-
-
-def test_json_artifacts_match_json_dump_bytes(heat_config, tmp_path):
-    out = str(tmp_path / "out")
-    cfg = config.load_config(heat_config, out_dir=out)
-    pipeline.cmd_fit_initial(cfg)
-    pipeline.cmd_sample_gram(cfg)
-    pipeline.cmd_gen_trajectories(cfg)
-    pipeline.cmd_train_control(cfg)
-    path = pipeline.cmd_solve(cfg, anchor_index=0)["path"]
-    written = Path(path).read_text()
-    old = io.StringIO()
-    json.dump(json.loads(written), old)
-    assert written == old.getvalue()
-    for name in ("anchors", "traj_cache"):
-        text = Path(cfg.path(name)).read_text()
-        old = io.StringIO()
-        for line in text.splitlines():
-            json.dump(json.loads(line), old)
-            old.write("\n")
-        assert text == old.getvalue()
 
 
 def test_resumed_training_continues_loss_history_steps(heat_config, tmp_path):
@@ -410,22 +387,22 @@ def test_empty_traj_cache_records_the_step(heat_config, tmp_path):
     assert pipeline.cmd_train_control(cfg)["pairs"] == 0
 
 
-def test_torn_json_lines_artifacts_exit_code(heat_config, tmp_path, capsys):
+def test_torn_binfile_artifacts_exit_code(heat_config, tmp_path, capsys):
     out = tmp_path / "out"
     base = ["--config", str(heat_config), "--out", str(out)]
     for command in ("fit-initial", "sample-gram", "gen-trajectories"):
         assert cli.main([command, *base]) == 0
-    traj = out / "caches" / "traj.jsonl"
-    traj.write_text(traj.read_text()[:-7])
+    traj = out / "caches" / "traj.bin"
+    traj.write_bytes(traj.read_bytes()[:-7])
     assert cli.main(["train-control", *base]) == cli.EXIT_NUMERIC
     assert "rerun gen-trajectories" in capsys.readouterr().err
     assert cli.main(["gen-trajectories", *base]) == 0
     assert cli.main(["train-control", *base]) == 0
-    anchors = out / "caches" / "anchors.jsonl"
-    anchors.write_text(anchors.read_text()[:-7])
+    anchors = out / "caches" / "anchors.bin"
+    anchors.write_bytes(anchors.read_bytes()[:-7])
     assert cli.main(["solve", *base]) == cli.EXIT_NUMERIC
     assert "rerun fit-initial" in capsys.readouterr().err
-    assert sorted(p.name for p in (out / "caches").iterdir()) == ["anchors.jsonl", "gram.bin", "traj.jsonl"]
+    assert sorted(p.name for p in (out / "caches").iterdir()) == ["anchors.bin", "gram.bin", "traj.bin"]
 
 
 @pytest.mark.parametrize("key", ["zeta", "batch_size", "stop_loss", "stop_plateau_pct", "plateau_window"])
@@ -466,7 +443,7 @@ def test_anchor_index_must_be_in_store(heat_config, tmp_path):
         assert cli.main(["solve", *base, "--anchor", k]) == cli.EXIT_MISSING
     # a solution under a negative index is not one of the run's solutions
     solutions = out / "solutions"
-    (solutions / "solution_-01.json").write_bytes((solutions / "solution_000.json").read_bytes())
+    (solutions / "solution_-01.bin").write_bytes((solutions / "solution_000.bin").read_bytes())
     assert cli.main(["eval", *base, "--anchor", "-1"]) == cli.EXIT_MISSING
     assert not (out / "curves" / "errors_-01.csv").exists()
 
@@ -474,7 +451,7 @@ def test_anchor_index_must_be_in_store(heat_config, tmp_path):
     cfg = config.load_config(PRESETS / "allen_cahn_2d.json", out_dir=str(tmp_path / "ac"))
     cfg.ensure_layout()
     anchor = (fit.ChebCombo(terms=((1, 1, 0.5),)), np.zeros(rom.param_count(cfg.rom_arch())), 0.0)
-    fit.save_anchors(cfg.path("anchors"), [anchor])
+    fit.save_anchors(cfg.path("anchors"), cfg.anchor_header(), [anchor])
     for k in (-1, 1):
         with pytest.raises(MissingArtifact):
             pipeline.cmd_reference(cfg, anchor_index=k, nx=16, nt=16)
@@ -499,8 +476,8 @@ def test_torn_solution_and_error_curve_exit_code(heat_config, tmp_path, capsys):
     curve.write_text(curve.read_text()[:-5])
     assert cli.main(["verify", *base]) == cli.EXIT_NUMERIC
     assert "rerun eval" in capsys.readouterr().err
-    solution = out / "solutions" / "solution_000.json"
-    solution.write_text(solution.read_text()[:-9])
+    solution = out / "solutions" / "solution_000.bin"
+    solution.write_bytes(solution.read_bytes()[:-9])
     for command in ("eval", "verify"):
         assert cli.main([command, *base]) == cli.EXIT_NUMERIC
         assert "rerun solve" in capsys.readouterr().err
@@ -531,3 +508,52 @@ def test_cut_write_keeps_the_previous_artifact(heat_config, tmp_path, monkeypatc
         assert path.read_bytes() == b"previous"
         path.write_bytes(payload)
     assert not list(out.rglob("*.tmp"))
+
+
+@pytest.mark.parametrize("override", [
+    'rom_arch.basis_spec=[["fourier_sine",1],["fourier_sine",2],["fourier_sine",3]]',
+    "initials.eps0_target=0.5",
+])
+def test_solve_rejects_anchor_store_from_other_fit_inputs(heat_config, tmp_path, capsys, override):
+    # anchors of a 3-mode ROM reached the 2-mode control net: a ValueError traceback
+    base = ["--config", str(heat_config), "--out", str(tmp_path / "out")]
+    assert cli.main(["fit-initial", *base, "--set", override]) == 0
+    for command in ("sample-gram", "train-control"):
+        assert cli.main([command, *base]) == 0
+    for command in ("solve", "eval"):
+        assert cli.main([command, *base]) == cli.EXIT_NUMERIC
+        assert "rerun fit-initial" in capsys.readouterr().err
+    for command in ("fit-initial", "solve", "eval"):
+        assert cli.main([command, *base]) == 0
+
+
+def test_eval_rejects_stale_imex_reference(tmp_path, capsys):
+    # eval used to read a reference computed for another epsilon or initial
+    shrink = ["rom_arch.width=3", "control_arch.width=8", "counts.n_theta=4", "counts.n_x=16", "counts.n_traj=0",
+              "initials.count=1", "initials.fit_n_x=32", "initials.fit.max_steps=5", "train.max_steps=2",
+              "solve.n_steps=4"]
+    base = ["--config", str(PRESETS / "allen_cahn_2d.json"), "--out", str(tmp_path / "out")]
+    base += [arg for key in shrink for arg in ("--set", key)]
+    for command in ("fit-initial", "sample-gram", "train-control", "solve"):
+        assert cli.main([command, *base]) == 0
+    assert cli.main(["reference", *base, "--nx", "16", "--nt", "16"]) == 0
+    assert cli.main(["eval", *base, "--n-x", "64"]) == 0
+    assert cli.main(["eval", *base, "--n-x", "64", "--set", "problem.epsilon=0.5"]) == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "mismatch on 'epsilon'" in err and "rerun reference" in err
+    # new anchors, solved afresh: the reference still holds the old initial
+    new = [*base, "--set", "initials.amplitude=0.5"]
+    for command in ("fit-initial", "solve"):
+        assert cli.main([command, *new]) == 0
+    assert cli.main(["eval", *new, "--n-x", "64"]) == cli.EXIT_NUMERIC
+    assert "mismatch on 'initial' in" in capsys.readouterr().err
+    assert cli.main(["reference", *new, "--nx", "16", "--nt", "16"]) == 0
+    assert cli.main(["eval", *new, "--n-x", "64"]) == 0
+
+
+@pytest.mark.parametrize("args", [["reference", "--nx", "8"], ["reference", "--nt", "15"], ["eval", "--n-x", "0"]])
+def test_cli_rejects_grid_sizes_the_solvers_cannot_take(tmp_path, capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*args, "--config", str(PRESETS / "allen_cahn_2d.json"), "--out", str(tmp_path)])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert "is less than" in capsys.readouterr().err

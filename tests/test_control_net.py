@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -325,3 +326,24 @@ def test_loss_history_csv(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "step,l1,l2,l_total"
     assert lines[1].startswith("1,0.5,0.25,")
+
+
+def test_loss_history_resume_rejects_a_torn_row_and_writes_whole(tmp_path, monkeypatch):
+    # appending in place merged a torn last row with the next stage's first
+    path = tmp_path / "hist.csv"
+    cn.save_loss_history([(1, 0.5, 0.25, 0.525), (2, 0.4, 0.3, 0.43)], path)
+    cn.save_loss_history([(1, 0.3, 0.2, 0.32)], path, resume=True)
+    whole = path.read_text()
+    assert whole.splitlines()[1:] == ["1,0.5,0.25,0.525", "2,0.4,0.3,0.43", "3,0.3,0.2,0.32"]
+    path.write_text(whole[:-7])
+    with pytest.raises(CacheMismatch, match="does not parse; rerun train-control without --resume"):
+        cn.save_loss_history([(1, 0.2, 0.1, 0.21)], path, resume=True)
+
+    def cut(src, dst):
+        raise OSError("cut before the rename")
+
+    path.write_text(whole)
+    monkeypatch.setattr(os, "replace", cut)
+    with pytest.raises(OSError, match="cut"):
+        cn.save_loss_history([(1, 0.2, 0.1, 0.21)], path, resume=True)
+    assert path.read_text() == whole

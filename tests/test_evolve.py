@@ -121,13 +121,14 @@ def test_traj_cache_roundtrip(tmp_path, unit_interval):
                               lambda_reg=0.0, quadrature="gauss", stream_base=100 * i)
         for i in range(2)
     ]
-    path = tmp_path / "traj.jsonl"
+    path = tmp_path / "traj.bin"
     header = evolve.traj_cache_header(arch, op, unit_interval, 0.01, 4, 32, 0, "gauss", starts)
     evolve.write_traj_cache(path, header, trajs)
-    assert [p.name for p in tmp_path.iterdir()] == ["traj.jsonl"]
+    assert [p.name for p in tmp_path.iterdir()] == ["traj.bin"]
     read, thetas, vels = evolve.read_traj_cache(path, header=header)
-    assert read == header and read["op_tag"] == "heat" and read["n_traj"] == 2
-    assert thetas.shape == (10, 3) and vels.shape == (10, 3)
+    assert read == dict(header, shape=[10, 6]) and read["op_tag"] == "heat" and read["n_traj"] == 2
+    assert thetas.tobytes() == np.vstack([t.thetas for t in trajs]).tobytes()
+    assert vels.tobytes() == np.vstack([t.velocities for t in trajs]).tobytes()
     other = fourier_sine_arch(4)
     with pytest.raises(CacheMismatch, match="arch_hash"):
         evolve.read_traj_cache(path, header=evolve.traj_cache_header(other, op, unit_interval, 0.01, 4, 32, 0,
@@ -142,10 +143,9 @@ def test_traj_cache_torn_line_names_the_remedy(tmp_path, unit_interval):
     starts = np.array([[0.3, -0.2]])
     traj = evolve.gen_trajectory(arch, starts[0], pde_ops.Heat(), unit_interval, 3, 0.01, 16, 0,
                                  lambda_reg=0.0, quadrature="gauss")
-    path = tmp_path / "traj.jsonl"
+    path = tmp_path / "traj.bin"
     header = evolve.traj_cache_header(arch, pde_ops.Heat(), unit_interval, 0.01, 3, 16, 0, "gauss", starts)
     evolve.write_traj_cache(path, header, [traj])
-    text = path.read_text()
-    path.write_text(text[:-10])
-    with pytest.raises(CacheMismatch, match="line 5 .* rerun gen-trajectories"):
+    path.write_bytes(path.read_bytes()[:-10])
+    with pytest.raises(CacheMismatch, match="holds .* rerun gen-trajectories"):
         evolve.read_traj_cache(path)

@@ -3,6 +3,7 @@ import pytest
 
 from pdecontrol import fit, linalg, rom
 from pdecontrol.control_net import TrainConfig
+from pdecontrol.errors import CacheMismatch
 from pdecontrol.sampling import Box, sample_omega
 
 from conftest import fourier_sine_arch
@@ -146,8 +147,21 @@ def test_random_theta_resolution():
 def test_anchor_store_roundtrip(tmp_path):
     specs = [fit.HeatCombo(np.array([0.5, -0.5, 0.0, 0.0])), fit.RandomTheta(seed=1)]
     thetas = [np.array([1.0, 2.0]), np.array([3.0, 4.0])]
-    fit.save_anchors(tmp_path / "a.jsonl", list(zip(specs, thetas, [0.01, 0.0])))
-    loaded, docs = fit.load_anchors(tmp_path / "a.jsonl")
-    assert loaded.shape == (2, 2)
-    assert docs[0]["spec"]["kind"] == "heat_combo"
-    assert docs[1]["spec"] == {"kind": "random_theta", "seed": 1}
+    fit.save_anchors(tmp_path / "a.bin", {"m": 2}, list(zip(specs, thetas, [0.01, 0.0])))
+    header, loaded = fit.load_anchors(tmp_path / "a.bin", {"m": 2})
+    assert loaded.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert header["specs"][0]["kind"] == "heat_combo"
+    assert header["specs"][1] == {"kind": "random_theta", "seed": 1}
+    assert header["rmse"] == [0.01, 0.0]
+    with pytest.raises(CacheMismatch, match="'m' .* rerun fit-initial"):
+        fit.load_anchors(tmp_path / "a.bin", {"m": 3})
+
+
+def test_anchor_store_header_past_64_kb_reads_back(tmp_path):
+    # the specs live in the header, which grows with the anchor count
+    spec = fit.ChebCombo(terms=tuple((i, j, -0.123456789) for i in range(6) for j in range(6)))
+    path = tmp_path / "a.bin"
+    fit.save_anchors(path, {"m": 3}, [(spec, np.full(3, float(k)), 1e-3) for k in range(400)])
+    assert path.stat().st_size > 1 << 16
+    header, thetas = fit.load_anchors(path)
+    assert len(header["specs"]) == 400 and thetas.shape == (400, 3) and thetas[-1].tolist() == [399.0] * 3

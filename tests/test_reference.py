@@ -5,6 +5,7 @@ import pytest
 
 from pdecontrol import evolve, fit, reference, rom
 from pdecontrol.control_net import TrainConfig
+from pdecontrol.errors import CacheMismatch
 from pdecontrol.reference import OutOfDomain
 
 from conftest import fourier_sine_arch
@@ -212,17 +213,19 @@ def test_grid_and_slice_writes_replace_whole_files(tmp_path, monkeypatch):
     spec = fit.ChebCombo(terms=((1, 1, 0.5),))
     grid = reference.solve_allen_cahn_imex(spec, 1e-4, 16, 16, 0.1, max_snapshots=4)
     npz = tmp_path / "ref_000.npz"
-    reference.save_grid_solution(grid, npz)
-    back = reference.load_grid_solution(npz)
+    reference.save_grid_solution(grid, npz, {"epsilon": 1e-4})
+    back = reference.load_grid_solution(npz, {"epsilon": 1e-4})
     for name in ("xs", "times", "snapshots", "lo", "hi"):
         assert getattr(back, name).tobytes() == getattr(grid, name).tobytes()
+    with pytest.raises(CacheMismatch, match="'epsilon' .* rerun reference"):
+        reference.load_grid_solution(npz, {"epsilon": 0.5})
 
     # a write cut before its rename leaves the previous file in place
     arch = rom.RomArch("resnet_zero_boundary", 2, 4, 2, "tanh", {"family": "sym_box"})
     dom = (np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
     csv = tmp_path / "slice.csv"
     writes = {
-        npz: lambda: reference.save_grid_solution(grid, npz),
+        npz: lambda: reference.save_grid_solution(grid, npz, {}),
         csv: lambda: reference.export_slice(arch, rom.init_params(arch, 0), grid, dom, 0.05, csv, grid_n=4),
     }
 
