@@ -1,5 +1,8 @@
-"""Run configuration: JSON schema, loading, dotted-path overrides, and
-construction of the problem/architecture objects the commands share.
+"""Run configuration: JSON schema, loading, dotted-path overrides. load_config
+builds the run objects the commands share (problem, ROM and control-net
+architectures) once and checks them against each other; an invalid or
+mismatched setting is a ConfigError (exit 2). ADAM's moments and the plateau
+window are constants of optim, not settings.
 
 Artifacts live under a fixed out_dir layout:
     out/caches/      gram + trajectory caches, anchor store (binfiles)
@@ -27,24 +30,8 @@ from .control_net import ControlArch, TrainConfig
 from .errors import ConfigError
 from .sampling import AnchorBalls, Box
 
-_TRAIN_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "lr": {"type": "number", "exclusiveMinimum": 0},
-        "beta1": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-        "beta2": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-        "adam_eps": {"type": "number", "exclusiveMinimum": 0},
-        "zeta": {"type": "number", "minimum": 0},
-        "batch_size": {"type": "integer", "minimum": 0},
-        "stop_loss": {"type": "number"},
-        "stop_plateau_pct": {"type": ["number", "null"]},
-        "plateau_window": {"type": "integer", "minimum": 1},
-        "max_steps": {"type": "integer", "minimum": 1},
-    },
-    "additionalProperties": False,
-}
-# the train keys fit.fit_initial reads
-_FIT_KEYS = ("lr", "beta1", "beta2", "adam_eps", "max_steps")
+_LR = {"type": "number", "exclusiveMinimum": 0}
+_MAX_STEPS = {"type": "integer", "minimum": 1}
 
 SCHEMA = {
     "type": "object",
@@ -116,7 +103,18 @@ SCHEMA = {
             "additionalProperties": False,
         },
         "quadrature": {"enum": ["mc", "gauss"]},
-        "train": _TRAIN_SCHEMA,
+        "train": {
+            "type": "object",
+            "properties": {
+                "lr": _LR,
+                "zeta": {"type": "number", "minimum": 0},
+                "batch_size": {"type": "integer", "minimum": 0},
+                "stop_loss": {"type": "number"},
+                "stop_plateau_pct": {"type": ["number", "null"]},
+                "max_steps": _MAX_STEPS,
+            },
+            "additionalProperties": False,
+        },
         "solve": {
             "type": "object",
             "properties": {
@@ -135,7 +133,12 @@ SCHEMA = {
                 "degree_max": {"type": "integer", "minimum": 0, "maximum": 6},
                 "max_terms": {"type": "integer", "minimum": 1, "maximum": 36},
                 "amplitude": {"type": "number", "exclusiveMinimum": 0},
-                "fit": {**_TRAIN_SCHEMA, "properties": {k: _TRAIN_SCHEMA["properties"][k] for k in _FIT_KEYS}},
+                # the keyword arguments of fit.fit_initial
+                "fit": {
+                    "type": "object",
+                    "properties": {"lr": _LR, "max_steps": _MAX_STEPS},
+                    "additionalProperties": False,
+                },
             },
             "additionalProperties": False,
         },
@@ -211,61 +214,56 @@ def apply_override(doc: dict, key: str, value) -> None:
     node[parts[-1]] = value
 
 
+def _build(doc: dict) -> tuple[pde_ops.Problem, rom.RomArch, ControlArch]:
+    """The problem, the ROM architecture and the control-net architecture the
+    validated doc describes; ValueError if one is invalid or they disagree."""
+    p = doc["problem"]
+    lo = np.array(p["domain"]["lo"], dtype=np.float64)
+    hi = np.array(p["domain"]["hi"], dtype=np.float64)
+    kind = p["kind"]
+    if kind == "transport":
+        velocity = np.array(p.get("velocity", [1.0] * len(lo)), dtype=np.float64)
+        if velocity.shape != lo.shape:
+            raise ValueError(f"problem.velocity has {velocity.size} components for a {lo.size}-D domain")
+        op = pde_ops.Transport(velocity=velocity)
+    elif kind == "heat":
+        op = pde_ops.Heat()
+    else:
+        op = pde_ops.AllenCahn(epsilon=p["epsilon"])
+    problem = pde_ops.Problem(operator=op, lo=lo, hi=hi, horizon=p["horizon"])
+    arch = rom.RomArch(**doc["rom_arch"])
+    if arch.input_dim != problem.dim:
+        raise ValueError(f"rom_arch.input_dim is {arch.input_dim} for a {problem.dim}-D domain")
+    if doc["quadrature"] == "gauss" and problem.dim != 1:
+        raise ValueError(f"quadrature 'gauss' has 1-D nodes; the domain is {problem.dim}-D")
+    return problem, arch, ControlArch(input_dim=rom.param_count(arch), **doc["control_arch"])
+
+
 @dataclass
 class RunConfig:
     raw: dict
     out_dir: str
+    problem: pde_ops.Problem
+    rom_arch: rom.RomArch
+    control_arch: ControlArch
 
     @property
     def seed(self) -> int:
         return self.raw["seed"]
 
-    # -- constructed objects ------------------------------------------------
-
-    def problem(self) -> pde_ops.Problem:
-        p = self.raw["problem"]
-        lo = np.array(p["domain"]["lo"], dtype=np.float64)
-        hi = np.array(p["domain"]["hi"], dtype=np.float64)
-        kind = p["kind"]
-        if kind == "transport":
-            op = pde_ops.Transport(velocity=np.array(p.get("velocity", [1.0] * len(lo))))
-        elif kind == "heat":
-            op = pde_ops.Heat()
-        else:
-            op = pde_ops.AllenCahn(epsilon=p["epsilon"])
-        try:
-            return pde_ops.Problem(operator=op, lo=lo, hi=hi, horizon=p["horizon"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def rom_arch(self) -> rom.RomArch:
-        try:
-            return rom.arch_from_dict(self.raw["rom_arch"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def control_arch(self) -> ControlArch:
-        c = self.raw["control_arch"]
-        m = rom.param_count(self.rom_arch())
-        try:
-            return ControlArch(input_dim=m, width=c["width"], depth=c["depth"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
     def theta_space(self):
         ts = self.raw["theta_space"]
         if ts["kind"] == "box":
-            return Box(half_width=ts.get("half_width", 1.0), dim=rom.param_count(self.rom_arch()))
+            return Box(half_width=ts.get("half_width", 1.0), dim=rom.param_count(self.rom_arch))
         _, anchors = fit.load_anchors(self.path("anchors"), self.anchor_header())
         return AnchorBalls(anchors=anchors, radius=ts.get("radius", 3.0))
 
     def anchor_header(self) -> dict:
         """Every input of fit-initial, as the anchor store header records it."""
         ini = self.raw["initials"]
-        arch = self.rom_arch()
         return {
-            "arch_hash": rom.arch_hash(arch),
-            "m": rom.param_count(arch),
+            "arch_hash": rom.arch_hash(self.rom_arch),
+            "m": rom.param_count(self.rom_arch),
             "domain": self.raw["problem"]["domain"],
             "seed": self.seed,
             "initials": ini,
@@ -280,9 +278,6 @@ class RunConfig:
             return TrainConfig(**merged)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
-
-    def fit_config(self) -> TrainConfig:
-        return TrainConfig(**{"max_steps": 5000, **self.raw["initials"].get("fit", {})})
 
     # -- paths ---------------------------------------------------------------
 
@@ -322,8 +317,9 @@ def load_config(path, overrides=(), out_dir: str | None = None, seed: int | None
         jsonschema.validate(doc, SCHEMA)
     except jsonschema.ValidationError as exc:
         raise ConfigError(f"config schema violation: {exc.message}") from exc
+    try:
+        problem, rom_arch, control_arch = _build(doc)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     resolved_out = out_dir or doc.get("paths", {}).get("out_dir") or "out"
-    cfg = RunConfig(raw=doc, out_dir=resolved_out)
-    cfg.rom_arch()
-    cfg.problem()
-    return cfg
+    return RunConfig(raw=doc, out_dir=resolved_out, problem=problem, rom_arch=rom_arch, control_arch=control_arch)

@@ -27,7 +27,7 @@ from scipy.special import erf
 
 from . import binfile
 from .errors import CacheMismatch, NonFiniteError
-from .optim import Adam, plateau_triggered
+from .optim import PLATEAU_WINDOW, Adam, plateau_triggered
 from .rom import _join, _size, _split_flat
 from .sampling import rng_for
 
@@ -41,17 +41,9 @@ def _norm_cdf(x):
     return 0.5 * (1.0 + erf(x / _SQRT2))
 
 
-def gelu(x):
-    return x * _norm_cdf(x)
-
-
 def _gelu_deriv(x, cdf):
     """GeLU'(x) from Phi(x), which the forward pass has already computed."""
     return cdf + x * (_INV_SQRT_2PI * np.exp(-0.5 * x * x))
-
-
-def gelu_deriv(x):
-    return _gelu_deriv(x, _norm_cdf(x))
 
 
 @dataclass(frozen=True)
@@ -267,20 +259,14 @@ def loss_l2(net: ControlNet, TH: np.ndarray, V: np.ndarray) -> tuple[float, np.n
 @dataclass
 class TrainConfig:
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     zeta: float = 0.1
     batch_size: int = 256  # 0 means full batch
     stop_loss: float = 0.1
     stop_plateau_pct: float | None = 0.1
-    plateau_window: int = 100
     max_steps: int = 100_000
     seed: int = 0
 
     def __post_init__(self):
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ValueError("betas must lie in (0,1)")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
         if self.zeta < 0:
@@ -351,7 +337,7 @@ def train(
     batcher2 = _Batcher(np.arange(T2.shape[0]), cfg.batch_size, rng) if use_l2 else None
 
     xi = net.xi.copy()
-    adam = Adam(xi.size, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps)
+    adam = Adam(xi.size, cfg.lr)
     history: list[tuple[int, float, float, float]] = []
     totals: list[float] = []
 
@@ -374,9 +360,7 @@ def train(
         totals.append(total)
         if total < cfg.stop_loss:
             break
-        if cfg.stop_plateau_pct is not None and plateau_triggered(
-            totals, cfg.plateau_window, cfg.stop_plateau_pct
-        ):
+        if cfg.stop_plateau_pct is not None and plateau_triggered(totals, PLATEAU_WINDOW, cfg.stop_plateau_pct):
             break
         xi = adam.step(xi, grad)
 
@@ -426,18 +410,24 @@ def _is_loss_row(line: str) -> bool:
     return len(losses) == 3 and line.endswith("\n")
 
 
-def save_loss_history(history, path, resume: bool = False) -> None:
+_LOSS_HEADER = "step,l1,l2,l_total\n"
+
+
+def read_loss_history(path) -> list[str]:
+    """The lines of an existing loss history, header first, for a resumed
+    stage to keep; a line that does not parse raises CacheMismatch."""
+    with open(path) as fh:
+        kept = fh.readlines()
+    if kept[:1] != [_LOSS_HEADER] or not all(map(_is_loss_row, kept[1:])):
+        raise CacheMismatch(f"loss history {path} does not parse; rerun train-control without --resume")
+    return kept
+
+
+def save_loss_history(history, path, kept: list[str] | None = None) -> None:
     """Write the per-step (step, l1, l2, l_total) rows as CSV, the whole file
-    through atomic_write. With resume the rows of an existing file are kept
-    and the new steps continue from its last row, so annealed stages share
-    one step count; a kept row that does not parse raises CacheMismatch."""
-    lines = ["step,l1,l2,l_total\n"]
-    if resume and os.path.exists(path):
-        with open(path) as fh:
-            kept = fh.readlines()
-        if kept[:1] != lines or not all(map(_is_loss_row, kept[1:])):
-            raise CacheMismatch(f"loss history {path} does not parse; rerun train-control without --resume")
-        lines = kept
+    through atomic_write. The rows follow the kept lines of read_loss_history,
+    if given, and continue their step count, so annealed stages share one."""
+    lines = list(kept or [_LOSS_HEADER])
     offset = int(lines[-1].split(",", 1)[0]) if len(lines) > 1 else 0
     lines += [f"{step + offset},{l1!r},{l2!r},{total!r}\n" for step, l1, l2, total in history]
     with binfile.atomic_write(path) as fh:

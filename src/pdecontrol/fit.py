@@ -6,7 +6,6 @@ Initial-condition families:
   * HeatCombo: weighted product-sine bases on the unit box. In 1-D the family
     degenerates, so it is taken as the pure modes sin(k pi x), k = 1..4.
   * ChebCombo: Chebyshev tensor products times the (-1,1)^2 boundary factor.
-  * Closure: any callable g(X) -> values.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from . import binfile, rom
 from .errors import ConfigError
 from .optim import Adam
 from .sampling import sample_omega, sample_theta
-from .control_net import TrainConfig
 
 HOLDOUT_STREAM = 101
 TRAIN_STREAM = 100
@@ -68,20 +66,11 @@ class ChebCombo:
         return {"kind": "cheb_combo", "terms": [list(t) for t in self.terms]}
 
 
-@dataclass(frozen=True)
-class Closure:
-    fn: object  # callable X -> values
-    label: str = "closure"
-
-    def describe(self) -> dict:
-        return {"kind": "closure", "label": self.label}
-
-
-InitialSpec = RandomTheta | HeatCombo | ChebCombo | Closure
+InitialSpec = RandomTheta | HeatCombo | ChebCombo
 
 
 def spec_from_dict(doc: dict) -> InitialSpec:
-    """Rebuild a spec from its describe() dict; closures cannot be rebuilt."""
+    """Rebuild a spec from its describe() dict."""
     kind = doc.get("kind")
     if kind == "random_theta":
         return RandomTheta(seed=doc["seed"])
@@ -121,16 +110,15 @@ def eval_initial(spec: InitialSpec, X, model: rom.RomModel | None = None) -> np.
         return rom.eval_batch(model, X, rom.EvalFlags(value=True)).value
     if isinstance(spec, HeatCombo):
         return _heat_basis_values(X) @ spec.coeffs
-    if isinstance(spec, ChebCombo):
-        x1, x2 = X[:, 0], X[:, 1]
-        alpha = (1.0 - x1 * x1) * (1.0 - x2 * x2)
-        acc = np.zeros(X.shape[0])
-        for i, j, c in spec.terms:
-            ti = np.polynomial.chebyshev.chebval(x1, [0.0] * i + [1.0])
-            tj = np.polynomial.chebyshev.chebval(x2, [0.0] * j + [1.0])
-            acc += c * ti * tj
-        return alpha * acc
-    return np.asarray(spec.fn(X), dtype=np.float64)
+    # ChebCombo, the remaining family
+    x1, x2 = X[:, 0], X[:, 1]
+    alpha = (1.0 - x1 * x1) * (1.0 - x2 * x2)
+    acc = np.zeros(X.shape[0])
+    for i, j, c in spec.terms:
+        ti = np.polynomial.chebyshev.chebval(x1, [0.0] * i + [1.0])
+        tj = np.polynomial.chebyshev.chebval(x2, [0.0] * j + [1.0])
+        acc += c * ti * tj
+    return alpha * acc
 
 
 def resolve_random_theta(spec: RandomTheta, arch: rom.RomArch, theta_space) -> rom.RomModel:
@@ -142,7 +130,6 @@ def resolve_random_theta(spec: RandomTheta, arch: rom.RomArch, theta_space) -> r
 class FitResult:
     theta: np.ndarray
     rmse: float  # held-out RMSE over the domain
-    train_rmse: float
     target_reached: bool
     steps: int
 
@@ -153,14 +140,15 @@ def fit_initial(
     domain,
     n_x: int,
     eps0_target: float,
-    cfg: TrainConfig,
     seed: int,
+    lr: float = 1e-3,
+    max_steps: int = 5000,
     theta_init: np.ndarray | None = None,
 ) -> FitResult:
     """ADAM on the empirical squared error (1/N) sum (u_theta(x_n) - g(x_n))^2.
 
     Stops when the training-sample RMSE reaches eps0_target or at
-    cfg.max_steps; returns the best parameters seen with a held-out RMSE
+    max_steps; returns the best parameters seen with a held-out RMSE
     computed on a disjoint sample (stream-split from the same seed).
     theta_init warm-starts the fit (used when building anchor sets).
     """
@@ -168,14 +156,14 @@ def fit_initial(
     g_train = eval_initial(spec, X)
 
     theta = rom.init_params(arch, seed) if theta_init is None else np.array(theta_init, dtype=np.float64)
-    adam = Adam(theta.size, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps)
+    adam = Adam(theta.size, lr)
     need = rom.EvalFlags(value=True, grad_theta=True)
 
     best_theta = theta.copy()
     best_mse = np.inf
     n = X.shape[0]
     steps_done = 0
-    for step in range(1, cfg.max_steps + 1):
+    for step in range(1, max_steps + 1):
         ev = rom.eval_batch(rom.RomModel(arch, theta), X, need)
         res = ev.value - g_train
         mse = float(np.mean(res * res))
@@ -195,7 +183,6 @@ def fit_initial(
     return FitResult(
         theta=best_theta,
         rmse=rmse_h,
-        train_rmse=float(np.sqrt(best_mse)),
         target_reached=np.sqrt(best_mse) <= eps0_target,
         steps=steps_done,
     )

@@ -6,6 +6,7 @@ so a stale artifact fails fast (exit 4) naming the command to rerun.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -18,7 +19,7 @@ from .config import RunConfig
 from .errors import CacheMismatch, ConfigError, MissingArtifact
 from .sampling import AnchorBalls, Box, rng_for, sample_theta
 
-SOLUTION_FORMAT_VERSION = 2
+SOLUTION_FORMAT_VERSION = 3
 # Gram records per residual_scan call in verify: holds chunk * m^2 floats of G
 _VERIFY_CHUNK = 256
 
@@ -37,7 +38,7 @@ def sample_initial_specs(cfg: RunConfig):
         for _ in range(n):
             specs.append(fit.HeatCombo(coeffs=rng.uniform(-1.0, 1.0, 4)))
     else:
-        problem = cfg.problem()
+        problem = cfg.problem
         deg = ini["degree_max"]
         max_terms = ini["max_terms"]
         amplitude = ini["amplitude"]
@@ -67,28 +68,18 @@ def cmd_fit_initial(cfg: RunConfig) -> list[dict]:
     """Fit (or directly sample) anchor parameters for each initial spec and
     write the anchor store."""
     cfg.ensure_layout()
-    arch = cfg.rom_arch()
-    problem = cfg.problem()
     ini = cfg.raw["initials"]
     entries = []
-    fitcfg = cfg.fit_config()
     for k, spec in enumerate(sample_initial_specs(cfg)):
         if isinstance(spec, fit.RandomTheta):
             space = cfg.theta_space()
             if not isinstance(space, Box):
                 raise ConfigError("random_theta initials require a box parameter space")
-            model = fit.resolve_random_theta(spec, arch, space)
+            model = fit.resolve_random_theta(spec, cfg.rom_arch, space)
             entries.append((spec, model.theta, 0.0))
         else:
-            res = fit.fit_initial(
-                arch,
-                spec,
-                problem.domain,
-                ini["fit_n_x"],
-                ini["eps0_target"],
-                fitcfg,
-                seed=cfg.seed + 1000 + k,
-            )
+            res = fit.fit_initial(cfg.rom_arch, spec, cfg.problem.domain, ini["fit_n_x"], ini["eps0_target"],
+                                  seed=cfg.seed + 1000 + k, **ini["fit"])
             entries.append((spec, res.theta, res.rmse))
     fit.save_anchors(cfg.path("anchors"), cfg.anchor_header(), entries)
     return [
@@ -107,18 +98,17 @@ def _read_gram_cache(cfg: RunConfig) -> assembly.GramCache:
     path = cfg.path("gram_cache")
     if not os.path.exists(path):
         raise MissingArtifact(f"gram cache {path} not found; run sample-gram first")
-    problem = cfg.problem()
-    header = assembly.cache_header(
-        cfg.rom_arch(), problem.operator, problem.domain, cfg.raw["counts"]["n_x"], cfg.seed, cfg.raw["quadrature"]
-    )
+    problem = cfg.problem
+    header = assembly.cache_header(cfg.rom_arch, problem.operator, problem.domain, cfg.raw["counts"]["n_x"], cfg.seed,
+                                   cfg.raw["quadrature"])
     return assembly.read_cache(path, header, _gram_thetas(cfg))
 
 
 def cmd_sample_gram(cfg: RunConfig) -> dict:
     cfg.ensure_layout()
-    problem = cfg.problem()
+    problem = cfg.problem
     return assembly.assemble_batch(
-        cfg.rom_arch(),
+        cfg.rom_arch,
         _gram_thetas(cfg),
         problem.operator,
         cfg.raw["counts"]["n_x"],
@@ -131,33 +121,31 @@ def cmd_sample_gram(cfg: RunConfig) -> dict:
 
 def _traj_plan(cfg: RunConfig) -> tuple[dict, np.ndarray]:
     """The trajectory cache header and the start thetas the config implies."""
-    arch = cfg.rom_arch()
-    problem = cfg.problem()
+    problem = cfg.problem
     counts = cfg.raw["counts"]
     n_traj = counts["n_traj"]
-    starts = np.zeros((0, rom.param_count(arch)))
+    starts = np.zeros((0, rom.param_count(cfg.rom_arch)))
     if n_traj:
         space = cfg.theta_space()
         if isinstance(space, AnchorBalls):
             starts = space.anchors[np.arange(n_traj) % len(space.anchors)]
         else:
             starts = sample_theta(space, n_traj, cfg.seed, stream=41)
-    header = evolve.traj_cache_header(arch, problem.operator, problem.domain, problem.horizon / counts["n_t"],
+    header = evolve.traj_cache_header(cfg.rom_arch, problem.operator, problem.domain, problem.horizon / counts["n_t"],
                                       counts["n_t"], counts["n_x"], cfg.seed, cfg.raw["quadrature"], starts)
     return header, starts
 
 
 def cmd_gen_trajectories(cfg: RunConfig) -> dict:
     cfg.ensure_layout()
-    arch = cfg.rom_arch()
-    problem = cfg.problem()
+    problem = cfg.problem
     counts = cfg.raw["counts"]
     header, starts = _traj_plan(cfg)
     trajs = []
     blowups = 0
     for i in range(starts.shape[0]):
         traj = evolve.gen_trajectory(
-            arch,
+            cfg.rom_arch,
             starts[i],
             problem.operator,
             problem.domain,
@@ -182,9 +170,14 @@ def control_checkpoint_path(cfg: RunConfig) -> str:
 def _load_control(cfg: RunConfig) -> cn.ControlNet:
     """The trained control net, checked against the config's ROM dimension."""
     net = cn.load_control_checkpoint(control_checkpoint_path(cfg))
-    if net.arch.input_dim != rom.param_count(cfg.rom_arch()):
+    if net.arch.input_dim != cfg.control_arch.input_dim:
         raise CacheMismatch("control net dimension does not match the model architecture")
     return net
+
+
+def _field_digest(net: cn.ControlNet) -> str:
+    """sha256 of the control field's xi bytes, as a solution records it."""
+    return hashlib.sha256(net.xi.tobytes()).hexdigest()
 
 
 def cmd_train_control(
@@ -205,7 +198,7 @@ def cmd_train_control(
             pairs = (th2, v2)
     if pairs_only and pairs is None:
         raise MissingArtifact("pairs-only training needs a nonempty trajectory cache")
-    carch = cfg.control_arch()
+    carch = cfg.control_arch
     ckpt = control_checkpoint_path(cfg)
     if resume:
         net = cn.load_control_checkpoint(ckpt)
@@ -216,12 +209,15 @@ def cmd_train_control(
     tcfg = cfg.train_config(**(train_overrides or {}))
     if pairs_only and tcfg.zeta == 0:
         tcfg.zeta = 1.0
+    # a resumed stage checks the rows it continues before it trains
+    history_path = os.path.join(cfg.out_dir, "curves", "loss_history.csv")
+    kept = cn.read_loss_history(history_path) if resume and os.path.exists(history_path) else None
     if cache is None:
         net, history = cn.train(net, None, pairs, tcfg)
     else:
         net, history = cn.train(net, (cache.theta, cache.gram, cache.rhs), pairs, tcfg, rows=cache.rows)
     cn.save_control_checkpoint(net, ckpt)
-    cn.save_loss_history(history, os.path.join(cfg.out_dir, "curves", "loss_history.csv"), resume=resume)
+    cn.save_loss_history(history, history_path, kept)
     final = history[-1][3] if history else float("nan")
     records = 0 if cache is None else int(cache.rows.shape[0])
     return {"steps": len(history), "final_loss": final, "records": records,
@@ -249,7 +245,7 @@ def cmd_solve(cfg: RunConfig, anchor_index: int = 0) -> dict:
     traj = evolve.solve_ivp(
         net,
         thetas[anchor_index],
-        cfg.problem().horizon,
+        cfg.problem.horizon,
         solve_cfg["n_steps"],
         scheme=solve_cfg["scheme"],
         theta_space=cfg.theta_space(),
@@ -257,7 +253,8 @@ def cmd_solve(cfg: RunConfig, anchor_index: int = 0) -> dict:
     header = {
         "format_version": SOLUTION_FORMAT_VERSION,
         "kind": "solution",
-        "arch_hash": rom.arch_hash(cfg.rom_arch()),
+        "arch_hash": rom.arch_hash(cfg.rom_arch),
+        "control_sha256": _field_digest(net),
         "initial": anchors["specs"][anchor_index],
         "fit_rmse": anchors["rmse"][anchor_index],
         "step": traj.step,
@@ -274,9 +271,12 @@ def cmd_solve(cfg: RunConfig, anchor_index: int = 0) -> dict:
     }
 
 
-def load_solution(cfg: RunConfig, index: int) -> tuple[dict, evolve.ParamTrajectory]:
-    """The solution's header and its trajectory, times rebuilt as step * j."""
-    expected = {"arch_hash": rom.arch_hash(cfg.rom_arch())}
+def load_solution(cfg: RunConfig, index: int, net: cn.ControlNet | None = None) -> tuple[dict, evolve.ParamTrajectory]:
+    """The solution's header and its trajectory, times rebuilt as step * j;
+    given net, the solution must have been solved with that control field."""
+    expected = {"arch_hash": rom.arch_hash(cfg.rom_arch)}
+    if net is not None:
+        expected["control_sha256"] = _field_digest(net)
     header, thetas = binfile.load(solution_path(cfg, index), "solution", SOLUTION_FORMAT_VERSION, expected,
                                   "rerun solve")
     traj = evolve.ParamTrajectory(
@@ -304,7 +304,7 @@ def cmd_reference(cfg: RunConfig, anchor_index: int = 0, nx: int = 100, nt: int 
     """Materialize the reference solution where one must be computed
     (Allen-Cahn IMEX); closed-form references need no artifact."""
     cfg.ensure_layout()
-    problem = cfg.problem()
+    problem = cfg.problem
     kind = cfg.raw["problem"]["kind"]
     if kind != "allen_cahn":
         return {"note": f"{kind} uses a closed-form reference; nothing to compute"}
@@ -326,14 +326,14 @@ def cmd_reference(cfg: RunConfig, anchor_index: int = 0, nx: int = 100, nt: int 
 def build_reference(cfg: RunConfig, index: int, initial: dict):
     """Reference solution object for anchor index with the initial spec
     (a describe() dict) that its solution records."""
-    problem = cfg.problem()
+    problem = cfg.problem
     kind = cfg.raw["problem"]["kind"]
     spec = fit.spec_from_dict(initial)
     if kind == "transport":
         model = None
         if isinstance(spec, fit.RandomTheta):
             # the anchor theta defines the initial function u_theta0
-            model = rom.RomModel(cfg.rom_arch(), _load_anchors(cfg, index)[1][index])
+            model = rom.RomModel(cfg.rom_arch, _load_anchors(cfg, index)[1][index])
         op = problem.operator
         return reference.TransportShift(
             initial=spec, velocity=op.velocity, lo=problem.lo, hi=problem.hi, model=model
@@ -359,10 +359,8 @@ def cmd_eval(cfg: RunConfig, anchor_index: int = 0, n_x: int = 4096, max_times: 
     _load_anchors(cfg, anchor_index)
     header, traj = load_solution(cfg, anchor_index)
     ref = build_reference(cfg, anchor_index, header["initial"])
-    problem = cfg.problem()
-    curve = reference.error_curve(
-        cfg.rom_arch(), traj, ref, problem.domain, n_x, seed=cfg.seed + 17, max_times=max_times
-    )
+    curve = reference.error_curve(cfg.rom_arch, traj, ref, cfg.problem.domain, n_x, seed=cfg.seed + 17,
+                                  max_times=max_times)
     path = _curve_path(cfg, anchor_index)
     reference.save_error_curve(curve, path)
     finite = curve.rel_err[np.isfinite(curve.rel_err)]
@@ -376,7 +374,7 @@ def cmd_eval(cfg: RunConfig, anchor_index: int = 0, n_x: int = 4096, max_times: 
 
 def cmd_export_slice(cfg: RunConfig, anchor_index: int, t: float, grid_n: int = 40) -> dict:
     cfg.ensure_layout()
-    problem = cfg.problem()
+    problem = cfg.problem
     if problem.dim != 2:
         raise ConfigError("export-slice needs a 2-D problem")
     _load_anchors(cfg, anchor_index)
@@ -385,7 +383,7 @@ def cmd_export_slice(cfg: RunConfig, anchor_index: int, t: float, grid_n: int = 
     j = int(np.argmin(np.abs(traj.times - t)))
     path = os.path.join(cfg.out_dir, "slices", f"slice_{anchor_index:03d}_t{traj.times[j]:.4f}.csv")
     reference.export_slice(
-        cfg.rom_arch(), traj.thetas[j], ref, problem.domain, float(traj.times[j]), path, grid_n=grid_n
+        cfg.rom_arch, traj.thetas[j], ref, problem.domain, float(traj.times[j]), path, grid_n=grid_n
     )
     return {"path": path, "time": float(traj.times[j])}
 
@@ -396,7 +394,7 @@ def cmd_verify(cfg: RunConfig) -> dict:
     cache, and per stored solution the field statistics M_V, L_V along its
     states, the Euler bound they give, and the measured error curve."""
     cfg.ensure_layout()
-    problem = cfg.problem()
+    problem = cfg.problem
     net = _load_control(cfg)
     cache = _read_gram_cache(cfg)
     sol_dir = os.path.dirname(solution_path(cfg, 0))
@@ -413,7 +411,7 @@ def cmd_verify(cfg: RunConfig) -> dict:
     q = np.quantile(res, [0.5, 0.9, 1.0]).tolist() if res.size else [math.nan] * 3
     anchors = []
     for k in indices:
-        header, traj = load_solution(cfg, k)
+        header, traj = load_solution(cfg, k, net)
         m_v, l_v = cn.field_stats(net, traj.thetas, cfg.seed)
         entry = {
             "anchor": k,

@@ -11,6 +11,8 @@ time-linear interpolation of strided snapshots.
 from __future__ import annotations
 
 import json
+import zipfile
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -301,11 +303,14 @@ def save_grid_solution(ref: GridSolution, path, header: dict) -> None:
 
 
 def load_grid_solution(path, expected: dict | None = None) -> GridSolution:
-    """The stored reference; CacheMismatch names the reference command
-    unless its header carries every field of expected."""
-    with np.load(path) as data:
-        header = json.loads(data["header"].item()) if "header" in data else {}
-        binfile.check_header(path, header, expected, "rerun reference")
-        return GridSolution(
-            xs=data["xs"], times=data["times"], snapshots=data["snapshots"], lo=data["lo"], hi=data["hi"]
-        )
+    """The stored reference; CacheMismatch names the reference command for a
+    file that does not read back or whose header lacks a field of expected."""
+    try:
+        with np.load(path) as data:
+            header = json.loads(data["header"].item()) if "header" in data else {}
+            arrays = {name: data[name] for name in ("xs", "times", "snapshots", "lo", "hi")}
+    # what np.load and the member reads raise on a cut or corrupt file
+    except (OSError, EOFError, KeyError, ValueError, NotImplementedError, zipfile.BadZipFile, zlib.error) as exc:
+        raise CacheMismatch(f"reference {path} does not read back ({exc}); rerun reference") from exc
+    binfile.check_header(path, header, expected, "rerun reference")
+    return GridSolution(**arrays)

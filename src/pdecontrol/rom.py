@@ -37,7 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -91,34 +91,9 @@ class RomArch:
         return 2 * self.input_dim if self.kind == RESNET_PERIODIC else self.input_dim
 
 
-def arch_to_dict(arch: RomArch) -> dict:
-    return {
-        "kind": arch.kind,
-        "input_dim": arch.input_dim,
-        "width": arch.width,
-        "depth": arch.depth,
-        "activation": arch.activation,
-        "wrapper_spec": dict(arch.wrapper_spec),
-        "basis_spec": [list(b) for b in arch.basis_spec],
-    }
-
-
-def arch_from_dict(d: dict) -> RomArch:
-    return RomArch(
-        kind=d["kind"],
-        input_dim=d["input_dim"],
-        width=d.get("width", 0),
-        depth=d.get("depth", 0),
-        activation=d.get("activation", "tanh"),
-        wrapper_spec=d.get("wrapper_spec", {}),
-        basis_spec=tuple(tuple(b) for b in d.get("basis_spec", [])),
-    )
-
-
-def arch_hash(arch) -> str:
-    """Stable 16-hex-digit digest of an architecture description dict."""
-    d = arch_to_dict(arch) if isinstance(arch, RomArch) else arch
-    blob = json.dumps(d, sort_keys=True, separators=(",", ":"))
+def arch_hash(arch: RomArch) -> str:
+    """Stable 16-hex-digit digest of the architecture's fields."""
+    blob = json.dumps(asdict(arch), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 

@@ -1,4 +1,5 @@
 import importlib.util
+import inspect
 import json
 import os
 from pathlib import Path
@@ -47,9 +48,9 @@ def test_load_and_defaults(heat_config, tmp_path):
     cfg = config.load_config(heat_config, out_dir=str(tmp_path / "out"))
     assert cfg.seed == 3
     assert cfg.raw["solve"]["scheme"] == "rk4"
-    assert cfg.problem().dim == 1
-    assert rom.param_count(cfg.rom_arch()) == 2
-    assert cfg.control_arch().input_dim == 2
+    assert cfg.problem.dim == 1
+    assert rom.param_count(cfg.rom_arch) == 2
+    assert cfg.control_arch.input_dim == 2
 
 
 def test_schema_rejects_unknown_keys(tmp_path):
@@ -300,12 +301,41 @@ def test_resumed_training_continues_loss_history_steps(heat_config, tmp_path):
     assert rows[-1][3] == repr(second["final_loss"])
 
 
+def test_resumed_training_checks_loss_history_before_it_trains(heat_config, tmp_path, capsys):
+    # a torn history used to be found after training had replaced the checkpoint
+    out = tmp_path / "out"
+    base = ["--config", str(heat_config), "--out", str(out)]
+    for command in ("sample-gram", "gen-trajectories", "train-control"):
+        assert cli.main([command, *base]) == 0
+    history = out / "curves" / "loss_history.csv"
+    history.write_bytes(history.read_bytes()[:-7])
+    checkpoint = out / "checkpoints" / "control.bin"
+    payload = checkpoint.read_bytes()
+    assert cli.main(["train-control", *base, "--resume"]) == cli.EXIT_NUMERIC
+    assert "loss history" in capsys.readouterr().err
+    assert checkpoint.read_bytes() == payload
+
+
+@pytest.mark.parametrize("preset, overrides, message", [
+    ("transport_1d.json", ["rom_arch.input_dim=2"], "rom_arch.input_dim is 2 for a 1-D domain"),
+    ("transport_1d.json", ["problem.velocity=[1.0,1.0]"], "problem.velocity has 2 components for a 1-D domain"),
+    ("allen_cahn_2d.json", ["quadrature=gauss", 'theta_space={"kind":"box","half_width":1.0}'],
+     "quadrature 'gauss' has 1-D nodes; the domain is 2-D"),
+], ids=["input_dim", "velocity", "gauss_2d"])
+def test_mismatched_settings_are_config_errors(tmp_path, capsys, preset, overrides, message):
+    # each used to reach sample-gram and end in a ValueError traceback
+    args = ["sample-gram", "--config", str(PRESETS / preset), "--out", str(tmp_path),
+            "--set", "counts.n_theta=2", "--set", "counts.n_x=16"]
+    assert cli.main(args + [arg for o in overrides for arg in ("--set", o)]) == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "caches").exists()
+
+
 @pytest.mark.parametrize("name", sorted(p.name for p in PRESETS.glob("*.json")))
 def test_shipped_presets_load(name, tmp_path):
     cfg = config.load_config(PRESETS / name, out_dir=str(tmp_path))
-    cfg.problem()
-    cfg.rom_arch()
-    cfg.control_arch()
+    assert cfg.rom_arch.input_dim == cfg.problem.dim
+    assert cfg.control_arch.input_dim == rom.param_count(cfg.rom_arch)
 
 
 @pytest.mark.parametrize("override", ["seed=4", "counts.n_x=64", "quadrature=mc", "theta_space.half_width=5"])
@@ -405,9 +435,17 @@ def test_torn_binfile_artifacts_exit_code(heat_config, tmp_path, capsys):
     assert sorted(p.name for p in (out / "caches").iterdir()) == ["anchors.bin", "gram.bin", "traj.bin"]
 
 
-@pytest.mark.parametrize("key", ["zeta", "batch_size", "stop_loss", "stop_plateau_pct", "plateau_window"])
-def test_fit_keys_nothing_reads_are_config_errors(heat_config, tmp_path, key):
-    args = ["fit-initial", "--config", str(heat_config), "--out", str(tmp_path), "--set", f"initials.fit.{key}=1"]
+# each value is one the key's schema used to accept, so only the key's absence rejects it
+_UNREAD_KEYS = [(f"initials.fit.{key}", 1) for key in ("zeta", "batch_size", "stop_loss", "stop_plateau_pct",
+                                                       "plateau_window")]
+_UNREAD_KEYS += [(f"{section}.{key}", 0.5) for section in ("train", "initials.fit")
+                 for key in ("beta1", "beta2", "adam_eps")]
+_UNREAD_KEYS += [("train.plateau_window", 100)]
+
+
+@pytest.mark.parametrize("key, value", [pytest.param(k, v, id=k.removeprefix("initials.fit.")) for k, v in _UNREAD_KEYS])
+def test_fit_keys_nothing_reads_are_config_errors(heat_config, tmp_path, key, value):
+    args = ["fit-initial", "--config", str(heat_config), "--out", str(tmp_path), "--set", f"{key}={value}"]
     assert cli.main(args) == cli.EXIT_CONFIG
 
 
@@ -428,9 +466,9 @@ def test_benchmark_workload_configs_load(tmp_path):
         path = tmp_path / f"{name}.json"
         workloads.write_config(str(ROOT), name, 1, 2, str(path))
         cfg = config.load_config(path, out_dir=str(tmp_path / name))
-        cfg.control_arch()
+        assert cfg.control_arch.input_dim == rom.param_count(cfg.rom_arch)
         cfg.train_config()
-        cfg.fit_config()
+        inspect.signature(fit.fit_initial).bind_partial(**cfg.raw["initials"]["fit"])
 
 
 def test_anchor_index_must_be_in_store(heat_config, tmp_path):
@@ -450,7 +488,7 @@ def test_anchor_index_must_be_in_store(heat_config, tmp_path):
     # the 2-D commands check the index before any work
     cfg = config.load_config(PRESETS / "allen_cahn_2d.json", out_dir=str(tmp_path / "ac"))
     cfg.ensure_layout()
-    anchor = (fit.ChebCombo(terms=((1, 1, 0.5),)), np.zeros(rom.param_count(cfg.rom_arch())), 0.0)
+    anchor = (fit.ChebCombo(terms=((1, 1, 0.5),)), np.zeros(rom.param_count(cfg.rom_arch)), 0.0)
     fit.save_anchors(cfg.path("anchors"), cfg.anchor_header(), [anchor])
     for k in (-1, 1):
         with pytest.raises(MissingArtifact):
@@ -481,6 +519,21 @@ def test_torn_solution_and_error_curve_exit_code(heat_config, tmp_path, capsys):
     for command in ("eval", "verify"):
         assert cli.main([command, *base]) == cli.EXIT_NUMERIC
         assert "rerun solve" in capsys.readouterr().err
+
+
+def test_verify_rejects_a_solution_of_another_control_field(heat_config, tmp_path, capsys):
+    # verify used to report the later field's M_V and bounds for a solve run on the earlier one
+    out = tmp_path / "out"
+    _solved_run(heat_config, out)
+    base = ["--config", str(heat_config), "--out", str(out)]
+    assert cli.main(["verify", *base]) == 0
+    assert cli.main(["train-control", *base, "--resume", "--set", "train.lr=0.5"]) == 0
+    assert cli.main(["verify", *base]) == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "mismatch on 'control_sha256'" in err and "rerun solve" in err
+    assert cli.main(["eval", *base]) == 0
+    assert cli.main(["solve", *base]) == 0
+    assert cli.main(["verify", *base]) == 0
 
 
 def test_cut_write_keeps_the_previous_artifact(heat_config, tmp_path, monkeypatch):
@@ -549,6 +602,11 @@ def test_eval_rejects_stale_imex_reference(tmp_path, capsys):
     assert "mismatch on 'initial' in" in capsys.readouterr().err
     assert cli.main(["reference", *new, "--nx", "16", "--nt", "16"]) == 0
     assert cli.main(["eval", *new, "--n-x", "64"]) == 0
+    # a reference cut short used to end in a zipfile.BadZipFile traceback
+    ref = tmp_path / "out" / "reference" / "ref_000.npz"
+    ref.write_bytes(ref.read_bytes()[:-30])
+    assert cli.main(["eval", *new, "--n-x", "64"]) == cli.EXIT_NUMERIC
+    assert "rerun reference" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args", [["reference", "--nx", "8"], ["reference", "--nt", "15"], ["eval", "--n-x", "0"]])

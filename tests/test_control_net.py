@@ -22,13 +22,21 @@ def make_net(arch, seed=0, jitter=0.0, rng=None):
     return cn.ControlNet(arch, xi)
 
 
+def gelu(x):
+    return x * cn._norm_cdf(x)
+
+
+def gelu_deriv(x):
+    return cn._gelu_deriv(x, cn._norm_cdf(x))
+
+
 def test_gelu_values():
-    assert cn.gelu(0.0) == 0.0
+    assert gelu(0.0) == 0.0
     # GeLU(x) ~ x for large x, ~0 for very negative x
-    assert cn.gelu(10.0) == pytest.approx(10.0, rel=1e-8)
-    assert abs(cn.gelu(-10.0)) < 1e-8
+    assert gelu(10.0) == pytest.approx(10.0, rel=1e-8)
+    assert abs(gelu(-10.0)) < 1e-8
     # derivative at 0 is Phi(0) = 1/2
-    assert cn.gelu_deriv(0.0) == pytest.approx(0.5)
+    assert gelu_deriv(0.0) == pytest.approx(0.5)
 
 
 def test_zero_init_is_zero_field(small_arch, rng):
@@ -290,7 +298,7 @@ def _reference_forward(arch, xi, TH):
     U0, b0, blocks, W_out, b_out = cn._unpack(arch, xi.copy())
     H = np.tanh(TH @ U0.T + b0)
     for U, b, Ug, bg in blocks:
-        H = H + cn.gelu(TH @ Ug.T + bg) * np.tanh(H @ U.T + b)
+        H = H + gelu(TH @ Ug.T + bg) * np.tanh(H @ U.T + b)
     return H @ W_out.T + b_out
 
 
@@ -332,12 +340,12 @@ def test_loss_history_resume_rejects_a_torn_row_and_writes_whole(tmp_path, monke
     # appending in place merged a torn last row with the next stage's first
     path = tmp_path / "hist.csv"
     cn.save_loss_history([(1, 0.5, 0.25, 0.525), (2, 0.4, 0.3, 0.43)], path)
-    cn.save_loss_history([(1, 0.3, 0.2, 0.32)], path, resume=True)
+    cn.save_loss_history([(1, 0.3, 0.2, 0.32)], path, cn.read_loss_history(path))
     whole = path.read_text()
     assert whole.splitlines()[1:] == ["1,0.5,0.25,0.525", "2,0.4,0.3,0.43", "3,0.3,0.2,0.32"]
     path.write_text(whole[:-7])
     with pytest.raises(CacheMismatch, match="does not parse; rerun train-control without --resume"):
-        cn.save_loss_history([(1, 0.2, 0.1, 0.21)], path, resume=True)
+        cn.read_loss_history(path)
 
     def cut(src, dst):
         raise OSError("cut before the rename")
@@ -345,5 +353,5 @@ def test_loss_history_resume_rejects_a_torn_row_and_writes_whole(tmp_path, monke
     path.write_text(whole)
     monkeypatch.setattr(os, "replace", cut)
     with pytest.raises(OSError, match="cut"):
-        cn.save_loss_history([(1, 0.2, 0.1, 0.21)], path, resume=True)
+        cn.save_loss_history([(1, 0.2, 0.1, 0.21)], path, cn.read_loss_history(path))
     assert path.read_text() == whole

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from pdecontrol import fit, linalg, rom
-from pdecontrol.control_net import TrainConfig
 from pdecontrol.errors import CacheMismatch
 from pdecontrol.sampling import Box, sample_omega
 
@@ -45,17 +44,10 @@ def test_cheb_combo_validation():
         fit.ChebCombo(terms=((0, 0, 1.5),))
 
 
-def test_closure_spec(rng):
-    spec = fit.Closure(fn=lambda X: X[:, 0] ** 2, label="x-squared")
-    X = rng.uniform(0, 1, (5, 1))
-    assert np.allclose(fit.eval_initial(spec, X), X[:, 0] ** 2)
-
-
 def test_fit_linear_basis_exact(unit_interval):
     arch = fourier_sine_arch(8)
     spec = fit.HeatCombo(np.array([1.0, 0.0, 0.0, 0.0]))  # g = sin(pi x) = phi_1/sqrt(2)
-    cfg = TrainConfig(lr=1e-2, batch_size=0, stop_loss=0.0, stop_plateau_pct=None, max_steps=4000, seed=0)
-    res = fit.fit_initial(arch, spec, unit_interval, 256, 1e-8, cfg, seed=3)
+    res = fit.fit_initial(arch, spec, unit_interval, 256, 1e-8, seed=3, lr=1e-2, max_steps=4000)
     assert res.rmse < 1e-8
     assert res.target_reached
     expect = np.zeros(8)
@@ -66,21 +58,20 @@ def test_fit_linear_basis_exact(unit_interval):
 def test_fit_matches_normal_equations(unit_interval):
     # staged ADAM refinement converges to the least-squares solution of the
     # same sampled objective
-    arch = fourier_sine_arch(4)
-    spec = fit.Closure(fn=lambda X: X[:, 0] * (1 - X[:, 0]), label="parabola")
+    arch = fourier_sine_arch(2)
+    spec = fit.HeatCombo(np.array([0.5, 0.3, -0.2, 0.4]))  # modes 3 and 4 lie outside the basis
     seed = 11
     n_x = 256
     res = None
     theta = None
     for lr, steps in ((1e-2, 2500), (1e-3, 1500), (1e-4, 1200), (1e-5, 1200), (1e-6, 1500)):
-        cfg = TrainConfig(lr=lr, batch_size=0, stop_loss=0.0, stop_plateau_pct=None, max_steps=steps, seed=0)
-        res = fit.fit_initial(arch, spec, unit_interval, n_x, 1e-12, cfg, seed=seed, theta_init=theta)
+        res = fit.fit_initial(arch, spec, unit_interval, n_x, 1e-12, seed=seed, lr=lr, max_steps=steps, theta_init=theta)
         theta = res.theta
     # normal equations on the identical training sample
     X = sample_omega(unit_interval, n_x, seed, stream=fit.TRAIN_STREAM)
-    B = rom.eval_batch(rom.RomModel(arch, np.zeros(4)), X, rom.EvalFlags(grad_theta=True)).grad_theta
+    B = rom.eval_batch(rom.RomModel(arch, np.zeros(2)), X, rom.EvalFlags(grad_theta=True)).grad_theta
     gram = B.T @ B / n_x
-    rhs = B.T @ spec.fn(X) / n_x
+    rhs = B.T @ fit.eval_initial(spec, X) / n_x
     theta_ne = linalg.ridge_solve(gram, rhs, 0.0)
     assert np.abs(res.theta - theta_ne).max() < 1e-6
 
@@ -94,9 +85,8 @@ def test_fit_zero_target_zero_head(unit_interval):
     X = sample_omega(unit_interval, 64, 0)
     vals = rom.eval_batch(rom.RomModel(arch, theta), X, rom.EvalFlags(value=True)).value
     assert np.all(vals == 0.0)
-    spec = fit.Closure(fn=lambda X: np.zeros(X.shape[0]), label="zero")
-    cfg = TrainConfig(lr=1e-3, batch_size=0, stop_loss=0.0, stop_plateau_pct=None, max_steps=1, seed=0)
-    res = fit.fit_initial(arch, spec, unit_interval, 64, 1e-9, cfg, seed=1, theta_init=theta)
+    spec = fit.HeatCombo(np.zeros(4))
+    res = fit.fit_initial(arch, spec, unit_interval, 64, 1e-9, seed=1, lr=1e-3, max_steps=1, theta_init=theta)
     assert res.rmse == 0.0 and res.target_reached
 
 
@@ -108,8 +98,7 @@ def test_fit_resnet_heat_initial_regression(unit_interval):
     theta = None
     total_steps = 0
     for lr, steps in ((1e-2, 3000), (1e-3, 3000)):
-        cfg = TrainConfig(lr=lr, batch_size=0, stop_loss=0.0, stop_plateau_pct=None, max_steps=steps, seed=0)
-        res = fit.fit_initial(arch, spec, unit_interval, 512, 1e-3, cfg, seed=5, theta_init=theta)
+        res = fit.fit_initial(arch, spec, unit_interval, 512, 1e-3, seed=5, lr=lr, max_steps=steps, theta_init=theta)
         theta = res.theta
         total_steps += res.steps
         if res.target_reached:
@@ -117,7 +106,10 @@ def test_fit_resnet_heat_initial_regression(unit_interval):
     assert total_steps <= 20_000
     assert res.rmse < 1e-3
     # no gross overfit at desk scale
-    assert res.rmse < 3.0 * max(res.train_rmse, 1e-12) + 1e-9
+    X = sample_omega(unit_interval, 512, 5, stream=fit.TRAIN_STREAM)
+    u = rom.eval_batch(rom.RomModel(arch, res.theta), X, rom.EvalFlags(value=True)).value
+    train_rmse = float(np.sqrt(np.mean((u - fit.eval_initial(spec, X)) ** 2)))
+    assert res.rmse < 3.0 * max(train_rmse, 1e-12) + 1e-9
 
 
 def test_fit_holdout_disjoint_from_training(unit_interval):
@@ -128,9 +120,8 @@ def test_fit_holdout_disjoint_from_training(unit_interval):
 
 def test_fit_target_not_reached_flag(unit_interval):
     arch = fourier_sine_arch(2)
-    spec = fit.Closure(fn=lambda X: np.cos(np.pi * X[:, 0]), label="cosine")  # not in span
-    cfg = TrainConfig(lr=1e-2, batch_size=0, stop_loss=0.0, stop_plateau_pct=None, max_steps=200, seed=0)
-    res = fit.fit_initial(arch, spec, unit_interval, 128, 1e-10, cfg, seed=2)
+    spec = fit.HeatCombo(np.array([0.0, 0.0, 1.0, 0.0]))  # sin(3 pi x): not in the 2-mode span
+    res = fit.fit_initial(arch, spec, unit_interval, 128, 1e-10, seed=2, lr=1e-2, max_steps=200)
     assert not res.target_reached
     assert np.all(np.isfinite(res.theta))
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pdecontrol import evolve, fit, reference, rom
-from pdecontrol.control_net import TrainConfig
 from pdecontrol.errors import CacheMismatch
 from pdecontrol.reference import OutOfDomain
 
@@ -12,7 +11,7 @@ from conftest import fourier_sine_arch
 
 
 def test_transport_shift_sine(rng):
-    spec = fit.Closure(fn=lambda X: np.sin(2 * np.pi * X[:, 0]), label="sine")
+    spec = fit.HeatCombo(np.array([0.0, 1.0, 0.0, 0.0]))  # sin(2 pi x)
     ref = reference.TransportShift(
         initial=spec, velocity=np.array([1.0]), lo=np.array([0.0]), hi=np.array([1.0])
     )
@@ -47,7 +46,7 @@ def test_heat_series_satisfies_pde(rng):
 
 
 def test_transport_shift_satisfies_pde(rng):
-    spec = fit.Closure(fn=lambda X: np.sin(2 * np.pi * X[:, 0]), label="smooth")
+    spec = fit.HeatCombo(np.array([0.0, 1.0, 0.0, 0.0]))  # sin(2 pi x)
     ref = reference.TransportShift(
         initial=spec, velocity=np.array([1.0]), lo=np.array([0.0]), hi=np.array([1.0])
     )
@@ -73,14 +72,15 @@ def test_grid_solution_node_exactness():
 
 
 def test_imex_zero_initial_stays_zero():
-    spec = fit.Closure(fn=lambda X: np.zeros(X.shape[0]), label="zero")
+    spec = fit.ChebCombo(terms=((0, 0, 0.0),))
     grid = reference.solve_allen_cahn_imex(spec, 1e-4, 20, 32, 0.2)
     assert np.abs(grid.snapshots).max() == 0.0
 
 
-def test_imex_constant_core_stays_near_one():
-    spec = fit.Closure(fn=lambda X: np.ones(X.shape[0]), label="one")
-    grid = reference.solve_allen_cahn_imex(spec, 1e-4, 48, 64, 0.3)
+def test_imex_constant_core_stays_near_one(monkeypatch):
+    # u0 = 1 is in no initial family: the solver reads it through eval_initial
+    monkeypatch.setattr(fit, "eval_initial", lambda spec, X: np.ones(X.shape[0]))
+    grid = reference.solve_allen_cahn_imex(fit.ChebCombo(terms=((0, 0, 1.0),)), 1e-4, 48, 64, 0.3)
     # away from the boundary layer, u=1 is a reaction fixed point
     center = grid.snapshots[-1, 20:29, 20:29]
     assert np.abs(center - 1.0).max() < 0.02
@@ -109,7 +109,7 @@ def test_imex_self_convergence():
 
 
 def test_out_of_domain_errors():
-    spec = fit.Closure(fn=lambda X: np.zeros(X.shape[0]), label="zero")
+    spec = fit.ChebCombo(terms=((0, 0, 0.0),))
     grid = reference.solve_allen_cahn_imex(spec, 1e-4, 20, 32, 0.1)
     with pytest.raises(OutOfDomain):
         reference.eval_reference(grid, np.array([[0.0, 0.0]]), 0.5)
@@ -120,11 +120,11 @@ def test_out_of_domain_errors():
 def test_error_curve_self_comparison_zero(unit_interval):
     arch = fourier_sine_arch(3)
     theta0 = np.array([0.6, -0.2, 0.1])
-    # reference IS the model snapshot: wrap via closure at each queried time
+    # reference IS the model snapshot: a RandomTheta initial resolved to theta0
     model = rom.RomModel(arch, theta0)
-    spec = fit.Closure(fn=lambda X: rom.eval_batch(model, X, rom.EvalFlags(value=True)).value, label="self")
     ref = reference.TransportShift(
-        initial=spec, velocity=np.array([0.0]), lo=unit_interval[0], hi=unit_interval[1]
+        initial=fit.RandomTheta(seed=0), velocity=np.array([0.0]), lo=unit_interval[0], hi=unit_interval[1],
+        model=model,
     )
     traj = evolve.ParamTrajectory(
         times=np.array([0.0, 0.1]), thetas=np.stack([theta0, theta0]), velocities=None, step=0.1,
@@ -137,8 +137,7 @@ def test_error_curve_self_comparison_zero(unit_interval):
 def test_error_curve_t0_matches_fit_rmse(unit_interval):
     arch = fourier_sine_arch(4)
     spec = fit.HeatCombo(np.array([0.8, 0.4, 0.0, 0.0]))
-    cfg = TrainConfig(lr=1e-2, batch_size=0, stop_loss=0.0, stop_plateau_pct=None, max_steps=800, seed=0)
-    res = fit.fit_initial(arch, spec, unit_interval, 512, 5e-4, cfg, seed=21)
+    res = fit.fit_initial(arch, spec, unit_interval, 512, 5e-4, seed=21, lr=1e-2, max_steps=800)
     ref = reference.heat_series_from_combo(spec.coeffs)
     traj = evolve.ParamTrajectory(
         times=np.array([0.0]), thetas=res.theta[None, :], velocities=None, step=0.0
@@ -197,7 +196,7 @@ def test_save_error_curve_csv(tmp_path, unit_interval):
 
 
 def test_export_slice(tmp_path):
-    spec = fit.Closure(fn=lambda X: np.zeros(X.shape[0]), label="zero")
+    spec = fit.ChebCombo(terms=((0, 0, 0.0),))
     grid = reference.solve_allen_cahn_imex(spec, 1e-4, 20, 32, 0.1)
     arch = rom.RomArch("resnet_zero_boundary", 2, 4, 2, "tanh", {"family": "sym_box"})
     theta = rom.init_params(arch, 0)
