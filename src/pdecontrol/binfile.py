@@ -3,10 +3,11 @@
 A binfile is one JSON header line, space-padded so that the data starts at
 a multiple of 64 bytes, followed by little-endian float64 data. The Gram
 cache appends fixed-size records that readers memory-map in place; every
-other array the pipeline reads back is written by save and read by load.
-Every artifact written whole (all but the appended Gram cache) goes through
-atomic_write, so a cut run leaves either the previous file or the new one,
-never a torn one.
+other array the pipeline reads back (anchor store, trajectory cache, control
+checkpoint, loss history, solutions, error curves, IMEX references) is
+written by save and read by load. Every artifact written whole (all but the
+appended Gram cache) goes through atomic_write, so a cut run leaves either
+the previous file or the new one, never a torn one.
 """
 
 from __future__ import annotations

@@ -7,10 +7,10 @@ window are constants of optim, not settings.
 Artifacts live under a fixed out_dir layout:
     out/caches/      gram + trajectory caches, anchor store (binfiles)
     out/checkpoints/ control-field checkpoint (binfile)
-    out/curves/      loss history and error curves (CSV)
+    out/curves/      loss history and error curves (binfiles)
     out/slices/      pointwise comparison slices (CSV)
     out/solutions/   solved parameter trajectories (binfiles)
-    out/reference/   IMEX reference grids (npz)
+    out/reference/   IMEX reference grids (binfiles)
     out/report.json  verify report on the run's artifacts
 Relative paths in the config resolve against out_dir.
 """
@@ -236,6 +236,8 @@ def _build(doc: dict) -> tuple[pde_ops.Problem, rom.RomArch, ControlArch]:
         raise ValueError(f"rom_arch.input_dim is {arch.input_dim} for a {problem.dim}-D domain")
     if doc["quadrature"] == "gauss" and problem.dim != 1:
         raise ValueError(f"quadrature 'gauss' has 1-D nodes; the domain is {problem.dim}-D")
+    if doc["theta_space"]["kind"] == "anchor_balls" and doc["initials"]["count"] == 0:
+        raise ValueError("theta_space.kind 'anchor_balls' samples around the anchors; initials.count is 0")
     return problem, arch, ControlArch(input_dim=rom.param_count(arch), **doc["control_arch"])
 
 

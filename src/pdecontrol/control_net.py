@@ -19,7 +19,6 @@ The gradients, _jvp, _vjp and field_stats share one forward cache and one revers
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -399,36 +398,23 @@ def load_control_checkpoint(path) -> ControlNet:
     return ControlNet(arch=arch, xi=xi)
 
 
-def _is_loss_row(line: str) -> bool:
-    step, *losses = line.split(",")
-    try:
-        int(step)
-        for value in losses:
-            float(value)
-    except ValueError:
-        return False
-    return len(losses) == 3 and line.endswith("\n")
+LOSS_HISTORY_FORMAT_VERSION = 1
 
 
-_LOSS_HEADER = "step,l1,l2,l_total\n"
+def read_loss_history(path) -> np.ndarray:
+    """The (step, l1, l2, l_total) rows of an existing loss history, for a
+    resumed stage to keep; a file that does not read back raises
+    CacheMismatch."""
+    return binfile.load(path, "loss_history", LOSS_HISTORY_FORMAT_VERSION, None,
+                        "rerun train-control without --resume to start a new loss history")[1]
 
 
-def read_loss_history(path) -> list[str]:
-    """The lines of an existing loss history, header first, for a resumed
-    stage to keep; a line that does not parse raises CacheMismatch."""
-    with open(path) as fh:
-        kept = fh.readlines()
-    if kept[:1] != [_LOSS_HEADER] or not all(map(_is_loss_row, kept[1:])):
-        raise CacheMismatch(f"loss history {path} does not parse; rerun train-control without --resume")
-    return kept
-
-
-def save_loss_history(history, path, kept: list[str] | None = None) -> None:
-    """Write the per-step (step, l1, l2, l_total) rows as CSV, the whole file
-    through atomic_write. The rows follow the kept lines of read_loss_history,
-    if given, and continue their step count, so annealed stages share one."""
-    lines = list(kept or [_LOSS_HEADER])
-    offset = int(lines[-1].split(",", 1)[0]) if len(lines) > 1 else 0
-    lines += [f"{step + offset},{l1!r},{l2!r},{total!r}\n" for step, l1, l2, total in history]
-    with binfile.atomic_write(path) as fh:
-        fh.writelines(lines)
+def save_loss_history(history, path, kept: np.ndarray | None = None) -> None:
+    """Write the per-step (step, l1, l2, l_total) rows as a binfile. The rows
+    follow the kept rows of read_loss_history, if given, and continue their
+    step count, so annealed stages share one."""
+    rows = np.array(history, dtype=np.float64).reshape(-1, 4)
+    if kept is not None and kept.size:
+        rows[:, 0] += kept[-1, 0]
+        rows = np.concatenate([kept, rows])
+    binfile.save(path, {"format_version": LOSS_HISTORY_FORMAT_VERSION, "kind": "loss_history"}, rows)

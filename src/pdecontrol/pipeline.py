@@ -20,6 +20,7 @@ from .errors import CacheMismatch, ConfigError, MissingArtifact
 from .sampling import AnchorBalls, Box, rng_for, sample_theta
 
 SOLUTION_FORMAT_VERSION = 3
+CURVE_FORMAT_VERSION = 1
 # Gram records per residual_scan call in verify: holds chunk * m^2 floats of G
 _VERIFY_CHUNK = 256
 
@@ -175,9 +176,10 @@ def _load_control(cfg: RunConfig) -> cn.ControlNet:
     return net
 
 
-def _field_digest(net: cn.ControlNet) -> str:
-    """sha256 of the control field's xi bytes, as a solution records it."""
-    return hashlib.sha256(net.xi.tobytes()).hexdigest()
+def _digest(array: np.ndarray) -> str:
+    """sha256 of an array's bytes: a solution records its control field's xi
+    this way, and an error curve its solution's theta rows."""
+    return hashlib.sha256(array.tobytes()).hexdigest()
 
 
 def cmd_train_control(
@@ -210,7 +212,7 @@ def cmd_train_control(
     if pairs_only and tcfg.zeta == 0:
         tcfg.zeta = 1.0
     # a resumed stage checks the rows it continues before it trains
-    history_path = os.path.join(cfg.out_dir, "curves", "loss_history.csv")
+    history_path = os.path.join(cfg.out_dir, "curves", "loss_history.bin")
     kept = cn.read_loss_history(history_path) if resume and os.path.exists(history_path) else None
     if cache is None:
         net, history = cn.train(net, None, pairs, tcfg)
@@ -254,7 +256,7 @@ def cmd_solve(cfg: RunConfig, anchor_index: int = 0) -> dict:
         "format_version": SOLUTION_FORMAT_VERSION,
         "kind": "solution",
         "arch_hash": rom.arch_hash(cfg.rom_arch),
-        "control_sha256": _field_digest(net),
+        "control_sha256": _digest(net.xi),
         "initial": anchors["specs"][anchor_index],
         "fit_rmse": anchors["rmse"][anchor_index],
         "step": traj.step,
@@ -276,7 +278,7 @@ def load_solution(cfg: RunConfig, index: int, net: cn.ControlNet | None = None) 
     given net, the solution must have been solved with that control field."""
     expected = {"arch_hash": rom.arch_hash(cfg.rom_arch)}
     if net is not None:
-        expected["control_sha256"] = _field_digest(net)
+        expected["control_sha256"] = _digest(net.xi)
     header, thetas = binfile.load(solution_path(cfg, index), "solution", SOLUTION_FORMAT_VERSION, expected,
                                   "rerun solve")
     traj = evolve.ParamTrajectory(
@@ -291,7 +293,7 @@ def load_solution(cfg: RunConfig, index: int, net: cn.ControlNet | None = None) 
 
 
 def reference_path(cfg: RunConfig, index: int) -> str:
-    return os.path.join(cfg.out_dir, "reference", f"ref_{index:03d}.npz")
+    return os.path.join(cfg.out_dir, "reference", f"ref_{index:03d}.bin")
 
 
 def _reference_header(cfg: RunConfig, initial: dict) -> dict:
@@ -341,17 +343,14 @@ def build_reference(cfg: RunConfig, index: int, initial: dict):
     if kind == "heat":
         if problem.dim != 1 or not isinstance(spec, fit.HeatCombo):
             raise ConfigError("closed-form heat references cover 1-D combo initials")
-        return reference.heat_series_from_combo(spec.coeffs)
+        return reference.HeatSeries(spec.coeffs)
     if kind == "allen_cahn":
-        path = reference_path(cfg, index)
-        if not os.path.exists(path):
-            raise MissingArtifact(f"reference {path} not found; run the reference command first")
-        return reference.load_grid_solution(path, _reference_header(cfg, initial))
+        return reference.load_grid_solution(reference_path(cfg, index), _reference_header(cfg, initial))
     raise ConfigError(f"no reference construction for problem kind {kind!r}")
 
 
 def _curve_path(cfg: RunConfig, index: int) -> str:
-    return os.path.join(cfg.out_dir, "curves", f"errors_{index:03d}.csv")
+    return os.path.join(cfg.out_dir, "curves", f"errors_{index:03d}.bin")
 
 
 def cmd_eval(cfg: RunConfig, anchor_index: int = 0, n_x: int = 4096, max_times: int = 64) -> dict:
@@ -362,7 +361,10 @@ def cmd_eval(cfg: RunConfig, anchor_index: int = 0, n_x: int = 4096, max_times: 
     curve = reference.error_curve(cfg.rom_arch, traj, ref, cfg.problem.domain, n_x, seed=cfg.seed + 17,
                                   max_times=max_times)
     path = _curve_path(cfg, anchor_index)
-    reference.save_error_curve(curve, path)
+    # rows (t, abs_err, rel_err), rel_err NaN where undefined
+    binfile.save(path, {"format_version": CURVE_FORMAT_VERSION, "kind": "error_curve",
+                        "solution_sha256": _digest(traj.thetas)},
+                 np.stack([curve.times, curve.abs_err, curve.rel_err], axis=1))
     finite = curve.rel_err[np.isfinite(curve.rel_err)]
     return {
         "path": path,
@@ -425,7 +427,11 @@ def cmd_verify(cfg: RunConfig) -> dict:
         }
         curve = _curve_path(cfg, k)
         if os.path.exists(curve):
-            entry["abs_err_max"], entry["rel_err_max"] = reference.error_curve_maxima(curve)
+            _, rows = binfile.load(curve, "error_curve", CURVE_FORMAT_VERSION,
+                                   {"solution_sha256": _digest(traj.thetas)}, "rerun eval")
+            rel = rows[:, 2]
+            entry["abs_err_max"] = float(rows[:, 1].max())
+            entry["rel_err_max"] = None if np.isnan(rel).all() else float(np.nanmax(rel))
         anchors.append(entry)
 
     # the float fields; counts and step indices are ints

@@ -10,9 +10,6 @@ time-linear interpolation of strided snapshots.
 
 from __future__ import annotations
 
-import json
-import zipfile
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +17,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import binfile, fit, rom
-from .errors import CacheMismatch, PdeControlError
+from .errors import PdeControlError
 from .evolve import ParamTrajectory
 from .sampling import sample_omega
 
@@ -47,39 +44,32 @@ class TransportShift:
 
 @dataclass(frozen=True)
 class HeatSeries:
-    """Sum of modes c * prod_i sin(k_i pi x_i) decaying at rate sum (k_i pi)^2.
+    """u(x, t) = sum over k = 1, 2, ... of c_k exp(-(k pi)^2 t) sin(k pi x),
+    the heat solution on the unit interval with zero Dirichlet data."""
 
-    Valid on the unit box with zero Dirichlet data.
-    """
-
-    modes: tuple  # ((k_vec, coeff), ...)
-
-    def __post_init__(self):
-        norm = tuple((tuple(int(k) for k in ks), float(c)) for ks, c in self.modes)
-        object.__setattr__(self, "modes", norm)
-
-    def decay_rate(self, ks) -> float:
-        return float(sum((k * np.pi) ** 2 for k in ks))
+    coeffs: np.ndarray
 
 
 @dataclass
 class GridSolution:
-    """Snapshots of a field on a regular grid (including boundary nodes)."""
+    """Snapshots of a field on a regular square grid (boundary nodes included)."""
 
-    xs: np.ndarray  # (nx+2,) grid per axis (same both axes)
     times: np.ndarray  # (k,) snapshot times
     snapshots: np.ndarray  # (k, nx+2, nx+2)
     lo: np.ndarray
     hi: np.ndarray
 
+    @property
+    def xs(self) -> np.ndarray:
+        """The grid nodes per axis (the same on both axes)."""
+        return _grid_nodes(self.lo, self.hi, self.snapshots.shape[1])
+
+
+def _grid_nodes(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
+    return lo[0] + (hi[0] - lo[0]) / (n - 1) * np.arange(n)
+
 
 ReferenceSolution = TransportShift | HeatSeries | GridSolution
-
-
-def heat_series_from_combo(coeffs) -> HeatSeries:
-    """HeatSeries for a HeatCombo initial (the 1-D pure-mode family)."""
-    modes = tuple(((k,), float(c)) for k, c in zip(range(1, 5), np.asarray(coeffs)) if c != 0.0)
-    return HeatSeries(modes=modes)
 
 
 def eval_reference(ref: ReferenceSolution, X, t: float) -> np.ndarray:
@@ -91,11 +81,9 @@ def eval_reference(ref: ReferenceSolution, X, t: float) -> np.ndarray:
         return fit.eval_initial(ref.initial, wrapped, model=ref.model)
     if isinstance(ref, HeatSeries):
         out = np.zeros(X.shape[0])
-        for ks, c in ref.modes:
-            term = np.full(X.shape[0], c * np.exp(-ref.decay_rate(ks) * t))
-            for i, k in enumerate(ks):
-                term = term * np.sin(k * np.pi * X[:, i])
-            out += term
+        for k, c in enumerate(ref.coeffs, start=1):
+            if c != 0.0:
+                out += c * np.exp(-((k * np.pi) ** 2) * t) * np.sin(k * np.pi * X[:, 0])
         return out
     return _eval_grid(ref, X, t)
 
@@ -155,8 +143,7 @@ def solve_allen_cahn_imex(
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
     hx = (hi[0] - lo[0]) / (nx + 1)
-    xs = lo[0] + hx * np.arange(nx + 2)
-    inner = xs[1:-1]
+    inner = _grid_nodes(lo, hi, nx + 2)[1:-1]
     XX, YY = np.meshgrid(inner, inner, indexing="ij")
     pts = np.stack([XX.ravel(), YY.ravel()], axis=1)
     u = fit.eval_initial(initial, pts).reshape(nx, nx)
@@ -177,13 +164,7 @@ def solve_allen_cahn_imex(
         if n % stride == 0 or n == nt:
             snap_times.append(n * dt)
             snaps.append(_embed(u, nx))
-    return GridSolution(
-        xs=xs,
-        times=np.array(snap_times),
-        snapshots=np.stack(snaps),
-        lo=lo,
-        hi=hi,
-    )
+    return GridSolution(times=np.array(snap_times), snapshots=np.stack(snaps), lo=lo, hi=hi)
 
 
 def _embed(u_inner: np.ndarray, nx: int) -> np.ndarray:
@@ -201,7 +182,6 @@ class ErrorCurve:
     times: np.ndarray
     abs_err: np.ndarray  # L2-norm estimates of the difference
     rel_err: np.ndarray  # abs / ||u*||, NaN where the norm is degenerate
-    rel_defined: np.ndarray  # bool mask
 
 
 REL_NORM_FLOOR = 1e-12
@@ -230,7 +210,6 @@ def error_curve(
     times = traj.times[idx]
     abs_err = np.empty(idx.size)
     rel = np.full(idx.size, np.nan)
-    defined = np.zeros(idx.size, dtype=bool)
     for out_i, j in enumerate(idx):
         model = rom.RomModel(arch, traj.thetas[j])
         u_rom = rom.eval_batch(model, X, rom.EvalFlags(value=True)).value
@@ -241,30 +220,7 @@ def error_curve(
         abs_err[out_i] = a
         if nrm > REL_NORM_FLOOR:
             rel[out_i] = a / nrm
-            defined[out_i] = True
-    return ErrorCurve(times=times, abs_err=abs_err, rel_err=rel, rel_defined=defined)
-
-
-def save_error_curve(curve: ErrorCurve, path) -> None:
-    with binfile.atomic_write(path) as fh:
-        fh.write("t,abs_err,rel_err\n")
-        for t, a, r in zip(curve.times, curve.abs_err, curve.rel_err):
-            rs = "" if not np.isfinite(r) else repr(float(r))
-            fh.write(f"{float(t)!r},{float(a)!r},{rs}\n")
-
-
-def error_curve_maxima(path) -> tuple[float, float | None]:
-    """Max abs and rel error of an error-curve CSV (rel None if undefined)."""
-    with open(path) as fh:
-        text = fh.read()
-    rows = [line.split(",") for line in text.splitlines()[1:]]
-    if rows and text.endswith("\n") and all(len(r) == 3 for r in rows):
-        try:
-            rel = [float(r[2]) for r in rows if r[2]]
-            return max(float(r[1]) for r in rows), (max(rel) if rel else None)
-        except ValueError:
-            pass
-    raise CacheMismatch(f"error curve {path} does not parse; rerun eval")
+    return ErrorCurve(times=times, abs_err=abs_err, rel_err=rel)
 
 
 def export_slice(
@@ -294,23 +250,19 @@ def export_slice(
             fh.write(f"{row[0]!r},{row[1]!r},{ur!r},{um!r},{abs(ur - um)!r}\n")
 
 
+GRID_FORMAT_VERSION = 1
+
+
 def save_grid_solution(ref: GridSolution, path, header: dict) -> None:
-    """A compressed npz of the arrays, plus the JSON text of header (the
-    inputs that shaped them)."""
-    with binfile.atomic_write(path, "wb") as fh:
-        np.savez_compressed(fh, xs=ref.xs, times=ref.times, snapshots=ref.snapshots, lo=ref.lo, hi=ref.hi,
-                            header=np.array(json.dumps(header)))
+    """A binfile of the snapshots; its header holds header (the inputs that
+    shaped them), the snapshot times and the box."""
+    binfile.save(path, {**header, "format_version": GRID_FORMAT_VERSION, "kind": "imex_reference",
+                        "times": ref.times.tolist(), "lo": ref.lo.tolist(), "hi": ref.hi.tolist()}, ref.snapshots)
 
 
 def load_grid_solution(path, expected: dict | None = None) -> GridSolution:
     """The stored reference; CacheMismatch names the reference command for a
-    file that does not read back or whose header lacks a field of expected."""
-    try:
-        with np.load(path) as data:
-            header = json.loads(data["header"].item()) if "header" in data else {}
-            arrays = {name: data[name] for name in ("xs", "times", "snapshots", "lo", "hi")}
-    # what np.load and the member reads raise on a cut or corrupt file
-    except (OSError, EOFError, KeyError, ValueError, NotImplementedError, zipfile.BadZipFile, zlib.error) as exc:
-        raise CacheMismatch(f"reference {path} does not read back ({exc}); rerun reference") from exc
-    binfile.check_header(path, header, expected, "rerun reference")
-    return GridSolution(**arrays)
+    file that does not read back or whose header differs from expected."""
+    header, snapshots = binfile.load(path, "imex_reference", GRID_FORMAT_VERSION, expected, "rerun reference")
+    return GridSolution(times=np.array(header["times"]), snapshots=snapshots, lo=np.array(header["lo"]),
+                        hi=np.array(header["hi"]))

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pdecontrol import assembly, binfile, cli, config, control_net as cn, evolve, fit, pipeline, rom
+from pdecontrol import assembly, binfile, cli, config, control_net as cn, evolve, fit, pipeline, reference, rom
 from pdecontrol.errors import ConfigError, MissingArtifact
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -125,6 +125,10 @@ def test_full_pipeline_small(heat_config, tmp_path, monkeypatch):
     assert anchor["anchor"] == 0 and anchor["blowup_step"] is None
     assert all(np.isfinite(anchor[k]) for k in ("m_v", "l_v", "euler_bound", "abs_err_max"))
     assert anchor["abs_err_max"] == stats["abs_err_max"]
+    # the error curve's rows are (t, abs_err, rel_err), for the solution's theta rows
+    header, rows = binfile.load(stats["path"], "error_curve", pipeline.CURVE_FORMAT_VERSION, None, "")
+    assert header["solution_sha256"] == pipeline._digest(pipeline.load_solution(cfg, 0)[1].thetas)
+    assert rows.shape[1] == 3 and rows[:, 1].max() == stats["abs_err_max"]
     assert report["totals"] == {"blowups": 0, "escapes": 0, "passed": True}
 
 
@@ -142,8 +146,8 @@ def test_zero_field_solve_reproduces_fit_error(heat_config, tmp_path):
     doc, traj = pipeline.load_solution(cfg, 0)
     assert np.allclose(traj.thetas, traj.thetas[0], atol=1e-12)  # zero field
     stats = pipeline.cmd_eval(cfg, anchor_index=0, n_x=4096)
-    curve = open(stats["path"]).read().strip().split("\n")
-    t0_abs = float(curve[1].split(",")[1])
+    _, curve = binfile.load(stats["path"], "error_curve", pipeline.CURVE_FORMAT_VERSION, None, "")
+    t0_abs = curve[0, 1]
     assert t0_abs <= 2.0 * max(doc["fit_rmse"], 1e-12)
 
 
@@ -293,12 +297,13 @@ def test_resumed_training_continues_loss_history_steps(heat_config, tmp_path):
     pipeline.cmd_gen_trajectories(cfg)
     first = pipeline.cmd_train_control(cfg)
     second = pipeline.cmd_train_control(cfg, resume=True, train_overrides={"lr": 1e-3})
-    lines = Path(out, "curves", "loss_history.csv").read_text().splitlines()
-    assert lines[0] == "step,l1,l2,l_total"
-    rows = [line.split(",") for line in lines[1:]]
-    assert [int(r[0]) for r in rows] == list(range(1, first["steps"] + second["steps"] + 1))
-    assert rows[first["steps"] - 1][3] == repr(first["final_loss"])
-    assert rows[-1][3] == repr(second["final_loss"])
+    path = Path(out, "curves", "loss_history.bin")
+    header, _ = binfile.read_header(path, "loss_history", cn.LOSS_HISTORY_FORMAT_VERSION, "")
+    assert header["shape"] == [first["steps"] + second["steps"], 4]
+    rows = cn.read_loss_history(path)
+    assert rows[:, 0].tolist() == list(range(1, first["steps"] + second["steps"] + 1))
+    assert rows[first["steps"] - 1, 3] == first["final_loss"]
+    assert rows[-1, 3] == second["final_loss"]
 
 
 def test_resumed_training_checks_loss_history_before_it_trains(heat_config, tmp_path, capsys):
@@ -307,7 +312,7 @@ def test_resumed_training_checks_loss_history_before_it_trains(heat_config, tmp_
     base = ["--config", str(heat_config), "--out", str(out)]
     for command in ("sample-gram", "gen-trajectories", "train-control"):
         assert cli.main([command, *base]) == 0
-    history = out / "curves" / "loss_history.csv"
+    history = out / "curves" / "loss_history.bin"
     history.write_bytes(history.read_bytes()[:-7])
     checkpoint = out / "checkpoints" / "control.bin"
     payload = checkpoint.read_bytes()
@@ -321,7 +326,9 @@ def test_resumed_training_checks_loss_history_before_it_trains(heat_config, tmp_
     ("transport_1d.json", ["problem.velocity=[1.0,1.0]"], "problem.velocity has 2 components for a 1-D domain"),
     ("allen_cahn_2d.json", ["quadrature=gauss", 'theta_space={"kind":"box","half_width":1.0}'],
      "quadrature 'gauss' has 1-D nodes; the domain is 2-D"),
-], ids=["input_dim", "velocity", "gauss_2d"])
+    ("allen_cahn_2d.json", ["initials.count=0"], "theta_space.kind 'anchor_balls' samples around the anchors; "
+     "initials.count is 0"),
+], ids=["input_dim", "velocity", "gauss_2d", "no_anchors"])
 def test_mismatched_settings_are_config_errors(tmp_path, capsys, preset, overrides, message):
     # each used to reach sample-gram and end in a ValueError traceback
     args = ["sample-gram", "--config", str(PRESETS / preset), "--out", str(tmp_path),
@@ -483,7 +490,7 @@ def test_anchor_index_must_be_in_store(heat_config, tmp_path):
     solutions = out / "solutions"
     (solutions / "solution_-01.bin").write_bytes((solutions / "solution_000.bin").read_bytes())
     assert cli.main(["eval", *base, "--anchor", "-1"]) == cli.EXIT_MISSING
-    assert not (out / "curves" / "errors_-01.csv").exists()
+    assert not (out / "curves" / "errors_-01.bin").exists()
 
     # the 2-D commands check the index before any work
     cfg = config.load_config(PRESETS / "allen_cahn_2d.json", out_dir=str(tmp_path / "ac"))
@@ -510,8 +517,8 @@ def test_torn_solution_and_error_curve_exit_code(heat_config, tmp_path, capsys):
     out = tmp_path / "out"
     _solved_run(heat_config, out)
     base = ["--config", str(heat_config), "--out", str(out)]
-    curve = out / "curves" / "errors_000.csv"
-    curve.write_text(curve.read_text()[:-5])
+    curve = out / "curves" / "errors_000.bin"
+    curve.write_bytes(curve.read_bytes()[:-5])
     assert cli.main(["verify", *base]) == cli.EXIT_NUMERIC
     assert "rerun eval" in capsys.readouterr().err
     solution = out / "solutions" / "solution_000.bin"
@@ -531,8 +538,13 @@ def test_verify_rejects_a_solution_of_another_control_field(heat_config, tmp_pat
     assert cli.main(["verify", *base]) == cli.EXIT_NUMERIC
     err = capsys.readouterr().err
     assert "mismatch on 'control_sha256'" in err and "rerun solve" in err
+    # verify used to report the curve eval wrote for the earlier solution beside the new one's M_V
     assert cli.main(["eval", *base]) == 0
     assert cli.main(["solve", *base]) == 0
+    assert cli.main(["verify", *base]) == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "mismatch on 'solution_sha256'" in err and "rerun eval" in err
+    assert cli.main(["eval", *base]) == 0
     assert cli.main(["verify", *base]) == 0
 
 
@@ -543,7 +555,7 @@ def test_cut_write_keeps_the_previous_artifact(heat_config, tmp_path, monkeypatc
     writers = {
         pipeline.control_checkpoint_path(cfg): lambda: pipeline.cmd_train_control(cfg),
         pipeline.solution_path(cfg, 0): lambda: pipeline.cmd_solve(cfg, anchor_index=0),
-        out / "curves" / "errors_000.csv": lambda: pipeline.cmd_eval(cfg, anchor_index=0, n_x=256),
+        out / "curves" / "errors_000.bin": lambda: pipeline.cmd_eval(cfg, anchor_index=0, n_x=256),
         out / "report.json": lambda: pipeline.cmd_verify(cfg),
     }
 
@@ -602,8 +614,21 @@ def test_eval_rejects_stale_imex_reference(tmp_path, capsys):
     assert "mismatch on 'initial' in" in capsys.readouterr().err
     assert cli.main(["reference", *new, "--nx", "16", "--nt", "16"]) == 0
     assert cli.main(["eval", *new, "--n-x", "64"]) == 0
+    # every artifact that is read back is a binfile of its kind
+    kinds = {"gram.bin": ("gram_cache", assembly.CACHE_FORMAT_VERSION),
+             "anchors.bin": ("anchor_store", fit.ANCHOR_FORMAT_VERSION),
+             "control.bin": ("control_checkpoint", cn.FORMAT_VERSION),
+             "loss_history.bin": ("loss_history", cn.LOSS_HISTORY_FORMAT_VERSION),
+             "errors_000.bin": ("error_curve", pipeline.CURVE_FORMAT_VERSION),
+             "solution_000.bin": ("solution", pipeline.SOLUTION_FORMAT_VERSION),
+             "ref_000.bin": ("imex_reference", reference.GRID_FORMAT_VERSION)}
+    read_back = [path for sub in ("caches", "checkpoints", "curves", "solutions", "reference")
+                 for path in (tmp_path / "out" / sub).iterdir()]
+    assert sorted(path.name for path in read_back) == sorted(kinds)
+    for path in read_back:
+        binfile.read_header(path, *kinds[path.name], "")
     # a reference cut short used to end in a zipfile.BadZipFile traceback
-    ref = tmp_path / "out" / "reference" / "ref_000.npz"
+    ref = tmp_path / "out" / "reference" / "ref_000.bin"
     ref.write_bytes(ref.read_bytes()[:-30])
     assert cli.main(["eval", *new, "--n-x", "64"]) == cli.EXIT_NUMERIC
     assert "rerun reference" in capsys.readouterr().err

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from pdecontrol import assembly, control_net as cn, pde_ops, rom
+from pdecontrol import assembly, binfile, control_net as cn, pde_ops, rom
 from pdecontrol.errors import CacheMismatch, NonFiniteError
 from pdecontrol.optim import Adam, plateau_triggered
 from pdecontrol.sampling import Box, sample_theta
@@ -327,31 +327,24 @@ def test_forward_and_train_bit_identical(tmp_path, small_arch, rng):
     assert mapped.xi.tobytes() == copied.xi.tobytes()
 
 
-def test_loss_history_csv(tmp_path):
-    history = [(1, 0.5, 0.25, 0.525), (2, 0.4, 0.2, 0.42)]
-    path = tmp_path / "hist.csv"
-    cn.save_loss_history(history, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "step,l1,l2,l_total"
-    assert lines[1].startswith("1,0.5,0.25,")
-
-
 def test_loss_history_resume_rejects_a_torn_row_and_writes_whole(tmp_path, monkeypatch):
     # appending in place merged a torn last row with the next stage's first
-    path = tmp_path / "hist.csv"
+    path = tmp_path / "hist.bin"
     cn.save_loss_history([(1, 0.5, 0.25, 0.525), (2, 0.4, 0.3, 0.43)], path)
+    header, _ = binfile.read_header(path, "loss_history", cn.LOSS_HISTORY_FORMAT_VERSION, "")
+    assert header["shape"] == [2, 4]
     cn.save_loss_history([(1, 0.3, 0.2, 0.32)], path, cn.read_loss_history(path))
-    whole = path.read_text()
-    assert whole.splitlines()[1:] == ["1,0.5,0.25,0.525", "2,0.4,0.3,0.43", "3,0.3,0.2,0.32"]
-    path.write_text(whole[:-7])
-    with pytest.raises(CacheMismatch, match="does not parse; rerun train-control without --resume"):
+    whole = path.read_bytes()
+    assert cn.read_loss_history(path).tolist() == [[1, 0.5, 0.25, 0.525], [2, 0.4, 0.3, 0.43], [3, 0.3, 0.2, 0.32]]
+    path.write_bytes(whole[:-7])
+    with pytest.raises(CacheMismatch, match="rerun train-control without --resume to start a new loss history"):
         cn.read_loss_history(path)
 
     def cut(src, dst):
         raise OSError("cut before the rename")
 
-    path.write_text(whole)
+    path.write_bytes(whole)
     monkeypatch.setattr(os, "replace", cut)
     with pytest.raises(OSError, match="cut"):
         cn.save_loss_history([(1, 0.2, 0.1, 0.21)], path, cn.read_loss_history(path))
-    assert path.read_text() == whole
+    assert path.read_bytes() == whole
