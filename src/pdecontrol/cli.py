@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from . import pipeline
 from .config import load_config
 from .errors import CacheMismatch, ConfigError, MissingArtifact, NonFiniteError, PdeControlError
 
@@ -64,18 +65,16 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--anchor", type=int, default=0, help="anchor index in the store")
         if name == "reference":
             # the IMEX solver needs at least 16 grid cells and 16 steps
-            p.add_argument("--nx", type=_int_at_least(16), default=100)
-            p.add_argument("--nt", type=_int_at_least(16), default=2000)
+            p.add_argument("--nx", type=_int_at_least(16), default=pipeline.REFERENCE_NX)
+            p.add_argument("--nt", type=_int_at_least(16), default=pipeline.REFERENCE_NT)
         if name == "eval":
-            p.add_argument("--n-x", type=_int_at_least(1), default=4096)
+            p.add_argument("--n-x", type=_int_at_least(1), default=pipeline.EVAL_N_X)
         if name == "export-slice":
             p.add_argument("--time", type=float, required=True)
     return ap
 
 
 def _run(args) -> int:
-    from . import pipeline
-
     cfg = load_config(args.config, overrides=args.overrides, out_dir=args.out, seed=args.seed)
 
     if args.command == "fit-initial":

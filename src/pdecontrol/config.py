@@ -1,8 +1,11 @@
 """Run configuration: JSON schema, loading, dotted-path overrides. load_config
 builds the run objects the commands share (problem, ROM and control-net
 architectures) once and checks them against each other; an invalid or
-mismatched setting is a ConfigError (exit 2). ADAM's moments and the plateau
-window are constants of optim, not settings.
+mismatched setting is a ConfigError (exit 2). The settings' defaults are in
+_DEFAULTS and their checks in SCHEMA, so RunConfig.raw is the effective
+config; only rom_arch's optional fields (rom.RomArch), the transport velocity
+(1 per dimension) and the paths (the layout below) default elsewhere. ADAM's
+moments and the plateau window are constants of optim, not settings.
 
 Artifacts live under a fixed out_dir layout:
     out/caches/      gram + trajectory caches, anchor store (binfiles)
@@ -26,7 +29,7 @@ import jsonschema
 import numpy as np
 
 from . import fit, pde_ops, rom
-from .control_net import ControlArch, TrainConfig
+from .control_net import ControlArch
 from .errors import ConfigError
 from .sampling import AnchorBalls, Box
 
@@ -130,9 +133,6 @@ SCHEMA = {
                 "count": {"type": "integer", "minimum": 0},
                 "eps0_target": {"type": "number", "exclusiveMinimum": 0},
                 "fit_n_x": {"type": "integer", "minimum": 1},
-                "degree_max": {"type": "integer", "minimum": 0, "maximum": 6},
-                "max_terms": {"type": "integer", "minimum": 1, "maximum": 36},
-                "amplitude": {"type": "number", "exclusiveMinimum": 0},
                 # the keyword arguments of fit.fit_initial
                 "fit": {
                     "type": "object",
@@ -165,18 +165,17 @@ _DEFAULTS = {
     "counts": {"n_theta": 1000, "n_x": 256, "n_traj": 0, "n_t": 50},
     "quadrature": "mc",
     "solve": {"scheme": "rk4", "n_steps": 200},
-    "theta_space": {"kind": "box", "half_width": 1.0},
+    "theta_space": {"kind": "box", "half_width": 1.0, "radius": 3.0},
     "control_arch": {"width": 64, "depth": 3},
-    "train": {},
+    # batch_size 0 is the full batch; stop_plateau_pct null turns the plateau stop off
+    "train": {"lr": 1e-3, "zeta": 0.1, "batch_size": 256, "stop_loss": 0.1, "stop_plateau_pct": 0.1,
+              "max_steps": 100_000},
     "initials": {
         "family": "random_theta",
         "count": 8,
         "eps0_target": 1e-3,
         "fit_n_x": 512,
-        "degree_max": 3,
-        "max_terms": 6,
-        "amplitude": 0.9,
-        "fit": {},
+        "fit": {"lr": 1e-3, "max_steps": 5000},
     },
     "paths": {},
 }
@@ -256,9 +255,9 @@ class RunConfig:
     def theta_space(self):
         ts = self.raw["theta_space"]
         if ts["kind"] == "box":
-            return Box(half_width=ts.get("half_width", 1.0), dim=rom.param_count(self.rom_arch))
+            return Box(half_width=ts["half_width"], dim=rom.param_count(self.rom_arch))
         _, anchors = fit.load_anchors(self.path("anchors"), self.anchor_header())
-        return AnchorBalls(anchors=anchors, radius=ts.get("radius", 3.0))
+        return AnchorBalls(anchors=anchors, radius=ts["radius"])
 
     def anchor_header(self) -> dict:
         """Every input of fit-initial, as the anchor store header records it."""
@@ -272,14 +271,12 @@ class RunConfig:
             "theta_space": self.raw["theta_space"] if ini["family"] == "random_theta" else None,
         }
 
-    def train_config(self, **overrides) -> TrainConfig:
-        merged = dict(self.raw["train"])
-        merged.update(overrides)
-        merged.setdefault("seed", self.seed)
-        try:
-            return TrainConfig(**merged)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+    def train_config(self, **overrides) -> dict:
+        """The train block with overrides (a script's lr stages) merged in,
+        checked as load_config checks the config's own block."""
+        merged = {**self.raw["train"], **overrides}
+        _validate(merged, SCHEMA["properties"]["train"])
+        return merged
 
     # -- paths ---------------------------------------------------------------
 
@@ -300,6 +297,13 @@ class RunConfig:
             os.makedirs(os.path.join(self.out_dir, sub), exist_ok=True)
 
 
+def _validate(doc, schema: dict) -> None:
+    try:
+        jsonschema.validate(doc, schema)
+    except jsonschema.ValidationError as exc:
+        raise ConfigError(f"config schema violation: {exc.message}") from exc
+
+
 def load_config(path, overrides=(), out_dir: str | None = None, seed: int | None = None) -> RunConfig:
     if not os.path.exists(path):
         raise ConfigError(f"config file {path} not found")
@@ -308,17 +312,15 @@ def load_config(path, overrides=(), out_dir: str | None = None, seed: int | None
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    # a deep copy: overrides below write into nested dicts of the result
-    doc = _merge(copy.deepcopy(_DEFAULTS), doc)
     for expr in overrides:
         key, value = parse_override(expr)
         apply_override(doc, key, value)
     if seed is not None:
         doc["seed"] = seed
-    try:
-        jsonschema.validate(doc, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config schema violation: {exc.message}") from exc
+    # defaults last, so an override that replaces a whole block is filled too;
+    # a deep copy, so no run shares a nested dict with _DEFAULTS
+    doc = _merge(copy.deepcopy(_DEFAULTS), doc)
+    _validate(doc, SCHEMA)
     try:
         problem, rom_arch, control_arch = _build(doc)
     except ValueError as exc:

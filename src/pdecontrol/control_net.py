@@ -19,7 +19,7 @@ The gradients, _jvp, _vjp and field_stats share one forward cache and one revers
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import erf
@@ -255,30 +255,13 @@ def loss_l2(net: ControlNet, TH: np.ndarray, V: np.ndarray) -> tuple[float, np.n
 # training
 
 
-@dataclass
-class TrainConfig:
-    lr: float = 1e-3
-    zeta: float = 0.1
-    batch_size: int = 256  # 0 means full batch
-    stop_loss: float = 0.1
-    stop_plateau_pct: float | None = 0.1
-    max_steps: int = 100_000
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
-        if self.zeta < 0:
-            raise ValueError("zeta must be nonnegative")
-
-
 class _Batcher:
     """Deterministic epoch-shuffled minibatch stream over the given rows."""
 
     def __init__(self, rows: np.ndarray, batch_size: int, rng: np.random.Generator):
         n = rows.shape[0]
         self.n = n
-        self.bs = n if batch_size in (0, None) or batch_size >= n else batch_size
+        self.bs = n if batch_size == 0 or batch_size >= n else batch_size
         self.rng = rng
         self.order = rows.copy()
         self.pos = n  # force shuffle on first call
@@ -296,10 +279,19 @@ def train(
     net: ControlNet,
     gram,
     traj_pairs,
-    cfg: TrainConfig,
+    *,
+    lr: float,
+    zeta: float,
+    batch_size: int,
+    stop_loss: float,
+    stop_plateau_pct: float | None,
+    max_steps: int,
+    seed: int,
     rows: np.ndarray | None = None,
 ) -> tuple[ControlNet, list[tuple[int, float, float, float]]]:
-    """Minimize l1 + zeta*l2 with ADAM over shuffled minibatches.
+    """Minimize l1 + zeta*l2 with ADAM over shuffled minibatches of
+    batch_size records (0: all of them); the settings are the config's train
+    block, which RunConfig.train_config checks.
 
     gram: (thetas, grams, rhs) arrays of shapes (n, m), (n, m, m), (n, m),
     e.g. the memory-mapped views of assembly.read_cache, or None. Each
@@ -320,7 +312,7 @@ def train(
         if rows.shape[0] == 0:
             TH = None
     T2 = V2 = None
-    use_l2 = traj_pairs is not None and cfg.zeta > 0
+    use_l2 = traj_pairs is not None and zeta > 0
     if use_l2:
         T2 = np.asarray(traj_pairs[0], dtype=np.float64)
         V2 = np.asarray(traj_pairs[1], dtype=np.float64)
@@ -331,16 +323,16 @@ def train(
     if TH is None and not use_l2:
         raise ValueError("nothing to train on: empty gram cache and no trajectory pairs")
 
-    rng = rng_for(cfg.seed, stream=2)
-    batcher1 = _Batcher(rows, cfg.batch_size, rng) if TH is not None else None
-    batcher2 = _Batcher(np.arange(T2.shape[0]), cfg.batch_size, rng) if use_l2 else None
+    rng = rng_for(seed, stream=2)
+    batcher1 = _Batcher(rows, batch_size, rng) if TH is not None else None
+    batcher2 = _Batcher(np.arange(T2.shape[0]), batch_size, rng) if use_l2 else None
 
     xi = net.xi.copy()
-    adam = Adam(xi.size, cfg.lr)
+    adam = Adam(xi.size, lr)
     history: list[tuple[int, float, float, float]] = []
     totals: list[float] = []
 
-    for step in range(1, cfg.max_steps + 1):
+    for step in range(1, max_steps + 1):
         current = ControlNet(net.arch, xi)
         l1 = l2 = 0.0
         grad = np.zeros_like(xi)
@@ -351,15 +343,15 @@ def train(
         if batcher2 is not None:
             idx2 = batcher2.next()
             l2, g2 = loss_l2(current, T2[idx2], V2[idx2])
-            grad += cfg.zeta * g2
-        total = l1 + cfg.zeta * l2
+            grad += zeta * g2
+        total = l1 + zeta * l2
         if not np.isfinite(total):
             raise NonFiniteError(f"training diverged at step {step}")
         history.append((step, l1, l2, total))
         totals.append(total)
-        if total < cfg.stop_loss:
+        if total < stop_loss:
             break
-        if cfg.stop_plateau_pct is not None and plateau_triggered(totals, PLATEAU_WINDOW, cfg.stop_plateau_pct):
+        if stop_plateau_pct is not None and plateau_triggered(totals, PLATEAU_WINDOW, stop_plateau_pct):
             break
         xi = adam.step(xi, grad)
 
@@ -381,16 +373,14 @@ def residual_scan(net: ControlNet, TH: np.ndarray, G: np.ndarray, P: np.ndarray)
 
 
 def save_control_checkpoint(net: ControlNet, path) -> None:
-    header = {
-        "format_version": FORMAT_VERSION,
-        "kind": "control_checkpoint",
-        "arch": {"input_dim": net.arch.input_dim, "width": net.arch.width, "depth": net.arch.depth},
-    }
+    header = {"format_version": FORMAT_VERSION, "kind": "control_checkpoint", "arch": asdict(net.arch)}
     binfile.save(path, header, net.xi)
 
 
-def load_control_checkpoint(path) -> ControlNet:
-    header, xi = binfile.load(path, "control_checkpoint", FORMAT_VERSION, None, "rerun train-control")
+def load_control_checkpoint(path, arch: ControlArch | None = None) -> ControlNet:
+    """The checkpointed net; given arch, the checkpoint must record it."""
+    expected = None if arch is None else {"arch": asdict(arch)}
+    header, xi = binfile.load(path, "control_checkpoint", FORMAT_VERSION, expected, "rerun train-control")
     arch = ControlArch(**header["arch"])
     n = control_param_count(arch)
     if xi.shape != (n,):

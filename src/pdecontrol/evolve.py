@@ -18,7 +18,7 @@ from . import assembly, binfile, linalg, pde_ops, rom
 from .errors import NonFiniteError
 from .sampling import ThetaSpace
 
-TRAJ_FORMAT_VERSION = 3
+TRAJ_FORMAT_VERSION = 4
 GUARD_DIAMETER_FACTOR = 10.0
 
 
@@ -158,23 +158,17 @@ def solve_ivp(
 # trajectory cache
 
 
-def traj_cache_header(arch: rom.RomArch, op: pde_ops.PdeOperator, domain, h: float, n_t: int, n_x: int,
-                      seed: int, quadrature: str, starts: np.ndarray) -> dict:
-    """Every input that shapes the cached marches; the start thetas (drawn
-    from the theta space or the anchor store) enter as a sha256 digest."""
+def traj_cache_header(gram_header: dict, h: float, n_t: int, starts: np.ndarray) -> dict:
+    """Every input that shapes the cached marches: those of a Gram record
+    (assembly.cache_header) plus the step, the step count and the start
+    thetas (drawn from the theta space or the anchor store) as a sha256."""
     starts = np.ascontiguousarray(starts, dtype=np.float64)
     return {
+        **gram_header,
         "format_version": TRAJ_FORMAT_VERSION,
         "kind": "traj_cache",
-        "arch_hash": rom.arch_hash(arch),
-        "op_tag": op.tag,
-        "m": rom.param_count(arch),
-        "domain": [np.asarray(domain[0]).tolist(), np.asarray(domain[1]).tolist()],
         "h": h,
         "n_t": n_t,
-        "n_x": n_x,
-        "seed": seed,
-        "quadrature": quadrature,
         "n_traj": starts.shape[0],
         "starts_sha256": hashlib.sha256(starts.tobytes()).hexdigest(),
     }

@@ -141,11 +141,13 @@ def fit_initial(
     n_x: int,
     eps0_target: float,
     seed: int,
-    lr: float = 1e-3,
-    max_steps: int = 5000,
+    *,
+    lr: float,
+    max_steps: int,
     theta_init: np.ndarray | None = None,
 ) -> FitResult:
-    """ADAM on the empirical squared error (1/N) sum (u_theta(x_n) - g(x_n))^2.
+    """ADAM on the empirical squared error (1/N) sum (u_theta(x_n) - g(x_n))^2;
+    lr and max_steps are the config's initials.fit block.
 
     Stops when the training-sample RMSE reaches eps0_target or at
     max_steps; returns the best parameters seen with a held-out RMSE

@@ -28,7 +28,8 @@ def default_ridge_lambda(gram: np.ndarray) -> float:
 def ridge_solve(gram, rhs, lambda_reg: float = 0.0) -> np.ndarray:
     """Solve (G + lambda*I) v = p for symmetric PSD G.
 
-    Minimizes |Gv - p|^2 + lambda*|v|^2 via Cholesky on the shifted matrix,
+    The solution minimizes v^T G v - 2 v^T p + lambda*|v|^2, not
+    |Gv - p|^2 + lambda*|v|^2. Solved by Cholesky on the shifted matrix,
     falling back to an eigendecomposition with eigenvalues clipped at 1e-12
     when the factorization breaks down (rank-deficient G with lambda ~ 0).
     """

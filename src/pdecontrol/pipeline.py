@@ -16,13 +16,23 @@ import numpy as np
 
 from . import assembly, binfile, control_net as cn, evolve, fit, pde_ops, reference, rom
 from .config import RunConfig
-from .errors import CacheMismatch, ConfigError, MissingArtifact
+from .errors import ConfigError, MissingArtifact
 from .sampling import AnchorBalls, Box, rng_for, sample_theta
 
 SOLUTION_FORMAT_VERSION = 3
 CURVE_FORMAT_VERSION = 1
 # Gram records per residual_scan call in verify: holds chunk * m^2 floats of G
 _VERIFY_CHUNK = 256
+# the default grid sizes of reference (IMEX cells and steps) and of eval (Monte-Carlo points)
+REFERENCE_NX = 100
+REFERENCE_NT = 2000
+EVAL_N_X = 4096
+
+# cheb_combo initials: up to CHEB_MAX_TERMS terms T_i(x) T_j(y) with i, j <=
+# CHEB_DEGREE_MAX, scaled down to a peak of CHEB_AMPLITUDE where they exceed it
+CHEB_DEGREE_MAX = 3
+CHEB_MAX_TERMS = 6
+CHEB_AMPLITUDE = 0.9
 
 
 def sample_initial_specs(cfg: RunConfig):
@@ -40,26 +50,23 @@ def sample_initial_specs(cfg: RunConfig):
             specs.append(fit.HeatCombo(coeffs=rng.uniform(-1.0, 1.0, 4)))
     else:
         problem = cfg.problem
-        deg = ini["degree_max"]
-        max_terms = ini["max_terms"]
-        amplitude = ini["amplitude"]
         grid = np.linspace(problem.lo[0] + 1e-3, problem.hi[0] - 1e-3, 41)
         G1, G2 = np.meshgrid(grid, grid, indexing="ij")
         probe = np.stack([G1.ravel(), G2.ravel()], axis=1)
         for _ in range(n):
-            n_terms = int(rng.integers(1, max_terms + 1))
+            n_terms = int(rng.integers(1, CHEB_MAX_TERMS + 1))
             seen = set()
             terms = []
             while len(terms) < n_terms:
-                i, j = int(rng.integers(0, deg + 1)), int(rng.integers(0, deg + 1))
+                i, j = int(rng.integers(0, CHEB_DEGREE_MAX + 1)), int(rng.integers(0, CHEB_DEGREE_MAX + 1))
                 if (i, j) in seen:
                     continue
                 seen.add((i, j))
                 terms.append((i, j, float(rng.uniform(-1.0, 1.0))))
             spec = fit.ChebCombo(terms=tuple(terms))
             peak = np.abs(fit.eval_initial(spec, probe)).max()
-            if peak > amplitude:
-                scale = amplitude / peak
+            if peak > CHEB_AMPLITUDE:
+                scale = CHEB_AMPLITUDE / peak
                 spec = fit.ChebCombo(terms=tuple((i, j, c * scale) for i, j, c in spec.terms))
             specs.append(spec)
     return specs
@@ -93,16 +100,19 @@ def _gram_thetas(cfg: RunConfig) -> np.ndarray:
     return sample_theta(cfg.theta_space(), cfg.raw["counts"]["n_theta"], cfg.seed, stream=40)
 
 
+def _gram_header(cfg: RunConfig) -> dict:
+    problem = cfg.problem
+    return assembly.cache_header(cfg.rom_arch, problem.operator, problem.domain, cfg.raw["counts"]["n_x"], cfg.seed,
+                                 cfg.raw["quadrature"])
+
+
 def _read_gram_cache(cfg: RunConfig) -> assembly.GramCache:
     """The first counts.n_theta records of the run's Gram cache, checked as
     sample-gram checks them before it resumes."""
     path = cfg.path("gram_cache")
     if not os.path.exists(path):
         raise MissingArtifact(f"gram cache {path} not found; run sample-gram first")
-    problem = cfg.problem
-    header = assembly.cache_header(cfg.rom_arch, problem.operator, problem.domain, cfg.raw["counts"]["n_x"], cfg.seed,
-                                   cfg.raw["quadrature"])
-    return assembly.read_cache(path, header, _gram_thetas(cfg))
+    return assembly.read_cache(path, _gram_header(cfg), _gram_thetas(cfg))
 
 
 def cmd_sample_gram(cfg: RunConfig) -> dict:
@@ -122,7 +132,6 @@ def cmd_sample_gram(cfg: RunConfig) -> dict:
 
 def _traj_plan(cfg: RunConfig) -> tuple[dict, np.ndarray]:
     """The trajectory cache header and the start thetas the config implies."""
-    problem = cfg.problem
     counts = cfg.raw["counts"]
     n_traj = counts["n_traj"]
     starts = np.zeros((0, rom.param_count(cfg.rom_arch)))
@@ -132,8 +141,7 @@ def _traj_plan(cfg: RunConfig) -> tuple[dict, np.ndarray]:
             starts = space.anchors[np.arange(n_traj) % len(space.anchors)]
         else:
             starts = sample_theta(space, n_traj, cfg.seed, stream=41)
-    header = evolve.traj_cache_header(cfg.rom_arch, problem.operator, problem.domain, problem.horizon / counts["n_t"],
-                                      counts["n_t"], counts["n_x"], cfg.seed, cfg.raw["quadrature"], starts)
+    header = evolve.traj_cache_header(_gram_header(cfg), cfg.problem.horizon / counts["n_t"], counts["n_t"], starts)
     return header, starts
 
 
@@ -169,11 +177,9 @@ def control_checkpoint_path(cfg: RunConfig) -> str:
 
 
 def _load_control(cfg: RunConfig) -> cn.ControlNet:
-    """The trained control net, checked against the config's ROM dimension."""
-    net = cn.load_control_checkpoint(control_checkpoint_path(cfg))
-    if net.arch.input_dim != cfg.control_arch.input_dim:
-        raise CacheMismatch("control net dimension does not match the model architecture")
-    return net
+    """The trained control net, checked against the config's control_arch
+    (the ROM's parameter count, width and depth)."""
+    return cn.load_control_checkpoint(control_checkpoint_path(cfg), cfg.control_arch)
 
 
 def _digest(array: np.ndarray) -> str:
@@ -189,41 +195,35 @@ def cmd_train_control(
     pairs_only: bool = False,
 ) -> dict:
     """Train the control field. pairs_only skips the projection loss and fits
-    the trajectory pairs alone (curriculum warmup for stiff selections)."""
+    the trajectory pairs alone (curriculum warmup for stiff selections). The
+    trajectory cache is read when the config asks for trajectories
+    (counts.n_traj > 0)."""
+    train = cfg.train_config(**(train_overrides or {}))
+    if pairs_only and train["zeta"] == 0:
+        train["zeta"] = 1.0
     cfg.ensure_layout()
-    cache = None if pairs_only else _read_gram_cache(cfg)
-    pairs = None
-    traj_path = cfg.path("traj_cache")
-    if os.path.exists(traj_path):
-        _, th2, v2 = evolve.read_traj_cache(traj_path, header=_traj_plan(cfg)[0])
-        if th2.shape[0]:
-            pairs = (th2, v2)
-    if pairs_only and pairs is None:
+    gram = rows = pairs = None
+    if not pairs_only:
+        cache = _read_gram_cache(cfg)
+        gram, rows = (cache.theta, cache.gram, cache.rhs), cache.rows
+    if cfg.raw["counts"]["n_traj"]:
+        pairs = evolve.read_traj_cache(cfg.path("traj_cache"), header=_traj_plan(cfg)[0])[1:]
+    n_pairs = 0 if pairs is None else int(pairs[0].shape[0])
+    if pairs_only and not n_pairs:
         raise MissingArtifact("pairs-only training needs a nonempty trajectory cache")
-    carch = cfg.control_arch
-    ckpt = control_checkpoint_path(cfg)
     if resume:
-        net = cn.load_control_checkpoint(ckpt)
-        if net.arch != carch:
-            raise CacheMismatch("checkpoint control architecture differs from config")
+        net = _load_control(cfg)
     else:
-        net = cn.ControlNet(carch, cn.init_control_params(carch, cfg.seed))
-    tcfg = cfg.train_config(**(train_overrides or {}))
-    if pairs_only and tcfg.zeta == 0:
-        tcfg.zeta = 1.0
+        net = cn.ControlNet(cfg.control_arch, cn.init_control_params(cfg.control_arch, cfg.seed))
     # a resumed stage checks the rows it continues before it trains
     history_path = os.path.join(cfg.out_dir, "curves", "loss_history.bin")
     kept = cn.read_loss_history(history_path) if resume and os.path.exists(history_path) else None
-    if cache is None:
-        net, history = cn.train(net, None, pairs, tcfg)
-    else:
-        net, history = cn.train(net, (cache.theta, cache.gram, cache.rhs), pairs, tcfg, rows=cache.rows)
-    cn.save_control_checkpoint(net, ckpt)
+    net, history = cn.train(net, gram, pairs, seed=cfg.seed, rows=rows, **train)
+    cn.save_control_checkpoint(net, control_checkpoint_path(cfg))
     cn.save_loss_history(history, history_path, kept)
     final = history[-1][3] if history else float("nan")
-    records = 0 if cache is None else int(cache.rows.shape[0])
-    return {"steps": len(history), "final_loss": final, "records": records,
-            "pairs": 0 if pairs is None else int(pairs[0].shape[0])}
+    records = 0 if rows is None else int(rows.shape[0])
+    return {"steps": len(history), "final_loss": final, "records": records, "pairs": n_pairs}
 
 
 def solution_path(cfg: RunConfig, index: int) -> str:
@@ -302,7 +302,7 @@ def _reference_header(cfg: RunConfig, initial: dict) -> dict:
     return {"initial": initial, "epsilon": p["epsilon"], "horizon": p["horizon"], "domain": p["domain"]}
 
 
-def cmd_reference(cfg: RunConfig, anchor_index: int = 0, nx: int = 100, nt: int = 2000) -> dict:
+def cmd_reference(cfg: RunConfig, anchor_index: int = 0, nx: int = REFERENCE_NX, nt: int = REFERENCE_NT) -> dict:
     """Materialize the reference solution where one must be computed
     (Allen-Cahn IMEX); closed-form references need no artifact."""
     cfg.ensure_layout()
@@ -353,7 +353,7 @@ def _curve_path(cfg: RunConfig, index: int) -> str:
     return os.path.join(cfg.out_dir, "curves", f"errors_{index:03d}.bin")
 
 
-def cmd_eval(cfg: RunConfig, anchor_index: int = 0, n_x: int = 4096, max_times: int = 64) -> dict:
+def cmd_eval(cfg: RunConfig, anchor_index: int = 0, n_x: int = EVAL_N_X, max_times: int = 64) -> dict:
     cfg.ensure_layout()
     _load_anchors(cfg, anchor_index)
     header, traj = load_solution(cfg, anchor_index)

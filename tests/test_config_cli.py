@@ -251,7 +251,7 @@ def test_overrides_do_not_leak_across_loads(heat_config, tmp_path):
     second = config.load_config(heat_config, out_dir=str(tmp_path))
     assert second.raw["paths"] == {}
     assert second.raw["initials"]["fit"] == HEAT_CFG["initials"]["fit"]
-    assert config._DEFAULTS["paths"] == {} and config._DEFAULTS["initials"]["fit"] == {}
+    assert config._DEFAULTS["paths"] == {} and config._DEFAULTS["initials"]["fit"] == {"lr": 1e-3, "max_steps": 5000}
 
 
 def test_sample_gram_rejects_changed_theta_space(heat_config, tmp_path, capsys):
@@ -269,6 +269,7 @@ def test_train_control_uses_exactly_n_theta_records(heat_config, tmp_path):
     out = str(tmp_path / "out")
     cfg = config.load_config(heat_config, out_dir=out)
     pipeline.cmd_sample_gram(cfg)
+    pipeline.cmd_gen_trajectories(cfg)
     fewer = config.load_config(heat_config, out_dir=out, overrides=["counts.n_theta=4"])
     assert pipeline.cmd_train_control(fewer)["records"] == 4
     more = config.load_config(heat_config, out_dir=out, overrides=["counts.n_theta=8"])
@@ -350,6 +351,7 @@ def test_train_control_rejects_stale_gram_cache(heat_config, tmp_path, capsys, o
     # the readers used to check only arch_hash and trained on the old records
     base = ["--config", str(heat_config), "--out", str(tmp_path / "out")]
     assert cli.main(["sample-gram", *base]) == 0
+    assert cli.main(["gen-trajectories", *base]) == 0
     assert cli.main(["train-control", *base, "--set", override]) == cli.EXIT_NUMERIC
     assert "rerun sample-gram" in capsys.readouterr().err
     assert cli.main(["train-control", *base]) == 0
@@ -394,11 +396,38 @@ def test_control_dimension_mismatch_exit(heat_config, tmp_path, capsys):
     base = ["--config", str(heat_config), "--out", str(tmp_path / "out")]
     four = 'rom_arch.basis_spec=[["fourier_sine",1],["fourier_sine",2],["fourier_sine",3],["fourier_sine",4]]'
     three = 'rom_arch.basis_spec=[["fourier_sine",1],["fourier_sine",2],["fourier_sine",3]]'
-    for command in ("fit-initial", "sample-gram", "train-control"):
+    for command in ("fit-initial", "sample-gram", "gen-trajectories", "train-control"):
         assert cli.main([command, *base, "--set", four]) == 0
     for command in ("solve", "verify"):
         assert cli.main([command, *base, "--set", three]) == cli.EXIT_NUMERIC
-        assert "control net dimension does not match" in capsys.readouterr().err
+        assert "mismatch on 'arch'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", ["control_arch.width=4", "control_arch.depth=3"])
+def test_control_architecture_mismatch_exit(heat_config, tmp_path, capsys, override):
+    # solve and verify used to check only input_dim and ran the width-8 field under width 4
+    base = ["--config", str(heat_config), "--out", str(tmp_path / "out")]
+    for command in ("fit-initial", "sample-gram", "gen-trajectories", "train-control", "solve"):
+        assert cli.main([command, *base]) == 0
+    for command in ("solve", "verify", "train-control --resume"):
+        assert cli.main([*command.split(), *base, "--set", override]) == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "mismatch on 'arch'" in err and "rerun train-control" in err
+    assert cli.main(["verify", *base]) == 0
+
+
+def test_train_control_needs_the_trajectory_cache_it_declares(heat_config, tmp_path, capsys):
+    # a missing cache used to be skipped: "+0 pairs" and a field trained on l1 alone
+    base = ["--config", str(heat_config), "--out", str(tmp_path / "out")]
+    for command in ("fit-initial", "sample-gram"):
+        assert cli.main([command, *base]) == 0
+    assert cli.main(["train-control", *base]) == cli.EXIT_MISSING
+    err = capsys.readouterr().err
+    assert "traj.bin not found" in err and "rerun gen-trajectories" in err
+    assert not (tmp_path / "out" / "checkpoints" / "control.bin").exists()
+    assert cli.main(["gen-trajectories", *base]) == 0
+    assert cli.main(["train-control", *base]) == 0
+    assert "(+10 pairs)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -448,6 +477,8 @@ _UNREAD_KEYS = [(f"initials.fit.{key}", 1) for key in ("zeta", "batch_size", "st
 _UNREAD_KEYS += [(f"{section}.{key}", 0.5) for section in ("train", "initials.fit")
                  for key in ("beta1", "beta2", "adam_eps")]
 _UNREAD_KEYS += [("train.plateau_window", 100)]
+# the Chebyshev family's constants, at their values
+_UNREAD_KEYS += [("initials.degree_max", 3), ("initials.max_terms", 6), ("initials.amplitude", 0.9)]
 
 
 @pytest.mark.parametrize("key, value", [pytest.param(k, v, id=k.removeprefix("initials.fit.")) for k, v in _UNREAD_KEYS])
@@ -476,6 +507,33 @@ def test_benchmark_workload_configs_load(tmp_path):
         assert cfg.control_arch.input_dim == rom.param_count(cfg.rom_arch)
         cfg.train_config()
         inspect.signature(fit.fit_initial).bind_partial(**cfg.raw["initials"]["fit"])
+
+
+@pytest.mark.parametrize("override", [{"batch_size": -5}, {"max_steps": 0}, {"stop_loss": "x"}],
+                         ids=["batch_size", "max_steps", "stop_loss"])
+def test_script_train_overrides_are_config_errors(heat_config, tmp_path, override):
+    # a script's overrides used to skip the schema: a negative batch "diverged at step 1",
+    # zero steps wrote a checkpoint with loss NaN, and a string stop_loss was a TypeError
+    cfg = config.load_config(heat_config, out_dir=str(tmp_path / "out"))
+    pipeline.cmd_sample_gram(cfg)
+    pipeline.cmd_gen_trajectories(cfg)
+    with pytest.raises(ConfigError, match="schema violation"):
+        pipeline.cmd_train_control(cfg, train_overrides=override)
+    assert not os.path.exists(pipeline.control_checkpoint_path(cfg))
+
+
+def test_spelled_out_fit_default_reuses_the_anchor_store(tmp_path, capsys):
+    # the store records the effective initials block, so spelling out a default changes nothing
+    doc = json.loads(json.dumps(HEAT_CFG))
+    del doc["initials"]["fit"]["lr"]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    base = ["--config", str(path), "--out", str(tmp_path / "out")]
+    for command in ("fit-initial", "sample-gram", "gen-trajectories", "train-control"):
+        assert cli.main([command, *base]) == 0
+    assert cli.main(["solve", *base, "--set", "initials.fit.lr=0.001"]) == 0
+    assert cli.main(["solve", *base, "--set", "initials.fit.lr=0.002"]) == cli.EXIT_NUMERIC
+    assert "rerun fit-initial" in capsys.readouterr().err
 
 
 def test_anchor_index_must_be_in_store(heat_config, tmp_path):
@@ -583,7 +641,7 @@ def test_solve_rejects_anchor_store_from_other_fit_inputs(heat_config, tmp_path,
     # anchors of a 3-mode ROM reached the 2-mode control net: a ValueError traceback
     base = ["--config", str(heat_config), "--out", str(tmp_path / "out")]
     assert cli.main(["fit-initial", *base, "--set", override]) == 0
-    for command in ("sample-gram", "train-control"):
+    for command in ("sample-gram", "gen-trajectories", "train-control"):
         assert cli.main([command, *base]) == 0
     for command in ("solve", "eval"):
         assert cli.main([command, *base]) == cli.EXIT_NUMERIC
@@ -607,7 +665,7 @@ def test_eval_rejects_stale_imex_reference(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "mismatch on 'epsilon'" in err and "rerun reference" in err
     # new anchors, solved afresh: the reference still holds the old initial
-    new = [*base, "--set", "initials.amplitude=0.5"]
+    new = [*base, "--set", "seed=1"]
     for command in ("fit-initial", "solve"):
         assert cli.main([command, *new]) == 0
     assert cli.main(["eval", *new, "--n-x", "64"]) == cli.EXIT_NUMERIC

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from pdecontrol import assembly, binfile, control_net as cn, pde_ops, rom
+from pdecontrol import assembly, binfile, config, control_net as cn, pde_ops, rom
 from pdecontrol.errors import CacheMismatch, NonFiniteError
 from pdecontrol.optim import Adam, plateau_triggered
 from pdecontrol.sampling import Box, sample_theta
@@ -210,10 +210,8 @@ def test_train_toy_linear_field_reaches_tolerance(rng):
     recs = _toy_records(rng, 256)
     arch = cn.ControlArch(input_dim=4, width=48, depth=2)
     net = cn.ControlNet(arch, cn.init_control_params(arch, 1))
-    cfg = cn.TrainConfig(
-        lr=1e-2, zeta=0.0, batch_size=0, stop_loss=1e-3, stop_plateau_pct=None, max_steps=5000, seed=3
-    )
-    net, history = cn.train(net, recs, None, cfg)
+    cfg = dict(lr=1e-2, zeta=0.0, batch_size=0, stop_loss=1e-3, stop_plateau_pct=None, max_steps=5000, seed=3)
+    net, history = cn.train(net, recs, None, **cfg)
     assert history[-1][3] < 1e-3
     assert len(history) <= 5000
 
@@ -221,9 +219,9 @@ def test_train_toy_linear_field_reaches_tolerance(rng):
 def test_train_determinism(rng):
     recs = _toy_records(rng, 64)
     arch = cn.ControlArch(input_dim=4, width=16, depth=2)
-    cfg = cn.TrainConfig(lr=1e-3, zeta=0.0, batch_size=16, stop_loss=0.0, stop_plateau_pct=None, max_steps=60, seed=9)
-    net1, h1 = cn.train(cn.ControlNet(arch, cn.init_control_params(arch, 2)), recs, None, cfg)
-    net2, h2 = cn.train(cn.ControlNet(arch, cn.init_control_params(arch, 2)), recs, None, cfg)
+    cfg = dict(lr=1e-3, zeta=0.0, batch_size=16, stop_loss=0.0, stop_plateau_pct=None, max_steps=60, seed=9)
+    net1, h1 = cn.train(cn.ControlNet(arch, cn.init_control_params(arch, 2)), recs, None, **cfg)
+    net2, h2 = cn.train(cn.ControlNet(arch, cn.init_control_params(arch, 2)), recs, None, **cfg)
     assert net1.xi.tobytes() == net2.xi.tobytes()
     assert h1 == h2
 
@@ -231,20 +229,25 @@ def test_train_determinism(rng):
 def test_zeta_zero_matches_pure_l1(rng):
     recs = _toy_records(rng, 64)
     arch = cn.ControlArch(input_dim=4, width=16, depth=2)
-    cfg0 = cn.TrainConfig(lr=1e-3, zeta=0.0, batch_size=0, stop_loss=0.0, stop_plateau_pct=None, max_steps=40, seed=5)
+    cfg0 = dict(lr=1e-3, zeta=0.0, batch_size=0, stop_loss=0.0, stop_plateau_pct=None, max_steps=40, seed=5)
     pairs = (np.zeros((0, 4)), np.zeros((0, 4)))
-    net_a, _ = cn.train(cn.ControlNet(arch, cn.init_control_params(arch, 7)), recs, None, cfg0)
-    net_b, _ = cn.train(cn.ControlNet(arch, cn.init_control_params(arch, 7)), recs, pairs, cfg0)
-    cfg_z = cn.TrainConfig(lr=1e-3, zeta=0.1, batch_size=0, stop_loss=0.0, stop_plateau_pct=None, max_steps=40, seed=5)
-    net_c, _ = cn.train(cn.ControlNet(arch, cn.init_control_params(arch, 7)), recs, pairs, cfg_z)
+    net_a, _ = cn.train(cn.ControlNet(arch, cn.init_control_params(arch, 7)), recs, None, **cfg0)
+    net_b, _ = cn.train(cn.ControlNet(arch, cn.init_control_params(arch, 7)), recs, pairs, **cfg0)
+    cfg_z = dict(cfg0, zeta=0.1)
+    net_c, _ = cn.train(cn.ControlNet(arch, cn.init_control_params(arch, 7)), recs, pairs, **cfg_z)
     assert net_a.xi.tobytes() == net_b.xi.tobytes() == net_c.xi.tobytes()
+
+
+def _train_defaults(**settings) -> dict:
+    """The config's default train block and seed 0, with settings replaced."""
+    return dict(config._DEFAULTS["train"], seed=0, **settings)
 
 
 def test_train_rejects_mismatched_cache(rng):
     recs = _toy_records(rng, 8, m=4)
     arch = cn.ControlArch(input_dim=5, width=8, depth=2)
     with pytest.raises(CacheMismatch):
-        cn.train(cn.ControlNet(arch, cn.init_control_params(arch, 0)), recs, None, cn.TrainConfig(max_steps=5))
+        cn.train(cn.ControlNet(arch, cn.init_control_params(arch, 0)), recs, None, **_train_defaults(max_steps=5))
 
 
 def test_train_nonfinite_divergence(rng):
@@ -253,7 +256,8 @@ def test_train_nonfinite_divergence(rng):
     xi = cn.init_control_params(arch, 0)
     xi[-2:] = 1e160  # output bias enormous
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
-        cn.train(cn.ControlNet(arch, xi), recs, None, cn.TrainConfig(max_steps=5, stop_loss=0.0, stop_plateau_pct=None))
+        cn.train(cn.ControlNet(arch, xi), recs, None,
+                 **_train_defaults(max_steps=5, stop_loss=0.0, stop_plateau_pct=None))
 
 
 def test_residual_scan_zero_when_exact(rng):
@@ -318,11 +322,11 @@ def test_forward_and_train_bit_identical(tmp_path, small_arch, rng):
     cache = assembly.read_cache(path)
     rows = np.array([0, 2, 3, 5, 7, 8, 9, 11])
     carch = cn.ControlArch(input_dim=m, width=8, depth=3)
-    cfg = cn.TrainConfig(lr=1e-2, zeta=0.0, batch_size=3, stop_loss=0.0, stop_plateau_pct=None, max_steps=25, seed=4)
+    cfg = dict(lr=1e-2, zeta=0.0, batch_size=3, stop_loss=0.0, stop_plateau_pct=None, max_steps=25, seed=4)
     start = cn.ControlNet(carch, cn.init_control_params(carch, 1))
-    mapped, h1 = cn.train(start, (cache.theta, cache.gram, cache.rhs), None, cfg, rows=rows)
+    mapped, h1 = cn.train(start, (cache.theta, cache.gram, cache.rhs), None, rows=rows, **cfg)
     stacked = tuple(np.array(a[rows]) for a in (cache.theta, cache.gram, cache.rhs))
-    copied, h2 = cn.train(start, stacked, None, cfg)
+    copied, h2 = cn.train(start, stacked, None, **cfg)
     assert h1 == h2
     assert mapped.xi.tobytes() == copied.xi.tobytes()
 

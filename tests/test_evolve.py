@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pdecontrol import evolve, pde_ops
+from pdecontrol import assembly, evolve, pde_ops
 from pdecontrol.errors import CacheMismatch
 from pdecontrol.sampling import Box, sample_theta
 
@@ -122,7 +122,8 @@ def test_traj_cache_roundtrip(tmp_path, unit_interval):
         for i in range(2)
     ]
     path = tmp_path / "traj.bin"
-    header = evolve.traj_cache_header(arch, op, unit_interval, 0.01, 4, 32, 0, "gauss", starts)
+    gram_header = assembly.cache_header(arch, op, unit_interval, 32, 0, "gauss")
+    header = evolve.traj_cache_header(gram_header, 0.01, 4, starts)
     evolve.write_traj_cache(path, header, trajs)
     assert [p.name for p in tmp_path.iterdir()] == ["traj.bin"]
     read, thetas, vels = evolve.read_traj_cache(path, header=header)
@@ -131,11 +132,10 @@ def test_traj_cache_roundtrip(tmp_path, unit_interval):
     assert vels.tobytes() == np.vstack([t.velocities for t in trajs]).tobytes()
     other = fourier_sine_arch(4)
     with pytest.raises(CacheMismatch, match="arch_hash"):
-        evolve.read_traj_cache(path, header=evolve.traj_cache_header(other, op, unit_interval, 0.01, 4, 32, 0,
-                                                                     "gauss", np.zeros((2, 4))))
+        evolve.read_traj_cache(path, header=evolve.traj_cache_header(
+            assembly.cache_header(other, op, unit_interval, 32, 0, "gauss"), 0.01, 4, np.zeros((2, 4))))
     with pytest.raises(CacheMismatch, match="starts_sha256"):
-        evolve.read_traj_cache(path, header=evolve.traj_cache_header(arch, op, unit_interval, 0.01, 4, 32, 0,
-                                                                     "gauss", starts + 1.0))
+        evolve.read_traj_cache(path, header=evolve.traj_cache_header(gram_header, 0.01, 4, starts + 1.0))
 
 
 def test_traj_cache_torn_line_names_the_remedy(tmp_path, unit_interval):
@@ -144,7 +144,8 @@ def test_traj_cache_torn_line_names_the_remedy(tmp_path, unit_interval):
     traj = evolve.gen_trajectory(arch, starts[0], pde_ops.Heat(), unit_interval, 3, 0.01, 16, 0,
                                  lambda_reg=0.0, quadrature="gauss")
     path = tmp_path / "traj.bin"
-    header = evolve.traj_cache_header(arch, pde_ops.Heat(), unit_interval, 0.01, 3, 16, 0, "gauss", starts)
+    header = evolve.traj_cache_header(assembly.cache_header(arch, pde_ops.Heat(), unit_interval, 16, 0, "gauss"),
+                                      0.01, 3, starts)
     evolve.write_traj_cache(path, header, [traj])
     path.write_bytes(path.read_bytes()[:-10])
     with pytest.raises(CacheMismatch, match="holds .* rerun gen-trajectories"):
