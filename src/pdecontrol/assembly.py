@@ -90,18 +90,18 @@ def assemble_at(
     arch: rom.RomArch,
     theta: np.ndarray,
     op: pde_ops.PdeOperator,
-    domain,
     n_x: int,
     seed: int,
     stream: int,
     quadrature: str = "mc",
 ) -> GramRecord:
-    """Assemble at one parameter point with a stream-split x-sample."""
+    """Assemble at one parameter point with a stream-split x-sample of the
+    arch's box."""
     model = rom.RomModel(arch, theta)
     if quadrature == "gauss":
-        X, w = gauss_legendre_batch(domain, n_x)
+        X, w = gauss_legendre_batch(arch.domain, n_x)
         return assemble(model, op, X, weights=w)
-    return assemble(model, op, sample_omega(domain, n_x, seed, stream=stream))
+    return assemble(model, op, sample_omega(arch.domain, n_x, seed, stream=stream))
 
 
 # ---------------------------------------------------------------------------
@@ -130,16 +130,18 @@ class GramCache:
     rows: np.ndarray  # indices of the STATUS_OK records
 
 
-def cache_header(arch: rom.RomArch, op: pde_ops.PdeOperator, domain, n_x: int, seed: int, quadrature: str) -> dict:
-    """Every input that shapes a record; theta itself is checked per record."""
+def cache_header(arch: rom.RomArch, op: pde_ops.PdeOperator, n_x: int, seed: int, quadrature: str) -> dict:
+    """Every input that shapes a record; theta itself is checked per record.
+    The arch's box comes before arch_hash, which also covers it, so a changed
+    domain is reported as such."""
     return {
         "format_version": CACHE_FORMAT_VERSION,
         "kind": "gram_cache",
+        "lo": list(arch.lo),
+        "hi": list(arch.hi),
         "arch_hash": rom.arch_hash(arch),
         "op_tag": op.tag,
         "m": rom.param_count(arch),
-        "lo": np.asarray(domain[0], dtype=np.float64).tolist(),
-        "hi": np.asarray(domain[1], dtype=np.float64).tolist(),
         "n_x": n_x,
         "seed": seed,
         "quadrature": quadrature,
@@ -206,7 +208,6 @@ def assemble_batch(
     n_x: int,
     seed: int,
     cache_path,
-    domain,
     quadrature: str = "mc",
 ) -> dict:
     """Assemble records for every row of thetas in order, appending to cache_path.
@@ -217,7 +218,7 @@ def assemble_batch(
     reruns and resumed runs produce byte-identical files.
     Non-finite records are stored as skipped; returns summary stats.
     """
-    header = cache_header(arch, op, domain, n_x, seed, quadrature)
+    header = cache_header(arch, op, n_x, seed, quadrature)
     done, mode = 0, "wb"
     if os.path.exists(cache_path) and os.path.getsize(cache_path) > 0:
         _, offset, records, _, done = _check_cache(cache_path, header, thetas)
@@ -234,7 +235,7 @@ def assemble_batch(
             fh.write(binfile.encode_header(header))
         for index in todo:
             try:
-                rec = assemble_at(arch, thetas[index], op, domain, n_x, seed, stream=index + 1, quadrature=quadrature)
+                rec = assemble_at(arch, thetas[index], op, n_x, seed, stream=index + 1, quadrature=quadrature)
             except NonFiniteError:
                 rec = None
                 skipped += 1

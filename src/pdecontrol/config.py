@@ -1,10 +1,12 @@
 """Run configuration: JSON schema, loading, dotted-path overrides. load_config
 builds the run objects the commands share (problem, ROM and control-net
 architectures) once and checks them against each other; an invalid or
-mismatched setting is a ConfigError (exit 2). The settings' defaults are in
-_DEFAULTS and their checks in SCHEMA, so RunConfig.raw is the effective
-config; only rom_arch's optional fields (rom.RomArch), the transport velocity
-(1 per dimension) and the paths (the layout below) default elsewhere. ADAM's
+mismatched setting is a ConfigError (exit 2), as is a problem no reference
+serves with its initial family. The ROM architecture takes its dimension
+and its box from problem.domain. The settings' defaults are in _DEFAULTS and
+their checks in SCHEMA, so RunConfig.raw is the effective config; only
+rom_arch's optional fields (rom.RomArch), the transport velocity (1 per
+dimension) and the paths (the layout below) default elsewhere. ADAM's
 moments and the plateau window are constants of optim, not settings.
 
 Artifacts live under a fixed out_dir layout:
@@ -63,16 +65,14 @@ SCHEMA = {
         },
         "rom_arch": {
             "type": "object",
-            "required": ["kind", "input_dim"],
+            "required": ["kind"],
             "properties": {
                 "kind": {
                     "enum": ["resnet_zero_boundary", "resnet_periodic", "linear_basis"]
                 },
-                "input_dim": {"type": "integer", "minimum": 1},
                 "width": {"type": "integer", "minimum": 0},
                 "depth": {"type": "integer", "minimum": 0},
                 "activation": {"enum": ["tanh", "relu"]},
-                "wrapper_spec": {"type": "object"},
                 "basis_spec": {"type": "array"},
             },
             "additionalProperties": False,
@@ -214,8 +214,10 @@ def apply_override(doc: dict, key: str, value) -> None:
 
 
 def _build(doc: dict) -> tuple[pde_ops.Problem, rom.RomArch, ControlArch]:
-    """The problem, the ROM architecture and the control-net architecture the
-    validated doc describes; ValueError if one is invalid or they disagree."""
+    """The problem, the ROM architecture on the problem's box and the
+    control-net architecture the validated doc describes; ValueError if one
+    is invalid, if settings disagree, or if no reference serves the problem
+    with its initial family."""
     p = doc["problem"]
     lo = np.array(p["domain"]["lo"], dtype=np.float64)
     hi = np.array(p["domain"]["hi"], dtype=np.float64)
@@ -230,13 +232,27 @@ def _build(doc: dict) -> tuple[pde_ops.Problem, rom.RomArch, ControlArch]:
     else:
         op = pde_ops.AllenCahn(epsilon=p["epsilon"])
     problem = pde_ops.Problem(operator=op, lo=lo, hi=hi, horizon=p["horizon"])
-    arch = rom.RomArch(**doc["rom_arch"])
-    if arch.input_dim != problem.dim:
-        raise ValueError(f"rom_arch.input_dim is {arch.input_dim} for a {problem.dim}-D domain")
+    arch = rom.RomArch(**doc["rom_arch"], input_dim=problem.dim, lo=problem.lo, hi=problem.hi)
+    box = f"the domain is {lo.tolist()} to {hi.tolist()}"
+    family = doc["initials"]["family"]
     if doc["quadrature"] == "gauss" and problem.dim != 1:
         raise ValueError(f"quadrature 'gauss' has 1-D nodes; the domain is {problem.dim}-D")
     if doc["theta_space"]["kind"] == "anchor_balls" and doc["initials"]["count"] == 0:
         raise ValueError("theta_space.kind 'anchor_balls' samples around the anchors; initials.count is 0")
+    # which reference serves which problem: the heat series sums 1-D heat_combo
+    # modes, the IMEX grid uses one set of nodes for both axes, and the
+    # transport shift evaluates any initial
+    if kind == "heat" and (family != "heat_combo" or problem.dim != 1):
+        raise ValueError(f"the closed-form heat reference needs heat_combo initials on a 1-D domain; "
+                         f"initials.family is {family!r} and {box}")
+    if kind == "allen_cahn" and not (problem.dim == 2 and lo[0] == lo[1] and hi[0] == hi[1]):
+        raise ValueError(f"the Allen-Cahn IMEX grid needs a 2-D domain with the same interval on both axes; {box}")
+    if family == "random_theta" and (kind != "transport" or doc["theta_space"]["kind"] != "box"):
+        raise ValueError("initials.family 'random_theta' draws its anchors from a box theta_space for a "
+                         f"transport reference; the problem is {kind} and theta_space.kind is "
+                         f"{doc['theta_space']['kind']!r}")
+    if family == "cheb_combo" and not (np.array_equal(lo, [-1.0, -1.0]) and np.array_equal(hi, [1.0, 1.0])):
+        raise ValueError(f"initials.family 'cheb_combo' vanishes on the boundary of (-1,1)^2; {box}")
     return problem, arch, ControlArch(input_dim=rom.param_count(arch), **doc["control_arch"])
 
 
@@ -260,12 +276,12 @@ class RunConfig:
         return AnchorBalls(anchors=anchors, radius=ts["radius"])
 
     def anchor_header(self) -> dict:
-        """Every input of fit-initial, as the anchor store header records it."""
+        """Every input of fit-initial, as the anchor store header records it
+        (arch_hash covers the box)."""
         ini = self.raw["initials"]
         return {
             "arch_hash": rom.arch_hash(self.rom_arch),
             "m": rom.param_count(self.rom_arch),
-            "domain": self.raw["problem"]["domain"],
             "seed": self.seed,
             "initials": ini,
             "theta_space": self.raw["theta_space"] if ini["family"] == "random_theta" else None,

@@ -45,7 +45,6 @@ def gen_trajectory(
     arch: rom.RomArch,
     theta0: np.ndarray,
     op: pde_ops.PdeOperator,
-    domain,
     n_t: int,
     h: float,
     n_x: int,
@@ -55,7 +54,7 @@ def gen_trajectory(
     stream_base: int = 0,
 ) -> ParamTrajectory:
     """Euler march theta_{j+1} = theta_j + h v_j with v_j solved from the
-    Monte-Carlo projection system at theta_j.
+    Monte-Carlo projection system at theta_j over the arch's box.
 
     Velocities are stored at every grid point (the final state included) so
     the pairs feed the trajectory loss directly. lambda_reg=None uses the
@@ -73,9 +72,7 @@ def gen_trajectory(
     count = 0
     for j in range(n_t + 1):
         try:
-            rec = assembly.assemble_at(
-                arch, theta, op, domain, n_x, seed, stream=stream_base + j, quadrature=quadrature
-            )
+            rec = assembly.assemble_at(arch, theta, op, n_x, seed, stream=stream_base + j, quadrature=quadrature)
             lam = linalg.default_ridge_lambda(rec.gram) if lambda_reg is None else lambda_reg
             v = linalg.ridge_solve(rec.gram, rec.rhs, lam)
         except NonFiniteError:

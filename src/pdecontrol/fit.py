@@ -137,7 +137,6 @@ class FitResult:
 def fit_initial(
     arch: rom.RomArch,
     spec: InitialSpec,
-    domain,
     n_x: int,
     eps0_target: float,
     seed: int,
@@ -146,15 +145,16 @@ def fit_initial(
     max_steps: int,
     theta_init: np.ndarray | None = None,
 ) -> FitResult:
-    """ADAM on the empirical squared error (1/N) sum (u_theta(x_n) - g(x_n))^2;
-    lr and max_steps are the config's initials.fit block.
+    """ADAM on the empirical squared error (1/N) sum (u_theta(x_n) - g(x_n))^2
+    over points x_n of the arch's box; lr and max_steps are the config's
+    initials.fit block.
 
     Stops when the training-sample RMSE reaches eps0_target or at
     max_steps; returns the best parameters seen with a held-out RMSE
     computed on a disjoint sample (stream-split from the same seed).
     theta_init warm-starts the fit (used when building anchor sets).
     """
-    X = sample_omega(domain, n_x, seed, stream=TRAIN_STREAM)
+    X = sample_omega(arch.domain, n_x, seed, stream=TRAIN_STREAM)
     g_train = eval_initial(spec, X)
 
     theta = rom.init_params(arch, seed) if theta_init is None else np.array(theta_init, dtype=np.float64)
@@ -178,7 +178,7 @@ def fit_initial(
         grad = 2.0 * (ev.grad_theta.T @ res) / n
         theta = adam.step(theta, grad)
 
-    holdout = sample_omega(domain, n_x, seed, stream=HOLDOUT_STREAM)
+    holdout = sample_omega(arch.domain, n_x, seed, stream=HOLDOUT_STREAM)
     model = rom.RomModel(arch, best_theta)
     res_h = rom.eval_batch(model, holdout, rom.EvalFlags(value=True)).value - eval_initial(spec, holdout)
     rmse_h = float(np.sqrt(np.mean(res_h * res_h)))

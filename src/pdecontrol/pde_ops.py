@@ -124,10 +124,6 @@ class Problem:
         return self.lo.shape[0]
 
     @property
-    def domain(self):
-        return (self.lo, self.hi)
-
-    @property
     def volume(self) -> float:
         return float(np.prod(self.hi - self.lo))
 

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import assembly, binfile, control_net as cn, evolve, fit, pde_ops, reference, rom
 from .config import RunConfig
-from .errors import ConfigError, MissingArtifact
-from .sampling import AnchorBalls, Box, rng_for, sample_theta
+from .errors import ConfigError, MissingArtifact, NonFiniteError
+from .sampling import AnchorBalls, rng_for, sample_theta
 
 SOLUTION_FORMAT_VERSION = 3
 CURVE_FORMAT_VERSION = 1
@@ -49,8 +49,8 @@ def sample_initial_specs(cfg: RunConfig):
         for _ in range(n):
             specs.append(fit.HeatCombo(coeffs=rng.uniform(-1.0, 1.0, 4)))
     else:
-        problem = cfg.problem
-        grid = np.linspace(problem.lo[0] + 1e-3, problem.hi[0] - 1e-3, 41)
+        # the amplitude probe covers (-1,1)^2, the only box config lets cheb_combo take
+        grid = np.linspace(-1.0 + 1e-3, 1.0 - 1e-3, 41)
         G1, G2 = np.meshgrid(grid, grid, indexing="ij")
         probe = np.stack([G1.ravel(), G2.ravel()], axis=1)
         for _ in range(n):
@@ -80,14 +80,12 @@ def cmd_fit_initial(cfg: RunConfig) -> list[dict]:
     entries = []
     for k, spec in enumerate(sample_initial_specs(cfg)):
         if isinstance(spec, fit.RandomTheta):
-            space = cfg.theta_space()
-            if not isinstance(space, Box):
-                raise ConfigError("random_theta initials require a box parameter space")
-            model = fit.resolve_random_theta(spec, cfg.rom_arch, space)
+            # config gives random_theta initials a box theta_space
+            model = fit.resolve_random_theta(spec, cfg.rom_arch, cfg.theta_space())
             entries.append((spec, model.theta, 0.0))
         else:
-            res = fit.fit_initial(cfg.rom_arch, spec, cfg.problem.domain, ini["fit_n_x"], ini["eps0_target"],
-                                  seed=cfg.seed + 1000 + k, **ini["fit"])
+            res = fit.fit_initial(cfg.rom_arch, spec, ini["fit_n_x"], ini["eps0_target"], seed=cfg.seed + 1000 + k,
+                                  **ini["fit"])
             entries.append((spec, res.theta, res.rmse))
     fit.save_anchors(cfg.path("anchors"), cfg.anchor_header(), entries)
     return [
@@ -101,8 +99,7 @@ def _gram_thetas(cfg: RunConfig) -> np.ndarray:
 
 
 def _gram_header(cfg: RunConfig) -> dict:
-    problem = cfg.problem
-    return assembly.cache_header(cfg.rom_arch, problem.operator, problem.domain, cfg.raw["counts"]["n_x"], cfg.seed,
+    return assembly.cache_header(cfg.rom_arch, cfg.problem.operator, cfg.raw["counts"]["n_x"], cfg.seed,
                                  cfg.raw["quadrature"])
 
 
@@ -117,17 +114,8 @@ def _read_gram_cache(cfg: RunConfig) -> assembly.GramCache:
 
 def cmd_sample_gram(cfg: RunConfig) -> dict:
     cfg.ensure_layout()
-    problem = cfg.problem
-    return assembly.assemble_batch(
-        cfg.rom_arch,
-        _gram_thetas(cfg),
-        problem.operator,
-        cfg.raw["counts"]["n_x"],
-        cfg.seed,
-        cfg.path("gram_cache"),
-        problem.domain,
-        quadrature=cfg.raw["quadrature"],
-    )
+    return assembly.assemble_batch(cfg.rom_arch, _gram_thetas(cfg), cfg.problem.operator, cfg.raw["counts"]["n_x"],
+                                   cfg.seed, cfg.path("gram_cache"), quadrature=cfg.raw["quadrature"])
 
 
 def _traj_plan(cfg: RunConfig) -> tuple[dict, np.ndarray]:
@@ -147,24 +135,14 @@ def _traj_plan(cfg: RunConfig) -> tuple[dict, np.ndarray]:
 
 def cmd_gen_trajectories(cfg: RunConfig) -> dict:
     cfg.ensure_layout()
-    problem = cfg.problem
     counts = cfg.raw["counts"]
     header, starts = _traj_plan(cfg)
     trajs = []
     blowups = 0
     for i in range(starts.shape[0]):
-        traj = evolve.gen_trajectory(
-            cfg.rom_arch,
-            starts[i],
-            problem.operator,
-            problem.domain,
-            counts["n_t"],
-            header["h"],
-            counts["n_x"],
-            cfg.seed,
-            quadrature=cfg.raw["quadrature"],
-            stream_base=100_000 * (i + 1),
-        )
+        traj = evolve.gen_trajectory(cfg.rom_arch, starts[i], cfg.problem.operator, counts["n_t"], header["h"],
+                                     counts["n_x"], cfg.seed, quadrature=cfg.raw["quadrature"],
+                                     stream_base=100_000 * (i + 1))
         blowups += int(traj.blowup_step is not None)
         trajs.append(traj)
     evolve.write_traj_cache(cfg.path("traj_cache"), header, trajs)
@@ -205,6 +183,11 @@ def cmd_train_control(
     gram = rows = pairs = None
     if not pairs_only:
         cache = _read_gram_cache(cfg)
+        if not cache.rows.size:
+            raise NonFiniteError(
+                f"every record of {cfg.path('gram_cache')} was skipped: assembly went non-finite at each theta; "
+                "shrink theta_space and rerun sample-gram"
+            )
         gram, rows = (cache.theta, cache.gram, cache.rhs), cache.rows
     if cfg.raw["counts"]["n_traj"]:
         pairs = evolve.read_traj_cache(cfg.path("traj_cache"), header=_traj_plan(cfg)[0])[1:]
@@ -304,22 +287,16 @@ def _reference_header(cfg: RunConfig, initial: dict) -> dict:
 
 def cmd_reference(cfg: RunConfig, anchor_index: int = 0, nx: int = REFERENCE_NX, nt: int = REFERENCE_NT) -> dict:
     """Materialize the reference solution where one must be computed
-    (Allen-Cahn IMEX); closed-form references need no artifact."""
+    (Allen-Cahn IMEX); closed-form references need no artifact. The anchor
+    index is checked against the store for every problem kind."""
     cfg.ensure_layout()
     problem = cfg.problem
     kind = cfg.raw["problem"]["kind"]
+    initial = _load_anchors(cfg, anchor_index)[0]["specs"][anchor_index]
     if kind != "allen_cahn":
         return {"note": f"{kind} uses a closed-form reference; nothing to compute"}
-    initial = _load_anchors(cfg, anchor_index)[0]["specs"][anchor_index]
-    grid = reference.solve_allen_cahn_imex(
-        fit.spec_from_dict(initial),
-        cfg.raw["problem"]["epsilon"],
-        nx,
-        nt,
-        problem.horizon,
-        lo=problem.lo,
-        hi=problem.hi,
-    )
+    grid = reference.solve_allen_cahn_imex(fit.spec_from_dict(initial), cfg.raw["problem"]["epsilon"], nx, nt,
+                                           problem.horizon, lo=problem.lo, hi=problem.hi)
     path = reference_path(cfg, anchor_index)
     reference.save_grid_solution(grid, path, _reference_header(cfg, initial))
     return {"path": path, "snapshots": len(grid.times)}
@@ -327,7 +304,8 @@ def cmd_reference(cfg: RunConfig, anchor_index: int = 0, nx: int = REFERENCE_NX,
 
 def build_reference(cfg: RunConfig, index: int, initial: dict):
     """Reference solution object for anchor index with the initial spec
-    (a describe() dict) that its solution records."""
+    (a describe() dict) that its solution records; config only builds runs
+    whose problem and initial family one of them serves."""
     problem = cfg.problem
     kind = cfg.raw["problem"]["kind"]
     spec = fit.spec_from_dict(initial)
@@ -336,17 +314,11 @@ def build_reference(cfg: RunConfig, index: int, initial: dict):
         if isinstance(spec, fit.RandomTheta):
             # the anchor theta defines the initial function u_theta0
             model = rom.RomModel(cfg.rom_arch, _load_anchors(cfg, index)[1][index])
-        op = problem.operator
-        return reference.TransportShift(
-            initial=spec, velocity=op.velocity, lo=problem.lo, hi=problem.hi, model=model
-        )
+        return reference.TransportShift(initial=spec, velocity=problem.operator.velocity, lo=problem.lo,
+                                        hi=problem.hi, model=model)
     if kind == "heat":
-        if problem.dim != 1 or not isinstance(spec, fit.HeatCombo):
-            raise ConfigError("closed-form heat references cover 1-D combo initials")
         return reference.HeatSeries(spec.coeffs)
-    if kind == "allen_cahn":
-        return reference.load_grid_solution(reference_path(cfg, index), _reference_header(cfg, initial))
-    raise ConfigError(f"no reference construction for problem kind {kind!r}")
+    return reference.load_grid_solution(reference_path(cfg, index), _reference_header(cfg, initial))
 
 
 def _curve_path(cfg: RunConfig, index: int) -> str:
@@ -358,8 +330,7 @@ def cmd_eval(cfg: RunConfig, anchor_index: int = 0, n_x: int = EVAL_N_X, max_tim
     _load_anchors(cfg, anchor_index)
     header, traj = load_solution(cfg, anchor_index)
     ref = build_reference(cfg, anchor_index, header["initial"])
-    curve = reference.error_curve(cfg.rom_arch, traj, ref, cfg.problem.domain, n_x, seed=cfg.seed + 17,
-                                  max_times=max_times)
+    curve = reference.error_curve(cfg.rom_arch, traj, ref, n_x, seed=cfg.seed + 17, max_times=max_times)
     path = _curve_path(cfg, anchor_index)
     # rows (t, abs_err, rel_err), rel_err NaN where undefined
     binfile.save(path, {"format_version": CURVE_FORMAT_VERSION, "kind": "error_curve",
@@ -384,9 +355,7 @@ def cmd_export_slice(cfg: RunConfig, anchor_index: int, t: float, grid_n: int = 
     ref = build_reference(cfg, anchor_index, header["initial"])
     j = int(np.argmin(np.abs(traj.times - t)))
     path = os.path.join(cfg.out_dir, "slices", f"slice_{anchor_index:03d}_t{traj.times[j]:.4f}.csv")
-    reference.export_slice(
-        cfg.rom_arch, traj.thetas[j], ref, problem.domain, float(traj.times[j]), path, grid_n=grid_n
-    )
+    reference.export_slice(cfg.rom_arch, traj.thetas[j], ref, float(traj.times[j]), path, grid_n=grid_n)
     return {"path": path, "time": float(traj.times[j])}
 
 

@@ -93,16 +93,13 @@ def _eval_grid(ref: GridSolution, X: np.ndarray, t: float) -> np.ndarray:
         raise OutOfDomain(f"t={t} outside stored snapshot range")
     if np.any(X < ref.lo - 1e-12) or np.any(X > ref.hi + 1e-12):
         raise OutOfDomain("point outside the reference grid")
+    # solve_allen_cahn_imex stores t = 0 and t = T with increasing times between
     k = int(np.searchsorted(ref.times, t, side="right")) - 1
-    k = min(max(k, 0), len(ref.times) - 2) if len(ref.times) > 1 else 0
-    if len(ref.times) == 1:
-        frames = [ref.snapshots[0]]
-        weights = [1.0]
-    else:
-        t0, t1 = ref.times[k], ref.times[k + 1]
-        w1 = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-        frames = [ref.snapshots[k], ref.snapshots[k + 1]]
-        weights = [1.0 - w1, w1]
+    k = min(max(k, 0), len(ref.times) - 2)
+    t0, t1 = ref.times[k], ref.times[k + 1]
+    w1 = (t - t0) / (t1 - t0)
+    frames = [ref.snapshots[k], ref.snapshots[k + 1]]
+    weights = [1.0 - w1, w1]
 
     xs = ref.xs
     hx = xs[1] - xs[0]
@@ -191,17 +188,16 @@ def error_curve(
     arch: rom.RomArch,
     traj: ParamTrajectory,
     ref: ReferenceSolution,
-    domain,
     n_x: int,
     seed: int,
     max_times: int = 0,
 ) -> ErrorCurve:
     """Monte-Carlo L2 error of u_{theta_t} against the reference along a
-    trajectory. One spatial sample is shared across times."""
-    lo = np.asarray(domain[0], dtype=np.float64)
-    hi = np.asarray(domain[1], dtype=np.float64)
+    trajectory, over the arch's box. One spatial sample is shared across
+    times."""
+    lo, hi = arch.domain
     vol = float(np.prod(hi - lo))
-    X = sample_omega(domain, n_x, seed, stream=11)
+    X = sample_omega(arch.domain, n_x, seed, stream=11)
 
     idx = np.arange(traj.times.shape[0])
     if max_times and idx.size > max_times:
@@ -227,15 +223,13 @@ def export_slice(
     arch: rom.RomArch,
     theta: np.ndarray,
     ref: ReferenceSolution,
-    domain,
     t: float,
     path,
     grid_n: int = 40,
 ) -> None:
-    """Pointwise comparison slice on a regular 2-D grid: CSV columns
-    x1, x2, u_ref, u_rom, abs_diff."""
-    lo = np.asarray(domain[0], dtype=np.float64)
-    hi = np.asarray(domain[1], dtype=np.float64)
+    """Pointwise comparison slice on a regular 2-D grid over the arch's box:
+    CSV columns x1, x2, u_ref, u_rom, abs_diff."""
+    lo, hi = arch.domain
     if lo.shape[0] != 2:
         raise ValueError("slices are exported for 2-D problems")
     g1 = np.linspace(lo[0], hi[0], grid_n)

@@ -14,9 +14,9 @@ input: S(x) = x for the zero-boundary wrapper and
 S(x) = (cos 2pi(x-b), sin 2pi(x-b)) for the periodic wrapper with trainable
 shift b. Each column of S depends on one coordinate, so one column derivative
 per coordinate carries grad_x and the Laplacian into the net. The output
-factor alpha(x) = prod_i f(x_i) vanishes on the boundary of the box, with
-f(x) = 4(x - x^2) on (0,1)^d or 1 - x^2 on (-1,1)^d; the periodic wrapper has
-none.
+factor alpha(x) = prod_i f_i(x_i) vanishes on the boundary of the problem box
+(lo, hi) that the arch carries, with f_i(x) = 4(x - lo_i)(hi_i - x)/(hi_i - lo_i)^2
+(4(x - x^2) on (0,1), 1 - x^2 on (-1,1)); the periodic wrapper has none.
 
 Parameter layout (frozen; caches and anchor stores depend on it)
 ----------------------------------------------------------------
@@ -37,7 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -53,19 +53,29 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class RomArch:
+    """A model architecture on the problem box (lo, hi); config builds it
+    from problem.domain, and an empty lo/hi is the unit box (0,1)^input_dim."""
+
     kind: str
     input_dim: int
     width: int = 0
     depth: int = 0
     activation: str = "tanh"
-    wrapper_spec: dict = field(default_factory=dict)
     basis_spec: tuple = ()
+    lo: tuple = ()
+    hi: tuple = ()
 
     def __post_init__(self):
         if self.kind not in (RESNET_ZERO_BOUNDARY, RESNET_PERIODIC, LINEAR_BASIS):
             raise ValueError(f"unknown arch kind {self.kind!r}")
         if self.input_dim < 1:
             raise ValueError("input_dim must be >= 1")
+        lo = tuple(map(float, self.lo)) or (0.0,) * self.input_dim
+        hi = tuple(map(float, self.hi)) or (1.0,) * self.input_dim
+        if not len(lo) == len(hi) == self.input_dim or not all(a < b for a, b in zip(lo, hi)):
+            raise ValueError(f"the box needs lo < hi in each of {self.input_dim} coordinates")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
         if self.kind == LINEAR_BASIS:
             if not self.basis_spec:
                 raise ValueError("linear_basis needs a nonempty basis_spec")
@@ -81,10 +91,11 @@ class RomArch:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.activation == "relu" and self.kind != RESNET_PERIODIC:
             raise ValueError("relu is only supported with the periodic wrapper")
-        if self.kind == RESNET_ZERO_BOUNDARY:
-            family = self.wrapper_spec.get("family")
-            if family not in ("unit_box", "sym_box"):
-                raise ValueError("zero-boundary wrapper needs family 'unit_box' or 'sym_box'")
+
+    @property
+    def domain(self) -> tuple[np.ndarray, np.ndarray]:
+        """The box as the (lo, hi) arrays the samplers take."""
+        return np.array(self.lo), np.array(self.hi)
 
     @property
     def net_input_dim(self) -> int:
@@ -206,13 +217,14 @@ class BatchEval:
 # wrappers
 
 
-def _alpha(X: np.ndarray, spec: dict, order: int):
-    """The zero-boundary factor alpha = prod_i f(x_i), with f(x) = 4(x - x^2)
-    on the unit box (0,1)^d and 1 - x^2 on (-1,1)^d, and for order >= 1 its
-    first and second derivatives along each x_i (from leave-one-out
-    products; None for order 0)."""
-    unit = spec["family"] == "unit_box"
-    f = 4.0 * (X - X * X) if unit else 1.0 - X * X
+def _alpha(X: np.ndarray, lo: np.ndarray, hi: np.ndarray, order: int):
+    """The zero-boundary factor alpha = prod_i f_i(x_i) of the box (lo, hi),
+    f_i(x) = ((hi_i + lo_i) x - x^2 - lo_i hi_i) 4/(hi_i - lo_i)^2, and for
+    order >= 1 its first and second derivatives along each x_i (from
+    leave-one-out products; None for order 0). The expansion reproduces
+    4(x - x^2) on (0,1) and 1 - x^2 on (-1,1) bit for bit."""
+    scale = 4.0 / (hi - lo) ** 2
+    f = ((hi + lo) * X - X * X - lo * hi) * scale
     n, d = X.shape
     prefix = np.ones((n, d + 1))
     for i in range(d):
@@ -223,8 +235,8 @@ def _alpha(X: np.ndarray, spec: dict, order: int):
     for i in range(d - 1, -1, -1):
         suffix[:, i] = suffix[:, i + 1] * f[:, i]
     loo = prefix[:, :d] * suffix[:, 1:]  # product of all factors except i
-    df = 4.0 * (1.0 - 2.0 * X) if unit else -2.0 * X
-    return prefix[:, d], df * loo, (-8.0 if unit else -2.0) * loo
+    df = ((hi + lo) - 2.0 * X) * scale
+    return prefix[:, d], df * loo, (-2.0 * scale) * loo
 
 
 def _features(arch: RomArch, X: np.ndarray, shift, order: int):
@@ -246,7 +258,7 @@ def _features(arch: RomArch, X: np.ndarray, shift, order: int):
         return np.concatenate([c, s], axis=1), dS, ddS, None
     dS = np.ones_like(X) if order else None
     ddS = np.zeros_like(X) if order == 2 else None
-    return X, dS, ddS, _alpha(X, arch.wrapper_spec, order)
+    return X, dS, ddS, _alpha(X, *arch.domain, order)
 
 
 # ---------------------------------------------------------------------------

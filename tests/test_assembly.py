@@ -40,32 +40,32 @@ def gd_projection_field(record: assembly.GramRecord, n_steps: int, h: float) -> 
     return w
 
 
-def test_fourier_gram_is_identity(unit_interval):
+def test_fourier_gram_is_identity():
     arch = fourier_sine_arch(4)
     rec = assembly.assemble_at(
-        arch, np.array([0.3, -0.2, 0.9, 0.0]), pde_ops.Heat(), unit_interval, 96, 0, stream=0, quadrature="gauss"
+        arch, np.array([0.3, -0.2, 0.9, 0.0]), pde_ops.Heat(), 96, 0, stream=0, quadrature="gauss"
     )
     assert np.abs(rec.gram - np.eye(4)).max() < 1e-10
 
 
-def test_monomial_gram_analytic(unit_interval):
+def test_monomial_gram_analytic():
     arch = rom.RomArch("linear_basis", 1, basis_spec=(("monomial", 1), ("monomial", 2)))
     rec = assembly.assemble_at(
-        arch, np.array([1.0, 1.0]), pde_ops.Heat(), unit_interval, 32, 0, stream=0, quadrature="gauss"
+        arch, np.array([1.0, 1.0]), pde_ops.Heat(), 32, 0, stream=0, quadrature="gauss"
     )
     expect = np.array([[1 / 3, 1 / 4], [1 / 4, 1 / 5]])
     assert np.allclose(rec.gram, expect, atol=1e-14)
 
 
-def test_heat_rhs_eigenmode(unit_interval):
+def test_heat_rhs_eigenmode():
     arch = fourier_sine_arch(4)
     theta = np.array([1.0, 0.0, 0.0, 0.0])
-    rec = assembly.assemble_at(arch, theta, pde_ops.Heat(), unit_interval, 96, 0, stream=0, quadrature="gauss")
+    rec = assembly.assemble_at(arch, theta, pde_ops.Heat(), 96, 0, stream=0, quadrature="gauss")
     assert np.allclose(rec.rhs, [-np.pi**2, 0.0, 0.0, 0.0], atol=1e-10)
 
 
 def test_gram_exactly_symmetric_and_psd(rng, unit_interval):
-    arch = rom.RomArch("resnet_zero_boundary", 1, 5, 2, "tanh", {"family": "unit_box"})
+    arch = rom.RomArch("resnet_zero_boundary", 1, 5, 2, "tanh")
     theta = rom.init_params(arch, 0) + 0.3 * rng.standard_normal(rom.param_count(arch))
     xs = sample_omega(unit_interval, 64, seed=4)
     rec = assembly.assemble(rom.RomModel(arch, theta), pde_ops.Heat(), xs)
@@ -92,54 +92,54 @@ def test_monte_carlo_consistency_rate(unit_interval):
     assert errs[2] < errs[0] / 4.0 * 3.0  # ~1/2 per quadrupling, 3x slack
 
 
-def test_cache_resume_determinism(tmp_path, unit_interval):
-    arch = rom.RomArch("resnet_zero_boundary", 1, 4, 2, "tanh", {"family": "unit_box"})
+def test_cache_resume_determinism(tmp_path):
+    arch = rom.RomArch("resnet_zero_boundary", 1, 4, 2, "tanh")
     thetas = sample_theta(Box(1.0, rom.param_count(arch)), 10, seed=1)
     p1 = tmp_path / "cache1.bin"
-    stats = assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 7, p1, unit_interval)
+    stats = assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 7, p1)
     assert stats["computed"] == 10
     payload = p1.read_bytes()
 
-    stats2 = assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 7, p1, unit_interval)
+    stats2 = assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 7, p1)
     assert stats2["computed"] == 0 and stats2["resumed"] == 10
     assert p1.read_bytes() == payload
 
     # a run cut after four records, resumed over all ten
     p2 = tmp_path / "cache2.bin"
-    assembly.assemble_batch(arch, thetas[:4], pde_ops.Heat(), 32, 7, p2, unit_interval)
-    stats3 = assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 7, p2, unit_interval)
+    assembly.assemble_batch(arch, thetas[:4], pde_ops.Heat(), 32, 7, p2)
+    stats3 = assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 7, p2)
     assert stats3["resumed"] == 4 and stats3["computed"] == 6
     assert p2.read_bytes() == payload
 
     p3 = tmp_path / "cache3.bin"
-    assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 7, p3, unit_interval)
+    assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 7, p3)
     assert p3.read_bytes() == payload
 
 
-def test_cache_header_mismatch(tmp_path, unit_interval):
+def test_cache_header_mismatch(tmp_path):
     arch = fourier_sine_arch(3)
     thetas = sample_theta(Box(1.0, 3), 2, seed=0)
     path = tmp_path / "c.bin"
-    assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 16, 0, path, unit_interval)
+    assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 16, 0, path)
     with pytest.raises(CacheMismatch):
-        assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 0, path, unit_interval)
+        assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 0, path)
     other = fourier_sine_arch(4)
     with pytest.raises(CacheMismatch, match="arch_hash"):
-        assembly.read_cache(path, assembly.cache_header(other, pde_ops.Heat(), unit_interval, 16, 0, "mc"))
+        assembly.read_cache(path, assembly.cache_header(other, pde_ops.Heat(), 16, 0, "mc"))
 
 
-def test_empty_batch_cache(tmp_path, unit_interval):
+def test_empty_batch_cache(tmp_path):
     arch = fourier_sine_arch(2)
     empty = sample_theta(Box(1.0, 2), 1, seed=0)[:0]
     path = tmp_path / "empty.bin"
-    stats = assembly.assemble_batch(arch, empty, pde_ops.Heat(), 16, 0, path, unit_interval)
+    stats = assembly.assemble_batch(arch, empty, pde_ops.Heat(), 16, 0, path)
     assert stats["total"] == 0
     cache = assembly.read_cache(path)
     assert cache.header["kind"] == "gram_cache" and cache.rows.size == 0
     assert cache.theta.shape == (0, 2) and cache.gram.shape == (0, 2, 2)
 
 
-def test_nonfinite_records_skipped(tmp_path, unit_interval):
+def test_nonfinite_records_skipped(tmp_path):
     # monomial basis overflows at huge theta only through F; force overflow
     # via enormous coefficients so grad products go non-finite
     arch = rom.RomArch("linear_basis", 1, basis_spec=(("monomial", 1), ("monomial", 2)))
@@ -147,7 +147,7 @@ def test_nonfinite_records_skipped(tmp_path, unit_interval):
     thetas[1] = np.array([1e300, 1e300])
     path = tmp_path / "skip.bin"
     with np.errstate(over="ignore", invalid="ignore"):
-        stats = assembly.assemble_batch(arch, thetas, pde_ops.AllenCahn(1e-4), 16, 0, path, unit_interval)
+        stats = assembly.assemble_batch(arch, thetas, pde_ops.AllenCahn(1e-4), 16, 0, path)
     assert stats["skipped"] == 1
     cache = assembly.read_cache(path)
     assert cache.theta.shape[0] == 3
@@ -156,18 +156,17 @@ def test_nonfinite_records_skipped(tmp_path, unit_interval):
 
 
 def _small_cache(tmp_path, n=6, name="c.bin", half_width=1.0, quadrature="mc"):
-    arch = rom.RomArch("resnet_zero_boundary", 1, 3, 2, "tanh", {"family": "unit_box"})
+    arch = rom.RomArch("resnet_zero_boundary", 1, 3, 2, "tanh")
     thetas = sample_theta(Box(half_width, rom.param_count(arch)), n, seed=2)
     path = tmp_path / name
-    dom = (np.array([0.0]), np.array([1.0]))
-    stats = assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 24, 5, path, dom, quadrature=quadrature)
+    stats = assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 24, 5, path, quadrature=quadrature)
     return arch, thetas, path, stats
 
 
-def test_cache_roundtrip_exact_and_mapped(tmp_path, unit_interval):
+def test_cache_roundtrip_exact_and_mapped(tmp_path):
     arch, thetas, path, _ = _small_cache(tmp_path)
     m = rom.param_count(arch)
-    cache = assembly.read_cache(path, assembly.cache_header(arch, pde_ops.Heat(), unit_interval, 24, 5, "mc"), thetas)
+    cache = assembly.read_cache(path, assembly.cache_header(arch, pde_ops.Heat(), 24, 5, "mc"), thetas)
     record_bytes = 8 * (2 * m + m * m + 1)
     # views into the mapped records, not copies
     for a in (cache.theta, cache.gram, cache.rhs):
@@ -176,7 +175,7 @@ def test_cache_roundtrip_exact_and_mapped(tmp_path, unit_interval):
     assert header_bytes > 0 and header_bytes % 64 == 0
     assert cache.rows.tolist() == list(range(6))
     for i in range(6):
-        rec = assembly.assemble_at(arch, thetas[i], pde_ops.Heat(), unit_interval, 24, 5, stream=i + 1)
+        rec = assembly.assemble_at(arch, thetas[i], pde_ops.Heat(), 24, 5, stream=i + 1)
         assert cache.theta[i].tobytes() == rec.theta.tobytes()
         assert cache.gram[i].tobytes() == rec.gram.tobytes()
         assert cache.rhs[i].tobytes() == rec.rhs.tobytes()
@@ -189,14 +188,14 @@ def test_cache_torn_tail_is_recomputed(tmp_path):
     torn.write_bytes(payload[:-37])
     with pytest.raises(PdeControlError):
         assembly.read_cache(torn)
-    stats = assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 24, 5, torn, (np.array([0.0]), np.array([1.0])))
+    stats = assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 24, 5, torn)
     assert stats["computed"] == 1 and stats["resumed"] == 5
     assert torn.read_bytes() == payload
     # a record whose status word never landed (zero-filled tail) is not finished
     torn.write_bytes(payload[:-8] + bytes(8))
     with pytest.raises(CacheMismatch):
         assembly.read_cache(torn)
-    stats = assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 24, 5, torn, (np.array([0.0]), np.array([1.0])))
+    stats = assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 24, 5, torn)
     assert stats["computed"] == 1 and torn.read_bytes() == payload
 
 
@@ -224,7 +223,7 @@ def test_read_cache_first_n_records(tmp_path):
         assembly.read_cache(path, thetas=thetas[:4] + 1.0)
 
 
-def test_old_json_cache_rejected(tmp_path, unit_interval):
+def test_old_json_cache_rejected(tmp_path):
     arch = fourier_sine_arch(2)
     path = tmp_path / "gram.jsonl"
     old = {"format_version": 1, "kind": "gram_cache", "arch_hash": rom.arch_hash(arch), "op_tag": "heat",
@@ -234,7 +233,7 @@ def test_old_json_cache_rejected(tmp_path, unit_interval):
         assembly.read_cache(path)
     thetas = sample_theta(Box(1.0, 2), 2, seed=0)
     with pytest.raises(CacheMismatch, match="rerun sample-gram"):
-        assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 16, 0, path, unit_interval)
+        assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 16, 0, path)
 
 
 def test_gd_projection_identity_gram():

@@ -21,7 +21,6 @@ HEAT_CFG = {
     },
     "rom_arch": {
         "kind": "linear_basis",
-        "input_dim": 1,
         "basis_spec": [["fourier_sine", 1], ["fourier_sine", 2]],
     },
     "control_arch": {"width": 8, "depth": 2},
@@ -323,13 +322,12 @@ def test_resumed_training_checks_loss_history_before_it_trains(heat_config, tmp_
 
 
 @pytest.mark.parametrize("preset, overrides, message", [
-    ("transport_1d.json", ["rom_arch.input_dim=2"], "rom_arch.input_dim is 2 for a 1-D domain"),
     ("transport_1d.json", ["problem.velocity=[1.0,1.0]"], "problem.velocity has 2 components for a 1-D domain"),
     ("allen_cahn_2d.json", ["quadrature=gauss", 'theta_space={"kind":"box","half_width":1.0}'],
      "quadrature 'gauss' has 1-D nodes; the domain is 2-D"),
     ("allen_cahn_2d.json", ["initials.count=0"], "theta_space.kind 'anchor_balls' samples around the anchors; "
      "initials.count is 0"),
-], ids=["input_dim", "velocity", "gauss_2d", "no_anchors"])
+], ids=["velocity", "gauss_2d", "no_anchors"])
 def test_mismatched_settings_are_config_errors(tmp_path, capsys, preset, overrides, message):
     # each used to reach sample-gram and end in a ValueError traceback
     args = ["sample-gram", "--config", str(PRESETS / preset), "--out", str(tmp_path),
@@ -339,10 +337,58 @@ def test_mismatched_settings_are_config_errors(tmp_path, capsys, preset, overrid
     assert not (tmp_path / "caches").exists()
 
 
+_BOX_THETA = 'theta_space={"kind":"box","half_width":1.0}'
+
+
+@pytest.mark.parametrize("preset, overrides, message", [
+    ("transport_1d.json", ["initials.family=cheb_combo"],
+     "initials.family 'cheb_combo' vanishes on the boundary of (-1,1)^2; the domain is [0.0] to [1.0]"),
+    ("transport_1d.json", ['theta_space={"kind":"anchor_balls","radius":3.0}'],
+     "the problem is transport and theta_space.kind is 'anchor_balls'"),
+    ("allen_cahn_2d.json", ["initials.family=random_theta", _BOX_THETA],
+     "initials.family 'random_theta' draws its anchors from a box theta_space for a transport reference; "
+     "the problem is allen_cahn"),
+    ("heat_fourier_1d.json", ["initials.family=random_theta"],
+     "the closed-form heat reference needs heat_combo initials on a 1-D domain; initials.family is 'random_theta'"),
+    ("heat_fourier_1d.json", ['rom_arch={"kind":"resnet_zero_boundary","width":4,"depth":2}', "quadrature=mc",
+                              'problem.domain={"lo":[0.0,0.0],"hi":[1.0,1.0]}'],
+     "the closed-form heat reference needs heat_combo initials on a 1-D domain; initials.family is 'heat_combo' "
+     "and the domain is [0.0, 0.0] to [1.0, 1.0]"),
+    ("allen_cahn_2d.json", ['problem.domain={"lo":[-1.0,-1.0],"hi":[1.0,2.0]}'],
+     "the Allen-Cahn IMEX grid needs a 2-D domain with the same interval on both axes"),
+], ids=["cheb_1d", "random_theta_anchor_balls", "random_theta_allen_cahn", "random_theta_heat", "heat_2d",
+        "allen_cahn_unequal_axes"])
+def test_combinations_no_reference_serves_are_config_errors(tmp_path, capsys, preset, overrides, message):
+    # each used to fail late or not at all: cheb_combo on 1-D was an IndexError
+    # traceback, random_theta on anchor balls sent fit-initial to its own output
+    # (exit 3), on allen_cahn reference was a ValueError traceback, and
+    # random_theta on heat, 2-D heat and the unequal Allen-Cahn axes ran every
+    # stage to solve (the last one through eval, against a wrong reference)
+    args = ["fit-initial", "--config", str(PRESETS / preset), "--out", str(tmp_path)]
+    assert cli.main(args + [arg for o in overrides for arg in ("--set", o)]) == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "caches").exists()
+
+
+def test_all_skipped_gram_cache_is_a_numeric_failure(tmp_path, capsys):
+    # every record went non-finite: train-control used to end in
+    # "ValueError: nothing to train on" (exit 1)
+    base = ["--config", str(PRESETS / "transport_1d.json"), "--out", str(tmp_path / "out"),
+            "--set", "theta_space.half_width=1e200", "--set", "counts.n_theta=4", "--set", "counts.n_x=16"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(["sample-gram", *base]) == 0
+    assert "4 skipped" in capsys.readouterr().out
+    assert cli.main(["train-control", *base]) == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "theta_space" in err and "rerun sample-gram" in err
+    assert not (tmp_path / "out" / "checkpoints" / "control.bin").exists()
+
+
 @pytest.mark.parametrize("name", sorted(p.name for p in PRESETS.glob("*.json")))
 def test_shipped_presets_load(name, tmp_path):
     cfg = config.load_config(PRESETS / name, out_dir=str(tmp_path))
     assert cfg.rom_arch.input_dim == cfg.problem.dim
+    assert cfg.rom_arch.lo == tuple(cfg.problem.lo) and cfg.rom_arch.hi == tuple(cfg.problem.hi)
     assert cfg.control_arch.input_dim == rom.param_count(cfg.rom_arch)
 
 
@@ -479,6 +525,8 @@ _UNREAD_KEYS += [(f"{section}.{key}", 0.5) for section in ("train", "initials.fi
 _UNREAD_KEYS += [("train.plateau_window", 100)]
 # the Chebyshev family's constants, at their values
 _UNREAD_KEYS += [("initials.degree_max", 3), ("initials.max_terms", 6), ("initials.amplitude", 0.9)]
+# the ROM's dimension and box come from problem.domain
+_UNREAD_KEYS += [("rom_arch.input_dim", 1), ("rom_arch.wrapper_spec", {})]
 
 
 @pytest.mark.parametrize("key, value", [pytest.param(k, v, id=k.removeprefix("initials.fit.")) for k, v in _UNREAD_KEYS])
@@ -549,6 +597,9 @@ def test_anchor_index_must_be_in_store(heat_config, tmp_path):
     (solutions / "solution_-01.bin").write_bytes((solutions / "solution_000.bin").read_bytes())
     assert cli.main(["eval", *base, "--anchor", "-1"]) == cli.EXIT_MISSING
     assert not (out / "curves" / "errors_-01.bin").exists()
+    # a closed-form reference has no artifact to write, but the index is still checked
+    assert cli.main(["reference", *base, "--anchor", "1"]) == 0
+    assert cli.main(["reference", *base, "--anchor", "2"]) == cli.EXIT_MISSING
 
     # the 2-D commands check the index before any work
     cfg = config.load_config(PRESETS / "allen_cahn_2d.json", out_dir=str(tmp_path / "ac"))

@@ -314,11 +314,11 @@ def test_forward_and_train_bit_identical(tmp_path, small_arch, rng):
 
     # training on a subset of rows of the mapped cache equals training on the
     # stacked copies of those rows
-    arch = rom.RomArch("resnet_zero_boundary", 1, 2, 2, "tanh", {"family": "unit_box"})
+    arch = rom.RomArch("resnet_zero_boundary", 1, 2, 2, "tanh")
     m = rom.param_count(arch)
     thetas = sample_theta(Box(1.0, m), 12, seed=3)
     path = tmp_path / "gram.bin"
-    assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 1, path, (np.array([0.0]), np.array([1.0])))
+    assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 1, path)
     cache = assembly.read_cache(path)
     rows = np.array([0, 2, 3, 5, 7, 8, 9, 11])
     carch = cn.ControlArch(input_dim=m, width=8, depth=3)

@@ -61,34 +61,34 @@ def test_euler_chaining_bit_exact():
     assert whole.thetas.tobytes() == chained.tobytes()
 
 
-def test_gen_trajectory_heat_fourier_recursion(unit_interval):
+def test_gen_trajectory_heat_fourier_recursion():
     arch = fourier_sine_arch(8)
     rng = np.random.default_rng(1)
     theta0 = rng.uniform(-1, 1, 8)
     D = -(np.arange(1, 9) * np.pi) ** 2
     h = 1e-5
     traj = evolve.gen_trajectory(
-        arch, theta0, pde_ops.Heat(), unit_interval, 10, h, 128, 0, lambda_reg=0.0, quadrature="gauss"
+        arch, theta0, pde_ops.Heat(), 10, h, 128, 0, lambda_reg=0.0, quadrature="gauss"
     )
     for j in range(10):
         predicted = (1.0 + h * D) * traj.thetas[j]
         assert np.abs(traj.thetas[j + 1] - predicted).max() < 1e-8
 
 
-def test_gen_trajectory_zero_initial_is_constant(unit_interval):
+def test_gen_trajectory_zero_initial_is_constant():
     arch = fourier_sine_arch(4)
     traj = evolve.gen_trajectory(
-        arch, np.zeros(4), pde_ops.Heat(), unit_interval, 5, 0.01, 64, 0, lambda_reg=0.0, quadrature="gauss"
+        arch, np.zeros(4), pde_ops.Heat(), 5, 0.01, 64, 0, lambda_reg=0.0, quadrature="gauss"
     )
     assert np.all(traj.thetas == 0.0)
     assert np.all(traj.velocities == 0.0)
 
 
-def test_gen_trajectory_single_step_contract(unit_interval):
+def test_gen_trajectory_single_step_contract():
     arch = fourier_sine_arch(3)
     theta0 = np.array([0.5, 0.0, 0.0])
     traj = evolve.gen_trajectory(
-        arch, theta0, pde_ops.Heat(), unit_interval, 1, 0.01, 64, 0, lambda_reg=0.0, quadrature="gauss"
+        arch, theta0, pde_ops.Heat(), 1, 0.01, 64, 0, lambda_reg=0.0, quadrature="gauss"
     )
     assert traj.thetas.shape == (2, 3)
     assert np.allclose(traj.thetas[1], theta0 + 0.01 * traj.velocities[0])
@@ -112,17 +112,17 @@ def test_escape_flag_without_blowup():
     assert traj.escape_step == 2  # 0.9 -> 1.0 -> 1.1
 
 
-def test_traj_cache_roundtrip(tmp_path, unit_interval):
+def test_traj_cache_roundtrip(tmp_path):
     arch = fourier_sine_arch(3)
     op = pde_ops.Heat()
     starts = np.array([[0.4, 0.1, 0.0]] * 2)
     trajs = [
-        evolve.gen_trajectory(arch, starts[i], op, unit_interval, 4, 0.01, 32, 0,
+        evolve.gen_trajectory(arch, starts[i], op, 4, 0.01, 32, 0,
                               lambda_reg=0.0, quadrature="gauss", stream_base=100 * i)
         for i in range(2)
     ]
     path = tmp_path / "traj.bin"
-    gram_header = assembly.cache_header(arch, op, unit_interval, 32, 0, "gauss")
+    gram_header = assembly.cache_header(arch, op, 32, 0, "gauss")
     header = evolve.traj_cache_header(gram_header, 0.01, 4, starts)
     evolve.write_traj_cache(path, header, trajs)
     assert [p.name for p in tmp_path.iterdir()] == ["traj.bin"]
@@ -133,18 +133,18 @@ def test_traj_cache_roundtrip(tmp_path, unit_interval):
     other = fourier_sine_arch(4)
     with pytest.raises(CacheMismatch, match="arch_hash"):
         evolve.read_traj_cache(path, header=evolve.traj_cache_header(
-            assembly.cache_header(other, op, unit_interval, 32, 0, "gauss"), 0.01, 4, np.zeros((2, 4))))
+            assembly.cache_header(other, op, 32, 0, "gauss"), 0.01, 4, np.zeros((2, 4))))
     with pytest.raises(CacheMismatch, match="starts_sha256"):
         evolve.read_traj_cache(path, header=evolve.traj_cache_header(gram_header, 0.01, 4, starts + 1.0))
 
 
-def test_traj_cache_torn_line_names_the_remedy(tmp_path, unit_interval):
+def test_traj_cache_torn_line_names_the_remedy(tmp_path):
     arch = fourier_sine_arch(2)
     starts = np.array([[0.3, -0.2]])
-    traj = evolve.gen_trajectory(arch, starts[0], pde_ops.Heat(), unit_interval, 3, 0.01, 16, 0,
+    traj = evolve.gen_trajectory(arch, starts[0], pde_ops.Heat(), 3, 0.01, 16, 0,
                                  lambda_reg=0.0, quadrature="gauss")
     path = tmp_path / "traj.bin"
-    header = evolve.traj_cache_header(assembly.cache_header(arch, pde_ops.Heat(), unit_interval, 16, 0, "gauss"),
+    header = evolve.traj_cache_header(assembly.cache_header(arch, pde_ops.Heat(), 16, 0, "gauss"),
                                       0.01, 3, starts)
     evolve.write_traj_cache(path, header, [traj])
     path.write_bytes(path.read_bytes()[:-10])

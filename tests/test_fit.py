@@ -44,10 +44,10 @@ def test_cheb_combo_validation():
         fit.ChebCombo(terms=((0, 0, 1.5),))
 
 
-def test_fit_linear_basis_exact(unit_interval):
+def test_fit_linear_basis_exact():
     arch = fourier_sine_arch(8)
     spec = fit.HeatCombo(np.array([1.0, 0.0, 0.0, 0.0]))  # g = sin(pi x) = phi_1/sqrt(2)
-    res = fit.fit_initial(arch, spec, unit_interval, 256, 1e-8, seed=3, lr=1e-2, max_steps=4000)
+    res = fit.fit_initial(arch, spec, 256, 1e-8, seed=3, lr=1e-2, max_steps=4000)
     assert res.rmse < 1e-8
     assert res.target_reached
     expect = np.zeros(8)
@@ -65,7 +65,7 @@ def test_fit_matches_normal_equations(unit_interval):
     res = None
     theta = None
     for lr, steps in ((1e-2, 2500), (1e-3, 1500), (1e-4, 1200), (1e-5, 1200), (1e-6, 1500)):
-        res = fit.fit_initial(arch, spec, unit_interval, n_x, 1e-12, seed=seed, lr=lr, max_steps=steps, theta_init=theta)
+        res = fit.fit_initial(arch, spec, n_x, 1e-12, seed=seed, lr=lr, max_steps=steps, theta_init=theta)
         theta = res.theta
     # normal equations on the identical training sample
     X = sample_omega(unit_interval, n_x, seed, stream=fit.TRAIN_STREAM)
@@ -77,7 +77,7 @@ def test_fit_matches_normal_equations(unit_interval):
 
 
 def test_fit_zero_target_zero_head(unit_interval):
-    arch = rom.RomArch("resnet_zero_boundary", 1, 4, 2, "tanh", {"family": "unit_box"})
+    arch = rom.RomArch("resnet_zero_boundary", 1, 4, 2, "tanh")
     theta = rom.init_params(arch, 0)
     # zero the output weights: value is identically 0 = g
     W0, b0, blocks, w_out, _ = rom._unpack(arch, theta)
@@ -86,19 +86,19 @@ def test_fit_zero_target_zero_head(unit_interval):
     vals = rom.eval_batch(rom.RomModel(arch, theta), X, rom.EvalFlags(value=True)).value
     assert np.all(vals == 0.0)
     spec = fit.HeatCombo(np.zeros(4))
-    res = fit.fit_initial(arch, spec, unit_interval, 64, 1e-9, seed=1, lr=1e-3, max_steps=1, theta_init=theta)
+    res = fit.fit_initial(arch, spec, 64, 1e-9, seed=1, lr=1e-3, max_steps=1, theta_init=theta)
     assert res.rmse == 0.0 and res.target_reached
 
 
 def test_fit_resnet_heat_initial_regression(unit_interval):
     # width-8 tanh resnet fits sin(pi x) to ~1e-3 at desk scale (well under
     # the 20k-step budget via one warm-started refinement stage)
-    arch = rom.RomArch("resnet_zero_boundary", 1, 8, 2, "tanh", {"family": "unit_box"})
+    arch = rom.RomArch("resnet_zero_boundary", 1, 8, 2, "tanh")
     spec = fit.HeatCombo(np.array([1.0, 0.0, 0.0, 0.0]))
     theta = None
     total_steps = 0
     for lr, steps in ((1e-2, 3000), (1e-3, 3000)):
-        res = fit.fit_initial(arch, spec, unit_interval, 512, 1e-3, seed=5, lr=lr, max_steps=steps, theta_init=theta)
+        res = fit.fit_initial(arch, spec, 512, 1e-3, seed=5, lr=lr, max_steps=steps, theta_init=theta)
         theta = res.theta
         total_steps += res.steps
         if res.target_reached:
@@ -118,10 +118,10 @@ def test_fit_holdout_disjoint_from_training(unit_interval):
     assert not np.array_equal(a, b)
 
 
-def test_fit_target_not_reached_flag(unit_interval):
+def test_fit_target_not_reached_flag():
     arch = fourier_sine_arch(2)
     spec = fit.HeatCombo(np.array([0.0, 0.0, 1.0, 0.0]))  # sin(3 pi x): not in the 2-mode span
-    res = fit.fit_initial(arch, spec, unit_interval, 128, 1e-10, seed=2, lr=1e-2, max_steps=200)
+    res = fit.fit_initial(arch, spec, 128, 1e-10, seed=2, lr=1e-2, max_steps=200)
     assert not res.target_reached
     assert np.all(np.isfinite(res.theta))
 

@@ -129,26 +129,26 @@ def test_error_curve_self_comparison_zero(unit_interval):
     traj = evolve.ParamTrajectory(
         times=np.array([0.0, 0.1]), thetas=np.stack([theta0, theta0]), velocities=None, step=0.1,
     )
-    curve = reference.error_curve(arch, traj, ref, unit_interval, 512, seed=0)
+    curve = reference.error_curve(arch, traj, ref, 512, seed=0)
     assert np.abs(curve.abs_err).max() < 1e-13
     assert np.all(np.isfinite(curve.rel_err))
 
 
-def test_error_curve_t0_matches_fit_rmse(unit_interval):
+def test_error_curve_t0_matches_fit_rmse():
     arch = fourier_sine_arch(4)
     spec = fit.HeatCombo(np.array([0.8, 0.4, 0.0, 0.0]))
-    res = fit.fit_initial(arch, spec, unit_interval, 512, 5e-4, seed=21, lr=1e-2, max_steps=800)
+    res = fit.fit_initial(arch, spec, 512, 5e-4, seed=21, lr=1e-2, max_steps=800)
     ref = reference.HeatSeries(spec.coeffs)
     traj = evolve.ParamTrajectory(
         times=np.array([0.0]), thetas=res.theta[None, :], velocities=None, step=0.0
     )
-    curve = reference.error_curve(arch, traj, ref, unit_interval, 8192, seed=5)
+    curve = reference.error_curve(arch, traj, ref, 8192, seed=5)
     # |Omega| = 1: the L2 error at t=0 is the fit RMSE, within 2x
     assert curve.abs_err[0] <= 2.0 * res.rmse + 1e-12
     assert curve.abs_err[0] >= res.rmse / 2.0 - 1e-12
 
 
-def test_error_curve_mc_scaling(unit_interval):
+def test_error_curve_mc_scaling():
     arch = fourier_sine_arch(2)
     theta = np.array([0.5, 0.2])
     ref = reference.HeatSeries(np.array([0.9]))  # deliberate mismatch
@@ -157,7 +157,7 @@ def test_error_curve_mc_scaling(unit_interval):
     )
     def spread(n_x):
         vals = [
-            reference.error_curve(arch, traj, ref, unit_interval, n_x, seed=s).abs_err[0]
+            reference.error_curve(arch, traj, ref, n_x, seed=s).abs_err[0]
             for s in range(24)
         ]
         return np.std(vals)
@@ -166,26 +166,26 @@ def test_error_curve_mc_scaling(unit_interval):
     assert s2 < s1 / np.sqrt(2.0) * 1.5  # ~sqrt(n) reduction with slack
 
 
-def test_error_curve_undefined_relative(unit_interval):
+def test_error_curve_undefined_relative():
     arch = fourier_sine_arch(2)
     ref = reference.HeatSeries(np.array([0.0]))  # identically zero reference
     traj = evolve.ParamTrajectory(
         times=np.array([0.0]), thetas=np.array([[0.1, 0.0]]), velocities=None, step=0.0
     )
-    curve = reference.error_curve(arch, traj, ref, unit_interval, 128, seed=0)
+    curve = reference.error_curve(arch, traj, ref, 128, seed=0)
     assert np.isnan(curve.rel_err[0])
 
 
-def test_error_curve_is_deterministic(unit_interval):
+def test_error_curve_is_deterministic():
     arch = fourier_sine_arch(2)
     ref = reference.HeatSeries(np.array([0.9]))
     traj = evolve.ParamTrajectory(
         times=np.array([0.0, 0.1]), thetas=np.array([[0.5, 0.1], [0.4, 0.05]]), velocities=None, step=0.1,
     )
-    curve = reference.error_curve(arch, traj, ref, unit_interval, 128, seed=1)
+    curve = reference.error_curve(arch, traj, ref, 128, seed=1)
     assert curve.times.shape == curve.abs_err.shape == curve.rel_err.shape == (2,)
     # the same seed gives byte-identical rows
-    again = reference.error_curve(arch, traj, ref, unit_interval, 128, seed=1)
+    again = reference.error_curve(arch, traj, ref, 128, seed=1)
     for name in ("times", "abs_err", "rel_err"):
         assert getattr(again, name).tobytes() == getattr(curve, name).tobytes()
 
@@ -193,11 +193,10 @@ def test_error_curve_is_deterministic(unit_interval):
 def test_export_slice(tmp_path):
     spec = fit.ChebCombo(terms=((0, 0, 0.0),))
     grid = reference.solve_allen_cahn_imex(spec, 1e-4, 20, 32, 0.1)
-    arch = rom.RomArch("resnet_zero_boundary", 2, 4, 2, "tanh", {"family": "sym_box"})
+    arch = rom.RomArch("resnet_zero_boundary", 2, 4, 2, "tanh", lo=(-1.0, -1.0), hi=(1.0, 1.0))
     theta = rom.init_params(arch, 0)
-    dom = (np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
     path = tmp_path / "slice.csv"
-    reference.export_slice(arch, theta, grid, dom, 0.05, path, grid_n=10)
+    reference.export_slice(arch, theta, grid, 0.05, path, grid_n=10)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "x1,x2,u_ref,u_rom,abs_diff"
     assert len(lines) == 101
@@ -215,12 +214,11 @@ def test_grid_and_slice_writes_replace_whole_files(tmp_path, monkeypatch):
         reference.load_grid_solution(ref, {"epsilon": 0.5})
 
     # a write cut before its rename leaves the previous file in place
-    arch = rom.RomArch("resnet_zero_boundary", 2, 4, 2, "tanh", {"family": "sym_box"})
-    dom = (np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
+    arch = rom.RomArch("resnet_zero_boundary", 2, 4, 2, "tanh", lo=(-1.0, -1.0), hi=(1.0, 1.0))
     csv = tmp_path / "slice.csv"
     writes = {
         ref: lambda: reference.save_grid_solution(grid, ref, {}),
-        csv: lambda: reference.export_slice(arch, rom.init_params(arch, 0), grid, dom, 0.05, csv, grid_n=4),
+        csv: lambda: reference.export_slice(arch, rom.init_params(arch, 0), grid, 0.05, csv, grid_n=4),
     }
 
     def cut(src, dst):

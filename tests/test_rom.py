@@ -18,25 +18,27 @@ def test_param_count_examples():
     assert rom.param_count(fourier_sine_arch(8)) == 8
     periodic = rom.RomArch("resnet_periodic", 1, 4, 3, "tanh")
     assert rom.param_count(periodic) == 57
-    zero = rom.RomArch("resnet_zero_boundary", 2, 3, 2, "tanh", {"family": "unit_box"})
+    zero = rom.RomArch("resnet_zero_boundary", 2, 3, 2, "tanh")
     assert rom.param_count(zero) == 24
 
 
 def test_arch_validation():
     with pytest.raises(ValueError):
-        rom.RomArch("resnet_zero_boundary", 1, 4, 1, "tanh", {"family": "unit_box"})  # depth < 2
+        rom.RomArch("resnet_zero_boundary", 1, 4, 1, "tanh")  # depth < 2
     with pytest.raises(ValueError):
-        rom.RomArch("resnet_zero_boundary", 1, 4, 2, "relu", {"family": "unit_box"})  # relu not periodic
+        rom.RomArch("resnet_zero_boundary", 1, 4, 2, "relu")  # relu not periodic
     with pytest.raises(ValueError):
         rom.RomArch("linear_basis", 2, basis_spec=(("fourier_sine", 1),))  # 1-D only
     with pytest.raises(ValueError):
-        rom.RomArch("resnet_zero_boundary", 1, 4, 2, "tanh", {"family": "bogus"})
+        rom.RomArch("resnet_zero_boundary", 1, 4, 2, "tanh", lo=(1.0,), hi=(1.0,))  # empty box
+    with pytest.raises(ValueError):
+        rom.RomArch("resnet_zero_boundary", 2, 4, 2, "tanh", lo=(0.0,), hi=(1.0,))  # box of another dimension
 
 
 def _random_cases():
     return [
-        rom.RomArch("resnet_zero_boundary", 1, 5, 3, "tanh", {"family": "unit_box"}),
-        rom.RomArch("resnet_zero_boundary", 2, 4, 2, "tanh", {"family": "sym_box"}),
+        rom.RomArch("resnet_zero_boundary", 1, 5, 3, "tanh"),
+        rom.RomArch("resnet_zero_boundary", 2, 4, 2, "tanh", lo=(-1.0, -1.0), hi=(1.0, 1.0)),
         rom.RomArch("resnet_periodic", 1, 6, 3, "tanh"),
         rom.RomArch("resnet_periodic", 2, 4, 2, "tanh"),
         fourier_sine_arch(6),
@@ -51,7 +53,7 @@ def test_gradient_consistency_with_finite_differences(rng):
         model = rom.RomModel(arch, theta)
         d = arch.input_dim
         lo, hi = (0.05, 0.95)
-        if arch.kind == "resnet_zero_boundary" and arch.wrapper_spec.get("family") == "sym_box":
+        if arch.lo[0] == -1.0:
             lo, hi = (-0.9, 0.9)
         X = rng.uniform(lo, hi, (3, d))
         ev = rom.eval_batch(model, X, FULL)
@@ -96,28 +98,71 @@ def test_relu_gradients_away_from_kinks(rng):
 
 
 def test_boundary_exactness_zero_boundary(rng):
-    arch = rom.RomArch("resnet_zero_boundary", 2, 5, 2, "tanh", {"family": "unit_box"})
+    arch = rom.RomArch("resnet_zero_boundary", 2, 5, 2, "tanh")
     model = rom.RomModel(arch, rom.init_params(arch, 1) + 0.5)
     edges = np.array([[0.0, 0.4], [1.0, 0.6], [0.3, 0.0], [0.7, 1.0]])
     vals = rom.eval_batch(model, edges, VAL).value
     assert np.all(vals == 0.0)
 
 
-def alpha(X, spec):
+def alpha(X, lo, hi):
     """The zero-boundary factor the resnet_zero_boundary wrapper multiplies by."""
-    return rom._alpha(X, spec, 0)[0]
+    return rom._alpha(X, np.array(lo), np.array(hi), 0)[0]
 
 
 def test_allen_cahn_alpha_boundary():
-    spec = {"family": "sym_box"}
-    assert alpha(np.array([[1.0, 0.3]]), spec)[0] == 0.0
-    assert alpha(np.array([[-1.0, -0.8]]), spec)[0] == 0.0
+    box = ([-1.0, -1.0], [1.0, 1.0])
+    assert alpha(np.array([[1.0, 0.3]]), *box)[0] == 0.0
+    assert alpha(np.array([[-1.0, -0.8]]), *box)[0] == 0.0
 
 
 def test_heat_alpha_center():
-    spec = {"family": "unit_box"}
     x = np.full((1, 10), 0.5)
-    assert alpha(x, spec)[0] == pytest.approx(1.0)
+    assert alpha(x, [0.0] * 10, [1.0] * 10)[0] == pytest.approx(1.0)
+
+
+def _former_alpha(X, unit):
+    """The zero-boundary factor as it was written for the two boxes it
+    covered, 4(x - x^2) on (0,1)^d and 1 - x^2 on (-1,1)^d: the oracle."""
+    f = 4.0 * (X - X * X) if unit else 1.0 - X * X
+    n, d = X.shape
+    prefix = np.ones((n, d + 1))
+    for i in range(d):
+        prefix[:, i + 1] = prefix[:, i] * f[:, i]
+    suffix = np.ones((n, d + 1))
+    for i in range(d - 1, -1, -1):
+        suffix[:, i] = suffix[:, i + 1] * f[:, i]
+    loo = prefix[:, :d] * suffix[:, 1:]
+    df = 4.0 * (1.0 - 2.0 * X) if unit else -2.0 * X
+    return prefix[:, d], df * loo, (-8.0 if unit else -2.0) * loo
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("unit", [True, False], ids=["unit_box", "sym_box"])
+def test_box_factor_reproduces_the_former_closed_forms_bit_for_bit(rng, d, unit):
+    # the presets' ROMs, caches and solutions stay byte-identical only if the
+    # factor built from the box equals the former closed forms exactly
+    lo, hi = (0.0, 1.0) if unit else (-1.0, 1.0)
+    X = rng.uniform(lo, hi, (20_000, d))
+    got = rom._alpha(X, np.full(d, lo), np.full(d, hi), 2)
+    for a, b in zip(got, _former_alpha(X, unit)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_box_factor_on_a_general_box(rng):
+    lo, hi = np.array([0.5, -2.0]), np.array([3.0, -1.0])
+    edges = np.array([[0.5, -1.5], [3.0, -1.2], [1.0, -2.0], [2.9, -1.0]])
+    assert np.all(rom._alpha(edges, lo, hi, 0)[0] == 0.0)
+    assert rom._alpha(0.5 * (lo + hi)[None, :], lo, hi, 0)[0][0] == pytest.approx(1.0)
+    X = rng.uniform(lo + 0.1, hi - 0.1, (4, 2))
+    value, d1, d2 = rom._alpha(X, lo, hi, 2)
+    h = 1e-5
+    for i in range(2):
+        step = np.zeros(2)
+        step[i] = h
+        plus, minus = rom._alpha(X + step, lo, hi, 0)[0], rom._alpha(X - step, lo, hi, 0)[0]
+        assert np.allclose(d1[:, i], (plus - minus) / (2 * h), rtol=1e-6, atol=1e-9)
+        assert np.allclose(d2[:, i], (plus - 2 * value + minus) / h**2, rtol=1e-4, atol=1e-5)
 
 
 def test_beta_periodicity(rng):
@@ -161,10 +206,10 @@ def test_linear_basis_homogeneity(rng):
     assert np.allclose(3.0 * v1, v3, rtol=1e-13)
 
 
-def test_linear_basis_gram_identity_via_assembly(unit_interval):
+def test_linear_basis_gram_identity_via_assembly():
     arch = fourier_sine_arch(6)
     theta = np.linspace(-1, 1, 6)
-    rec = assembly.assemble_at(arch, theta, pde_ops.Heat(), unit_interval, 96, 0, stream=0, quadrature="gauss")
+    rec = assembly.assemble_at(arch, theta, pde_ops.Heat(), 96, 0, stream=0, quadrature="gauss")
     assert np.abs(rec.gram - np.eye(6)).max() < 1e-10
 
 
