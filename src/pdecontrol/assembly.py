@@ -2,10 +2,11 @@
 
 For a model at parameters theta and operator F, the empirical system is
     G = (1/N) sum_i  g_i g_i^T,      p = (1/N) sum_i  g_i F[u_theta](x_i),
-with g_i = grad_theta u_theta(x_i). Records are cached as fixed-size float64
-rows after a JSON header line (layout below), so long sampling runs are
-resumable and byte-reproducible on rerun and resume, and the trainer reads
-minibatches straight from the memory-mapped file.
+with g_i = grad_theta u_theta(x_i); a 1-D linear basis is instead assembled
+exactly at Gauss-Legendre nodes (assemble_at). Records are cached as
+fixed-size float64 rows after a JSON header line (layout below), so long
+sampling runs are resumable and byte-reproducible on rerun and resume, and
+the trainer reads minibatches straight from the memory-mapped file.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from . import binfile, pde_ops, rom
 from .errors import CacheMismatch, MissingArtifact, NonFiniteError
 from .sampling import sample_omega
 
-CACHE_FORMAT_VERSION = 3
+CACHE_FORMAT_VERSION = 4
 
 
 @dataclass
@@ -37,16 +38,6 @@ def _leggauss(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
-
-
-def gauss_legendre_batch(domain, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """(points, weights): Gauss-Legendre nodes (n_nodes, 1) on a 1-D interval
-    and their weights, normalized to integrate the uniform density (mean
-    convention), so assembly code can treat quadrature and MC uniformly."""
-    lo, hi = float(domain[0][0]), float(domain[1][0])
-    x, w = _leggauss(n_nodes)
-    pts = 0.5 * (hi - lo) * (x + 1.0) + lo
-    return pts[:, None], 0.5 * w  # weights integrate f over (lo,hi)/|domain| like a mean
 
 
 def assemble(
@@ -69,18 +60,20 @@ def assemble(
         laplacian=flags_needed["laplacian"],
         grad_theta=True,
     )
-    ev = rom.eval_batch(model, X, need)
-    f_vals = pde_ops.apply_operator_arrays(op, ev.value, ev.grad_x, ev.laplacian)
-    gt = ev.grad_theta  # (n, m)
-    if weights is None:
-        n = X.shape[0]
-        gram = gt.T @ gt / n
-        rhs = gt.T @ f_vals / n
-    else:
-        wg = gt * weights[:, None]
-        gram = wg.T @ gt
-        rhs = wg.T @ f_vals
-    gram = 0.5 * (gram + gram.T)  # exact symmetry
+    # a huge theta overflows in here; the check below reports it as NonFiniteError
+    with np.errstate(over="ignore", invalid="ignore"):
+        ev = rom.eval_batch(model, X, need)
+        f_vals = pde_ops.apply_operator_arrays(op, ev.value, ev.grad_x, ev.laplacian)
+        gt = ev.grad_theta  # (n, m)
+        if weights is None:
+            n = X.shape[0]
+            gram = gt.T @ gt / n
+            rhs = gt.T @ f_vals / n
+        else:
+            wg = gt * weights[:, None]
+            gram = wg.T @ gt
+            rhs = wg.T @ f_vals
+        gram = 0.5 * (gram + gram.T)  # exact symmetry
     if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs))):
         raise NonFiniteError("assembly produced non-finite entries")
     return GramRecord(theta=model.theta.copy(), gram=gram, rhs=rhs)
@@ -93,14 +86,16 @@ def assemble_at(
     n_x: int,
     seed: int,
     stream: int,
-    quadrature: str = "mc",
 ) -> GramRecord:
-    """Assemble at one parameter point with a stream-split x-sample of the
-    arch's box."""
+    """Assemble at one parameter point over the arch's box: a linear basis
+    (1-D) at n_x Gauss-Legendre nodes, whose weights integrate the uniform
+    density, so the record is exact; a net at a stream-split Monte-Carlo
+    sample of n_x points."""
     model = rom.RomModel(arch, theta)
-    if quadrature == "gauss":
-        X, w = gauss_legendre_batch(arch.domain, n_x)
-        return assemble(model, op, X, weights=w)
+    if arch.kind == rom.LINEAR_BASIS:
+        (lo,), (hi,) = arch.lo, arch.hi
+        x, w = _leggauss(n_x)
+        return assemble(model, op, (0.5 * (hi - lo) * (x + 1.0) + lo)[:, None], weights=0.5 * w)
     return assemble(model, op, sample_omega(arch.domain, n_x, seed, stream=stream))
 
 
@@ -130,7 +125,7 @@ class GramCache:
     rows: np.ndarray  # indices of the STATUS_OK records
 
 
-def cache_header(arch: rom.RomArch, op: pde_ops.PdeOperator, n_x: int, seed: int, quadrature: str) -> dict:
+def cache_header(arch: rom.RomArch, op: pde_ops.PdeOperator, n_x: int, seed: int) -> dict:
     """Every input that shapes a record; theta itself is checked per record.
     The arch's box comes before arch_hash, which also covers it, so a changed
     domain is reported as such."""
@@ -144,7 +139,6 @@ def cache_header(arch: rom.RomArch, op: pde_ops.PdeOperator, n_x: int, seed: int
         "m": rom.param_count(arch),
         "n_x": n_x,
         "seed": seed,
-        "quadrature": quadrature,
     }
 
 
@@ -208,7 +202,6 @@ def assemble_batch(
     n_x: int,
     seed: int,
     cache_path,
-    quadrature: str = "mc",
 ) -> dict:
     """Assemble records for every row of thetas in order, appending to cache_path.
 
@@ -218,7 +211,7 @@ def assemble_batch(
     reruns and resumed runs produce byte-identical files.
     Non-finite records are stored as skipped; returns summary stats.
     """
-    header = cache_header(arch, op, n_x, seed, quadrature)
+    header = cache_header(arch, op, n_x, seed)
     done, mode = 0, "wb"
     if os.path.exists(cache_path) and os.path.getsize(cache_path) > 0:
         _, offset, records, _, done = _check_cache(cache_path, header, thetas)
@@ -235,7 +228,7 @@ def assemble_batch(
             fh.write(binfile.encode_header(header))
         for index in todo:
             try:
-                rec = assemble_at(arch, thetas[index], op, n_x, seed, stream=index + 1, quadrature=quadrature)
+                rec = assemble_at(arch, thetas[index], op, n_x, seed, stream=index + 1)
             except NonFiniteError:
                 rec = None
                 skipped += 1

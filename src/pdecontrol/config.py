@@ -105,7 +105,6 @@ SCHEMA = {
             },
             "additionalProperties": False,
         },
-        "quadrature": {"enum": ["mc", "gauss"]},
         "train": {
             "type": "object",
             "properties": {
@@ -163,7 +162,6 @@ SCHEMA = {
 
 _DEFAULTS = {
     "counts": {"n_theta": 1000, "n_x": 256, "n_traj": 0, "n_t": 50},
-    "quadrature": "mc",
     "solve": {"scheme": "rk4", "n_steps": 200},
     "theta_space": {"kind": "box", "half_width": 1.0, "radius": 3.0},
     "control_arch": {"width": 64, "depth": 3},
@@ -235,13 +233,17 @@ def _build(doc: dict) -> tuple[pde_ops.Problem, rom.RomArch, ControlArch]:
     arch = rom.RomArch(**doc["rom_arch"], input_dim=problem.dim, lo=problem.lo, hi=problem.hi)
     box = f"the domain is {lo.tolist()} to {hi.tolist()}"
     family = doc["initials"]["family"]
-    if doc["quadrature"] == "gauss" and problem.dim != 1:
-        raise ValueError(f"quadrature 'gauss' has 1-D nodes; the domain is {problem.dim}-D")
     if doc["theta_space"]["kind"] == "anchor_balls" and doc["initials"]["count"] == 0:
         raise ValueError("theta_space.kind 'anchor_balls' samples around the anchors; initials.count is 0")
     # which reference serves which problem: the heat series sums 1-D heat_combo
     # modes, the IMEX grid uses one set of nodes for both axes, and the
-    # transport shift evaluates any initial
+    # transport shift wraps x - vt into the box, so a period-1 ROM needs
+    # whole-number sides (up to the rounding of hi - lo)
+    sides = np.round(hi - lo)
+    whole = np.all(sides >= 1) and np.allclose(hi - lo, sides, rtol=0.0, atol=1e-9)
+    if arch.kind == rom.RESNET_PERIODIC and not whole:
+        raise ValueError(f"rom_arch.kind 'resnet_periodic' has period 1 in each coordinate, so the box sides "
+                         f"must be whole numbers; {box}")
     if kind == "heat" and (family != "heat_combo" or problem.dim != 1):
         raise ValueError(f"the closed-form heat reference needs heat_combo initials on a 1-D domain; "
                          f"initials.family is {family!r} and {box}")

@@ -18,7 +18,7 @@ from . import assembly, binfile, linalg, pde_ops, rom
 from .errors import NonFiniteError
 from .sampling import ThetaSpace
 
-TRAJ_FORMAT_VERSION = 4
+TRAJ_FORMAT_VERSION = 5
 GUARD_DIAMETER_FACTOR = 10.0
 
 
@@ -49,16 +49,14 @@ def gen_trajectory(
     h: float,
     n_x: int,
     seed: int,
-    lambda_reg: float | None = None,
-    quadrature: str = "mc",
     stream_base: int = 0,
 ) -> ParamTrajectory:
-    """Euler march theta_{j+1} = theta_j + h v_j with v_j solved from the
-    Monte-Carlo projection system at theta_j over the arch's box.
+    """Euler march theta_{j+1} = theta_j + h v_j with v_j the ridge solve
+    (scale-aware default ridge) of the projection system assembled at
+    theta_j over the arch's box.
 
     Velocities are stored at every grid point (the final state included) so
-    the pairs feed the trajectory loss directly. lambda_reg=None uses the
-    scale-aware default ridge; pass 0.0 for exact-quadrature runs.
+    the pairs feed the trajectory loss directly.
     """
     if n_t < 1:
         raise ValueError("n_t must be >= 1")
@@ -72,9 +70,8 @@ def gen_trajectory(
     count = 0
     for j in range(n_t + 1):
         try:
-            rec = assembly.assemble_at(arch, theta, op, n_x, seed, stream=stream_base + j, quadrature=quadrature)
-            lam = linalg.default_ridge_lambda(rec.gram) if lambda_reg is None else lambda_reg
-            v = linalg.ridge_solve(rec.gram, rec.rhs, lam)
+            rec = assembly.assemble_at(arch, theta, op, n_x, seed, stream=stream_base + j)
+            v = linalg.ridge_solve(rec.gram, rec.rhs, linalg.default_ridge_lambda(rec.gram))
         except NonFiniteError:
             blowup = j
             break
@@ -82,7 +79,8 @@ def gen_trajectory(
         vels[j] = v
         count = j + 1
         if j < n_t:
-            theta = theta + h * v
+            with np.errstate(over="ignore", invalid="ignore"):  # a step past float64 is a blow-up
+                theta = theta + h * v
             if not np.all(np.isfinite(theta)):
                 blowup = j + 1
                 break

@@ -99,8 +99,7 @@ def _gram_thetas(cfg: RunConfig) -> np.ndarray:
 
 
 def _gram_header(cfg: RunConfig) -> dict:
-    return assembly.cache_header(cfg.rom_arch, cfg.problem.operator, cfg.raw["counts"]["n_x"], cfg.seed,
-                                 cfg.raw["quadrature"])
+    return assembly.cache_header(cfg.rom_arch, cfg.problem.operator, cfg.raw["counts"]["n_x"], cfg.seed)
 
 
 def _read_gram_cache(cfg: RunConfig) -> assembly.GramCache:
@@ -115,7 +114,7 @@ def _read_gram_cache(cfg: RunConfig) -> assembly.GramCache:
 def cmd_sample_gram(cfg: RunConfig) -> dict:
     cfg.ensure_layout()
     return assembly.assemble_batch(cfg.rom_arch, _gram_thetas(cfg), cfg.problem.operator, cfg.raw["counts"]["n_x"],
-                                   cfg.seed, cfg.path("gram_cache"), quadrature=cfg.raw["quadrature"])
+                                   cfg.seed, cfg.path("gram_cache"))
 
 
 def _traj_plan(cfg: RunConfig) -> tuple[dict, np.ndarray]:
@@ -141,8 +140,7 @@ def cmd_gen_trajectories(cfg: RunConfig) -> dict:
     blowups = 0
     for i in range(starts.shape[0]):
         traj = evolve.gen_trajectory(cfg.rom_arch, starts[i], cfg.problem.operator, counts["n_t"], header["h"],
-                                     counts["n_x"], cfg.seed, quadrature=cfg.raw["quadrature"],
-                                     stream_base=100_000 * (i + 1))
+                                     counts["n_x"], cfg.seed, stream_base=100_000 * (i + 1))
         blowups += int(traj.blowup_step is not None)
         trajs.append(traj)
     evolve.write_traj_cache(cfg.path("traj_cache"), header, trajs)

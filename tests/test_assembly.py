@@ -43,7 +43,7 @@ def gd_projection_field(record: assembly.GramRecord, n_steps: int, h: float) -> 
 def test_fourier_gram_is_identity():
     arch = fourier_sine_arch(4)
     rec = assembly.assemble_at(
-        arch, np.array([0.3, -0.2, 0.9, 0.0]), pde_ops.Heat(), 96, 0, stream=0, quadrature="gauss"
+        arch, np.array([0.3, -0.2, 0.9, 0.0]), pde_ops.Heat(), 96, 0, stream=0
     )
     assert np.abs(rec.gram - np.eye(4)).max() < 1e-10
 
@@ -51,7 +51,7 @@ def test_fourier_gram_is_identity():
 def test_monomial_gram_analytic():
     arch = rom.RomArch("linear_basis", 1, basis_spec=(("monomial", 1), ("monomial", 2)))
     rec = assembly.assemble_at(
-        arch, np.array([1.0, 1.0]), pde_ops.Heat(), 32, 0, stream=0, quadrature="gauss"
+        arch, np.array([1.0, 1.0]), pde_ops.Heat(), 32, 0, stream=0
     )
     expect = np.array([[1 / 3, 1 / 4], [1 / 4, 1 / 5]])
     assert np.allclose(rec.gram, expect, atol=1e-14)
@@ -60,7 +60,7 @@ def test_monomial_gram_analytic():
 def test_heat_rhs_eigenmode():
     arch = fourier_sine_arch(4)
     theta = np.array([1.0, 0.0, 0.0, 0.0])
-    rec = assembly.assemble_at(arch, theta, pde_ops.Heat(), 96, 0, stream=0, quadrature="gauss")
+    rec = assembly.assemble_at(arch, theta, pde_ops.Heat(), 96, 0, stream=0)
     assert np.allclose(rec.rhs, [-np.pi**2, 0.0, 0.0, 0.0], atol=1e-10)
 
 
@@ -125,7 +125,7 @@ def test_cache_header_mismatch(tmp_path):
         assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 0, path)
     other = fourier_sine_arch(4)
     with pytest.raises(CacheMismatch, match="arch_hash"):
-        assembly.read_cache(path, assembly.cache_header(other, pde_ops.Heat(), 16, 0, "mc"))
+        assembly.read_cache(path, assembly.cache_header(other, pde_ops.Heat(), 16, 0))
 
 
 def test_empty_batch_cache(tmp_path):
@@ -155,18 +155,18 @@ def test_nonfinite_records_skipped(tmp_path):
     assert np.array_equal(cache.theta[1], thetas[1])
 
 
-def _small_cache(tmp_path, n=6, name="c.bin", half_width=1.0, quadrature="mc"):
+def _small_cache(tmp_path, n=6, name="c.bin", half_width=1.0):
     arch = rom.RomArch("resnet_zero_boundary", 1, 3, 2, "tanh")
     thetas = sample_theta(Box(half_width, rom.param_count(arch)), n, seed=2)
     path = tmp_path / name
-    stats = assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 24, 5, path, quadrature=quadrature)
+    stats = assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 24, 5, path)
     return arch, thetas, path, stats
 
 
 def test_cache_roundtrip_exact_and_mapped(tmp_path):
     arch, thetas, path, _ = _small_cache(tmp_path)
     m = rom.param_count(arch)
-    cache = assembly.read_cache(path, assembly.cache_header(arch, pde_ops.Heat(), 24, 5, "mc"), thetas)
+    cache = assembly.read_cache(path, assembly.cache_header(arch, pde_ops.Heat(), 24, 5), thetas)
     record_bytes = 8 * (2 * m + m * m + 1)
     # views into the mapped records, not copies
     for a in (cache.theta, cache.gram, cache.rhs):
@@ -199,12 +199,10 @@ def test_cache_torn_tail_is_recomputed(tmp_path):
     assert stats["computed"] == 1 and torn.read_bytes() == payload
 
 
-def test_cache_rejects_changed_theta_and_quadrature(tmp_path):
+def test_cache_rejects_changed_theta(tmp_path):
     _small_cache(tmp_path, n=4)
     with pytest.raises(CacheMismatch, match="different theta"):
         _small_cache(tmp_path, n=4, half_width=5.0)
-    with pytest.raises(CacheMismatch, match="quadrature"):
-        _small_cache(tmp_path, n=4, quadrature="gauss")
     # a longer run over the same thetas extends the cache
     _, _, path, stats = _small_cache(tmp_path, n=6)
     assert stats["resumed"] == 4 and stats["computed"] == 2

@@ -2,6 +2,7 @@ import importlib.util
 import inspect
 import json
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,6 @@ HEAT_CFG = {
     "control_arch": {"width": 8, "depth": 2},
     "theta_space": {"kind": "box", "half_width": 1.0},
     "counts": {"n_theta": 6, "n_x": 32, "n_traj": 2, "n_t": 4},
-    "quadrature": "gauss",
     "train": {"lr": 0.01, "zeta": 0.1, "batch_size": 0, "stop_loss": 1e-9,
               "stop_plateau_pct": None, "max_steps": 30},
     "solve": {"scheme": "rk4", "n_steps": 8},
@@ -323,8 +323,7 @@ def test_resumed_training_checks_loss_history_before_it_trains(heat_config, tmp_
 
 @pytest.mark.parametrize("preset, overrides, message", [
     ("transport_1d.json", ["problem.velocity=[1.0,1.0]"], "problem.velocity has 2 components for a 1-D domain"),
-    ("allen_cahn_2d.json", ["quadrature=gauss", 'theta_space={"kind":"box","half_width":1.0}'],
-     "quadrature 'gauss' has 1-D nodes; the domain is 2-D"),
+    ("allen_cahn_2d.json", ["quadrature=gauss"], "('quadrature' was unexpected)"),
     ("allen_cahn_2d.json", ["initials.count=0"], "theta_space.kind 'anchor_balls' samples around the anchors; "
      "initials.count is 0"),
 ], ids=["velocity", "gauss_2d", "no_anchors"])
@@ -350,20 +349,24 @@ _BOX_THETA = 'theta_space={"kind":"box","half_width":1.0}'
      "the problem is allen_cahn"),
     ("heat_fourier_1d.json", ["initials.family=random_theta"],
      "the closed-form heat reference needs heat_combo initials on a 1-D domain; initials.family is 'random_theta'"),
-    ("heat_fourier_1d.json", ['rom_arch={"kind":"resnet_zero_boundary","width":4,"depth":2}', "quadrature=mc",
+    ("heat_fourier_1d.json", ['rom_arch={"kind":"resnet_zero_boundary","width":4,"depth":2}',
                               'problem.domain={"lo":[0.0,0.0],"hi":[1.0,1.0]}'],
      "the closed-form heat reference needs heat_combo initials on a 1-D domain; initials.family is 'heat_combo' "
      "and the domain is [0.0, 0.0] to [1.0, 1.0]"),
     ("allen_cahn_2d.json", ['problem.domain={"lo":[-1.0,-1.0],"hi":[1.0,2.0]}'],
      "the Allen-Cahn IMEX grid needs a 2-D domain with the same interval on both axes"),
+    ("transport_1d.json", ['problem.domain={"lo":[0.0],"hi":[0.5]}'],
+     "rom_arch.kind 'resnet_periodic' has period 1 in each coordinate, so the box sides must be whole numbers; "
+     "the domain is [0.0] to [0.5]"),
 ], ids=["cheb_1d", "random_theta_anchor_balls", "random_theta_allen_cahn", "random_theta_heat", "heat_2d",
-        "allen_cahn_unequal_axes"])
+        "allen_cahn_unequal_axes", "periodic_half_box"])
 def test_combinations_no_reference_serves_are_config_errors(tmp_path, capsys, preset, overrides, message):
     # each used to fail late or not at all: cheb_combo on 1-D was an IndexError
     # traceback, random_theta on anchor balls sent fit-initial to its own output
     # (exit 3), on allen_cahn reference was a ValueError traceback, and
     # random_theta on heat, 2-D heat and the unequal Allen-Cahn axes ran every
-    # stage to solve (the last one through eval, against a wrong reference)
+    # stage to solve (the last one through eval, against a wrong reference), and
+    # the period-1 ROM on (0, 0.5) differed from the wrapped reference by up to 4.1
     args = ["fit-initial", "--config", str(PRESETS / preset), "--out", str(tmp_path)]
     assert cli.main(args + [arg for o in overrides for arg in ("--set", o)]) == cli.EXIT_CONFIG
     assert message in capsys.readouterr().err
@@ -372,16 +375,63 @@ def test_combinations_no_reference_serves_are_config_errors(tmp_path, capsys, pr
 
 def test_all_skipped_gram_cache_is_a_numeric_failure(tmp_path, capsys):
     # every record went non-finite: train-control used to end in
-    # "ValueError: nothing to train on" (exit 1)
+    # "ValueError: nothing to train on" (exit 1), and sample-gram printed
+    # numpy's overflow and invalid-value RuntimeWarnings for each record
     base = ["--config", str(PRESETS / "transport_1d.json"), "--out", str(tmp_path / "out"),
             "--set", "theta_space.half_width=1e200", "--set", "counts.n_theta=4", "--set", "counts.n_x=16"]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert cli.main(["sample-gram", *base]) == 0
-    assert "4 skipped" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "4 skipped" in captured.out and captured.err == ""
     assert cli.main(["train-control", *base]) == cli.EXIT_NUMERIC
     err = capsys.readouterr().err
     assert "theta_space" in err and "rerun sample-gram" in err
     assert not (tmp_path / "out" / "checkpoints" / "control.bin").exists()
+
+
+@pytest.mark.parametrize("spec", ['[["cosine",1]]', '[["fourier_sine"]]', '[["fourier_sine",1.5]]'],
+                         ids=["unknown_family", "no_index", "fractional_index"])
+def test_basis_functions_outside_the_two_families_are_config_errors(tmp_path, capsys, spec):
+    # the first two used to end in a ValueError and an IndexError traceback, the third loaded
+    args = ["fit-initial", "--config", str(PRESETS / "heat_fourier_1d.json"), "--out", str(tmp_path),
+            "--set", f"rom_arch.basis_spec={spec}"]
+    assert cli.main(args) == cli.EXIT_CONFIG
+    assert "is not ('fourier_sine', k) with integer k >= 1 or ('monomial', p) with integer p >= 0" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "caches").exists()
+
+
+def test_gen_trajectories_counts_blowups_and_writes_finished_rows(heat_config, tmp_path):
+    # a step of 1e308 takes every start past float64 after its first pair
+    cfg = config.load_config(heat_config, out_dir=str(tmp_path), overrides=["problem.horizon=1e308", "counts.n_t=1"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert pipeline.cmd_gen_trajectories(cfg) == {"trajectories": 2, "pairs": 2, "blowups": 2}
+    header, thetas, vels = evolve.read_traj_cache(cfg.path("traj_cache"))
+    assert header["shape"] == [2, 4]
+    assert np.all(np.isfinite(thetas)) and np.all(np.isfinite(vels)) and np.all(thetas != 0.0)
+
+
+def test_caches_of_the_previous_formats_are_rejected(heat_config, tmp_path, capsys):
+    # format-3 Gram and format-4 trajectory caches recorded a quadrature
+    # setting that the ROM kind now decides: neither is read
+    base = ["--config", str(heat_config), "--out", str(tmp_path / "out")]
+    for command in ("sample-gram", "gen-trajectories", "train-control"):
+        assert cli.main([command, *base]) == 0
+    caches = tmp_path / "out" / "caches"
+    # train-control reads the Gram cache first, so the trajectory cache goes stale first
+    for name, kind, version, old, remedy in (
+        ("traj.bin", "traj_cache", evolve.TRAJ_FORMAT_VERSION, 4, "rerun gen-trajectories"),
+        ("gram.bin", "gram_cache", assembly.CACHE_FORMAT_VERSION, 3, "rerun sample-gram"),
+    ):
+        path = caches / name
+        header, offset = binfile.read_header(path, kind, version, "")
+        data = path.read_bytes()[offset:]
+        path.write_bytes(binfile.encode_header(dict(header, format_version=old, quadrature="gauss")) + data)
+        assert cli.main(["train-control", *base]) == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert f"not a {kind} in format version {version}" in err and remedy in err
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in PRESETS.glob("*.json")))
@@ -392,7 +442,7 @@ def test_shipped_presets_load(name, tmp_path):
     assert cfg.control_arch.input_dim == rom.param_count(cfg.rom_arch)
 
 
-@pytest.mark.parametrize("override", ["seed=4", "counts.n_x=64", "quadrature=mc", "theta_space.half_width=5"])
+@pytest.mark.parametrize("override", ["seed=4", "counts.n_x=64", "theta_space.half_width=5"])
 def test_train_control_rejects_stale_gram_cache(heat_config, tmp_path, capsys, override):
     # the readers used to check only arch_hash and trained on the old records
     base = ["--config", str(heat_config), "--out", str(tmp_path / "out")]
@@ -477,7 +527,7 @@ def test_train_control_needs_the_trajectory_cache_it_declares(heat_config, tmp_p
 
 
 @pytest.mark.parametrize(
-    "override", ["counts.n_t=50", "seed=4", "quadrature=mc", "counts.n_traj=3", "theta_space.half_width=0.5"]
+    "override", ["counts.n_t=50", "seed=4", "counts.n_traj=3", "theta_space.half_width=0.5"]
 )
 def test_train_control_rejects_stale_traj_cache(heat_config, tmp_path, capsys, override):
     base = ["--config", str(heat_config), "--out", str(tmp_path / "out")]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -68,7 +70,7 @@ def test_gen_trajectory_heat_fourier_recursion():
     D = -(np.arange(1, 9) * np.pi) ** 2
     h = 1e-5
     traj = evolve.gen_trajectory(
-        arch, theta0, pde_ops.Heat(), 10, h, 128, 0, lambda_reg=0.0, quadrature="gauss"
+        arch, theta0, pde_ops.Heat(), 10, h, 128, 0
     )
     for j in range(10):
         predicted = (1.0 + h * D) * traj.thetas[j]
@@ -78,7 +80,7 @@ def test_gen_trajectory_heat_fourier_recursion():
 def test_gen_trajectory_zero_initial_is_constant():
     arch = fourier_sine_arch(4)
     traj = evolve.gen_trajectory(
-        arch, np.zeros(4), pde_ops.Heat(), 5, 0.01, 64, 0, lambda_reg=0.0, quadrature="gauss"
+        arch, np.zeros(4), pde_ops.Heat(), 5, 0.01, 64, 0
     )
     assert np.all(traj.thetas == 0.0)
     assert np.all(traj.velocities == 0.0)
@@ -88,10 +90,29 @@ def test_gen_trajectory_single_step_contract():
     arch = fourier_sine_arch(3)
     theta0 = np.array([0.5, 0.0, 0.0])
     traj = evolve.gen_trajectory(
-        arch, theta0, pde_ops.Heat(), 1, 0.01, 64, 0, lambda_reg=0.0, quadrature="gauss"
+        arch, theta0, pde_ops.Heat(), 1, 0.01, 64, 0
     )
     assert traj.thetas.shape == (2, 3)
     assert np.allclose(traj.thetas[1], theta0 + 0.01 * traj.velocities[0])
+
+
+def test_gen_trajectory_start_that_overflows_blows_up_at_step_0():
+    # the Laplacian of the sine modes at theta = 1e307 is past float64
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = evolve.gen_trajectory(fourier_sine_arch(2), np.full(2, 1e307), pde_ops.Heat(), 3, 0.01, 16, 0)
+    assert traj.blowup_step == 0
+    assert traj.thetas.shape == traj.velocities.shape == (0, 2) and traj.times.shape == (0,)
+
+
+def test_gen_trajectory_step_past_float64_keeps_the_finished_pair():
+    theta0 = np.array([1.0, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = evolve.gen_trajectory(fourier_sine_arch(2), theta0, pde_ops.Heat(), 3, 1e308, 16, 0)
+    assert traj.blowup_step == 1
+    assert traj.thetas.tolist() == [theta0.tolist()] and traj.times.tolist() == [0.0]
+    assert traj.velocities.shape == (1, 2) and np.all(np.isfinite(traj.velocities))
 
 
 def test_blowup_guard_aborts_and_flags():
@@ -118,11 +139,11 @@ def test_traj_cache_roundtrip(tmp_path):
     starts = np.array([[0.4, 0.1, 0.0]] * 2)
     trajs = [
         evolve.gen_trajectory(arch, starts[i], op, 4, 0.01, 32, 0,
-                              lambda_reg=0.0, quadrature="gauss", stream_base=100 * i)
+                              stream_base=100 * i)
         for i in range(2)
     ]
     path = tmp_path / "traj.bin"
-    gram_header = assembly.cache_header(arch, op, 32, 0, "gauss")
+    gram_header = assembly.cache_header(arch, op, 32, 0)
     header = evolve.traj_cache_header(gram_header, 0.01, 4, starts)
     evolve.write_traj_cache(path, header, trajs)
     assert [p.name for p in tmp_path.iterdir()] == ["traj.bin"]
@@ -133,7 +154,7 @@ def test_traj_cache_roundtrip(tmp_path):
     other = fourier_sine_arch(4)
     with pytest.raises(CacheMismatch, match="arch_hash"):
         evolve.read_traj_cache(path, header=evolve.traj_cache_header(
-            assembly.cache_header(other, op, 32, 0, "gauss"), 0.01, 4, np.zeros((2, 4))))
+            assembly.cache_header(other, op, 32, 0), 0.01, 4, np.zeros((2, 4))))
     with pytest.raises(CacheMismatch, match="starts_sha256"):
         evolve.read_traj_cache(path, header=evolve.traj_cache_header(gram_header, 0.01, 4, starts + 1.0))
 
@@ -141,10 +162,9 @@ def test_traj_cache_roundtrip(tmp_path):
 def test_traj_cache_torn_line_names_the_remedy(tmp_path):
     arch = fourier_sine_arch(2)
     starts = np.array([[0.3, -0.2]])
-    traj = evolve.gen_trajectory(arch, starts[0], pde_ops.Heat(), 3, 0.01, 16, 0,
-                                 lambda_reg=0.0, quadrature="gauss")
+    traj = evolve.gen_trajectory(arch, starts[0], pde_ops.Heat(), 3, 0.01, 16, 0)
     path = tmp_path / "traj.bin"
-    header = evolve.traj_cache_header(assembly.cache_header(arch, pde_ops.Heat(), 16, 0, "gauss"),
+    header = evolve.traj_cache_header(assembly.cache_header(arch, pde_ops.Heat(), 16, 0),
                                       0.01, 3, starts)
     evolve.write_traj_cache(path, header, [traj])
     path.write_bytes(path.read_bytes()[:-10])
