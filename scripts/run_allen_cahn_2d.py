@@ -52,7 +52,7 @@ def main():
         pipeline.cmd_reference(cfg, anchor_index=k)
         stats = pipeline.cmd_eval(cfg, anchor_index=k)
         print(f"anchor {k}: max rel err {stats['rel_err_max']:.4f}")
-        pipeline.cmd_export_slice(cfg, anchor_index=k, t=cfg.problem.horizon)
+        pipeline.cmd_export_slice(cfg, anchor_index=k, t=cfg.raw["problem"]["horizon"])
     report = pipeline.cmd_verify(cfg)
     print(f"verify: {'passed' if report['totals']['passed'] else 'FAILED'} -> {report['path']}")
 

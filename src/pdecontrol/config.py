@@ -1,13 +1,14 @@
 """Run configuration: JSON schema, loading, dotted-path overrides. load_config
-builds the run objects the commands share (problem, ROM and control-net
-architectures) once and checks them against each other; an invalid or
-mismatched setting is a ConfigError (exit 2), as is a problem no reference
-serves with its initial family. The ROM architecture takes its dimension
-and its box from problem.domain. The settings' defaults are in _DEFAULTS and
-their checks in SCHEMA, so RunConfig.raw is the effective config; only
-rom_arch's optional fields (rom.RomArch), the transport velocity (1 per
-dimension) and the paths (the layout below) default elsewhere. ADAM's
-moments and the plateau window are constants of optim, not settings.
+builds the run objects the commands share (the operator, the ROM and
+control-net architectures) once and checks them against each other; an
+invalid or mismatched setting is a ConfigError (exit 2), as is a problem no
+reference serves with its initial family. The ROM architecture takes its
+dimension and its box from problem.domain; the horizon is read from
+RunConfig.raw. The settings' defaults are in _DEFAULTS and their checks in
+SCHEMA, so RunConfig.raw is the effective config; only rom_arch's optional
+fields (rom.RomArch), the transport velocity (1 per dimension) and the paths
+(the layout below) default elsewhere. ADAM's moments and the plateau window
+are constants of optim, not settings.
 
 Artifacts live under a fixed out_dir layout:
     out/caches/      gram + trajectory caches, anchor store (binfiles)
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -120,7 +122,6 @@ SCHEMA = {
         "solve": {
             "type": "object",
             "properties": {
-                "scheme": {"enum": ["euler", "rk4"]},
                 "n_steps": {"type": "integer", "minimum": 1},
             },
             "additionalProperties": False,
@@ -162,7 +163,7 @@ SCHEMA = {
 
 _DEFAULTS = {
     "counts": {"n_theta": 1000, "n_x": 256, "n_traj": 0, "n_t": 50},
-    "solve": {"scheme": "rk4", "n_steps": 200},
+    "solve": {"n_steps": 200},
     "theta_space": {"kind": "box", "half_width": 1.0, "radius": 3.0},
     "control_arch": {"width": 64, "depth": 3},
     # batch_size 0 is the full batch; stop_plateau_pct null turns the plateau stop off
@@ -211,8 +212,8 @@ def apply_override(doc: dict, key: str, value) -> None:
     node[parts[-1]] = value
 
 
-def _build(doc: dict) -> tuple[pde_ops.Problem, rom.RomArch, ControlArch]:
-    """The problem, the ROM architecture on the problem's box and the
+def _build(doc: dict) -> tuple[pde_ops.PdeOperator, rom.RomArch, ControlArch]:
+    """The operator, the ROM architecture on the problem's box and the
     control-net architecture the validated doc describes; ValueError if one
     is invalid, if settings disagree, or if no reference serves the problem
     with its initial family."""
@@ -229,8 +230,7 @@ def _build(doc: dict) -> tuple[pde_ops.Problem, rom.RomArch, ControlArch]:
         op = pde_ops.Heat()
     else:
         op = pde_ops.AllenCahn(epsilon=p["epsilon"])
-    problem = pde_ops.Problem(operator=op, lo=lo, hi=hi, horizon=p["horizon"])
-    arch = rom.RomArch(**doc["rom_arch"], input_dim=problem.dim, lo=problem.lo, hi=problem.hi)
+    arch = rom.RomArch(**doc["rom_arch"], input_dim=lo.size, lo=lo, hi=hi)
     box = f"the domain is {lo.tolist()} to {hi.tolist()}"
     family = doc["initials"]["family"]
     if doc["theta_space"]["kind"] == "anchor_balls" and doc["initials"]["count"] == 0:
@@ -244,10 +244,10 @@ def _build(doc: dict) -> tuple[pde_ops.Problem, rom.RomArch, ControlArch]:
     if arch.kind == rom.RESNET_PERIODIC and not whole:
         raise ValueError(f"rom_arch.kind 'resnet_periodic' has period 1 in each coordinate, so the box sides "
                          f"must be whole numbers; {box}")
-    if kind == "heat" and (family != "heat_combo" or problem.dim != 1):
+    if kind == "heat" and (family != "heat_combo" or arch.input_dim != 1):
         raise ValueError(f"the closed-form heat reference needs heat_combo initials on a 1-D domain; "
                          f"initials.family is {family!r} and {box}")
-    if kind == "allen_cahn" and not (problem.dim == 2 and lo[0] == lo[1] and hi[0] == hi[1]):
+    if kind == "allen_cahn" and not (arch.input_dim == 2 and lo[0] == lo[1] and hi[0] == hi[1]):
         raise ValueError(f"the Allen-Cahn IMEX grid needs a 2-D domain with the same interval on both axes; {box}")
     if family == "random_theta" and (kind != "transport" or doc["theta_space"]["kind"] != "box"):
         raise ValueError("initials.family 'random_theta' draws its anchors from a box theta_space for a "
@@ -255,14 +255,14 @@ def _build(doc: dict) -> tuple[pde_ops.Problem, rom.RomArch, ControlArch]:
                          f"{doc['theta_space']['kind']!r}")
     if family == "cheb_combo" and not (np.array_equal(lo, [-1.0, -1.0]) and np.array_equal(hi, [1.0, 1.0])):
         raise ValueError(f"initials.family 'cheb_combo' vanishes on the boundary of (-1,1)^2; {box}")
-    return problem, arch, ControlArch(input_dim=rom.param_count(arch), **doc["control_arch"])
+    return op, arch, ControlArch(input_dim=rom.param_count(arch), **doc["control_arch"])
 
 
 @dataclass
 class RunConfig:
     raw: dict
     out_dir: str
-    problem: pde_ops.Problem
+    operator: pde_ops.PdeOperator
     rom_arch: rom.RomArch
     control_arch: ControlArch
 
@@ -315,9 +315,26 @@ class RunConfig:
             os.makedirs(os.path.join(self.out_dir, sub), exist_ok=True)
 
 
+def _is_integer(checker, value) -> bool:
+    """An int: jsonschema's own check also passes a float such as 1.0."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(checker, value) -> bool:
+    """A finite int or float: NaN would pass every bound, and no setting is infinite."""
+    return _is_integer(checker, value) or (isinstance(value, float) and math.isfinite(value))
+
+
+_VALIDATOR = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine_many(
+        {"integer": _is_integer, "number": _is_number}),
+)
+
+
 def _validate(doc, schema: dict) -> None:
     try:
-        jsonschema.validate(doc, schema)
+        jsonschema.validate(doc, schema, cls=_VALIDATOR)
     except jsonschema.ValidationError as exc:
         raise ConfigError(f"config schema violation: {exc.message}") from exc
 
@@ -325,11 +342,13 @@ def _validate(doc, schema: dict) -> None:
 def load_config(path, overrides=(), out_dir: str | None = None, seed: int | None = None) -> RunConfig:
     if not os.path.exists(path):
         raise ConfigError(f"config file {path} not found")
-    with open(path) as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"config {path} is not a readable JSON file: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config {path} is not a JSON object")
     for expr in overrides:
         key, value = parse_override(expr)
         apply_override(doc, key, value)
@@ -340,8 +359,8 @@ def load_config(path, overrides=(), out_dir: str | None = None, seed: int | None
     doc = _merge(copy.deepcopy(_DEFAULTS), doc)
     _validate(doc, SCHEMA)
     try:
-        problem, rom_arch, control_arch = _build(doc)
+        operator, rom_arch, control_arch = _build(doc)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     resolved_out = out_dir or doc.get("paths", {}).get("out_dir") or "out"
-    return RunConfig(raw=doc, out_dir=resolved_out, problem=problem, rom_arch=rom_arch, control_arch=control_arch)
+    return RunConfig(raw=doc, out_dir=resolved_out, operator=operator, rom_arch=rom_arch, control_arch=control_arch)

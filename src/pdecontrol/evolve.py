@@ -1,10 +1,11 @@
 """Parameter-space dynamics: Gram-march trajectory generation for training
-data and explicit ODE solvers for deployment.
+data and the RK4 solve of theta' = V(theta) for deployment.
 
 Trajectories carry a blow-up guard: integration aborts (retaining the prefix)
-when a state goes non-finite or leaves a configurable norm ball, and records
-the first step at which the state left the training region, so escapes are
-reported instead of crashing downstream consumers.
+when a state goes non-finite or, in a solve, when its norm exceeds
+GUARD_DIAMETER_FACTOR times the diameter of the theta space. A solve also
+records the first step at which the state left the training region, so
+escapes are reported instead of crashing downstream consumers.
 """
 
 from __future__ import annotations
@@ -98,20 +99,17 @@ def solve_ivp(
     theta0: np.ndarray,
     horizon: float,
     n_steps: int,
-    scheme: str = "rk4",
     theta_space: ThetaSpace | None = None,
 ) -> ParamTrajectory:
-    """Integrate theta' = V(theta) with a classical explicit scheme; V is a
-    ControlNet or any theta -> velocity callable.
+    """Integrate theta' = V(theta) with classical RK4; V is a ControlNet or
+    any theta -> velocity callable.
 
-    scheme is "euler" or "rk4". If theta_space is given, escapes from it are
-    flagged (not fatal), and a state whose norm exceeds 10x the space
-    diameter aborts the run, returning the prefix with blowup_step set.
+    If theta_space is given, escapes from it are flagged (not fatal), and a
+    state whose norm exceeds GUARD_DIAMETER_FACTOR times the space diameter
+    aborts the run, returning the prefix with blowup_step set.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    if scheme not in ("euler", "rk4"):
-        raise ValueError(f"unknown scheme {scheme!r}")
     max_norm = None if theta_space is None else GUARD_DIAMETER_FACTOR * theta_space.diameter()
 
     h = horizon / n_steps
@@ -123,14 +121,11 @@ def solve_ivp(
     count = 1
     for j in range(n_steps):
         try:
-            if scheme == "euler":
-                theta = theta + h * V(theta)
-            else:
-                k1 = V(theta)
-                k2 = V(theta + 0.5 * h * k1)
-                k3 = V(theta + 0.5 * h * k2)
-                k4 = V(theta + h * k3)
-                theta = theta + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k1 = V(theta)
+            k2 = V(theta + 0.5 * h * k1)
+            k3 = V(theta + 0.5 * h * k2)
+            k4 = V(theta + h * k3)
+            theta = theta + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         except NonFiniteError:
             blowup = j + 1
             break

@@ -152,7 +152,8 @@ def fit_initial(
     Stops when the training-sample RMSE reaches eps0_target or at
     max_steps; returns the best parameters seen with a held-out RMSE
     computed on a disjoint sample (stream-split from the same seed).
-    theta_init warm-starts the fit (used when building anchor sets).
+    theta_init, if given, replaces rom.init_params(arch, seed) as the start;
+    the pipeline never passes it.
     """
     X = sample_omega(arch.domain, n_x, seed, stream=TRAIN_STREAM)
     g_train = eval_initial(spec, X)

@@ -1,7 +1,7 @@
 """The three evolution operators of the presets (constant transport, heat,
-Allen-Cahn), the problem box they act on, and the closed-form error bounds:
-the Gronwall bound of the continuous error and the Euler time-step term that
-`verify` reports for each stored solve.
+Allen-Cahn) and the closed-form error bounds: the Gronwall bound of the
+continuous error and the forward-Euler time-step bound that `verify` reports
+for each stored solve.
 
 Each operator declares the Lipschitz/ellipticity metadata consumed by the
 Gronwall bound (never by the dynamics).
@@ -95,37 +95,6 @@ def apply_operator_arrays(op: PdeOperator, value, grad_x, laplacian) -> np.ndarr
     if isinstance(op, Heat):
         return np.asarray(laplacian, dtype=np.float64)
     return op.epsilon * laplacian + 1.5 * (value - value**3)
-
-
-@dataclass(frozen=True)
-class Problem:
-    """An operator on an axis-aligned box with a horizon. The boundary
-    condition is not stored here: the rom_arch kind enforces it."""
-
-    operator: PdeOperator
-    lo: np.ndarray
-    hi: np.ndarray
-    horizon: float
-
-    def __post_init__(self):
-        lo = np.asarray(self.lo, dtype=np.float64)
-        hi = np.asarray(self.hi, dtype=np.float64)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        if lo.shape != hi.shape or lo.ndim != 1:
-            raise ValueError("lo/hi must be 1-D arrays of equal length")
-        if not np.all(lo < hi):
-            raise ValueError("domain requires lo < hi per coordinate")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
-
-    @property
-    def dim(self) -> int:
-        return self.lo.shape[0]
-
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.hi - self.lo))
 
 
 def theory_bound(op: PdeOperator, c_poincare: float, eps0: float, eps: float, t: float) -> float:

@@ -99,7 +99,7 @@ def _gram_thetas(cfg: RunConfig) -> np.ndarray:
 
 
 def _gram_header(cfg: RunConfig) -> dict:
-    return assembly.cache_header(cfg.rom_arch, cfg.problem.operator, cfg.raw["counts"]["n_x"], cfg.seed)
+    return assembly.cache_header(cfg.rom_arch, cfg.operator, cfg.raw["counts"]["n_x"], cfg.seed)
 
 
 def _read_gram_cache(cfg: RunConfig) -> assembly.GramCache:
@@ -113,7 +113,7 @@ def _read_gram_cache(cfg: RunConfig) -> assembly.GramCache:
 
 def cmd_sample_gram(cfg: RunConfig) -> dict:
     cfg.ensure_layout()
-    return assembly.assemble_batch(cfg.rom_arch, _gram_thetas(cfg), cfg.problem.operator, cfg.raw["counts"]["n_x"],
+    return assembly.assemble_batch(cfg.rom_arch, _gram_thetas(cfg), cfg.operator, cfg.raw["counts"]["n_x"],
                                    cfg.seed, cfg.path("gram_cache"))
 
 
@@ -128,7 +128,8 @@ def _traj_plan(cfg: RunConfig) -> tuple[dict, np.ndarray]:
             starts = space.anchors[np.arange(n_traj) % len(space.anchors)]
         else:
             starts = sample_theta(space, n_traj, cfg.seed, stream=41)
-    header = evolve.traj_cache_header(_gram_header(cfg), cfg.problem.horizon / counts["n_t"], counts["n_t"], starts)
+    h = cfg.raw["problem"]["horizon"] / counts["n_t"]
+    header = evolve.traj_cache_header(_gram_header(cfg), h, counts["n_t"], starts)
     return header, starts
 
 
@@ -139,7 +140,7 @@ def cmd_gen_trajectories(cfg: RunConfig) -> dict:
     trajs = []
     blowups = 0
     for i in range(starts.shape[0]):
-        traj = evolve.gen_trajectory(cfg.rom_arch, starts[i], cfg.problem.operator, counts["n_t"], header["h"],
+        traj = evolve.gen_trajectory(cfg.rom_arch, starts[i], cfg.operator, counts["n_t"], header["h"],
                                      counts["n_x"], cfg.seed, stream_base=100_000 * (i + 1))
         blowups += int(traj.blowup_step is not None)
         trajs.append(traj)
@@ -224,15 +225,8 @@ def cmd_solve(cfg: RunConfig, anchor_index: int = 0) -> dict:
     cfg.ensure_layout()
     net = _load_control(cfg)
     anchors, thetas = _load_anchors(cfg, anchor_index)
-    solve_cfg = cfg.raw["solve"]
-    traj = evolve.solve_ivp(
-        net,
-        thetas[anchor_index],
-        cfg.problem.horizon,
-        solve_cfg["n_steps"],
-        scheme=solve_cfg["scheme"],
-        theta_space=cfg.theta_space(),
-    )
+    traj = evolve.solve_ivp(net, thetas[anchor_index], cfg.raw["problem"]["horizon"], cfg.raw["solve"]["n_steps"],
+                            theta_space=cfg.theta_space())
     header = {
         "format_version": SOLUTION_FORMAT_VERSION,
         "kind": "solution",
@@ -288,13 +282,12 @@ def cmd_reference(cfg: RunConfig, anchor_index: int = 0, nx: int = REFERENCE_NX,
     (Allen-Cahn IMEX); closed-form references need no artifact. The anchor
     index is checked against the store for every problem kind."""
     cfg.ensure_layout()
-    problem = cfg.problem
-    kind = cfg.raw["problem"]["kind"]
+    p = cfg.raw["problem"]
     initial = _load_anchors(cfg, anchor_index)[0]["specs"][anchor_index]
-    if kind != "allen_cahn":
-        return {"note": f"{kind} uses a closed-form reference; nothing to compute"}
-    grid = reference.solve_allen_cahn_imex(fit.spec_from_dict(initial), cfg.raw["problem"]["epsilon"], nx, nt,
-                                           problem.horizon, lo=problem.lo, hi=problem.hi)
+    if p["kind"] != "allen_cahn":
+        return {"note": f"{p['kind']} uses a closed-form reference; nothing to compute"}
+    grid = reference.solve_allen_cahn_imex(fit.spec_from_dict(initial), p["epsilon"], nx, nt, p["horizon"],
+                                           lo=cfg.rom_arch.lo, hi=cfg.rom_arch.hi)
     path = reference_path(cfg, anchor_index)
     reference.save_grid_solution(grid, path, _reference_header(cfg, initial))
     return {"path": path, "snapshots": len(grid.times)}
@@ -304,7 +297,6 @@ def build_reference(cfg: RunConfig, index: int, initial: dict):
     """Reference solution object for anchor index with the initial spec
     (a describe() dict) that its solution records; config only builds runs
     whose problem and initial family one of them serves."""
-    problem = cfg.problem
     kind = cfg.raw["problem"]["kind"]
     spec = fit.spec_from_dict(initial)
     if kind == "transport":
@@ -312,8 +304,8 @@ def build_reference(cfg: RunConfig, index: int, initial: dict):
         if isinstance(spec, fit.RandomTheta):
             # the anchor theta defines the initial function u_theta0
             model = rom.RomModel(cfg.rom_arch, _load_anchors(cfg, index)[1][index])
-        return reference.TransportShift(initial=spec, velocity=problem.operator.velocity, lo=problem.lo,
-                                        hi=problem.hi, model=model)
+        return reference.TransportShift(initial=spec, velocity=cfg.operator.velocity, lo=cfg.rom_arch.lo,
+                                        hi=cfg.rom_arch.hi, model=model)
     if kind == "heat":
         return reference.HeatSeries(spec.coeffs)
     return reference.load_grid_solution(reference_path(cfg, index), _reference_header(cfg, initial))
@@ -345,8 +337,7 @@ def cmd_eval(cfg: RunConfig, anchor_index: int = 0, n_x: int = EVAL_N_X, max_tim
 
 def cmd_export_slice(cfg: RunConfig, anchor_index: int, t: float, grid_n: int = 40) -> dict:
     cfg.ensure_layout()
-    problem = cfg.problem
-    if problem.dim != 2:
+    if cfg.rom_arch.input_dim != 2:
         raise ConfigError("export-slice needs a 2-D problem")
     _load_anchors(cfg, anchor_index)
     header, traj = load_solution(cfg, anchor_index)
@@ -361,9 +352,10 @@ def cmd_verify(cfg: RunConfig) -> dict:
     """Report on this run's artifacts and write out/report.json: the
     projection residual |G V(theta) - p| of the control field over the Gram
     cache, and per stored solution the field statistics M_V, L_V along its
-    states, the Euler bound they give, and the measured error curve."""
+    states, the forward-Euler bound they give at the solve's step, and the
+    measured error curve."""
     cfg.ensure_layout()
-    problem = cfg.problem
+    volume = float(np.prod(np.subtract(cfg.rom_arch.hi, cfg.rom_arch.lo)))
     net = _load_control(cfg)
     cache = _read_gram_cache(cfg)
     sol_dir = os.path.dirname(solution_path(cfg, 0))
@@ -390,7 +382,7 @@ def cmd_verify(cfg: RunConfig) -> dict:
             "escape_step": traj.escape_step,
             "m_v": m_v,
             "l_v": l_v,
-            "euler_bound": pde_ops.euler_bound(l_v, m_v, problem.volume, traj.step, problem.horizon),
+            "euler_bound": pde_ops.euler_bound(l_v, m_v, volume, traj.step, cfg.raw["problem"]["horizon"]),
         }
         curve = _curve_path(cfg, k)
         if os.path.exists(curve):

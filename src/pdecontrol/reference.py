@@ -227,11 +227,10 @@ def export_slice(
     path,
     grid_n: int = 40,
 ) -> None:
-    """Pointwise comparison slice on a regular 2-D grid over the arch's box:
-    CSV columns x1, x2, u_ref, u_rom, abs_diff."""
+    """Pointwise comparison slice on a regular grid over the arch's 2-D box
+    (pipeline.cmd_export_slice checks the dimension): CSV columns x1, x2,
+    u_ref, u_rom, abs_diff."""
     lo, hi = arch.domain
-    if lo.shape[0] != 2:
-        raise ValueError("slices are exported for 2-D problems")
     g1 = np.linspace(lo[0], hi[0], grid_n)
     g2 = np.linspace(lo[1], hi[1], grid_n)
     XX, YY = np.meshgrid(g1, g2, indexing="ij")

@@ -31,7 +31,7 @@ def test_transport_shift_field_is_exact(tmp_path):
     cache = pipeline._read_gram_cache(cfg)
     m = cache.theta.shape[1]
     v_star = np.zeros(m)
-    v_star[-1] = cfg.problem.operator.velocity[0]  # the shift is the last parameter
+    v_star[-1] = cfg.operator.velocity[0]  # the shift is the last parameter
     l1, l1_zero = projection_losses(cache, np.tile(v_star, (cache.theta.shape[0], 1)))
     assert l1_zero > 1e3
     assert l1 < 1e-24 * l1_zero
@@ -60,10 +60,10 @@ def test_heat_sine_field_is_exact(tmp_path):
 
     # solved with V*, the error is the fit error of theta0, which decays
     pipeline.cmd_fit_initial(cfg)
-    problem = cfg.problem
+    horizon = cfg.raw["problem"]["horizon"]
     header, thetas = fit.load_anchors(cfg.path("anchors"), cfg.anchor_header())
     for k, spec in enumerate(header["specs"]):
-        traj = evolve.solve_ivp(lambda th: -rates * th, thetas[k], problem.horizon, cfg.raw["solve"]["n_steps"])
+        traj = evolve.solve_ivp(lambda th: -rates * th, thetas[k], horizon, cfg.raw["solve"]["n_steps"])
         ref = pipeline.build_reference(cfg, k, spec)
         curve = reference.error_curve(cfg.rom_arch, traj, ref, 4096, seed=cfg.seed, max_times=64)
         assert curve.abs_err.max() <= curve.abs_err[0]

@@ -29,7 +29,7 @@ HEAT_CFG = {
     "counts": {"n_theta": 6, "n_x": 32, "n_traj": 2, "n_t": 4},
     "train": {"lr": 0.01, "zeta": 0.1, "batch_size": 0, "stop_loss": 1e-9,
               "stop_plateau_pct": None, "max_steps": 30},
-    "solve": {"scheme": "rk4", "n_steps": 8},
+    "solve": {"n_steps": 8},
     "initials": {"family": "heat_combo", "count": 2, "eps0_target": 0.01, "fit_n_x": 64,
                  "fit": {"lr": 0.01, "max_steps": 400}},
     "seed": 3,
@@ -46,8 +46,8 @@ def heat_config(tmp_path):
 def test_load_and_defaults(heat_config, tmp_path):
     cfg = config.load_config(heat_config, out_dir=str(tmp_path / "out"))
     assert cfg.seed == 3
-    assert cfg.raw["solve"]["scheme"] == "rk4"
-    assert cfg.problem.dim == 1
+    assert cfg.raw["solve"] == {"n_steps": 8}
+    assert cfg.rom_arch.input_dim == 1 and (cfg.rom_arch.lo, cfg.rom_arch.hi) == ((0.0,), (1.0,))
     assert rom.param_count(cfg.rom_arch) == 2
     assert cfg.control_arch.input_dim == 2
 
@@ -62,12 +62,39 @@ def test_schema_rejects_unknown_keys(tmp_path):
 
 
 def test_schema_rejects_bad_values(tmp_path):
-    doc = json.loads(json.dumps(HEAT_CFG))
-    doc["problem"]["horizon"] = -1.0
-    path = tmp_path / "bad2.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ConfigError):
-        config.load_config(path)
+    for key, value in (("horizon", -1.0), ("domain", {"lo": [1.0], "hi": [1.0]})):
+        doc = json.loads(json.dumps(HEAT_CFG))
+        doc["problem"][key] = value
+        path = tmp_path / "bad2.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError):
+            config.load_config(path)
+
+
+@pytest.mark.parametrize("kind", ["array", "number", "directory", "not_utf8"])
+def test_config_that_is_not_a_json_object_is_config_error(tmp_path, capsys, kind):
+    # each used to end in a traceback (AttributeError, IsADirectoryError, UnicodeDecodeError)
+    path = tmp_path / "cfg.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes({"array": b"[]", "number": b"3", "not_utf8": b'{"notes": "\xff"}'}[kind])
+    assert cli.main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    assert str(path) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("override", [
+    "seed=1.0", "counts.n_theta=16.0", "initials.count=1.0", "problem.horizon=NaN", "train.lr=NaN",
+    "theta_space.half_width=Infinity", "problem.domain.hi=[Infinity]",
+])
+def test_numbers_the_schema_let_through_are_config_errors(heat_config, tmp_path, capsys, override):
+    # JSON's 1.0 passed as an integer and crashed later with a TypeError; NaN
+    # passed every bound (a NaN horizon ran every stage to exit 0) and so did infinities
+    assert cli.main(["verify", "--config", str(heat_config), "--out", str(tmp_path / "out"),
+                     "--set", override]) == cli.EXIT_CONFIG
+    assert "is not of type" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_config_file(tmp_path):
@@ -437,8 +464,8 @@ def test_caches_of_the_previous_formats_are_rejected(heat_config, tmp_path, caps
 @pytest.mark.parametrize("name", sorted(p.name for p in PRESETS.glob("*.json")))
 def test_shipped_presets_load(name, tmp_path):
     cfg = config.load_config(PRESETS / name, out_dir=str(tmp_path))
-    assert cfg.rom_arch.input_dim == cfg.problem.dim
-    assert cfg.rom_arch.lo == tuple(cfg.problem.lo) and cfg.rom_arch.hi == tuple(cfg.problem.hi)
+    domain = cfg.raw["problem"]["domain"]
+    assert cfg.rom_arch.lo == tuple(domain["lo"]) and cfg.rom_arch.hi == tuple(domain["hi"])
     assert cfg.control_arch.input_dim == rom.param_count(cfg.rom_arch)
 
 
@@ -577,6 +604,8 @@ _UNREAD_KEYS += [("train.plateau_window", 100)]
 _UNREAD_KEYS += [("initials.degree_max", 3), ("initials.max_terms", 6), ("initials.amplitude", 0.9)]
 # the ROM's dimension and box come from problem.domain
 _UNREAD_KEYS += [("rom_arch.input_dim", 1), ("rom_arch.wrapper_spec", {})]
+# every solve is RK4
+_UNREAD_KEYS += [("solve.scheme", "euler")]
 
 
 @pytest.mark.parametrize("key, value", [pytest.param(k, v, id=k.removeprefix("initials.fit.")) for k, v in _UNREAD_KEYS])
@@ -607,8 +636,9 @@ def test_benchmark_workload_configs_load(tmp_path):
         inspect.signature(fit.fit_initial).bind_partial(**cfg.raw["initials"]["fit"])
 
 
-@pytest.mark.parametrize("override", [{"batch_size": -5}, {"max_steps": 0}, {"stop_loss": "x"}],
-                         ids=["batch_size", "max_steps", "stop_loss"])
+@pytest.mark.parametrize("override", [{"batch_size": -5}, {"max_steps": 0}, {"stop_loss": "x"}, {"lr": float("nan")},
+                                      {"max_steps": 30.0}],
+                         ids=["batch_size", "max_steps", "stop_loss", "lr_nan", "max_steps_float"])
 def test_script_train_overrides_are_config_errors(heat_config, tmp_path, override):
     # a script's overrides used to skip the schema: a negative batch "diverged at step 1",
     # zero steps wrote a checkpoint with loss NaN, and a string stop_loss was a TypeError

@@ -11,7 +11,7 @@ from conftest import fourier_sine_arch
 
 
 def test_rk4_single_step_linear_decay():
-    traj = evolve.solve_ivp(lambda th: -th, np.array([1.0]), 0.1, 1, scheme="rk4")
+    traj = evolve.solve_ivp(lambda th: -th, np.array([1.0]), 0.1, 1)
     assert traj.thetas[-1][0] == pytest.approx(0.9048375, abs=1e-7)
     assert abs(traj.thetas[-1][0] - np.exp(-0.1)) < 1e-7
 
@@ -22,43 +22,40 @@ def test_zero_field_constant_trajectory():
     assert np.all(traj.thetas == theta0)
 
 
-def _global_error(scheme, n):
-    traj = evolve.solve_ivp(lambda th: -th, np.array([1.0]), 1.0, n, scheme=scheme)
+def _global_error(n):
+    traj = evolve.solve_ivp(lambda th: -th, np.array([1.0]), 1.0, n)
     return abs(traj.thetas[-1][0] - np.exp(-1.0))
-
-
-def test_euler_first_order():
-    errs = [_global_error("euler", n) for n in (50, 100, 200, 400)]
-    slopes = np.diff(np.log(errs)) / np.log(0.5)
-    assert np.all(np.abs(np.array(slopes) - 1.0) < 0.1)
 
 
 def test_rk4_fourth_order():
     hs = [1 / 25, 1 / 50, 1 / 100, 1 / 200, 1 / 400]
-    errs = [_global_error("rk4", int(round(1 / h))) for h in hs]
+    errs = [_global_error(int(round(1 / h))) for h in hs]
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert abs(slope - 4.0) < 0.2
 
 
 def test_euler_discrete_bound():
-    # Euler error against an RK4-fine path obeys (h M_V / 2)(e^{L_V t} - 1)
-    # with the exact constants of V = -theta: M_V = max |theta|, L_V = 1
+    # forward-Euler error against an RK4-fine path obeys pde_ops.euler_bound,
+    # (L_V M_V |Omega| h / 2)(e^{L_V t} - 1), with the exact constants of
+    # V = -theta: M_V = max |theta|, L_V = 1, and |Omega| = 1
     field = lambda th: -th
     m_v = float(np.abs(sample_theta(Box(1.0, 1), 512, seed=3)).max())
     h, n = 0.05, 20
-    euler = evolve.solve_ivp(field, np.array([1.0]), 1.0, n, scheme="euler")
-    fine = evolve.solve_ivp(field, np.array([1.0]), 1.0, n * 20, scheme="rk4")
-    for j, t in enumerate(euler.times):
-        err = float(np.abs(euler.thetas[j] - fine.thetas[j * 20]).max())
-        assert err <= 0.5 * h * m_v * np.expm1(t) + 1e-12
+    euler = [np.array([1.0])]
+    for _ in range(n):
+        euler.append(euler[-1] + h * field(euler[-1]))
+    fine = evolve.solve_ivp(field, np.array([1.0]), 1.0, n * 20)
+    for j, theta in enumerate(euler):
+        err = float(np.abs(theta - fine.thetas[j * 20]).max())
+        assert err <= pde_ops.euler_bound(1.0, m_v, 1.0, h, j * h) + 1e-12
 
 
-def test_euler_chaining_bit_exact():
+def test_rk4_chaining_bit_exact():
     field = lambda th: np.sin(th) - 0.5 * th
     theta0 = np.array([0.9, -0.4])
-    whole = evolve.solve_ivp(field, theta0, 1.0, 40, scheme="euler")
-    first = evolve.solve_ivp(field, theta0, 0.5, 20, scheme="euler")
-    second = evolve.solve_ivp(field, first.thetas[-1], 0.5, 20, scheme="euler")
+    whole = evolve.solve_ivp(field, theta0, 1.0, 40)
+    first = evolve.solve_ivp(field, theta0, 0.5, 20)
+    second = evolve.solve_ivp(field, first.thetas[-1], 0.5, 20)
     chained = np.vstack([first.thetas, second.thetas[1:]])
     assert whole.thetas.tobytes() == chained.tobytes()
 
@@ -118,7 +115,7 @@ def test_gen_trajectory_step_past_float64_keeps_the_finished_pair():
 def test_blowup_guard_aborts_and_flags():
     field = lambda th: 10.0 * th  # exponential growth
     space = Box(1.0, 1)
-    traj = evolve.solve_ivp(field, np.array([1.0]), 10.0, 200, scheme="euler", theta_space=space)
+    traj = evolve.solve_ivp(field, np.array([1.0]), 10.0, 200, theta_space=space)
     assert traj.blowup_step is not None
     assert traj.thetas.shape[0] < 201  # prefix only
     assert np.linalg.norm(traj.thetas[-1]) <= 10.0 * space.diameter() * 1.5

@@ -71,13 +71,3 @@ def test_operator_metadata():
     ac = pde_ops.AllenCahn(epsilon=1e-4)
     assert ac.ellipticity == 1e-4
     assert ac.lipschitz_f == pytest.approx(1.5 * (3 * 1.5**2 - 1))
-
-
-def test_problem_validation():
-    with pytest.raises(ValueError):
-        pde_ops.Problem(pde_ops.Heat(), lo=[0.0], hi=[0.0], horizon=1.0)
-    with pytest.raises(ValueError):
-        pde_ops.Problem(pde_ops.Heat(), lo=[0.0], hi=[1.0], horizon=0.0)
-    prob = pde_ops.Problem(pde_ops.Heat(), lo=[0.0, 0.0], hi=[1.0, 2.0], horizon=0.5)
-    assert prob.volume == pytest.approx(2.0)
-    assert prob.dim == 2
