@@ -45,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     for name, help_text in (
-        ("fit-initial", "fit anchor parameters for the configured initial family"),
+        ("fit-initial", "fit anchor parameters for the problem kind's initial family"),
         ("sample-gram", "assemble the Gram/projection cache over the parameter space"),
         ("gen-trajectories", "generate Gram-march trajectories for the trajectory loss"),
         ("train-control", "train the control field on the caches"),

@@ -1,14 +1,17 @@
 """Run configuration: JSON schema, loading, dotted-path overrides. load_config
 builds the run objects the commands share (the operator, the ROM and
 control-net architectures) once and checks them against each other; an
-invalid or mismatched setting is a ConfigError (exit 2), as is a problem no
-reference serves with its initial family. The ROM architecture takes its
-dimension and its box from problem.domain; the horizon is read from
-RunConfig.raw. The settings' defaults are in _DEFAULTS and their checks in
-SCHEMA, so RunConfig.raw is the effective config; only rom_arch's optional
-fields (rom.RomArch), the transport velocity (1 per dimension) and the paths
-(the layout below) default elsewhere. ADAM's moments and the plateau window
-are constants of optim, not settings.
+invalid or mismatched setting is a ConfigError (exit 2) that names the
+setting where the schema rejects it. The problem kind picks its initial
+family (transport random_theta, heat heat_combo, allen_cahn cheb_combo),
+and each kind has one load rule for the setting its reference and family
+need. The ROM architecture takes its dimension and its box from
+problem.domain; the horizon is read from RunConfig.raw. The settings'
+defaults are in _DEFAULTS and their checks in SCHEMA, so RunConfig.raw is
+the effective config; only rom_arch's optional fields (rom.RomArch), the
+transport velocity (1 per dimension) and the paths (the layout below)
+default elsewhere. ADAM's moments and the plateau window are constants of
+optim, not settings.
 
 Artifacts live under a fixed out_dir layout:
     out/caches/      gram + trajectory caches, anchor store (binfiles)
@@ -129,7 +132,6 @@ SCHEMA = {
         "initials": {
             "type": "object",
             "properties": {
-                "family": {"enum": ["random_theta", "heat_combo", "cheb_combo"]},
                 "count": {"type": "integer", "minimum": 0},
                 "eps0_target": {"type": "number", "exclusiveMinimum": 0},
                 "fit_n_x": {"type": "integer", "minimum": 1},
@@ -170,7 +172,6 @@ _DEFAULTS = {
     "train": {"lr": 1e-3, "zeta": 0.1, "batch_size": 256, "stop_loss": 0.1, "stop_plateau_pct": 0.1,
               "max_steps": 100_000},
     "initials": {
-        "family": "random_theta",
         "count": 8,
         "eps0_target": 1e-3,
         "fit_n_x": 512,
@@ -215,46 +216,42 @@ def apply_override(doc: dict, key: str, value) -> None:
 def _build(doc: dict) -> tuple[pde_ops.PdeOperator, rom.RomArch, ControlArch]:
     """The operator, the ROM architecture on the problem's box and the
     control-net architecture the validated doc describes; ValueError if one
-    is invalid, if settings disagree, or if no reference serves the problem
-    with its initial family."""
+    is invalid, if settings disagree, or if the problem's reference or
+    initial family cannot serve it."""
     p = doc["problem"]
     lo = np.array(p["domain"]["lo"], dtype=np.float64)
     hi = np.array(p["domain"]["hi"], dtype=np.float64)
     kind = p["kind"]
+    theta_kind = doc["theta_space"]["kind"]
+    arch = rom.RomArch(**doc["rom_arch"], input_dim=lo.size, lo=lo, hi=hi)
+    box = f"the domain is {lo.tolist()} to {hi.tolist()}"
     if kind == "transport":
         velocity = np.array(p.get("velocity", [1.0] * len(lo)), dtype=np.float64)
         if velocity.shape != lo.shape:
             raise ValueError(f"problem.velocity has {velocity.size} components for a {lo.size}-D domain")
+        if theta_kind != "box":
+            raise ValueError(f"transport draws its random_theta anchors from a box theta_space; "
+                             f"theta_space.kind is {theta_kind!r}")
         op = pde_ops.Transport(velocity=velocity)
     elif kind == "heat":
+        if not (np.array_equal(lo, [0.0]) and np.array_equal(hi, [1.0])):
+            raise ValueError(f"heat needs the domain (0,1), where its sine-series reference and heat_combo "
+                             f"initials are defined; {box}")
         op = pde_ops.Heat()
     else:
+        if not (np.array_equal(lo, [-1.0, -1.0]) and np.array_equal(hi, [1.0, 1.0])):
+            raise ValueError(f"allen_cahn needs the domain (-1,1)^2, where its cheb_combo initials vanish on "
+                             f"the boundary; {box}")
         op = pde_ops.AllenCahn(epsilon=p["epsilon"])
-    arch = rom.RomArch(**doc["rom_arch"], input_dim=lo.size, lo=lo, hi=hi)
-    box = f"the domain is {lo.tolist()} to {hi.tolist()}"
-    family = doc["initials"]["family"]
-    if doc["theta_space"]["kind"] == "anchor_balls" and doc["initials"]["count"] == 0:
+    if theta_kind == "anchor_balls" and doc["initials"]["count"] == 0:
         raise ValueError("theta_space.kind 'anchor_balls' samples around the anchors; initials.count is 0")
-    # which reference serves which problem: the heat series sums 1-D heat_combo
-    # modes, the IMEX grid uses one set of nodes for both axes, and the
-    # transport shift wraps x - vt into the box, so a period-1 ROM needs
+    # the transport shift wraps x - vt into the box, so a period-1 ROM needs
     # whole-number sides (up to the rounding of hi - lo)
     sides = np.round(hi - lo)
     whole = np.all(sides >= 1) and np.allclose(hi - lo, sides, rtol=0.0, atol=1e-9)
     if arch.kind == rom.RESNET_PERIODIC and not whole:
         raise ValueError(f"rom_arch.kind 'resnet_periodic' has period 1 in each coordinate, so the box sides "
                          f"must be whole numbers; {box}")
-    if kind == "heat" and (family != "heat_combo" or arch.input_dim != 1):
-        raise ValueError(f"the closed-form heat reference needs heat_combo initials on a 1-D domain; "
-                         f"initials.family is {family!r} and {box}")
-    if kind == "allen_cahn" and not (arch.input_dim == 2 and lo[0] == lo[1] and hi[0] == hi[1]):
-        raise ValueError(f"the Allen-Cahn IMEX grid needs a 2-D domain with the same interval on both axes; {box}")
-    if family == "random_theta" and (kind != "transport" or doc["theta_space"]["kind"] != "box"):
-        raise ValueError("initials.family 'random_theta' draws its anchors from a box theta_space for a "
-                         f"transport reference; the problem is {kind} and theta_space.kind is "
-                         f"{doc['theta_space']['kind']!r}")
-    if family == "cheb_combo" and not (np.array_equal(lo, [-1.0, -1.0]) and np.array_equal(hi, [1.0, 1.0])):
-        raise ValueError(f"initials.family 'cheb_combo' vanishes on the boundary of (-1,1)^2; {box}")
     return op, arch, ControlArch(input_dim=rom.param_count(arch), **doc["control_arch"])
 
 
@@ -279,21 +276,22 @@ class RunConfig:
 
     def anchor_header(self) -> dict:
         """Every input of fit-initial, as the anchor store header records it
-        (arch_hash covers the box)."""
-        ini = self.raw["initials"]
+        (arch_hash covers the box); transport draws its anchors from the
+        theta_space."""
+        transport = self.raw["problem"]["kind"] == "transport"
         return {
             "arch_hash": rom.arch_hash(self.rom_arch),
             "m": rom.param_count(self.rom_arch),
             "seed": self.seed,
-            "initials": ini,
-            "theta_space": self.raw["theta_space"] if ini["family"] == "random_theta" else None,
+            "initials": self.raw["initials"],
+            "theta_space": self.raw["theta_space"] if transport else None,
         }
 
     def train_config(self, **overrides) -> dict:
         """The train block with overrides (a script's lr stages) merged in,
         checked as load_config checks the config's own block."""
         merged = {**self.raw["train"], **overrides}
-        _validate(merged, SCHEMA["properties"]["train"])
+        _validate(merged, _TRAIN_VALIDATOR, ("train",))
         return merged
 
     # -- paths ---------------------------------------------------------------
@@ -330,13 +328,20 @@ _VALIDATOR = jsonschema.validators.extend(
     type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine_many(
         {"integer": _is_integer, "number": _is_number}),
 )
+# built once: jsonschema.validate would check SCHEMA against the meta-schema on
+# every call (a tier-1 test checks it instead)
+_CONFIG_VALIDATOR = _VALIDATOR(SCHEMA)
+_TRAIN_VALIDATOR = _VALIDATOR(SCHEMA["properties"]["train"])
 
 
-def _validate(doc, schema: dict) -> None:
-    try:
-        jsonschema.validate(doc, schema, cls=_VALIDATOR)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config schema violation: {exc.message}") from exc
+def _validate(doc, validator, prefix: tuple = ()) -> None:
+    """ConfigError for the error jsonschema.validate would raise, naming the
+    setting: prefix is the path of doc in the config."""
+    error = jsonschema.exceptions.best_match(validator.iter_errors(doc))
+    if error is not None:
+        where = ".".join(map(str, (*prefix, *error.absolute_path)))
+        at = f" at {where}" if where else ""
+        raise ConfigError(f"config schema violation{at}: {error.message}")
 
 
 def load_config(path, overrides=(), out_dir: str | None = None, seed: int | None = None) -> RunConfig:
@@ -357,7 +362,7 @@ def load_config(path, overrides=(), out_dir: str | None = None, seed: int | None
     # defaults last, so an override that replaces a whole block is filled too;
     # a deep copy, so no run shares a nested dict with _DEFAULTS
     doc = _merge(copy.deepcopy(_DEFAULTS), doc)
-    _validate(doc, SCHEMA)
+    _validate(doc, _CONFIG_VALIDATOR)
     try:
         operator, rom_arch, control_arch = _build(doc)
     except ValueError as exc:

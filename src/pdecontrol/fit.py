@@ -1,11 +1,14 @@
 """Fitting initial parameters: find theta0 so the reduced-order model matches
 a prescribed initial function in empirical least squares.
 
-Initial-condition families:
-  * RandomTheta: the initial IS the model at a sampled parameter point.
-  * HeatCombo: weighted product-sine bases on the unit box. In 1-D the family
-    degenerates, so it is taken as the pure modes sin(k pi x), k = 1..4.
-  * ChebCombo: Chebyshev tensor products times the (-1,1)^2 boundary factor.
+Initial-condition families, one per problem kind:
+  * RandomTheta (transport): the initial IS the model at a sampled parameter
+    point, so it needs no fit (resolve_random_theta).
+  * HeatCombo (heat): a weighted sum of the modes sin(k pi x), k = 1..4, on
+    (0,1).
+  * ChebCombo (allen_cahn): Chebyshev tensor products times the (-1,1)^2
+    boundary factor.
+eval_initial evaluates the two fitted families.
 """
 
 from __future__ import annotations
@@ -81,36 +84,12 @@ def spec_from_dict(doc: dict) -> InitialSpec:
     raise ConfigError(f"cannot reconstruct initial spec of kind {kind!r}")
 
 
-def _heat_basis_values(X: np.ndarray) -> np.ndarray:
-    """The four base initial functions, columns of a (n, 4) matrix."""
-    n, d = X.shape
-    if d == 1:
-        x = X[:, 0]
-        return np.stack([np.sin(k * np.pi * x) for k in range(1, 5)], axis=1)
-    sin_all = np.sin(np.pi * X)
-    prod_all = sin_all.prod(axis=1)
-    g1 = prod_all
-    g2 = np.sin(2 * np.pi * X[:, 0]) * prod_all
-    g3 = np.sin(2 * np.pi * X[:, 1]) * prod_all / sin_all[:, 1]
-    g4 = np.sin(2 * np.pi * X[:, 0]) * np.sin(2 * np.pi * X[:, 1]) * prod_all / (
-        sin_all[:, 0] * sin_all[:, 1]
-    )
-    return np.stack([g1, g2, g3, g4], axis=1)
-
-
-def eval_initial(spec: InitialSpec, X, model: rom.RomModel | None = None) -> np.ndarray:
-    """Evaluate the initial function at points X (n, d).
-
-    RandomTheta requires the resolved model (the sampled parameter point).
-    """
+def eval_initial(spec: HeatCombo | ChebCombo, X) -> np.ndarray:
+    """Evaluate a fitted family's initial function at points X (n, d)."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if isinstance(spec, RandomTheta):
-        if model is None:
-            raise ValueError("RandomTheta evaluation needs the resolved RomModel")
-        return rom.eval_batch(model, X, rom.EvalFlags(value=True)).value
     if isinstance(spec, HeatCombo):
-        return _heat_basis_values(X) @ spec.coeffs
-    # ChebCombo, the remaining family
+        x = X[:, 0]
+        return np.stack([np.sin(k * np.pi * x) for k in range(1, 5)], axis=1) @ spec.coeffs
     x1, x2 = X[:, 0], X[:, 1]
     alpha = (1.0 - x1 * x1) * (1.0 - x2 * x2)
     acc = np.zeros(X.shape[0])
@@ -136,7 +115,7 @@ class FitResult:
 
 def fit_initial(
     arch: rom.RomArch,
-    spec: InitialSpec,
+    spec: HeatCombo | ChebCombo,
     n_x: int,
     eps0_target: float,
     seed: int,

@@ -36,20 +36,20 @@ CHEB_AMPLITUDE = 0.9
 
 
 def sample_initial_specs(cfg: RunConfig):
-    """Draw initial-condition specs from the configured family."""
-    ini = cfg.raw["initials"]
-    family = ini["family"]
-    n = ini["count"]
+    """Draw initial-condition specs from the problem kind's family: transport
+    random_theta, heat heat_combo, allen_cahn cheb_combo."""
+    kind = cfg.raw["problem"]["kind"]
+    n = cfg.raw["initials"]["count"]
     rng = rng_for(cfg.seed, stream=60)
     specs: list[fit.InitialSpec] = []
-    if family == "random_theta":
+    if kind == "transport":
         for i in range(n):
             specs.append(fit.RandomTheta(seed=int(rng.integers(0, 2**31 - 1))))
-    elif family == "heat_combo":
+    elif kind == "heat":
         for _ in range(n):
             specs.append(fit.HeatCombo(coeffs=rng.uniform(-1.0, 1.0, 4)))
     else:
-        # the amplitude probe covers (-1,1)^2, the only box config lets cheb_combo take
+        # the amplitude probe covers (-1,1)^2, the only box config lets allen_cahn take
         grid = np.linspace(-1.0 + 1e-3, 1.0 - 1e-3, 41)
         G1, G2 = np.meshgrid(grid, grid, indexing="ij")
         probe = np.stack([G1.ravel(), G2.ravel()], axis=1)
@@ -80,7 +80,7 @@ def cmd_fit_initial(cfg: RunConfig) -> list[dict]:
     entries = []
     for k, spec in enumerate(sample_initial_specs(cfg)):
         if isinstance(spec, fit.RandomTheta):
-            # config gives random_theta initials a box theta_space
+            # config gives transport a box theta_space
             model = fit.resolve_random_theta(spec, cfg.rom_arch, cfg.theta_space())
             entries.append((spec, model.theta, 0.0))
         else:
@@ -296,18 +296,14 @@ def cmd_reference(cfg: RunConfig, anchor_index: int = 0, nx: int = REFERENCE_NX,
 def build_reference(cfg: RunConfig, index: int, initial: dict):
     """Reference solution object for anchor index with the initial spec
     (a describe() dict) that its solution records; config only builds runs
-    whose problem and initial family one of them serves."""
+    whose problem one of them serves."""
     kind = cfg.raw["problem"]["kind"]
-    spec = fit.spec_from_dict(initial)
     if kind == "transport":
-        model = None
-        if isinstance(spec, fit.RandomTheta):
-            # the anchor theta defines the initial function u_theta0
-            model = rom.RomModel(cfg.rom_arch, _load_anchors(cfg, index)[1][index])
-        return reference.TransportShift(initial=spec, velocity=cfg.operator.velocity, lo=cfg.rom_arch.lo,
-                                        hi=cfg.rom_arch.hi, model=model)
+        # the anchor theta defines the initial function u_theta0
+        model = rom.RomModel(cfg.rom_arch, _load_anchors(cfg, index)[1][index])
+        return reference.TransportShift(model=model, velocity=cfg.operator.velocity)
     if kind == "heat":
-        return reference.HeatSeries(spec.coeffs)
+        return reference.HeatSeries(fit.spec_from_dict(initial).coeffs)
     return reference.load_grid_solution(reference_path(cfg, index), _reference_header(cfg, initial))
 
 

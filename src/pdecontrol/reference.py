@@ -1,8 +1,9 @@
 """Ground-truth solutions and error metrics.
 
-Closed forms: shifted initial data for constant transport (periodic box) and
-separated sine series for the heat equation on the unit box with zero
-Dirichlet data. The 2-D Allen-Cahn reference is computed by an
+Closed forms: the anchor's model shifted along the velocity for constant
+transport (wrapped into the periodic box; its random_theta initial is that
+model) and the separated sine series for the heat equation on (0,1) with
+zero Dirichlet data. The 2-D Allen-Cahn reference is computed by an
 implicit-explicit scheme (diffusion implicit via a prefactorized 5-point
 Laplacian, reaction explicit) and exposed through space-bilinear,
 time-linear interpolation of strided snapshots.
@@ -28,18 +29,14 @@ class OutOfDomain(PdeControlError):
 
 @dataclass(frozen=True)
 class TransportShift:
-    """u(x, t) = g(x - velocity * t), with x wrapped periodically into the box."""
+    """u(x, t) = u_theta0(x - velocity * t), with x wrapped periodically into
+    the model's box: model is the anchor, whose u_theta0 is the initial."""
 
-    initial: fit.InitialSpec
+    model: rom.RomModel
     velocity: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    model: rom.RomModel | None = None  # resolved model for RandomTheta initials
 
     def __post_init__(self):
         object.__setattr__(self, "velocity", np.asarray(self.velocity, dtype=np.float64))
-        object.__setattr__(self, "lo", np.asarray(self.lo, dtype=np.float64))
-        object.__setattr__(self, "hi", np.asarray(self.hi, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -75,10 +72,9 @@ ReferenceSolution = TransportShift | HeatSeries | GridSolution
 def eval_reference(ref: ReferenceSolution, X, t: float) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if isinstance(ref, TransportShift):
-        shifted = X - ref.velocity * t
-        span = ref.hi - ref.lo
-        wrapped = ref.lo + np.mod(shifted - ref.lo, span)
-        return fit.eval_initial(ref.initial, wrapped, model=ref.model)
+        lo, hi = ref.model.arch.domain
+        wrapped = lo + np.mod(X - ref.velocity * t - lo, hi - lo)
+        return rom.eval_batch(ref.model, wrapped, rom.EvalFlags(value=True)).value
     if isinstance(ref, HeatSeries):
         out = np.zeros(X.shape[0])
         for k, c in enumerate(ref.coeffs, start=1):
@@ -120,7 +116,7 @@ def _eval_grid(ref: GridSolution, X: np.ndarray, t: float) -> np.ndarray:
 
 
 def solve_allen_cahn_imex(
-    initial: fit.InitialSpec,
+    initial: fit.ChebCombo,
     epsilon: float,
     nx: int,
     nt: int,

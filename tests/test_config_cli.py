@@ -30,7 +30,7 @@ HEAT_CFG = {
     "train": {"lr": 0.01, "zeta": 0.1, "batch_size": 0, "stop_loss": 1e-9,
               "stop_plateau_pct": None, "max_steps": 30},
     "solve": {"n_steps": 8},
-    "initials": {"family": "heat_combo", "count": 2, "eps0_target": 0.01, "fit_n_x": 64,
+    "initials": {"count": 2, "eps0_target": 0.01, "fit_n_x": 64,
                  "fit": {"lr": 0.01, "max_steps": 400}},
     "seed": 3,
 }
@@ -95,6 +95,21 @@ def test_numbers_the_schema_let_through_are_config_errors(heat_config, tmp_path,
                      "--set", override]) == cli.EXIT_CONFIG
     assert "is not of type" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_schema_errors_name_the_setting(heat_config, tmp_path, capsys):
+    # the message used to be only "16.0 is not of type 'integer'", naming no key
+    assert cli.main(["verify", "--config", str(heat_config), "--out", str(tmp_path / "out"),
+                     "--set", "counts.n_theta=16.0"]) == cli.EXIT_CONFIG
+    assert "config schema violation at counts.n_theta: 16.0 is not of type 'integer'" in capsys.readouterr().err
+    cfg = config.load_config(heat_config, out_dir=str(tmp_path / "out"))
+    with pytest.raises(ConfigError, match=r"^config schema violation at train\.lr: nan is not of type 'number'$"):
+        cfg.train_config(lr=float("nan"))
+
+
+def test_schema_is_valid_under_its_meta_schema():
+    # load_config validates with prebuilt validators, which skip this check
+    config._VALIDATOR.check_schema(config.SCHEMA)
 
 
 def test_missing_config_file(tmp_path):
@@ -363,37 +378,46 @@ def test_mismatched_settings_are_config_errors(tmp_path, capsys, preset, overrid
     assert not (tmp_path / "caches").exists()
 
 
-_BOX_THETA = 'theta_space={"kind":"box","half_width":1.0}'
+_FAMILY_KEY = "Additional properties are not allowed ('family' was unexpected)"
 
 
 @pytest.mark.parametrize("preset, overrides, message", [
-    ("transport_1d.json", ["initials.family=cheb_combo"],
-     "initials.family 'cheb_combo' vanishes on the boundary of (-1,1)^2; the domain is [0.0] to [1.0]"),
+    ("allen_cahn_2d.json", ['problem.domain={"lo":[-1.0],"hi":[1.0]}'],
+     "allen_cahn needs the domain (-1,1)^2, where its cheb_combo initials vanish on the boundary; "
+     "the domain is [-1.0] to [1.0]"),
     ("transport_1d.json", ['theta_space={"kind":"anchor_balls","radius":3.0}'],
-     "the problem is transport and theta_space.kind is 'anchor_balls'"),
-    ("allen_cahn_2d.json", ["initials.family=random_theta", _BOX_THETA],
-     "initials.family 'random_theta' draws its anchors from a box theta_space for a transport reference; "
-     "the problem is allen_cahn"),
-    ("heat_fourier_1d.json", ["initials.family=random_theta"],
-     "the closed-form heat reference needs heat_combo initials on a 1-D domain; initials.family is 'random_theta'"),
+     "transport draws its random_theta anchors from a box theta_space; theta_space.kind is 'anchor_balls'"),
+    ("allen_cahn_2d.json", ["initials.family=random_theta"], _FAMILY_KEY),
+    ("heat_fourier_1d.json", ["initials.family=random_theta"], _FAMILY_KEY),
     ("heat_fourier_1d.json", ['rom_arch={"kind":"resnet_zero_boundary","width":4,"depth":2}',
                               'problem.domain={"lo":[0.0,0.0],"hi":[1.0,1.0]}'],
-     "the closed-form heat reference needs heat_combo initials on a 1-D domain; initials.family is 'heat_combo' "
-     "and the domain is [0.0, 0.0] to [1.0, 1.0]"),
+     "heat needs the domain (0,1), where its sine-series reference and heat_combo initials are defined; "
+     "the domain is [0.0, 0.0] to [1.0, 1.0]"),
+    ("heat_fourier_1d.json", ['rom_arch={"kind":"resnet_zero_boundary","width":4,"depth":2}',
+                              'problem.domain={"lo":[0.0],"hi":[1.5]}'],
+     "heat needs the domain (0,1), where its sine-series reference and heat_combo initials are defined; "
+     "the domain is [0.0] to [1.5]"),
     ("allen_cahn_2d.json", ['problem.domain={"lo":[-1.0,-1.0],"hi":[1.0,2.0]}'],
-     "the Allen-Cahn IMEX grid needs a 2-D domain with the same interval on both axes"),
+     "allen_cahn needs the domain (-1,1)^2, where its cheb_combo initials vanish on the boundary; "
+     "the domain is [-1.0, -1.0] to [1.0, 2.0]"),
+    ("allen_cahn_2d.json", ['problem.domain={"lo":[0.0,0.0],"hi":[1.0,1.0]}'],
+     "allen_cahn needs the domain (-1,1)^2, where its cheb_combo initials vanish on the boundary; "
+     "the domain is [0.0, 0.0] to [1.0, 1.0]"),
     ("transport_1d.json", ['problem.domain={"lo":[0.0],"hi":[0.5]}'],
      "rom_arch.kind 'resnet_periodic' has period 1 in each coordinate, so the box sides must be whole numbers; "
      "the domain is [0.0] to [0.5]"),
 ], ids=["cheb_1d", "random_theta_anchor_balls", "random_theta_allen_cahn", "random_theta_heat", "heat_2d",
-        "allen_cahn_unequal_axes", "periodic_half_box"])
+        "heat_wide_interval", "allen_cahn_unequal_axes", "allen_cahn_unit_square", "periodic_half_box"])
 def test_combinations_no_reference_serves_are_config_errors(tmp_path, capsys, preset, overrides, message):
     # each used to fail late or not at all: cheb_combo on 1-D was an IndexError
     # traceback, random_theta on anchor balls sent fit-initial to its own output
     # (exit 3), on allen_cahn reference was a ValueError traceback, and
     # random_theta on heat, 2-D heat and the unequal Allen-Cahn axes ran every
     # stage to solve (the last one through eval, against a wrong reference), and
-    # the period-1 ROM on (0, 0.5) differed from the wrapped reference by up to 4.1
+    # the period-1 ROM on (0, 0.5) differed from the wrapped reference by up to 4.1;
+    # heat on (0, 1.5) loaded, although the sine series is -1 at x = 1.5, where
+    # the zero-boundary ROM is 0. The problem kind now picks the initial family,
+    # so asking for another family is a schema error.
     args = ["fit-initial", "--config", str(PRESETS / preset), "--out", str(tmp_path)]
     assert cli.main(args + [arg for o in overrides for arg in ("--set", o)]) == cli.EXIT_CONFIG
     assert message in capsys.readouterr().err
@@ -606,6 +630,8 @@ _UNREAD_KEYS += [("initials.degree_max", 3), ("initials.max_terms", 6), ("initia
 _UNREAD_KEYS += [("rom_arch.input_dim", 1), ("rom_arch.wrapper_spec", {})]
 # every solve is RK4
 _UNREAD_KEYS += [("solve.scheme", "euler")]
+# the problem kind picks the initial family
+_UNREAD_KEYS += [("initials.family", "heat_combo")]
 
 
 @pytest.mark.parametrize("key, value", [pytest.param(k, v, id=k.removeprefix("initials.fit.")) for k, v in _UNREAD_KEYS])

@@ -10,11 +10,14 @@ from pdecontrol.reference import OutOfDomain
 from conftest import fourier_sine_arch
 
 
+def _sine_2pi_shift() -> reference.TransportShift:
+    """The unit-speed shift of sin(2 pi x) = 2^-1/2 sqrt(2) sin(2 pi x) on (0,1)."""
+    arch = rom.RomArch(kind=rom.LINEAR_BASIS, input_dim=1, basis_spec=(("fourier_sine", 2),))
+    return reference.TransportShift(model=rom.RomModel(arch, np.array([2**-0.5])), velocity=np.array([1.0]))
+
+
 def test_transport_shift_sine(rng):
-    spec = fit.HeatCombo(np.array([0.0, 1.0, 0.0, 0.0]))  # sin(2 pi x)
-    ref = reference.TransportShift(
-        initial=spec, velocity=np.array([1.0]), lo=np.array([0.0]), hi=np.array([1.0])
-    )
+    ref = _sine_2pi_shift()
     X = rng.uniform(0, 1, (10, 1))
     for t in (0.0, 0.3, 0.77):
         got = reference.eval_reference(ref, X, t)
@@ -46,10 +49,7 @@ def test_heat_series_satisfies_pde(rng):
 
 
 def test_transport_shift_satisfies_pde(rng):
-    spec = fit.HeatCombo(np.array([0.0, 1.0, 0.0, 0.0]))  # sin(2 pi x)
-    ref = reference.TransportShift(
-        initial=spec, velocity=np.array([1.0]), lo=np.array([0.0]), hi=np.array([1.0])
-    )
+    ref = _sine_2pi_shift()
     h = 1e-4
     for _ in range(10):
         x = rng.uniform(0.1, 0.9)
@@ -117,15 +117,11 @@ def test_out_of_domain_errors():
         reference.eval_reference(grid, np.array([[2.0, 0.0]]), 0.05)
 
 
-def test_error_curve_self_comparison_zero(unit_interval):
+def test_error_curve_self_comparison_zero():
     arch = fourier_sine_arch(3)
     theta0 = np.array([0.6, -0.2, 0.1])
-    # reference IS the model snapshot: a RandomTheta initial resolved to theta0
-    model = rom.RomModel(arch, theta0)
-    ref = reference.TransportShift(
-        initial=fit.RandomTheta(seed=0), velocity=np.array([0.0]), lo=unit_interval[0], hi=unit_interval[1],
-        model=model,
-    )
+    # reference IS the model snapshot: the anchor model at theta0, unshifted
+    ref = reference.TransportShift(model=rom.RomModel(arch, theta0), velocity=np.array([0.0]))
     traj = evolve.ParamTrajectory(
         times=np.array([0.0, 0.1]), thetas=np.stack([theta0, theta0]), velocities=None, step=0.1,
     )
