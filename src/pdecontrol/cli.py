@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("fit-initial", "fit anchor parameters for the problem kind's initial family"),
         ("sample-gram", "assemble the Gram/projection cache over the parameter space"),
         ("gen-trajectories", "generate Gram-march trajectories for the trajectory loss"),
-        ("train-control", "train the control field on the caches"),
+        ("train-control", "train the control field on the caches through the stages of train.schedule"),
         ("solve", "integrate the parameter ODE from a fitted anchor"),
         ("reference", "materialize the reference solution (Allen-Cahn IMEX)"),
         ("eval", "error curve of a stored solution against the reference"),
@@ -58,9 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
         if name == "train-control":
-            p.add_argument("--resume", action="store_true", help="warm-start from the existing checkpoint")
-            p.add_argument("--pairs-only", action="store_true",
-                           help="train on trajectory pairs alone (curriculum warmup)")
+            p.add_argument("--resume", action="store_true",
+                           help="warm-start from the existing checkpoint and append to the loss history")
         if name in ("solve", "reference", "eval", "export-slice"):
             p.add_argument("--anchor", type=int, default=0, help="anchor index in the store")
         if name == "reference":
@@ -92,7 +91,9 @@ def _run(args) -> int:
         stats = pipeline.cmd_gen_trajectories(cfg)
         print(f"trajectories: {stats['trajectories']} ({stats['pairs']} pairs, {stats['blowups']} blowups)")
     elif args.command == "train-control":
-        stats = pipeline.cmd_train_control(cfg, resume=args.resume, pairs_only=args.pairs_only)
+        stats = pipeline.cmd_train_control(cfg, resume=args.resume)
+        for k, stage in enumerate(stats["stages"]):
+            print(f"stage {k}: lr={stage['lr']:g}, {stage['steps']} steps, final l_total={stage['final_loss']:.6e}")
         print(f"trained {stats['steps']} steps on {stats['records']} records "
               f"(+{stats['pairs']} pairs); final l_total={stats['final_loss']:.6e}")
     elif args.command == "solve":

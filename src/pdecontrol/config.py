@@ -10,8 +10,9 @@ problem.domain; the horizon is read from RunConfig.raw. The settings'
 defaults are in _DEFAULTS and their checks in SCHEMA, so RunConfig.raw is
 the effective config; only rom_arch's optional fields (rom.RomArch), the
 transport velocity (1 per dimension) and the paths (the layout below)
-default elsewhere. ADAM's moments and the plateau window are constants of
-optim, not settings.
+default elsewhere. ADAM's moments are constants of optim, not settings.
+train.schedule is the run's whole training: its stages run in order in one
+train-control, each stage's batch_size defaulting to the block's.
 
 Artifacts live under a fixed out_dir layout:
     out/caches/      gram + trajectory caches, anchor store (binfiles)
@@ -42,6 +43,14 @@ from .sampling import AnchorBalls, Box
 
 _LR = {"type": "number", "exclusiveMinimum": 0}
 _MAX_STEPS = {"type": "integer", "minimum": 1}
+_BATCH_SIZE = {"type": "integer", "minimum": 0}
+# one lr stage of train.schedule; pairs_only trains on trajectory pairs alone
+_STAGE = {
+    "type": "object",
+    "required": ["lr", "max_steps"],
+    "properties": {"lr": _LR, "max_steps": _MAX_STEPS, "batch_size": _BATCH_SIZE, "pairs_only": {"type": "boolean"}},
+    "additionalProperties": False,
+}
 
 SCHEMA = {
     "type": "object",
@@ -113,12 +122,10 @@ SCHEMA = {
         "train": {
             "type": "object",
             "properties": {
-                "lr": _LR,
+                "schedule": {"type": "array", "minItems": 1, "items": _STAGE},
                 "zeta": {"type": "number", "minimum": 0},
-                "batch_size": {"type": "integer", "minimum": 0},
+                "batch_size": _BATCH_SIZE,
                 "stop_loss": {"type": "number"},
-                "stop_plateau_pct": {"type": ["number", "null"]},
-                "max_steps": _MAX_STEPS,
             },
             "additionalProperties": False,
         },
@@ -168,9 +175,8 @@ _DEFAULTS = {
     "solve": {"n_steps": 200},
     "theta_space": {"kind": "box", "half_width": 1.0, "radius": 3.0},
     "control_arch": {"width": 64, "depth": 3},
-    # batch_size 0 is the full batch; stop_plateau_pct null turns the plateau stop off
-    "train": {"lr": 1e-3, "zeta": 0.1, "batch_size": 256, "stop_loss": 0.1, "stop_plateau_pct": 0.1,
-              "max_steps": 100_000},
+    # batch_size 0 is the full batch
+    "train": {"schedule": [{"lr": 1e-3, "max_steps": 100_000}], "zeta": 0.1, "batch_size": 256, "stop_loss": 0.1},
     "initials": {
         "count": 8,
         "eps0_target": 1e-3,
@@ -287,13 +293,6 @@ class RunConfig:
             "theta_space": self.raw["theta_space"] if transport else None,
         }
 
-    def train_config(self, **overrides) -> dict:
-        """The train block with overrides (a script's lr stages) merged in,
-        checked as load_config checks the config's own block."""
-        merged = {**self.raw["train"], **overrides}
-        _validate(merged, _TRAIN_VALIDATOR, ("train",))
-        return merged
-
     # -- paths ---------------------------------------------------------------
 
     def path(self, name: str) -> str:
@@ -331,7 +330,7 @@ _VALIDATOR = jsonschema.validators.extend(
 # built once: jsonschema.validate would check SCHEMA against the meta-schema on
 # every call (a tier-1 test checks it instead)
 _CONFIG_VALIDATOR = _VALIDATOR(SCHEMA)
-_TRAIN_VALIDATOR = _VALIDATOR(SCHEMA["properties"]["train"])
+_STAGE_VALIDATOR = _VALIDATOR(_STAGE)
 
 
 def _validate(doc, validator, prefix: tuple = ()) -> None:
@@ -342,6 +341,12 @@ def _validate(doc, validator, prefix: tuple = ()) -> None:
         where = ".".join(map(str, (*prefix, *error.absolute_path)))
         at = f" at {where}" if where else ""
         raise ConfigError(f"config schema violation{at}: {error.message}")
+
+
+def check_stage(stage: dict) -> None:
+    """ConfigError unless stage, given outside the config, is a stage that
+    train.schedule could hold."""
+    _validate(stage, _STAGE_VALIDATOR, ("stage",))
 
 
 def load_config(path, overrides=(), out_dir: str | None = None, seed: int | None = None) -> RunConfig:

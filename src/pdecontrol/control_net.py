@@ -26,7 +26,7 @@ from scipy.special import erf
 
 from . import binfile
 from .errors import CacheMismatch, NonFiniteError
-from .optim import PLATEAU_WINDOW, Adam, plateau_triggered
+from .optim import Adam
 from .rom import _join, _size, _split_flat
 from .sampling import rng_for
 
@@ -284,21 +284,20 @@ def train(
     zeta: float,
     batch_size: int,
     stop_loss: float,
-    stop_plateau_pct: float | None,
     max_steps: int,
     seed: int,
     rows: np.ndarray | None = None,
 ) -> tuple[ControlNet, list[tuple[int, float, float, float]]]:
     """Minimize l1 + zeta*l2 with ADAM over shuffled minibatches of
-    batch_size records (0: all of them); the settings are the config's train
-    block, which RunConfig.train_config checks.
+    batch_size records (0: all of them); the settings are one stage of the
+    config's train.schedule with the train block's zeta and stop_loss.
 
     gram: (thetas, grams, rhs) arrays of shapes (n, m), (n, m, m), (n, m),
     e.g. the memory-mapped views of assembly.read_cache, or None. Each
     minibatch is gathered from them directly. rows selects the records to
     train on (default all), e.g. GramCache.rows to leave out skipped ones.
     traj_pairs: (thetas, velocities) arrays or None.
-    Stops at stop_loss, on loss plateau, or at max_steps. Returns the trained
+    Stops at stop_loss or at max_steps. Returns the trained
     net and the per-step history (step, l1, l2, l_total).
     """
     m = net.arch.input_dim
@@ -330,7 +329,6 @@ def train(
     xi = net.xi.copy()
     adam = Adam(xi.size, lr)
     history: list[tuple[int, float, float, float]] = []
-    totals: list[float] = []
 
     for step in range(1, max_steps + 1):
         current = ControlNet(net.arch, xi)
@@ -348,10 +346,7 @@ def train(
         if not np.isfinite(total):
             raise NonFiniteError(f"training diverged at step {step}")
         history.append((step, l1, l2, total))
-        totals.append(total)
         if total < stop_loss:
-            break
-        if stop_plateau_pct is not None and plateau_triggered(totals, PLATEAU_WINDOW, stop_plateau_pct):
             break
         xi = adam.step(xi, grad)
 
@@ -399,12 +394,14 @@ def read_loss_history(path) -> np.ndarray:
                         "rerun train-control without --resume to start a new loss history")[1]
 
 
-def save_loss_history(history, path, kept: np.ndarray | None = None) -> None:
-    """Write the per-step (step, l1, l2, l_total) rows as a binfile. The rows
-    follow the kept rows of read_loss_history, if given, and continue their
-    step count, so annealed stages share one."""
+def save_loss_history(history, path, kept: np.ndarray | None = None) -> np.ndarray:
+    """Write the per-step (step, l1, l2, l_total) rows as a binfile and
+    return all rows written. The rows follow the kept rows (of
+    read_loss_history or of the previous stage), if given, and continue
+    their step count, so annealed stages share one."""
     rows = np.array(history, dtype=np.float64).reshape(-1, 4)
     if kept is not None and kept.size:
         rows[:, 0] += kept[-1, 0]
         rows = np.concatenate([kept, rows])
     binfile.save(path, {"format_version": LOSS_HISTORY_FORMAT_VERSION, "kind": "loss_history"}, rows)
+    return rows

@@ -1,4 +1,4 @@
-"""ADAM with bias correction, plus the loss-plateau stopping rule.
+"""ADAM with bias correction.
 
 Shared by control-field training and initial-condition fitting. The update is
 the textbook one, at ADAM's standard moments (BETA1, BETA2, EPS; no run sets
@@ -14,8 +14,6 @@ import numpy as np
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
-# steps the plateau rule of control-field training averages over
-PLATEAU_WINDOW = 100
 
 
 class Adam:
@@ -35,14 +33,3 @@ class Adam:
         v_hat = self.v / (1.0 - BETA2**self.t)
         return params - self.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
-
-def plateau_triggered(losses, window: int, pct_threshold: float) -> bool:
-    """True once the mean per-step percent decrease over the last `window`
-    steps falls below pct_threshold. Needs window+1 recorded losses."""
-    if len(losses) < window + 1:
-        return False
-    tail = losses[-(window + 1):]
-    decs = []
-    for a, b in zip(tail[:-1], tail[1:]):
-        decs.append(100.0 * (a - b) / abs(a) if a != 0 else 0.0)
-    return float(np.mean(decs)) < pct_threshold

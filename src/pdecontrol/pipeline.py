@@ -15,7 +15,7 @@ import re
 import numpy as np
 
 from . import assembly, binfile, control_net as cn, evolve, fit, pde_ops, reference, rom
-from .config import RunConfig
+from .config import RunConfig, check_stage
 from .errors import ConfigError, MissingArtifact, NonFiniteError
 from .sampling import AnchorBalls, rng_for, sample_theta
 
@@ -171,16 +171,26 @@ def cmd_train_control(
     train_overrides: dict | None = None,
     pairs_only: bool = False,
 ) -> dict:
-    """Train the control field. pairs_only skips the projection loss and fits
-    the trajectory pairs alone (curriculum warmup for stiff selections). The
-    trajectory cache is read when the config asks for trajectories
-    (counts.n_traj > 0)."""
-    train = cfg.train_config(**(train_overrides or {}))
-    if pairs_only and train["zeta"] == 0:
-        train["zeta"] = 1.0
+    """Train the control field through the stages of train.schedule in
+    order, the net kept in memory between them. Each stage starts a fresh
+    ADAM and batch stream; a pairs_only stage skips the projection loss and
+    fits the trajectory pairs alone (curriculum warmup for stiff
+    selections). The checkpoint and the loss history are written after each
+    stage, so a cut run leaves its last finished stage on disk. resume
+    warm-starts from the checkpoint and appends to the history.
+    train_overrides, with pairs_only, is one stage run in place of the
+    schedule (benchmark runs call stage by stage). The caches are read once:
+    the Gram cache when a stage uses it, the trajectory cache when the
+    config asks for trajectories (counts.n_traj > 0)."""
+    train = cfg.raw["train"]
+    stages = train["schedule"]
+    if train_overrides is not None or pairs_only:
+        stage = dict(train_overrides or {}, pairs_only=pairs_only)
+        check_stage(stage)
+        stages = [stage]
     cfg.ensure_layout()
     gram = rows = pairs = None
-    if not pairs_only:
+    if not all(stage.get("pairs_only") for stage in stages):
         cache = _read_gram_cache(cfg)
         if not cache.rows.size:
             raise NonFiniteError(
@@ -191,21 +201,28 @@ def cmd_train_control(
     if cfg.raw["counts"]["n_traj"]:
         pairs = evolve.read_traj_cache(cfg.path("traj_cache"), header=_traj_plan(cfg)[0])[1:]
     n_pairs = 0 if pairs is None else int(pairs[0].shape[0])
-    if pairs_only and not n_pairs:
+    if not n_pairs and any(stage.get("pairs_only") for stage in stages):
         raise MissingArtifact("pairs-only training needs a nonempty trajectory cache")
     if resume:
         net = _load_control(cfg)
     else:
         net = cn.ControlNet(cfg.control_arch, cn.init_control_params(cfg.control_arch, cfg.seed))
-    # a resumed stage checks the rows it continues before it trains
+    # a resumed run checks the rows it continues before it trains
     history_path = os.path.join(cfg.out_dir, "curves", "loss_history.bin")
     kept = cn.read_loss_history(history_path) if resume and os.path.exists(history_path) else None
-    net, history = cn.train(net, gram, pairs, seed=cfg.seed, rows=rows, **train)
-    cn.save_control_checkpoint(net, control_checkpoint_path(cfg))
-    cn.save_loss_history(history, history_path, kept)
-    final = history[-1][3] if history else float("nan")
+    done = []
+    for stage in stages:
+        only = stage.get("pairs_only", False)
+        net, history = cn.train(net, None if only else gram, pairs, seed=cfg.seed, rows=rows, lr=stage["lr"],
+                                max_steps=stage["max_steps"], batch_size=stage.get("batch_size", train["batch_size"]),
+                                zeta=1.0 if only and train["zeta"] == 0 else train["zeta"],
+                                stop_loss=train["stop_loss"])
+        cn.save_control_checkpoint(net, control_checkpoint_path(cfg))
+        kept = cn.save_loss_history(history, history_path, kept)
+        done.append({"lr": stage["lr"], "steps": len(history), "final_loss": history[-1][3]})
     records = 0 if rows is None else int(rows.shape[0])
-    return {"steps": len(history), "final_loss": final, "records": records, "pairs": n_pairs}
+    return {"steps": sum(s["steps"] for s in done), "final_loss": done[-1]["final_loss"], "records": records,
+            "pairs": n_pairs, "stages": done}
 
 
 def solution_path(cfg: RunConfig, index: int) -> str:

@@ -49,9 +49,6 @@ RESNET_PERIODIC = "resnet_periodic"
 LINEAR_BASIS = "linear_basis"
 
 TWO_PI = 2.0 * np.pi
-# the basis functions of a linear_basis and their lowest index:
-# sqrt(2) sin(k pi x) for k >= 1, x^p for p >= 0
-_BASIS_FIRST_INDEX = {"fourier_sine": 1, "monomial": 0}
 
 
 @dataclass(frozen=True)
@@ -85,10 +82,9 @@ class RomArch:
             if self.input_dim != 1:
                 raise ValueError("linear_basis is implemented for 1-D domains")
             for b in self.basis_spec:
-                if not (isinstance(b, (list, tuple)) and len(b) == 2 and isinstance(b[0], str)
-                        and b[0] in _BASIS_FIRST_INDEX and type(b[1]) is int and b[1] >= _BASIS_FIRST_INDEX[b[0]]):
-                    raise ValueError(f"basis function {b!r} is not ('fourier_sine', k) with integer k >= 1 "
-                                     "or ('monomial', p) with integer p >= 0")
+                if not (isinstance(b, (list, tuple)) and len(b) == 2 and b[0] == "fourier_sine"
+                        and type(b[1]) is int and b[1] >= 1):
+                    raise ValueError(f"basis function {b!r} is not ('fourier_sine', k) with integer k >= 1")
             object.__setattr__(self, "basis_spec", tuple(tuple(b) for b in self.basis_spec))
             return
         if self.width < 1:
@@ -312,30 +308,22 @@ def eval_batch(model: RomModel, X, need: EvalFlags) -> BatchEval:
 
 
 def _basis_tables(basis_spec, x: np.ndarray, order: int):
-    """phi_j(x), phi_j'(x), phi_j''(x) columns for a 1-D basis (RomArch has
-    checked each function)."""
+    """phi_j(x), phi_j'(x), phi_j''(x) columns for the sine basis
+    phi_j = sqrt(2) sin(k_j pi x) of basis_spec's ("fourier_sine", k_j)
+    (RomArch has checked each function)."""
     n = x.shape[0]
     m = len(basis_spec)
     B = np.empty((n, m))
     dB = np.empty((n, m)) if order >= 1 else None
     ddB = np.empty((n, m)) if order >= 2 else None
-    for j, desc in enumerate(basis_spec):
-        if desc[0] == "fourier_sine":
-            k = float(desc[1])
-            w = k * np.pi
-            s = np.sqrt(2.0)
-            B[:, j] = s * np.sin(w * x)
-            if order >= 1:
-                dB[:, j] = s * w * np.cos(w * x)
-            if order >= 2:
-                ddB[:, j] = -s * w * w * np.sin(w * x)
-        else:
-            p = desc[1]
-            B[:, j] = x**p
-            if order >= 1:
-                dB[:, j] = p * x ** (p - 1) if p >= 1 else 0.0
-            if order >= 2:
-                ddB[:, j] = p * (p - 1) * x ** (p - 2) if p >= 2 else 0.0
+    s = np.sqrt(2.0)
+    for j, (_, k) in enumerate(basis_spec):
+        w = float(k) * np.pi
+        B[:, j] = s * np.sin(w * x)
+        if order >= 1:
+            dB[:, j] = s * w * np.cos(w * x)
+        if order >= 2:
+            ddB[:, j] = -s * w * w * np.sin(w * x)
     return B, dB, ddB
 
 

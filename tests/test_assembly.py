@@ -48,13 +48,17 @@ def test_fourier_gram_is_identity():
     assert np.abs(rec.gram - np.eye(4)).max() < 1e-10
 
 
-def test_monomial_gram_analytic():
-    arch = rom.RomArch("linear_basis", 1, basis_spec=(("monomial", 1), ("monomial", 2)))
-    rec = assembly.assemble_at(
-        arch, np.array([1.0, 1.0]), pde_ops.Heat(), 32, 0, stream=0
-    )
-    expect = np.array([[1 / 3, 1 / 4], [1 / 4, 1 / 5]])
-    assert np.allclose(rec.gram, expect, atol=1e-14)
+def test_net_gram_is_the_mean_outer_product_at_its_points(rng):
+    # a net's G is no identity: it is mean g g^T over the record's own Monte-Carlo points
+    arch = rom.RomArch("resnet_zero_boundary", 1, 4, 2, "tanh")
+    theta = rom.init_params(arch, 0) + 0.3 * rng.standard_normal(rom.param_count(arch))
+    rec = assembly.assemble_at(arch, theta, pde_ops.Heat(), 64, 7, stream=3)
+    X = sample_omega(arch.domain, 64, 7, stream=3)
+    ev = rom.eval_batch(rom.RomModel(arch, theta), X, rom.EvalFlags(laplacian=True, grad_theta=True))
+    gt = ev.grad_theta
+    assert np.allclose(rec.gram, gt.T @ gt / 64, rtol=1e-12, atol=1e-15)
+    assert np.allclose(rec.rhs, gt.T @ ev.laplacian / 64, rtol=1e-12, atol=1e-15)
+    assert np.abs(rec.gram - np.diag(np.diag(rec.gram))).max() > 1e-3
 
 
 def test_heat_rhs_eigenmode():
@@ -140,9 +144,8 @@ def test_empty_batch_cache(tmp_path):
 
 
 def test_nonfinite_records_skipped(tmp_path):
-    # monomial basis overflows at huge theta only through F; force overflow
-    # via enormous coefficients so grad products go non-finite
-    arch = rom.RomArch("linear_basis", 1, basis_spec=(("monomial", 1), ("monomial", 2)))
+    # sine coefficients of 1e300 overflow in the Allen-Cahn term u^3, so F and p go non-finite
+    arch = fourier_sine_arch(2)
     thetas = sample_theta(Box(1.0, 2), 3, seed=0)
     thetas[1] = np.array([1e300, 1e300])
     path = tmp_path / "skip.bin"

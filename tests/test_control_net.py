@@ -6,7 +6,7 @@ import pytest
 
 from pdecontrol import assembly, binfile, config, control_net as cn, pde_ops, rom
 from pdecontrol.errors import CacheMismatch, NonFiniteError
-from pdecontrol.optim import Adam, plateau_triggered
+from pdecontrol.optim import Adam
 from pdecontrol.sampling import Box, sample_theta
 
 
@@ -181,23 +181,6 @@ def test_adam_first_step_magnitude(rng):
     assert np.allclose(np.sign(new), -np.sign(grad))
 
 
-def test_plateau_detector_iff():
-    # strictly decreasing by 1% per step: mean pct decrease ~1 >= 0.1 -> no stop
-    decreasing = [100.0 * (0.99**k) for k in range(200)]
-    assert not plateau_triggered(decreasing, 100, 0.1)
-    # flat trace: mean pct decrease 0 < 0.1 -> stop
-    flat = [1.0] * 200
-    assert plateau_triggered(flat, 100, 0.1)
-    # insufficient history never triggers
-    assert not plateau_triggered([1.0] * 50, 100, 0.1)
-    # exactly at the threshold is not below it
-    exact = [100.0]
-    for _ in range(150):
-        exact.append(exact[-1] * (1 - 0.001))
-    assert not plateau_triggered(exact, 100, 0.1 - 1e-9)
-    assert plateau_triggered(exact, 100, 0.2)
-
-
 def _toy_records(rng, n, m=4, scale=0.05):
     # exact-quadrature heat records on a small box: G = I, p = D theta
     D = -np.array([(k * np.pi) ** 2 for k in range(1, m + 1)])
@@ -210,7 +193,7 @@ def test_train_toy_linear_field_reaches_tolerance(rng):
     recs = _toy_records(rng, 256)
     arch = cn.ControlArch(input_dim=4, width=48, depth=2)
     net = cn.ControlNet(arch, cn.init_control_params(arch, 1))
-    cfg = dict(lr=1e-2, zeta=0.0, batch_size=0, stop_loss=1e-3, stop_plateau_pct=None, max_steps=5000, seed=3)
+    cfg = dict(lr=1e-2, zeta=0.0, batch_size=0, stop_loss=1e-3, max_steps=5000, seed=3)
     net, history = cn.train(net, recs, None, **cfg)
     assert history[-1][3] < 1e-3
     assert len(history) <= 5000
@@ -219,7 +202,7 @@ def test_train_toy_linear_field_reaches_tolerance(rng):
 def test_train_determinism(rng):
     recs = _toy_records(rng, 64)
     arch = cn.ControlArch(input_dim=4, width=16, depth=2)
-    cfg = dict(lr=1e-3, zeta=0.0, batch_size=16, stop_loss=0.0, stop_plateau_pct=None, max_steps=60, seed=9)
+    cfg = dict(lr=1e-3, zeta=0.0, batch_size=16, stop_loss=0.0, max_steps=60, seed=9)
     net1, h1 = cn.train(cn.ControlNet(arch, cn.init_control_params(arch, 2)), recs, None, **cfg)
     net2, h2 = cn.train(cn.ControlNet(arch, cn.init_control_params(arch, 2)), recs, None, **cfg)
     assert net1.xi.tobytes() == net2.xi.tobytes()
@@ -229,7 +212,7 @@ def test_train_determinism(rng):
 def test_zeta_zero_matches_pure_l1(rng):
     recs = _toy_records(rng, 64)
     arch = cn.ControlArch(input_dim=4, width=16, depth=2)
-    cfg0 = dict(lr=1e-3, zeta=0.0, batch_size=0, stop_loss=0.0, stop_plateau_pct=None, max_steps=40, seed=5)
+    cfg0 = dict(lr=1e-3, zeta=0.0, batch_size=0, stop_loss=0.0, max_steps=40, seed=5)
     pairs = (np.zeros((0, 4)), np.zeros((0, 4)))
     net_a, _ = cn.train(cn.ControlNet(arch, cn.init_control_params(arch, 7)), recs, None, **cfg0)
     net_b, _ = cn.train(cn.ControlNet(arch, cn.init_control_params(arch, 7)), recs, pairs, **cfg0)
@@ -239,8 +222,11 @@ def test_zeta_zero_matches_pure_l1(rng):
 
 
 def _train_defaults(**settings) -> dict:
-    """The config's default train block and seed 0, with settings replaced."""
-    return dict(config._DEFAULTS["train"], seed=0, **settings)
+    """The config's default train block and its one stage, and seed 0, with
+    settings replaced."""
+    train = config._DEFAULTS["train"]
+    return {**train["schedule"][0], "zeta": train["zeta"], "batch_size": train["batch_size"],
+            "stop_loss": train["stop_loss"], "seed": 0, **settings}
 
 
 def test_train_rejects_mismatched_cache(rng):
@@ -257,7 +243,7 @@ def test_train_nonfinite_divergence(rng):
     xi[-2:] = 1e160  # output bias enormous
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
         cn.train(cn.ControlNet(arch, xi), recs, None,
-                 **_train_defaults(max_steps=5, stop_loss=0.0, stop_plateau_pct=None))
+                 **_train_defaults(max_steps=5, stop_loss=0.0))
 
 
 def test_residual_scan_zero_when_exact(rng):
@@ -322,7 +308,7 @@ def test_forward_and_train_bit_identical(tmp_path, small_arch, rng):
     cache = assembly.read_cache(path)
     rows = np.array([0, 2, 3, 5, 7, 8, 9, 11])
     carch = cn.ControlArch(input_dim=m, width=8, depth=3)
-    cfg = dict(lr=1e-2, zeta=0.0, batch_size=3, stop_loss=0.0, stop_plateau_pct=None, max_steps=25, seed=4)
+    cfg = dict(lr=1e-2, zeta=0.0, batch_size=3, stop_loss=0.0, max_steps=25, seed=4)
     start = cn.ControlNet(carch, cn.init_control_params(carch, 1))
     mapped, h1 = cn.train(start, (cache.theta, cache.gram, cache.rhs), None, rows=rows, **cfg)
     stacked = tuple(np.array(a[rows]) for a in (cache.theta, cache.gram, cache.rhs))

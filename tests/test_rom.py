@@ -235,10 +235,10 @@ def test_unrequested_fields_are_none():
 
 
 def test_nonfinite_guard():
-    arch = rom.RomArch("linear_basis", 1, basis_spec=(("monomial", 8),))
-    model = rom.RomModel(arch, np.array([1e308]))
+    # each term is about 1.4e308 at x = 0.25; their sum overflows
+    model = rom.RomModel(fourier_sine_arch(2), np.array([1e308, 1e308]))
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
-        rom.eval_batch(model, np.array([[1e40]]), VAL)
+        rom.eval_batch(model, np.array([[0.25]]), VAL)
 
 
 def test_arch_hash_stability():
