@@ -27,7 +27,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--set", dest="overrides", action="append", default=[], metavar="K=V",
                    help="dotted-path config override, repeatable")
-    p.add_argument("--out", default=None, help="output directory (default: config paths.out_dir or ./out)")
+    p.add_argument("--out", default=None, help="output directory (default: ./out)")
 
 
 def _int_at_least(low: int):

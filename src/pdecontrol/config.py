@@ -3,26 +3,19 @@ builds the run objects the commands share (the operator, the ROM and
 control-net architectures) once and checks them against each other; an
 invalid or mismatched setting is a ConfigError (exit 2) that names the
 setting where the schema rejects it. The problem kind picks its initial
-family (transport random_theta, heat heat_combo, allen_cahn cheb_combo),
-and each kind has one load rule for the setting its reference and family
-need. The ROM architecture takes its dimension and its box from
-problem.domain; the horizon is read from RunConfig.raw. The settings'
-defaults are in _DEFAULTS and their checks in SCHEMA, so RunConfig.raw is
-the effective config; only rom_arch's optional fields (rom.RomArch), the
-transport velocity (1 per dimension) and the paths (the layout below)
-default elsewhere. ADAM's moments are constants of optim, not settings.
-train.schedule is the run's whole training: its stages run in order in one
-train-control, each stage's batch_size defaulting to the block's.
-
-Artifacts live under a fixed out_dir layout:
-    out/caches/      gram + trajectory caches, anchor store (binfiles)
-    out/checkpoints/ control-field checkpoint (binfile)
-    out/curves/      loss history and error curves (binfiles)
-    out/slices/      pointwise comparison slices (CSV)
-    out/solutions/   solved parameter trajectories (binfiles)
-    out/reference/   IMEX reference grids (binfiles)
-    out/report.json  verify report on the run's artifacts
-Relative paths in the config resolve against out_dir.
+family (transport draws its anchors from the box theta_space, heat fits
+heat_combo, allen_cahn cheb_combo) and the boundary condition of its ROM
+(periodic for transport, zero-boundary otherwise), and each kind has one
+load rule for the setting its reference and family need. The ROM
+architecture takes its dimension and its box from problem.domain; the
+horizon is read from RunConfig.raw. The settings' defaults are in _DEFAULTS
+and their checks in SCHEMA, so RunConfig.raw is the effective config; only
+rom_arch's optional fields (rom.RomArch) and the transport velocity (1 per
+dimension) default elsewhere. ADAM's moments are constants of optim, not
+settings. train.schedule is the run's whole training: its stages run in
+order in one train-control, each stage's batch_size defaulting to the
+block's. Every artifact lives at a fixed place under the out dir, listed in
+_LAYOUT (README.md shows the layout).
 """
 
 from __future__ import annotations
@@ -151,17 +144,6 @@ SCHEMA = {
             },
             "additionalProperties": False,
         },
-        "paths": {
-            "type": "object",
-            "properties": {
-                "gram_cache": {"type": "string"},
-                "traj_cache": {"type": "string"},
-                "anchors": {"type": "string"},
-                "checkpoints": {"type": "string"},
-                "out_dir": {"type": "string"},
-            },
-            "additionalProperties": False,
-        },
         "seed": {"type": "integer", "minimum": 0},
         # ignored: benchmark configs still carry it
         "threads": {"type": "integer", "minimum": 1},
@@ -183,7 +165,21 @@ _DEFAULTS = {
         "fit_n_x": 512,
         "fit": {"lr": 1e-3, "max_steps": 5000},
     },
-    "paths": {},
+}
+
+# every artifact's path under the out dir; a per-anchor path takes the anchor
+# index, a slice (anchor index, time)
+_LAYOUT = {
+    "gram_cache": "caches/gram.bin",
+    "traj_cache": "caches/traj.bin",
+    "anchors": "caches/anchors.bin",
+    "checkpoint": "checkpoints/control.bin",
+    "loss_history": "curves/loss_history.bin",
+    "errors": "curves/errors_{:03d}.bin",
+    "solution": "solutions/solution_{:03d}.bin",
+    "reference": "reference/ref_{:03d}.bin",
+    "slice": "slices/slice_{:03d}_t{:.4f}.csv",
+    "report": "report.json",
 }
 
 
@@ -231,13 +227,25 @@ def _build(doc: dict) -> tuple[pde_ops.PdeOperator, rom.RomArch, ControlArch]:
     theta_kind = doc["theta_space"]["kind"]
     arch = rom.RomArch(**doc["rom_arch"], input_dim=lo.size, lo=lo, hi=hi)
     box = f"the domain is {lo.tolist()} to {hi.tolist()}"
+    # the references wrap transport periodically and hold heat and allen_cahn
+    # at zero on the boundary; the ROM kind fixes its boundary condition
+    if (arch.kind == rom.RESNET_PERIODIC) != (kind == "transport"):
+        need = ("the periodic kind 'resnet_periodic'" if kind == "transport"
+                else "a zero-boundary kind ('resnet_zero_boundary' or 'linear_basis')")
+        raise ValueError(f"problem.kind {kind!r} needs {need}; rom_arch.kind is {arch.kind!r}")
     if kind == "transport":
         velocity = np.array(p.get("velocity", [1.0] * len(lo)), dtype=np.float64)
         if velocity.shape != lo.shape:
             raise ValueError(f"problem.velocity has {velocity.size} components for a {lo.size}-D domain")
         if theta_kind != "box":
-            raise ValueError(f"transport draws its random_theta anchors from a box theta_space; "
+            raise ValueError(f"transport draws its anchors from a box theta_space; "
                              f"theta_space.kind is {theta_kind!r}")
+        # the shift wraps x - vt into the box, so the period-1 ROM needs
+        # whole-number sides (up to the rounding of hi - lo)
+        sides = np.round(hi - lo)
+        if not (np.all(sides >= 1) and np.allclose(hi - lo, sides, rtol=0.0, atol=1e-9)):
+            raise ValueError(f"rom_arch.kind 'resnet_periodic' has period 1 in each coordinate, so the box sides "
+                             f"must be whole numbers; {box}")
         op = pde_ops.Transport(velocity=velocity)
     elif kind == "heat":
         if not (np.array_equal(lo, [0.0]) and np.array_equal(hi, [1.0])):
@@ -251,13 +259,6 @@ def _build(doc: dict) -> tuple[pde_ops.PdeOperator, rom.RomArch, ControlArch]:
         op = pde_ops.AllenCahn(epsilon=p["epsilon"])
     if theta_kind == "anchor_balls" and doc["initials"]["count"] == 0:
         raise ValueError("theta_space.kind 'anchor_balls' samples around the anchors; initials.count is 0")
-    # the transport shift wraps x - vt into the box, so a period-1 ROM needs
-    # whole-number sides (up to the rounding of hi - lo)
-    sides = np.round(hi - lo)
-    whole = np.all(sides >= 1) and np.allclose(hi - lo, sides, rtol=0.0, atol=1e-9)
-    if arch.kind == rom.RESNET_PERIODIC and not whole:
-        raise ValueError(f"rom_arch.kind 'resnet_periodic' has period 1 in each coordinate, so the box sides "
-                         f"must be whole numbers; {box}")
     return op, arch, ControlArch(input_dim=rom.param_count(arch), **doc["control_arch"])
 
 
@@ -293,22 +294,17 @@ class RunConfig:
             "theta_space": self.raw["theta_space"] if transport else None,
         }
 
-    # -- paths ---------------------------------------------------------------
-
-    def path(self, name: str) -> str:
-        defaults = {
-            "gram_cache": "caches/gram.bin",
-            "traj_cache": "caches/traj.bin",
-            "anchors": "caches/anchors.bin",
-            "checkpoints": "checkpoints",
-        }
-        rel = self.raw["paths"].get(name, defaults[name])
-        if os.path.isabs(rel):
-            return rel
+    def path(self, name: str, index=None) -> str:
+        """The path of artifact name under the out dir (_LAYOUT); index is
+        the anchor index of a per-anchor artifact, (anchor index, time) for
+        a slice."""
+        rel = _LAYOUT[name]
+        if index is not None:
+            rel = rel.format(*(index if isinstance(index, tuple) else (index,)))
         return os.path.join(self.out_dir, rel)
 
     def ensure_layout(self) -> None:
-        for sub in ("caches", "checkpoints", "curves", "slices", "solutions", "reference"):
+        for sub in {os.path.dirname(rel) for rel in _LAYOUT.values()} - {""}:
             os.makedirs(os.path.join(self.out_dir, sub), exist_ok=True)
 
 
@@ -372,5 +368,4 @@ def load_config(path, overrides=(), out_dir: str | None = None, seed: int | None
         operator, rom_arch, control_arch = _build(doc)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    resolved_out = out_dir or doc.get("paths", {}).get("out_dir") or "out"
-    return RunConfig(raw=doc, out_dir=resolved_out, operator=operator, rom_arch=rom_arch, control_arch=control_arch)
+    return RunConfig(raw=doc, out_dir=out_dir or "out", operator=operator, rom_arch=rom_arch, control_arch=control_arch)

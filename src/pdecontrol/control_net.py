@@ -30,7 +30,7 @@ from .optim import Adam
 from .rom import _join, _size, _split_flat
 from .sampling import rng_for
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -363,18 +363,21 @@ def residual_scan(net: ControlNet, TH: np.ndarray, G: np.ndarray, P: np.ndarray)
 # persistence
 
 
-# A checkpoint is a binfile: the header {format_version, kind, arch} and the
-# flat xi as control_param_count(arch) float64.
+# A checkpoint is a binfile: the header {format_version, kind, arch} plus the
+# caller's record of what shaped the training data, and the flat xi as
+# control_param_count(arch) float64.
 
 
-def save_control_checkpoint(net: ControlNet, path) -> None:
-    header = {"format_version": FORMAT_VERSION, "kind": "control_checkpoint", "arch": asdict(net.arch)}
+def save_control_checkpoint(net: ControlNet, path, inputs: dict | None = None) -> None:
+    header = {"format_version": FORMAT_VERSION, "kind": "control_checkpoint", "arch": asdict(net.arch),
+              **(inputs or {})}
     binfile.save(path, header, net.xi)
 
 
-def load_control_checkpoint(path, arch: ControlArch | None = None) -> ControlNet:
-    """The checkpointed net; given arch, the checkpoint must record it."""
-    expected = None if arch is None else {"arch": asdict(arch)}
+def load_control_checkpoint(path, arch: ControlArch | None = None, inputs: dict | None = None) -> ControlNet:
+    """The checkpointed net; given arch and inputs, the checkpoint must
+    record them, the arch checked first."""
+    expected = None if arch is None else {"arch": asdict(arch), **(inputs or {})}
     header, xi = binfile.load(path, "control_checkpoint", FORMAT_VERSION, expected, "rerun train-control")
     arch = ControlArch(**header["arch"])
     n = control_param_count(arch)

@@ -1,14 +1,13 @@
 """Fitting initial parameters: find theta0 so the reduced-order model matches
 a prescribed initial function in empirical least squares.
 
-Initial-condition families, one per problem kind:
-  * RandomTheta (transport): the initial IS the model at a sampled parameter
-    point, so it needs no fit (resolve_random_theta).
+The fitted initial-condition families, one per problem kind:
   * HeatCombo (heat): a weighted sum of the modes sin(k pi x), k = 1..4, on
     (0,1).
   * ChebCombo (allen_cahn): Chebyshev tensor products times the (-1,1)^2
     boundary factor.
-eval_initial evaluates the two fitted families.
+eval_initial evaluates them. A transport initial is the model at a point of
+the box theta_space, drawn by the pipeline; it has no spec and needs no fit.
 """
 
 from __future__ import annotations
@@ -20,18 +19,10 @@ import numpy as np
 from . import binfile, rom
 from .errors import ConfigError
 from .optim import Adam
-from .sampling import sample_omega, sample_theta
+from .sampling import sample_omega
 
 HOLDOUT_STREAM = 101
 TRAIN_STREAM = 100
-
-
-@dataclass(frozen=True)
-class RandomTheta:
-    seed: int
-
-    def describe(self) -> dict:
-        return {"kind": "random_theta", "seed": self.seed}
 
 
 @dataclass(frozen=True)
@@ -69,14 +60,12 @@ class ChebCombo:
         return {"kind": "cheb_combo", "terms": [list(t) for t in self.terms]}
 
 
-InitialSpec = RandomTheta | HeatCombo | ChebCombo
+InitialSpec = HeatCombo | ChebCombo
 
 
 def spec_from_dict(doc: dict) -> InitialSpec:
     """Rebuild a spec from its describe() dict."""
     kind = doc.get("kind")
-    if kind == "random_theta":
-        return RandomTheta(seed=doc["seed"])
     if kind == "heat_combo":
         return HeatCombo(coeffs=np.array(doc["coeffs"]))
     if kind == "cheb_combo":
@@ -84,7 +73,7 @@ def spec_from_dict(doc: dict) -> InitialSpec:
     raise ConfigError(f"cannot reconstruct initial spec of kind {kind!r}")
 
 
-def eval_initial(spec: HeatCombo | ChebCombo, X) -> np.ndarray:
+def eval_initial(spec: InitialSpec, X) -> np.ndarray:
     """Evaluate a fitted family's initial function at points X (n, d)."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if isinstance(spec, HeatCombo):
@@ -100,11 +89,6 @@ def eval_initial(spec: HeatCombo | ChebCombo, X) -> np.ndarray:
     return alpha * acc
 
 
-def resolve_random_theta(spec: RandomTheta, arch: rom.RomArch, theta_space) -> rom.RomModel:
-    """Materialize the model whose parameters define a RandomTheta initial."""
-    return rom.RomModel(arch, sample_theta(theta_space, 1, spec.seed, stream=7)[0])
-
-
 @dataclass
 class FitResult:
     theta: np.ndarray
@@ -115,7 +99,7 @@ class FitResult:
 
 def fit_initial(
     arch: rom.RomArch,
-    spec: HeatCombo | ChebCombo,
+    spec: InitialSpec,
     n_x: int,
     eps0_target: float,
     seed: int,
@@ -173,17 +157,18 @@ def fit_initial(
 # ---------------------------------------------------------------------------
 # anchor store
 
-ANCHOR_FORMAT_VERSION = 2
+ANCHOR_FORMAT_VERSION = 3
 
 
-def save_anchors(path, header: dict, entries: list[tuple[InitialSpec, np.ndarray, float]]) -> None:
+def save_anchors(path, header: dict, entries: list[tuple[InitialSpec | None, np.ndarray, float]]) -> None:
     """The anchor thetas as binfile rows of length header["m"]; the header
-    gains the specs and the fit RMSEs."""
+    gains the specs (null for a transport anchor, which has none) and the
+    fit RMSEs."""
     header = {
         "format_version": ANCHOR_FORMAT_VERSION,
         "kind": "anchor_store",
         **header,
-        "specs": [spec.describe() for spec, _, _ in entries],
+        "specs": [None if spec is None else spec.describe() for spec, _, _ in entries],
         "rmse": [rmse for _, _, rmse in entries],
     }
     binfile.save(path, header, np.reshape([theta for _, theta, _ in entries], (len(entries), header["m"])))

@@ -1,7 +1,9 @@
 """Command bodies shared by the CLI: each function reads/writes only its
-declared artifacts under the run's out_dir. Each artifact's header records
+declared artifacts at their RunConfig.path. Each artifact's header records
 the inputs that shaped it, and every reader checks them against the config,
-so a stale artifact fails fast (exit 4) naming the command to rerun.
+so a stale artifact fails fast (exit 4) naming the command to rerun. The
+anchor store is the one record of each initial (its spec, fit RMSE and
+theta0): a solution is tied to its anchor's theta0, not to a copy of it.
 """
 
 from __future__ import annotations
@@ -10,16 +12,15 @@ import hashlib
 import json
 import math
 import os
-import re
 
 import numpy as np
 
 from . import assembly, binfile, control_net as cn, evolve, fit, pde_ops, reference, rom
 from .config import RunConfig, check_stage
-from .errors import ConfigError, MissingArtifact, NonFiniteError
+from .errors import CacheMismatch, ConfigError, MissingArtifact, NonFiniteError
 from .sampling import AnchorBalls, rng_for, sample_theta
 
-SOLUTION_FORMAT_VERSION = 3
+SOLUTION_FORMAT_VERSION = 4
 CURVE_FORMAT_VERSION = 1
 # Gram records per residual_scan call in verify: holds chunk * m^2 floats of G
 _VERIFY_CHUNK = 256
@@ -35,17 +36,13 @@ CHEB_MAX_TERMS = 6
 CHEB_AMPLITUDE = 0.9
 
 
-def sample_initial_specs(cfg: RunConfig):
-    """Draw initial-condition specs from the problem kind's family: transport
-    random_theta, heat heat_combo, allen_cahn cheb_combo."""
-    kind = cfg.raw["problem"]["kind"]
+def sample_initial_specs(cfg: RunConfig) -> list[fit.InitialSpec]:
+    """Draw initial-condition specs from the fitted problem kind's family:
+    heat heat_combo, allen_cahn cheb_combo."""
     n = cfg.raw["initials"]["count"]
     rng = rng_for(cfg.seed, stream=60)
     specs: list[fit.InitialSpec] = []
-    if kind == "transport":
-        for i in range(n):
-            specs.append(fit.RandomTheta(seed=int(rng.integers(0, 2**31 - 1))))
-    elif kind == "heat":
+    if cfg.raw["problem"]["kind"] == "heat":
         for _ in range(n):
             specs.append(fit.HeatCombo(coeffs=rng.uniform(-1.0, 1.0, 4)))
     else:
@@ -73,25 +70,26 @@ def sample_initial_specs(cfg: RunConfig):
 
 
 def cmd_fit_initial(cfg: RunConfig) -> list[dict]:
-    """Fit (or directly sample) anchor parameters for each initial spec and
-    write the anchor store."""
+    """Write the anchor store. A transport anchor is a point of the box
+    theta_space (config allows no other), drawn with its own seed from
+    stream 60 so a larger initials.count keeps the first rows; its initial is
+    the model there, so it has no spec and a fit RMSE of 0. The other kinds
+    fit theta0 to each initial spec."""
     cfg.ensure_layout()
     ini = cfg.raw["initials"]
-    entries = []
-    for k, spec in enumerate(sample_initial_specs(cfg)):
-        if isinstance(spec, fit.RandomTheta):
-            # config gives transport a box theta_space
-            model = fit.resolve_random_theta(spec, cfg.rom_arch, cfg.theta_space())
-            entries.append((spec, model.theta, 0.0))
-        else:
+    if cfg.raw["problem"]["kind"] == "transport":
+        rng = rng_for(cfg.seed, stream=60)
+        space = cfg.theta_space()
+        entries = [(None, sample_theta(space, 1, int(rng.integers(0, 2**31 - 1)), stream=7)[0], 0.0)
+                   for _ in range(ini["count"])]
+    else:
+        entries = []
+        for k, spec in enumerate(sample_initial_specs(cfg)):
             res = fit.fit_initial(cfg.rom_arch, spec, ini["fit_n_x"], ini["eps0_target"], seed=cfg.seed + 1000 + k,
                                   **ini["fit"])
             entries.append((spec, res.theta, res.rmse))
     fit.save_anchors(cfg.path("anchors"), cfg.anchor_header(), entries)
-    return [
-        {"spec": spec.describe(), "rmse": rmse, "theta_norm": float(np.linalg.norm(theta))}
-        for spec, theta, rmse in entries
-    ]
+    return [{"rmse": rmse, "theta_norm": float(np.linalg.norm(theta))} for _, theta, rmse in entries]
 
 
 def _gram_thetas(cfg: RunConfig) -> np.ndarray:
@@ -149,14 +147,25 @@ def cmd_gen_trajectories(cfg: RunConfig) -> dict:
     return {"trajectories": len(trajs), "pairs": pairs, "blowups": blowups}
 
 
-def control_checkpoint_path(cfg: RunConfig) -> str:
-    return os.path.join(cfg.path("checkpoints"), "control.bin")
+def _control_inputs(cfg: RunConfig) -> dict:
+    """What shaped the control field's training data, as its checkpoint
+    records it: the fields of the Gram-cache header the config implies (of
+    the trajectory-cache header, which holds them, when counts.n_traj > 0),
+    counts.n_theta and the theta_space block, with the anchor-store header
+    for anchor balls. train.* is not among them: --resume continues under a
+    new schedule."""
+    header = _traj_plan(cfg)[0] if cfg.raw["counts"]["n_traj"] else _gram_header(cfg)
+    space = dict(cfg.raw["theta_space"])
+    if space["kind"] == "anchor_balls":
+        space["anchors"] = cfg.anchor_header()
+    fields = {key: value for key, value in header.items() if key not in ("format_version", "kind")}
+    return dict(fields, n_theta=cfg.raw["counts"]["n_theta"], theta_space=space)
 
 
 def _load_control(cfg: RunConfig) -> cn.ControlNet:
     """The trained control net, checked against the config's control_arch
-    (the ROM's parameter count, width and depth)."""
-    return cn.load_control_checkpoint(control_checkpoint_path(cfg), cfg.control_arch)
+    (the ROM's parameter count, width and depth) and its _control_inputs."""
+    return cn.load_control_checkpoint(cfg.path("checkpoint"), cfg.control_arch, _control_inputs(cfg))
 
 
 def _digest(array: np.ndarray) -> str:
@@ -207,8 +216,9 @@ def cmd_train_control(
         net = _load_control(cfg)
     else:
         net = cn.ControlNet(cfg.control_arch, cn.init_control_params(cfg.control_arch, cfg.seed))
+    inputs = _control_inputs(cfg)
     # a resumed run checks the rows it continues before it trains
-    history_path = os.path.join(cfg.out_dir, "curves", "loss_history.bin")
+    history_path = cfg.path("loss_history")
     kept = cn.read_loss_history(history_path) if resume and os.path.exists(history_path) else None
     done = []
     for stage in stages:
@@ -217,7 +227,7 @@ def cmd_train_control(
                                 max_steps=stage["max_steps"], batch_size=stage.get("batch_size", train["batch_size"]),
                                 zeta=1.0 if only and train["zeta"] == 0 else train["zeta"],
                                 stop_loss=train["stop_loss"])
-        cn.save_control_checkpoint(net, control_checkpoint_path(cfg))
+        cn.save_control_checkpoint(net, cfg.path("checkpoint"), inputs)
         kept = cn.save_loss_history(history, history_path, kept)
         done.append({"lr": stage["lr"], "steps": len(history), "final_loss": history[-1][3]})
     records = 0 if rows is None else int(rows.shape[0])
@@ -225,37 +235,39 @@ def cmd_train_control(
             "pairs": n_pairs, "stages": done}
 
 
-def solution_path(cfg: RunConfig, index: int) -> str:
-    return os.path.join(cfg.out_dir, "solutions", f"solution_{index:03d}.bin")
-
-
-def _load_anchors(cfg: RunConfig, index: int) -> tuple[dict, np.ndarray]:
-    """The anchor store's (header, thetas), once anchor index is known to be
-    in it; solve, reference, eval and export-slice take their --anchor here."""
+def _anchors(cfg: RunConfig) -> list[tuple[fit.InitialSpec | None, float, np.ndarray]]:
+    """(spec, fit RMSE, theta0) of every row of the anchor store, the one
+    record of each initial; a transport anchor has no spec."""
     header, thetas = fit.load_anchors(cfg.path("anchors"), cfg.anchor_header())
-    if not 0 <= index < len(thetas):
-        raise MissingArtifact(f"anchor {index} not in store of size {len(thetas)}")
-    return header, thetas
+    specs = [None if doc is None else fit.spec_from_dict(doc) for doc in header["specs"]]
+    return list(zip(specs, header["rmse"], thetas))
+
+
+def _anchor(cfg: RunConfig, index: int) -> tuple[fit.InitialSpec | None, float, np.ndarray]:
+    """Row index of _anchors, once it is known to be in the store; solve,
+    reference, eval and export-slice take their --anchor here."""
+    anchors = _anchors(cfg)
+    if not 0 <= index < len(anchors):
+        raise MissingArtifact(f"anchor {index} not in store of size {len(anchors)}")
+    return anchors[index]
 
 
 def cmd_solve(cfg: RunConfig, anchor_index: int = 0) -> dict:
     cfg.ensure_layout()
     net = _load_control(cfg)
-    anchors, thetas = _load_anchors(cfg, anchor_index)
-    traj = evolve.solve_ivp(net, thetas[anchor_index], cfg.raw["problem"]["horizon"], cfg.raw["solve"]["n_steps"],
+    theta0 = _anchor(cfg, anchor_index)[2]
+    traj = evolve.solve_ivp(net, theta0, cfg.raw["problem"]["horizon"], cfg.raw["solve"]["n_steps"],
                             theta_space=cfg.theta_space())
     header = {
         "format_version": SOLUTION_FORMAT_VERSION,
         "kind": "solution",
         "arch_hash": rom.arch_hash(cfg.rom_arch),
         "control_sha256": _digest(net.xi),
-        "initial": anchors["specs"][anchor_index],
-        "fit_rmse": anchors["rmse"][anchor_index],
         "step": traj.step,
         "blowup_step": traj.blowup_step,
         "escape_step": traj.escape_step,
     }
-    path = solution_path(cfg, anchor_index)
+    path = cfg.path("solution", anchor_index)
     binfile.save(path, header, traj.thetas)
     return {
         "path": path,
@@ -265,15 +277,19 @@ def cmd_solve(cfg: RunConfig, anchor_index: int = 0) -> dict:
     }
 
 
-def load_solution(cfg: RunConfig, index: int, net: cn.ControlNet | None = None) -> tuple[dict, evolve.ParamTrajectory]:
-    """The solution's header and its trajectory, times rebuilt as step * j;
-    given net, the solution must have been solved with that control field."""
+def load_solution(cfg: RunConfig, index: int, theta0: np.ndarray,
+                  net: cn.ControlNet | None = None) -> evolve.ParamTrajectory:
+    """The solution's trajectory, times rebuilt as step * j. It must start
+    at theta0, bit for bit, which ties it to its anchor (a refit moves the
+    anchor); given net, it must have been solved with that control field."""
     expected = {"arch_hash": rom.arch_hash(cfg.rom_arch)}
     if net is not None:
         expected["control_sha256"] = _digest(net.xi)
-    header, thetas = binfile.load(solution_path(cfg, index), "solution", SOLUTION_FORMAT_VERSION, expected,
-                                  "rerun solve")
-    traj = evolve.ParamTrajectory(
+    path = cfg.path("solution", index)
+    header, thetas = binfile.load(path, "solution", SOLUTION_FORMAT_VERSION, expected, "rerun solve")
+    if thetas[:1].tobytes() != theta0.tobytes():
+        raise CacheMismatch(f"{path} does not start at anchor {index} of {cfg.path('anchors')}; rerun solve")
+    return evolve.ParamTrajectory(
         times=header["step"] * np.arange(thetas.shape[0]),
         thetas=thetas,
         velocities=None,
@@ -281,17 +297,12 @@ def load_solution(cfg: RunConfig, index: int, net: cn.ControlNet | None = None) 
         blowup_step=header["blowup_step"],
         escape_step=header["escape_step"],
     )
-    return header, traj
 
 
-def reference_path(cfg: RunConfig, index: int) -> str:
-    return os.path.join(cfg.out_dir, "reference", f"ref_{index:03d}.bin")
-
-
-def _reference_header(cfg: RunConfig, initial: dict) -> dict:
+def _reference_header(cfg: RunConfig, spec: fit.InitialSpec) -> dict:
     """Every input of an IMEX reference but the grid sizes."""
     p = cfg.raw["problem"]
-    return {"initial": initial, "epsilon": p["epsilon"], "horizon": p["horizon"], "domain": p["domain"]}
+    return {"initial": spec.describe(), "epsilon": p["epsilon"], "horizon": p["horizon"], "domain": p["domain"]}
 
 
 def cmd_reference(cfg: RunConfig, anchor_index: int = 0, nx: int = REFERENCE_NX, nt: int = REFERENCE_NT) -> dict:
@@ -300,41 +311,35 @@ def cmd_reference(cfg: RunConfig, anchor_index: int = 0, nx: int = REFERENCE_NX,
     index is checked against the store for every problem kind."""
     cfg.ensure_layout()
     p = cfg.raw["problem"]
-    initial = _load_anchors(cfg, anchor_index)[0]["specs"][anchor_index]
+    spec = _anchor(cfg, anchor_index)[0]
     if p["kind"] != "allen_cahn":
         return {"note": f"{p['kind']} uses a closed-form reference; nothing to compute"}
-    grid = reference.solve_allen_cahn_imex(fit.spec_from_dict(initial), p["epsilon"], nx, nt, p["horizon"],
+    grid = reference.solve_allen_cahn_imex(spec, p["epsilon"], nx, nt, p["horizon"],
                                            lo=cfg.rom_arch.lo, hi=cfg.rom_arch.hi)
-    path = reference_path(cfg, anchor_index)
-    reference.save_grid_solution(grid, path, _reference_header(cfg, initial))
+    path = cfg.path("reference", anchor_index)
+    reference.save_grid_solution(grid, path, _reference_header(cfg, spec))
     return {"path": path, "snapshots": len(grid.times)}
 
 
-def build_reference(cfg: RunConfig, index: int, initial: dict):
-    """Reference solution object for anchor index with the initial spec
-    (a describe() dict) that its solution records; config only builds runs
-    whose problem one of them serves."""
+def build_reference(cfg: RunConfig, index: int, spec: fit.InitialSpec | None, theta0: np.ndarray):
+    """Reference solution of anchor index from its store row: the shift of
+    the model at theta0 for transport, the sine series of the spec for heat,
+    the IMEX reference cmd_reference wrote for allen_cahn."""
     kind = cfg.raw["problem"]["kind"]
     if kind == "transport":
-        # the anchor theta defines the initial function u_theta0
-        model = rom.RomModel(cfg.rom_arch, _load_anchors(cfg, index)[1][index])
-        return reference.TransportShift(model=model, velocity=cfg.operator.velocity)
+        return reference.TransportShift(model=rom.RomModel(cfg.rom_arch, theta0), velocity=cfg.operator.velocity)
     if kind == "heat":
-        return reference.HeatSeries(fit.spec_from_dict(initial).coeffs)
-    return reference.load_grid_solution(reference_path(cfg, index), _reference_header(cfg, initial))
-
-
-def _curve_path(cfg: RunConfig, index: int) -> str:
-    return os.path.join(cfg.out_dir, "curves", f"errors_{index:03d}.bin")
+        return reference.HeatSeries(spec.coeffs)
+    return reference.load_grid_solution(cfg.path("reference", index), _reference_header(cfg, spec))
 
 
 def cmd_eval(cfg: RunConfig, anchor_index: int = 0, n_x: int = EVAL_N_X, max_times: int = 64) -> dict:
     cfg.ensure_layout()
-    _load_anchors(cfg, anchor_index)
-    header, traj = load_solution(cfg, anchor_index)
-    ref = build_reference(cfg, anchor_index, header["initial"])
+    spec, _, theta0 = _anchor(cfg, anchor_index)
+    traj = load_solution(cfg, anchor_index, theta0)
+    ref = build_reference(cfg, anchor_index, spec, theta0)
     curve = reference.error_curve(cfg.rom_arch, traj, ref, n_x, seed=cfg.seed + 17, max_times=max_times)
-    path = _curve_path(cfg, anchor_index)
+    path = cfg.path("errors", anchor_index)
     # rows (t, abs_err, rel_err), rel_err NaN where undefined
     binfile.save(path, {"format_version": CURVE_FORMAT_VERSION, "kind": "error_curve",
                         "solution_sha256": _digest(traj.thetas)},
@@ -352,30 +357,30 @@ def cmd_export_slice(cfg: RunConfig, anchor_index: int, t: float, grid_n: int = 
     cfg.ensure_layout()
     if cfg.rom_arch.input_dim != 2:
         raise ConfigError("export-slice needs a 2-D problem")
-    _load_anchors(cfg, anchor_index)
-    header, traj = load_solution(cfg, anchor_index)
-    ref = build_reference(cfg, anchor_index, header["initial"])
+    spec, _, theta0 = _anchor(cfg, anchor_index)
+    traj = load_solution(cfg, anchor_index, theta0)
+    ref = build_reference(cfg, anchor_index, spec, theta0)
     j = int(np.argmin(np.abs(traj.times - t)))
-    path = os.path.join(cfg.out_dir, "slices", f"slice_{anchor_index:03d}_t{traj.times[j]:.4f}.csv")
+    path = cfg.path("slice", (anchor_index, traj.times[j]))
     reference.export_slice(cfg.rom_arch, traj.thetas[j], ref, float(traj.times[j]), path, grid_n=grid_n)
     return {"path": path, "time": float(traj.times[j])}
 
 
 def cmd_verify(cfg: RunConfig) -> dict:
-    """Report on this run's artifacts and write out/report.json: the
+    """Report on this run's artifacts and write report.json: the
     projection residual |G V(theta) - p| of the control field over the Gram
-    cache, and per stored solution the field statistics M_V, L_V along its
-    states, the forward-Euler bound they give at the solve's step, and the
-    measured error curve."""
+    cache, and for each anchor of the store that has a solution the field
+    statistics M_V, L_V along its states, the forward-Euler bound they give
+    at the solve's step, and the measured error curve."""
     cfg.ensure_layout()
     volume = float(np.prod(np.subtract(cfg.rom_arch.hi, cfg.rom_arch.lo)))
     net = _load_control(cfg)
     cache = _read_gram_cache(cfg)
-    sol_dir = os.path.dirname(solution_path(cfg, 0))
-    names = (re.fullmatch(r"solution_(\d+)\.bin", name) for name in os.listdir(sol_dir))
-    indices = sorted(int(match.group(1)) for match in names if match)
-    if not indices:
-        raise MissingArtifact(f"no solutions in {sol_dir}; run solve first")
+    store = _anchors(cfg)
+    solved = [k for k in range(len(store)) if os.path.exists(cfg.path("solution", k))]
+    if not solved:
+        raise MissingArtifact(f"no solution for any of the {len(store)} anchors in {cfg.path('anchors')}; "
+                              "run solve first")
 
     rows = cache.rows
     res = np.empty(rows.size)
@@ -384,12 +389,13 @@ def cmd_verify(cfg: RunConfig) -> dict:
         res[i : i + idx.size] = cn.residual_scan(net, cache.theta[idx], cache.gram[idx], cache.rhs[idx])
     q = np.quantile(res, [0.5, 0.9, 1.0]).tolist() if res.size else [math.nan] * 3
     anchors = []
-    for k in indices:
-        header, traj = load_solution(cfg, k, net)
+    for k in solved:
+        _, fit_rmse, theta0 = store[k]
+        traj = load_solution(cfg, k, theta0, net)
         m_v, l_v = cn.field_stats(net, traj.thetas, cfg.seed)
         entry = {
             "anchor": k,
-            "fit_rmse": header["fit_rmse"],
+            "fit_rmse": fit_rmse,
             "steps": traj.thetas.shape[0] - 1,
             "blowup_step": traj.blowup_step,
             "escape_step": traj.escape_step,
@@ -397,7 +403,7 @@ def cmd_verify(cfg: RunConfig) -> dict:
             "l_v": l_v,
             "euler_bound": pde_ops.euler_bound(l_v, m_v, volume, traj.step, cfg.raw["problem"]["horizon"]),
         }
-        curve = _curve_path(cfg, k)
+        curve = cfg.path("errors", k)
         if os.path.exists(curve):
             _, rows = binfile.load(curve, "error_curve", CURVE_FORMAT_VERSION,
                                    {"solution_sha256": _digest(traj.thetas)}, "rerun eval")
@@ -418,7 +424,7 @@ def cmd_verify(cfg: RunConfig) -> dict:
             "passed": blowups == 0 and all(math.isfinite(v) for v in numbers),
         },
     }
-    path = os.path.join(cfg.out_dir, "report.json")
+    path = cfg.path("report")
     with binfile.atomic_write(path) as fh:
         json.dump(report, fh, indent=2)
     return dict(report, path=path)

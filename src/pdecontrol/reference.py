@@ -1,8 +1,8 @@
 """Ground-truth solutions and error metrics.
 
 Closed forms: the anchor's model shifted along the velocity for constant
-transport (wrapped into the periodic box; its random_theta initial is that
-model) and the separated sine series for the heat equation on (0,1) with
+transport (wrapped into the periodic box; a transport initial is the model
+at its anchor's theta0) and the separated sine series for the heat equation on (0,1) with
 zero Dirichlet data. The 2-D Allen-Cahn reference is computed by an
 implicit-explicit scheme (diffusion implicit via a prefactorized 5-point
 Laplacian, reaction explicit) and exposed through space-bilinear,

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from pdecontrol import config, control_net as cn, evolve, fit, pipeline, reference
+from pdecontrol import config, control_net as cn, evolve, pipeline, reference
 
 PRESETS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -36,11 +36,12 @@ def test_transport_shift_field_is_exact(tmp_path):
     assert l1_zero > 1e3
     assert l1 < 1e-24 * l1_zero
 
-    # the constant field as a control net: zero weights, output bias V*
+    # the constant field as a control net: zero weights, output bias V*,
+    # checkpointed with the record train-control writes
     carch = cfg.control_arch
     xi = np.zeros(cn.control_param_count(carch))
     xi[-m:] = v_star
-    cn.save_control_checkpoint(cn.ControlNet(carch, xi), pipeline.control_checkpoint_path(cfg))
+    cn.save_control_checkpoint(cn.ControlNet(carch, xi), cfg.path("checkpoint"), pipeline._control_inputs(cfg))
     for k in range(3):
         pipeline.cmd_solve(cfg, anchor_index=k)
         assert pipeline.cmd_eval(cfg, anchor_index=k, n_x=512)["abs_err_max"] < 1e-12
@@ -61,9 +62,8 @@ def test_heat_sine_field_is_exact(tmp_path):
     # solved with V*, the error is the fit error of theta0, which decays
     pipeline.cmd_fit_initial(cfg)
     horizon = cfg.raw["problem"]["horizon"]
-    header, thetas = fit.load_anchors(cfg.path("anchors"), cfg.anchor_header())
-    for k, spec in enumerate(header["specs"]):
-        traj = evolve.solve_ivp(lambda th: -rates * th, thetas[k], horizon, cfg.raw["solve"]["n_steps"])
-        ref = pipeline.build_reference(cfg, k, spec)
+    for k, (spec, _, theta0) in enumerate(pipeline._anchors(cfg)):
+        traj = evolve.solve_ivp(lambda th: -rates * th, theta0, horizon, cfg.raw["solve"]["n_steps"])
+        ref = pipeline.build_reference(cfg, k, spec, theta0)
         curve = reference.error_curve(cfg.rom_arch, traj, ref, 4096, seed=cfg.seed, max_times=64)
         assert curve.abs_err.max() <= curve.abs_err[0]

@@ -2,6 +2,8 @@ import importlib.util
 import inspect
 import json
 import os
+import re
+import shutil
 import warnings
 from pathlib import Path
 
@@ -163,7 +165,7 @@ def test_full_pipeline_small(heat_config, tmp_path, monkeypatch):
     assert report["cache"]["records"] == 6
     assert 0.0 <= res["p50"] <= res["p90"] <= res["max"] < np.inf
     cache = assembly.read_cache(cfg.path("gram_cache"))
-    net = cn.load_control_checkpoint(pipeline.control_checkpoint_path(cfg))
+    net = cn.load_control_checkpoint(cfg.path("checkpoint"))
     assert res["max"] == pytest.approx(cn.residual_scan(net, cache.theta, cache.gram, cache.rhs).max(), rel=1e-12)
     [anchor] = report["anchors"]
     assert anchor["anchor"] == 0 and anchor["blowup_step"] is None
@@ -171,7 +173,7 @@ def test_full_pipeline_small(heat_config, tmp_path, monkeypatch):
     assert anchor["abs_err_max"] == stats["abs_err_max"]
     # the error curve's rows are (t, abs_err, rel_err), for the solution's theta rows
     header, rows = binfile.load(stats["path"], "error_curve", pipeline.CURVE_FORMAT_VERSION, None, "")
-    assert header["solution_sha256"] == pipeline._digest(pipeline.load_solution(cfg, 0)[1].thetas)
+    assert header["solution_sha256"] == pipeline._digest(pipeline.load_solution(cfg, 0, pipeline._anchor(cfg, 0)[2]).thetas)
     assert rows.shape[1] == 3 and rows[:, 1].max() == stats["abs_err_max"]
     assert report["totals"] == {"blowups": 0, "escapes": 0, "passed": True}
 
@@ -186,13 +188,15 @@ def test_zero_field_solve_reproduces_fit_error(heat_config, tmp_path):
     pipeline.cmd_sample_gram(cfg)
     pipeline.cmd_gen_trajectories(cfg)
     pipeline.cmd_train_control(cfg)
-    sol = pipeline.cmd_solve(cfg, anchor_index=0)
-    doc, traj = pipeline.load_solution(cfg, 0)
+    pipeline.cmd_solve(cfg, anchor_index=0)
+    # the fit RMSE is read from the anchor store, its one record
+    _, fit_rmse, theta0 = pipeline._anchor(cfg, 0)
+    traj = pipeline.load_solution(cfg, 0, theta0)
     assert np.allclose(traj.thetas, traj.thetas[0], atol=1e-12)  # zero field
     stats = pipeline.cmd_eval(cfg, anchor_index=0, n_x=4096)
     _, curve = binfile.load(stats["path"], "error_curve", pipeline.CURVE_FORMAT_VERSION, None, "")
     t0_abs = curve[0, 1]
-    assert t0_abs <= 2.0 * max(doc["fit_rmse"], 1e-12)
+    assert t0_abs <= 2.0 * max(fit_rmse, 1e-12)
 
 
 def test_sample_gram_resume_noop(heat_config, tmp_path):
@@ -275,27 +279,25 @@ def test_cli_checksum_mismatch_exit(heat_config, tmp_path):
 
 def test_spec_from_dict_roundtrip():
     specs = [
-        fit.RandomTheta(seed=5),
         fit.HeatCombo(np.array([0.1, 0.2, 0.3, 0.4])),
         fit.ChebCombo(terms=((1, 2, 0.5),)),
     ]
     for spec in specs:
         rebuilt = fit.spec_from_dict(spec.describe())
         assert rebuilt.describe() == spec.describe()
-    with pytest.raises(ConfigError):
-        fit.spec_from_dict({"kind": "closure", "label": "x"})
+    # transport anchors have no spec, so random_theta is no longer a kind
+    for doc in ({"kind": "closure", "label": "x"}, {"kind": "random_theta", "seed": 5}):
+        with pytest.raises(ConfigError):
+            fit.spec_from_dict(doc)
 
 
 def test_overrides_do_not_leak_across_loads(heat_config, tmp_path):
-    # paths and initials.fit are nested keys the file omits: defaults fill them
-    first = config.load_config(
-        heat_config, overrides=["paths.gram_cache=elsewhere.bin", "initials.fit.lr=0.5"], out_dir=str(tmp_path)
-    )
-    assert first.path("gram_cache").endswith("elsewhere.bin")
+    # initials.fit is a nested key the file omits: defaults fill it
+    first = config.load_config(heat_config, overrides=["initials.fit.lr=0.5"], out_dir=str(tmp_path))
+    assert first.raw["initials"]["fit"]["lr"] == 0.5
     second = config.load_config(heat_config, out_dir=str(tmp_path))
-    assert second.raw["paths"] == {}
     assert second.raw["initials"]["fit"] == HEAT_CFG["initials"]["fit"]
-    assert config._DEFAULTS["paths"] == {} and config._DEFAULTS["initials"]["fit"] == {"lr": 1e-3, "max_steps": 5000}
+    assert config._DEFAULTS["initials"]["fit"] == {"lr": 1e-3, "max_steps": 5000}
 
 
 def test_sample_gram_rejects_changed_theta_space(heat_config, tmp_path, capsys):
@@ -389,7 +391,7 @@ _FAMILY_KEY = "Additional properties are not allowed ('family' was unexpected)"
      "allen_cahn needs the domain (-1,1)^2, where its cheb_combo initials vanish on the boundary; "
      "the domain is [-1.0] to [1.0]"),
     ("transport_1d.json", ['theta_space={"kind":"anchor_balls","radius":3.0}'],
-     "transport draws its random_theta anchors from a box theta_space; theta_space.kind is 'anchor_balls'"),
+     "transport draws its anchors from a box theta_space; theta_space.kind is 'anchor_balls'"),
     ("allen_cahn_2d.json", ["initials.family=random_theta"], _FAMILY_KEY),
     ("heat_fourier_1d.json", ["initials.family=random_theta"], _FAMILY_KEY),
     ("heat_fourier_1d.json", ['rom_arch={"kind":"resnet_zero_boundary","width":4,"depth":2}',
@@ -409,8 +411,19 @@ _FAMILY_KEY = "Additional properties are not allowed ('family' was unexpected)"
     ("transport_1d.json", ['problem.domain={"lo":[0.0],"hi":[0.5]}'],
      "rom_arch.kind 'resnet_periodic' has period 1 in each coordinate, so the box sides must be whole numbers; "
      "the domain is [0.0] to [0.5]"),
+    ("transport_1d.json", ['rom_arch={"kind":"resnet_zero_boundary","width":4,"depth":2}'],
+     "problem.kind 'transport' needs the periodic kind 'resnet_periodic'; rom_arch.kind is 'resnet_zero_boundary'"),
+    ("transport_1d.json", ['rom_arch={"kind":"linear_basis","basis_spec":[["fourier_sine",1]]}'],
+     "problem.kind 'transport' needs the periodic kind 'resnet_periodic'; rom_arch.kind is 'linear_basis'"),
+    ("heat_fourier_1d.json", ['rom_arch={"kind":"resnet_periodic","width":4,"depth":2}'],
+     "problem.kind 'heat' needs a zero-boundary kind ('resnet_zero_boundary' or 'linear_basis'); "
+     "rom_arch.kind is 'resnet_periodic'"),
+    ("allen_cahn_2d.json", ['rom_arch={"kind":"resnet_periodic","width":4,"depth":2}'],
+     "problem.kind 'allen_cahn' needs a zero-boundary kind ('resnet_zero_boundary' or 'linear_basis'); "
+     "rom_arch.kind is 'resnet_periodic'"),
 ], ids=["cheb_1d", "random_theta_anchor_balls", "random_theta_allen_cahn", "random_theta_heat", "heat_2d",
-        "heat_wide_interval", "allen_cahn_unequal_axes", "allen_cahn_unit_square", "periodic_half_box"])
+        "heat_wide_interval", "allen_cahn_unequal_axes", "allen_cahn_unit_square", "periodic_half_box",
+        "transport_zero_boundary", "transport_linear_basis", "heat_periodic", "allen_cahn_periodic"])
 def test_combinations_no_reference_serves_are_config_errors(tmp_path, capsys, preset, overrides, message):
     # each used to fail late or not at all: cheb_combo on 1-D was an IndexError
     # traceback, random_theta on anchor balls sent fit-initial to its own output
@@ -419,8 +432,9 @@ def test_combinations_no_reference_serves_are_config_errors(tmp_path, capsys, pr
     # stage to solve (the last one through eval, against a wrong reference), and
     # the period-1 ROM on (0, 0.5) differed from the wrapped reference by up to 4.1;
     # heat on (0, 1.5) loaded, although the sine series is -1 at x = 1.5, where
-    # the zero-boundary ROM is 0. The problem kind now picks the initial family,
-    # so asking for another family is a schema error.
+    # the zero-boundary ROM is 0, and so did a ROM whose boundary condition is
+    # not the reference's. The problem kind now picks the initial family, so
+    # asking for another family is a schema error.
     args = ["fit-initial", "--config", str(PRESETS / preset), "--out", str(tmp_path)]
     assert cli.main(args + [arg for o in overrides for arg in ("--set", o)]) == cli.EXIT_CONFIG
     assert message in capsys.readouterr().err
@@ -702,7 +716,7 @@ def test_script_train_overrides_are_config_errors(heat_config, tmp_path, overrid
     pipeline.cmd_gen_trajectories(cfg)
     with pytest.raises(ConfigError, match="schema violation"):
         pipeline.cmd_train_control(cfg, train_overrides=override)
-    assert not os.path.exists(pipeline.control_checkpoint_path(cfg))
+    assert not os.path.exists(cfg.path("checkpoint"))
 
 
 def test_schedule_in_one_run_writes_the_bytes_of_its_stages_run_one_by_one(tmp_path):
@@ -819,8 +833,8 @@ def test_cut_write_keeps_the_previous_artifact(heat_config, tmp_path, monkeypatc
     cfg = _solved_run(heat_config, out)
     pipeline.cmd_verify(cfg)
     writers = {
-        pipeline.control_checkpoint_path(cfg): lambda: pipeline.cmd_train_control(cfg),
-        pipeline.solution_path(cfg, 0): lambda: pipeline.cmd_solve(cfg, anchor_index=0),
+        cfg.path("checkpoint"): lambda: pipeline.cmd_train_control(cfg),
+        cfg.path("solution", 0): lambda: pipeline.cmd_solve(cfg, anchor_index=0),
         out / "curves" / "errors_000.bin": lambda: pipeline.cmd_eval(cfg, anchor_index=0, n_x=256),
         out / "report.json": lambda: pipeline.cmd_verify(cfg),
     }
@@ -872,14 +886,23 @@ def test_eval_rejects_stale_imex_reference(tmp_path, capsys):
     assert cli.main(["eval", *base, "--n-x", "64", "--set", "problem.epsilon=0.5"]) == cli.EXIT_NUMERIC
     err = capsys.readouterr().err
     assert "mismatch on 'epsilon'" in err and "rerun reference" in err
-    # new anchors, solved afresh: the reference still holds the old initial
+    # new anchors: the solution starts at the old anchor, so eval and
+    # export-slice stop before they read the reference
     new = [*base, "--set", "seed=1"]
-    for command in ("fit-initial", "solve"):
-        assert cli.main([command, *new]) == 0
-    assert cli.main(["eval", *new, "--n-x", "64"]) == cli.EXIT_NUMERIC
+    assert cli.main(["fit-initial", *new]) == 0
+    for command in (["eval", "--n-x", "64"], ["export-slice", "--time", "0.1"]):
+        assert cli.main([*command, *new]) == cli.EXIT_NUMERIC
+        assert "rerun solve" in capsys.readouterr().err
+    # a run of the new seed, solved afresh, beside the old reference; a new
+    # seed also needs a new field, so it runs in its own out dir
+    fresh = [str(tmp_path / "fresh") if arg == str(tmp_path / "out") else arg for arg in new]
+    for command in ("fit-initial", "sample-gram", "train-control", "solve"):
+        assert cli.main([command, *fresh]) == 0
+    shutil.copy(tmp_path / "out" / "reference" / "ref_000.bin", tmp_path / "fresh" / "reference")
+    assert cli.main(["eval", *fresh, "--n-x", "64"]) == cli.EXIT_NUMERIC
     assert "mismatch on 'initial' in" in capsys.readouterr().err
-    assert cli.main(["reference", *new, "--nx", "16", "--nt", "16"]) == 0
-    assert cli.main(["eval", *new, "--n-x", "64"]) == 0
+    assert cli.main(["reference", *fresh, "--nx", "16", "--nt", "16"]) == 0
+    assert cli.main(["eval", *fresh, "--n-x", "64"]) == 0
     # every artifact that is read back is a binfile of its kind
     kinds = {"gram.bin": ("gram_cache", assembly.CACHE_FORMAT_VERSION),
              "anchors.bin": ("anchor_store", fit.ANCHOR_FORMAT_VERSION),
@@ -894,9 +917,9 @@ def test_eval_rejects_stale_imex_reference(tmp_path, capsys):
     for path in read_back:
         binfile.read_header(path, *kinds[path.name], "")
     # a reference cut short used to end in a zipfile.BadZipFile traceback
-    ref = tmp_path / "out" / "reference" / "ref_000.bin"
+    ref = tmp_path / "fresh" / "reference" / "ref_000.bin"
     ref.write_bytes(ref.read_bytes()[:-30])
-    assert cli.main(["eval", *new, "--n-x", "64"]) == cli.EXIT_NUMERIC
+    assert cli.main(["eval", *fresh, "--n-x", "64"]) == cli.EXIT_NUMERIC
     assert "rerun reference" in capsys.readouterr().err
 
 
@@ -906,3 +929,106 @@ def test_cli_rejects_grid_sizes_the_solvers_cannot_take(tmp_path, capsys, args):
         cli.main([*args, "--config", str(PRESETS / "allen_cahn_2d.json"), "--out", str(tmp_path)])
     assert exc.value.code == cli.EXIT_CONFIG
     assert "is less than" in capsys.readouterr().err
+
+
+def test_solution_solved_before_a_refit_is_rejected(heat_config, tmp_path, capsys):
+    # a solution used to carry a copy of its initial and fit RMSE, so eval and
+    # verify measured it against the refitted anchor and exited 0
+    out = tmp_path / "out"
+    _solved_run(heat_config, out)
+    refit = ["--config", str(heat_config), "--out", str(out), "--set", "initials.fit.max_steps=50"]
+    assert cli.main(["fit-initial", *refit]) == 0
+    for command in ("eval", "verify"):
+        assert cli.main([command, *refit]) == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "does not start at anchor 0" in err and "rerun solve" in err
+    for command in ("solve", "eval", "verify"):
+        assert cli.main([command, *refit]) == 0
+
+
+def test_transport_solution_solved_before_a_refit_into_another_box_is_rejected(tmp_path, capsys):
+    # eval of the old solution against the refitted anchor printed max rel err 5.07 and exited 0
+    base = ["--config", str(PRESETS / "transport_1d.json"), "--out", str(tmp_path / "out"),
+            "--set", "counts.n_theta=4", "--set", "counts.n_x=16", "--set", "initials.count=1", "--set", _TWO_STEPS]
+    for command in ("fit-initial", "sample-gram", "train-control", "solve"):
+        assert cli.main([command, *base]) == 0
+    refit = [*base, "--set", "theta_space.half_width=2.0"]
+    assert cli.main(["fit-initial", *refit]) == 0
+    assert cli.main(["eval", *refit]) == cli.EXIT_NUMERIC
+    assert "rerun solve" in capsys.readouterr().err
+
+
+_TRANSPORT_RUN = ["--config", str(PRESETS / "transport_1d.json"), "--set", "counts.n_theta=20", "--set", "counts.n_x=32",
+                  "--set", "initials.count=2", "--set", 'train.schedule=[{"lr": 0.001, "max_steps": 5}]']
+
+
+@pytest.mark.parametrize("override, field", [
+    ("problem.velocity=[3.0]", "op_tag"), ("counts.n_theta=10", "n_theta"), ("counts.n_x=64", "n_x"),
+    ("theta_space.half_width=2.0", "theta_space"), ("seed=1", "seed"),
+], ids=["velocity", "n_theta", "n_x", "half_width", "seed"])
+def test_checkpoint_is_used_only_with_the_data_it_was_trained_on(tmp_path, capsys, override, field):
+    # the checkpoint recorded only its control_arch: a field trained at
+    # velocity 1 solved at velocity 3 (exit 0), and eval reported max rel err 1.03
+    base = [*_TRANSPORT_RUN, "--out", str(tmp_path / "out")]
+    for command in ("fit-initial", "sample-gram", "train-control"):
+        assert cli.main([command, *base]) == 0
+    if override.startswith(("theta_space", "seed")):
+        # the anchors follow the box and the seed: refit them, so only the field is stale
+        assert cli.main(["fit-initial", *base, "--set", override]) == 0
+    for command in ("solve", "verify"):
+        assert cli.main([command, *base, "--set", override]) == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert f"mismatch on {field!r} in" in err and "control.bin; rerun train-control" in err
+
+
+def test_resumed_training_checks_the_checkpoint_record(tmp_path, capsys):
+    # n_theta=10 reads a prefix of the Gram cache, so only the checkpoint knows it trained on 20
+    base = [*_TRANSPORT_RUN, "--out", str(tmp_path / "out")]
+    for command in ("fit-initial", "sample-gram", "train-control"):
+        assert cli.main([command, *base]) == 0
+    assert cli.main(["train-control", "--resume", *base, "--set", "counts.n_theta=10"]) == cli.EXIT_NUMERIC
+    assert "mismatch on 'n_theta'" in capsys.readouterr().err
+    # train.* is not recorded: a resumed run continues under a new schedule
+    assert cli.main(["train-control", "--resume", *base, "--set", 'train.schedule=[{"lr": 1e-4, "max_steps": 2}]']) == 0
+    # with no trajectories the horizon shaped no training data: the field solves to another horizon
+    assert cli.main(["solve", *base, "--set", "problem.horizon=0.5"]) == 0
+
+
+def test_checkpoint_records_the_trajectory_cache_and_the_anchor_balls(heat_config, tmp_path, capsys):
+    # heat has trajectories (counts.n_traj 2): their step is horizon / n_t
+    base = ["--config", str(heat_config), "--out", str(tmp_path / "heat")]
+    for command in ("fit-initial", "sample-gram", "gen-trajectories", "train-control"):
+        assert cli.main([command, *base]) == 0
+    assert cli.main(["solve", *base, "--set", "problem.horizon=0.1"]) == cli.EXIT_NUMERIC
+    assert "mismatch on 'h'" in capsys.readouterr().err
+    # anchor balls are drawn around the anchors: a refit moves the training data
+    shrink = ["rom_arch.width=3", "control_arch.width=8", "counts.n_theta=4", "counts.n_x=16", "counts.n_traj=0",
+              "initials.count=1", "initials.fit_n_x=32", "initials.fit.max_steps=5", _TWO_STEPS, "solve.n_steps=4"]
+    base = ["--config", str(PRESETS / "allen_cahn_2d.json"), "--out", str(tmp_path / "ac")]
+    base += [arg for key in shrink for arg in ("--set", key)]
+    for command in ("fit-initial", "sample-gram", "train-control", "solve"):
+        assert cli.main([command, *base]) == 0
+    refit = [*base, "--set", "initials.fit.max_steps=6"]
+    assert cli.main(["fit-initial", *refit]) == 0
+    assert cli.main(["solve", *refit]) == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "mismatch on 'theta_space'" in err and "rerun train-control" in err
+
+
+def _settable_leaves(schema: dict, path: tuple = ()) -> list[tuple]:
+    """The key paths a config can set: the leaves under SCHEMA's objects, the
+    keys of a train.schedule stage among them."""
+    props = schema.get("properties") or schema.get("items", {}).get("properties")
+    if not props:
+        return [path]
+    return [leaf for key, sub in props.items() for leaf in _settable_leaves(sub, (*path, key))]
+
+
+def test_readme_config_keys_name_every_settable_leaf():
+    # paths.* and notes were settable but missing from the summary
+    section = (ROOT / "README.md").read_text().split("## Config keys (summary)\n", 1)[1].split("\n## ", 1)[0]
+    leaves = _settable_leaves(config.SCHEMA)
+    assert len(leaves) == 36
+    missing = [".".join(leaf) for leaf in leaves
+               if not all(re.search(rf"\b{re.escape(key)}\b", section) for key in leaf)]
+    assert missing == []

@@ -267,6 +267,11 @@ def test_checkpoint_roundtrip(tmp_path, small_arch, rng):
     loaded = cn.load_control_checkpoint(path)
     assert loaded.arch == small_arch
     assert np.array_equal(loaded.xi, net.xi)
+    # the header records what shaped the training data, and a reader checks it
+    cn.save_control_checkpoint(net, path, {"n_theta": 4})
+    assert np.array_equal(cn.load_control_checkpoint(path, small_arch, {"n_theta": 4}).xi, net.xi)
+    with pytest.raises(CacheMismatch, match="'n_theta' .* rerun train-control"):
+        cn.load_control_checkpoint(path, small_arch, {"n_theta": 5})
 
 
 def test_checkpoint_rejects_old_json_and_torn_files(tmp_path, small_arch, rng):

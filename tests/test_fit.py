@@ -1,11 +1,15 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from pdecontrol import fit, linalg, rom
+from pdecontrol import config, fit, linalg, pipeline, rom
 from pdecontrol.errors import CacheMismatch
-from pdecontrol.sampling import Box, sample_omega
+from pdecontrol.sampling import rng_for, sample_omega, sample_theta
 
 from conftest import fourier_sine_arch
+
+PRESETS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_heat_combo_center():
@@ -125,23 +129,36 @@ def test_fit_target_not_reached_flag():
     assert np.all(np.isfinite(res.theta))
 
 
-def test_random_theta_resolution():
-    arch = fourier_sine_arch(3)
-    spec = fit.RandomTheta(seed=4)
-    model1 = fit.resolve_random_theta(spec, arch, Box(1.0, 3))
-    model2 = fit.resolve_random_theta(spec, arch, Box(1.0, 3))
-    assert np.array_equal(model1.theta, model2.theta)
-    assert np.abs(model1.theta).max() <= 1.0
+def test_transport_anchors_are_box_points_drawn_per_seed(tmp_path):
+    # a transport anchor is drawn, not fitted, and the store records no spec for it:
+    # anchor k is the stream-7 point of its own seed, the k-th draw of stream 60
+    def store(out, count, seed):
+        cfg = config.load_config(PRESETS / "transport_1d.json", out_dir=str(tmp_path / out), seed=seed,
+                                 overrides=[f"initials.count={count}", "theta_space.half_width=0.5"])
+        assert [entry["rmse"] for entry in pipeline.cmd_fit_initial(cfg)] == [0.0] * count
+        header, thetas = fit.load_anchors(cfg.path("anchors"), cfg.anchor_header())
+        assert header["specs"] == [None] * count and header["rmse"] == [0.0] * count
+        return cfg, thetas
+
+    cfg, three = store("a", 3, 0)
+    rng = rng_for(0, stream=60)
+    drawn = [sample_theta(cfg.theta_space(), 1, int(rng.integers(0, 2**31 - 1)), stream=7)[0] for _ in range(3)]
+    assert three.tobytes() == np.array(drawn).tobytes() == store("b", 3, 0)[1].tobytes()
+    five = store("c", 5, 0)[1]
+    assert five[:3].tobytes() == three.tobytes() and len({row.tobytes() for row in five}) == 5
+    assert np.abs(five).max() <= 0.5
+    assert not np.array_equal(store("d", 3, 1)[1], three)
 
 
 def test_anchor_store_roundtrip(tmp_path):
-    specs = [fit.HeatCombo(np.array([0.5, -0.5, 0.0, 0.0])), fit.RandomTheta(seed=1)]
+    # a transport anchor (the second) has no spec
+    specs = [fit.HeatCombo(np.array([0.5, -0.5, 0.0, 0.0])), None]
     thetas = [np.array([1.0, 2.0]), np.array([3.0, 4.0])]
     fit.save_anchors(tmp_path / "a.bin", {"m": 2}, list(zip(specs, thetas, [0.01, 0.0])))
     header, loaded = fit.load_anchors(tmp_path / "a.bin", {"m": 2})
     assert loaded.tolist() == [[1.0, 2.0], [3.0, 4.0]]
     assert header["specs"][0]["kind"] == "heat_combo"
-    assert header["specs"][1] == {"kind": "random_theta", "seed": 1}
+    assert header["specs"][1] is None
     assert header["rmse"] == [0.01, 0.0]
     with pytest.raises(CacheMismatch, match="'m' .* rerun fit-initial"):
         fit.load_anchors(tmp_path / "a.bin", {"m": 3})
