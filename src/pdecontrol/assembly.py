@@ -163,7 +163,7 @@ def _finished(status: np.ndarray) -> int:
     return int(bad[0]) if bad.size else status.shape[0]
 
 
-def _check_cache(cache_path, header: dict | None, thetas: np.ndarray | None):
+def _check_cache(cache_path, header: dict, thetas: np.ndarray):
     """(header, offset, records, torn, done) of an existing cache, after the
     check sample-gram and the readers share: the expected header, and each
     finished record's theta against the one sampled for its index."""
@@ -171,14 +171,13 @@ def _check_cache(cache_path, header: dict | None, thetas: np.ndarray | None):
     binfile.check_header(cache_path, existing, header, f"delete it and {_RERUN}")
     records, torn = _map_records(cache_path, existing, offset)
     done = _finished(records[:, -1])
-    if thetas is not None:
-        check = min(done, thetas.shape[0])
-        stale = np.flatnonzero(np.any(records[:check, : existing["m"]] != thetas[:check], axis=1))
-        if stale.size:
-            raise CacheMismatch(
-                f"record {int(stale[0])} of {cache_path} was assembled at a different theta "
-                f"(theta_space or anchors changed); delete it and {_RERUN}"
-            )
+    check = min(done, thetas.shape[0])
+    stale = np.flatnonzero(np.any(records[:check, : existing["m"]] != thetas[:check], axis=1))
+    if stale.size:
+        raise CacheMismatch(
+            f"record {int(stale[0])} of {cache_path} was assembled at a different theta "
+            f"(theta_space or anchors changed); delete it and {_RERUN}"
+        )
     return existing, offset, records, torn, done
 
 
@@ -236,10 +235,10 @@ def assemble_batch(
     return {"total": thetas.shape[0], "computed": len(todo), "resumed": min(done, thetas.shape[0]), "skipped": skipped}
 
 
-def read_cache(cache_path, header: dict | None = None, thetas: np.ndarray | None = None) -> GramCache:
-    """Memory-map a Gram cache. Given the expected cache_header and the theta
-    sampled for each wanted record, check both as sample-gram does and take
-    exactly the first len(thetas) records.
+def read_cache(cache_path, header: dict, thetas: np.ndarray) -> GramCache:
+    """Memory-map the first len(thetas) records of a Gram cache, after
+    checking the expected cache_header and the theta sampled for each
+    record as sample-gram does.
 
     Raises CacheMismatch for a foreign, old-format, torn or stale cache, and
     MissingArtifact when fewer than len(thetas) records are finished.
@@ -247,10 +246,9 @@ def read_cache(cache_path, header: dict | None = None, thetas: np.ndarray | None
     header, _, records, torn, done = _check_cache(cache_path, header, thetas)
     if torn or done < records.shape[0]:
         raise CacheMismatch(f"{cache_path} holds a partly written record; {_RERUN} to repair it")
-    if thetas is not None:
-        if done < thetas.shape[0]:
-            raise MissingArtifact(f"{cache_path} has {done} of {thetas.shape[0]} records; {_RERUN}")
-        records = records[: thetas.shape[0]]
+    if done < thetas.shape[0]:
+        raise MissingArtifact(f"{cache_path} has {done} of {thetas.shape[0]} records; {_RERUN}")
+    records = records[: thetas.shape[0]]
     m = header["m"]
     return GramCache(
         header=header,

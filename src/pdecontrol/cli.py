@@ -9,6 +9,7 @@ failure, 5 verify found a blown-up solve or a non-finite number.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import pipeline
@@ -40,6 +41,15 @@ def _int_at_least(low: int):
     return parse
 
 
+def _finite_float(text: str) -> float:
+    if not math.isfinite(float(text)):
+        raise argparse.ArgumentTypeError(f"{text} is not a finite number")
+    return float(text)
+
+
+_finite_float.__name__ = "float"  # argparse names the type in its message for a non-number
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="pdecontrol", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -69,7 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "eval":
             p.add_argument("--n-x", type=_int_at_least(1), default=pipeline.EVAL_N_X)
         if name == "export-slice":
-            p.add_argument("--time", type=float, required=True)
+            # a non-finite time is nearest to no stored step
+            p.add_argument("--time", type=_finite_float, required=True)
     return ap
 
 

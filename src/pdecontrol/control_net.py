@@ -1,6 +1,5 @@
 """The learned velocity field over parameter space: a gated residual network
-with analytic backpropagation, the projection/trajectory losses, and the
-training loop.
+with analytic backpropagation, the training loss, and the training loop.
 
 Layers:
     eta_0 = tanh(U_0 theta + b_0)
@@ -15,6 +14,9 @@ with matrices stored row-major. The output layer is zero-initialized so a
 fresh net is the zero field.
 
 The gradients, _jvp, _vjp and field_stats share one forward cache and one reverse pass.
+Each training step runs one forward and one backward pass: loss stacks the
+step's Gram rows and trajectory-pair rows and reads the projection loss l1
+and the trajectory loss l2 off the two blocks of the one output.
 """
 
 from __future__ import annotations
@@ -224,55 +226,59 @@ def field_stats(net: ControlNet, points: np.ndarray, seed: int, n_probe_iters: i
 
 
 # ---------------------------------------------------------------------------
-# losses
+# loss and training
 
 
-def loss_l1(net: ControlNet, TH: np.ndarray, G: np.ndarray, P: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean squared projection residual |G V(theta) - p|^2 over the rows of
-    (TH, G, P), shapes (n, m), (n, m, m), (n, m), and its xi-gradient."""
-    out, cache = _forward_cached(net, TH)
-    res = np.einsum("nij,nj->ni", G, out) - P
-    n = TH.shape[0]
-    loss = float(np.mean(np.sum(res * res, axis=1)))
-    dout = 2.0 * np.einsum("nij,ni->nj", G, res) / n  # G symmetric
-    grad = _backward_xi(net, cache, dout)
-    return loss, grad
+def _projection_residual(G: np.ndarray, out: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """G V(theta) - p per row, from the field values out."""
+    return np.einsum("nij,nj->ni", G, out) - P
 
 
-def loss_l2(net: ControlNet, TH: np.ndarray, V: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean squared deviation |V(theta) - v|^2 from the trajectory velocities
-    over the rows of (TH, V), both (n, m), and its xi-gradient."""
-    out, cache = _forward_cached(net, TH)
-    res = out - V
-    n = TH.shape[0]
-    loss = float(np.mean(np.sum(res * res, axis=1)))
-    dout = 2.0 * res / n
-    grad = _backward_xi(net, cache, dout)
-    return loss, grad
+def loss(net: ControlNet, gram, pairs, zeta: float) -> tuple[float, float, np.ndarray]:
+    """(l1, l2, gradient of l1 + zeta*l2 with respect to xi) on one
+    minibatch, from one forward and one reverse pass over the stacked rows.
 
-
-# ---------------------------------------------------------------------------
-# training
+    l1 is the mean squared projection residual |G V(theta) - p|^2 over the
+    rows of gram = (TH, G, P), shapes (n, m), (n, m, m), (n, m); l2 the mean
+    squared deviation |V(theta) - v|^2 from the trajectory velocities over
+    the rows of pairs = (TH, V), both (n, m). Either may be None, its term
+    then 0.
+    """
+    out, cache = _forward_cached(net, np.concatenate([batch[0] for batch in (gram, pairs) if batch is not None]))
+    l1 = l2 = 0.0
+    n1 = 0
+    douts = []
+    if gram is not None:
+        _, G, P = gram
+        n1 = G.shape[0]
+        res = _projection_residual(G, out[:n1], P)
+        l1 = float(np.mean(np.sum(res * res, axis=1)))
+        douts.append(2.0 * np.einsum("nij,ni->nj", G, res) / n1)  # G symmetric
+    if pairs is not None:
+        res = out[n1:] - pairs[1]
+        l2 = float(np.mean(np.sum(res * res, axis=1)))
+        douts.append(zeta * (2.0 * res / res.shape[0]))
+    return l1, l2, _backward_xi(net, cache, np.concatenate(douts))
 
 
 class _Batcher:
-    """Deterministic epoch-shuffled minibatch stream over the given rows."""
+    """Deterministic epoch-shuffled minibatches of the given rows of arrays."""
 
-    def __init__(self, rows: np.ndarray, batch_size: int, rng: np.random.Generator):
-        n = rows.shape[0]
-        self.n = n
-        self.bs = n if batch_size == 0 or batch_size >= n else batch_size
+    def __init__(self, arrays, rows: np.ndarray, batch_size: int, rng: np.random.Generator):
+        self.arrays = arrays
         self.rng = rng
+        self.n = n = rows.shape[0]
+        self.bs = n if batch_size == 0 or batch_size >= n else batch_size
         self.order = rows.copy()
         self.pos = n  # force shuffle on first call
 
-    def next(self) -> np.ndarray:
+    def next(self) -> tuple:
         if self.pos + self.bs > self.n:
             self.rng.shuffle(self.order)
             self.pos = 0
         idx = self.order[self.pos : self.pos + self.bs]
         self.pos += self.bs
-        return idx
+        return tuple(a[idx] for a in self.arrays)
 
 
 def train(
@@ -296,52 +302,36 @@ def train(
     e.g. the memory-mapped views of assembly.read_cache, or None. Each
     minibatch is gathered from them directly. rows selects the records to
     train on (default all), e.g. GramCache.rows to leave out skipped ones.
-    traj_pairs: (thetas, velocities) arrays or None.
+    traj_pairs: (thetas, velocities) arrays or None; they are used only for
+    zeta > 0. Each step draws a minibatch of each and takes one loss.
     Stops at stop_loss or at max_steps. Returns the trained
     net and the per-step history (step, l1, l2, l_total).
     """
     m = net.arch.input_dim
-    TH = G = P = None
-    if gram is not None:
-        TH, G, P = gram
-        if rows is None:
-            rows = np.arange(TH.shape[0])
-        if TH.shape[1] != m:
-            raise CacheMismatch("gram cache dimension does not match control net")
-        if rows.shape[0] == 0:
-            TH = None
-    T2 = V2 = None
-    use_l2 = traj_pairs is not None and zeta > 0
-    if use_l2:
-        T2 = np.asarray(traj_pairs[0], dtype=np.float64)
-        V2 = np.asarray(traj_pairs[1], dtype=np.float64)
-        if T2.shape[0] == 0:
-            use_l2 = False
-        elif T2.shape[1] != m:
-            raise CacheMismatch("trajectory cache dimension does not match control net")
-    if TH is None and not use_l2:
-        raise ValueError("nothing to train on: empty gram cache and no trajectory pairs")
-
     rng = rng_for(seed, stream=2)
-    batcher1 = _Batcher(rows, batch_size, rng) if TH is not None else None
-    batcher2 = _Batcher(np.arange(T2.shape[0]), batch_size, rng) if use_l2 else None
+    grams = pairs = None
+    if gram is not None:
+        if gram[0].shape[1] != m:
+            raise CacheMismatch("gram cache dimension does not match control net")
+        rows = np.arange(gram[0].shape[0]) if rows is None else rows
+        if rows.shape[0]:
+            grams = _Batcher(gram, rows, batch_size, rng)
+    if traj_pairs is not None and zeta > 0 and traj_pairs[0].shape[0]:
+        if traj_pairs[0].shape[1] != m:
+            raise CacheMismatch("trajectory cache dimension does not match control net")
+        pairs = _Batcher(traj_pairs, np.arange(traj_pairs[0].shape[0]), batch_size, rng)
+    if grams is None and pairs is None:
+        raise ValueError("nothing to train on: empty gram cache and no trajectory pairs")
 
     xi = net.xi.copy()
     adam = Adam(xi.size, lr)
     history: list[tuple[int, float, float, float]] = []
 
     for step in range(1, max_steps + 1):
-        current = ControlNet(net.arch, xi)
-        l1 = l2 = 0.0
-        grad = np.zeros_like(xi)
-        if batcher1 is not None:
-            idx = batcher1.next()
-            l1, g1 = loss_l1(current, TH[idx], G[idx], P[idx])
-            grad += g1
-        if batcher2 is not None:
-            idx2 = batcher2.next()
-            l2, g2 = loss_l2(current, T2[idx2], V2[idx2])
-            grad += zeta * g2
+        # the Gram minibatch is drawn first, as both share one generator; no
+        # minibatch outlives its step, so two are never held at once
+        l1, l2, grad = loss(ControlNet(net.arch, xi), grams.next() if grams else None,
+                            pairs.next() if pairs else None, zeta)
         total = l1 + zeta * l2
         if not np.isfinite(total):
             raise NonFiniteError(f"training diverged at step {step}")
@@ -355,8 +345,7 @@ def train(
 
 def residual_scan(net: ControlNet, TH: np.ndarray, G: np.ndarray, P: np.ndarray) -> np.ndarray:
     """|G V(theta) - p| per cached record (training-quality diagnostic)."""
-    res = np.einsum("nij,nj->ni", G, forward(net, TH)) - P
-    return np.linalg.norm(res, axis=1)
+    return np.linalg.norm(_projection_residual(G, forward(net, TH), P), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -368,18 +357,16 @@ def residual_scan(net: ControlNet, TH: np.ndarray, G: np.ndarray, P: np.ndarray)
 # control_param_count(arch) float64.
 
 
-def save_control_checkpoint(net: ControlNet, path, inputs: dict | None = None) -> None:
-    header = {"format_version": FORMAT_VERSION, "kind": "control_checkpoint", "arch": asdict(net.arch),
-              **(inputs or {})}
+def save_control_checkpoint(net: ControlNet, path, inputs: dict) -> None:
+    header = {"format_version": FORMAT_VERSION, "kind": "control_checkpoint", "arch": asdict(net.arch), **inputs}
     binfile.save(path, header, net.xi)
 
 
-def load_control_checkpoint(path, arch: ControlArch | None = None, inputs: dict | None = None) -> ControlNet:
-    """The checkpointed net; given arch and inputs, the checkpoint must
-    record them, the arch checked first."""
-    expected = None if arch is None else {"arch": asdict(arch), **(inputs or {})}
-    header, xi = binfile.load(path, "control_checkpoint", FORMAT_VERSION, expected, "rerun train-control")
-    arch = ControlArch(**header["arch"])
+def load_control_checkpoint(path, arch: ControlArch, inputs: dict) -> ControlNet:
+    """The checkpointed net, which must record arch and inputs, the arch
+    checked first."""
+    expected = {"arch": asdict(arch), **inputs}
+    xi = binfile.load(path, "control_checkpoint", FORMAT_VERSION, expected, "rerun train-control")[1]
     n = control_param_count(arch)
     if xi.shape != (n,):
         raise CacheMismatch(f"{path} holds {xi.size} of {n} parameters; rerun train-control")

@@ -170,7 +170,7 @@ def write_traj_cache(path, header: dict, trajectories: list[ParamTrajectory]) ->
     binfile.save(path, header, np.vstack([np.zeros((0, 2 * header["m"]))] + rows))
 
 
-def read_traj_cache(path, header: dict | None = None):
+def read_traj_cache(path, header: dict):
     """(header, thetas, velocities), rows stacked across trajectories; checks
     the expected header. CacheMismatch names gen-trajectories."""
     existing, rows = binfile.load(path, "traj_cache", TRAJ_FORMAT_VERSION, header, "rerun gen-trajectories")

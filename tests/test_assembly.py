@@ -129,7 +129,7 @@ def test_cache_header_mismatch(tmp_path):
         assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 0, path)
     other = fourier_sine_arch(4)
     with pytest.raises(CacheMismatch, match="arch_hash"):
-        assembly.read_cache(path, assembly.cache_header(other, pde_ops.Heat(), 16, 0))
+        assembly.read_cache(path, assembly.cache_header(other, pde_ops.Heat(), 16, 0), thetas)
 
 
 def test_empty_batch_cache(tmp_path):
@@ -138,7 +138,7 @@ def test_empty_batch_cache(tmp_path):
     path = tmp_path / "empty.bin"
     stats = assembly.assemble_batch(arch, empty, pde_ops.Heat(), 16, 0, path)
     assert stats["total"] == 0
-    cache = assembly.read_cache(path)
+    cache = assembly.read_cache(path, assembly.cache_header(arch, pde_ops.Heat(), 16, 0), empty)
     assert cache.header["kind"] == "gram_cache" and cache.rows.size == 0
     assert cache.theta.shape == (0, 2) and cache.gram.shape == (0, 2, 2)
 
@@ -152,7 +152,7 @@ def test_nonfinite_records_skipped(tmp_path):
     with np.errstate(over="ignore", invalid="ignore"):
         stats = assembly.assemble_batch(arch, thetas, pde_ops.AllenCahn(1e-4), 16, 0, path)
     assert stats["skipped"] == 1
-    cache = assembly.read_cache(path)
+    cache = assembly.read_cache(path, assembly.cache_header(arch, pde_ops.AllenCahn(1e-4), 16, 0), thetas)
     assert cache.theta.shape[0] == 3
     assert cache.rows.tolist() == [0, 2]
     assert np.array_equal(cache.theta[1], thetas[1])
@@ -166,10 +166,14 @@ def _small_cache(tmp_path, n=6, name="c.bin", half_width=1.0):
     return arch, thetas, path, stats
 
 
+def _small_header(arch):
+    return assembly.cache_header(arch, pde_ops.Heat(), 24, 5)
+
+
 def test_cache_roundtrip_exact_and_mapped(tmp_path):
     arch, thetas, path, _ = _small_cache(tmp_path)
     m = rom.param_count(arch)
-    cache = assembly.read_cache(path, assembly.cache_header(arch, pde_ops.Heat(), 24, 5), thetas)
+    cache = assembly.read_cache(path, _small_header(arch), thetas)
     record_bytes = 8 * (2 * m + m * m + 1)
     # views into the mapped records, not copies
     for a in (cache.theta, cache.gram, cache.rhs):
@@ -190,14 +194,14 @@ def test_cache_torn_tail_is_recomputed(tmp_path):
     arch, thetas, torn, _ = _small_cache(tmp_path, name="torn.bin")
     torn.write_bytes(payload[:-37])
     with pytest.raises(PdeControlError):
-        assembly.read_cache(torn)
+        assembly.read_cache(torn, _small_header(arch), thetas)
     stats = assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 24, 5, torn)
     assert stats["computed"] == 1 and stats["resumed"] == 5
     assert torn.read_bytes() == payload
     # a record whose status word never landed (zero-filled tail) is not finished
     torn.write_bytes(payload[:-8] + bytes(8))
     with pytest.raises(CacheMismatch):
-        assembly.read_cache(torn)
+        assembly.read_cache(torn, _small_header(arch), thetas)
     stats = assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 24, 5, torn)
     assert stats["computed"] == 1 and torn.read_bytes() == payload
 
@@ -213,15 +217,15 @@ def test_cache_rejects_changed_theta(tmp_path):
 
 def test_read_cache_first_n_records(tmp_path):
     arch, thetas, path, _ = _small_cache(tmp_path, n=6)
-    cache = assembly.read_cache(path, thetas=thetas[:4])
+    cache = assembly.read_cache(path, _small_header(arch), thetas[:4])
     assert cache.theta.shape[0] == 4 and cache.rows.tolist() == [0, 1, 2, 3]
     assert np.array_equal(cache.theta, thetas[:4])
     more = sample_theta(Box(1.0, rom.param_count(arch)), 7, seed=2)
     assert np.array_equal(more[:6], thetas)
     with pytest.raises(MissingArtifact):
-        assembly.read_cache(path, thetas=more)
+        assembly.read_cache(path, _small_header(arch), more)
     with pytest.raises(CacheMismatch, match="different theta"):
-        assembly.read_cache(path, thetas=thetas[:4] + 1.0)
+        assembly.read_cache(path, _small_header(arch), thetas[:4] + 1.0)
 
 
 def test_old_json_cache_rejected(tmp_path):
@@ -230,9 +234,9 @@ def test_old_json_cache_rejected(tmp_path):
     old = {"format_version": 1, "kind": "gram_cache", "arch_hash": rom.arch_hash(arch), "op_tag": "heat",
            "n_x": 16, "m": 2, "seed": 0}
     path.write_text(json.dumps(old) + "\n" + json.dumps({"index": 0, "theta": [0.1, 0.2]}) + "\n")
-    with pytest.raises(CacheMismatch, match="rerun sample-gram"):
-        assembly.read_cache(path)
     thetas = sample_theta(Box(1.0, 2), 2, seed=0)
+    with pytest.raises(CacheMismatch, match="rerun sample-gram"):
+        assembly.read_cache(path, assembly.cache_header(arch, pde_ops.Heat(), 16, 0), thetas)
     with pytest.raises(CacheMismatch, match="rerun sample-gram"):
         assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 16, 0, path)
 

@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shutil
+import types
 import warnings
 from pathlib import Path
 
@@ -164,8 +165,8 @@ def test_full_pipeline_small(heat_config, tmp_path, monkeypatch):
     res = report["cache"]["residual"]
     assert report["cache"]["records"] == 6
     assert 0.0 <= res["p50"] <= res["p90"] <= res["max"] < np.inf
-    cache = assembly.read_cache(cfg.path("gram_cache"))
-    net = cn.load_control_checkpoint(cfg.path("checkpoint"))
+    cache = assembly.read_cache(cfg.path("gram_cache"), pipeline._gram_header(cfg), pipeline._gram_thetas(cfg))
+    net = cn.load_control_checkpoint(cfg.path("checkpoint"), cfg.control_arch, pipeline._control_inputs(cfg))
     assert res["max"] == pytest.approx(cn.residual_scan(net, cache.theta, cache.gram, cache.rhs).max(), rel=1e-12)
     [anchor] = report["anchors"]
     assert anchor["anchor"] == 0 and anchor["blowup_step"] is None
@@ -475,7 +476,7 @@ def test_gen_trajectories_counts_blowups_and_writes_finished_rows(heat_config, t
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert pipeline.cmd_gen_trajectories(cfg) == {"trajectories": 2, "pairs": 2, "blowups": 2}
-    header, thetas, vels = evolve.read_traj_cache(cfg.path("traj_cache"))
+    header, thetas, vels = evolve.read_traj_cache(cfg.path("traj_cache"), pipeline._traj_plan(cfg)[0])
     assert header["shape"] == [2, 4]
     assert np.all(np.isfinite(thetas)) and np.all(np.isfinite(vels)) and np.all(thetas != 0.0)
 
@@ -610,7 +611,7 @@ def test_empty_traj_cache_records_the_step(heat_config, tmp_path):
     cfg = config.load_config(heat_config, out_dir=str(tmp_path), overrides=["counts.n_traj=0"])
     pipeline.cmd_sample_gram(cfg)
     assert pipeline.cmd_gen_trajectories(cfg) == {"trajectories": 0, "pairs": 0, "blowups": 0}
-    header, thetas, _ = evolve.read_traj_cache(cfg.path("traj_cache"))
+    header, thetas, _ = evolve.read_traj_cache(cfg.path("traj_cache"), pipeline._traj_plan(cfg)[0])
     assert header["h"] == HEAT_CFG["problem"]["horizon"] / HEAT_CFG["counts"]["n_t"]
     assert thetas.shape == (0, 2)
     assert pipeline.cmd_train_control(cfg)["pairs"] == 0
@@ -664,27 +665,85 @@ def test_threads_key_still_loads(tmp_path):
     assert config.load_config(path, out_dir=str(tmp_path)).raw["threads"] == 2
 
 
+def _perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class _Probe:
+    """calib.Probe's interface, timing nothing."""
+
+    times = [1.0]
+
+    def measure(self):
+        return 1.0
+
+    slowest_cpu = measure
+
+
+# a result of each pipeline command with the fields perfbench/rep.py reads
+_CMD_RESULTS = {
+    "cmd_fit_initial": [{"rmse": 0.0}],
+    "cmd_sample_gram": {"computed": 1, "skipped": 0},
+    "cmd_gen_trajectories": {"trajectories": 1, "blowups": 0},
+    "cmd_train_control": {},
+    "cmd_solve": {"blowup_step": None},
+    "cmd_reference": {},
+    "cmd_eval": {"rel_err_max": 0.1},
+}
+
+
 def test_benchmark_workload_configs_load(tmp_path):
-    # perfbench writes its own configs (with "threads") and calls cmd_train_control
-    # once per entry of its train_stages, as perfbench/rep.py does; a change that
-    # rejects either would break every benchmark run
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    # perfbench writes its own configs (with "threads"), drives them through
+    # pipeline.cmd_* in rep.py, and its tracer reads functions and result
+    # fields by name; a change that breaks any of them would break every
+    # benchmark run
+    workloads, rep, tracer = (_perfbench(name) for name in ("workloads", "rep", "tracer"))
     assert sorted(workloads.WORKLOADS) == ["allen_cahn2d", "heat1d", "transport1d"]
-    train_control = inspect.signature(pipeline.cmd_train_control)
+    called = []
+
+    def command(cmd):
+        # binds each call to the command's signature
+        signature = inspect.signature(getattr(pipeline, cmd))
+
+        def call(*args, **kwargs):
+            signature.bind(*args, **kwargs)
+            called.append(cmd)
+            return _CMD_RESULTS[cmd]
+
+        call.__name__ = cmd
+        return call
+
+    bound = types.SimpleNamespace(**{cmd: command(cmd) for cmd in _CMD_RESULTS})
     for name, spec in workloads.WORKLOADS.items():
         path = tmp_path / f"{name}.json"
         workloads.write_config(str(ROOT), name, 1, 2, str(path))
         cfg = config.load_config(path, out_dir=str(tmp_path / name))
         assert cfg.control_arch.input_dim == rom.param_count(cfg.rom_arch)
         inspect.signature(fit.fit_initial).bind_partial(**cfg.raw["initials"]["fit"])
-        for i, (lr, steps, pairs_only, batch) in enumerate(spec["train_stages"]):
+        for lr, steps, pairs_only, batch in spec["train_stages"]:
             overrides = {"lr": lr, "max_steps": steps}
             if batch is not None:
                 overrides["batch_size"] = batch
-            train_control.bind(cfg, resume=i > 0, pairs_only=pairs_only, train_overrides=overrides)
             config.check_stage(dict(overrides, pairs_only=pairs_only))
+        called.clear()
+        rep.run_stages(bound, cfg, spec, rep.Ops(), rep.Stages(_Probe(), 1.0), {"raw": {}})
+        assert set(called) == set(tracer.PIPELINE_COMMANDS)
+
+    # the functions the tracer names exist, and its hooks read what they return
+    for name in [*tracer.INFO, *re.findall(r'(?:total|calls|own)\["(\w+\.\w+)"\]', inspect.getsource(tracer))]:
+        module, attr = name.split(".")
+        assert inspect.isfunction(getattr(importlib.import_module(f"pdecontrol.{module}"), attr)), name
+    assert {"steps", "target_reached"} <= set(fit.FitResult.__dataclass_fields__)
+    assert {"thetas", "blowup_step", "escape_step"} <= set(evolve.ParamTrajectory.__dataclass_fields__)
+    arch = cn.ControlArch(input_dim=2, width=4, depth=2)
+    gram = (np.zeros((3, 2)), np.stack([np.eye(2)] * 3), np.ones((3, 2)))
+    trained = cn.train(cn.ControlNet(arch, cn.init_control_params(arch, 0)), gram, None, lr=1e-3, zeta=0.0,
+                       batch_size=0, stop_loss=0.0, max_steps=2, seed=0)
+    assert isinstance(trained[0], cn.ControlNet)
+    assert tracer.INFO["control_net.train"]((), {}, trained) == {"steps": 2}
 
 
 _STAGE = {"lr": 1e-3, "max_steps": 3}
@@ -929,6 +988,17 @@ def test_cli_rejects_grid_sizes_the_solvers_cannot_take(tmp_path, capsys, args):
         cli.main([*args, "--config", str(PRESETS / "allen_cahn_2d.json"), "--out", str(tmp_path)])
     assert exc.value.code == cli.EXIT_CONFIG
     assert "is less than" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("time", ["inf", "nan", "-inf"])
+def test_export_slice_rejects_a_time_that_is_not_finite(tmp_path, capsys, time):
+    # the slice nearest a non-finite time was the t = 0 one, written with exit 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["export-slice", f"--time={time}", "--config", str(PRESETS / "allen_cahn_2d.json"),
+                  "--out", str(tmp_path)])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert f"{time} is not a finite number" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_solution_solved_before_a_refit_is_rejected(heat_config, tmp_path, capsys):

@@ -133,42 +133,100 @@ def test_field_stats_runs_one_forward_pass(small_arch, rng, monkeypatch):
     assert len(calls) == 1
 
 
+def _oracle_l1(net, TH, G, P):
+    # the projection loss and its xi-gradient from a pass of its own
+    out, cache = cn._forward_cached(net, TH)
+    res = np.einsum("nij,nj->ni", G, out) - P
+    n = TH.shape[0]
+    loss = float(np.mean(np.sum(res * res, axis=1)))
+    dout = 2.0 * np.einsum("nij,ni->nj", G, res) / n  # G symmetric
+    return loss, cn._backward_xi(net, cache, dout)
+
+
+def _oracle_l2(net, TH, V):
+    # the trajectory loss and its xi-gradient from a pass of its own
+    out, cache = cn._forward_cached(net, TH)
+    res = out - V
+    n = TH.shape[0]
+    loss = float(np.mean(np.sum(res * res, axis=1)))
+    return loss, cn._backward_xi(net, cache, 2.0 * res / n)
+
+
+def _joint_batches(rng, n1=3, n2=4, m=4):
+    TH, G, P = [], [], []
+    for _ in range(n1):
+        A = rng.standard_normal((m, m))
+        TH.append(rng.uniform(-1, 1, m))
+        G.append(A @ A.T / m)
+        P.append(rng.standard_normal(m))
+    gram = (np.array(TH), np.array(G), np.array(P))
+    pairs = (rng.uniform(-1, 1, (n2, m)), rng.standard_normal((n2, m)))
+    return gram, pairs
+
+
 def test_loss_l1_trivial_cases(small_arch, rng):
     net = make_net(small_arch)  # zero field
     TH = rng.uniform(-1, 1, (3, 4))
-    loss, grad = cn.loss_l1(net, TH, np.stack([np.eye(4)] * 3), np.zeros((3, 4)))
-    assert loss == 0.0
+    l1, l2, grad = cn.loss(net, (TH, np.stack([np.eye(4)] * 3), np.zeros((3, 4))), None, 0.1)
+    assert l1 == 0.0 and l2 == 0.0
     assert np.all(grad == 0.0)
 
 
 def test_loss_l2_zero_net_unit_targets():
     arch = cn.ControlArch(input_dim=3, width=4, depth=2)
     net = cn.ControlNet(arch, cn.init_control_params(arch, 0))
-    loss, _ = cn.loss_l2(net, np.zeros((5, 3)), np.ones((5, 3)))
-    assert loss == pytest.approx(3.0)
+    l1, l2, _ = cn.loss(net, None, (np.zeros((5, 3)), np.ones((5, 3))), 1.0)
+    assert l1 == 0.0
+    assert l2 == pytest.approx(3.0)
 
 
 def test_loss_gradients_match_fd(small_arch, rng):
     net = make_net(small_arch, jitter=0.2, rng=rng)
-    TH, G, P = [], [], []
-    for _ in range(3):
-        A = rng.standard_normal((4, 4))
-        TH.append(rng.uniform(-1, 1, 4))
-        G.append(A @ A.T / 4)
-        P.append(rng.standard_normal(4))
-    gram = (np.array(TH), np.array(G), np.array(P))
-    pairs = (rng.uniform(-1, 1, (4, 4)), rng.standard_normal((4, 4)))
-    _, g1 = cn.loss_l1(net, *gram)
-    _, g2 = cn.loss_l2(net, *pairs)
+    gram, pairs = _joint_batches(rng)
+    zeta = 0.1
+    _, _, grad = cn.loss(net, gram, pairs, zeta)
+
+    def total(xi):
+        l1, l2, _ = cn.loss(cn.ControlNet(small_arch, xi), gram, pairs, zeta)
+        return l1 + zeta * l2
+
     h = 1e-6
     xi = net.xi
     for j in rng.choice(xi.size, 30, replace=False):
         xp, xm = xi.copy(), xi.copy()
         xp[j] += h
         xm[j] -= h
-        for grad, loss_fn in ((g1, lambda n: cn.loss_l1(n, *gram)[0]), (g2, lambda n: cn.loss_l2(n, *pairs)[0])):
-            fd = (loss_fn(cn.ControlNet(small_arch, xp)) - loss_fn(cn.ControlNet(small_arch, xm))) / (2 * h)
-            assert abs(grad[j] - fd) <= 1e-4 * max(abs(fd), 1e-3)
+        fd = (total(xp) - total(xm)) / (2 * h)
+        assert abs(grad[j] - fd) <= 1e-4 * max(abs(fd), 1e-3)
+
+
+@pytest.mark.parametrize("terms", ["joint", "gram_only", "pairs_only"])
+def test_loss_matches_two_pass_oracle(small_arch, rng, terms):
+    net = make_net(small_arch, jitter=0.3, rng=rng)
+    gram, pairs = _joint_batches(rng, n1=5, n2=7)
+    gram = None if terms == "pairs_only" else gram
+    pairs = None if terms == "gram_only" else pairs
+    zeta = 0.1
+    l1, l2, grad = cn.loss(net, gram, pairs, zeta)
+    o1, g1 = _oracle_l1(net, *gram) if gram else (0.0, 0.0)
+    o2, g2 = _oracle_l2(net, *pairs) if pairs else (0.0, 0.0)
+    expect = g1 + zeta * g2
+    assert l1 == pytest.approx(o1, rel=1e-12, abs=0.0)
+    assert l2 == pytest.approx(o2, rel=1e-12, abs=0.0)
+    assert np.abs(grad - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
+def test_train_step_runs_one_forward_and_one_backward_pass(small_arch, rng, monkeypatch):
+    # a joint step reads l1 and l2 off one pass over the stacked rows
+    gram, pairs = _joint_batches(rng, n1=6, n2=5)
+    calls = []
+    for name in ("_forward_cached", "_backward_xi"):
+        fn = getattr(cn, name)
+        monkeypatch.setattr(cn, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+    _, history = cn.train(make_net(small_arch), gram, pairs, lr=1e-3, zeta=0.1, batch_size=0, stop_loss=0.0,
+                          max_steps=1, seed=0)
+    assert history[0][1] > 0.0 and history[0][2] > 0.0
+    assert calls == ["_forward_cached", "_backward_xi"]
 
 
 def test_adam_first_step_magnitude(rng):
@@ -255,23 +313,23 @@ def test_residual_scan_zero_when_exact(rng):
     xi = cn.init_control_params(arch, 0)
     xi[-m:] = p  # output bias
     net = cn.ControlNet(arch, xi)
-    loss, _ = cn.loss_l1(net, *gram)
-    assert loss < 1e-28
+    l1, _, _ = cn.loss(net, gram, None, 0.0)
+    assert l1 < 1e-28
     assert np.all(cn.residual_scan(net, *gram) < 1e-14)
 
 
 def test_checkpoint_roundtrip(tmp_path, small_arch, rng):
     net = make_net(small_arch, jitter=0.1, rng=rng)
     path = tmp_path / "control.bin"
-    cn.save_control_checkpoint(net, path)
-    loaded = cn.load_control_checkpoint(path)
+    # the header records the arch and what shaped the training data, and a reader checks both
+    cn.save_control_checkpoint(net, path, {"n_theta": 4})
+    loaded = cn.load_control_checkpoint(path, small_arch, {"n_theta": 4})
     assert loaded.arch == small_arch
     assert np.array_equal(loaded.xi, net.xi)
-    # the header records what shaped the training data, and a reader checks it
-    cn.save_control_checkpoint(net, path, {"n_theta": 4})
-    assert np.array_equal(cn.load_control_checkpoint(path, small_arch, {"n_theta": 4}).xi, net.xi)
     with pytest.raises(CacheMismatch, match="'n_theta' .* rerun train-control"):
         cn.load_control_checkpoint(path, small_arch, {"n_theta": 5})
+    with pytest.raises(CacheMismatch, match="'arch' .* rerun train-control"):
+        cn.load_control_checkpoint(path, cn.ControlArch(input_dim=4, width=8, depth=2), {"n_theta": 4})
 
 
 def test_checkpoint_rejects_old_json_and_torn_files(tmp_path, small_arch, rng):
@@ -280,12 +338,12 @@ def test_checkpoint_rejects_old_json_and_torn_files(tmp_path, small_arch, rng):
     old.write_text(json.dumps({"format_version": 1, "arch": {"input_dim": 4, "width": 8, "depth": 3},
                                "xi": net.xi.tolist()}))
     with pytest.raises(CacheMismatch, match="rerun train-control"):
-        cn.load_control_checkpoint(old)
+        cn.load_control_checkpoint(old, small_arch, {})
     path = tmp_path / "control.bin"
-    cn.save_control_checkpoint(net, path)
+    cn.save_control_checkpoint(net, path, {})
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(CacheMismatch):
-        cn.load_control_checkpoint(path)
+        cn.load_control_checkpoint(path, small_arch, {})
 
 
 def _reference_forward(arch, xi, TH):
@@ -310,7 +368,7 @@ def test_forward_and_train_bit_identical(tmp_path, small_arch, rng):
     thetas = sample_theta(Box(1.0, m), 12, seed=3)
     path = tmp_path / "gram.bin"
     assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 1, path)
-    cache = assembly.read_cache(path)
+    cache = assembly.read_cache(path, assembly.cache_header(arch, pde_ops.Heat(), 32, 1), thetas)
     rows = np.array([0, 2, 3, 5, 7, 8, 9, 11])
     carch = cn.ControlArch(input_dim=m, width=8, depth=3)
     cfg = dict(lr=1e-2, zeta=0.0, batch_size=3, stop_loss=0.0, max_steps=25, seed=4)

@@ -166,4 +166,4 @@ def test_traj_cache_torn_line_names_the_remedy(tmp_path):
     evolve.write_traj_cache(path, header, [traj])
     path.write_bytes(path.read_bytes()[:-10])
     with pytest.raises(CacheMismatch, match="holds .* rerun gen-trajectories"):
-        evolve.read_traj_cache(path)
+        evolve.read_traj_cache(path, header)
