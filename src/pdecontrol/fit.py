@@ -108,20 +108,45 @@ def fit_initial(
     max_steps: int,
     theta_init: np.ndarray | None = None,
 ) -> FitResult:
-    """ADAM on the empirical squared error (1/N) sum (u_theta(x_n) - g(x_n))^2
-    over points x_n of the arch's box; lr and max_steps are the config's
-    initials.fit block.
+    """theta0 minimising the empirical squared error
+    (1/N) sum (u_theta(x_n) - g(x_n))^2 over points x_n of the arch's box.
 
-    Stops when the training-sample RMSE reaches eps0_target or at
-    max_steps; returns the best parameters seen with a held-out RMSE
-    computed on a disjoint sample (stream-split from the same seed).
-    theta_init, if given, replaces rom.init_params(arch, seed) as the start;
-    the pipeline never passes it.
+    A linear basis, u_theta = Phi(x) theta, takes the exact minimiser: one
+    least-squares solve on the basis table Phi(X) (steps 1; lr, max_steps
+    and theta_init are unused). A net runs ADAM with the config's
+    initials.fit block (lr, max_steps) until the training-sample RMSE
+    reaches eps0_target or max_steps, and keeps the best parameters seen;
+    theta_init, if given, replaces rom.init_params(arch, seed) as the start
+    (the pipeline never passes it). target_reached says whether the
+    training RMSE is within eps0_target; rmse is the held-out RMSE on a
+    disjoint sample (stream-split from the same seed).
     """
     X = sample_omega(arch.domain, n_x, seed, stream=TRAIN_STREAM)
     g_train = eval_initial(spec, X)
+    if arch.kind == rom.LINEAR_BASIS:
+        zero = rom.RomModel(arch, np.zeros(rom.param_count(arch)))
+        basis = rom.eval_batch(zero, X, rom.EvalFlags(value=False, grad_theta=True)).grad_theta
+        best_theta = np.linalg.lstsq(basis, g_train, rcond=None)[0]
+        res = basis @ best_theta - g_train
+        best_mse, steps_done = float(np.mean(res * res)), 1
+    else:
+        theta = rom.init_params(arch, seed) if theta_init is None else np.array(theta_init, dtype=np.float64)
+        best_theta, best_mse, steps_done = _adam_fit(arch, X, g_train, theta, eps0_target, lr, max_steps)
 
-    theta = rom.init_params(arch, seed) if theta_init is None else np.array(theta_init, dtype=np.float64)
+    holdout = sample_omega(arch.domain, n_x, seed, stream=HOLDOUT_STREAM)
+    model = rom.RomModel(arch, best_theta)
+    res_h = rom.eval_batch(model, holdout, rom.EvalFlags(value=True)).value - eval_initial(spec, holdout)
+    rmse_h = float(np.sqrt(np.mean(res_h * res_h)))
+    return FitResult(
+        theta=best_theta,
+        rmse=rmse_h,
+        target_reached=np.sqrt(best_mse) <= eps0_target,
+        steps=steps_done,
+    )
+
+
+def _adam_fit(arch, X, g_train, theta, eps0_target, lr, max_steps) -> tuple[np.ndarray, float, int]:
+    """(best theta, its training MSE, steps run) of ADAM from theta."""
     adam = Adam(theta.size, lr)
     need = rom.EvalFlags(value=True, grad_theta=True)
 
@@ -141,17 +166,7 @@ def fit_initial(
             break
         grad = 2.0 * (ev.grad_theta.T @ res) / n
         theta = adam.step(theta, grad)
-
-    holdout = sample_omega(arch.domain, n_x, seed, stream=HOLDOUT_STREAM)
-    model = rom.RomModel(arch, best_theta)
-    res_h = rom.eval_batch(model, holdout, rom.EvalFlags(value=True)).value - eval_initial(spec, holdout)
-    rmse_h = float(np.sqrt(np.mean(res_h * res_h)))
-    return FitResult(
-        theta=best_theta,
-        rmse=rmse_h,
-        target_reached=np.sqrt(best_mse) <= eps0_target,
-        steps=steps_done,
-    )
+    return best_theta, best_mse, steps_done
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +189,6 @@ def save_anchors(path, header: dict, entries: list[tuple[InitialSpec | None, np.
     binfile.save(path, header, np.reshape([theta for _, theta, _ in entries], (len(entries), header["m"])))
 
 
-def load_anchors(path, header: dict | None = None) -> tuple[dict, np.ndarray]:
+def load_anchors(path, header: dict) -> tuple[dict, np.ndarray]:
     """(header, thetas) of an anchor store; checks the expected header."""
     return binfile.load(path, "anchor_store", ANCHOR_FORMAT_VERSION, header, "rerun fit-initial")

@@ -249,7 +249,7 @@ def save_grid_solution(ref: GridSolution, path, header: dict) -> None:
                         "times": ref.times.tolist(), "lo": ref.lo.tolist(), "hi": ref.hi.tolist()}, ref.snapshots)
 
 
-def load_grid_solution(path, expected: dict | None = None) -> GridSolution:
+def load_grid_solution(path, expected: dict) -> GridSolution:
     """The stored reference; CacheMismatch names the reference command for a
     file that does not read back or whose header differs from expected."""
     header, snapshots = binfile.load(path, "imex_reference", GRID_FORMAT_VERSION, expected, "rerun reference")

@@ -59,11 +59,13 @@ def test_heat_sine_field_is_exact(tmp_path):
     assert l1_zero > 1e3
     assert l1 < 1e-24 * l1_zero
 
-    # solved with V*, the error is the fit error of theta0, which decays
+    # the 4-mode initials lie in the basis span, so the least-squares fit of
+    # theta0 is exact to round-off; solved with V*, the error is RK4's alone
     pipeline.cmd_fit_initial(cfg)
     horizon = cfg.raw["problem"]["horizon"]
     for k, (spec, _, theta0) in enumerate(pipeline._anchors(cfg)):
         traj = evolve.solve_ivp(lambda th: -rates * th, theta0, horizon, cfg.raw["solve"]["n_steps"])
         ref = pipeline.build_reference(cfg, k, spec, theta0)
         curve = reference.error_curve(cfg.rom_arch, traj, ref, 4096, seed=cfg.seed, max_times=64)
-        assert curve.abs_err.max() <= curve.abs_err[0]
+        assert curve.abs_err[0] <= 1e-14
+        assert curve.abs_err.max() <= 1e-6

@@ -1006,7 +1006,9 @@ def test_solution_solved_before_a_refit_is_rejected(heat_config, tmp_path, capsy
     # verify measured it against the refitted anchor and exited 0
     out = tmp_path / "out"
     _solved_run(heat_config, out)
-    refit = ["--config", str(heat_config), "--out", str(out), "--set", "initials.fit.max_steps=50"]
+    # the 2-mode basis cannot represent the 4-mode initials, so another
+    # training sample moves theta0
+    refit = ["--config", str(heat_config), "--out", str(out), "--set", "initials.fit_n_x=48"]
     assert cli.main(["fit-initial", *refit]) == 0
     for command in ("eval", "verify"):
         assert cli.main([command, *refit]) == cli.EXIT_NUMERIC

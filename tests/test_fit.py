@@ -58,25 +58,40 @@ def test_fit_linear_basis_exact():
     assert np.abs(res.theta - expect).max() < 1e-6
 
 
-def test_fit_matches_normal_equations(unit_interval):
-    # staged ADAM refinement converges to the least-squares solution of the
-    # same sampled objective
+def _normal_equations(arch, spec, n_x, seed):
+    """The least-squares theta on fit_initial's training sample, by the normal equations."""
+    X = sample_omega(arch.domain, n_x, seed, stream=fit.TRAIN_STREAM)
+    B = rom.eval_batch(rom.RomModel(arch, np.zeros(rom.param_count(arch))), X, rom.EvalFlags(grad_theta=True)).grad_theta
+    theta = linalg.ridge_solve(B.T @ B / n_x, B.T @ fit.eval_initial(spec, X) / n_x, 0.0)
+    res = B @ theta - fit.eval_initial(spec, X)
+    return theta, float(np.sqrt(np.mean(res * res)))
+
+
+def test_fit_matches_normal_equations():
+    # the fit solves the same sampled objective as the normal equations
     arch = fourier_sine_arch(2)
     spec = fit.HeatCombo(np.array([0.5, 0.3, -0.2, 0.4]))  # modes 3 and 4 lie outside the basis
-    seed = 11
-    n_x = 256
-    res = None
-    theta = None
-    for lr, steps in ((1e-2, 2500), (1e-3, 1500), (1e-4, 1200), (1e-5, 1200), (1e-6, 1500)):
-        res = fit.fit_initial(arch, spec, n_x, 1e-12, seed=seed, lr=lr, max_steps=steps, theta_init=theta)
-        theta = res.theta
-    # normal equations on the identical training sample
-    X = sample_omega(unit_interval, n_x, seed, stream=fit.TRAIN_STREAM)
-    B = rom.eval_batch(rom.RomModel(arch, np.zeros(2)), X, rom.EvalFlags(grad_theta=True)).grad_theta
-    gram = B.T @ B / n_x
-    rhs = B.T @ fit.eval_initial(spec, X) / n_x
-    theta_ne = linalg.ridge_solve(gram, rhs, 0.0)
-    assert np.abs(res.theta - theta_ne).max() < 1e-6
+    res = fit.fit_initial(arch, spec, 256, 1e-12, seed=11, lr=1e-2, max_steps=2500)
+    theta_ne, _ = _normal_equations(arch, spec, 256, 11)
+    assert np.abs(res.theta - theta_ne).max() < 1e-12
+
+
+@pytest.mark.parametrize("coeffs, in_span", [([0.8, -0.4, 0.0, 0.0], True), ([0.8, -0.4, 0.3, 0.0], False)],
+                         ids=["in_span", "out_of_span"])
+def test_fit_linear_basis_is_one_least_squares_solve(coeffs, in_span):
+    # one solve, whatever the ADAM settings: the exact minimiser of the
+    # training objective, and target_reached follows its training RMSE
+    arch = fourier_sine_arch(2)
+    spec = fit.HeatCombo(np.array(coeffs))
+    theta_ne, train_rmse = _normal_equations(arch, spec, 128, 4)
+    assert (train_rmse < 1e-14) == in_span
+    for lr, max_steps in ((1e-2, 1), (1e-5, 5000)):
+        res = fit.fit_initial(arch, spec, 128, 1e-3, seed=4, lr=lr, max_steps=max_steps)
+        assert np.abs(res.theta - theta_ne).max() < 1e-12
+        assert res.steps <= 1
+        assert res.target_reached == in_span
+        assert fit.fit_initial(arch, spec, 128, 2.0 * train_rmse + 1e-15, seed=4, lr=lr,
+                               max_steps=max_steps).target_reached
 
 
 def test_fit_zero_target_zero_head(unit_interval):
@@ -170,5 +185,5 @@ def test_anchor_store_header_past_64_kb_reads_back(tmp_path):
     path = tmp_path / "a.bin"
     fit.save_anchors(path, {"m": 3}, [(spec, np.full(3, float(k)), 1e-3) for k in range(400)])
     assert path.stat().st_size > 1 << 16
-    header, thetas = fit.load_anchors(path)
+    header, thetas = fit.load_anchors(path, {"m": 3})
     assert len(header["specs"]) == 400 and thetas.shape == (400, 3) and thetas[-1].tolist() == [399.0] * 3
