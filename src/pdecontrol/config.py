@@ -282,15 +282,22 @@ class RunConfig:
         return AnchorBalls(anchors=anchors, radius=ts["radius"])
 
     def anchor_header(self) -> dict:
-        """Every input of fit-initial, as the anchor store header records it
-        (arch_hash covers the box); transport draws its anchors from the
-        theta_space."""
+        """Every input that shaped the anchor store, as its header records it
+        (arch_hash covers the box). Transport draws its anchors from the
+        theta_space, so of initials only the count shapes it; a linear basis
+        is fitted by one least-squares solve, which reads fit_n_x but not
+        eps0_target or the fit block; a net reads the whole block."""
+        ini = self.raw["initials"]
         transport = self.raw["problem"]["kind"] == "transport"
+        if transport:
+            ini = {"count": ini["count"]}
+        elif self.rom_arch.kind == rom.LINEAR_BASIS:
+            ini = {"count": ini["count"], "fit_n_x": ini["fit_n_x"]}
         return {
             "arch_hash": rom.arch_hash(self.rom_arch),
             "m": rom.param_count(self.rom_arch),
             "seed": self.seed,
-            "initials": self.raw["initials"],
+            "initials": ini,
             "theta_space": self.raw["theta_space"] if transport else None,
         }
 

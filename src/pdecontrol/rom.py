@@ -37,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -298,13 +299,34 @@ def eval_batch(model: RomModel, X, need: EvalFlags) -> BatchEval:
 
     X has shape (n, d). Raises NonFiniteError if the forward pass overflows.
     """
-    X = np.atleast_2d(np.ascontiguousarray(X, dtype=np.float64))
-    arch = model.arch
-    if X.shape[1] != arch.input_dim:
-        raise ValueError(f"points have dim {X.shape[1]}, arch expects {arch.input_dim}")
-    if arch.kind == LINEAR_BASIS:
+    X = _points(model.arch, X)
+    if model.arch.kind == LINEAR_BASIS:
         return _eval_linear_basis(model, X, need)
     return _eval_resnet(model, X, need)
+
+
+def value_at(arch: RomArch, X) -> Callable[[np.ndarray], np.ndarray]:
+    """theta -> u_theta at the points X, for many parameter vectors on one
+    sample. A linear basis builds its table Phi(X) once and takes Phi theta
+    per call; a net runs eval_batch per call (the periodic features read the
+    shift inside theta). Raises NonFiniteError like eval_batch."""
+    if arch.kind != LINEAR_BASIS:
+        return lambda theta: eval_batch(RomModel(arch, theta), X, EvalFlags(value=True)).value
+    table = _basis_tables(arch.basis_spec, _points(arch, X)[:, 0], 0)[0]
+
+    def combine(theta: np.ndarray) -> np.ndarray:
+        u = table @ RomModel(arch, theta).theta
+        _check_finite(u)
+        return u
+
+    return combine
+
+
+def _points(arch: RomArch, X) -> np.ndarray:
+    X = np.atleast_2d(np.ascontiguousarray(X, dtype=np.float64))
+    if X.shape[1] != arch.input_dim:
+        raise ValueError(f"points have dim {X.shape[1]}, arch expects {arch.input_dim}")
+    return X
 
 
 def _basis_tables(basis_spec, x: np.ndarray, order: int):
@@ -341,7 +363,7 @@ def _eval_linear_basis(model: RomModel, X: np.ndarray, need: EvalFlags) -> Batch
         out.laplacian = ddB @ theta
     if need.grad_theta:
         out.grad_theta = B.copy()
-    _check_finite_batch(out)
+    _check_finite(out.value, out.grad_x, out.laplacian, out.grad_theta)
     return out
 
 
@@ -414,11 +436,11 @@ def _eval_resnet(model: RomModel, X: np.ndarray, need: EvalFlags) -> BatchEval:
             parts.append(-(gS[:, :d] * (-TWO_PI * S[:, d:]) + gS[:, d:] * (TWO_PI * S[:, :d])))
         out.grad_theta = _join(parts, _layout(arch), (n,))
 
-    _check_finite_batch(out)
+    _check_finite(out.value, out.grad_x, out.laplacian, out.grad_theta)
     return out
 
 
-def _check_finite_batch(out: BatchEval) -> None:
-    for a in (out.value, out.grad_x, out.laplacian, out.grad_theta):
+def _check_finite(*arrays) -> None:
+    for a in arrays:
         if a is not None and not np.all(np.isfinite(a)):
             raise NonFiniteError("rom evaluation produced non-finite values")

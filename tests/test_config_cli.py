@@ -801,17 +801,30 @@ def test_schedule_in_one_run_writes_the_bytes_of_its_stages_run_one_by_one(tmp_p
 
 
 def test_spelled_out_fit_default_reuses_the_anchor_store(tmp_path, capsys):
-    # the store records the effective initials block, so spelling out a default changes nothing
+    # the store records the effective initials settings, so spelling out a default changes nothing
     doc = json.loads(json.dumps(HEAT_CFG))
-    del doc["initials"]["fit"]["lr"]
+    del doc["initials"]["fit_n_x"]
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
     base = ["--config", str(path), "--out", str(tmp_path / "out")]
     for command in ("fit-initial", "sample-gram", "gen-trajectories", "train-control"):
         assert cli.main([command, *base]) == 0
-    assert cli.main(["solve", *base, "--set", "initials.fit.lr=0.001"]) == 0
-    assert cli.main(["solve", *base, "--set", "initials.fit.lr=0.002"]) == cli.EXIT_NUMERIC
+    assert cli.main(["solve", *base, "--set", "initials.fit_n_x=512"]) == 0
+    assert cli.main(["solve", *base, "--set", "initials.fit_n_x=256"]) == cli.EXIT_NUMERIC
     assert "rerun fit-initial" in capsys.readouterr().err
+
+
+def test_linear_basis_store_ignores_the_fit_settings_it_does_not_read(heat_config, tmp_path):
+    # the least-squares fit of a linear basis reads neither eps0_target nor the
+    # fit block, but the store recorded them: every reader exited 4 after a change
+    out = tmp_path / "out"
+    _solved_run(heat_config, out)
+    base = ["--config", str(heat_config), "--out", str(out)]
+    assert cli.main(["solve", *base, "--set", "initials.fit.max_steps=50"]) == 0
+    assert cli.main(["eval", *base, "--set", "initials.eps0_target=0.5"]) == 0
+    rows = (out / "caches" / "anchors.bin").read_bytes()
+    assert cli.main(["fit-initial", *base, "--set", "initials.fit.lr=0.5"]) == 0
+    assert (out / "caches" / "anchors.bin").read_bytes() == rows
 
 
 def test_anchor_index_must_be_in_store(heat_config, tmp_path):
@@ -916,7 +929,7 @@ def test_cut_write_keeps_the_previous_artifact(heat_config, tmp_path, monkeypatc
 
 @pytest.mark.parametrize("override", [
     'rom_arch.basis_spec=[["fourier_sine",1],["fourier_sine",2],["fourier_sine",3]]',
-    "initials.eps0_target=0.5",
+    "initials.fit_n_x=48",
 ])
 def test_solve_rejects_anchor_store_from_other_fit_inputs(heat_config, tmp_path, capsys, override):
     # anchors of a 3-mode ROM reached the 2-mode control net: a ValueError traceback

@@ -2,10 +2,13 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from pdecontrol import evolve, fit, reference, rom
-from pdecontrol.errors import CacheMismatch
+from pdecontrol.errors import CacheMismatch, NonFiniteError
 from pdecontrol.reference import OutOfDomain
+from pdecontrol.sampling import sample_omega
 
 from conftest import fourier_sine_arch
 
@@ -229,3 +232,128 @@ def test_grid_and_slice_writes_replace_whole_files(tmp_path, monkeypatch):
             write()
         assert path.read_bytes() == b"previous"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ref_000.bin", "slice.csv"]
+
+
+# ---------------------------------------------------------------------------
+# oracles: the per-time error-curve loop and the sparse-LU IMEX step that
+# reference.error_curve and reference.solve_allen_cahn_imex replace
+
+
+def _loop_eval_reference(ref, X, t):
+    """The reference at (X, t), every table rebuilt at each call."""
+    if isinstance(ref, reference.TransportShift):
+        lo, hi = ref.model.arch.domain
+        wrapped = lo + np.mod(X - ref.velocity * t - lo, hi - lo)
+        return rom.eval_batch(ref.model, wrapped, rom.EvalFlags(value=True)).value
+    if isinstance(ref, reference.HeatSeries):
+        out = np.zeros(X.shape[0])
+        for k, c in enumerate(ref.coeffs, start=1):
+            if c != 0.0:
+                out += c * np.exp(-((k * np.pi) ** 2) * t) * np.sin(k * np.pi * X[:, 0])
+        return out
+    k = int(np.searchsorted(ref.times, t, side="right")) - 1
+    k = min(max(k, 0), len(ref.times) - 2)
+    t0, t1 = ref.times[k], ref.times[k + 1]
+    w1 = (t - t0) / (t1 - t0)
+    xs = ref.xs
+    hx = xs[1] - xs[0]
+    i = np.clip(((X[:, 0] - xs[0]) / hx).astype(int), 0, len(xs) - 2)
+    j = np.clip(((X[:, 1] - xs[0]) / hx).astype(int), 0, len(xs) - 2)
+    fx = (X[:, 0] - xs[i]) / hx
+    fy = (X[:, 1] - xs[j]) / hx
+    out = np.zeros(X.shape[0])
+    for frame, wt in zip([ref.snapshots[k], ref.snapshots[k + 1]], [1.0 - w1, w1]):
+        v00 = frame[i, j]
+        v10 = frame[i + 1, j]
+        v01 = frame[i, j + 1]
+        v11 = frame[i + 1, j + 1]
+        out += wt * (
+            v00 * (1 - fx) * (1 - fy) + v10 * fx * (1 - fy) + v01 * (1 - fx) * fy + v11 * fx * fy
+        )
+    return out
+
+
+def _loop_error_curve(arch, traj, ref, n_x, seed, max_times=0):
+    lo, hi = arch.domain
+    vol = float(np.prod(hi - lo))
+    X = sample_omega(arch.domain, n_x, seed, stream=11)
+    idx = np.arange(traj.times.shape[0])
+    if max_times and idx.size > max_times:
+        idx = np.unique(np.linspace(0, idx.size - 1, max_times).astype(int))
+    abs_err = np.empty(idx.size)
+    rel = np.full(idx.size, np.nan)
+    for out_i, j in enumerate(idx):
+        u_rom = rom.eval_batch(rom.RomModel(arch, traj.thetas[j]), X, rom.EvalFlags(value=True)).value
+        u_ref = _loop_eval_reference(ref, X, float(traj.times[j]))
+        diff = u_rom - u_ref
+        a = float(np.sqrt(vol * np.mean(diff * diff)))
+        nrm = float(np.sqrt(vol * np.mean(u_ref * u_ref)))
+        abs_err[out_i] = a
+        if nrm > reference.REL_NORM_FLOOR:
+            rel[out_i] = a / nrm
+    return reference.ErrorCurve(times=traj.times[idx], abs_err=abs_err, rel_err=rel)
+
+
+def _splu_imex(initial, epsilon, nx, nt, horizon, lo=(-1.0, -1.0), hi=(1.0, 1.0)):
+    """Every step's field of the IMEX scheme, each implicit step solved by a
+    sparse LU factorization of I - dt*eps*L_h."""
+    lo, hi = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
+    hx = (hi[0] - lo[0]) / (nx + 1)
+    inner = lo[0] + hx * np.arange(1, nx + 1)
+    XX, YY = np.meshgrid(inner, inner, indexing="ij")
+    u = fit.eval_initial(initial, np.stack([XX.ravel(), YY.ravel()], axis=1)).reshape(nx, nx)
+    dt = horizon / nt
+    lap1 = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(nx, nx)) / hx**2
+    eye = sp.identity(nx)
+    solver = spla.splu((sp.identity(nx * nx) - dt * epsilon * (sp.kron(lap1, eye) + sp.kron(eye, lap1))).tocsc())
+    fields = [u]
+    for _ in range(nt):
+        u = solver.solve((u + dt * 1.5 * (u - u**3)).ravel()).reshape(nx, nx)
+        fields.append(u)
+    return np.stack(fields)
+
+
+def _trajectory(arch, seed, n=9, step=0.02, scale=0.3):
+    theta = rom.init_params(arch, seed)
+    thetas = theta + scale * np.random.default_rng(seed).standard_normal((n, theta.size))
+    return evolve.ParamTrajectory(times=step * np.arange(n), thetas=thetas, velocities=None, step=step)
+
+
+def _curve_cases():
+    heat_arch = fourier_sine_arch(4)
+    heat = (heat_arch, _trajectory(heat_arch, 1), reference.HeatSeries(np.array([0.7, 0.0, -0.4, 0.2, 0.1])))
+    periodic = rom.RomArch(rom.RESNET_PERIODIC, 1, 5, 3, "tanh")
+    transport = (periodic, _trajectory(periodic, 2),
+                 reference.TransportShift(rom.RomModel(periodic, rom.init_params(periodic, 5)), np.array([1.0])))
+    boundary = rom.RomArch(rom.RESNET_ZERO_BOUNDARY, 2, 4, 2, "tanh", lo=(-1.0, -1.0), hi=(1.0, 1.0))
+    grid = reference.solve_allen_cahn_imex(fit.ChebCombo(terms=((1, 1, 0.5), (0, 2, -0.3))), 1e-3, 20, 40, 0.16,
+                                           max_snapshots=6)
+    return {"heat": heat, "transport": transport, "grid": (boundary, _trajectory(boundary, 3), grid)}
+
+
+@pytest.mark.parametrize("case", ["heat", "transport", "grid"])
+def test_error_curve_is_bit_exact_against_the_per_time_loop(case):
+    arch, traj, ref = _curve_cases()[case]
+    for max_times in (0, 5):
+        got = reference.error_curve(arch, traj, ref, 777, seed=4, max_times=max_times)
+        want = _loop_error_curve(arch, traj, ref, 777, seed=4, max_times=max_times)
+        for name in ("times", "abs_err", "rel_err"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+def test_error_curve_rejects_a_theta_row_that_is_not_finite():
+    arch, traj, ref = _curve_cases()["heat"]
+    traj.thetas[4, 1] = np.inf
+    with pytest.raises(NonFiniteError):
+        reference.error_curve(arch, traj, ref, 64, seed=0)
+
+
+@pytest.mark.parametrize("nx, nt", [(16, 24), (37, 60)])
+@pytest.mark.parametrize("epsilon", [1e-4, 0.05])
+def test_imex_sine_transform_solve_matches_sparse_lu(nx, nt, epsilon):
+    spec = fit.ChebCombo(terms=((2, 1, 0.8), (0, 3, -0.6), (1, 0, 0.3)))
+    grid = reference.solve_allen_cahn_imex(spec, epsilon, nx, nt, 0.3)
+    fields = _splu_imex(spec, epsilon, nx, nt, 0.3)
+    steps = np.rint(grid.times / (0.3 / nt)).astype(int)
+    assert steps[0] == 0 and steps[-1] == nt
+    assert np.abs(grid.snapshots[:, 1:-1, 1:-1] - fields[steps]).max() <= 1e-12
