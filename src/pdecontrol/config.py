@@ -227,8 +227,8 @@ def _build(doc: dict) -> tuple[pde_ops.PdeOperator, rom.RomArch, ControlArch]:
     theta_kind = doc["theta_space"]["kind"]
     arch = rom.RomArch(**doc["rom_arch"], input_dim=lo.size, lo=lo, hi=hi)
     box = f"the domain is {lo.tolist()} to {hi.tolist()}"
-    # the references wrap transport periodically and hold heat and allen_cahn
-    # at zero on the boundary; the ROM kind fixes its boundary condition
+    # the transport reference is periodic and the heat and allen_cahn ones
+    # are zero on the boundary; the ROM kind fixes its boundary condition
     if (arch.kind == rom.RESNET_PERIODIC) != (kind == "transport"):
         need = ("the periodic kind 'resnet_periodic'" if kind == "transport"
                 else "a zero-boundary kind ('resnet_zero_boundary' or 'linear_basis')")
@@ -240,8 +240,10 @@ def _build(doc: dict) -> tuple[pde_ops.PdeOperator, rom.RomArch, ControlArch]:
         if theta_kind != "box":
             raise ValueError(f"transport draws its anchors from a box theta_space; "
                              f"theta_space.kind is {theta_kind!r}")
-        # the shift wraps x - vt into the box, so the period-1 ROM needs
-        # whole-number sides (up to the rounding of hi - lo)
+        # the ROM has period 1, so it is periodic on the box only if the
+        # sides are whole numbers (up to the rounding of hi - lo); the
+        # reference advances the model's shift and wraps no point, so it is
+        # the periodic transport on the box only then
         sides = np.round(hi - lo)
         if not (np.all(sides >= 1) and np.allclose(hi - lo, sides, rtol=0.0, atol=1e-9)):
             raise ValueError(f"rom_arch.kind 'resnet_periodic' has period 1 in each coordinate, so the box sides "

@@ -1,13 +1,14 @@
 """Ground-truth solutions and error metrics.
 
-Closed forms: the anchor's model shifted along the velocity for constant
-transport (wrapped into the periodic box; a transport initial is the model
-at its anchor's theta0) and the separated sine series for the heat equation on (0,1) with
-zero Dirichlet data. The 2-D Allen-Cahn reference is computed by an
-implicit-explicit scheme (diffusion implicit, reaction explicit; the
-implicit step of the 5-point Laplacian is diagonal in the sine basis, so it
-is solved by a DST-I) and exposed through space-bilinear, time-linear
-interpolation of strided snapshots.
+Closed forms: for constant transport the anchor's model with its periodic
+shift advanced along the velocity (a transport initial is the model at its
+anchor's theta0, so its exact transport is a change of theta, evaluated by
+the ROM's own value kernel) and the separated sine series for the heat
+equation on (0,1) with zero Dirichlet data. The 2-D Allen-Cahn reference is
+computed by an implicit-explicit scheme (diffusion implicit, reaction
+explicit; the implicit step of the 5-point Laplacian is diagonal in the sine
+basis, so it is solved by a DST-I) and exposed through space-bilinear,
+time-linear interpolation of strided snapshots.
 """
 
 from __future__ import annotations
@@ -30,13 +31,20 @@ class OutOfDomain(PdeControlError):
 
 @dataclass(frozen=True)
 class TransportShift:
-    """u(x, t) = u_theta0(x - velocity * t), with x wrapped periodically into
-    the model's box: model is the anchor, whose u_theta0 is the initial."""
+    """u(x, t) = u_theta0(x - velocity * t): model is the anchor, a periodic
+    net whose u_theta0 is the initial. Its features read x - shift, so u at t
+    is the model with its shift advanced by velocity * t; the features have
+    period 1 and the box sides are whole numbers (config checks them), so no
+    point needs wrapping into the box. ValueError for a model without a
+    periodic shift."""
 
     model: rom.RomModel
     velocity: np.ndarray
 
     def __post_init__(self):
+        if self.model.arch.kind != rom.RESNET_PERIODIC:
+            raise ValueError(f"the transport shift needs a {rom.RESNET_PERIODIC!r} model, "
+                             f"not {self.model.arch.kind!r}")
         object.__setattr__(self, "velocity", np.asarray(self.velocity, dtype=np.float64))
 
 
@@ -76,15 +84,18 @@ def eval_reference(ref: ReferenceSolution, X, t: float) -> np.ndarray:
 
 def reference_at(ref: ReferenceSolution, X) -> Callable[[float], np.ndarray]:
     """t -> the reference at the points X. What does not depend on t (the
-    sine columns of a heat series, the bilinear stencil of a grid) is built
-    once, so a curve over many times pays for it once."""
+    ROM's feature table for a transport shift, the sine columns of a heat
+    series, the bilinear stencil of a grid) is built once, so a curve over
+    many times pays for it once."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if isinstance(ref, TransportShift):
-        lo, hi = ref.model.arch.domain
+        u_at = rom.value_at(ref.model.arch, X)
+        d = ref.model.arch.input_dim
 
         def shifted(t: float) -> np.ndarray:
-            wrapped = lo + np.mod(X - ref.velocity * t - lo, hi - lo)
-            return rom.eval_batch(ref.model, wrapped, rom.EvalFlags(value=True)).value
+            theta = ref.model.theta.copy()
+            theta[-d:] += ref.velocity * t  # the shift is the layout's last part
+            return u_at(theta)
 
         return shifted
     if isinstance(ref, HeatSeries):
@@ -207,7 +218,8 @@ def error_curve(
     """Monte-Carlo L2 error of u_{theta_t} against the reference along a
     trajectory, over the arch's box. One spatial sample is shared across
     times, and both sides build what does not change with time once
-    (rom.value_at, reference_at)."""
+    (rom.value_at, reference_at): the ROM side, and a transport reference,
+    run the value kernel on feature tables built once per curve."""
     lo, hi = arch.domain
     vol = float(np.prod(hi - lo))
     X = sample_omega(arch.domain, n_x, seed, stream=11)

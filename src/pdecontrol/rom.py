@@ -30,6 +30,17 @@ propagation of first and second directional derivatives (one pass per spatial
 coordinate), grad_theta by reverse accumulation. ReLU's second derivative is
 taken as 0 everywhere (almost-everywhere correct); first-order operators never
 consume the ReLU Laplacian.
+
+Values alone take one kernel, value_at(arch, X), which eval_batch also runs
+for a value-only request. It builds a table of X once: Phi(X) for a linear
+basis; for a net the feature-major base, (cos 2pi x, sin 2pi x) of shape
+(2d, n) for the periodic wrapper (the shift b enters per theta as a rotation
+of W0's columns j and d + j) and X^T with alpha(X) for the zero-boundary one.
+A net's layers run in place in two (width, n) buffers that the returned
+closure reuses across calls, so a closure is not thread-safe (no caller
+shares one between threads); each call returns a fresh output array.
+Requests with derivatives take the path above, whose value agrees with the
+kernel's to round-off.
 """
 
 from __future__ import annotations
@@ -270,24 +281,15 @@ def _features(arch: RomArch, X: np.ndarray, shift, order: int):
 # activations
 
 
-def _act(kind: str, A: np.ndarray, order: int):
-    """Value and first/second derivative arrays of the activation."""
+def _act(kind: str, A: np.ndarray, second: bool):
+    """Value, first derivative and (if second, else None) second derivative
+    arrays of the activation; value_at runs the values alone."""
     if kind == "tanh":
         T = np.tanh(A)
-        if order == 0:
-            return T, None, None
         d1 = 1.0 - T * T
-        if order == 1:
-            return T, d1, None
-        return T, d1, -2.0 * T * d1
+        return T, d1, -2.0 * T * d1 if second else None
     # relu: second derivative taken as 0 everywhere
-    V = np.maximum(A, 0.0)
-    if order == 0:
-        return V, None, None
-    d1 = (A > 0.0).astype(np.float64)
-    if order == 1:
-        return V, d1, None
-    return V, d1, np.zeros_like(A)
+    return np.maximum(A, 0.0), (A > 0.0).astype(np.float64), np.zeros_like(A) if second else None
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +301,9 @@ def eval_batch(model: RomModel, X, need: EvalFlags) -> BatchEval:
 
     X has shape (n, d). Raises NonFiniteError if the forward pass overflows.
     """
+    if need == EvalFlags(value=True):
+        value = value_at(model.arch, X)(model.theta)
+        return BatchEval(value=value, grad_x=None, laplacian=None, grad_theta=None, flags=need)
     X = _points(model.arch, X)
     if model.arch.kind == LINEAR_BASIS:
         return _eval_linear_basis(model, X, need)
@@ -307,12 +312,20 @@ def eval_batch(model: RomModel, X, need: EvalFlags) -> BatchEval:
 
 def value_at(arch: RomArch, X) -> Callable[[np.ndarray], np.ndarray]:
     """theta -> u_theta at the points X, for many parameter vectors on one
-    sample. A linear basis builds its table Phi(X) once and takes Phi theta
-    per call; a net runs eval_batch per call (the periodic features read the
-    shift inside theta). Raises NonFiniteError like eval_batch."""
+    sample; eval_batch's value-only requests run it too.
+
+    The table that does not depend on theta is built once: Phi(X) for a
+    linear basis, which takes Phi theta per call; for a net the feature-major
+    base, (cos 2pi x, sin 2pi x) of shape (2d, n) for the periodic wrapper
+    and X^T with alpha(X) for the zero-boundary one. A net folds the
+    periodic shift into W0 per call and runs its layers in two (width, n)
+    buffers that the closure reuses across calls, so one closure must not be
+    called from two threads at once. Every call returns a fresh array.
+    Raises NonFiniteError like eval_batch."""
+    X = _points(arch, X)
     if arch.kind != LINEAR_BASIS:
-        return lambda theta: eval_batch(RomModel(arch, theta), X, EvalFlags(value=True)).value
-    table = _basis_tables(arch.basis_spec, _points(arch, X)[:, 0], 0)[0]
+        return _net_value(arch, X)
+    table = _basis_tables(arch.basis_spec, X[:, 0], 0)[0]
 
     def combine(theta: np.ndarray) -> np.ndarray:
         u = table @ RomModel(arch, theta).theta
@@ -320,6 +333,45 @@ def value_at(arch: RomArch, X) -> Callable[[np.ndarray], np.ndarray]:
         return u
 
     return combine
+
+
+def _net_value(arch: RomArch, X: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """value_at for a net. With c_j, s_j = cos, sin 2pi b_j of the shift b,
+    cos 2pi(x_j - b_j) = c_j cos 2pi x_j + s_j sin 2pi x_j and
+    sin 2pi(x_j - b_j) = c_j sin 2pi x_j - s_j cos 2pi x_j, so the shifted
+    features are the unshifted base under W0 with columns j and d + j
+    rotated."""
+    n, d = X.shape
+    if arch.kind == RESNET_PERIODIC:
+        arg = TWO_PI * X.T
+        base, alpha = np.concatenate([np.cos(arg), np.sin(arg)]), None
+    else:
+        base, alpha = np.ascontiguousarray(X.T), _alpha(X, *arch.domain, 0)[0]
+    act = np.tanh if arch.activation == "tanh" else (lambda A, out: np.maximum(A, 0.0, out=out))
+    buffers = np.empty((2, arch.width, n))
+
+    def value(theta: np.ndarray) -> np.ndarray:
+        W0, b0, blocks, w_out, shift = _unpack(arch, RomModel(arch, theta).theta)
+        Z, A = buffers
+        if shift is not None:
+            c, s = np.cos(TWO_PI * shift), np.sin(TWO_PI * shift)
+            Wc, Ws = W0[:, :d], W0[:, d:]
+            W0 = np.concatenate([Wc * c - Ws * s, Wc * s + Ws * c], axis=1)
+        np.matmul(W0, base, out=Z)
+        Z += b0[:, None]
+        act(Z, out=Z)
+        for W, b in blocks:
+            np.matmul(W, Z, out=A)
+            A += b[:, None]
+            act(A, out=A)
+            Z += A
+        u = w_out @ Z
+        if alpha is not None:
+            u *= alpha
+        _check_finite(u)
+        return u
+
+    return value
 
 
 def _points(arch: RomArch, X) -> np.ndarray:
@@ -375,11 +427,10 @@ def _eval_resnet(model: RomModel, X: np.ndarray, need: EvalFlags) -> BatchEval:
     S, dS, ddS, alpha = _features(arch, X, shift, order)
 
     # Forward pass, caching (layer input, act', act'') per layer.
-    act_order = max(order, int(need.grad_theta))
-    Z, d1, d2 = _act(arch.activation, S @ W0.T + b0, act_order)
+    Z, d1, d2 = _act(arch.activation, S @ W0.T + b0, order == 2)
     cache = [(S, d1, d2)]
     for W, b in blocks:
-        phi, d1, d2 = _act(arch.activation, Z @ W.T + b, act_order)
+        phi, d1, d2 = _act(arch.activation, Z @ W.T + b, order == 2)
         cache.append((Z, d1, d2))
         Z = Z + phi
     z = Z @ w_out

@@ -13,10 +13,18 @@ from pdecontrol.sampling import sample_omega
 from conftest import fourier_sine_arch
 
 
+def _sine_net() -> rom.RomModel:
+    """sin(2 pi x) on (0,1) as a periodic ReLU net: W0 = [[0, 1], [0, -1]]
+    takes the sin feature to (sin, -sin), the block is zero, and
+    w_L = (1, -1) gives relu(sin) - relu(-sin) = sin exactly."""
+    arch = rom.RomArch(rom.RESNET_PERIODIC, 1, 2, 2, "relu")
+    W0, b0, W1, b1, w_out, shift = [0.0, 1.0, 0.0, -1.0], [0.0] * 2, [0.0] * 4, [0.0] * 2, [1.0, -1.0], [0.0]
+    return rom.RomModel(arch, np.concatenate([W0, b0, W1, b1, w_out, shift]))
+
+
 def _sine_2pi_shift() -> reference.TransportShift:
-    """The unit-speed shift of sin(2 pi x) = 2^-1/2 sqrt(2) sin(2 pi x) on (0,1)."""
-    arch = rom.RomArch(kind=rom.LINEAR_BASIS, input_dim=1, basis_spec=(("fourier_sine", 2),))
-    return reference.TransportShift(model=rom.RomModel(arch, np.array([2**-0.5])), velocity=np.array([1.0]))
+    """The unit-speed shift of sin(2 pi x) on (0,1)."""
+    return reference.TransportShift(model=_sine_net(), velocity=np.array([1.0]))
 
 
 def test_transport_shift_sine(rng):
@@ -25,6 +33,27 @@ def test_transport_shift_sine(rng):
     for t in (0.0, 0.3, 0.77):
         got = reference.eval_reference(ref, X, t)
         assert np.allclose(got, np.sin(2 * np.pi * (X[:, 0] - t)), atol=1e-12)
+
+
+def test_transport_shift_of_theta_matches_the_wrapped_shift(rng):
+    # the reference moves the shift inside theta; on a box of whole-number
+    # sides that is the model at x - vt wrapped into the box
+    arch = rom.RomArch(rom.RESNET_PERIODIC, 2, 5, 3, "tanh", lo=(0.0, 0.0), hi=(2.0, 1.0))
+    theta = rom.init_params(arch, 8) + 0.4 * rng.standard_normal(rom.param_count(arch))
+    theta[-2:] = (0.3, -1.7)
+    ref = reference.TransportShift(rom.RomModel(arch, theta), np.array([1.0, -0.5]))
+    lo, hi = arch.domain
+    X = rng.uniform(lo, hi, (400, 2))
+    u_at = reference.reference_at(ref, X)
+    for t in np.linspace(0.0, 3.0, 13):
+        wrapped = lo + np.mod(X - ref.velocity * t - lo, hi - lo)
+        want = rom.eval_batch(ref.model, wrapped, rom.EvalFlags(value=True)).value
+        assert np.abs(u_at(t) - want).max() <= 1e-12
+
+
+def test_transport_shift_rejects_a_model_without_a_periodic_shift():
+    with pytest.raises(ValueError, match="resnet_periodic"):
+        reference.TransportShift(rom.RomModel(fourier_sine_arch(2), np.ones(2)), np.array([1.0]))
 
 
 def test_heat_series_single_mode(rng):
@@ -121,10 +150,10 @@ def test_out_of_domain_errors():
 
 
 def test_error_curve_self_comparison_zero():
-    arch = fourier_sine_arch(3)
-    theta0 = np.array([0.6, -0.2, 0.1])
+    model = _sine_net()
+    arch, theta0 = model.arch, model.theta
     # reference IS the model snapshot: the anchor model at theta0, unshifted
-    ref = reference.TransportShift(model=rom.RomModel(arch, theta0), velocity=np.array([0.0]))
+    ref = reference.TransportShift(model=model, velocity=np.array([0.0]))
     traj = evolve.ParamTrajectory(
         times=np.array([0.0, 0.1]), thetas=np.stack([theta0, theta0]), velocities=None, step=0.1,
     )
@@ -242,9 +271,10 @@ def test_grid_and_slice_writes_replace_whole_files(tmp_path, monkeypatch):
 def _loop_eval_reference(ref, X, t):
     """The reference at (X, t), every table rebuilt at each call."""
     if isinstance(ref, reference.TransportShift):
-        lo, hi = ref.model.arch.domain
-        wrapped = lo + np.mod(X - ref.velocity * t - lo, hi - lo)
-        return rom.eval_batch(ref.model, wrapped, rom.EvalFlags(value=True)).value
+        # the model with the shift, the last input_dim entries of theta, advanced by vt
+        theta = ref.model.theta.copy()
+        theta[-ref.model.arch.input_dim:] += ref.velocity * t
+        return rom.eval_batch(rom.RomModel(ref.model.arch, theta), X, rom.EvalFlags(value=True)).value
     if isinstance(ref, reference.HeatSeries):
         out = np.zeros(X.shape[0])
         for k, c in enumerate(ref.coeffs, start=1):

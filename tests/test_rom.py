@@ -188,6 +188,44 @@ def test_model_periodicity(rng):
     assert np.allclose(v1, v3, atol=1e-12)
 
 
+def _kernel_cases():
+    return [
+        rom.RomArch("resnet_periodic", 1, 6, 2, "relu"),
+        rom.RomArch("resnet_periodic", 2, 5, 3, "tanh"),
+        rom.RomArch("resnet_periodic", 10, 6, 2, "tanh"),
+        rom.RomArch("resnet_zero_boundary", 2, 4, 3, "tanh", lo=(-1.0, -1.0), hi=(1.0, 1.0)),
+        rom.RomArch("resnet_zero_boundary", 1, 5, 2, "tanh", lo=(0.5,), hi=(3.0,)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_value_kernel_matches_the_derivative_path(rng, case):
+    # value_at folds the periodic shift into W0 and runs the layers
+    # feature-major; the value of the derivative path is the reference
+    arch = _kernel_cases()[case]
+    lo, hi = arch.domain
+    X = rng.uniform(lo, hi, (300, arch.input_dim))
+    u_at = rom.value_at(arch, X)
+    for seed in range(3):
+        theta = rom.init_params(arch, seed) + 0.5 * rng.standard_normal(rom.param_count(arch))
+        if arch.kind == rom.RESNET_PERIODIC:
+            theta[-arch.input_dim:] = rng.choice([-1.0, 1.0], arch.input_dim) * rng.uniform(1.0, 4.0, arch.input_dim)
+        want = rom.eval_batch(rom.RomModel(arch, theta), X, rom.EvalFlags(value=True, grad_theta=True)).value
+        assert np.abs(u_at(theta) - want).max() <= 1e-13 * np.abs(want).max()
+        assert np.abs(value_fn(arch, theta, X) - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_value_kernel_returns_a_fresh_array_per_call(rng):
+    arch = rom.RomArch("resnet_periodic", 2, 5, 3, "tanh")
+    u_at = rom.value_at(arch, rng.uniform(0, 1, (50, 2)))
+    first = u_at(rom.init_params(arch, 0) + 0.3)
+    kept = first.copy()
+    second = u_at(rom.init_params(arch, 1) - 0.3)
+    assert not np.shares_memory(first, second)
+    assert first.tobytes() == kept.tobytes()
+    assert second.tobytes() != kept.tobytes()
+
+
 def test_linear_basis_eigenfunction():
     arch = fourier_sine_arch(8)
     theta = np.zeros(8)
@@ -234,11 +272,24 @@ def test_unrequested_fields_are_none():
     assert not batch.flags.laplacian
 
 
+def _overflowing_net():
+    # at x = 0 both units read tanh(10 cos 0), about 1, and the zero block
+    # adds tanh(0) = 0; two output weights of 1e308 sum past the largest float
+    arch = rom.RomArch("resnet_periodic", 1, 2, 2, "tanh")
+    theta = np.zeros(rom.param_count(arch))
+    theta[[0, 2]] = 10.0  # the cos column of W0
+    theta[-3:-1] = 1e308
+    return rom.RomModel(arch, theta), np.array([[0.0]])
+
+
 def test_nonfinite_guard():
     # each term is about 1.4e308 at x = 0.25; their sum overflows
-    model = rom.RomModel(fourier_sine_arch(2), np.array([1e308, 1e308]))
-    with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
-        rom.eval_batch(model, np.array([[0.25]]), VAL)
+    basis = rom.RomModel(fourier_sine_arch(2), np.array([1e308, 1e308])), np.array([[0.25]])
+    for model, X in (basis, _overflowing_net()):
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+            rom.eval_batch(model, X, VAL)
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+            rom.value_at(model.arch, X)(model.theta)
 
 
 def test_arch_hash_stability():
