@@ -13,15 +13,22 @@ Flat parameter layout (frozen; checkpoints depend on it):
 with matrices stored row-major. The output layer is zero-initialized so a
 fresh net is the zero field.
 
-The gradients, _jvp, _vjp and field_stats share one forward cache and one reverse pass.
-Each training step runs one forward and one backward pass: loss stacks the
-step's Gram rows and trajectory-pair rows and reads the projection loss l1
-and the trajectory loss l2 off the two blocks of the one output.
+forward is a value kernel: one pass with no cache. The first layer and every
+gate read only theta, so one stacked product (ControlNet.theta_table, built on
+the first call) gives all their pre-activations and one elementwise pass all
+the gates; the blocks then update one state in place. Each layer's product
+is the same BLAS call as in the cached pass, so both give the same bits.
+The gradients, _jvp, _vjp and field_stats share the cached forward pass
+(_forward_cached) and one reverse pass. Each training step runs one forward
+and one backward pass: loss stacks the step's Gram rows and trajectory-pair
+rows and reads the projection loss l1 and the trajectory loss l2 off the two
+blocks of the one output.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import erf
@@ -102,6 +109,15 @@ class ControlNet:
     def __call__(self, theta: np.ndarray) -> np.ndarray:
         return forward(self, theta)
 
+    @cached_property
+    def theta_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """The layers that read theta, stacked for forward: [U_0, Ubar_1, ...]
+        of shape (depth, width, input_dim) and [b_0, bbar_1, ...] of shape
+        (depth, width). Built on the first forward call, so a net that only
+        trains never builds it."""
+        U0, b0, blocks, _, _ = self.params
+        return np.stack([U0] + [Ug for _, _, Ug, _ in blocks]), np.stack([b0] + [bg for _, _, _, bg in blocks])
+
 
 def init_control_params(arch: ControlArch, seed: int) -> np.ndarray:
     """Fan-in uniform hidden weights, zero biases, zero output layer."""
@@ -140,14 +156,36 @@ def _forward_cached(net: ControlNet, TH: np.ndarray):
 
 
 def forward(net: ControlNet, theta) -> np.ndarray:
-    """V(theta); accepts a single vector (m,) or a batch (n, m)."""
+    """V(theta); accepts a single vector (m,) or a batch (n, m).
+
+    One pass with no cache: the stacked theta_table product gives the first
+    pre-activation and every gate's, one elementwise pass turns the gate
+    rows into GeLU values, and each block updates the state H in place."""
     th = np.asarray(theta, dtype=np.float64)
     single = th.ndim == 1
     TH = th[None, :] if single else th
     if TH.shape[1] != net.arch.input_dim:
         raise ValueError("theta dimension does not match the control net")
-    out, _ = _forward_cached(net, TH)
-    if not np.all(np.isfinite(out)):
+    table, biases = net.theta_table
+    _, _, blocks, W_out, b_out = net.params
+    A = np.matmul(TH, table.transpose(0, 2, 1))  # one (n, width) product per layer
+    A += biases[:, None, :]
+    H = np.tanh(A[0], out=A[0])
+    R = A[1:]
+    gates = R / _SQRT2
+    erf(gates, out=gates)
+    gates += 1.0
+    gates *= 0.5
+    gates *= R
+    for (U, b, _, _), gate in zip(blocks, gates):
+        T = H @ U.T
+        T += b
+        np.tanh(T, out=T)
+        T *= gate
+        H += T
+    out = H @ W_out.T
+    out += b_out
+    if not np.isfinite(out).all():
         raise NonFiniteError("control field evaluation overflowed")
     return out[0] if single else out
 

@@ -34,12 +34,11 @@ class ParamTrajectory:
 
 
 def _first_escape(thetas: np.ndarray, space: ThetaSpace | None) -> int | None:
+    """The first row of thetas outside space, by one test of all rows."""
     if space is None:
         return None
-    for j in range(thetas.shape[0]):
-        if not space.contains(thetas[j]):
-            return j
-    return None
+    outside = ~space.inside(thetas)
+    return int(outside.argmax()) if outside.any() else None
 
 
 def gen_trajectory(

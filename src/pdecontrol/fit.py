@@ -146,17 +146,18 @@ def fit_initial(
 
 
 def _adam_fit(arch, X, g_train, theta, eps0_target, lr, max_steps) -> tuple[np.ndarray, float, int]:
-    """(best theta, its training MSE, steps run) of ADAM from theta."""
+    """(best theta, its training MSE, steps run) of ADAM from theta. Each
+    step's gradient is the ROM's pullback of the cotangent 2 (u - g) / n."""
     adam = Adam(theta.size, lr)
-    need = rom.EvalFlags(value=True, grad_theta=True)
+    at = rom.pullback_at(arch, X)
 
     best_theta = theta.copy()
     best_mse = np.inf
     n = X.shape[0]
     steps_done = 0
     for step in range(1, max_steps + 1):
-        ev = rom.eval_batch(rom.RomModel(arch, theta), X, need)
-        res = ev.value - g_train
+        u, pullback = at(theta)
+        res = u - g_train
         mse = float(np.mean(res * res))
         if mse < best_mse:
             best_mse = mse
@@ -164,8 +165,7 @@ def _adam_fit(arch, X, g_train, theta, eps0_target, lr, max_steps) -> tuple[np.n
         steps_done = step
         if np.sqrt(mse) <= eps0_target:
             break
-        grad = 2.0 * (ev.grad_theta.T @ res) / n
-        theta = adam.step(theta, grad)
+        theta = adam.step(theta, pullback(2.0 * res / n))
     return best_theta, best_mse, steps_done
 
 

@@ -27,9 +27,14 @@ shapes; the count, the unpacking and the gradient assembly derive from it.
 
 Derivatives are computed analytically: grad_x and the Laplacian by forward
 propagation of first and second directional derivatives (one pass per spatial
-coordinate), grad_theta by reverse accumulation. ReLU's second derivative is
-taken as 0 everywhere (almost-everywhere correct); first-order operators never
-consume the ReLU Laplacian.
+coordinate), the parameter side by one reverse accumulation of
+sum_n c_n net(S(x_n)). Seeded with c = alpha it gives grad_theta, the (n, m)
+Jacobian that assembly reads, part by part per point; seeded with c = alpha r
+and each part summed over the points inside the pass, it gives the pullback
+sum_n r_n du(x_n)/dtheta of pullback_at, the gradient of the initial fit's
+loss without the Jacobian. ReLU's second derivative is taken as 0 everywhere
+(almost-everywhere correct); first-order operators never consume the ReLU
+Laplacian.
 
 Values alone take one kernel, value_at(arch, X), which eval_batch also runs
 for a value-only request. It builds a table of X once: Phi(X) for a linear
@@ -283,13 +288,16 @@ def _features(arch: RomArch, X: np.ndarray, shift, order: int):
 
 def _act(kind: str, A: np.ndarray, second: bool):
     """Value, first derivative and (if second, else None) second derivative
-    arrays of the activation; value_at runs the values alone."""
+    arrays of the activation, the value written over the pre-activation A;
+    value_at runs the values alone."""
     if kind == "tanh":
-        T = np.tanh(A)
-        d1 = 1.0 - T * T
+        T = np.tanh(A, out=A)
+        d1 = T * T
+        np.subtract(1.0, d1, out=d1)
         return T, d1, -2.0 * T * d1 if second else None
     # relu: second derivative taken as 0 everywhere
-    return np.maximum(A, 0.0), (A > 0.0).astype(np.float64), np.zeros_like(A) if second else None
+    d1 = (A > 0.0).astype(np.float64)
+    return np.maximum(A, 0.0, out=A), d1, np.zeros_like(A) if second else None
 
 
 # ---------------------------------------------------------------------------
@@ -419,31 +427,122 @@ def _eval_linear_basis(model: RomModel, X: np.ndarray, need: EvalFlags) -> Batch
     return out
 
 
+def pullback_at(arch: RomArch, X) -> Callable[[np.ndarray], tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]]:
+    """theta -> (u_theta at the points X, r -> sum_n r_n du_theta(x_n)/dtheta)
+    for a net, for many parameter vectors on one sample: the gradient of a
+    loss sum_n l(u_n) is pullback(l'(u)), without the (n, m) Jacobian that
+    eval_batch's grad_theta forms.
+
+    The value comes from the derivative path's forward pass, bit for bit
+    eval_batch's value with grad_theta; the pullback runs that path's
+    reverse accumulation seeded with w_L alpha r and sums each part over the
+    points inside the pass. The zero-boundary features (X and alpha(X)) are
+    built once; the periodic ones depend on the shift, so on theta. Raises
+    NonFiniteError like eval_batch."""
+    if arch.kind == LINEAR_BASIS:
+        raise ValueError("pullback_at takes a net; a linear basis is its own Jacobian")
+    X = _points(arch, X)
+    features = None if arch.kind == RESNET_PERIODIC else _features(arch, X, None, 0)
+
+    def at(theta: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+        fwd = _resnet_forward(RomModel(arch, theta), X, 0, features)
+        value = fwd.value
+        _check_finite(value)
+
+        def pullback(r: np.ndarray) -> np.ndarray:
+            grad = _resnet_reverse(arch, fwd, r if fwd.alpha is None else fwd.alpha[0] * r, per_point=False)
+            _check_finite(grad)
+            return grad
+
+        return value, pullback
+
+    return at
+
+
+@dataclass
+class _Forward:
+    """What a net's derivative path keeps of its forward pass."""
+
+    params: tuple  # _unpack's views
+    S: np.ndarray  # the net input, (n, din)
+    dS: np.ndarray | None
+    ddS: np.ndarray | None
+    alpha: tuple | None  # _alpha's output factor, None for the periodic wrapper
+    cache: list  # (layer input, act', act'') per layer
+    Z: np.ndarray  # the last block's output, (n, width)
+    z: np.ndarray  # net(S), (n,)
+
+    @property
+    def value(self) -> np.ndarray:
+        return self.z if self.alpha is None else self.alpha[0] * self.z
+
+
+def _resnet_forward(model: RomModel, X: np.ndarray, order: int, features=None) -> _Forward:
+    """The forward pass, caching what derivatives of up to order (in x) and
+    the parameter gradient reuse; features, if given, is _features' output
+    for X, which must not depend on the shift."""
+    arch = model.arch
+    params = W0, b0, blocks, w_out, shift = _unpack(arch, model.theta)
+    S, dS, ddS, alpha = _features(arch, X, shift, order) if features is None else features
+    A = S @ W0.T
+    A += b0
+    Z, d1, d2 = _act(arch.activation, A, order == 2)
+    cache = [(S, d1, d2)]
+    for W, b in blocks:
+        A = Z @ W.T
+        A += b
+        phi, d1, d2 = _act(arch.activation, A, order == 2)
+        cache.append((Z, d1, d2))
+        Z = Z + phi
+    return _Forward(params, S, dS, ddS, alpha, cache, Z, Z @ w_out)
+
+
+def _resnet_reverse(arch: RomArch, fwd: _Forward, c: np.ndarray, per_point: bool) -> np.ndarray:
+    """Reverse accumulation of sum_n c_n net(S(x_n)) to theta, in layout
+    order: per point, the (n, m) rows of c_n dnet(S(x_n))/dtheta, or summed
+    over the points, one (m,) vector. With c the output factor alpha (1 for
+    the periodic wrapper) the rows are grad_theta u; with c = alpha r the sum
+    is the pullback of the cotangent r."""
+    W0, _, blocks, w_out, shift = fwd.params
+    S = fwd.S
+    n, d = S.shape[0], arch.input_dim
+    if per_point:
+        outer, total = (lambda D, Z_in: np.einsum("np,nq->npq", D, Z_in)), (lambda D: D)
+    else:
+        ones = np.ones(n)
+        outer, total = (lambda D, Z_in: D.T @ Z_in), (lambda D: ones @ D)
+    G = c[:, None] * w_out[None, :]  # d sum / d(block output)
+    block_parts = []
+    for (W, _), (Z_in, d1, _) in zip(blocks[::-1], fwd.cache[:0:-1]):
+        D = G * d1
+        block_parts = [outer(D, Z_in), total(D)] + block_parts
+        G = G + D @ W
+    D = G * fwd.cache[0][1]
+    parts = [outer(D, S), total(D)] + block_parts + [c[:, None] * fwd.Z if per_point else fwd.Z.T @ c]
+    if shift is not None:
+        gS = D @ W0
+        # dS/dshift_j = -dS/dx_j, nonzero only in columns j and d + j
+        parts.append(total(-(gS[:, :d] * (-TWO_PI * S[:, d:]) + gS[:, d:] * (TWO_PI * S[:, :d]))))
+    return _join(parts, _layout(arch), (n,) if per_point else ())
+
+
 def _eval_resnet(model: RomModel, X: np.ndarray, need: EvalFlags) -> BatchEval:
     arch = model.arch
     n, d = X.shape
-    W0, b0, blocks, w_out, shift = _unpack(arch, model.theta)
     order = 2 if need.laplacian else int(need.grad_x)
-    S, dS, ddS, alpha = _features(arch, X, shift, order)
-
-    # Forward pass, caching (layer input, act', act'') per layer.
-    Z, d1, d2 = _act(arch.activation, S @ W0.T + b0, order == 2)
-    cache = [(S, d1, d2)]
-    for W, b in blocks:
-        phi, d1, d2 = _act(arch.activation, Z @ W.T + b, order == 2)
-        cache.append((Z, d1, d2))
-        Z = Z + phi
-    z = Z @ w_out
+    fwd = _resnet_forward(model, X, order)
+    W0, _, blocks, w_out, _ = fwd.params
+    dS, ddS, alpha, cache, z = fwd.dS, fwd.ddS, fwd.alpha, fwd.cache, fwd.z
 
     out = BatchEval(value=None, grad_x=None, laplacian=None, grad_theta=None, flags=need)
     if need.value:
-        out.value = z if alpha is None else alpha[0] * z
+        out.value = fwd.value
 
     # Forward-mode first and second derivatives of z, one pass per coordinate.
     if order:
         zd = np.empty((n, d))
         zdd = np.empty((n, d)) if order == 2 else None
-        owner = np.arange(S.shape[1]) % d
+        owner = np.arange(fwd.S.shape[1]) % d
         _, d1, d2 = cache[0]
         for i in range(d):
             Ad = np.where(owner == i, dS, 0.0) @ W0.T
@@ -470,22 +569,8 @@ def _eval_resnet(model: RomModel, X: np.ndarray, need: EvalFlags) -> BatchEval:
             for col in zdd.T:
                 out.laplacian += col
 
-    # Reverse accumulation for the parameter gradient, in layout order.
     if need.grad_theta:
-        scale = np.ones(n) if alpha is None else alpha[0]
-        G = scale[:, None] * w_out[None, :]  # d value / d(block output)
-        block_parts = []
-        for (W, _), (Z_in, d1, _) in zip(blocks[::-1], cache[:0:-1]):
-            D = G * d1
-            block_parts = [np.einsum("np,nq->npq", D, Z_in), D] + block_parts
-            G = G + D @ W
-        D = G * cache[0][1]
-        parts = [np.einsum("np,nq->npq", D, S), D] + block_parts + [scale[:, None] * Z]
-        if shift is not None:
-            gS = D @ W0
-            # dS/dshift_j = -dS/dx_j, nonzero only in columns j and d + j
-            parts.append(-(gS[:, :d] * (-TWO_PI * S[:, d:]) + gS[:, d:] * (TWO_PI * S[:, :d])))
-        out.grad_theta = _join(parts, _layout(arch), (n,))
+        out.grad_theta = _resnet_reverse(arch, fwd, np.ones(n) if alpha is None else alpha[0], per_point=True)
 
     _check_finite(out.value, out.grad_x, out.laplacian, out.grad_theta)
     return out

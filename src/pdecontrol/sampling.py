@@ -31,8 +31,9 @@ class Box:
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
 
-    def contains(self, theta: np.ndarray) -> bool:
-        return bool(np.all(np.abs(theta) <= self.half_width))
+    def inside(self, thetas: np.ndarray) -> np.ndarray:
+        """Per row of thetas (n, dim): whether it lies in the box."""
+        return np.all(np.abs(thetas) <= self.half_width, axis=1)
 
     def diameter(self) -> float:
         return 2.0 * self.half_width * np.sqrt(self.dim)
@@ -57,9 +58,11 @@ class AnchorBalls:
     def dim(self) -> int:
         return self.anchors.shape[1]
 
-    def contains(self, theta: np.ndarray) -> bool:
-        d = np.linalg.norm(self.anchors - theta[None, :], axis=1)
-        return bool(d.min() <= self.radius)
+    def inside(self, thetas: np.ndarray) -> np.ndarray:
+        """Per row of thetas (n, dim): whether its distance to the nearest
+        anchor is at most the radius, all rows at once."""
+        d = np.linalg.norm(self.anchors[None, :, :] - thetas[:, None, :], axis=2)
+        return d.min(axis=1) <= self.radius
 
     def diameter(self) -> float:
         # Coarse upper bound: anchor spread plus two radii.

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from pdecontrol import assembly, binfile, config, control_net as cn, pde_ops, rom
+from pdecontrol import assembly, binfile, config, control_net as cn, evolve, pde_ops, rom
 from pdecontrol.errors import CacheMismatch, NonFiniteError
 from pdecontrol.optim import Adam
 from pdecontrol.sampling import Box, sample_theta
@@ -378,6 +378,39 @@ def test_forward_and_train_bit_identical(tmp_path, small_arch, rng):
     copied, h2 = cn.train(start, stacked, None, **cfg)
     assert h1 == h2
     assert mapped.xi.tobytes() == copied.xi.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 4, 67])
+@pytest.mark.parametrize("width", [1, 8, 96, 256])
+@pytest.mark.parametrize("depth", [2, 3, 4])
+def test_forward_kernel_matches_the_layer_formula_on_a_grid_of_shapes(depth, width, m, rng):
+    arch = cn.ControlArch(input_dim=m, width=width, depth=depth)
+    net = make_net(arch, jitter=0.3, rng=rng)
+    TH = rng.uniform(-1, 1, (5, m))
+    assert cn.forward(net, TH).tobytes() == _reference_forward(arch, net.xi, TH).tobytes()
+    assert cn.forward(net, TH[3]).tobytes() == _reference_forward(arch, net.xi, TH[3:4])[0].tobytes()
+
+
+def test_rk4_solve_on_the_kernel_equals_a_solve_on_the_layer_formula(rng):
+    arch = cn.ControlArch(input_dim=6, width=16, depth=3)
+    net = make_net(arch, jitter=0.3, rng=rng)
+    theta0 = rng.uniform(-0.5, 0.5, 6)
+    kernel = evolve.solve_ivp(net, theta0, 0.5, 40)
+    oracle = evolve.solve_ivp(lambda th: _reference_forward(arch, net.xi, th[None, :])[0], theta0, 0.5, 40)
+    assert kernel.thetas.tobytes() == oracle.thetas.tobytes()
+
+
+def test_training_never_builds_the_theta_table(small_arch, rng, monkeypatch):
+    # train makes a net per step; only forward needs the stacked table
+    built = []
+    table = cn.ControlNet.theta_table
+    monkeypatch.setattr(cn.ControlNet, "theta_table", property(lambda net: built.append(1) or table.func(net)))
+    gram, pairs = _joint_batches(rng)
+    trained, _ = cn.train(make_net(small_arch), gram, pairs, lr=1e-3, zeta=0.1, batch_size=0, stop_loss=0.0,
+                          max_steps=3, seed=0)
+    assert built == []
+    cn.forward(trained, gram[0])
+    assert built == [1]
 
 
 def test_loss_history_resume_rejects_a_torn_row_and_writes_whole(tmp_path, monkeypatch):

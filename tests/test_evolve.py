@@ -5,7 +5,7 @@ import pytest
 
 from pdecontrol import assembly, evolve, pde_ops
 from pdecontrol.errors import CacheMismatch
-from pdecontrol.sampling import Box, sample_theta
+from pdecontrol.sampling import AnchorBalls, Box, sample_theta
 
 from conftest import fourier_sine_arch
 
@@ -128,6 +128,52 @@ def test_escape_flag_without_blowup():
     traj = evolve.solve_ivp(field, np.array([0.9]), 1.0, 10, theta_space=space)
     assert traj.blowup_step is None
     assert traj.escape_step == 2  # 0.9 -> 1.0 -> 1.1
+
+
+def _per_row_escape(thetas, space):
+    # the scan one row at a time, with the membership formulas written out
+    for j, theta in enumerate(thetas):
+        if isinstance(space, Box):
+            inside = np.all(np.abs(theta) <= space.half_width)
+        else:
+            inside = np.linalg.norm(space.anchors - theta[None, :], axis=1).min() <= space.radius
+        if not inside:
+            return j
+    return None
+
+
+def _escape_cases(rng, kind):
+    """(space, rows inside it with some exactly on its boundary, a row
+    outside)."""
+    m = 5
+    if kind == "box":
+        space = Box(0.5, m)
+        rows = rng.uniform(-0.45, 0.45, (9, m))
+        rows[2, 1] = 0.5
+        rows[5, [0, 4]] = -0.5
+        return space, rows, np.full(m, np.nextafter(0.5, 1.0))
+    anchors = rng.uniform(-2, 2, (4, m))
+    rows = anchors[rng.integers(0, 4, 9)] + rng.uniform(-0.3, 0.3, (9, m))
+    # the radius is row 4's distance as the per-row formula computes it, so
+    # row 4 lies exactly on the boundary
+    radius = np.linalg.norm(anchors - rows[4][None, :], axis=1).min()
+    space = AnchorBalls(anchors, radius)
+    inside = [np.linalg.norm(anchors - r[None, :], axis=1).min() <= radius for r in rows]
+    return space, rows[inside], anchors[0] + 10.0 * radius
+
+
+@pytest.mark.parametrize("kind", ["box", "anchor_balls"])
+def test_escape_step_equals_the_per_row_scan(rng, kind):
+    space, rows, outside = _escape_cases(rng, kind)
+    n = rows.shape[0]
+    assert n >= 4
+    cases = [rows, np.vstack([outside, rows]), np.vstack([rows, outside]),
+             np.vstack([rows[:2], outside, rows[2:], outside])]
+    want = [None, 0, n, 2]
+    for thetas, expect in zip(cases, want):
+        assert _per_row_escape(thetas, space) == expect
+        assert evolve._first_escape(thetas, space) == expect
+    assert evolve._first_escape(rows, None) is None
 
 
 def test_traj_cache_roundtrip(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pdecontrol import config, fit, linalg, pipeline, rom
+from pdecontrol.optim import Adam
 from pdecontrol.errors import CacheMismatch
 from pdecontrol.sampling import rng_for, sample_omega, sample_theta
 
@@ -128,6 +129,38 @@ def test_fit_resnet_heat_initial_regression(unit_interval):
     u = rom.eval_batch(rom.RomModel(arch, res.theta), X, rom.EvalFlags(value=True)).value
     train_rmse = float(np.sqrt(np.mean((u - fit.eval_initial(spec, X)) ** 2)))
     assert res.rmse < 3.0 * max(train_rmse, 1e-12) + 1e-9
+
+
+def _jacobian_adam_fit(arch, X, g, theta, eps0_target, lr, max_steps):
+    # the fit with each step's gradient formed from the (n, m) Jacobian
+    adam = Adam(theta.size, lr)
+    best_theta, best_mse, steps = theta.copy(), np.inf, 0
+    need = rom.EvalFlags(value=True, grad_theta=True)
+    for steps in range(1, max_steps + 1):
+        ev = rom.eval_batch(rom.RomModel(arch, theta), X, need)
+        res = ev.value - g
+        mse = float(np.mean(res * res))
+        if mse < best_mse:
+            best_theta, best_mse = theta.copy(), mse
+        if np.sqrt(mse) <= eps0_target:
+            break
+        theta = adam.step(theta, 2.0 * (ev.grad_theta.T @ res) / X.shape[0])
+    return best_theta, best_mse, steps
+
+
+@pytest.mark.parametrize("arch", [
+    rom.RomArch("resnet_zero_boundary", 2, 6, 2, "tanh", lo=(-1.0, -1.0), hi=(1.0, 1.0)),
+    rom.RomArch("resnet_periodic", 1, 6, 3, "tanh"),
+])
+def test_adam_fit_on_the_pullback_lands_on_the_jacobian_path_fit(arch):
+    X = sample_omega(arch.domain, 512, 3, stream=fit.TRAIN_STREAM)
+    g = np.sin(np.pi * X).prod(axis=1)
+    start = rom.init_params(arch, 3)
+    theta, mse, steps = fit._adam_fit(arch, X, g, start, 0.0, 1e-2, 150)
+    want_theta, want_mse, want_steps = _jacobian_adam_fit(arch, X, g, start, 0.0, 1e-2, 150)
+    assert steps == want_steps == 150
+    assert np.abs(theta - want_theta).max() <= 1e-12
+    assert mse == pytest.approx(want_mse, rel=1e-10)
 
 
 def test_fit_holdout_disjoint_from_training(unit_interval):

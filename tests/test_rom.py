@@ -226,6 +226,77 @@ def test_value_kernel_returns_a_fresh_array_per_call(rng):
     assert second.tobytes() != kept.tobytes()
 
 
+def _reference_grad_theta(arch, theta, X):
+    # the per-point Jacobian of u in layout order, by the reverse pass of
+    # the derivative path written out on its own
+    W0, b0, blocks, w_out, shift = rom._unpack(arch, theta)
+    S, _, _, alpha = rom._features(arch, X, shift, 0)
+    act = np.tanh if arch.activation == "tanh" else (lambda A: np.maximum(A, 0.0))
+
+    def deriv(A):
+        if arch.activation == "tanh":
+            T = np.tanh(A)
+            return 1.0 - T * T
+        return (A > 0.0).astype(np.float64)
+
+    A = S @ W0.T + b0
+    Z, inputs, derivs = act(A), [], [deriv(A)]
+    for W, b in blocks:
+        A = Z @ W.T + b
+        inputs.append(Z)
+        derivs.append(deriv(A))
+        Z = Z + act(A)
+    scale = np.ones(X.shape[0]) if alpha is None else alpha[0]
+    G = scale[:, None] * w_out[None, :]
+    block_parts = []
+    for (W, _), Z_in, d1 in zip(blocks[::-1], inputs[::-1], derivs[:0:-1]):
+        D = G * d1
+        block_parts = [np.einsum("np,nq->npq", D, Z_in), D] + block_parts
+        G = G + D @ W
+    D = G * derivs[0]
+    parts = [np.einsum("np,nq->npq", D, S), D] + block_parts + [scale[:, None] * Z]
+    if shift is not None:
+        d = arch.input_dim
+        gS = D @ W0
+        parts.append(-(gS[:, :d] * (-rom.TWO_PI * S[:, d:]) + gS[:, d:] * (rom.TWO_PI * S[:, :d])))
+    return np.concatenate([p.reshape(X.shape[0], -1) for p in parts], axis=1)
+
+
+def _pullback_arch(case, depth):
+    return [
+        rom.RomArch("resnet_zero_boundary", 1, 5, depth, "tanh"),
+        rom.RomArch("resnet_zero_boundary", 2, 4, depth, "tanh", lo=(-1.0, -1.0), hi=(1.0, 1.0)),
+        rom.RomArch("resnet_periodic", 1, 6, depth, "relu"),
+        rom.RomArch("resnet_periodic", 2, 4, depth, "tanh"),
+    ][case]
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+@pytest.mark.parametrize("case", range(4))
+def test_pullback_equals_the_jacobian_transpose_product(rng, case, depth):
+    # the fit's gradient: sum_n r_n grad_theta u(x_n) without the Jacobian
+    arch = _pullback_arch(case, depth)
+    lo, hi = arch.domain
+    X = rng.uniform(lo, hi, (200, arch.input_dim))
+    at = rom.pullback_at(arch, X)
+    for seed in range(2):
+        theta = rom.init_params(arch, seed) + 0.3 * rng.standard_normal(rom.param_count(arch))
+        if arch.kind == rom.RESNET_PERIODIC:
+            theta[-arch.input_dim:] = rng.uniform(0.1, 0.4, arch.input_dim)  # a nonzero shift
+        ev = rom.eval_batch(rom.RomModel(arch, theta), X, rom.EvalFlags(value=True, grad_theta=True))
+        assert ev.grad_theta.tobytes() == _reference_grad_theta(arch, theta, X).tobytes()
+        u, pullback = at(theta)
+        assert u.tobytes() == ev.value.tobytes()
+        r = 2.0 * (u - rng.standard_normal(X.shape[0])) / X.shape[0]
+        want = ev.grad_theta.T @ r
+        assert np.abs(pullback(r) - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_pullback_takes_a_net_only():
+    with pytest.raises(ValueError, match="takes a net"):
+        rom.pullback_at(fourier_sine_arch(3), [[0.5]])
+
+
 def test_linear_basis_eigenfunction():
     arch = fourier_sine_arch(8)
     theta = np.zeros(8)

@@ -41,7 +41,7 @@ def test_box_sampling_range():
     pts = sample_theta(box, 200, seed=0)
     assert pts.shape == (200, 5)
     assert np.abs(pts).max() <= 1.0
-    assert all(box.contains(p) for p in pts)
+    assert box.inside(pts).all()
 
 
 def test_anchor_ball_radius():
@@ -57,8 +57,7 @@ def test_anchor_membership_multiple():
     anchors = rng.uniform(-5, 5, (4, 6))
     space = AnchorBalls(anchors=anchors, radius=2.0)
     pts = sample_theta(space, 500, seed=9)
-    for p in pts:
-        assert space.contains(p)
+    assert space.inside(pts).all()
 
 
 def test_anchor_coverage():
