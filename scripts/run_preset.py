@@ -40,7 +40,11 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return cli.EXIT_CONFIG
-    n_eval = cfg.raw["initials"]["count"] if args.eval_anchors is None else args.eval_anchors
+    count = cfg.raw["initials"]["count"]
+    n_eval = count if args.eval_anchors is None else args.eval_anchors
+    if not 1 <= n_eval <= count:
+        print(f"config error: --eval-anchors must lie in 1..{count} (initials.count), got {n_eval}", file=sys.stderr)
+        return cli.EXIT_CONFIG
 
     commands = [["fit-initial"], ["sample-gram"], ["gen-trajectories"], ["train-control"]]
     for k in range(n_eval):

@@ -53,13 +53,7 @@ def assemble(
     """
     if X.shape[0] == 0:
         raise ValueError("empty sample batch")
-    flags_needed = pde_ops.required_flags(op)
-    need = rom.EvalFlags(
-        value=flags_needed["value"],
-        grad_x=flags_needed["grad_x"],
-        laplacian=flags_needed["laplacian"],
-        grad_theta=True,
-    )
+    need = rom.EvalFlags(**pde_ops.required_flags(op), grad_theta=True)
     # a huge theta overflows in here; the check below reports it as NonFiniteError
     with np.errstate(over="ignore", invalid="ignore"):
         ev = rom.eval_batch(model, X, need)

@@ -13,22 +13,20 @@ Flat parameter layout (frozen; checkpoints depend on it):
 with matrices stored row-major. The output layer is zero-initialized so a
 fresh net is the zero field.
 
-forward is a value kernel: one pass with no cache. The first layer and every
-gate read only theta, so one stacked product (ControlNet.theta_table, built on
-the first call) gives all their pre-activations and one elementwise pass all
-the gates; the blocks then update one state in place. Each layer's product
-is the same BLAS call as in the cached pass, so both give the same bits.
-The gradients, _jvp, _vjp and field_stats share the cached forward pass
-(_forward_cached) and one reverse pass. Each training step runs one forward
-and one backward pass: loss stacks the step's Gram rows and trajectory-pair
-rows and reads the projection loss l1 and the trajectory loss l2 off the two
-blocks of the one output.
+One forward pass (_forward_cached) runs the layers for every caller: forward
+(the RK4 solve), the gradients, _jvp, _vjp and field_stats. The first layer
+and every gate read only theta, so one stacked product with
+ControlNet.theta_table gives all their pre-activations and one elementwise
+pass all the Phi(R); the blocks then run in turn. The pass keeps what the
+one reverse pass reads. Each training step runs one forward and one backward
+pass: loss stacks the step's Gram rows and trajectory-pair rows and reads
+the projection loss l1 and the trajectory loss l2 off the two blocks of the
+one output.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
 
 import numpy as np
 from scipy.special import erf
@@ -43,10 +41,6 @@ FORMAT_VERSION = 4
 
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
-
-
-def _norm_cdf(x):
-    return 0.5 * (1.0 + erf(x / _SQRT2))
 
 
 def _gelu_deriv(x, cdf):
@@ -97,6 +91,10 @@ class ControlNet:
     xi: np.ndarray
     # the layer views of xi, unpacked once (views, so they share xi's memory)
     params: tuple = field(init=False, repr=False, compare=False)
+    # the layers that read theta, stacked for the forward pass: [U_0, Ubar_1,
+    # ...] of shape (depth, width, input_dim) and [b_0, bbar_1, ...] of shape
+    # (depth, width); copies of those views, built with params
+    theta_table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         xi = np.ascontiguousarray(self.xi, dtype=np.float64)
@@ -104,19 +102,13 @@ class ControlNet:
         expect = control_param_count(self.arch)
         if xi.shape != (expect,):
             raise ValueError(f"xi must have shape ({expect},), got {xi.shape}")
-        object.__setattr__(self, "params", _unpack(self.arch, xi))
+        U0, b0, blocks, _, _ = params = _unpack(self.arch, xi)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "theta_table", (np.stack([U0] + [Ug for _, _, Ug, _ in blocks]),
+                                                 np.stack([b0] + [bg for _, _, _, bg in blocks])))
 
     def __call__(self, theta: np.ndarray) -> np.ndarray:
         return forward(self, theta)
-
-    @cached_property
-    def theta_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """The layers that read theta, stacked for forward: [U_0, Ubar_1, ...]
-        of shape (depth, width, input_dim) and [b_0, bbar_1, ...] of shape
-        (depth, width). Built on the first forward call, so a net that only
-        trains never builds it."""
-        U0, b0, blocks, _, _ = self.params
-        return np.stack([U0] + [Ug for _, _, Ug, _ in blocks]), np.stack([b0] + [bg for _, _, _, bg in blocks])
 
 
 def init_control_params(arch: ControlArch, seed: int) -> np.ndarray:
@@ -140,51 +132,43 @@ def init_control_params(arch: ControlArch, seed: int) -> np.ndarray:
 
 def _forward_cached(net: ControlNet, TH: np.ndarray):
     """(out, cache): V at the rows of TH and what every derivative reuses,
-    cache = (TH, H0 the first tanh, per block (H_in, R, Phi(R), gate, T),
-    H_last)."""
-    U0, b0, blocks, W_out, b_out = net.params
-    H0 = H = np.tanh(TH @ U0.T + b0)
+    cache = (TH, H0 the first tanh, R, Phi(R), gate = R Phi(R), per block
+    (H_in, T), H_last), with R, Phi(R) and gate stacked over the blocks as
+    (depth-1, n, width) arrays.
+
+    One stacked theta_table product gives the first pre-activation and every
+    gate's; one elementwise pass turns the gate rows into Phi(R)."""
+    table, biases = net.theta_table
+    _, _, blocks, W_out, b_out = net.params
+    A = np.matmul(TH, table.transpose(0, 2, 1))  # one (n, width) product per layer
+    A += biases[:, None, :]
+    H0 = H = np.tanh(A[0], out=A[0])
+    R = A[1:]
+    cdf = R / _SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    gates = cdf * R
     layers = []
-    for U, b, Ug, bg in blocks:
-        R = TH @ Ug.T + bg
-        cdf = _norm_cdf(R)
-        gate = R * cdf
-        T = np.tanh(H @ U.T + b)
-        layers.append((H, R, cdf, gate, T))
+    for (U, b, _, _), gate in zip(blocks, gates):
+        T = H @ U.T
+        T += b
+        np.tanh(T, out=T)
+        layers.append((H, T))
         H = H + gate * T
-    return H @ W_out.T + b_out, (TH, H0, layers, H)
+    out = H @ W_out.T
+    out += b_out
+    return out, (TH, H0, R, cdf, gates, layers, H)
 
 
 def forward(net: ControlNet, theta) -> np.ndarray:
-    """V(theta); accepts a single vector (m,) or a batch (n, m).
-
-    One pass with no cache: the stacked theta_table product gives the first
-    pre-activation and every gate's, one elementwise pass turns the gate
-    rows into GeLU values, and each block updates the state H in place."""
+    """V(theta); accepts a single vector (m,) or a batch (n, m)."""
     th = np.asarray(theta, dtype=np.float64)
     single = th.ndim == 1
     TH = th[None, :] if single else th
     if TH.shape[1] != net.arch.input_dim:
         raise ValueError("theta dimension does not match the control net")
-    table, biases = net.theta_table
-    _, _, blocks, W_out, b_out = net.params
-    A = np.matmul(TH, table.transpose(0, 2, 1))  # one (n, width) product per layer
-    A += biases[:, None, :]
-    H = np.tanh(A[0], out=A[0])
-    R = A[1:]
-    gates = R / _SQRT2
-    erf(gates, out=gates)
-    gates += 1.0
-    gates *= 0.5
-    gates *= R
-    for (U, b, _, _), gate in zip(blocks, gates):
-        T = H @ U.T
-        T += b
-        np.tanh(T, out=T)
-        T *= gate
-        H += T
-    out = H @ W_out.T
-    out += b_out
+    out = _forward_cached(net, TH)[0]
     if not np.isfinite(out).all():
         raise NonFiniteError("control field evaluation overflowed")
     return out[0] if single else out
@@ -195,24 +179,26 @@ def _reverse(net: ControlNet, cache, dout: np.ndarray):
     cotangents of the first pre-activation and of each block's tanh (S) and
     gate (R) pre-activations."""
     _, _, blocks, W_out, _ = net.params
-    _, H0, layers, _ = cache
+    _, H0, R, cdf, gates, layers, _ = cache
     dH = dout @ W_out
     per_block = [None] * len(layers)
+    # GeLU' block by block: over all of R at once its temporaries reach
+    # megabytes at training batch sizes, which made a heat1d training step
+    # ~18% slower on a 2-vCPU host
     for k in range(len(layers) - 1, -1, -1):
-        U = blocks[k][0]
-        _, R, cdf, gate, T = layers[k]
-        dS = dH * gate * (1.0 - T * T)
-        per_block[k] = (dS, dH * T * _gelu_deriv(R, cdf))
-        dH = dH + dS @ U
+        T = layers[k][1]
+        dS = dH * gates[k] * (1.0 - T * T)
+        per_block[k] = (dS, dH * T * _gelu_deriv(R[k], cdf[k]))
+        dH = dH + dS @ blocks[k][0]
     return dH * (1.0 - H0**2), per_block
 
 
 def _backward_xi(net: ControlNet, cache, dout: np.ndarray) -> np.ndarray:
     """Gradient of sum(dout * out) with respect to the flat xi."""
-    TH, _, layers, H_last = cache
+    TH, *_, layers, H_last = cache
     dA0, per_block = _reverse(net, cache, dout)
     parts = [dA0.T @ TH, dA0.sum(axis=0)]
-    for (H_in, *_), (dS, dR) in zip(layers, per_block):
+    for (H_in, _), (dS, dR) in zip(layers, per_block):
         parts += [dS.T @ H_in, dS.sum(axis=0), dR.T @ TH, dR.sum(axis=0)]
     parts += [dout.T @ H_last, dout.sum(axis=0)]
     return _join(parts, _layout(net.arch))
@@ -221,10 +207,10 @@ def _backward_xi(net: ControlNet, cache, dout: np.ndarray) -> np.ndarray:
 def _jvp(net: ControlNet, cache, v: np.ndarray) -> np.ndarray:
     """Directional derivative (d/ds) V(theta + s v) at s=0, batched."""
     U0, _, blocks, W_out, _ = net.params
-    _, H0, layers, _ = cache
+    _, H0, R, cdf, gates, layers, _ = cache
     Hd = (1.0 - H0 * H0) * (v @ U0.T)
-    for (U, _, Ug, _), (_, R, cdf, gate, T) in zip(blocks, layers):
-        gate_d = _gelu_deriv(R, cdf) * (v @ Ug.T)
+    for (U, _, Ug, _), R_k, cdf_k, gate, (_, T) in zip(blocks, R, cdf, gates, layers):
+        gate_d = _gelu_deriv(R_k, cdf_k) * (v @ Ug.T)
         Td = (1.0 - T * T) * (Hd @ U.T)
         Hd = Hd + gate_d * T + gate * Td
     return Hd @ W_out.T

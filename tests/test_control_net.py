@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from pdecontrol import assembly, binfile, config, control_net as cn, evolve, pde_ops, rom
 from pdecontrol.errors import CacheMismatch, NonFiniteError
@@ -22,12 +23,16 @@ def make_net(arch, seed=0, jitter=0.0, rng=None):
     return cn.ControlNet(arch, xi)
 
 
+def _norm_cdf(x):
+    return 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+
+
 def gelu(x):
-    return x * cn._norm_cdf(x)
+    return x * _norm_cdf(x)
 
 
 def gelu_deriv(x):
-    return cn._gelu_deriv(x, cn._norm_cdf(x))
+    return cn._gelu_deriv(x, _norm_cdf(x))
 
 
 def test_gelu_values():
@@ -355,6 +360,22 @@ def _reference_forward(arch, xi, TH):
     return H @ W_out.T + b_out
 
 
+def _reference_forward_cached(arch, xi, TH):
+    # the cached pass written layer by layer, one product per layer:
+    # (out, (TH, H0, per block (H_in, R, Phi(R), gate, T), H_last))
+    U0, b0, blocks, W_out, b_out = cn._unpack(arch, xi.copy())
+    H0 = H = np.tanh(TH @ U0.T + b0)
+    layers = []
+    for U, b, Ug, bg in blocks:
+        R = TH @ Ug.T + bg
+        cdf = _norm_cdf(R)
+        gate = R * cdf
+        T = np.tanh(H @ U.T + b)
+        layers.append((H, R, cdf, gate, T))
+        H = H + gate * T
+    return H @ W_out.T + b_out, (TH, H0, layers, H)
+
+
 def test_forward_and_train_bit_identical(tmp_path, small_arch, rng):
     net = make_net(small_arch, jitter=0.3, rng=rng)
     TH = rng.uniform(-1, 1, (7, 4))
@@ -389,6 +410,16 @@ def test_forward_kernel_matches_the_layer_formula_on_a_grid_of_shapes(depth, wid
     TH = rng.uniform(-1, 1, (5, m))
     assert cn.forward(net, TH).tobytes() == _reference_forward(arch, net.xi, TH).tobytes()
     assert cn.forward(net, TH[3]).tobytes() == _reference_forward(arch, net.xi, TH[3:4])[0].tobytes()
+    # every cache entry that _reverse, _backward_xi, _jvp and _vjp read
+    for rows in (TH, TH[3:4]):
+        out, (TH_c, H0, R, cdf, gates, layers, H_last) = cn._forward_cached(net, rows)
+        ref_out, (ref_TH, ref_H0, ref_layers, ref_H_last) = _reference_forward_cached(arch, net.xi, rows)
+        assert R.shape == cdf.shape == gates.shape == (depth - 1, rows.shape[0], width)
+        got = [out, TH_c, H0, H_last]
+        for (H_in, T), R_k, cdf_k, gate_k in zip(layers, R, cdf, gates):
+            got += [H_in, R_k, cdf_k, gate_k, T]
+        want = [ref_out, ref_TH, ref_H0, ref_H_last] + [a for layer in ref_layers for a in layer]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 def test_rk4_solve_on_the_kernel_equals_a_solve_on_the_layer_formula(rng):
@@ -398,19 +429,6 @@ def test_rk4_solve_on_the_kernel_equals_a_solve_on_the_layer_formula(rng):
     kernel = evolve.solve_ivp(net, theta0, 0.5, 40)
     oracle = evolve.solve_ivp(lambda th: _reference_forward(arch, net.xi, th[None, :])[0], theta0, 0.5, 40)
     assert kernel.thetas.tobytes() == oracle.thetas.tobytes()
-
-
-def test_training_never_builds_the_theta_table(small_arch, rng, monkeypatch):
-    # train makes a net per step; only forward needs the stacked table
-    built = []
-    table = cn.ControlNet.theta_table
-    monkeypatch.setattr(cn.ControlNet, "theta_table", property(lambda net: built.append(1) or table.func(net)))
-    gram, pairs = _joint_batches(rng)
-    trained, _ = cn.train(make_net(small_arch), gram, pairs, lr=1e-3, zeta=0.1, batch_size=0, stop_loss=0.0,
-                          max_steps=3, seed=0)
-    assert built == []
-    cn.forward(trained, gram[0])
-    assert built == [1]
 
 
 def test_loss_history_resume_rejects_a_torn_row_and_writes_whole(tmp_path, monkeypatch):

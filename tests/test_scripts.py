@@ -39,3 +39,14 @@ def test_run_preset_runs_the_whole_schedule_and_verifies(tmp_path, monkeypatch):
     assert json.loads((out / "report.json").read_text())["totals"]["passed"]
     assert len(cn.read_loss_history(out / "curves" / "loss_history.bin")) == 20
     assert sorted(p.name for p in (out / "curves").glob("errors_*.bin")) == ["errors_000.bin", "errors_001.bin"]
+
+
+@pytest.mark.parametrize("n_eval", [0, -1, HEAT_CFG["initials"]["count"] + 1])
+def test_run_preset_rejects_eval_anchors_outside_the_store_before_any_command(n_eval, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(HEAT_CFG))
+    out = tmp_path / "out"
+    argv = ["--config", str(path), "--out", str(out), "--eval-anchors", str(n_eval)]
+    assert _load("run_preset.py", monkeypatch).main(argv) == 2
+    assert not out.exists()
+    assert f"1..{HEAT_CFG['initials']['count']}" in capsys.readouterr().err
