@@ -19,9 +19,9 @@ import numpy as np
 
 from . import binfile, pde_ops, rom
 from .errors import CacheMismatch, MissingArtifact, NonFiniteError
-from .sampling import sample_omega
+from .sampling import Purpose, sample_omega
 
-CACHE_FORMAT_VERSION = 4
+CACHE_FORMAT_VERSION = 5
 
 
 @dataclass
@@ -79,18 +79,19 @@ def assemble_at(
     op: pde_ops.PdeOperator,
     n_x: int,
     seed: int,
-    stream: int,
+    purpose: Purpose,
+    index: int,
 ) -> GramRecord:
     """Assemble at one parameter point over the arch's box: a linear basis
     (1-D) at n_x Gauss-Legendre nodes, whose weights integrate the uniform
-    density, so the record is exact; a net at a stream-split Monte-Carlo
-    sample of n_x points."""
+    density, so the record is exact; a net at a Monte-Carlo sample of n_x
+    points drawn for (purpose, index)."""
     model = rom.RomModel(arch, theta)
     if arch.kind == rom.LINEAR_BASIS:
         (lo,), (hi,) = arch.lo, arch.hi
         x, w = _leggauss(n_x)
         return assemble(model, op, (0.5 * (hi - lo) * (x + 1.0) + lo)[:, None], weights=0.5 * w)
-    return assemble(model, op, sample_omega(arch.domain, n_x, seed, stream=stream))
+    return assemble(model, op, sample_omega(arch.domain, n_x, seed, purpose, index))
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +201,8 @@ def assemble_batch(
 
     Resumable: finished records whose header and theta match are kept (the
     file is extended, not rewritten) and a torn final record is cut off and
-    recomputed. Per-record sample streams depend only on (seed, index), so
-    reruns and resumed runs produce byte-identical files.
+    recomputed. Record index draws its points for (Purpose.GRAM_POINTS,
+    index) alone, so reruns and resumed runs produce byte-identical files.
     Non-finite records are stored as skipped; returns summary stats.
     """
     header = cache_header(arch, op, n_x, seed)
@@ -221,7 +222,7 @@ def assemble_batch(
             fh.write(binfile.encode_header(header))
         for index in todo:
             try:
-                rec = assemble_at(arch, thetas[index], op, n_x, seed, stream=index + 1)
+                rec = assemble_at(arch, thetas[index], op, n_x, seed, Purpose.GRAM_POINTS, index)
             except NonFiniteError:
                 rec = None
                 skipped += 1

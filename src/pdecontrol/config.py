@@ -144,7 +144,8 @@ SCHEMA = {
             },
             "additionalProperties": False,
         },
-        "seed": {"type": "integer", "minimum": 0},
+        # a Philox key word holds 64 bits; the cap leaves room for the fit seeds seed + 1000 + k
+        "seed": {"type": "integer", "minimum": 0, "maximum": 2**63 - 1},
         # ignored: benchmark configs still carry it
         "threads": {"type": "integer", "minimum": 1},
         "notes": {"type": "string"},

@@ -35,9 +35,9 @@ from . import binfile
 from .errors import CacheMismatch, NonFiniteError
 from .optim import Adam
 from .rom import _join, _size, _split_flat
-from .sampling import rng_for
+from .sampling import Purpose, rng_for
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -113,7 +113,7 @@ class ControlNet:
 
 def init_control_params(arch: ControlArch, seed: int) -> np.ndarray:
     """Fan-in uniform hidden weights, zero biases, zero output layer."""
-    rng = rng_for(seed, stream=1)
+    rng = rng_for(seed, Purpose.CONTROL_INIT)
     m, w = arch.input_dim, arch.width
     chunks = [rng.uniform(-1, 1, w * m) * np.sqrt(1.0 / m), np.zeros(w)]
     for _ in range(arch.n_blocks):
@@ -238,7 +238,7 @@ def field_stats(net: ControlNet, points: np.ndarray, seed: int, n_probe_iters: i
     if not np.all(np.isfinite(out)):
         raise NonFiniteError("control field evaluation overflowed")
     m_v = float(np.linalg.norm(out, axis=1).max())
-    v = rng_for(seed, stream=3).standard_normal(TH.shape)
+    v = rng_for(seed, Purpose.FIELD_STATS).standard_normal(TH.shape)
     v /= np.maximum(np.linalg.norm(v, axis=1, keepdims=True), 1e-300)
     sigma = np.zeros(TH.shape[0])
     for _ in range(n_probe_iters):
@@ -332,7 +332,7 @@ def train(
     net and the per-step history (step, l1, l2, l_total).
     """
     m = net.arch.input_dim
-    rng = rng_for(seed, stream=2)
+    rng = rng_for(seed, Purpose.BATCHES)
     grams = pairs = None
     if gram is not None:
         if gram[0].shape[1] != m:

@@ -17,9 +17,9 @@ import numpy as np
 
 from . import assembly, binfile, linalg, pde_ops, rom
 from .errors import NonFiniteError
-from .sampling import ThetaSpace
+from .sampling import Purpose, ThetaSpace
 
-TRAJ_FORMAT_VERSION = 5
+TRAJ_FORMAT_VERSION = 6
 GUARD_DIAMETER_FACTOR = 10.0
 
 
@@ -49,11 +49,12 @@ def gen_trajectory(
     h: float,
     n_x: int,
     seed: int,
-    stream_base: int = 0,
+    index: int = 0,
 ) -> ParamTrajectory:
     """Euler march theta_{j+1} = theta_j + h v_j with v_j the ridge solve
     (scale-aware default ridge) of the projection system assembled at
-    theta_j over the arch's box.
+    theta_j over the arch's box, at points drawn for (Purpose.MARCH_POINTS,
+    index (n_t + 1) + j), index the trajectory's place in its plan.
 
     Velocities are stored at every grid point (the final state included) so
     the pairs feed the trajectory loss directly.
@@ -70,7 +71,7 @@ def gen_trajectory(
     count = 0
     for j in range(n_t + 1):
         try:
-            rec = assembly.assemble_at(arch, theta, op, n_x, seed, stream=stream_base + j)
+            rec = assembly.assemble_at(arch, theta, op, n_x, seed, Purpose.MARCH_POINTS, index * (n_t + 1) + j)
             v = linalg.ridge_solve(rec.gram, rec.rhs, linalg.default_ridge_lambda(rec.gram))
         except NonFiniteError:
             blowup = j

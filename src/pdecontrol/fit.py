@@ -19,10 +19,7 @@ import numpy as np
 from . import binfile, rom
 from .errors import ConfigError
 from .optim import Adam
-from .sampling import sample_omega
-
-HOLDOUT_STREAM = 101
-TRAIN_STREAM = 100
+from .sampling import Purpose, sample_omega
 
 
 @dataclass(frozen=True)
@@ -119,9 +116,9 @@ def fit_initial(
     theta_init, if given, replaces rom.init_params(arch, seed) as the start
     (the pipeline never passes it). target_reached says whether the
     training RMSE is within eps0_target; rmse is the held-out RMSE on a
-    disjoint sample (stream-split from the same seed).
+    disjoint sample, drawn under the same seed for Purpose.FIT_HOLDOUT.
     """
-    X = sample_omega(arch.domain, n_x, seed, stream=TRAIN_STREAM)
+    X = sample_omega(arch.domain, n_x, seed, Purpose.FIT_SAMPLE)
     g_train = eval_initial(spec, X)
     if arch.kind == rom.LINEAR_BASIS:
         zero = rom.RomModel(arch, np.zeros(rom.param_count(arch)))
@@ -133,7 +130,7 @@ def fit_initial(
         theta = rom.init_params(arch, seed) if theta_init is None else np.array(theta_init, dtype=np.float64)
         best_theta, best_mse, steps_done = _adam_fit(arch, X, g_train, theta, eps0_target, lr, max_steps)
 
-    holdout = sample_omega(arch.domain, n_x, seed, stream=HOLDOUT_STREAM)
+    holdout = sample_omega(arch.domain, n_x, seed, Purpose.FIT_HOLDOUT)
     model = rom.RomModel(arch, best_theta)
     res_h = rom.eval_batch(model, holdout, rom.EvalFlags(value=True)).value - eval_initial(spec, holdout)
     rmse_h = float(np.sqrt(np.mean(res_h * res_h)))
@@ -172,7 +169,7 @@ def _adam_fit(arch, X, g_train, theta, eps0_target, lr, max_steps) -> tuple[np.n
 # ---------------------------------------------------------------------------
 # anchor store
 
-ANCHOR_FORMAT_VERSION = 3
+ANCHOR_FORMAT_VERSION = 4
 
 
 def save_anchors(path, header: dict, entries: list[tuple[InitialSpec | None, np.ndarray, float]]) -> None:

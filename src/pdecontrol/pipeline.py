@@ -18,7 +18,7 @@ import numpy as np
 from . import assembly, binfile, control_net as cn, evolve, fit, pde_ops, reference, rom
 from .config import RunConfig, check_stage
 from .errors import CacheMismatch, ConfigError, MissingArtifact, NonFiniteError
-from .sampling import AnchorBalls, rng_for, sample_theta
+from .sampling import AnchorBalls, Purpose, rng_for, sample_theta
 
 SOLUTION_FORMAT_VERSION = 4
 CURVE_FORMAT_VERSION = 1
@@ -40,7 +40,7 @@ def sample_initial_specs(cfg: RunConfig) -> list[fit.InitialSpec]:
     """Draw initial-condition specs from the fitted problem kind's family:
     heat heat_combo, allen_cahn cheb_combo."""
     n = cfg.raw["initials"]["count"]
-    rng = rng_for(cfg.seed, stream=60)
+    rng = rng_for(cfg.seed, Purpose.INITIAL_SPECS)
     specs: list[fit.InitialSpec] = []
     if cfg.raw["problem"]["kind"] == "heat":
         for _ in range(n):
@@ -70,18 +70,17 @@ def sample_initial_specs(cfg: RunConfig) -> list[fit.InitialSpec]:
 
 
 def cmd_fit_initial(cfg: RunConfig) -> list[dict]:
-    """Write the anchor store. A transport anchor is a point of the box
-    theta_space (config allows no other), drawn with its own seed from
-    stream 60 so a larger initials.count keeps the first rows; its initial is
-    the model there, so it has no spec and a fit RMSE of 0. The other kinds
-    fit theta0 to each initial spec."""
+    """Write the anchor store. The transport anchors are points of the box
+    theta_space (config allows no other), one sample_theta draw for
+    Purpose.ANCHORS, so a larger initials.count keeps the first rows (a
+    count of 0 writes an empty store); an anchor's initial is the model
+    there, so it has no spec and a fit RMSE of 0. The other kinds fit
+    theta0 to each initial spec, anchor k under seed + 1000 + k."""
     cfg.ensure_layout()
     ini = cfg.raw["initials"]
     if cfg.raw["problem"]["kind"] == "transport":
-        rng = rng_for(cfg.seed, stream=60)
-        space = cfg.theta_space()
-        entries = [(None, sample_theta(space, 1, int(rng.integers(0, 2**31 - 1)), stream=7)[0], 0.0)
-                   for _ in range(ini["count"])]
+        thetas = sample_theta(cfg.theta_space(), ini["count"], cfg.seed, Purpose.ANCHORS) if ini["count"] else []
+        entries = [(None, theta, 0.0) for theta in thetas]
     else:
         entries = []
         for k, spec in enumerate(sample_initial_specs(cfg)):
@@ -93,7 +92,7 @@ def cmd_fit_initial(cfg: RunConfig) -> list[dict]:
 
 
 def _gram_thetas(cfg: RunConfig) -> np.ndarray:
-    return sample_theta(cfg.theta_space(), cfg.raw["counts"]["n_theta"], cfg.seed, stream=40)
+    return sample_theta(cfg.theta_space(), cfg.raw["counts"]["n_theta"], cfg.seed, Purpose.GRAM_THETA)
 
 
 def _gram_header(cfg: RunConfig) -> dict:
@@ -125,7 +124,7 @@ def _traj_plan(cfg: RunConfig) -> tuple[dict, np.ndarray]:
         if isinstance(space, AnchorBalls):
             starts = space.anchors[np.arange(n_traj) % len(space.anchors)]
         else:
-            starts = sample_theta(space, n_traj, cfg.seed, stream=41)
+            starts = sample_theta(space, n_traj, cfg.seed, Purpose.TRAJ_STARTS)
     h = cfg.raw["problem"]["horizon"] / counts["n_t"]
     header = evolve.traj_cache_header(_gram_header(cfg), h, counts["n_t"], starts)
     return header, starts
@@ -139,7 +138,7 @@ def cmd_gen_trajectories(cfg: RunConfig) -> dict:
     blowups = 0
     for i in range(starts.shape[0]):
         traj = evolve.gen_trajectory(cfg.rom_arch, starts[i], cfg.operator, counts["n_t"], header["h"],
-                                     counts["n_x"], cfg.seed, stream_base=100_000 * (i + 1))
+                                     counts["n_x"], cfg.seed, index=i)
         blowups += int(traj.blowup_step is not None)
         trajs.append(traj)
     evolve.write_traj_cache(cfg.path("traj_cache"), header, trajs)
@@ -338,7 +337,7 @@ def cmd_eval(cfg: RunConfig, anchor_index: int = 0, n_x: int = EVAL_N_X, max_tim
     spec, _, theta0 = _anchor(cfg, anchor_index)
     traj = load_solution(cfg, anchor_index, theta0)
     ref = build_reference(cfg, anchor_index, spec, theta0)
-    curve = reference.error_curve(cfg.rom_arch, traj, ref, n_x, seed=cfg.seed + 17, max_times=max_times)
+    curve = reference.error_curve(cfg.rom_arch, traj, ref, n_x, seed=cfg.seed, max_times=max_times)
     path = cfg.path("errors", anchor_index)
     # rows (t, abs_err, rel_err), rel_err NaN where undefined
     binfile.save(path, {"format_version": CURVE_FORMAT_VERSION, "kind": "error_curve",

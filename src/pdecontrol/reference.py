@@ -22,7 +22,7 @@ from scipy.fft import dstn, idstn
 from . import binfile, fit, rom
 from .errors import PdeControlError
 from .evolve import ParamTrajectory
-from .sampling import sample_omega
+from .sampling import Purpose, sample_omega
 
 
 class OutOfDomain(PdeControlError):
@@ -222,7 +222,7 @@ def error_curve(
     run the value kernel on feature tables built once per curve."""
     lo, hi = arch.domain
     vol = float(np.prod(hi - lo))
-    X = sample_omega(arch.domain, n_x, seed, stream=11)
+    X = sample_omega(arch.domain, n_x, seed, Purpose.EVAL_POINTS)
 
     idx = np.arange(traj.times.shape[0])
     if max_times and idx.size > max_times:

@@ -59,7 +59,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import NonFiniteError
-from .sampling import rng_for
+from .sampling import Purpose, rng_for
 
 RESNET_ZERO_BOUNDARY = "resnet_zero_boundary"
 RESNET_PERIODIC = "resnet_periodic"
@@ -197,7 +197,7 @@ def init_params(arch: RomArch, seed: int) -> np.ndarray:
     Weights are drawn layer by layer in the flat layout order, so the result
     is deterministic per (arch, seed).
     """
-    rng = rng_for(seed, stream=0)
+    rng = rng_for(seed, Purpose.ROM_INIT)
     if arch.kind == LINEAR_BASIS:
         return rng.uniform(-1.0, 1.0, len(arch.basis_spec))
     din, w, L = arch.net_input_dim, arch.width, arch.depth

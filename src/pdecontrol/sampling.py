@@ -1,21 +1,53 @@
 """Deterministic sampling of spatial points and parameter points.
 
-Streams are built on the counter-based Philox generator keyed by
-(seed, stream): any record's sample set is reproducible from the pair alone,
-so a resumed assembly writes the same bytes as a fresh one.
+Every random draw of a run comes from rng_for(seed, purpose, index), a
+counter-based Philox generator keyed by (seed, purpose * 2**32 + index), so
+no two purposes share a stream and a resumed assembly writes the same bytes
+as a fresh one (Salmon et al., "Parallel random numbers", SC 2011).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import IntEnum
 
 import numpy as np
 
 
-def rng_for(seed: int, stream: int = 0) -> np.random.Generator:
-    """Generator for an independent stream derived from (seed, stream)."""
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(stream & 0xFFFFFFFFFFFFFFFF)])
-    return np.random.Generator(np.random.Philox(key=key))
+class Purpose(IntEnum):
+    """What a random draw is for, one member per use; where a use draws more
+    than once, the comment says what its index counts. The values are
+    frozen, like the flat parameter layouts: renumbering one changes every
+    artifact it drew."""
+
+    ROM_INIT = 0  # rom.init_params
+    CONTROL_INIT = 1  # control_net.init_control_params
+    BATCHES = 2  # control_net.train's minibatch order
+    FIELD_STATS = 3  # control_net.field_stats's probe vectors
+    GRAM_THETA = 4  # the Gram cache's parameter points
+    GRAM_POINTS = 5  # Monte-Carlo points; index: the Gram record
+    TRAJ_STARTS = 6  # trajectory starts in a box theta_space
+    MARCH_POINTS = 7  # Monte-Carlo points; index: i (n_t + 1) + j for state j of trajectory i
+    INITIAL_SPECS = 8  # the initial specs of heat and Allen-Cahn anchors
+    ANCHORS = 9  # the transport anchors, box points
+    FIT_SAMPLE = 10  # fit.fit_initial's training points
+    FIT_HOLDOUT = 11  # fit.fit_initial's hold-out points
+    EVAL_POINTS = 12  # reference.error_curve's points
+
+
+def stream_key(purpose: Purpose, index) -> np.ndarray:
+    """Philox's second key word, purpose * 2**32 + index, for an index or an array of them."""
+    index = np.asarray(index)
+    if type(purpose) is not Purpose or index.dtype.kind not in "iu" or not np.all((index >= 0) & (index < 2**32)):
+        raise ValueError(f"need a sampling.Purpose and an integer index in [0, 2**32), got {purpose!r}, {index}")
+    return (int(purpose) << 32) + index.astype(np.uint64)
+
+
+def rng_for(seed: int, purpose: Purpose, index: int = 0) -> np.random.Generator:
+    """Generator of the draws of (purpose, index) under a seed in [0, 2**64)."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream_key(purpose, index)], dtype=np.uint64)))
 
 
 @dataclass(frozen=True)
@@ -74,7 +106,7 @@ class AnchorBalls:
 ThetaSpace = Box | AnchorBalls
 
 
-def sample_omega(domain, n: int, seed: int, stream: int = 0) -> np.ndarray:
+def sample_omega(domain, n: int, seed: int, purpose: Purpose, index: int = 0) -> np.ndarray:
     """(n, dim) i.i.d. uniform points strictly inside an axis-aligned box.
 
     domain is (lo, hi) with lo/hi arrays of equal length.
@@ -83,14 +115,14 @@ def sample_omega(domain, n: int, seed: int, stream: int = 0) -> np.ndarray:
         raise ValueError("n must be >= 1")
     lo = np.asarray(domain[0], dtype=np.float64)
     hi = np.asarray(domain[1], dtype=np.float64)
-    rng = rng_for(seed, stream)
+    rng = rng_for(seed, purpose, index)
     u = rng.random((n, lo.shape[0]))
     return lo + (hi - lo) * u
 
 
-def sample_theta(space: ThetaSpace, n: int, seed: int, stream: int = 0) -> np.ndarray:
+def sample_theta(space: ThetaSpace, n: int, seed: int, purpose: Purpose) -> np.ndarray:
     """(n, dim) parameter points from a Box or AnchorBalls space. Point i
-    depends only on (seed, stream, i), so a larger n extends a smaller one.
+    depends only on (seed, purpose, i), so a larger n extends a smaller one.
 
     Box: uniform per coordinate in [-w, w].
     AnchorBalls: per point in turn, an anchor chosen uniformly and an offset
@@ -99,7 +131,7 @@ def sample_theta(space: ThetaSpace, n: int, seed: int, stream: int = 0) -> np.nd
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = rng_for(seed, stream)
+    rng = rng_for(seed, purpose)
     if isinstance(space, Box):
         return rng.uniform(-space.half_width, space.half_width, (n, space.dim))
     m = space.dim

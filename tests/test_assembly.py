@@ -5,7 +5,7 @@ import pytest
 
 from pdecontrol import assembly, linalg, pde_ops, rom
 from pdecontrol.errors import CacheMismatch, MissingArtifact, PdeControlError
-from pdecontrol.sampling import Box, sample_omega, sample_theta
+from pdecontrol.sampling import Box, Purpose, sample_omega, sample_theta
 
 from conftest import fourier_sine_arch
 
@@ -43,7 +43,7 @@ def gd_projection_field(record: assembly.GramRecord, n_steps: int, h: float) -> 
 def test_fourier_gram_is_identity():
     arch = fourier_sine_arch(4)
     rec = assembly.assemble_at(
-        arch, np.array([0.3, -0.2, 0.9, 0.0]), pde_ops.Heat(), 96, 0, stream=0
+        arch, np.array([0.3, -0.2, 0.9, 0.0]), pde_ops.Heat(), 96, 0, Purpose.GRAM_POINTS, 0
     )
     assert np.abs(rec.gram - np.eye(4)).max() < 1e-10
 
@@ -52,8 +52,8 @@ def test_net_gram_is_the_mean_outer_product_at_its_points(rng):
     # a net's G is no identity: it is mean g g^T over the record's own Monte-Carlo points
     arch = rom.RomArch("resnet_zero_boundary", 1, 4, 2, "tanh")
     theta = rom.init_params(arch, 0) + 0.3 * rng.standard_normal(rom.param_count(arch))
-    rec = assembly.assemble_at(arch, theta, pde_ops.Heat(), 64, 7, stream=3)
-    X = sample_omega(arch.domain, 64, 7, stream=3)
+    rec = assembly.assemble_at(arch, theta, pde_ops.Heat(), 64, 7, Purpose.GRAM_POINTS, 3)
+    X = sample_omega(arch.domain, 64, 7, Purpose.GRAM_POINTS, 3)
     ev = rom.eval_batch(rom.RomModel(arch, theta), X, rom.EvalFlags(laplacian=True, grad_theta=True))
     gt = ev.grad_theta
     assert np.allclose(rec.gram, gt.T @ gt / 64, rtol=1e-12, atol=1e-15)
@@ -64,14 +64,14 @@ def test_net_gram_is_the_mean_outer_product_at_its_points(rng):
 def test_heat_rhs_eigenmode():
     arch = fourier_sine_arch(4)
     theta = np.array([1.0, 0.0, 0.0, 0.0])
-    rec = assembly.assemble_at(arch, theta, pde_ops.Heat(), 96, 0, stream=0)
+    rec = assembly.assemble_at(arch, theta, pde_ops.Heat(), 96, 0, Purpose.GRAM_POINTS, 0)
     assert np.allclose(rec.rhs, [-np.pi**2, 0.0, 0.0, 0.0], atol=1e-10)
 
 
 def test_gram_exactly_symmetric_and_psd(rng, unit_interval):
     arch = rom.RomArch("resnet_zero_boundary", 1, 5, 2, "tanh")
     theta = rom.init_params(arch, 0) + 0.3 * rng.standard_normal(rom.param_count(arch))
-    xs = sample_omega(unit_interval, 64, seed=4)
+    xs = sample_omega(unit_interval, 64, seed=4, purpose=Purpose.GRAM_POINTS)
     rec = assembly.assemble(rom.RomModel(arch, theta), pde_ops.Heat(), xs)
     assert np.array_equal(rec.gram, rec.gram.T)
     for _ in range(20):
@@ -87,7 +87,7 @@ def test_monte_carlo_consistency_rate(unit_interval):
     for n_x in (250, 1000, 4000):
         trials = []
         for seed in range(8):
-            xs = sample_omega(unit_interval, n_x, seed=seed)
+            xs = sample_omega(unit_interval, n_x, seed=seed, purpose=Purpose.GRAM_POINTS)
             rec = assembly.assemble(rom.RomModel(arch, theta), pde_ops.Heat(), xs)
             trials.append(np.abs(rec.gram - np.eye(4)).max())
         errs.append(np.mean(trials))
@@ -98,7 +98,7 @@ def test_monte_carlo_consistency_rate(unit_interval):
 
 def test_cache_resume_determinism(tmp_path):
     arch = rom.RomArch("resnet_zero_boundary", 1, 4, 2, "tanh")
-    thetas = sample_theta(Box(1.0, rom.param_count(arch)), 10, seed=1)
+    thetas = sample_theta(Box(1.0, rom.param_count(arch)), 10, seed=1, purpose=Purpose.GRAM_THETA)
     p1 = tmp_path / "cache1.bin"
     stats = assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 7, p1)
     assert stats["computed"] == 10
@@ -122,7 +122,7 @@ def test_cache_resume_determinism(tmp_path):
 
 def test_cache_header_mismatch(tmp_path):
     arch = fourier_sine_arch(3)
-    thetas = sample_theta(Box(1.0, 3), 2, seed=0)
+    thetas = sample_theta(Box(1.0, 3), 2, seed=0, purpose=Purpose.GRAM_THETA)
     path = tmp_path / "c.bin"
     assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 16, 0, path)
     with pytest.raises(CacheMismatch):
@@ -134,7 +134,7 @@ def test_cache_header_mismatch(tmp_path):
 
 def test_empty_batch_cache(tmp_path):
     arch = fourier_sine_arch(2)
-    empty = sample_theta(Box(1.0, 2), 1, seed=0)[:0]
+    empty = sample_theta(Box(1.0, 2), 1, seed=0, purpose=Purpose.GRAM_THETA)[:0]
     path = tmp_path / "empty.bin"
     stats = assembly.assemble_batch(arch, empty, pde_ops.Heat(), 16, 0, path)
     assert stats["total"] == 0
@@ -146,7 +146,7 @@ def test_empty_batch_cache(tmp_path):
 def test_nonfinite_records_skipped(tmp_path):
     # sine coefficients of 1e300 overflow in the Allen-Cahn term u^3, so F and p go non-finite
     arch = fourier_sine_arch(2)
-    thetas = sample_theta(Box(1.0, 2), 3, seed=0)
+    thetas = sample_theta(Box(1.0, 2), 3, seed=0, purpose=Purpose.GRAM_THETA)
     thetas[1] = np.array([1e300, 1e300])
     path = tmp_path / "skip.bin"
     with np.errstate(over="ignore", invalid="ignore"):
@@ -160,7 +160,7 @@ def test_nonfinite_records_skipped(tmp_path):
 
 def _small_cache(tmp_path, n=6, name="c.bin", half_width=1.0):
     arch = rom.RomArch("resnet_zero_boundary", 1, 3, 2, "tanh")
-    thetas = sample_theta(Box(half_width, rom.param_count(arch)), n, seed=2)
+    thetas = sample_theta(Box(half_width, rom.param_count(arch)), n, seed=2, purpose=Purpose.GRAM_THETA)
     path = tmp_path / name
     stats = assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 24, 5, path)
     return arch, thetas, path, stats
@@ -182,7 +182,7 @@ def test_cache_roundtrip_exact_and_mapped(tmp_path):
     assert header_bytes > 0 and header_bytes % 64 == 0
     assert cache.rows.tolist() == list(range(6))
     for i in range(6):
-        rec = assembly.assemble_at(arch, thetas[i], pde_ops.Heat(), 24, 5, stream=i + 1)
+        rec = assembly.assemble_at(arch, thetas[i], pde_ops.Heat(), 24, 5, Purpose.GRAM_POINTS, i)
         assert cache.theta[i].tobytes() == rec.theta.tobytes()
         assert cache.gram[i].tobytes() == rec.gram.tobytes()
         assert cache.rhs[i].tobytes() == rec.rhs.tobytes()
@@ -220,7 +220,7 @@ def test_read_cache_first_n_records(tmp_path):
     cache = assembly.read_cache(path, _small_header(arch), thetas[:4])
     assert cache.theta.shape[0] == 4 and cache.rows.tolist() == [0, 1, 2, 3]
     assert np.array_equal(cache.theta, thetas[:4])
-    more = sample_theta(Box(1.0, rom.param_count(arch)), 7, seed=2)
+    more = sample_theta(Box(1.0, rom.param_count(arch)), 7, seed=2, purpose=Purpose.GRAM_THETA)
     assert np.array_equal(more[:6], thetas)
     with pytest.raises(MissingArtifact):
         assembly.read_cache(path, _small_header(arch), more)
@@ -234,7 +234,7 @@ def test_old_json_cache_rejected(tmp_path):
     old = {"format_version": 1, "kind": "gram_cache", "arch_hash": rom.arch_hash(arch), "op_tag": "heat",
            "n_x": 16, "m": 2, "seed": 0}
     path.write_text(json.dumps(old) + "\n" + json.dumps({"index": 0, "theta": [0.1, 0.2]}) + "\n")
-    thetas = sample_theta(Box(1.0, 2), 2, seed=0)
+    thetas = sample_theta(Box(1.0, 2), 2, seed=0, purpose=Purpose.GRAM_THETA)
     with pytest.raises(CacheMismatch, match="rerun sample-gram"):
         assembly.read_cache(path, assembly.cache_header(arch, pde_ops.Heat(), 16, 0), thetas)
     with pytest.raises(CacheMismatch, match="rerun sample-gram"):

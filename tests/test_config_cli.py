@@ -104,6 +104,15 @@ def test_numbers_the_schema_let_through_are_config_errors(heat_config, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+def test_a_seed_past_2_63_is_a_config_error(heat_config, tmp_path, capsys):
+    # seed 2**64 + 5 used to load and draw exactly what seed 5 draws, while
+    # every artifact header recorded the seed it was given
+    assert cli.main(["verify", "--config", str(heat_config), "--out", str(tmp_path / "out"),
+                     "--seed", "18446744073709551621"]) == cli.EXIT_CONFIG
+    assert "config schema violation at seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_schema_errors_name_the_setting(heat_config, tmp_path, capsys):
     # the message used to be only "16.0 is not of type 'integer'", naming no key
     assert cli.main(["verify", "--config", str(heat_config), "--out", str(tmp_path / "out"),
@@ -482,24 +491,32 @@ def test_gen_trajectories_counts_blowups_and_writes_finished_rows(heat_config, t
 
 
 def test_caches_of_the_previous_formats_are_rejected(heat_config, tmp_path, capsys):
-    # format-3 Gram and format-4 trajectory caches recorded a quadrature
-    # setting that the ROM kind now decides: neither is read
+    # the draws of the anchor store, both caches and the checkpoint moved to
+    # keys named by purpose, so no file of an earlier format is read
     base = ["--config", str(heat_config), "--out", str(tmp_path / "out")]
-    for command in ("sample-gram", "gen-trajectories", "train-control"):
+    for command in ("fit-initial", "sample-gram", "gen-trajectories", "train-control"):
         assert cli.main([command, *base]) == 0
-    caches = tmp_path / "out" / "caches"
-    # train-control reads the Gram cache first, so the trajectory cache goes stale first
-    for name, kind, version, old, remedy in (
-        ("traj.bin", "traj_cache", evolve.TRAJ_FORMAT_VERSION, 4, "rerun gen-trajectories"),
-        ("gram.bin", "gram_cache", assembly.CACHE_FORMAT_VERSION, 3, "rerun sample-gram"),
+    out = tmp_path / "out"
+    # solve reads the checkpoint before the store, and train-control the Gram
+    # cache before the trajectory cache, so the later read goes stale first
+    for name, kind, version, olds, remedy, reader in (
+        ("caches/anchors.bin", "anchor_store", fit.ANCHOR_FORMAT_VERSION, [3], "rerun fit-initial", "solve"),
+        ("checkpoints/control.bin", "control_checkpoint", cn.FORMAT_VERSION, [4], "rerun train-control", "solve"),
+        ("caches/traj.bin", "traj_cache", evolve.TRAJ_FORMAT_VERSION, [5, 4], "rerun gen-trajectories",
+         "train-control"),
+        ("caches/gram.bin", "gram_cache", assembly.CACHE_FORMAT_VERSION, [4, 3], "rerun sample-gram", "train-control"),
     ):
-        path = caches / name
+        path = out / name
         header, offset = binfile.read_header(path, kind, version, "")
         data = path.read_bytes()[offset:]
-        path.write_bytes(binfile.encode_header(dict(header, format_version=old, quadrature="gauss")) + data)
-        assert cli.main(["train-control", *base]) == cli.EXIT_NUMERIC
-        err = capsys.readouterr().err
-        assert f"not a {kind} in format version {version}" in err and remedy in err
+        for old in olds:
+            # format-3 Gram and format-4 trajectory caches also recorded a
+            # quadrature setting that the ROM kind now decides
+            extra = {} if old == version - 1 else {"quadrature": "gauss"}
+            path.write_bytes(binfile.encode_header(dict(header, format_version=old, **extra)) + data)
+            assert cli.main([reader, *base]) == cli.EXIT_NUMERIC
+            err = capsys.readouterr().err
+            assert f"not a {kind} in format version {version}" in err and remedy in err
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in PRESETS.glob("*.json")))

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from pdecontrol import assembly, binfile, config, control_net as cn, evolve, pde_ops, rom
+from pdecontrol import assembly, binfile, config, control_net as cn, evolve, pde_ops, pipeline, rom
 from pdecontrol.errors import CacheMismatch, NonFiniteError
 from pdecontrol.optim import Adam
-from pdecontrol.sampling import Box, sample_theta
+from pdecontrol.sampling import Box, Purpose, sample_omega, sample_theta
 
 
 @pytest.fixture
@@ -82,7 +82,7 @@ def test_vjp_matches_jvp(small_arch, rng):
 
 def test_field_stats_zero_and_constant():
     space = Box(1.0, 3)
-    thetas = sample_theta(space, 64, seed=0)
+    thetas = sample_theta(space, 64, seed=0, purpose=Purpose.GRAM_THETA)
     arch = cn.ControlArch(input_dim=3, width=8, depth=2)
     xi = np.zeros(cn.control_param_count(arch))
     m_v, l_v = cn.field_stats(cn.ControlNet(arch, xi), thetas, seed=0)
@@ -98,7 +98,7 @@ def test_field_stats_linear_field(rng):
     A = rng.standard_normal((4, 4))
     sigma = np.linalg.svd(A, compute_uv=False)[0]
     space = Box(1.0, 4)
-    thetas = sample_theta(space, 128, seed=3)
+    thetas = sample_theta(space, 128, seed=3, purpose=Purpose.GRAM_THETA)
     # V(theta) = A tanh(eps theta) / eps: zero gates leave eta = tanh(eps
     # theta), so V = A theta + O(eps^2) with |V(theta)| <= ||A|| |theta|
     eps = 1e-3
@@ -116,7 +116,7 @@ def test_field_stats_on_control_net(rng):
     arch = cn.ControlArch(input_dim=3, width=8, depth=2)
     xi = cn.init_control_params(arch, 0) + 0.3 * rng.standard_normal(cn.control_param_count(arch))
     net = cn.ControlNet(arch, xi)
-    thetas = sample_theta(Box(1.0, 3), 64, seed=5)
+    thetas = sample_theta(Box(1.0, 3), 64, seed=5, purpose=Purpose.GRAM_THETA)
     m_v, l_v = cn.field_stats(net, thetas, seed=5)
     vals = cn.forward(net, thetas)
     assert m_v == pytest.approx(np.linalg.norm(vals, axis=1).max())
@@ -386,7 +386,7 @@ def test_forward_and_train_bit_identical(tmp_path, small_arch, rng):
     # stacked copies of those rows
     arch = rom.RomArch("resnet_zero_boundary", 1, 2, 2, "tanh")
     m = rom.param_count(arch)
-    thetas = sample_theta(Box(1.0, m), 12, seed=3)
+    thetas = sample_theta(Box(1.0, m), 12, seed=3, purpose=Purpose.GRAM_THETA)
     path = tmp_path / "gram.bin"
     assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 1, path)
     cache = assembly.read_cache(path, assembly.cache_header(arch, pde_ops.Heat(), 32, 1), thetas)
@@ -452,3 +452,23 @@ def test_loss_history_resume_rejects_a_torn_row_and_writes_whole(tmp_path, monke
     with pytest.raises(OSError, match="cut"):
         cn.save_loss_history([(1, 0.2, 0.1, 0.21)], path, cn.read_loss_history(path))
     assert path.read_bytes() == whole
+
+
+def test_initial_control_weights_are_not_drawn_from_gram_record_0s_points(tmp_path, monkeypatch):
+    # the control net's init and Gram record 0's Monte-Carlo points once
+    # shared one random stream, so the first-layer weights were
+    # sqrt(1/m) (2u - 1) of the record's uniforms u
+    cfg = config.load_config(os.path.join(os.path.dirname(__file__), "..", "configs", "transport_1d.json"),
+                             out_dir=str(tmp_path), overrides=["counts.n_theta=1", "counts.n_x=64"])
+    drawn = []
+
+    def spy(*args, **kwargs):
+        drawn.append(sample_omega(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(assembly, "sample_omega", spy)
+    pipeline.cmd_sample_gram(cfg)
+    lo, hi = cfg.rom_arch.domain
+    u = ((drawn[0] - lo) / (hi - lo)).ravel()
+    w0 = cn.init_control_params(cfg.control_arch, cfg.seed)[: u.size]
+    assert np.abs(w0 - np.sqrt(1.0 / cfg.control_arch.input_dim) * (2.0 * u - 1.0)).max() > 0.1

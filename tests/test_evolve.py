@@ -5,7 +5,7 @@ import pytest
 
 from pdecontrol import assembly, evolve, pde_ops
 from pdecontrol.errors import CacheMismatch
-from pdecontrol.sampling import AnchorBalls, Box, sample_theta
+from pdecontrol.sampling import AnchorBalls, Box, Purpose, sample_theta
 
 from conftest import fourier_sine_arch
 
@@ -39,7 +39,7 @@ def test_euler_discrete_bound():
     # (L_V M_V |Omega| h / 2)(e^{L_V t} - 1), with the exact constants of
     # V = -theta: M_V = max |theta|, L_V = 1, and |Omega| = 1
     field = lambda th: -th
-    m_v = float(np.abs(sample_theta(Box(1.0, 1), 512, seed=3)).max())
+    m_v = float(np.abs(sample_theta(Box(1.0, 1), 512, seed=3, purpose=Purpose.GRAM_THETA)).max())
     h, n = 0.05, 20
     euler = [np.array([1.0])]
     for _ in range(n):
@@ -181,8 +181,7 @@ def test_traj_cache_roundtrip(tmp_path):
     op = pde_ops.Heat()
     starts = np.array([[0.4, 0.1, 0.0]] * 2)
     trajs = [
-        evolve.gen_trajectory(arch, starts[i], op, 4, 0.01, 32, 0,
-                              stream_base=100 * i)
+        evolve.gen_trajectory(arch, starts[i], op, 4, 0.01, 32, 0, index=i)
         for i in range(2)
     ]
     path = tmp_path / "traj.bin"

@@ -3,10 +3,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pdecontrol import config, fit, linalg, pipeline, rom
+from pdecontrol import cli, config, fit, linalg, pipeline, rom
 from pdecontrol.optim import Adam
 from pdecontrol.errors import CacheMismatch
-from pdecontrol.sampling import rng_for, sample_omega, sample_theta
+from pdecontrol.sampling import Purpose, sample_omega, sample_theta
 
 from conftest import fourier_sine_arch
 
@@ -61,7 +61,7 @@ def test_fit_linear_basis_exact():
 
 def _normal_equations(arch, spec, n_x, seed):
     """The least-squares theta on fit_initial's training sample, by the normal equations."""
-    X = sample_omega(arch.domain, n_x, seed, stream=fit.TRAIN_STREAM)
+    X = sample_omega(arch.domain, n_x, seed, Purpose.FIT_SAMPLE)
     B = rom.eval_batch(rom.RomModel(arch, np.zeros(rom.param_count(arch))), X, rom.EvalFlags(grad_theta=True)).grad_theta
     theta = linalg.ridge_solve(B.T @ B / n_x, B.T @ fit.eval_initial(spec, X) / n_x, 0.0)
     res = B @ theta - fit.eval_initial(spec, X)
@@ -101,7 +101,7 @@ def test_fit_zero_target_zero_head(unit_interval):
     # zero the output weights: value is identically 0 = g
     W0, b0, blocks, w_out, _ = rom._unpack(arch, theta)
     w_out[:] = 0.0
-    X = sample_omega(unit_interval, 64, 0)
+    X = sample_omega(unit_interval, 64, 0, Purpose.FIT_SAMPLE)
     vals = rom.eval_batch(rom.RomModel(arch, theta), X, rom.EvalFlags(value=True)).value
     assert np.all(vals == 0.0)
     spec = fit.HeatCombo(np.zeros(4))
@@ -125,7 +125,7 @@ def test_fit_resnet_heat_initial_regression(unit_interval):
     assert total_steps <= 20_000
     assert res.rmse < 1e-3
     # no gross overfit at desk scale
-    X = sample_omega(unit_interval, 512, 5, stream=fit.TRAIN_STREAM)
+    X = sample_omega(unit_interval, 512, 5, Purpose.FIT_SAMPLE)
     u = rom.eval_batch(rom.RomModel(arch, res.theta), X, rom.EvalFlags(value=True)).value
     train_rmse = float(np.sqrt(np.mean((u - fit.eval_initial(spec, X)) ** 2)))
     assert res.rmse < 3.0 * max(train_rmse, 1e-12) + 1e-9
@@ -153,7 +153,7 @@ def _jacobian_adam_fit(arch, X, g, theta, eps0_target, lr, max_steps):
     rom.RomArch("resnet_periodic", 1, 6, 3, "tanh"),
 ])
 def test_adam_fit_on_the_pullback_lands_on_the_jacobian_path_fit(arch):
-    X = sample_omega(arch.domain, 512, 3, stream=fit.TRAIN_STREAM)
+    X = sample_omega(arch.domain, 512, 3, Purpose.FIT_SAMPLE)
     g = np.sin(np.pi * X).prod(axis=1)
     start = rom.init_params(arch, 3)
     theta, mse, steps = fit._adam_fit(arch, X, g, start, 0.0, 1e-2, 150)
@@ -164,8 +164,8 @@ def test_adam_fit_on_the_pullback_lands_on_the_jacobian_path_fit(arch):
 
 
 def test_fit_holdout_disjoint_from_training(unit_interval):
-    a = sample_omega(unit_interval, 128, 9, stream=fit.TRAIN_STREAM)
-    b = sample_omega(unit_interval, 128, 9, stream=fit.HOLDOUT_STREAM)
+    a = sample_omega(unit_interval, 128, 9, Purpose.FIT_SAMPLE)
+    b = sample_omega(unit_interval, 128, 9, Purpose.FIT_HOLDOUT)
     assert not np.array_equal(a, b)
 
 
@@ -179,7 +179,7 @@ def test_fit_target_not_reached_flag():
 
 def test_transport_anchors_are_box_points_drawn_per_seed(tmp_path):
     # a transport anchor is drawn, not fitted, and the store records no spec for it:
-    # anchor k is the stream-7 point of its own seed, the k-th draw of stream 60
+    # the anchors are one box draw for Purpose.ANCHORS, so a larger count keeps the prefix
     def store(out, count, seed):
         cfg = config.load_config(PRESETS / "transport_1d.json", out_dir=str(tmp_path / out), seed=seed,
                                  overrides=[f"initials.count={count}", "theta_space.half_width=0.5"])
@@ -189,13 +189,21 @@ def test_transport_anchors_are_box_points_drawn_per_seed(tmp_path):
         return cfg, thetas
 
     cfg, three = store("a", 3, 0)
-    rng = rng_for(0, stream=60)
-    drawn = [sample_theta(cfg.theta_space(), 1, int(rng.integers(0, 2**31 - 1)), stream=7)[0] for _ in range(3)]
-    assert three.tobytes() == np.array(drawn).tobytes() == store("b", 3, 0)[1].tobytes()
+    drawn = sample_theta(cfg.theta_space(), 3, 0, Purpose.ANCHORS)
+    assert three.tobytes() == drawn.tobytes() == store("b", 3, 0)[1].tobytes()
     five = store("c", 5, 0)[1]
     assert five[:3].tobytes() == three.tobytes() and len({row.tobytes() for row in five}) == 5
     assert np.abs(five).max() <= 0.5
     assert not np.array_equal(store("d", 3, 1)[1], three)
+
+
+def test_transport_fit_initial_with_no_initials_writes_an_empty_store(tmp_path):
+    # sample_theta takes n >= 1, so a count of 0 must not reach it
+    cfg = config.load_config(PRESETS / "transport_1d.json", out_dir=str(tmp_path), overrides=["initials.count=0"])
+    assert cli.main(["fit-initial", "--config", str(PRESETS / "transport_1d.json"), "--out", str(tmp_path),
+                     "--set", "initials.count=0"]) == 0
+    header, thetas = fit.load_anchors(cfg.path("anchors"), cfg.anchor_header())
+    assert thetas.shape == (0, rom.param_count(cfg.rom_arch)) and header["specs"] == [] and header["rmse"] == []
 
 
 def test_anchor_store_roundtrip(tmp_path):

@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 from pdecontrol import evolve, fit, reference, rom
 from pdecontrol.errors import CacheMismatch, NonFiniteError
 from pdecontrol.reference import OutOfDomain
-from pdecontrol.sampling import sample_omega
+from pdecontrol.sampling import Purpose, sample_omega
 
 from conftest import fourier_sine_arch
 
@@ -306,7 +306,7 @@ def _loop_eval_reference(ref, X, t):
 def _loop_error_curve(arch, traj, ref, n_x, seed, max_times=0):
     lo, hi = arch.domain
     vol = float(np.prod(hi - lo))
-    X = sample_omega(arch.domain, n_x, seed, stream=11)
+    X = sample_omega(arch.domain, n_x, seed, Purpose.EVAL_POINTS)
     idx = np.arange(traj.times.shape[0])
     if max_times and idx.size > max_times:
         idx = np.unique(np.linspace(0, idx.size - 1, max_times).astype(int))

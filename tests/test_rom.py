@@ -3,6 +3,7 @@ import pytest
 
 from pdecontrol import assembly, pde_ops, rom
 from pdecontrol.errors import NonFiniteError
+from pdecontrol.sampling import Purpose
 
 from conftest import fourier_sine_arch
 
@@ -318,7 +319,7 @@ def test_linear_basis_homogeneity(rng):
 def test_linear_basis_gram_identity_via_assembly():
     arch = fourier_sine_arch(6)
     theta = np.linspace(-1, 1, 6)
-    rec = assembly.assemble_at(arch, theta, pde_ops.Heat(), 96, 0, stream=0)
+    rec = assembly.assemble_at(arch, theta, pde_ops.Heat(), 96, 0, Purpose.GRAM_POINTS, 0)
     assert np.abs(rec.gram - np.eye(6)).max() < 1e-10
 
 
