@@ -122,8 +122,9 @@ class GramCache:
 
 def cache_header(arch: rom.RomArch, op: pde_ops.PdeOperator, n_x: int, seed: int) -> dict:
     """Every input that shapes a record; theta itself is checked per record.
-    The arch's box comes before arch_hash, which also covers it, so a changed
-    domain is reported as such."""
+    The arch's box, which the problem kind fixes, comes before arch_hash,
+    which also covers it, so a transport velocity of another length is
+    reported as a changed box."""
     return {
         "format_version": CACHE_FORMAT_VERSION,
         "kind": "gram_cache",

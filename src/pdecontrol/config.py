@@ -4,18 +4,19 @@ control-net architectures) once and checks them against each other; an
 invalid or mismatched setting is a ConfigError (exit 2) that names the
 setting where the schema rejects it. The problem kind picks its initial
 family (transport draws its anchors from the box theta_space, heat fits
-heat_combo, allen_cahn cheb_combo) and the boundary condition of its ROM
-(periodic for transport, zero-boundary otherwise), and each kind has one
-load rule for the setting its reference and family need. The ROM
-architecture takes its dimension and its box from problem.domain; the
-horizon is read from RunConfig.raw. The settings' defaults are in _DEFAULTS
-and their checks in SCHEMA, so RunConfig.raw is the effective config; only
-rom_arch's optional fields (rom.RomArch) and the transport velocity (1 per
-dimension) default elsewhere. ADAM's moments are constants of optim, not
-settings. train.schedule is the run's whole training: its stages run in
-order in one train-control, each stage's batch_size defaulting to the
-block's. Every artifact lives at a fixed place under the out dir, listed in
-_LAYOUT (README.md shows the layout).
+heat_combo, allen_cahn cheb_combo), the boundary condition of its ROM
+(periodic for transport, zero-boundary otherwise) and the ROM's box: (0,1)
+for heat, (-1,1)^2 for allen_cahn and, for transport, the unit cube of
+dimension len(problem.velocity). In problem, rom_arch and theta_space a key
+that the block's kind does not read (_KIND_KEYS) is a ConfigError naming
+it. The horizon is read from RunConfig.raw. The settings' defaults are in
+_DEFAULTS, a theta_space kind's size in _KIND_DEFAULTS, and their checks in
+SCHEMA, so RunConfig.raw is the effective config; only rom_arch's optional
+fields (rom.RomArch) default elsewhere. ADAM's moments are constants of
+optim, not settings. train.schedule is the run's whole training: its
+stages run in order in one train-control, each stage's batch_size
+defaulting to the block's. Every artifact lives at a fixed place under the
+out dir, listed in _LAYOUT (README.md shows the layout).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import os
 from dataclasses import dataclass
 
 import jsonschema
-import numpy as np
 
 from . import fit, pde_ops, rom
 from .control_net import ControlArch
@@ -45,42 +45,43 @@ _STAGE = {
     "additionalProperties": False,
 }
 
+# the keys each block's kind reads besides kind; _build rejects any other key
+# of the block, and a theta_space kind's size defaults to _KIND_DEFAULTS
+_KIND_KEYS = {
+    "problem": {"transport": ("velocity", "horizon"), "heat": ("horizon",), "allen_cahn": ("epsilon", "horizon")},
+    # a zero-boundary net is always tanh: RomArch refuses relu there
+    "rom_arch": {rom.RESNET_PERIODIC: ("width", "depth", "activation"), rom.RESNET_ZERO_BOUNDARY: ("width", "depth"),
+                 rom.LINEAR_BASIS: ("n_modes",)},
+    "theta_space": {"box": ("half_width",), "anchor_balls": ("radius",)},
+}
+_KIND_DEFAULTS = {"box": {"half_width": 1.0}, "anchor_balls": {"radius": 3.0}}
+
 SCHEMA = {
     "type": "object",
     "required": ["problem", "rom_arch", "seed"],
     "properties": {
         "problem": {
             "type": "object",
-            "required": ["kind", "domain", "horizon"],
+            "required": ["kind", "horizon"],
             "properties": {
-                "kind": {"enum": ["transport", "heat", "allen_cahn"]},
-                "velocity": {"type": "array", "items": {"type": "number"}},
+                "kind": {"enum": [*_KIND_KEYS["problem"]]},
+                "velocity": {"type": "array", "minItems": 1, "items": {"type": "number"}},
                 "epsilon": {"type": "number", "exclusiveMinimum": 0},
-                "domain": {
-                    "type": "object",
-                    "required": ["lo", "hi"],
-                    "properties": {
-                        "lo": {"type": "array", "items": {"type": "number"}},
-                        "hi": {"type": "array", "items": {"type": "number"}},
-                    },
-                },
                 "horizon": {"type": "number", "exclusiveMinimum": 0},
             },
-            "if": {"properties": {"kind": {"const": "allen_cahn"}}},
-            "then": {"required": ["epsilon"]},
+            "allOf": [{"if": {"properties": {"kind": {"const": kind}}}, "then": {"required": [key]}}
+                      for kind, key in (("transport", "velocity"), ("allen_cahn", "epsilon"))],
             "additionalProperties": False,
         },
         "rom_arch": {
             "type": "object",
             "required": ["kind"],
             "properties": {
-                "kind": {
-                    "enum": ["resnet_zero_boundary", "resnet_periodic", "linear_basis"]
-                },
+                "kind": {"enum": [*_KIND_KEYS["rom_arch"]]},
                 "width": {"type": "integer", "minimum": 0},
                 "depth": {"type": "integer", "minimum": 0},
                 "activation": {"enum": ["tanh", "relu"]},
-                "basis_spec": {"type": "array"},
+                "n_modes": {"type": "integer", "minimum": 1},
             },
             "additionalProperties": False,
         },
@@ -96,7 +97,7 @@ SCHEMA = {
             "type": "object",
             "required": ["kind"],
             "properties": {
-                "kind": {"enum": ["box", "anchor_balls"]},
+                "kind": {"enum": [*_KIND_KEYS["theta_space"]]},
                 "half_width": {"type": "number", "exclusiveMinimum": 0},
                 "radius": {"type": "number", "exclusiveMinimum": 0},
             },
@@ -156,7 +157,7 @@ SCHEMA = {
 _DEFAULTS = {
     "counts": {"n_theta": 1000, "n_x": 256, "n_traj": 0, "n_t": 50},
     "solve": {"n_steps": 200},
-    "theta_space": {"kind": "box", "half_width": 1.0, "radius": 3.0},
+    "theta_space": {"kind": "box"},
     "control_arch": {"width": 64, "depth": 3},
     # batch_size 0 is the full batch
     "train": {"schedule": [{"lr": 1e-3, "max_steps": 100_000}], "zeta": 0.1, "batch_size": 256, "stop_loss": 0.1},
@@ -217,49 +218,40 @@ def apply_override(doc: dict, key: str, value) -> None:
 
 
 def _build(doc: dict) -> tuple[pde_ops.PdeOperator, rom.RomArch, ControlArch]:
-    """The operator, the ROM architecture on the problem's box and the
-    control-net architecture the validated doc describes; ValueError if one
-    is invalid, if settings disagree, or if the problem's reference or
-    initial family cannot serve it."""
+    """The operator, the ROM architecture on the problem kind's box and the
+    control-net architecture the validated doc describes, whose theta_space
+    it fills with its kind's default size; ValueError if a block holds a key
+    its kind does not read, if a setting is invalid, if settings disagree,
+    or if the problem's reference or initial family cannot serve it."""
+    for block, kinds in _KIND_KEYS.items():
+        kind = doc[block]["kind"]
+        reads = kinds[kind]
+        unread = [f"{block}.{key}" for key in doc[block] if key not in ("kind", *reads)]
+        if unread:
+            raise ValueError(f"{block}.kind {kind!r} does not read {', '.join(unread)} (it reads {', '.join(reads)})")
+        for key, value in _KIND_DEFAULTS.get(kind, {}).items():
+            doc[block].setdefault(key, value)
     p = doc["problem"]
-    lo = np.array(p["domain"]["lo"], dtype=np.float64)
-    hi = np.array(p["domain"]["hi"], dtype=np.float64)
     kind = p["kind"]
     theta_kind = doc["theta_space"]["kind"]
-    arch = rom.RomArch(**doc["rom_arch"], input_dim=lo.size, lo=lo, hi=hi)
-    box = f"the domain is {lo.tolist()} to {hi.tolist()}"
+    # each reference and initial family lives on one box, the unit cube
+    # (RomArch's default) but for allen_cahn; on it the period-1 transport
+    # ROM and its shifted reference agree
+    if kind == "transport":
+        op, box = pde_ops.Transport(velocity=p["velocity"]), {"input_dim": len(p["velocity"])}
+    elif kind == "heat":
+        op, box = pde_ops.Heat(), {"input_dim": 1}
+    else:
+        op, box = pde_ops.AllenCahn(epsilon=p["epsilon"]), {"input_dim": 2, "lo": (-1.0, -1.0), "hi": (1.0, 1.0)}
+    arch = rom.RomArch(**doc["rom_arch"], **box)
     # the transport reference is periodic and the heat and allen_cahn ones
     # are zero on the boundary; the ROM kind fixes its boundary condition
     if (arch.kind == rom.RESNET_PERIODIC) != (kind == "transport"):
         need = ("the periodic kind 'resnet_periodic'" if kind == "transport"
                 else "a zero-boundary kind ('resnet_zero_boundary' or 'linear_basis')")
         raise ValueError(f"problem.kind {kind!r} needs {need}; rom_arch.kind is {arch.kind!r}")
-    if kind == "transport":
-        velocity = np.array(p.get("velocity", [1.0] * len(lo)), dtype=np.float64)
-        if velocity.shape != lo.shape:
-            raise ValueError(f"problem.velocity has {velocity.size} components for a {lo.size}-D domain")
-        if theta_kind != "box":
-            raise ValueError(f"transport draws its anchors from a box theta_space; "
-                             f"theta_space.kind is {theta_kind!r}")
-        # the ROM has period 1, so it is periodic on the box only if the
-        # sides are whole numbers (up to the rounding of hi - lo); the
-        # reference advances the model's shift and wraps no point, so it is
-        # the periodic transport on the box only then
-        sides = np.round(hi - lo)
-        if not (np.all(sides >= 1) and np.allclose(hi - lo, sides, rtol=0.0, atol=1e-9)):
-            raise ValueError(f"rom_arch.kind 'resnet_periodic' has period 1 in each coordinate, so the box sides "
-                             f"must be whole numbers; {box}")
-        op = pde_ops.Transport(velocity=velocity)
-    elif kind == "heat":
-        if not (np.array_equal(lo, [0.0]) and np.array_equal(hi, [1.0])):
-            raise ValueError(f"heat needs the domain (0,1), where its sine-series reference and heat_combo "
-                             f"initials are defined; {box}")
-        op = pde_ops.Heat()
-    else:
-        if not (np.array_equal(lo, [-1.0, -1.0]) and np.array_equal(hi, [1.0, 1.0])):
-            raise ValueError(f"allen_cahn needs the domain (-1,1)^2, where its cheb_combo initials vanish on "
-                             f"the boundary; {box}")
-        op = pde_ops.AllenCahn(epsilon=p["epsilon"])
+    if kind == "transport" and theta_kind != "box":
+        raise ValueError(f"transport draws its anchors from a box theta_space; theta_space.kind is {theta_kind!r}")
     if theta_kind == "anchor_balls" and doc["initials"]["count"] == 0:
         raise ValueError("theta_space.kind 'anchor_balls' samples around the anchors; initials.count is 0")
     return op, arch, ControlArch(input_dim=rom.param_count(arch), **doc["control_arch"])

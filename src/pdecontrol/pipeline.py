@@ -46,7 +46,7 @@ def sample_initial_specs(cfg: RunConfig) -> list[fit.InitialSpec]:
         for _ in range(n):
             specs.append(fit.HeatCombo(coeffs=rng.uniform(-1.0, 1.0, 4)))
     else:
-        # the amplitude probe covers (-1,1)^2, the only box config lets allen_cahn take
+        # the amplitude probe covers (-1,1)^2, allen_cahn's box
         grid = np.linspace(-1.0 + 1e-3, 1.0 - 1e-3, 41)
         G1, G2 = np.meshgrid(grid, grid, indexing="ij")
         probe = np.stack([G1.ravel(), G2.ravel()], axis=1)
@@ -299,9 +299,10 @@ def load_solution(cfg: RunConfig, index: int, theta0: np.ndarray,
 
 
 def _reference_header(cfg: RunConfig, spec: fit.InitialSpec) -> dict:
-    """Every input of an IMEX reference but the grid sizes."""
+    """Every input of an IMEX reference but the grid sizes; the box is
+    allen_cahn's."""
     p = cfg.raw["problem"]
-    return {"initial": spec.describe(), "epsilon": p["epsilon"], "horizon": p["horizon"], "domain": p["domain"]}
+    return {"initial": spec.describe(), "epsilon": p["epsilon"], "horizon": p["horizon"]}
 
 
 def cmd_reference(cfg: RunConfig, anchor_index: int = 0, nx: int = REFERENCE_NX, nt: int = REFERENCE_NT) -> dict:

@@ -34,9 +34,9 @@ class TransportShift:
     """u(x, t) = u_theta0(x - velocity * t): model is the anchor, a periodic
     net whose u_theta0 is the initial. Its features read x - shift, so u at t
     is the model with its shift advanced by velocity * t; the features have
-    period 1 and the box sides are whole numbers (config checks them), so no
-    point needs wrapping into the box. ValueError for a model without a
-    periodic shift."""
+    period 1 and the box is the unit cube (config fixes it), so no point
+    needs wrapping into the box. ValueError for a model without a periodic
+    shift."""
 
     model: rom.RomModel
     velocity: np.ndarray

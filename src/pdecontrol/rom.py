@@ -71,14 +71,15 @@ TWO_PI = 2.0 * np.pi
 @dataclass(frozen=True)
 class RomArch:
     """A model architecture on the problem box (lo, hi); config builds it
-    from problem.domain, and an empty lo/hi is the unit box (0,1)^input_dim."""
+    on the problem kind's box, and an empty lo/hi is the unit box
+    (0,1)^input_dim. A linear basis holds the sine modes k = 1..n_modes."""
 
     kind: str
     input_dim: int
     width: int = 0
     depth: int = 0
     activation: str = "tanh"
-    basis_spec: tuple = ()
+    n_modes: int = 0
     lo: tuple = ()
     hi: tuple = ()
 
@@ -94,15 +95,10 @@ class RomArch:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         if self.kind == LINEAR_BASIS:
-            if not self.basis_spec:
-                raise ValueError("linear_basis needs a nonempty basis_spec")
+            if self.n_modes < 1:
+                raise ValueError("linear_basis needs n_modes >= 1")
             if self.input_dim != 1:
                 raise ValueError("linear_basis is implemented for 1-D domains")
-            for b in self.basis_spec:
-                if not (isinstance(b, (list, tuple)) and len(b) == 2 and b[0] == "fourier_sine"
-                        and type(b[1]) is int and b[1] >= 1):
-                    raise ValueError(f"basis function {b!r} is not ('fourier_sine', k) with integer k >= 1")
-            object.__setattr__(self, "basis_spec", tuple(tuple(b) for b in self.basis_spec))
             return
         if self.width < 1:
             raise ValueError("width must be >= 1")
@@ -132,7 +128,7 @@ def arch_hash(arch: RomArch) -> str:
 def _layout(arch: RomArch) -> list[tuple[int, ...]]:
     """The shapes of the flat parameter vector's parts, in layout order."""
     if arch.kind == LINEAR_BASIS:
-        return [(len(arch.basis_spec),)]
+        return [(arch.n_modes,)]
     din, w, L = arch.net_input_dim, arch.width, arch.depth
     shapes = [(w, din), (w,)] + [(w, w), (w,)] * (L - 1) + [(w,)]
     if arch.kind == RESNET_PERIODIC:
@@ -199,7 +195,7 @@ def init_params(arch: RomArch, seed: int) -> np.ndarray:
     """
     rng = rng_for(seed, Purpose.ROM_INIT)
     if arch.kind == LINEAR_BASIS:
-        return rng.uniform(-1.0, 1.0, len(arch.basis_spec))
+        return rng.uniform(-1.0, 1.0, arch.n_modes)
     din, w, L = arch.net_input_dim, arch.width, arch.depth
     chunks = []
     bound0 = np.sqrt(1.0 / din)
@@ -333,7 +329,7 @@ def value_at(arch: RomArch, X) -> Callable[[np.ndarray], np.ndarray]:
     X = _points(arch, X)
     if arch.kind != LINEAR_BASIS:
         return _net_value(arch, X)
-    table = _basis_tables(arch.basis_spec, X[:, 0], 0)[0]
+    table = _basis_tables(arch.n_modes, X[:, 0], 0)[0]
 
     def combine(theta: np.ndarray) -> np.ndarray:
         u = table @ RomModel(arch, theta).theta
@@ -389,18 +385,16 @@ def _points(arch: RomArch, X) -> np.ndarray:
     return X
 
 
-def _basis_tables(basis_spec, x: np.ndarray, order: int):
-    """phi_j(x), phi_j'(x), phi_j''(x) columns for the sine basis
-    phi_j = sqrt(2) sin(k_j pi x) of basis_spec's ("fourier_sine", k_j)
-    (RomArch has checked each function)."""
+def _basis_tables(n_modes: int, x: np.ndarray, order: int):
+    """phi_k(x), phi_k'(x), phi_k''(x) columns, k = 1..n_modes, for the sine
+    basis phi_k = sqrt(2) sin(k pi x)."""
     n = x.shape[0]
-    m = len(basis_spec)
-    B = np.empty((n, m))
-    dB = np.empty((n, m)) if order >= 1 else None
-    ddB = np.empty((n, m)) if order >= 2 else None
+    B = np.empty((n, n_modes))
+    dB = np.empty((n, n_modes)) if order >= 1 else None
+    ddB = np.empty((n, n_modes)) if order >= 2 else None
     s = np.sqrt(2.0)
-    for j, (_, k) in enumerate(basis_spec):
-        w = float(k) * np.pi
+    for j in range(n_modes):
+        w = float(j + 1) * np.pi
         B[:, j] = s * np.sin(w * x)
         if order >= 1:
             dB[:, j] = s * w * np.cos(w * x)
@@ -412,7 +406,7 @@ def _basis_tables(basis_spec, x: np.ndarray, order: int):
 def _eval_linear_basis(model: RomModel, X: np.ndarray, need: EvalFlags) -> BatchEval:
     order = 2 if need.laplacian else (1 if need.grad_x else 0)
     x = X[:, 0]
-    B, dB, ddB = _basis_tables(model.arch.basis_spec, x, order)
+    B, dB, ddB = _basis_tables(model.arch.n_modes, x, order)
     theta = model.theta
     out = BatchEval(value=None, grad_x=None, laplacian=None, grad_theta=None, flags=need)
     if need.value:

@@ -22,8 +22,4 @@ def unit_interval():
 
 def fourier_sine_arch(n_modes: int) -> rom.RomArch:
     """Orthonormal sine basis sqrt(2) sin(k pi x), k = 1..n_modes, on (0,1)."""
-    return rom.RomArch(
-        kind=rom.LINEAR_BASIS,
-        input_dim=1,
-        basis_spec=tuple(("fourier_sine", k) for k in range(1, n_modes + 1)),
-    )
+    return rom.RomArch(kind=rom.LINEAR_BASIS, input_dim=1, n_modes=n_modes)

@@ -20,12 +20,11 @@ PRESETS = ROOT / "configs"
 HEAT_CFG = {
     "problem": {
         "kind": "heat",
-        "domain": {"lo": [0.0], "hi": [1.0]},
         "horizon": 0.05,
     },
     "rom_arch": {
         "kind": "linear_basis",
-        "basis_spec": [["fourier_sine", 1], ["fourier_sine", 2]],
+        "n_modes": 2,
     },
     "control_arch": {"width": 8, "depth": 2},
     "theta_space": {"kind": "box", "half_width": 1.0},
@@ -68,7 +67,7 @@ def test_schema_rejects_unknown_keys(tmp_path):
 
 
 def test_schema_rejects_bad_values(tmp_path):
-    for key, value in (("horizon", -1.0), ("domain", {"lo": [1.0], "hi": [1.0]})):
+    for key, value in (("horizon", -1.0), ("kind", "wave")):
         doc = json.loads(json.dumps(HEAT_CFG))
         doc["problem"][key] = value
         path = tmp_path / "bad2.json"
@@ -93,12 +92,13 @@ def test_config_that_is_not_a_json_object_is_config_error(tmp_path, capsys, kind
 @pytest.mark.parametrize("override", [
     "seed=1.0", "counts.n_theta=16.0", "initials.count=1.0", "problem.horizon=NaN",
     pytest.param('train.schedule=[{"lr": NaN, "max_steps": 3}]', id="train.schedule.0.lr=NaN"),
-    "theta_space.half_width=Infinity", "problem.domain.hi=[Infinity]",
+    "theta_space.half_width=Infinity", "problem.velocity=[Infinity]",
 ])
 def test_numbers_the_schema_let_through_are_config_errors(heat_config, tmp_path, capsys, override):
     # JSON's 1.0 passed as an integer and crashed later with a TypeError; NaN
     # passed every bound (a NaN horizon ran every stage to exit 0) and so did infinities
-    assert cli.main(["verify", "--config", str(heat_config), "--out", str(tmp_path / "out"),
+    path = PRESETS / "transport_1d.json" if override.startswith("problem.velocity") else heat_config
+    assert cli.main(["verify", "--config", str(path), "--out", str(tmp_path / "out"),
                      "--set", override]) == cli.EXIT_CONFIG
     assert "is not of type" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -263,7 +263,7 @@ def test_verify_fails_on_blown_up_solve(heat_config, tmp_path, capsys):
 
 
 def test_allen_cahn_without_epsilon_is_config_error(capsys):
-    problem = '{"kind":"allen_cahn","domain":{"lo":[-1,-1],"hi":[1,1]},"horizon":0.3}'
+    problem = '{"kind":"allen_cahn","horizon":0.3}'
     args = ["fit-initial", "--config", str(PRESETS / "allen_cahn_2d.json"), "--set", f"problem={problem}"]
     assert cli.main(args) == cli.EXIT_CONFIG
     assert "'epsilon' is a required property" in capsys.readouterr().err
@@ -282,7 +282,7 @@ def test_cli_checksum_mismatch_exit(heat_config, tmp_path):
     # change the architecture under the same out dir: cached artifacts no longer match
     code = cli.main([
         "train-control", "--config", str(heat_config), "--out", out,
-        "--set", 'rom_arch.basis_spec=[["fourier_sine",1],["fourier_sine",2],["fourier_sine",3]]',
+        "--set", "rom_arch.n_modes=3",
     ])
     assert code == cli.EXIT_NUMERIC
 
@@ -379,11 +379,10 @@ def test_resumed_training_checks_loss_history_before_it_trains(heat_config, tmp_
 
 
 @pytest.mark.parametrize("preset, overrides, message", [
-    ("transport_1d.json", ["problem.velocity=[1.0,1.0]"], "problem.velocity has 2 components for a 1-D domain"),
     ("allen_cahn_2d.json", ["quadrature=gauss"], "('quadrature' was unexpected)"),
     ("allen_cahn_2d.json", ["initials.count=0"], "theta_space.kind 'anchor_balls' samples around the anchors; "
      "initials.count is 0"),
-], ids=["velocity", "gauss_2d", "no_anchors"])
+], ids=["gauss_2d", "no_anchors"])
 def test_mismatched_settings_are_config_errors(tmp_path, capsys, preset, overrides, message):
     # each used to reach sample-gram and end in a ValueError traceback
     args = ["sample-gram", "--config", str(PRESETS / preset), "--out", str(tmp_path),
@@ -397,33 +396,13 @@ _FAMILY_KEY = "Additional properties are not allowed ('family' was unexpected)"
 
 
 @pytest.mark.parametrize("preset, overrides, message", [
-    ("allen_cahn_2d.json", ['problem.domain={"lo":[-1.0],"hi":[1.0]}'],
-     "allen_cahn needs the domain (-1,1)^2, where its cheb_combo initials vanish on the boundary; "
-     "the domain is [-1.0] to [1.0]"),
     ("transport_1d.json", ['theta_space={"kind":"anchor_balls","radius":3.0}'],
      "transport draws its anchors from a box theta_space; theta_space.kind is 'anchor_balls'"),
     ("allen_cahn_2d.json", ["initials.family=random_theta"], _FAMILY_KEY),
     ("heat_fourier_1d.json", ["initials.family=random_theta"], _FAMILY_KEY),
-    ("heat_fourier_1d.json", ['rom_arch={"kind":"resnet_zero_boundary","width":4,"depth":2}',
-                              'problem.domain={"lo":[0.0,0.0],"hi":[1.0,1.0]}'],
-     "heat needs the domain (0,1), where its sine-series reference and heat_combo initials are defined; "
-     "the domain is [0.0, 0.0] to [1.0, 1.0]"),
-    ("heat_fourier_1d.json", ['rom_arch={"kind":"resnet_zero_boundary","width":4,"depth":2}',
-                              'problem.domain={"lo":[0.0],"hi":[1.5]}'],
-     "heat needs the domain (0,1), where its sine-series reference and heat_combo initials are defined; "
-     "the domain is [0.0] to [1.5]"),
-    ("allen_cahn_2d.json", ['problem.domain={"lo":[-1.0,-1.0],"hi":[1.0,2.0]}'],
-     "allen_cahn needs the domain (-1,1)^2, where its cheb_combo initials vanish on the boundary; "
-     "the domain is [-1.0, -1.0] to [1.0, 2.0]"),
-    ("allen_cahn_2d.json", ['problem.domain={"lo":[0.0,0.0],"hi":[1.0,1.0]}'],
-     "allen_cahn needs the domain (-1,1)^2, where its cheb_combo initials vanish on the boundary; "
-     "the domain is [0.0, 0.0] to [1.0, 1.0]"),
-    ("transport_1d.json", ['problem.domain={"lo":[0.0],"hi":[0.5]}'],
-     "rom_arch.kind 'resnet_periodic' has period 1 in each coordinate, so the box sides must be whole numbers; "
-     "the domain is [0.0] to [0.5]"),
     ("transport_1d.json", ['rom_arch={"kind":"resnet_zero_boundary","width":4,"depth":2}'],
      "problem.kind 'transport' needs the periodic kind 'resnet_periodic'; rom_arch.kind is 'resnet_zero_boundary'"),
-    ("transport_1d.json", ['rom_arch={"kind":"linear_basis","basis_spec":[["fourier_sine",1]]}'],
+    ("transport_1d.json", ['rom_arch={"kind":"linear_basis","n_modes":1}'],
      "problem.kind 'transport' needs the periodic kind 'resnet_periodic'; rom_arch.kind is 'linear_basis'"),
     ("heat_fourier_1d.json", ['rom_arch={"kind":"resnet_periodic","width":4,"depth":2}'],
      "problem.kind 'heat' needs a zero-boundary kind ('resnet_zero_boundary' or 'linear_basis'); "
@@ -431,20 +410,15 @@ _FAMILY_KEY = "Additional properties are not allowed ('family' was unexpected)"
     ("allen_cahn_2d.json", ['rom_arch={"kind":"resnet_periodic","width":4,"depth":2}'],
      "problem.kind 'allen_cahn' needs a zero-boundary kind ('resnet_zero_boundary' or 'linear_basis'); "
      "rom_arch.kind is 'resnet_periodic'"),
-], ids=["cheb_1d", "random_theta_anchor_balls", "random_theta_allen_cahn", "random_theta_heat", "heat_2d",
-        "heat_wide_interval", "allen_cahn_unequal_axes", "allen_cahn_unit_square", "periodic_half_box",
-        "transport_zero_boundary", "transport_linear_basis", "heat_periodic", "allen_cahn_periodic"])
+], ids=["random_theta_anchor_balls", "random_theta_allen_cahn", "random_theta_heat", "transport_zero_boundary",
+        "transport_linear_basis", "heat_periodic", "allen_cahn_periodic"])
 def test_combinations_no_reference_serves_are_config_errors(tmp_path, capsys, preset, overrides, message):
-    # each used to fail late or not at all: cheb_combo on 1-D was an IndexError
-    # traceback, random_theta on anchor balls sent fit-initial to its own output
-    # (exit 3), on allen_cahn reference was a ValueError traceback, and
-    # random_theta on heat, 2-D heat and the unequal Allen-Cahn axes ran every
-    # stage to solve (the last one through eval, against a wrong reference), and
-    # the period-1 ROM on (0, 0.5) differed from the wrapped reference by up to 4.1;
-    # heat on (0, 1.5) loaded, although the sine series is -1 at x = 1.5, where
-    # the zero-boundary ROM is 0, and so did a ROM whose boundary condition is
-    # not the reference's. The problem kind now picks the initial family, so
-    # asking for another family is a schema error.
+    # each used to fail late or not at all: random_theta on anchor balls sent
+    # fit-initial to its own output (exit 3), on allen_cahn reference was a
+    # ValueError traceback, random_theta on heat ran every stage to solve, and
+    # a ROM whose boundary condition is not the reference's loaded. The
+    # problem kind now picks the initial family, so asking for another family
+    # is a schema error.
     args = ["fit-initial", "--config", str(PRESETS / preset), "--out", str(tmp_path)]
     assert cli.main(args + [arg for o in overrides for arg in ("--set", o)]) == cli.EXIT_CONFIG
     assert message in capsys.readouterr().err
@@ -468,14 +442,13 @@ def test_all_skipped_gram_cache_is_a_numeric_failure(tmp_path, capsys):
     assert not (tmp_path / "out" / "checkpoints" / "control.bin").exists()
 
 
-@pytest.mark.parametrize("spec", ['[["cosine",1]]', '[["fourier_sine"]]', '[["fourier_sine",1.5]]'],
-                         ids=["unknown_family", "no_index", "fractional_index"])
-def test_basis_functions_outside_the_two_families_are_config_errors(tmp_path, capsys, spec):
-    # the first two used to end in a ValueError and an IndexError traceback, the third loaded
+@pytest.mark.parametrize("n_modes", ["0", "1.5", '"4"'], ids=["zero", "fractional", "string"])
+def test_basis_functions_outside_the_two_families_are_config_errors(tmp_path, capsys, n_modes):
+    # the sine basis holds the modes 1..n_modes, so n_modes is a whole number >= 1
     args = ["fit-initial", "--config", str(PRESETS / "heat_fourier_1d.json"), "--out", str(tmp_path),
-            "--set", f"rom_arch.basis_spec={spec}"]
+            "--set", f"rom_arch.n_modes={n_modes}"]
     assert cli.main(args) == cli.EXIT_CONFIG
-    assert "is not ('fourier_sine', k) with integer k >= 1" in capsys.readouterr().err
+    assert "config schema violation at rom_arch.n_modes" in capsys.readouterr().err
     assert not (tmp_path / "caches").exists()
 
 
@@ -522,8 +495,10 @@ def test_caches_of_the_previous_formats_are_rejected(heat_config, tmp_path, caps
 @pytest.mark.parametrize("name", sorted(p.name for p in PRESETS.glob("*.json")))
 def test_shipped_presets_load(name, tmp_path):
     cfg = config.load_config(PRESETS / name, out_dir=str(tmp_path))
-    domain = cfg.raw["problem"]["domain"]
-    assert cfg.rom_arch.lo == tuple(domain["lo"]) and cfg.rom_arch.hi == tuple(domain["hi"])
+    problem = cfg.raw["problem"]
+    dim = {"transport": len(problem.get("velocity", ())), "heat": 1, "allen_cahn": 2}[problem["kind"]]
+    lo = -1.0 if problem["kind"] == "allen_cahn" else 0.0
+    assert (cfg.rom_arch.lo, cfg.rom_arch.hi) == ((lo,) * dim, (1.0,) * dim)
     assert cfg.control_arch.input_dim == rom.param_count(cfg.rom_arch)
 
 
@@ -548,17 +523,6 @@ def test_changed_velocity_rejects_gram_cache(tmp_path, capsys):
         assert "mismatch on 'op_tag'" in capsys.readouterr().err
 
 
-def test_changed_domain_rejects_gram_cache(tmp_path, capsys):
-    # records assembled over [0, 1] must not train or verify a field on [0, 2]
-    base = ["--config", str(PRESETS / "transport_1d.json"), "--out", str(tmp_path / "out"),
-            "--set", "counts.n_theta=4", "--set", "counts.n_x=16", "--set", _TWO_STEPS]
-    assert cli.main(["sample-gram", *base]) == 0
-    assert cli.main(["train-control", *base]) == 0
-    for command in ("train-control", "verify"):
-        assert cli.main([command, *base, "--set", 'problem.domain={"lo":[0.0],"hi":[2.0]}']) == cli.EXIT_NUMERIC
-        assert "mismatch on 'hi'" in capsys.readouterr().err
-
-
 def test_anchor_ball_count_change_keeps_gram_records(tmp_path):
     # anchor-ball point i depends only on (seed, i): a smaller count reads the
     # prefix of the cache and a larger one extends it
@@ -575,8 +539,7 @@ def test_anchor_ball_count_change_keeps_gram_records(tmp_path):
 
 def test_control_dimension_mismatch_exit(heat_config, tmp_path, capsys):
     base = ["--config", str(heat_config), "--out", str(tmp_path / "out")]
-    four = 'rom_arch.basis_spec=[["fourier_sine",1],["fourier_sine",2],["fourier_sine",3],["fourier_sine",4]]'
-    three = 'rom_arch.basis_spec=[["fourier_sine",1],["fourier_sine",2],["fourier_sine",3]]'
+    four, three = "rom_arch.n_modes=4", "rom_arch.n_modes=3"
     for command in ("fit-initial", "sample-gram", "gen-trajectories", "train-control"):
         assert cli.main([command, *base, "--set", four]) == 0
     for command in ("solve", "verify"):
@@ -662,8 +625,14 @@ _UNREAD_KEYS += [("train.plateau_window", 100)]
 _UNREAD_KEYS += [("train.lr", 0.001), ("train.max_steps", 100), ("train.stop_plateau_pct", 0.1)]
 # the Chebyshev family's constants, at their values
 _UNREAD_KEYS += [("initials.degree_max", 3), ("initials.max_terms", 6), ("initials.amplitude", 0.9)]
-# the ROM's dimension and box come from problem.domain
-_UNREAD_KEYS += [("rom_arch.input_dim", 1), ("rom_arch.wrapper_spec", {})]
+# the problem kind fixes the ROM's dimension and box
+_UNREAD_KEYS += [("rom_arch.input_dim", 1), ("rom_arch.wrapper_spec", {}),
+                 ("problem.domain", '{"lo":[0.0],"hi":[1.0]}')]
+# keys of other kinds: heat reads no velocity or epsilon, a linear basis no
+# net setting, a box no radius; n_modes replaced basis_spec
+_UNREAD_KEYS += [("problem.velocity", [1.0]), ("problem.epsilon", 0.5), ("rom_arch.width", 8),
+                 ("rom_arch.activation", "relu"), ("theta_space.radius", 5),
+                 ("rom_arch.basis_spec", '[["fourier_sine",1],["fourier_sine",2]]')]
 # every solve is RK4
 _UNREAD_KEYS += [("solve.scheme", "euler")]
 # the problem kind picks the initial family
@@ -674,6 +643,38 @@ _UNREAD_KEYS += [("initials.family", "heat_combo")]
 def test_fit_keys_nothing_reads_are_config_errors(heat_config, tmp_path, key, value):
     args = ["fit-initial", "--config", str(heat_config), "--out", str(tmp_path), "--set", f"{key}={value}"]
     assert cli.main(args) == cli.EXIT_CONFIG
+
+
+def test_keys_of_another_kind_are_config_errors_naming_the_key(heat_config, tmp_path, capsys):
+    # after a full run each used to exit 4 on a stale header (theta_space,
+    # arch_hash) or exit 0 with the key ignored (velocity, epsilon)
+    base = ["--config", str(heat_config), "--out", str(tmp_path / "out")]
+    for command in ("fit-initial", "sample-gram", "gen-trajectories", "train-control", "solve"):
+        assert cli.main([command, *base]) == 0
+    capsys.readouterr()
+    for override in ("theta_space.radius=5", "rom_arch.width=8", "rom_arch.activation=relu",
+                     "problem.velocity=[2.0]", "problem.epsilon=0.5"):
+        assert cli.main(["solve", *base, "--set", override]) == cli.EXIT_CONFIG
+        assert f"does not read {override.split('=')[0]} " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", ["theta_space.half_width=2", "rom_arch.activation=tanh"])
+def test_allen_cahn_rejects_keys_its_kinds_do_not_read(tmp_path, capsys, override):
+    # anchor balls have a radius, not a half width; a zero-boundary net is always tanh
+    shrink = ["rom_arch.width=3", "control_arch.width=8", "counts.n_theta=4", "counts.n_x=16", "counts.n_traj=0",
+              "initials.count=1", "initials.fit_n_x=32", "initials.fit.max_steps=5", _TWO_STEPS]
+    args = ["fit-initial", "--config", str(PRESETS / "allen_cahn_2d.json"), "--out", str(tmp_path)]
+    assert cli.main(args + [arg for key in [*shrink, override] for arg in ("--set", key)]) == cli.EXIT_CONFIG
+    assert f"does not read {override.split('=')[0]} " in capsys.readouterr().err
+    assert not (tmp_path / "caches").exists()
+
+
+def test_transport_dimension_is_the_velocity_length(tmp_path):
+    cfg = config.load_config(PRESETS / "transport_1d.json", overrides=["problem.velocity=[1.0,1.0]"],
+                             out_dir=str(tmp_path))
+    assert cfg.rom_arch.input_dim == 2
+    assert (cfg.rom_arch.lo, cfg.rom_arch.hi) == ((0.0, 0.0), (1.0, 1.0))
+    assert cfg.operator.velocity.tolist() == [1.0, 1.0]
 
 
 def test_threads_key_still_loads(tmp_path):
@@ -944,10 +945,7 @@ def test_cut_write_keeps_the_previous_artifact(heat_config, tmp_path, monkeypatc
     assert not list(out.rglob("*.tmp"))
 
 
-@pytest.mark.parametrize("override", [
-    'rom_arch.basis_spec=[["fourier_sine",1],["fourier_sine",2],["fourier_sine",3]]',
-    "initials.fit_n_x=48",
-])
+@pytest.mark.parametrize("override", ["rom_arch.n_modes=3", "initials.fit_n_x=48"])
 def test_solve_rejects_anchor_store_from_other_fit_inputs(heat_config, tmp_path, capsys, override):
     # anchors of a 3-mode ROM reached the 2-mode control net: a ValueError traceback
     base = ["--config", str(heat_config), "--out", str(tmp_path / "out")]
@@ -1130,7 +1128,7 @@ def test_readme_config_keys_name_every_settable_leaf():
     # paths.* and notes were settable but missing from the summary
     section = (ROOT / "README.md").read_text().split("## Config keys (summary)\n", 1)[1].split("\n## ", 1)[0]
     leaves = _settable_leaves(config.SCHEMA)
-    assert len(leaves) == 36
+    assert len(leaves) == 34
     missing = [".".join(leaf) for leaf in leaves
                if not all(re.search(rf"\b{re.escape(key)}\b", section) for key in leaf)]
     assert missing == []

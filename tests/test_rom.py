@@ -29,7 +29,9 @@ def test_arch_validation():
     with pytest.raises(ValueError):
         rom.RomArch("resnet_zero_boundary", 1, 4, 2, "relu")  # relu not periodic
     with pytest.raises(ValueError):
-        rom.RomArch("linear_basis", 2, basis_spec=(("fourier_sine", 1),))  # 1-D only
+        rom.RomArch("linear_basis", 2, n_modes=1)  # 1-D only
+    with pytest.raises(ValueError):
+        rom.RomArch("linear_basis", 1)  # no modes
     with pytest.raises(ValueError):
         rom.RomArch("resnet_zero_boundary", 1, 4, 2, "tanh", lo=(1.0,), hi=(1.0,))  # empty box
     with pytest.raises(ValueError):
