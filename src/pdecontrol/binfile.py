@@ -12,6 +12,7 @@ the previous file or the new one, never a torn one.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -94,15 +95,29 @@ def save(path, header: dict, array) -> None:
         fh.write(array.tobytes())
 
 
-def load(path, kind: str, version: int, expected: dict | None, remedy: str) -> tuple[dict, np.ndarray]:
-    """The header and the array of a file written by save. Raises
-    MissingArtifact if there is no file, and CacheMismatch for a file that is
-    not a `kind` of this version, a header that differs from expected, or
-    data that is not exactly the header's shape; both name the remedy."""
+def digest(array: np.ndarray) -> str:
+    """sha256 of an array's bytes, as headers record an array they do not
+    hold (the start thetas of a trajectory cache, a checkpoint's xi, a
+    solution's control field and an error curve's solution rows)."""
+    return hashlib.sha256(np.ascontiguousarray(array)).hexdigest()
+
+
+def load_header(path, kind: str, version: int, expected: dict | None, remedy: str) -> tuple[dict, int]:
+    """read_header and check_header of a file written by save, without its
+    data. Raises MissingArtifact if there is no file, and CacheMismatch as
+    read_header and check_header do; both name the remedy."""
     if not os.path.exists(path):
         raise MissingArtifact(f"{path} not found; {remedy}")
     header, offset = read_header(path, kind, version, remedy)
     check_header(path, header, expected, remedy)
+    return header, offset
+
+
+def load(path, kind: str, version: int, expected: dict | None, remedy: str) -> tuple[dict, np.ndarray]:
+    """The header and the array of a file written by save. Raises as
+    load_header does, and CacheMismatch, naming the remedy, for data that is
+    not exactly the header's shape."""
+    header, offset = load_header(path, kind, version, expected, remedy)
     shape = header.get("shape")
     nbytes = os.path.getsize(path) - offset
     if not (

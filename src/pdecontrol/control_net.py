@@ -37,7 +37,7 @@ from .optim import Adam
 from .rom import _join, _size, _split_flat
 from .sampling import Purpose, rng_for
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -89,6 +89,9 @@ def _unpack(arch: ControlArch, xi: np.ndarray):
 class ControlNet:
     arch: ControlArch
     xi: np.ndarray
+    # the sha256 of xi that its checkpoint records, checked against xi when
+    # load_control_checkpoint read it; None for a net built in memory
+    sha256: str | None = field(default=None, compare=False)
     # the layer views of xi, unpacked once (views, so they share xi's memory)
     params: tuple = field(init=False, repr=False, compare=False)
     # the layers that read theta, stacked for the forward pass: [U_0, Ubar_1,
@@ -376,25 +379,45 @@ def residual_scan(net: ControlNet, TH: np.ndarray, G: np.ndarray, P: np.ndarray)
 # persistence
 
 
-# A checkpoint is a binfile: the header {format_version, kind, arch} plus the
-# caller's record of what shaped the training data, and the flat xi as
-# control_param_count(arch) float64.
+# A checkpoint is a binfile: the header {format_version, kind, arch,
+# xi_sha256} plus the caller's record of what shaped the training data, and
+# the flat xi as control_param_count(arch) float64.
+
+_CHECKPOINT_REMEDY = "rerun train-control"
 
 
 def save_control_checkpoint(net: ControlNet, path, inputs: dict) -> None:
-    header = {"format_version": FORMAT_VERSION, "kind": "control_checkpoint", "arch": asdict(net.arch), **inputs}
+    header = {"format_version": FORMAT_VERSION, "kind": "control_checkpoint", "arch": asdict(net.arch),
+              "xi_sha256": binfile.digest(net.xi), **inputs}
     binfile.save(path, header, net.xi)
+
+
+def _expected_checkpoint(arch: ControlArch, inputs: dict) -> dict:
+    return {"arch": asdict(arch), **inputs}
 
 
 def load_control_checkpoint(path, arch: ControlArch, inputs: dict) -> ControlNet:
     """The checkpointed net, which must record arch and inputs, the arch
-    checked first."""
-    expected = {"arch": asdict(arch), **inputs}
-    xi = binfile.load(path, "control_checkpoint", FORMAT_VERSION, expected, "rerun train-control")[1]
+    checked first, and whose xi must hash to the recorded xi_sha256; the
+    net carries that digest."""
+    header, xi = binfile.load(path, "control_checkpoint", FORMAT_VERSION, _expected_checkpoint(arch, inputs),
+                              _CHECKPOINT_REMEDY)
     n = control_param_count(arch)
     if xi.shape != (n,):
-        raise CacheMismatch(f"{path} holds {xi.size} of {n} parameters; rerun train-control")
-    return ControlNet(arch=arch, xi=xi)
+        raise CacheMismatch(f"{path} holds {xi.size} of {n} parameters; {_CHECKPOINT_REMEDY}")
+    if binfile.digest(xi) != header.get("xi_sha256"):
+        raise CacheMismatch(f"{path} holds parameters whose sha256 is not its header's xi_sha256; "
+                            f"{_CHECKPOINT_REMEDY}")
+    return ControlNet(arch=arch, xi=xi, sha256=header["xi_sha256"])
+
+
+def checkpoint_sha256(path, arch: ControlArch, inputs: dict) -> str:
+    """The xi_sha256 of a checkpoint whose header records arch and inputs,
+    read from the header alone: the parameters are neither read nor hashed
+    (load_control_checkpoint checks them against it)."""
+    header = binfile.load_header(path, "control_checkpoint", FORMAT_VERSION, _expected_checkpoint(arch, inputs),
+                                 _CHECKPOINT_REMEDY)[0]
+    return header.get("xi_sha256")
 
 
 LOSS_HISTORY_FORMAT_VERSION = 1

@@ -10,7 +10,6 @@ escapes are reported instead of crashing downstream consumers.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,7 +151,7 @@ def traj_cache_header(gram_header: dict, h: float, n_t: int, starts: np.ndarray)
     """Every input that shapes the cached marches: those of a Gram record
     (assembly.cache_header) plus the step, the step count and the start
     thetas (drawn from the theta space or the anchor store) as a sha256."""
-    starts = np.ascontiguousarray(starts, dtype=np.float64)
+    starts = np.asarray(starts, dtype=np.float64)
     return {
         **gram_header,
         "format_version": TRAJ_FORMAT_VERSION,
@@ -160,7 +159,7 @@ def traj_cache_header(gram_header: dict, h: float, n_t: int, starts: np.ndarray)
         "h": h,
         "n_t": n_t,
         "n_traj": starts.shape[0],
-        "starts_sha256": hashlib.sha256(starts.tobytes()).hexdigest(),
+        "starts_sha256": binfile.digest(starts),
     }
 
 

@@ -8,7 +8,6 @@ theta0): a solution is tied to its anchor's theta0, not to a copy of it.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -20,7 +19,7 @@ from .config import RunConfig, check_stage
 from .errors import CacheMismatch, ConfigError, MissingArtifact, NonFiniteError
 from .sampling import AnchorBalls, Purpose, rng_for, sample_theta
 
-SOLUTION_FORMAT_VERSION = 4
+SOLUTION_FORMAT_VERSION = 5
 CURVE_FORMAT_VERSION = 1
 # Gram records per residual_scan call in verify: holds chunk * m^2 floats of G
 _VERIFY_CHUNK = 256
@@ -168,9 +167,9 @@ def _load_control(cfg: RunConfig) -> cn.ControlNet:
 
 
 def _digest(array: np.ndarray) -> str:
-    """sha256 of an array's bytes: a solution records its control field's xi
-    this way, and an error curve its solution's theta rows."""
-    return hashlib.sha256(array.tobytes()).hexdigest()
+    """sha256 of an array's bytes: an error curve records its solution's
+    theta rows this way."""
+    return binfile.digest(array)
 
 
 def cmd_train_control(
@@ -260,8 +259,8 @@ def cmd_solve(cfg: RunConfig, anchor_index: int = 0) -> dict:
     header = {
         "format_version": SOLUTION_FORMAT_VERSION,
         "kind": "solution",
-        "arch_hash": rom.arch_hash(cfg.rom_arch),
-        "control_sha256": _digest(net.xi),
+        **_solution_inputs(cfg),
+        "control_sha256": net.sha256,
         "step": traj.step,
         "blowup_step": traj.blowup_step,
         "escape_step": traj.escape_step,
@@ -276,19 +275,23 @@ def cmd_solve(cfg: RunConfig, anchor_index: int = 0) -> dict:
     }
 
 
-def load_solution(cfg: RunConfig, index: int, theta0: np.ndarray,
-                  net: cn.ControlNet | None = None) -> evolve.ParamTrajectory:
-    """The solution's trajectory, times rebuilt as step * j. It must start
-    at theta0, bit for bit, which ties it to its anchor (a refit moves the
-    anchor); given net, it must have been solved with that control field."""
-    expected = {"arch_hash": rom.arch_hash(cfg.rom_arch)}
-    if net is not None:
-        expected["control_sha256"] = _digest(net.xi)
+def _solution_inputs(cfg: RunConfig) -> dict:
+    """What a solution records of the config that shaped it, besides its
+    control field and its anchor."""
+    return {"arch_hash": rom.arch_hash(cfg.rom_arch), "horizon": cfg.raw["problem"]["horizon"],
+            "n_steps": cfg.raw["solve"]["n_steps"]}
+
+
+def _read_solution(cfg: RunConfig, index: int, theta0: np.ndarray) -> tuple[dict, evolve.ParamTrajectory]:
+    """The solution's header and trajectory, times rebuilt as step * j. It
+    must record the config's ROM, horizon and solve.n_steps, and start at
+    theta0, bit for bit, which ties it to its anchor (a refit moves the
+    anchor)."""
     path = cfg.path("solution", index)
-    header, thetas = binfile.load(path, "solution", SOLUTION_FORMAT_VERSION, expected, "rerun solve")
+    header, thetas = binfile.load(path, "solution", SOLUTION_FORMAT_VERSION, _solution_inputs(cfg), "rerun solve")
     if thetas[:1].tobytes() != theta0.tobytes():
         raise CacheMismatch(f"{path} does not start at anchor {index} of {cfg.path('anchors')}; rerun solve")
-    return evolve.ParamTrajectory(
+    return header, evolve.ParamTrajectory(
         times=header["step"] * np.arange(thetas.shape[0]),
         thetas=thetas,
         velocities=None,
@@ -296,6 +299,26 @@ def load_solution(cfg: RunConfig, index: int, theta0: np.ndarray,
         blowup_step=header["blowup_step"],
         escape_step=header["escape_step"],
     )
+
+
+def _check_control(cfg: RunConfig, index: int, header: dict, control_sha256: str | None = None) -> None:
+    """CacheMismatch, naming solve, unless the solution was solved with the
+    run's control field: control_sha256, the digest of a checkpoint the
+    caller has loaded, or else the xi_sha256 of the checkpoint's header,
+    which is read alone (the net is neither read nor hashed) and checked
+    against the config."""
+    if control_sha256 is None:
+        control_sha256 = cn.checkpoint_sha256(cfg.path("checkpoint"), cfg.control_arch, _control_inputs(cfg))
+    binfile.check_header(cfg.path("solution", index), header, {"control_sha256": control_sha256}, "rerun solve")
+
+
+def load_solution(cfg: RunConfig, index: int, theta0: np.ndarray,
+                  control_sha256: str | None = None) -> evolve.ParamTrajectory:
+    """The solution of anchor index, checked by _read_solution and
+    _check_control."""
+    header, traj = _read_solution(cfg, index, theta0)
+    _check_control(cfg, index, header, control_sha256)
+    return traj
 
 
 def _reference_header(cfg: RunConfig, spec: fit.InitialSpec) -> dict:
@@ -333,11 +356,22 @@ def build_reference(cfg: RunConfig, index: int, spec: fit.InitialSpec | None, th
     return reference.load_grid_solution(cfg.path("reference", index), _reference_header(cfg, spec))
 
 
+def _solution_and_reference(cfg: RunConfig, index: int):
+    """The solution of anchor index and its reference, for eval and
+    export-slice. The solution is checked against the config and its anchor,
+    the reference is read, and then the solution's control field against the
+    checkpoint's header: each input the two commands read is checked before
+    the field upstream of them."""
+    spec, _, theta0 = _anchor(cfg, index)
+    header, traj = _read_solution(cfg, index, theta0)
+    ref = build_reference(cfg, index, spec, theta0)
+    _check_control(cfg, index, header)
+    return traj, ref
+
+
 def cmd_eval(cfg: RunConfig, anchor_index: int = 0, n_x: int = EVAL_N_X, max_times: int = 64) -> dict:
     cfg.ensure_layout()
-    spec, _, theta0 = _anchor(cfg, anchor_index)
-    traj = load_solution(cfg, anchor_index, theta0)
-    ref = build_reference(cfg, anchor_index, spec, theta0)
+    traj, ref = _solution_and_reference(cfg, anchor_index)
     curve = reference.error_curve(cfg.rom_arch, traj, ref, n_x, seed=cfg.seed, max_times=max_times)
     path = cfg.path("errors", anchor_index)
     # rows (t, abs_err, rel_err), rel_err NaN where undefined
@@ -357,9 +391,7 @@ def cmd_export_slice(cfg: RunConfig, anchor_index: int, t: float, grid_n: int = 
     cfg.ensure_layout()
     if cfg.rom_arch.input_dim != 2:
         raise ConfigError("export-slice needs a 2-D problem")
-    spec, _, theta0 = _anchor(cfg, anchor_index)
-    traj = load_solution(cfg, anchor_index, theta0)
-    ref = build_reference(cfg, anchor_index, spec, theta0)
+    traj, ref = _solution_and_reference(cfg, anchor_index)
     j = int(np.argmin(np.abs(traj.times - t)))
     path = cfg.path("slice", (anchor_index, traj.times[j]))
     reference.export_slice(cfg.rom_arch, traj.thetas[j], ref, float(traj.times[j]), path, grid_n=grid_n)
@@ -391,7 +423,7 @@ def cmd_verify(cfg: RunConfig) -> dict:
     anchors = []
     for k in solved:
         _, fit_rmse, theta0 = store[k]
-        traj = load_solution(cfg, k, theta0, net)
+        traj = load_solution(cfg, k, theta0, net.sha256)
         m_v, l_v = cn.field_stats(net, traj.thetas, cfg.seed)
         entry = {
             "anchor": k,

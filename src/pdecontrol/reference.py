@@ -7,8 +7,9 @@ the ROM's own value kernel) and the separated sine series for the heat
 equation on (0,1) with zero Dirichlet data. The 2-D Allen-Cahn reference is
 computed by an implicit-explicit scheme (diffusion implicit, reaction
 explicit; the implicit step of the 5-point Laplacian is diagonal in the sine
-basis, so it is solved by a DST-I) and exposed through space-bilinear,
-time-linear interpolation of strided snapshots.
+basis, so it is solved by products with the orthonormal DST-I matrix, built
+once per solve) and exposed through space-bilinear, time-linear
+interpolation of strided snapshots.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dstn, idstn
 
 from . import binfile, fit, rom
 from .errors import PdeControlError
@@ -115,12 +115,17 @@ def _grid_at(ref: GridSolution, X: np.ndarray) -> Callable[[float], np.ndarray]:
     if np.any(X < ref.lo - 1e-12) or np.any(X > ref.hi + 1e-12):
         raise OutOfDomain("point outside the reference grid")
     xs = ref.xs
+    n = len(xs)
     hx = xs[1] - xs[0]
-    i = np.clip(((X[:, 0] - xs[0]) / hx).astype(int), 0, len(xs) - 2)
-    j = np.clip(((X[:, 1] - xs[0]) / hx).astype(int), 0, len(xs) - 2)
+    i = np.clip(((X[:, 0] - xs[0]) / hx).astype(int), 0, n - 2)
+    j = np.clip(((X[:, 1] - xs[0]) / hx).astype(int), 0, n - 2)
     fx = (X[:, 0] - xs[i]) / hx
     fy = (X[:, 1] - xs[j]) / hx
     gx, gy = 1 - fx, 1 - fy
+    # the flat offsets of the corners (i, j), (i+1, j), (i, j+1), (i+1, j+1),
+    # each in two consecutive frames, so one gather reads all eight values
+    corners = np.stack([i * n + j, (i + 1) * n + j, i * n + j + 1, (i + 1) * n + j + 1])
+    stencil = np.stack([corners, corners + n * n], axis=1)
 
     def bilinear(t: float) -> np.ndarray:
         if t < ref.times[0] - 1e-12 or t > ref.times[-1] + 1e-12:
@@ -130,14 +135,9 @@ def _grid_at(ref: GridSolution, X: np.ndarray) -> Callable[[float], np.ndarray]:
         k = min(max(k, 0), len(ref.times) - 2)
         t0, t1 = ref.times[k], ref.times[k + 1]
         w1 = (t - t0) / (t1 - t0)
-        out = np.zeros(X.shape[0])
-        for frame, wt in ((ref.snapshots[k], 1.0 - w1), (ref.snapshots[k + 1], w1)):
-            v00 = frame[i, j]
-            v10 = frame[i + 1, j]
-            v01 = frame[i, j + 1]
-            v11 = frame[i + 1, j + 1]
-            out += wt * (v00 * gx * gy + v10 * fx * gy + v01 * gx * fy + v11 * fx * fy)
-        return out
+        v00, v10, v01, v11 = np.take(ref.snapshots[k : k + 2], stencil)
+        frames = v00 * gx * gy + v10 * fx * gy + v01 * gx * fy + v11 * fx * fy
+        return (1.0 - w1) * frames[0] + w1 * frames[1]
 
     return bilinear
 
@@ -156,10 +156,12 @@ def solve_allen_cahn_imex(
     zero Dirichlet data:
         (I - dt*eps*L_h) u^{n+1} = u^n + dt*1.5*(u^n - (u^n)^3)
     with L_h the 5-point Laplacian on an nx-by-nx interior grid. The
-    orthonormal DST-I diagonalises L_h, with eigenvalues lam_p + lam_q,
-    lam_p = -(4/h^2) sin^2(p pi / (2(nx+1))), so each implicit step is one
-    forward transform, a division and one inverse transform. Snapshots are
-    strided to at most max_snapshots frames.
+    orthonormal DST-I matrix S, S_pq = sqrt(2/(nx+1)) sin(p q pi/(nx+1)),
+    diagonalises L_h, with eigenvalues lam_p + lam_q,
+    lam_p = -(4/h^2) sin^2(p pi / (2(nx+1))). S is symmetric and S S = I,
+    so each implicit step is S ((S rhs S) / system) S: four nx-by-nx matrix
+    products with the one S built per solve. Snapshots are strided to at
+    most max_snapshots frames.
     """
     if nx < 16 or nt < 16:
         raise ValueError("nx and nt must be >= 16")
@@ -174,17 +176,26 @@ def solve_allen_cahn_imex(
     dt = horizon / nt
     lam = -(4.0 / hx**2) * np.sin(np.arange(1, nx + 1) * np.pi / (2 * (nx + 1))) ** 2
     system = 1.0 - dt * epsilon * (lam[:, None] + lam[None, :])
+    S = _sine_matrix(nx)
 
     stride = max(1, int(np.ceil(nt / (max_snapshots - 1))))
     snap_times = [0.0]
     snaps = [_embed(u, nx)]
     for n in range(1, nt + 1):
         rhs = u + dt * 1.5 * (u - u * u * u)
-        u = idstn(dstn(rhs, type=1, norm="ortho") / system, type=1, norm="ortho")
+        u = S @ ((S @ rhs @ S) / system) @ S
         if n % stride == 0 or n == nt:
             snap_times.append(n * dt)
             snaps.append(_embed(u, nx))
     return GridSolution(times=np.array(snap_times), snapshots=np.stack(snaps), lo=lo, hi=hi)
+
+
+def _sine_matrix(n: int) -> np.ndarray:
+    """The orthonormal DST-I matrix of size n, sqrt(2/(n+1)) sin(p q pi/(n+1))
+    for p, q = 1..n. p q is reduced modulo 2(n+1), the sine's period, so
+    each sine is evaluated at an argument below 2 pi."""
+    k = np.arange(1, n + 1)
+    return np.sqrt(2.0 / (n + 1)) * np.sin((np.outer(k, k) % (2 * (n + 1))) * np.pi / (n + 1))
 
 
 def _embed(u_inner: np.ndarray, nx: int) -> np.ndarray:

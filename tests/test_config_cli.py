@@ -908,14 +908,86 @@ def test_verify_rejects_a_solution_of_another_control_field(heat_config, tmp_pat
     assert cli.main(["verify", *base]) == cli.EXIT_NUMERIC
     err = capsys.readouterr().err
     assert "mismatch on 'control_sha256'" in err and "rerun solve" in err
+    # eval used to measure the earlier field's solution and exit 0
+    assert cli.main(["eval", *base]) == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "mismatch on 'control_sha256'" in err and "rerun solve" in err
     # verify used to report the curve eval wrote for the earlier solution beside the new one's M_V
-    assert cli.main(["eval", *base]) == 0
     assert cli.main(["solve", *base]) == 0
     assert cli.main(["verify", *base]) == cli.EXIT_NUMERIC
     err = capsys.readouterr().err
     assert "mismatch on 'solution_sha256'" in err and "rerun eval" in err
     assert cli.main(["eval", *base]) == 0
     assert cli.main(["verify", *base]) == 0
+
+
+@pytest.mark.parametrize("override", ["control_arch.width=9", "solve.n_steps=10"])
+def test_eval_rejects_a_solution_the_config_no_longer_produces(heat_config, tmp_path, capsys, override):
+    # eval read the solution without the control field and exited 0 on one
+    # solved with a net of another width or with another step count
+    out = tmp_path / "out"
+    _solved_run(heat_config, out)
+    base = ["--config", str(heat_config), "--out", str(out)]
+    curve = (out / "curves" / "errors_000.bin").read_bytes()
+    assert cli.main(["eval", *base, "--set", override]) == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert ("mismatch on 'arch'" in err and "rerun train-control" in err) if override.startswith("control_arch") \
+        else ("mismatch on 'n_steps'" in err and "rerun solve" in err)
+    assert (out / "curves" / "errors_000.bin").read_bytes() == curve
+    assert cli.main(["eval", *base]) == 0
+
+
+def test_eval_reads_the_checkpoint_header_and_not_the_net(heat_config, tmp_path, monkeypatch):
+    # the solution's control field is checked against the digest the
+    # checkpoint's header records; xi is neither loaded nor hashed
+    cfg = _solved_run(heat_config, tmp_path / "out")
+    hashed = []
+    digest = binfile.digest
+    monkeypatch.setattr(cn, "load_control_checkpoint", None)
+    monkeypatch.setattr(binfile, "digest", lambda array: hashed.append(array.shape) or digest(array))
+    pipeline.cmd_eval(cfg, anchor_index=0, n_x=64)
+    assert (cn.control_param_count(cfg.control_arch),) not in hashed
+
+
+def test_solution_records_its_horizon_and_step_count(heat_config, tmp_path):
+    cfg = _solved_run(heat_config, tmp_path / "out")
+    header = binfile.read_header(cfg.path("solution", 0), "solution", pipeline.SOLUTION_FORMAT_VERSION, "")[0]
+    assert (header["horizon"], header["n_steps"]) == (0.05, 8)
+    assert header["control_sha256"] == binfile.digest(pipeline._load_control(cfg).xi)
+
+
+def test_verify_rejects_a_transport_solution_of_another_horizon(tmp_path, capsys):
+    # with no trajectory cache no checkpoint input holds the horizon, and
+    # verify paired the stored solution's step with the new horizon
+    base = ["--config", str(PRESETS / "transport_1d.json"), "--out", str(tmp_path / "out"),
+            "--set", "counts.n_theta=4", "--set", "counts.n_x=16", "--set", "initials.count=1", "--set", _TWO_STEPS]
+    for command in ("fit-initial", "sample-gram", "train-control", "solve"):
+        assert cli.main([command, *base]) == 0
+    assert cli.main(["verify", *base]) == 0
+    for command in ("verify", "eval"):
+        assert cli.main([command, *base, "--set", "problem.horizon=0.5"]) == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "mismatch on 'horizon'" in err and "rerun solve" in err
+    assert cli.main(["solve", *base, "--set", "problem.horizon=0.5"]) == 0
+    assert cli.main(["verify", *base, "--set", "problem.horizon=0.5"]) == 0
+
+
+def test_solutions_and_checkpoints_of_the_previous_formats_are_rejected(heat_config, tmp_path, capsys):
+    # a format-4 solution records neither horizon nor step count, and a
+    # format-5 checkpoint no xi_sha256
+    out = tmp_path / "out"
+    _solved_run(heat_config, out)
+    base = ["--config", str(heat_config), "--out", str(out)]
+    for name, kind, version in (("solutions/solution_000.bin", "solution", pipeline.SOLUTION_FORMAT_VERSION),
+                                ("checkpoints/control.bin", "control_checkpoint", cn.FORMAT_VERSION)):
+        path = out / name
+        payload = path.read_bytes()
+        header, offset = binfile.read_header(path, kind, version, "")
+        path.write_bytes(binfile.encode_header(dict(header, format_version=version - 1)) + payload[offset:])
+        assert cli.main(["eval", *base]) == cli.EXIT_NUMERIC
+        assert f"not a {kind} in format version {version}" in capsys.readouterr().err
+        path.write_bytes(payload)
+    assert cli.main(["eval", *base]) == 0
 
 
 def test_cut_write_keeps_the_previous_artifact(heat_config, tmp_path, monkeypatch):

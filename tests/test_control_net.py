@@ -6,7 +6,7 @@ import pytest
 from scipy.special import erf
 
 from pdecontrol import assembly, binfile, config, control_net as cn, evolve, pde_ops, pipeline, rom
-from pdecontrol.errors import CacheMismatch, NonFiniteError
+from pdecontrol.errors import CacheMismatch, MissingArtifact, NonFiniteError
 from pdecontrol.optim import Adam
 from pdecontrol.sampling import Box, Purpose, sample_omega, sample_theta
 
@@ -349,6 +349,27 @@ def test_checkpoint_rejects_old_json_and_torn_files(tmp_path, small_arch, rng):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(CacheMismatch):
         cn.load_control_checkpoint(path, small_arch, {})
+
+
+def test_checkpoint_records_and_checks_the_digest_of_xi(tmp_path, small_arch, rng):
+    net = make_net(small_arch, jitter=0.1, rng=rng)
+    assert net.sha256 is None
+    path = tmp_path / "control.bin"
+    cn.save_control_checkpoint(net, path, {"n_theta": 4})
+    header, offset = binfile.read_header(path, "control_checkpoint", cn.FORMAT_VERSION, "")
+    assert header["xi_sha256"] == binfile.digest(net.xi)
+    assert cn.load_control_checkpoint(path, small_arch, {"n_theta": 4}).sha256 == header["xi_sha256"]
+    assert cn.checkpoint_sha256(path, small_arch, {"n_theta": 4}) == header["xi_sha256"]
+    with pytest.raises(CacheMismatch, match="'n_theta' .* rerun train-control"):
+        cn.checkpoint_sha256(path, small_arch, {"n_theta": 5})
+    # parameters changed in place, with the header left as it was
+    data = bytearray(path.read_bytes())
+    data[offset] ^= 1
+    path.write_bytes(bytes(data))
+    with pytest.raises(CacheMismatch, match="xi_sha256; rerun train-control"):
+        cn.load_control_checkpoint(path, small_arch, {"n_theta": 4})
+    with pytest.raises(MissingArtifact, match="rerun train-control"):
+        cn.checkpoint_sha256(tmp_path / "none.bin", small_arch, {})
 
 
 def _reference_forward(arch, xi, TH):

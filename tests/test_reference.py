@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.fft import dstn, idstn
 
 from pdecontrol import evolve, fit, reference, rom
 from pdecontrol.errors import CacheMismatch, NonFiniteError
@@ -264,8 +265,9 @@ def test_grid_and_slice_writes_replace_whole_files(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# oracles: the per-time error-curve loop and the sparse-LU IMEX step that
-# reference.error_curve and reference.solve_allen_cahn_imex replace
+# oracles: the per-time error-curve loop, the sparse-LU IMEX step and the
+# fast-sine-transform IMEX step that reference.error_curve and
+# reference.solve_allen_cahn_imex replace
 
 
 def _loop_eval_reference(ref, X, t):
@@ -343,6 +345,27 @@ def _splu_imex(initial, epsilon, nx, nt, horizon, lo=(-1.0, -1.0), hi=(1.0, 1.0)
     return np.stack(fields)
 
 
+def _dst_imex(initial, epsilon, nx, nt, horizon, max_snapshots=64):
+    """The snapshots of the IMEX scheme on (-1,1)^2, each implicit step one
+    scipy.fft DST-I of the right-hand side, a division and one inverse
+    DST-I, strided as solve_allen_cahn_imex strides them."""
+    hx = 2.0 / (nx + 1)
+    inner = -1.0 + hx * np.arange(1, nx + 1)
+    XX, YY = np.meshgrid(inner, inner, indexing="ij")
+    u = fit.eval_initial(initial, np.stack([XX.ravel(), YY.ravel()], axis=1)).reshape(nx, nx)
+    dt = horizon / nt
+    lam = -(4.0 / hx**2) * np.sin(np.arange(1, nx + 1) * np.pi / (2 * (nx + 1))) ** 2
+    system = 1.0 - dt * epsilon * (lam[:, None] + lam[None, :])
+    stride = max(1, int(np.ceil(nt / (max_snapshots - 1))))
+    snaps = [u]
+    for n in range(1, nt + 1):
+        rhs = u + dt * 1.5 * (u - u * u * u)
+        u = idstn(dstn(rhs, type=1, norm="ortho") / system, type=1, norm="ortho")
+        if n % stride == 0 or n == nt:
+            snaps.append(u)
+    return np.stack(snaps)
+
+
 def _trajectory(arch, seed, n=9, step=0.02, scale=0.3):
     theta = rom.init_params(arch, seed)
     thetas = theta + scale * np.random.default_rng(seed).standard_normal((n, theta.size))
@@ -387,3 +410,35 @@ def test_imex_sine_transform_solve_matches_sparse_lu(nx, nt, epsilon):
     steps = np.rint(grid.times / (0.3 / nt)).astype(int)
     assert steps[0] == 0 and steps[-1] == nt
     assert np.abs(grid.snapshots[:, 1:-1, 1:-1] - fields[steps]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [16, 64, 100])
+def test_sine_matrix_is_orthonormal_and_involutory(n):
+    S = reference._sine_matrix(n)
+    assert np.array_equal(S, S.T)
+    assert np.abs(S @ S - np.eye(n)).max() <= 1e-13
+    # the orthonormal DST-I of the identity's columns
+    assert np.abs(S - dstn(np.eye(n), type=1, norm="ortho", axes=[0])).max() <= 1e-13
+
+
+@pytest.mark.parametrize("nx, nt", [(64, 500), (100, 2000)])
+def test_imex_sine_matrix_solve_matches_the_fast_sine_transform_step(nx, nt):
+    # (100, 2000) is the reference command's default grid
+    spec = fit.ChebCombo(terms=((2, 1, 0.8), (0, 3, -0.6), (1, 0, 0.3)))
+    grid = reference.solve_allen_cahn_imex(spec, 1e-4, nx, nt, 1.0)
+    want = _dst_imex(spec, 1e-4, nx, nt, 1.0)
+    assert grid.snapshots.shape == (want.shape[0], nx + 2, nx + 2)
+    assert np.abs(grid.snapshots[:, 1:-1, 1:-1] - want).max() <= 1e-11
+
+
+def test_grid_reference_matches_the_two_frame_bilinear_formula():
+    grid = reference.solve_allen_cahn_imex(fit.ChebCombo(terms=((1, 2, 0.6), (3, 0, -0.4))), 1e-3, 30, 48, 0.2,
+                                           max_snapshots=7)
+    rng = np.random.default_rng(8)
+    # random points, the grid's nodes and the box's corners and edges
+    X = np.vstack([rng.uniform(-1.0, 1.0, (500, 2)), np.stack(np.meshgrid(grid.xs, grid.xs), -1).reshape(-1, 2),
+                   [[-1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [1.0, 0.3], [0.2, -1.0]]])
+    times = np.concatenate([grid.times, rng.uniform(grid.times[0], grid.times[-1], 20)])
+    u_at = reference.reference_at(grid, X)
+    for t in times:
+        assert np.abs(u_at(float(t)) - _loop_eval_reference(grid, X, float(t))).max() <= 1e-13
