@@ -111,9 +111,11 @@ _RERUN = "rerun sample-gram"
 
 @dataclass
 class GramCache:
-    """Memory-mapped cache contents; theta/gram/rhs are views into the file."""
+    """Memory-mapped cache contents; records and the theta/gram/rhs views
+    of it are views into the file."""
 
     header: dict
+    records: np.ndarray  # (n, 2m+m*m+1), C-contiguous, in the layout above
     theta: np.ndarray  # (n, m)
     gram: np.ndarray  # (n, m, m)
     rhs: np.ndarray  # (n, m)
@@ -248,6 +250,7 @@ def read_cache(cache_path, header: dict, thetas: np.ndarray) -> GramCache:
     m = header["m"]
     return GramCache(
         header=header,
+        records=records,
         theta=records[:, :m],
         rhs=records[:, m : 2 * m],
         gram=records[:, 2 * m : -1].reshape(-1, m, m),

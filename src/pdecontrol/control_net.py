@@ -14,14 +14,21 @@ with matrices stored row-major. The output layer is zero-initialized so a
 fresh net is the zero field.
 
 One forward pass (_forward_cached) runs the layers for every caller: forward
-(the RK4 solve), the gradients, _jvp, _vjp and field_stats. The first layer
-and every gate read only theta, so one stacked product with
+(the RK4 solve), loss, residual_scan, _jvp, _vjp and field_stats. The first
+layer and every gate read only theta, so one stacked product with
 ControlNet.theta_table gives all their pre-activations and one elementwise
 pass all the Phi(R); the blocks then run in turn. The pass keeps what the
-one reverse pass reads. Each training step runs one forward and one backward
-pass: loss stacks the step's Gram rows and trajectory-pair rows and reads
-the projection loss l1 and the trajectory loss l2 off the two blocks of the
-one output.
+one reverse pass (_reverse) reads. Each training step runs one forward and
+one backward pass: loss stacks the step's Gram rows and trajectory-pair rows
+and reads the projection loss l1 and the trajectory loss l2 off the two
+blocks of the one output.
+
+Both passes write into a _Workspace made once for a row count: train makes
+one per stage and forward keeps one per net. Each ufunc runs the layer
+formula's operation in its order, so every value is the formula's bit for
+bit. A minibatch's Gram records stream through one chunk buffer of about
+_CHUNK_BYTES, whole records at a time, so a step never holds batch * m*m
+floats.
 """
 
 from __future__ import annotations
@@ -34,18 +41,33 @@ from scipy.special import erf
 from . import binfile
 from .errors import CacheMismatch, NonFiniteError
 from .optim import Adam
-from .rom import _join, _size, _split_flat
+from .rom import _size, _split_flat
 from .sampling import Purpose, rng_for
 
 FORMAT_VERSION = 6
 
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# the size of the buffer that a minibatch's Gram records stream through: it
+# stays in a core's L2 cache while both einsums read it, and it holds enough
+# records (14 at m = 67) that the einsums' per-call cost stays small
+_CHUNK_BYTES = 512 * 1024
+# records per forward pass of residual_scan, which bounds the forward cache
+# it holds; BLAS rounds passes of a few rows differently, so the count also
+# fixes the bits of verify's report
+_SCAN_ROWS = 256
 
 
-def _gelu_deriv(x, cdf):
-    """GeLU'(x) from Phi(x), which the forward pass has already computed."""
-    return cdf + x * (_INV_SQRT_2PI * np.exp(-0.5 * x * x))
+def _gelu_deriv(x, cdf, out=None):
+    """GeLU'(x) = Phi(x) + x phi(x) from Phi(x), which the forward pass has
+    already computed; written into out if given."""
+    out = np.multiply(x, -0.5, np.empty(np.shape(x)) if out is None else out)
+    out *= x
+    np.exp(out, out)
+    out *= _INV_SQRT_2PI
+    out *= x
+    out += cdf
+    return out
 
 
 @dataclass(frozen=True)
@@ -94,10 +116,14 @@ class ControlNet:
     sha256: str | None = field(default=None, compare=False)
     # the layer views of xi, unpacked once (views, so they share xi's memory)
     params: tuple = field(init=False, repr=False, compare=False)
-    # the layers that read theta, stacked for the forward pass: [U_0, Ubar_1,
-    # ...] of shape (depth, width, input_dim) and [b_0, bbar_1, ...] of shape
-    # (depth, width); copies of those views, built with params
+    # the layers that read theta, stacked for the forward pass: [U_0^T,
+    # Ubar_1^T, ...] of shape (depth, input_dim, width) and [b_0, bbar_1, ...]
+    # of shape (depth, 1, width); read-only strided views of xi, as U_0 and
+    # each Ubar_l lie one block's parameters apart in the layout, and so do
+    # b_0 and each bbar_l
     theta_table: tuple = field(init=False, repr=False, compare=False)
+    # forward's _Workspace, kept for its next call of the same row count
+    workspace: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         xi = np.ascontiguousarray(self.xi, dtype=np.float64)
@@ -105,10 +131,15 @@ class ControlNet:
         expect = control_param_count(self.arch)
         if xi.shape != (expect,):
             raise ValueError(f"xi must have shape ({expect},), got {xi.shape}")
-        U0, b0, blocks, _, _ = params = _unpack(self.arch, xi)
+        U0, b0, _, _, _ = params = _unpack(self.arch, xi)
+        w, m = U0.shape
+        block = (w * w + w + w * m + w) * xi.itemsize
+        table = tuple(np.lib.stride_tricks.as_strided(first, (self.arch.depth,) + first.shape,
+                                                      (block,) + first.strides, writeable=False)
+                      for first in (U0.T, b0[None, :]))
         object.__setattr__(self, "params", params)
-        object.__setattr__(self, "theta_table", (np.stack([U0] + [Ug for _, _, Ug, _ in blocks]),
-                                                 np.stack([b0] + [bg for _, _, _, bg in blocks])))
+        object.__setattr__(self, "theta_table", table)
+        object.__setattr__(self, "workspace", [None])
 
     def __call__(self, theta: np.ndarray) -> np.ndarray:
         return forward(self, theta)
@@ -133,78 +164,135 @@ def init_control_params(arch: ControlArch, seed: int) -> np.ndarray:
 # forward / backward
 
 
-def _forward_cached(net: ControlNet, TH: np.ndarray):
+class _Workspace:
+    """The buffers of passes of n rows, reused by each: what _forward_cached
+    keeps (the stacked pre-activations A, Phi(R), the gates, each block's
+    tanh T and output state H, with their per-block views, and the field
+    out), the reverse pass's cotangents and scratch, the flat gradient with
+    its layer views, loss's rows (TH, residual, output cotangent, squares)
+    and, for records of record_width floats, the chunk buffer they stream
+    through. What a pass returns lives here until the next pass."""
+
+    def __init__(self, arch: ControlArch, n: int, record_width: int = 0):
+        m, w = arch.input_dim, arch.width
+        self.n = n
+        self.A = np.empty((arch.depth, n, w))
+        self.cdf, self.gates, self.T, self.H = np.empty((4, arch.n_blocks, n, w))
+        self.per_block = list(zip(self.gates, self.T, self.H))
+        self.dH, self.dS, self.dR, self.tmp = np.empty((4, n, w))
+        self.TH, self.out, self.res, self.dout, self.sq = np.empty((5, n, m))
+        self.grad = np.empty(control_param_count(arch))
+        self.grad_parts = _unpack(arch, self.grad)
+        self.chunk = _chunk_buffer(record_width) if record_width else None
+
+
+def _chunk_buffer(record_width: int) -> np.ndarray:
+    """As many whole records as fit in _CHUNK_BYTES, at least one."""
+    return np.empty((max(1, _CHUNK_BYTES // (8 * record_width)), record_width))
+
+
+def _forward_cached(net: ControlNet, TH: np.ndarray, ws: _Workspace | None = None):
     """(out, cache): V at the rows of TH and what every derivative reuses,
     cache = (TH, H0 the first tanh, R, Phi(R), gate = R Phi(R), per block
     (H_in, T), H_last), with R, Phi(R) and gate stacked over the blocks as
-    (depth-1, n, width) arrays.
+    (depth-1, n, width) arrays. All but TH live in ws (a new _Workspace if
+    None).
 
     One stacked theta_table product gives the first pre-activation and every
-    gate's; one elementwise pass turns the gate rows into Phi(R)."""
+    gate's; one elementwise pass turns the gate rows into Phi(R). Outputs
+    are passed to the ufuncs positionally, which parse an out= keyword
+    more slowly: a batch-1 call makes about twenty of them."""
+    if ws is None:
+        ws = _Workspace(net.arch, TH.shape[0])
     table, biases = net.theta_table
     _, _, blocks, W_out, b_out = net.params
-    A = np.matmul(TH, table.transpose(0, 2, 1))  # one (n, width) product per layer
-    A += biases[:, None, :]
-    H0 = H = np.tanh(A[0], out=A[0])
+    A = np.matmul(TH, table, ws.A)  # one (n, width) product per layer
+    A += biases
+    H0 = H = np.tanh(A[0], A[0])
     R = A[1:]
-    cdf = R / _SQRT2
-    erf(cdf, out=cdf)
+    cdf = np.divide(R, _SQRT2, ws.cdf)
+    erf(cdf, cdf)
     cdf += 1.0
     cdf *= 0.5
-    gates = cdf * R
+    gates = np.multiply(cdf, R, ws.gates)
     layers = []
-    for (U, b, _, _), gate in zip(blocks, gates):
-        T = H @ U.T
+    for (U, b, _, _), (gate, T, H_next) in zip(blocks, ws.per_block):
+        np.matmul(H, U.T, T)
         T += b
-        np.tanh(T, out=T)
+        np.tanh(T, T)
         layers.append((H, T))
-        H = H + gate * T
-    out = H @ W_out.T
+        H = np.add(H, np.multiply(gate, T, H_next), H_next)
+    out = np.matmul(H, W_out.T, ws.out)
     out += b_out
     return out, (TH, H0, R, cdf, gates, layers, H)
 
 
 def forward(net: ControlNet, theta) -> np.ndarray:
-    """V(theta); accepts a single vector (m,) or a batch (n, m)."""
+    """V(theta) as a new array; accepts a single vector (m,) or a batch
+    (n, m). The pass runs in the net's own workspace, which is made anew
+    only when the row count changes."""
     th = np.asarray(theta, dtype=np.float64)
     single = th.ndim == 1
     TH = th[None, :] if single else th
     if TH.shape[1] != net.arch.input_dim:
         raise ValueError("theta dimension does not match the control net")
-    out = _forward_cached(net, TH)[0]
+    ws = net.workspace[0]
+    if ws is None or ws.n != TH.shape[0]:
+        ws = net.workspace[0] = _Workspace(net.arch, TH.shape[0])
+    out = _forward_cached(net, TH, ws)[0]
     if not np.isfinite(out).all():
         raise NonFiniteError("control field evaluation overflowed")
-    return out[0] if single else out
+    return out[0].copy() if single else out.copy()
 
 
-def _reverse(net: ControlNet, cache, dout: np.ndarray):
-    """Reverse pass of sum(dout * out): (dA0, [(dS, dR) per block]), the
-    cotangents of the first pre-activation and of each block's tanh (S) and
-    gate (R) pre-activations."""
+def _reverse(net: ControlNet, cache, dout: np.ndarray, ws: _Workspace | None, visit) -> np.ndarray:
+    """Reverse pass of sum(dout * out), from the last block to the first:
+    calls visit(k, dS, dR) with the cotangents of block k's tanh (S) and
+    gate (R) pre-activations, and returns dA0, the first pre-activation's.
+    All three live in ws (a new _Workspace if None); the next block's dS
+    and dR overwrite the last."""
+    if ws is None:
+        ws = _Workspace(net.arch, dout.shape[0])
     _, _, blocks, W_out, _ = net.params
     _, H0, R, cdf, gates, layers, _ = cache
-    dH = dout @ W_out
-    per_block = [None] * len(layers)
-    # GeLU' block by block: over all of R at once its temporaries reach
-    # megabytes at training batch sizes, which made a heat1d training step
-    # ~18% slower on a 2-vCPU host
+    dH, dS, dR, tmp = ws.dH, ws.dS, ws.dR, ws.tmp
+    np.matmul(dout, W_out, dH)
     for k in range(len(layers) - 1, -1, -1):
         T = layers[k][1]
-        dS = dH * gates[k] * (1.0 - T * T)
-        per_block[k] = (dS, dH * T * _gelu_deriv(R[k], cdf[k]))
-        dH = dH + dS @ blocks[k][0]
-    return dH * (1.0 - H0**2), per_block
+        np.subtract(1.0, np.multiply(T, T, tmp), tmp)
+        np.multiply(dH, gates[k], dS)
+        dS *= tmp  # dH gate (1 - T^2)
+        _gelu_deriv(R[k], cdf[k], dR)
+        dR *= np.multiply(dH, T, tmp)  # dH T GeLU'(R)
+        visit(k, dS, dR)
+        dH += np.matmul(dS, blocks[k][0], tmp)
+    np.subtract(1.0, np.square(H0, tmp), tmp)
+    dH *= tmp
+    return dH
 
 
-def _backward_xi(net: ControlNet, cache, dout: np.ndarray) -> np.ndarray:
-    """Gradient of sum(dout * out) with respect to the flat xi."""
+def _backward_xi(net: ControlNet, cache, dout: np.ndarray, ws: _Workspace | None = None) -> np.ndarray:
+    """Gradient of sum(dout * out) with respect to the flat xi, each layer's
+    part written in place into ws.grad (ws a new _Workspace if None),
+    which it returns."""
+    if ws is None:
+        ws = _Workspace(net.arch, dout.shape[0])
     TH, *_, layers, H_last = cache
-    dA0, per_block = _reverse(net, cache, dout)
-    parts = [dA0.T @ TH, dA0.sum(axis=0)]
-    for (H_in, _), (dS, dR) in zip(layers, per_block):
-        parts += [dS.T @ H_in, dS.sum(axis=0), dR.T @ TH, dR.sum(axis=0)]
-    parts += [dout.T @ H_last, dout.sum(axis=0)]
-    return _join(parts, _layout(net.arch))
+    gU0, gb0, gblocks, gW_out, gb_out = ws.grad_parts
+
+    def visit(k, dS, dR):
+        gU, gb, gUg, gbg = gblocks[k]
+        np.matmul(dS.T, layers[k][0], gU)
+        np.sum(dS, axis=0, out=gb)
+        np.matmul(dR.T, TH, gUg)
+        np.sum(dR, axis=0, out=gbg)
+
+    dA0 = _reverse(net, cache, dout, ws, visit)
+    np.matmul(dA0.T, TH, gU0)
+    np.sum(dA0, axis=0, out=gb0)
+    np.matmul(dout.T, H_last, gW_out)
+    np.sum(dout, axis=0, out=gb_out)
+    return ws.grad
 
 
 def _jvp(net: ControlNet, cache, v: np.ndarray) -> np.ndarray:
@@ -219,14 +307,15 @@ def _jvp(net: ControlNet, cache, v: np.ndarray) -> np.ndarray:
     return Hd @ W_out.T
 
 
-def _vjp(net: ControlNet, cache, u: np.ndarray) -> np.ndarray:
+def _vjp(net: ControlNet, cache, u: np.ndarray, ws: _Workspace | None = None) -> np.ndarray:
     """Cotangent pullback J(theta)^T u, batched: dA0 U0 + sum of dR Ug."""
     U0, _, blocks, _, _ = net.params
-    dA0, per_block = _reverse(net, cache, u)
     dTH = np.zeros_like(cache[0])
-    for (_, dR), (_, _, Ug, _) in zip(per_block[::-1], blocks[::-1]):
-        dTH += dR @ Ug
-    dTH += dA0 @ U0
+
+    def visit(k, dS, dR):
+        np.add(dTH, dR @ blocks[k][2], dTH)
+
+    dTH += _reverse(net, cache, u, ws, visit) @ U0
     return dTH
 
 
@@ -237,7 +326,8 @@ def field_stats(net: ControlNet, points: np.ndarray, seed: int, n_probe_iters: i
     TH = np.asarray(points, dtype=np.float64)
     if TH.shape[0] == 0:
         raise ValueError("empty sample")
-    out, cache = _forward_cached(net, TH)
+    ws = _Workspace(net.arch, TH.shape[0])
+    out, cache = _forward_cached(net, TH, ws)
     if not np.all(np.isfinite(out)):
         raise NonFiniteError("control field evaluation overflowed")
     m_v = float(np.linalg.norm(out, axis=1).max())
@@ -247,7 +337,7 @@ def field_stats(net: ControlNet, points: np.ndarray, seed: int, n_probe_iters: i
     for _ in range(n_probe_iters):
         w = _jvp(net, cache, v)
         sigma = np.linalg.norm(w, axis=1)
-        v = _vjp(net, cache, w / np.maximum(sigma[:, None], 1e-300))
+        v = _vjp(net, cache, w / np.maximum(sigma[:, None], 1e-300), ws)
         v /= np.maximum(np.linalg.norm(v, axis=1, keepdims=True), 1e-300)
     return m_v, float(sigma.max())
 
@@ -256,56 +346,106 @@ def field_stats(net: ControlNet, points: np.ndarray, seed: int, n_probe_iters: i
 # loss and training
 
 
-def _projection_residual(G: np.ndarray, out: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """G V(theta) - p per row, from the field values out."""
-    return np.einsum("nij,nj->ni", G, out) - P
+def _records(gram) -> np.ndarray:
+    """gram as rows in the Gram cache's record layout (assembly): theta (m),
+    rhs (m), gram (m*m, row-major), status. An array is taken as it is (a
+    cache's GramCache.records); a (TH, G, P) triple is packed into a new one,
+    its status column 0, which nothing here reads."""
+    if isinstance(gram, np.ndarray):
+        return gram
+    TH, G, P = gram
+    n = TH.shape[0]
+    return np.concatenate([TH, P, np.reshape(G, (n, -1)), np.zeros((n, 1))], axis=1)
 
 
-def loss(net: ControlNet, gram, pairs, zeta: float) -> tuple[float, float, np.ndarray]:
+def _gram_chunks(records: np.ndarray, rows: np.ndarray, m: int, buf: np.ndarray):
+    """(start, stop, G, P) for each run rows[start:stop] of as many records
+    as buf holds, the run's whole records gathered into buf: G (k, m, m) and
+    P (k, m) are views of buf until the next run. records must be
+    C-contiguous, or np.take copies all of them first; mode "clip" writes
+    straight into buf, where "raise" would buffer the output."""
+    for start in range(0, rows.shape[0], buf.shape[0]):
+        run = rows[start : start + buf.shape[0]]
+        chunk = np.take(records, run, axis=0, out=buf[: run.shape[0]], mode="clip")
+        yield start, start + run.shape[0], chunk[:, 2 * m : -1].reshape(-1, m, m), chunk[:, m : 2 * m]
+
+
+def _projection_residual(G: np.ndarray, out: np.ndarray, P: np.ndarray, res: np.ndarray) -> np.ndarray:
+    """G V(theta) - p per row, from the field values out, written into res."""
+    np.einsum("nij,nj->ni", G, out, out=res)
+    res -= P
+    return res
+
+
+def _mean_square(res: np.ndarray, sq: np.ndarray) -> float:
+    """The mean over rows of |res|^2, with sq as scratch."""
+    return float(np.mean(np.sum(np.multiply(res, res, sq), axis=1)))
+
+
+def loss(net: ControlNet, gram, pairs, zeta: float, rows: np.ndarray | None = None,
+         ws: _Workspace | None = None) -> tuple[float, float, np.ndarray]:
     """(l1, l2, gradient of l1 + zeta*l2 with respect to xi) on one
     minibatch, from one forward and one reverse pass over the stacked rows.
 
     l1 is the mean squared projection residual |G V(theta) - p|^2 over the
-    rows of gram = (TH, G, P), shapes (n, m), (n, m, m), (n, m); l2 the mean
-    squared deviation |V(theta) - v|^2 from the trajectory velocities over
-    the rows of pairs = (TH, V), both (n, m). Either may be None, its term
-    then 0.
+    records rows (default all) of gram: a Gram cache's records
+    (GramCache.records) or a (TH, G, P) triple of shapes (n, m), (n, m, m),
+    (n, m), as _records takes them. Their G and p stream through ws's
+    chunk buffer after the forward pass. l2 is the mean squared deviation
+    |V(theta) - v|^2 from the trajectory velocities over the rows of
+    pairs = (TH, V), both (n, m). Either may be None, its term then 0.
+    ws is the _Workspace of the stacked rows (a new one if None); the
+    gradient returned lives in it until its next pass.
     """
-    out, cache = _forward_cached(net, np.concatenate([batch[0] for batch in (gram, pairs) if batch is not None]))
+    m = net.arch.input_dim
+    records = None if gram is None else _records(gram)
+    if records is not None and rows is None:
+        rows = np.arange(records.shape[0])
+    n1 = 0 if records is None else rows.shape[0]
+    n2 = 0 if pairs is None else pairs[0].shape[0]
+    if ws is None:
+        ws = _Workspace(net.arch, n1 + n2, 0 if records is None else records.shape[1])
+    TH, res, dout = ws.TH, ws.res, ws.dout
+    if n1:
+        TH[:n1] = records[rows, :m]
+    if n2:
+        TH[n1:] = pairs[0]
+    out, cache = _forward_cached(net, TH, ws)
     l1 = l2 = 0.0
-    n1 = 0
-    douts = []
-    if gram is not None:
-        _, G, P = gram
-        n1 = G.shape[0]
-        res = _projection_residual(G, out[:n1], P)
-        l1 = float(np.mean(np.sum(res * res, axis=1)))
-        douts.append(2.0 * np.einsum("nij,ni->nj", G, res) / n1)  # G symmetric
-    if pairs is not None:
-        res = out[n1:] - pairs[1]
-        l2 = float(np.mean(np.sum(res * res, axis=1)))
-        douts.append(zeta * (2.0 * res / res.shape[0]))
-    return l1, l2, _backward_xi(net, cache, np.concatenate(douts))
+    if n1:
+        for start, stop, G, P in _gram_chunks(records, rows, m, ws.chunk):
+            r = _projection_residual(G, out[start:stop], P, res[start:stop])
+            np.einsum("nij,ni->nj", G, r, out=dout[start:stop])  # G symmetric
+        dout[:n1] *= 2.0
+        dout[:n1] /= n1
+        l1 = _mean_square(res[:n1], ws.sq[:n1])
+    if n2:
+        r = np.subtract(out[n1:], pairs[1], res[n1:])
+        l2 = _mean_square(r, ws.sq[n1:])
+        np.multiply(r, 2.0, dout[n1:])
+        dout[n1:] /= n2
+        dout[n1:] *= zeta
+    return l1, l2, _backward_xi(net, cache, dout, ws)
 
 
 class _Batcher:
-    """Deterministic epoch-shuffled minibatches of the given rows of arrays."""
+    """Deterministic epoch-shuffled minibatches of the given row indices."""
 
-    def __init__(self, arrays, rows: np.ndarray, batch_size: int, rng: np.random.Generator):
-        self.arrays = arrays
+    def __init__(self, rows: np.ndarray, batch_size: int, rng: np.random.Generator):
         self.rng = rng
         self.n = n = rows.shape[0]
         self.bs = n if batch_size == 0 or batch_size >= n else batch_size
         self.order = rows.copy()
         self.pos = n  # force shuffle on first call
 
-    def next(self) -> tuple:
+    def next(self) -> np.ndarray:
+        """The next minibatch's indices, a view valid until the next call."""
         if self.pos + self.bs > self.n:
             self.rng.shuffle(self.order)
             self.pos = 0
         idx = self.order[self.pos : self.pos + self.bs]
         self.pos += self.bs
-        return tuple(a[idx] for a in self.arrays)
+        return idx
 
 
 def train(
@@ -325,54 +465,78 @@ def train(
     batch_size records (0: all of them); the settings are one stage of the
     config's train.schedule with the train block's zeta and stop_loss.
 
-    gram: (thetas, grams, rhs) arrays of shapes (n, m), (n, m, m), (n, m),
-    e.g. the memory-mapped views of assembly.read_cache, or None. Each
-    minibatch is gathered from them directly. rows selects the records to
-    train on (default all), e.g. GramCache.rows to leave out skipped ones.
+    gram: a Gram cache's records (GramCache.records, memory-mapped) or a
+    (thetas, grams, rhs) triple, as loss takes them, or None. Each
+    minibatch streams from them. rows selects the records to train on
+    (default all), e.g. GramCache.rows to leave out skipped ones.
     traj_pairs: (thetas, velocities) arrays or None; they are used only for
     zeta > 0. Each step draws a minibatch of each and takes one loss.
-    Stops at stop_loss or at max_steps. Returns the trained
-    net and the per-step history (step, l1, l2, l_total).
+    The step's working set (one _Workspace for both minibatches' rows, the
+    pair minibatch, ADAM's vectors) is made once here and reused by every
+    step. Stops at stop_loss or at max_steps. Returns the trained net and
+    the per-step history (step, l1, l2, l_total).
     """
     m = net.arch.input_dim
     rng = rng_for(seed, Purpose.BATCHES)
-    grams = pairs = None
+    records = grams = pairs = None
     if gram is not None:
-        if gram[0].shape[1] != m:
+        records = _records(gram)
+        if records.shape[1] != 2 * m + m * m + 1:
             raise CacheMismatch("gram cache dimension does not match control net")
-        rows = np.arange(gram[0].shape[0]) if rows is None else rows
+        rows = np.arange(records.shape[0]) if rows is None else rows
         if rows.shape[0]:
-            grams = _Batcher(gram, rows, batch_size, rng)
+            grams = _Batcher(rows, batch_size, rng)
     if traj_pairs is not None and zeta > 0 and traj_pairs[0].shape[0]:
         if traj_pairs[0].shape[1] != m:
             raise CacheMismatch("trajectory cache dimension does not match control net")
-        pairs = _Batcher(traj_pairs, np.arange(traj_pairs[0].shape[0]), batch_size, rng)
+        pairs = _Batcher(np.arange(traj_pairs[0].shape[0]), batch_size, rng)
     if grams is None and pairs is None:
         raise ValueError("nothing to train on: empty gram cache and no trajectory pairs")
 
-    xi = net.xi.copy()
-    adam = Adam(xi.size, lr)
+    n1 = grams.bs if grams else 0
+    pair_batch = np.empty((2, pairs.bs, m)) if pairs else None
+    ws = _Workspace(net.arch, n1 + (pairs.bs if pairs else 0), records.shape[1] if grams else 0)
+    trained = ControlNet(net.arch, net.xi.copy())  # ADAM steps its xi in place
+    adam = Adam(trained.xi.size, lr)
     history: list[tuple[int, float, float, float]] = []
 
     for step in range(1, max_steps + 1):
-        # the Gram minibatch is drawn first, as both share one generator; no
-        # minibatch outlives its step, so two are never held at once
-        l1, l2, grad = loss(ControlNet(net.arch, xi), grams.next() if grams else None,
-                            pairs.next() if pairs else None, zeta)
+        # the Gram minibatch is drawn first, as both share one generator
+        batch = grams.next() if grams else None
+        if pairs:
+            idx = pairs.next()
+            for src, dst in zip(traj_pairs, pair_batch):
+                np.take(src, idx, axis=0, out=dst, mode="clip")
+        l1, l2, grad = loss(trained, records if grams else None, pair_batch, zeta, batch, ws)
         total = l1 + zeta * l2
         if not np.isfinite(total):
             raise NonFiniteError(f"training diverged at step {step}")
         history.append((step, l1, l2, total))
         if total < stop_loss:
             break
-        xi = adam.step(xi, grad)
+        adam.step(trained.xi, grad)
 
-    return ControlNet(net.arch, xi), history
+    return trained, history
 
 
-def residual_scan(net: ControlNet, TH: np.ndarray, G: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """|G V(theta) - p| per cached record (training-quality diagnostic)."""
-    return np.linalg.norm(_projection_residual(G, forward(net, TH), P), axis=1)
+def residual_scan(net: ControlNet, gram, rows: np.ndarray | None = None) -> np.ndarray:
+    """|G V(theta) - p| per record of rows (default all) of gram, records
+    or a triple as loss takes them (training-quality diagnostic). The field
+    runs on _SCAN_ROWS records at a time, whose G and p then stream through
+    one chunk buffer."""
+    m = net.arch.input_dim
+    records = _records(gram)
+    rows = np.arange(records.shape[0]) if rows is None else rows
+    buf = _chunk_buffer(records.shape[1])
+    norms = np.empty(rows.shape[0])
+    for first in range(0, rows.shape[0], _SCAN_ROWS):
+        run = rows[first : first + _SCAN_ROWS]
+        out = forward(net, records[run, :m])
+        res = np.empty_like(out)
+        for start, stop, G, P in _gram_chunks(records, run, m, buf):
+            _projection_residual(G, out[start:stop], P, res[start:stop])
+        norms[first : first + run.shape[0]] = np.linalg.norm(res, axis=1)
+    return norms
 
 
 # ---------------------------------------------------------------------------

@@ -143,11 +143,13 @@ def fit_initial(
 
 
 def _adam_fit(arch, X, g_train, theta, eps0_target, lr, max_steps) -> tuple[np.ndarray, float, int]:
-    """(best theta, its training MSE, steps run) of ADAM from theta. Each
-    step's gradient is the ROM's pullback of the cotangent 2 (u - g) / n."""
+    """(best theta, its training MSE, steps run) of ADAM from theta, which
+    is left as it was. Each step's gradient is the ROM's pullback of the
+    cotangent 2 (u - g) / n."""
     adam = Adam(theta.size, lr)
     at = rom.pullback_at(arch, X)
 
+    theta = theta.copy()  # ADAM steps it in place
     best_theta = theta.copy()
     best_mse = np.inf
     n = X.shape[0]
@@ -162,7 +164,7 @@ def _adam_fit(arch, X, g_train, theta, eps0_target, lr, max_steps) -> tuple[np.n
         steps_done = step
         if np.sqrt(mse) <= eps0_target:
             break
-        theta = adam.step(theta, pullback(2.0 * res / n))
+        adam.step(theta, pullback(2.0 * res / n))
     return best_theta, best_mse, steps_done
 
 

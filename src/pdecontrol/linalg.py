@@ -9,7 +9,6 @@ outputs, so cached artifacts stay reproducible across runs and thread counts.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import FactorizationFailure, NonFiniteError
 
@@ -30,8 +29,10 @@ def ridge_solve(gram, rhs, lambda_reg: float = 0.0) -> np.ndarray:
 
     The solution minimizes v^T G v - 2 v^T p + lambda*|v|^2, not
     |Gv - p|^2 + lambda*|v|^2. Solved by Cholesky on the shifted matrix,
-    falling back to an eigendecomposition with eigenvalues clipped at 1e-12
-    when the factorization breaks down (rank-deficient G with lambda ~ 0).
+    its two triangular systems by numpy.linalg.solve (so the package never
+    imports scipy.linalg), falling back to an eigendecomposition with
+    eigenvalues clipped at 1e-12 when the factorization breaks down
+    (rank-deficient G with lambda ~ 0).
     """
     G = np.ascontiguousarray(gram, dtype=np.float64)
     p = np.ascontiguousarray(rhs, dtype=np.float64)
@@ -55,7 +56,7 @@ def ridge_solve(gram, rhs, lambda_reg: float = 0.0) -> np.ndarray:
     shifted = G + lambda_reg * np.eye(m)
     try:
         chol = np.linalg.cholesky(shifted)
-        v = solve_triangular(chol.T, solve_triangular(chol, p, lower=True), lower=False)
+        v = np.linalg.solve(chol.T, np.linalg.solve(chol, p))
     except np.linalg.LinAlgError:
         try:
             eigvals, eigvecs = np.linalg.eigh(shifted)

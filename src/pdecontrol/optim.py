@@ -5,6 +5,9 @@ the textbook one, at ADAM's standard moments (BETA1, BETA2, EPS; no run sets
 them):
     m_t = b1 m_{t-1} + (1-b1) g,     v_t = b2 v_{t-1} + (1-b2) g^2,
     x  -= lr * (m_t / (1-b1^t)) / (sqrt(v_t / (1-b2^t)) + eps).
+A step updates x, the moments and two scratch vectors in place, each ufunc
+the textbook expression's operation in its order, so a step allocates
+nothing and its result is the textbook one bit for bit.
 """
 
 from __future__ import annotations
@@ -24,12 +27,21 @@ class Adam:
         self.t = 0
         self.m = np.zeros(size)
         self.v = np.zeros(size)
+        self._scratch = np.empty(size), np.empty(size)
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        """One update of params, in place; returns params."""
         self.t += 1
-        self.m = BETA1 * self.m + (1.0 - BETA1) * grad
-        self.v = BETA2 * self.v + (1.0 - BETA2) * grad * grad
-        m_hat = self.m / (1.0 - BETA1**self.t)
-        v_hat = self.v / (1.0 - BETA2**self.t)
-        return params - self.lr * m_hat / (np.sqrt(v_hat) + EPS)
-
+        a, b = self._scratch
+        self.m *= BETA1
+        self.m += np.multiply(grad, 1.0 - BETA1, out=a)
+        self.v *= BETA2
+        np.multiply(grad, 1.0 - BETA2, out=a)
+        self.v += np.multiply(a, grad, out=a)
+        np.divide(self.m, 1.0 - BETA1**self.t, out=a)  # m_hat
+        a *= self.lr
+        np.divide(self.v, 1.0 - BETA2**self.t, out=b)  # v_hat
+        np.sqrt(b, out=b)
+        b += EPS
+        params -= np.divide(a, b, out=a)
+        return params

@@ -21,8 +21,6 @@ from .sampling import AnchorBalls, Purpose, rng_for, sample_theta
 
 SOLUTION_FORMAT_VERSION = 5
 CURVE_FORMAT_VERSION = 1
-# Gram records per residual_scan call in verify: holds chunk * m^2 floats of G
-_VERIFY_CHUNK = 256
 # the default grid sizes of reference (IMEX cells and steps) and of eval (Monte-Carlo points)
 REFERENCE_NX = 100
 REFERENCE_NT = 2000
@@ -204,7 +202,7 @@ def cmd_train_control(
                 f"every record of {cfg.path('gram_cache')} was skipped: assembly went non-finite at each theta; "
                 "shrink theta_space and rerun sample-gram"
             )
-        gram, rows = (cache.theta, cache.gram, cache.rhs), cache.rows
+        gram, rows = cache.records, cache.rows
     if cfg.raw["counts"]["n_traj"]:
         pairs = evolve.read_traj_cache(cfg.path("traj_cache"), header=_traj_plan(cfg)[0])[1:]
     n_pairs = 0 if pairs is None else int(pairs[0].shape[0])
@@ -414,11 +412,7 @@ def cmd_verify(cfg: RunConfig) -> dict:
         raise MissingArtifact(f"no solution for any of the {len(store)} anchors in {cfg.path('anchors')}; "
                               "run solve first")
 
-    rows = cache.rows
-    res = np.empty(rows.size)
-    for i in range(0, rows.size, _VERIFY_CHUNK):
-        idx = rows[i : i + _VERIFY_CHUNK]
-        res[i : i + idx.size] = cn.residual_scan(net, cache.theta[idx], cache.gram[idx], cache.rhs[idx])
+    res = cn.residual_scan(net, cache.records, cache.rows)
     q = np.quantile(res, [0.5, 0.9, 1.0]).tolist() if res.size else [math.nan] * 3
     anchors = []
     for k in solved:

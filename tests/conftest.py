@@ -23,3 +23,22 @@ def unit_interval():
 def fourier_sine_arch(n_modes: int) -> rom.RomArch:
     """Orthonormal sine basis sqrt(2) sin(k pi x), k = 1..n_modes, on (0,1)."""
     return rom.RomArch(kind=rom.LINEAR_BASIS, input_dim=1, n_modes=n_modes)
+
+
+class TextbookAdam:
+    """ADAM as the textbook writes it, each step on new arrays: the oracle
+    for optim.Adam, which steps in place."""
+
+    def __init__(self, size: int, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+
+    def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
+        self.t += 1
+        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
+        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
+        m_hat = self.m / (1.0 - self.beta1**self.t)
+        v_hat = self.v / (1.0 - self.beta2**self.t)
+        return params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

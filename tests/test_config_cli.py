@@ -168,7 +168,9 @@ def test_full_pipeline_small(heat_config, tmp_path, monkeypatch):
     assert os.path.exists(stats["path"])
     stats = pipeline.cmd_eval(cfg, anchor_index=0, n_x=512)
     assert os.path.exists(stats["path"])
-    monkeypatch.setattr(pipeline, "_VERIFY_CHUNK", 4)  # 6 records: a full and a partial chunk
+    # 6 records: a full and a partial forward pass, one record per Gram chunk
+    monkeypatch.setattr(cn, "_SCAN_ROWS", 4)
+    monkeypatch.setattr(cn, "_CHUNK_BYTES", 1)
     assert cli.main(["verify", "--config", str(heat_config), "--out", out]) == 0
     report = json.loads(Path(out, "report.json").read_text())
     res = report["cache"]["residual"]
@@ -176,7 +178,7 @@ def test_full_pipeline_small(heat_config, tmp_path, monkeypatch):
     assert 0.0 <= res["p50"] <= res["p90"] <= res["max"] < np.inf
     cache = assembly.read_cache(cfg.path("gram_cache"), pipeline._gram_header(cfg), pipeline._gram_thetas(cfg))
     net = cn.load_control_checkpoint(cfg.path("checkpoint"), cfg.control_arch, pipeline._control_inputs(cfg))
-    assert res["max"] == pytest.approx(cn.residual_scan(net, cache.theta, cache.gram, cache.rhs).max(), rel=1e-12)
+    assert res["max"] == pytest.approx(cn.residual_scan(net, (cache.theta, cache.gram, cache.rhs)).max(), rel=1e-12)
     [anchor] = report["anchors"]
     assert anchor["anchor"] == 0 and anchor["blowup_step"] is None
     assert all(np.isfinite(anchor[k]) for k in ("m_v", "l_v", "euler_bound", "abs_err_max"))
@@ -186,6 +188,36 @@ def test_full_pipeline_small(heat_config, tmp_path, monkeypatch):
     assert header["solution_sha256"] == pipeline._digest(pipeline.load_solution(cfg, 0, pipeline._anchor(cfg, 0)[2]).thetas)
     assert rows.shape[1] == 3 and rows[:, 1].max() == stats["abs_err_max"]
     assert report["totals"] == {"blowups": 0, "escapes": 0, "passed": True}
+
+
+def test_verify_residuals_are_the_gathered_scan_bit_for_bit(heat_config, tmp_path, monkeypatch):
+    # the oracle gathers G and p of 256 records at a time and runs the field
+    # on their thetas; verify streams the records three to a chunk
+    cfg = config.load_config(heat_config, out_dir=str(tmp_path / "out"),
+                             overrides=["rom_arch.n_modes=6", "counts.n_theta=40", "counts.n_traj=0", _TWO_STEPS])
+    pipeline.cmd_fit_initial(cfg)
+    pipeline.cmd_sample_gram(cfg)
+    pipeline.cmd_gen_trajectories(cfg)
+    pipeline.cmd_train_control(cfg)
+    pipeline.cmd_solve(cfg, anchor_index=0)
+    cache = pipeline._read_gram_cache(cfg)
+    monkeypatch.setattr(cn, "_CHUNK_BYTES", 3 * 8 * cache.records.shape[1])
+    report = pipeline.cmd_verify(cfg)
+    net = cn.load_control_checkpoint(cfg.path("checkpoint"), cfg.control_arch, pipeline._control_inputs(cfg))
+
+    def gathered_scan(rows):
+        norms = []
+        for i in range(0, rows.size, 256):
+            idx = rows[i : i + 256]
+            res = np.einsum("nij,nj->ni", cache.gram[idx], cn.forward(net, cache.theta[idx])) - cache.rhs[idx]
+            norms.append(np.linalg.norm(res, axis=1))
+        return np.concatenate(norms)
+
+    assert report["cache"]["records"] == cache.rows.size == 40
+    want = np.quantile(gathered_scan(cache.rows), [0.5, 0.9, 1.0])
+    assert np.array_equal([report["cache"]["residual"][k] for k in ("p50", "p90", "max")], want)
+    rows = cache.rows[::3]  # and on a subset of the records, through residual_scan itself
+    assert np.array_equal(cn.residual_scan(net, cache.records, rows), gathered_scan(rows))
 
 
 def test_zero_field_solve_reproduces_fit_error(heat_config, tmp_path):

@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from scipy.special import erf
 from pdecontrol import assembly, binfile, config, control_net as cn, evolve, pde_ops, pipeline, rom
 from pdecontrol.errors import CacheMismatch, MissingArtifact, NonFiniteError
 from pdecontrol.optim import Adam
-from pdecontrol.sampling import Box, Purpose, sample_omega, sample_theta
+from pdecontrol.sampling import Box, Purpose, rng_for, sample_omega, sample_theta
+
+from conftest import TextbookAdam, fourier_sine_arch
 
 
 @pytest.fixture
@@ -320,7 +323,7 @@ def test_residual_scan_zero_when_exact(rng):
     net = cn.ControlNet(arch, xi)
     l1, _, _ = cn.loss(net, gram, None, 0.0)
     assert l1 < 1e-28
-    assert np.all(cn.residual_scan(net, *gram) < 1e-14)
+    assert np.all(cn.residual_scan(net, gram) < 1e-14)
 
 
 def test_checkpoint_roundtrip(tmp_path, small_arch, rng):
@@ -493,3 +496,170 @@ def test_initial_control_weights_are_not_drawn_from_gram_record_0s_points(tmp_pa
     u = ((drawn[0] - lo) / (hi - lo)).ravel()
     w0 = cn.init_control_params(cfg.control_arch, cfg.seed)[: u.size]
     assert np.abs(w0 - np.sqrt(1.0 / cfg.control_arch.input_dim) * (2.0 * u - 1.0)).max() > 0.1
+
+
+# ---------------------------------------------------------------------------
+# the step's working set: oracles that gather the whole minibatch
+
+
+def _gathered_backward_xi(net, cache, dout):
+    # the reverse pass on new arrays, each block's cotangents kept in a
+    # list and the parts joined at the end
+    _, _, blocks, W_out, _ = net.params
+    TH, H0, R, cdf, gates, layers, H_last = cache
+    dH = dout @ W_out
+    per_block = [None] * len(layers)
+    for k in range(len(layers) - 1, -1, -1):
+        T = layers[k][1]
+        dS = dH * gates[k] * (1.0 - T * T)
+        gelu_d = cdf[k] + R[k] * (1.0 / np.sqrt(2.0 * np.pi) * np.exp(-0.5 * R[k] * R[k]))
+        per_block[k] = (dS, dH * T * gelu_d)
+        dH = dH + dS @ blocks[k][0]
+    dA0 = dH * (1.0 - H0**2)
+    parts = [dA0.T @ TH, dA0.sum(axis=0)]
+    for (H_in, _), (dS, dR) in zip(layers, per_block):
+        parts += [dS.T @ H_in, dS.sum(axis=0), dR.T @ TH, dR.sum(axis=0)]
+    parts += [dout.T @ H_last, dout.sum(axis=0)]
+    return np.concatenate([p.ravel() for p in parts])
+
+
+def _gathered_loss(net, gram, pairs, zeta):
+    # the loss on a minibatch gathered whole: (TH, G, P) and (TH, V) arrays
+    out, cache = cn._forward_cached(net, np.concatenate([batch[0] for batch in (gram, pairs) if batch is not None]))
+    l1 = l2 = 0.0
+    n1 = 0
+    douts = []
+    if gram is not None:
+        _, G, P = gram
+        n1 = G.shape[0]
+        res = np.einsum("nij,nj->ni", G, out[:n1]) - P
+        l1 = float(np.mean(np.sum(res * res, axis=1)))
+        douts.append(2.0 * np.einsum("nij,ni->nj", G, res) / n1)
+    if pairs is not None:
+        res = out[n1:] - pairs[1]
+        l2 = float(np.mean(np.sum(res * res, axis=1)))
+        douts.append(zeta * (2.0 * res / res.shape[0]))
+    return l1, l2, _gathered_backward_xi(net, cache, np.concatenate(douts))
+
+
+def _gathered_train(net, gram, pairs, rows, *, lr, zeta, batch_size, max_steps, seed):
+    # training with every minibatch gathered out of the arrays, a new net per
+    # step and the textbook ADAM; the Gram minibatch is drawn first
+    rng = rng_for(seed, Purpose.BATCHES)
+    streams = [[gram, rows.copy()]]
+    if pairs is not None:
+        streams.append([pairs, np.arange(pairs[0].shape[0])])
+    for stream in streams:  # the batch size, and a position that forces a first shuffle
+        stream += [min(batch_size, stream[1].shape[0]), stream[1].shape[0]]
+    xi = net.xi.copy()
+    adam = TextbookAdam(xi.size, lr)
+    for _ in range(max_steps):
+        batches = []
+        for stream in streams:
+            arrays, order, bs, pos = stream
+            if pos + bs > order.shape[0]:
+                rng.shuffle(order)
+                pos = 0
+            batches.append(tuple(a[order[pos : pos + bs]] for a in arrays))
+            stream[3] = pos + bs
+        l1, l2, grad = _gathered_loss(cn.ControlNet(net.arch, xi), batches[0], batches[1] if pairs else None, zeta)
+        xi = adam.step(xi, grad)
+    return xi
+
+
+def _mapped_cache(tmp_path, n=12):
+    arch = rom.RomArch("resnet_zero_boundary", 1, 2, 2, "tanh")
+    thetas = sample_theta(Box(1.0, rom.param_count(arch)), n, seed=3, purpose=Purpose.GRAM_THETA)
+    path = tmp_path / "gram.bin"
+    assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 1, path)
+    return assembly.read_cache(path, assembly.cache_header(arch, pde_ops.Heat(), 32, 1), thetas)
+
+
+def test_loss_on_a_mapped_cache_is_the_gathered_minibatch_loss_bit_for_bit(tmp_path, rng, monkeypatch):
+    cache = _mapped_cache(tmp_path)
+    m = cache.theta.shape[1]
+    # two records per chunk: the five-record batch in three runs, the last one short
+    monkeypatch.setattr(cn, "_CHUNK_BYTES", 2 * 8 * cache.records.shape[1] + 8)
+    arch = cn.ControlArch(input_dim=m, width=8, depth=3)
+    net = make_net(arch, jitter=0.3, rng=rng)
+    rows = np.array([0, 2, 3, 5, 7, 8, 9, 11])  # record 1 (and others) left out
+    batch = rng.permutation(rows)[:5]  # fewer records than the cache holds
+    gathered = tuple(np.array(a[batch]) for a in (cache.theta, cache.gram, cache.rhs))
+    pairs = (rng.uniform(-1, 1, (4, m)), rng.standard_normal((4, m)))
+    for gram, pair in ((True, pairs), (True, None), (False, pairs)):
+        got = cn.loss(net, cache.records if gram else None, pair, 0.3, batch if gram else None)
+        want = _gathered_loss(net, gathered if gram else None, pair, 0.3)
+        assert got[:2] == want[:2]
+        assert np.array_equal(got[2], want[2])
+    # a reused workspace gives the same bits on every pass
+    want = _gathered_loss(net, gathered, pairs, 0.3)
+    ws = cn._Workspace(arch, 9, cache.records.shape[1])
+    for _ in range(2):
+        l1, l2, grad = cn.loss(net, cache.records, pairs, 0.3, batch, ws)
+        assert (l1, l2) == want[:2]
+        assert np.array_equal(grad, want[2])
+
+
+def test_training_on_a_mapped_cache_is_the_gathered_training_bit_for_bit(tmp_path, rng, monkeypatch):
+    cache = _mapped_cache(tmp_path)
+    m = cache.theta.shape[1]
+    monkeypatch.setattr(cn, "_CHUNK_BYTES", 2 * 8 * cache.records.shape[1])
+    arch = cn.ControlArch(input_dim=m, width=8, depth=3)
+    start = make_net(arch, jitter=0.3, rng=rng)
+    xi0 = start.xi.copy()
+    rows = np.array([0, 2, 3, 5, 7, 8, 9, 11])
+    pairs = (rng.uniform(-1, 1, (7, m)), rng.standard_normal((7, m)))
+    settings = dict(lr=1e-2, zeta=0.2, batch_size=3, max_steps=12, seed=4)
+    trained, history = cn.train(start, cache.records, pairs, rows=rows, stop_loss=0.0, **settings)
+    want = _gathered_train(start, (cache.theta, cache.gram, cache.rhs), pairs, rows, **settings)
+    assert len(history) == 12
+    assert np.array_equal(trained.xi, want)
+    assert np.array_equal(start.xi, xi0)  # ADAM steps a copy
+
+
+def test_adam_steps_in_place_as_the_textbook_update(rng):
+    size = 50
+    adam, oracle = Adam(size, lr=3e-3), TextbookAdam(size, lr=3e-3)
+    params = rng.standard_normal(size)
+    want = params.copy()
+    for _ in range(10):
+        grad = rng.standard_normal(size)
+        assert adam.step(params, grad) is params
+        want = oracle.step(want, grad)
+        assert np.array_equal(params, want)
+    assert np.array_equal(adam.m, oracle.m) and np.array_equal(adam.v, oracle.v)
+
+
+def test_forward_returns_a_new_array_on_every_call(small_arch, rng):
+    # RK4 keeps k1 to k4, so a reused workspace must not show through
+    net = make_net(small_arch, jitter=0.3, rng=rng)
+    TH = rng.uniform(-1, 1, (2, 4))
+    k1 = cn.forward(net, TH[0])
+    k2 = cn.forward(net, TH[1])
+    assert not np.shares_memory(k1, k2)
+    assert np.array_equal(k1, _reference_forward(small_arch, net.xi, TH[:1])[0])
+    batch = cn.forward(net, TH)
+    assert not np.shares_memory(batch, cn.forward(net, TH))
+
+
+def test_a_train_step_holds_no_minibatch_of_gram_matrices(tmp_path):
+    # gathering the minibatch's G out of the mapped cache would take
+    # 64 * 48^2 * 8 bytes = 1.2 MB more at batch 128 than at batch 64
+    m, n = 48, 130
+    arch = fourier_sine_arch(m)
+    thetas = sample_theta(Box(1.0, m), n, seed=0, purpose=Purpose.GRAM_THETA)
+    path = tmp_path / "gram.bin"
+    assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 64, 0, path)
+    cache = assembly.read_cache(path, assembly.cache_header(arch, pde_ops.Heat(), 64, 0), thetas)
+    carch = cn.ControlArch(input_dim=m, width=8, depth=2)
+    peaks = []
+    for batch_size in (64, 128):
+        net = cn.ControlNet(carch, cn.init_control_params(carch, 0))
+        tracemalloc.start()
+        try:
+            cn.train(net, cache.records, None, rows=cache.rows, lr=1e-3, zeta=0.0, batch_size=batch_size,
+                     stop_loss=0.0, max_steps=1, seed=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 0.25 * 64 * m * m * 8

@@ -8,7 +8,7 @@ from pdecontrol.optim import Adam
 from pdecontrol.errors import CacheMismatch
 from pdecontrol.sampling import Purpose, sample_omega, sample_theta
 
-from conftest import fourier_sine_arch
+from conftest import TextbookAdam, fourier_sine_arch
 
 PRESETS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -161,6 +161,28 @@ def test_adam_fit_on_the_pullback_lands_on_the_jacobian_path_fit(arch):
     assert steps == want_steps == 150
     assert np.abs(theta - want_theta).max() <= 1e-12
     assert mse == pytest.approx(want_mse, rel=1e-10)
+
+
+def test_adam_fit_leaves_theta_as_it_was_and_steps_as_the_textbook_adam():
+    arch = rom.RomArch("resnet_periodic", 1, 6, 3, "tanh")
+    X = sample_omega(arch.domain, 256, 3, Purpose.FIT_SAMPLE)
+    g = np.sin(2.0 * np.pi * X[:, 0])
+    start = rom.init_params(arch, 3)
+    theta0 = start.copy()
+    best_theta, best_mse, steps = fit._adam_fit(arch, X, g, start, 0.0, 1e-2, 40)
+    assert np.array_equal(start, theta0)
+    # the fit loop with ADAM on new arrays
+    adam, at = TextbookAdam(start.size, 1e-2), rom.pullback_at(arch, X)
+    theta, want_theta, want_mse = theta0, None, np.inf
+    for _ in range(40):
+        u, pullback = at(theta)
+        res = u - g
+        mse = float(np.mean(res * res))
+        if mse < want_mse:
+            want_theta, want_mse = theta.copy(), mse
+        theta = adam.step(theta, pullback(2.0 * res / X.shape[0]))
+    assert steps == 40 and best_mse == want_mse
+    assert np.array_equal(best_theta, want_theta)
 
 
 def test_fit_holdout_disjoint_from_training(unit_interval):

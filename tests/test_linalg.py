@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -111,3 +115,13 @@ def test_ridge_deterministic_bit_identical():
 def test_default_ridge_lambda_scale():
     G = np.diag([1.0, 2.0, 3.0])
     assert linalg.default_ridge_lambda(G) == pytest.approx(1e-6 * 2.0)
+
+
+def test_importing_the_pipeline_leaves_scipy_linalg_unimported():
+    # ridge_solve runs on numpy alone; scipy.linalg costs about 6 MB of RSS
+    # and 0.08 s per process
+    code = "import sys, pdecontrol.pipeline; print('scipy.linalg' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(linalg.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
