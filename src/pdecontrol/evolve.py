@@ -101,7 +101,10 @@ def solve_ivp(
     theta_space: ThetaSpace | None = None,
 ) -> ParamTrajectory:
     """Integrate theta' = V(theta) with classical RK4; V is a ControlNet or
-    any theta -> velocity callable.
+    any theta -> velocity callable. The stage arguments and each step's
+    combination are computed in buffers made once per solve and each state
+    straight into its row of the result, by the textbook expression's
+    operations in its order, so the states are the textbook's bit for bit.
 
     If theta_space is given, escapes from it are flagged (not fatal), and a
     state whose norm exceeds GUARD_DIAMETER_FACTOR times the space diameter
@@ -112,26 +115,34 @@ def solve_ivp(
     max_norm = None if theta_space is None else GUARD_DIAMETER_FACTOR * theta_space.diameter()
 
     h = horizon / n_steps
-    theta = np.ascontiguousarray(theta0, dtype=np.float64).copy()
-    m = theta.shape[0]
+    theta0 = np.ascontiguousarray(theta0, dtype=np.float64)
+    m = theta0.shape[0]
     thetas = np.empty((n_steps + 1, m))
-    thetas[0] = theta
+    thetas[0] = theta0
+    # each stage argument has its own buffer, so a velocity that is a view
+    # of V's input outlives the next stage
+    arg2, arg3, arg4, acc, tmp = np.empty((5, m))
     blowup = None
     count = 1
     for j in range(n_steps):
+        theta, new = thetas[j], thetas[j + 1]
         try:
             k1 = V(theta)
-            k2 = V(theta + 0.5 * h * k1)
-            k3 = V(theta + 0.5 * h * k2)
-            k4 = V(theta + h * k3)
-            theta = theta + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k2 = V(np.add(theta, np.multiply(k1, 0.5 * h, out=arg2), out=arg2))
+            k3 = V(np.add(theta, np.multiply(k2, 0.5 * h, out=arg3), out=arg3))
+            k4 = V(np.add(theta, np.multiply(k3, h, out=arg4), out=arg4))
+            # theta + (h / 6)(k1 + 2 k2 + 2 k3 + k4), in the textbook order
+            np.add(k1, np.multiply(k2, 2.0, out=acc), out=acc)
+            acc += np.multiply(k3, 2.0, out=tmp)
+            acc += k4
+            acc *= h / 6.0
+            np.add(theta, acc, out=new)
         except NonFiniteError:
             blowup = j + 1
             break
-        if not np.all(np.isfinite(theta)) or (max_norm is not None and np.linalg.norm(theta) > max_norm):
+        if not np.all(np.isfinite(new)) or (max_norm is not None and np.linalg.norm(new) > max_norm):
             blowup = j + 1
             break
-        thetas[count] = theta
         count += 1
     return ParamTrajectory(
         times=h * np.arange(count),

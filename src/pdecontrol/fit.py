@@ -145,7 +145,8 @@ def fit_initial(
 def _adam_fit(arch, X, g_train, theta, eps0_target, lr, max_steps) -> tuple[np.ndarray, float, int]:
     """(best theta, its training MSE, steps run) of ADAM from theta, which
     is left as it was. Each step's gradient is the ROM's pullback of the
-    cotangent 2 (u - g) / n."""
+    cotangent 2 (u - g) / n; a fit that runs to max_steps evaluates
+    max_steps parameter vectors and so takes max_steps - 1 ADAM steps."""
     adam = Adam(theta.size, lr)
     at = rom.pullback_at(arch, X)
 
@@ -162,8 +163,8 @@ def _adam_fit(arch, X, g_train, theta, eps0_target, lr, max_steps) -> tuple[np.n
             best_mse = mse
             best_theta = theta.copy()
         steps_done = step
-        if np.sqrt(mse) <= eps0_target:
-            break
+        if np.sqrt(mse) <= eps0_target or step == max_steps:
+            break  # the last step's update would never be evaluated
         adam.step(theta, pullback(2.0 * res / n))
     return best_theta, best_mse, steps_done
 

@@ -27,25 +27,28 @@ shapes; the count, the unpacking and the gradient assembly derive from it.
 
 Derivatives are computed analytically: grad_x and the Laplacian by forward
 propagation of first and second directional derivatives (one pass per spatial
-coordinate), the parameter side by one reverse accumulation of
-sum_n c_n net(S(x_n)). Seeded with c = alpha it gives grad_theta, the (n, m)
-Jacobian that assembly reads, part by part per point; seeded with c = alpha r
-and each part summed over the points inside the pass, it gives the pullback
-sum_n r_n du(x_n)/dtheta of pullback_at, the gradient of the initial fit's
-loss without the Jacobian. ReLU's second derivative is taken as 0 everywhere
-(almost-everywhere correct); first-order operators never consume the ReLU
-Laplacian.
+coordinate), the parameter side by reverse accumulation. The derivative path
+(eval_batch with derivatives) runs point-major, (n, width) per layer, and its
+reverse pass _resnet_reverse gives only per-point rows: seeded with the
+output factor alpha, grad_theta, the (n, m) Jacobian that assembly reads.
+ReLU's second derivative is taken as 0 everywhere (almost-everywhere
+correct); first-order operators never consume the ReLU Laplacian.
 
-Values alone take one kernel, value_at(arch, X), which eval_batch also runs
-for a value-only request. It builds a table of X once: Phi(X) for a linear
-basis; for a net the feature-major base, (cos 2pi x, sin 2pi x) of shape
-(2d, n) for the periodic wrapper (the shift b enters per theta as a rotation
-of W0's columns j and d + j) and X^T with alpha(X) for the zero-boundary one.
-A net's layers run in place in two (width, n) buffers that the returned
-closure reuses across calls, so a closure is not thread-safe (no caller
-shares one between threads); each call returns a fresh output array.
-Requests with derivatives take the path above, whose value agrees with the
-kernel's to round-off.
+Values take one kernel, value_at(arch, X), which eval_batch also runs for a
+value-only request. It builds a table of X once: Phi(X) for a linear basis;
+for a net the feature-major base, (cos 2pi x, sin 2pi x) of shape (2d, n)
+for the periodic wrapper (the shift b enters per theta as a rotation of W0's
+columns j and d + j) and X^T with alpha(X) for the zero-boundary one. A
+net's forward pass on it, _net_forward, runs in (width, n) buffers that the
+returned closure makes once and reuses across calls: value_at's two are
+shared by every layer. The initial fit runs the same forward pass through
+pullback_at, which keeps each layer's state for a matching feature-major
+reverse pass: seeded with alpha r, it sums sum_n r_n du(x_n)/dtheta over
+the points inside its matmuls, the gradient of the fit's loss without the
+Jacobian. So a closure is not thread-safe (no caller shares one between
+threads), and a pullback is valid until its closure's next call; each call
+returns fresh arrays. The derivative path's value agrees with the kernel's
+to round-off.
 """
 
 from __future__ import annotations
@@ -157,12 +160,12 @@ def _split_flat(flat: np.ndarray, shapes) -> list[np.ndarray]:
     return views
 
 
-def _join(parts, shapes, batch: tuple = ()) -> np.ndarray:
-    """The inverse of _split_flat for gradients: the parts, each checked
-    against its layout shape behind the batch dimensions, flattened and
-    concatenated in layout order."""
-    assert [p.shape for p in parts] == [batch + tuple(shape) for shape in shapes]
-    return np.concatenate([p.reshape(*batch, -1) for p in parts], axis=-1)
+def _join(parts, shapes, n: int) -> np.ndarray:
+    """The inverse of _split_flat for per-point gradients: the parts, each
+    checked against its layout shape behind the point dimension, flattened
+    and concatenated in layout order into (n, m) rows."""
+    assert [p.shape for p in parts] == [(n, *shape) for shape in shapes]
+    return np.concatenate([p.reshape(n, -1) for p in parts], axis=-1)
 
 
 def _unpack(arch: RomArch, theta: np.ndarray):
@@ -340,42 +343,70 @@ def value_at(arch: RomArch, X) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _net_value(arch: RomArch, X: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """value_at for a net. With c_j, s_j = cos, sin 2pi b_j of the shift b,
-    cos 2pi(x_j - b_j) = c_j cos 2pi x_j + s_j sin 2pi x_j and
-    sin 2pi(x_j - b_j) = c_j sin 2pi x_j - s_j cos 2pi x_j, so the shifted
-    features are the unshifted base under W0 with columns j and d + j
-    rotated."""
-    n, d = X.shape
-    if arch.kind == RESNET_PERIODIC:
-        arg = TWO_PI * X.T
-        base, alpha = np.concatenate([np.cos(arg), np.sin(arg)]), None
-    else:
-        base, alpha = np.ascontiguousarray(X.T), _alpha(X, *arch.domain, 0)[0]
-    act = np.tanh if arch.activation == "tanh" else (lambda A, out: np.maximum(A, 0.0, out=out))
-    buffers = np.empty((2, arch.width, n))
+    """value_at for a net: _net_forward in two buffers that every layer
+    shares."""
+    base, alpha = _net_table(arch, X)
+    Z, A = np.empty((2, arch.width, X.shape[0]))
+    states, acts = [Z] * arch.depth, [A] * (arch.depth - 1)
 
     def value(theta: np.ndarray) -> np.ndarray:
-        W0, b0, blocks, w_out, shift = _unpack(arch, RomModel(arch, theta).theta)
-        Z, A = buffers
-        if shift is not None:
-            c, s = np.cos(TWO_PI * shift), np.sin(TWO_PI * shift)
-            Wc, Ws = W0[:, :d], W0[:, d:]
-            W0 = np.concatenate([Wc * c - Ws * s, Wc * s + Ws * c], axis=1)
-        np.matmul(W0, base, out=Z)
-        Z += b0[:, None]
-        act(Z, out=Z)
-        for W, b in blocks:
-            np.matmul(W, Z, out=A)
-            A += b[:, None]
-            act(A, out=A)
-            Z += A
-        u = w_out @ Z
-        if alpha is not None:
-            u *= alpha
-        _check_finite(u)
-        return u
+        w_out = _net_forward(arch, base, theta, states, acts)[0][3]
+        return _net_output(w_out, Z, alpha)
 
     return value
+
+
+def _net_table(arch: RomArch, X: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The feature-major base of a net and its output factor: for the
+    periodic wrapper (cos 2pi x, sin 2pi x) of shape (2d, n) and None, for
+    the zero-boundary one X^T and alpha(X)."""
+    if arch.kind == RESNET_PERIODIC:
+        arg = TWO_PI * X.T
+        return np.concatenate([np.cos(arg), np.sin(arg)]), None
+    return np.ascontiguousarray(X.T), _alpha(X, *arch.domain, 0)[0]
+
+
+def _fold_shift(W0: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """W0 with columns j and d + j rotated by 2pi shift_j. With c_j, s_j =
+    cos, sin 2pi b_j of the shift b, cos 2pi(x_j - b_j) = c_j cos 2pi x_j +
+    s_j sin 2pi x_j and sin 2pi(x_j - b_j) = c_j sin 2pi x_j - s_j cos 2pi x_j,
+    so the shifted features under W0 are the unshifted base under the
+    rotated W0. Its transpose is the rotation by -shift."""
+    d = shift.shape[0]
+    c, s = np.cos(TWO_PI * shift), np.sin(TWO_PI * shift)
+    Wc, Ws = W0[:, :d], W0[:, d:]
+    return np.concatenate([Wc * c - Ws * s, Wc * s + Ws * c], axis=1)
+
+
+def _net_forward(arch: RomArch, base: np.ndarray, theta: np.ndarray, states, acts):
+    """Run the net feature-major on _net_table's base: states[l] receives
+    the (width, n) output of layer l, acts[l - 1] the activation of block l
+    (layer 0's activation is states[0]). Buffers may alias, so that layers
+    run in place in the same memory. Returns _unpack's views and W0 with the
+    periodic shift folded in."""
+    params = W0, b0, blocks, _, shift = _unpack(arch, RomModel(arch, theta).theta)
+    act = np.tanh if arch.activation == "tanh" else (lambda A, out: np.maximum(A, 0.0, out=out))
+    if shift is not None:
+        W0 = _fold_shift(W0, shift)
+    Z = states[0]
+    np.matmul(W0, base, out=Z)
+    Z += b0[:, None]
+    act(Z, out=Z)
+    for (W, b), A, Z_out in zip(blocks, acts, states[1:]):
+        np.matmul(W, Z, out=A)
+        A += b[:, None]
+        act(A, out=A)
+        Z = np.add(Z, A, out=Z_out)
+    return params, W0
+
+
+def _net_output(w_out: np.ndarray, Z: np.ndarray, alpha: np.ndarray | None) -> np.ndarray:
+    """u = alpha (w_L . Z) as a fresh array, checked finite."""
+    u = w_out @ Z
+    if alpha is not None:
+        u *= alpha
+    _check_finite(u)
+    return u
 
 
 def _points(arch: RomArch, X) -> np.ndarray:
@@ -427,30 +458,65 @@ def pullback_at(arch: RomArch, X) -> Callable[[np.ndarray], tuple[np.ndarray, Ca
     loss sum_n l(u_n) is pullback(l'(u)), without the (n, m) Jacobian that
     eval_batch's grad_theta forms.
 
-    The value comes from the derivative path's forward pass, bit for bit
-    eval_batch's value with grad_theta; the pullback runs that path's
-    reverse accumulation seeded with w_L alpha r and sums each part over the
-    points inside the pass. The zero-boundary features (X and alpha(X)) are
-    built once; the periodic ones depend on the shift, so on theta. Raises
-    NonFiniteError like eval_batch."""
+    The forward pass is value_at's (the feature table built once, the
+    periodic shift folded into W0), so the value is value_at's bit for bit;
+    it keeps every layer's (width, n) state in buffers that the closure
+    makes once. The pullback runs the matching feature-major reverse pass
+    seeded with w_L alpha r, sums over the points inside its matmuls and
+    writes each part into its place in a fresh flat gradient; the shift's
+    part comes through the rotated W0 columns. A pullback reads the
+    closure's buffers, so it is valid until the closure's next call, and a
+    closure must not be shared between threads. The value and each gradient
+    are fresh arrays. Raises NonFiniteError like eval_batch."""
     if arch.kind == LINEAR_BASIS:
         raise ValueError("pullback_at takes a net; a linear basis is its own Jacobian")
     X = _points(arch, X)
-    features = None if arch.kind == RESNET_PERIODIC else _features(arch, X, None, 0)
+    base, alpha = _net_table(arch, X)
+    L, shapes, ones = arch.depth, _layout(arch), np.ones(X.shape[0])
+    m = _size(shapes)
+    buffers = np.empty((2 * L + 2, arch.width, X.shape[0]))
+    states, acts, (G, D, GW) = buffers[:L], buffers[L : 2 * L - 1], buffers[2 * L - 1 :]
 
     def at(theta: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-        fwd = _resnet_forward(RomModel(arch, theta), X, 0, features)
-        value = fwd.value
-        _check_finite(value)
+        (_, _, blocks, w_out, shift), W0 = _net_forward(arch, base, theta, states, acts)
+        value = _net_output(w_out, states[-1], alpha)
 
         def pullback(r: np.ndarray) -> np.ndarray:
-            grad = _resnet_reverse(arch, fwd, r if fwd.alpha is None else fwd.alpha[0] * r, per_point=False)
+            c = r if alpha is None else alpha * r
+            grad = np.empty(m)
+            parts = _split_flat(grad, shapes)
+            np.matmul(states[-1], c, out=parts[2 * L])
+            np.multiply(w_out[:, None], c, out=G)  # d sum / d(block output)
+            for l in range(L - 1, 0, -1):
+                _act_pullback(arch.activation, acts[l - 1], G, D)
+                np.matmul(D, states[l - 1].T, out=parts[2 * l])
+                np.matmul(D, ones, out=parts[2 * l + 1])
+                np.add(G, np.matmul(blocks[l - 1][0].T, D, out=GW), out=G)
+            _act_pullback(arch.activation, states[0], G, D)
+            np.matmul(D, ones, out=parts[1])
+            if shift is None:
+                np.matmul(D, base.T, out=parts[0])
+            else:
+                P, d = D @ base.T, arch.input_dim  # the gradient of the rotated W0
+                parts[0][...] = _fold_shift(P, -shift)
+                # d W0[:, j] / d shift_j = -2pi W0[:, d + j], d W0[:, d + j] / d shift_j = 2pi W0[:, j]
+                np.multiply(TWO_PI, (P[:, d:] * W0[:, :d] - P[:, :d] * W0[:, d:]).sum(axis=0), out=parts[-1])
             _check_finite(grad)
             return grad
 
         return value, pullback
 
     return at
+
+
+def _act_pullback(kind: str, T: np.ndarray, G: np.ndarray, out: np.ndarray) -> None:
+    """out = G act'(A), from the activation's value T = act(A)."""
+    if kind == "tanh":
+        np.multiply(T, T, out=out)
+        np.subtract(1.0, out, out=out)
+        out *= G
+    else:  # relu: T > 0 exactly where A > 0
+        np.multiply(G, T > 0.0, out=out)
 
 
 @dataclass
@@ -471,13 +537,12 @@ class _Forward:
         return self.z if self.alpha is None else self.alpha[0] * self.z
 
 
-def _resnet_forward(model: RomModel, X: np.ndarray, order: int, features=None) -> _Forward:
+def _resnet_forward(model: RomModel, X: np.ndarray, order: int) -> _Forward:
     """The forward pass, caching what derivatives of up to order (in x) and
-    the parameter gradient reuse; features, if given, is _features' output
-    for X, which must not depend on the shift."""
+    the parameter gradient reuse."""
     arch = model.arch
     params = W0, b0, blocks, w_out, shift = _unpack(arch, model.theta)
-    S, dS, ddS, alpha = _features(arch, X, shift, order) if features is None else features
+    S, dS, ddS, alpha = _features(arch, X, shift, order)
     A = S @ W0.T
     A += b0
     Z, d1, d2 = _act(arch.activation, A, order == 2)
@@ -491,33 +556,26 @@ def _resnet_forward(model: RomModel, X: np.ndarray, order: int, features=None) -
     return _Forward(params, S, dS, ddS, alpha, cache, Z, Z @ w_out)
 
 
-def _resnet_reverse(arch: RomArch, fwd: _Forward, c: np.ndarray, per_point: bool) -> np.ndarray:
-    """Reverse accumulation of sum_n c_n net(S(x_n)) to theta, in layout
-    order: per point, the (n, m) rows of c_n dnet(S(x_n))/dtheta, or summed
-    over the points, one (m,) vector. With c the output factor alpha (1 for
-    the periodic wrapper) the rows are grad_theta u; with c = alpha r the sum
-    is the pullback of the cotangent r."""
+def _resnet_reverse(arch: RomArch, fwd: _Forward, c: np.ndarray) -> np.ndarray:
+    """Reverse accumulation of sum_n c_n net(S(x_n)) to theta per point: the
+    (n, m) rows of c_n dnet(S(x_n))/dtheta in layout order. With c the output
+    factor alpha (1 for the periodic wrapper) the rows are grad_theta u."""
     W0, _, blocks, w_out, shift = fwd.params
     S = fwd.S
     n, d = S.shape[0], arch.input_dim
-    if per_point:
-        outer, total = (lambda D, Z_in: np.einsum("np,nq->npq", D, Z_in)), (lambda D: D)
-    else:
-        ones = np.ones(n)
-        outer, total = (lambda D, Z_in: D.T @ Z_in), (lambda D: ones @ D)
     G = c[:, None] * w_out[None, :]  # d sum / d(block output)
     block_parts = []
     for (W, _), (Z_in, d1, _) in zip(blocks[::-1], fwd.cache[:0:-1]):
         D = G * d1
-        block_parts = [outer(D, Z_in), total(D)] + block_parts
+        block_parts = [np.einsum("np,nq->npq", D, Z_in), D] + block_parts
         G = G + D @ W
     D = G * fwd.cache[0][1]
-    parts = [outer(D, S), total(D)] + block_parts + [c[:, None] * fwd.Z if per_point else fwd.Z.T @ c]
+    parts = [np.einsum("np,nq->npq", D, S), D] + block_parts + [c[:, None] * fwd.Z]
     if shift is not None:
         gS = D @ W0
         # dS/dshift_j = -dS/dx_j, nonzero only in columns j and d + j
-        parts.append(total(-(gS[:, :d] * (-TWO_PI * S[:, d:]) + gS[:, d:] * (TWO_PI * S[:, :d]))))
-    return _join(parts, _layout(arch), (n,) if per_point else ())
+        parts.append(-(gS[:, :d] * (-TWO_PI * S[:, d:]) + gS[:, d:] * (TWO_PI * S[:, :d])))
+    return _join(parts, _layout(arch), n)
 
 
 def _eval_resnet(model: RomModel, X: np.ndarray, need: EvalFlags) -> BatchEval:
@@ -564,7 +622,7 @@ def _eval_resnet(model: RomModel, X: np.ndarray, need: EvalFlags) -> BatchEval:
                 out.laplacian += col
 
     if need.grad_theta:
-        out.grad_theta = _resnet_reverse(arch, fwd, np.ones(n) if alpha is None else alpha[0], per_point=True)
+        out.grad_theta = _resnet_reverse(arch, fwd, np.ones(n) if alpha is None else alpha[0])
 
     _check_finite(out.value, out.grad_x, out.laplacian, out.grad_theta)
     return out

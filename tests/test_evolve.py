@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from pdecontrol import assembly, evolve, pde_ops
-from pdecontrol.errors import CacheMismatch
+from pdecontrol import control_net as cn
+from pdecontrol.errors import CacheMismatch, NonFiniteError
 from pdecontrol.sampling import AnchorBalls, Box, Purpose, sample_theta
 
 from conftest import fourier_sine_arch
@@ -128,6 +129,69 @@ def test_escape_flag_without_blowup():
     traj = evolve.solve_ivp(field, np.array([0.9]), 1.0, 10, theta_space=space)
     assert traj.blowup_step is None
     assert traj.escape_step == 2  # 0.9 -> 1.0 -> 1.1
+
+
+def _textbook_solve_ivp(V, theta0, horizon, n_steps, theta_space=None):
+    # the RK4 loop with a fresh array per stage and per state
+    max_norm = None if theta_space is None else evolve.GUARD_DIAMETER_FACTOR * theta_space.diameter()
+    h = horizon / n_steps
+    theta = np.ascontiguousarray(theta0, dtype=np.float64).copy()
+    thetas = np.empty((n_steps + 1, theta.shape[0]))
+    thetas[0] = theta
+    blowup = None
+    count = 1
+    for j in range(n_steps):
+        try:
+            k1 = V(theta)
+            k2 = V(theta + 0.5 * h * k1)
+            k3 = V(theta + 0.5 * h * k2)
+            k4 = V(theta + h * k3)
+            theta = theta + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        except NonFiniteError:
+            blowup = j + 1
+            break
+        if not np.all(np.isfinite(theta)) or (max_norm is not None and np.linalg.norm(theta) > max_norm):
+            blowup = j + 1
+            break
+        thetas[count] = theta
+        count += 1
+    return thetas[:count], blowup, evolve._first_escape(thetas[:count], theta_space)
+
+
+def _raises_past(limit):
+    def field(th):
+        if th[0] > limit:
+            raise NonFiniteError("past the limit")
+        return 0.8 * th
+    return field
+
+
+def _rk4_case(kind, rng):
+    """(field, theta0, horizon, n_steps, theta_space)."""
+    if kind == "control_net":
+        arch = cn.ControlArch(input_dim=5, width=16, depth=3)
+        xi = cn.init_control_params(arch, 0) + 0.3 * rng.standard_normal(cn.control_param_count(arch))
+        return cn.ControlNet(arch, xi), rng.uniform(-0.5, 0.5, 5), 0.5, 40, Box(5.0, 5)
+    if kind == "raises_mid_step":
+        return _raises_past(1.3), np.array([1.0, -0.5]), 1.0, 20, None
+    if kind == "overflows_to_inf":
+        return (lambda th: th * th), np.array([1.0, 0.5]), 2.0, 50, None
+    if kind == "escapes_the_box":
+        return (lambda th: np.full_like(th, 0.7)), np.array([0.5, -0.2]), 2.0, 20, Box(1.0, 2)
+    # guard-norm abort on a field that returns its own input
+    return (lambda th: th), np.array([0.5, 0.5]), 10.0, 100, Box(1.0, 2)
+
+
+@pytest.mark.parametrize("kind", ["control_net", "raises_mid_step", "overflows_to_inf", "escapes_the_box", "guard_norm"])
+def test_rk4_in_buffers_equals_the_textbook_loop(rng, kind):
+    field, theta0, horizon, n_steps, space = _rk4_case(kind, rng)
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = evolve.solve_ivp(field, theta0, horizon, n_steps, theta_space=space)
+        thetas, blowup, escape = _textbook_solve_ivp(field, theta0, horizon, n_steps, theta_space=space)
+    assert np.array_equal(traj.thetas, thetas)
+    assert traj.blowup_step == blowup and traj.escape_step == escape
+    assert (blowup is None) == (kind in ("control_net", "escapes_the_box"))
+    assert (escape is None) == (kind != "escapes_the_box" and kind != "guard_norm")
 
 
 def _per_row_escape(thetas, space):

@@ -163,14 +163,20 @@ def test_adam_fit_on_the_pullback_lands_on_the_jacobian_path_fit(arch):
     assert mse == pytest.approx(want_mse, rel=1e-10)
 
 
-def test_adam_fit_leaves_theta_as_it_was_and_steps_as_the_textbook_adam():
+def test_adam_fit_leaves_theta_as_it_was_and_steps_as_the_textbook_adam(monkeypatch):
     arch = rom.RomArch("resnet_periodic", 1, 6, 3, "tanh")
     X = sample_omega(arch.domain, 256, 3, Purpose.FIT_SAMPLE)
     g = np.sin(2.0 * np.pi * X[:, 0])
     start = rom.init_params(arch, 3)
     theta0 = start.copy()
+    calls = []
+    step = Adam.step
+    monkeypatch.setattr(Adam, "step", lambda self, params, grad: calls.append(1) or step(self, params, grad))
     best_theta, best_mse, steps = fit._adam_fit(arch, X, g, start, 0.0, 1e-2, 40)
+    monkeypatch.undo()
     assert np.array_equal(start, theta0)
+    # the 40th parameter vector is the last one evaluated: no step after it
+    assert len(calls) == 39
     # the fit loop with ADAM on new arrays
     adam, at = TextbookAdam(start.size, 1e-2), rom.pullback_at(arch, X)
     theta, want_theta, want_mse = theta0, None, np.inf

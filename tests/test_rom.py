@@ -277,11 +277,12 @@ def _pullback_arch(case, depth):
 @pytest.mark.parametrize("depth", [2, 3])
 @pytest.mark.parametrize("case", range(4))
 def test_pullback_equals_the_jacobian_transpose_product(rng, case, depth):
-    # the fit's gradient: sum_n r_n grad_theta u(x_n) without the Jacobian
+    # the fit's gradient: sum_n r_n grad_theta u(x_n) without the Jacobian;
+    # its value is the value kernel's
     arch = _pullback_arch(case, depth)
     lo, hi = arch.domain
     X = rng.uniform(lo, hi, (200, arch.input_dim))
-    at = rom.pullback_at(arch, X)
+    at, u_at = rom.pullback_at(arch, X), rom.value_at(arch, X)
     for seed in range(2):
         theta = rom.init_params(arch, seed) + 0.3 * rng.standard_normal(rom.param_count(arch))
         if arch.kind == rom.RESNET_PERIODIC:
@@ -289,10 +290,33 @@ def test_pullback_equals_the_jacobian_transpose_product(rng, case, depth):
         ev = rom.eval_batch(rom.RomModel(arch, theta), X, rom.EvalFlags(value=True, grad_theta=True))
         assert ev.grad_theta.tobytes() == _reference_grad_theta(arch, theta, X).tobytes()
         u, pullback = at(theta)
-        assert u.tobytes() == ev.value.tobytes()
+        assert u.tobytes() == u_at(theta).tobytes()
+        assert np.abs(u - ev.value).max() <= 1e-14 * np.abs(ev.value).max()
         r = 2.0 * (u - rng.standard_normal(X.shape[0])) / X.shape[0]
         want = ev.grad_theta.T @ r
         assert np.abs(pullback(r) - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+@pytest.mark.parametrize("case", range(4))
+def test_pullback_returns_fresh_arrays_that_a_later_call_leaves_unchanged(rng, case, depth):
+    arch = _pullback_arch(case, depth)
+    lo, hi = arch.domain
+    X = rng.uniform(lo, hi, (60, arch.input_dim))
+    at = rom.pullback_at(arch, X)
+    theta = rom.init_params(arch, 0) + 0.3 * rng.standard_normal(rom.param_count(arch))
+    u, pullback = at(theta)
+    r = rng.standard_normal(X.shape[0])
+    grad = pullback(r)
+    kept = u.copy(), grad.copy()
+    again = pullback(r)
+    assert again.tobytes() == grad.tobytes() and not np.shares_memory(again, grad)
+    u2, pullback2 = at(theta - 0.5)
+    grad2 = pullback2(r)
+    for fresh in (u2, grad2):
+        assert not any(np.shares_memory(fresh, old) for old in (u, grad))
+    assert u.tobytes() == kept[0].tobytes() and grad.tobytes() == kept[1].tobytes()
+    assert u2.tobytes() != kept[0].tobytes() and grad2.tobytes() != kept[1].tobytes()
 
 
 def test_pullback_takes_a_net_only():
