@@ -346,18 +346,6 @@ def field_stats(net: ControlNet, points: np.ndarray, seed: int, n_probe_iters: i
 # loss and training
 
 
-def _records(gram) -> np.ndarray:
-    """gram as rows in the Gram cache's record layout (assembly): theta (m),
-    rhs (m), gram (m*m, row-major), status. An array is taken as it is (a
-    cache's GramCache.records); a (TH, G, P) triple is packed into a new one,
-    its status column 0, which nothing here reads."""
-    if isinstance(gram, np.ndarray):
-        return gram
-    TH, G, P = gram
-    n = TH.shape[0]
-    return np.concatenate([TH, P, np.reshape(G, (n, -1)), np.zeros((n, 1))], axis=1)
-
-
 def _gram_chunks(records: np.ndarray, rows: np.ndarray, m: int, buf: np.ndarray):
     """(start, stop, G, P) for each run rows[start:stop] of as many records
     as buf holds, the run's whole records gathered into buf: G (k, m, m) and
@@ -382,23 +370,22 @@ def _mean_square(res: np.ndarray, sq: np.ndarray) -> float:
     return float(np.mean(np.sum(np.multiply(res, res, sq), axis=1)))
 
 
-def loss(net: ControlNet, gram, pairs, zeta: float, rows: np.ndarray | None = None,
+def loss(net: ControlNet, records: np.ndarray | None, pairs, zeta: float, rows: np.ndarray | None = None,
          ws: _Workspace | None = None) -> tuple[float, float, np.ndarray]:
     """(l1, l2, gradient of l1 + zeta*l2 with respect to xi) on one
     minibatch, from one forward and one reverse pass over the stacked rows.
 
     l1 is the mean squared projection residual |G V(theta) - p|^2 over the
-    records rows (default all) of gram: a Gram cache's records
-    (GramCache.records) or a (TH, G, P) triple of shapes (n, m), (n, m, m),
-    (n, m), as _records takes them. Their G and p stream through ws's
-    chunk buffer after the forward pass. l2 is the mean squared deviation
-    |V(theta) - v|^2 from the trajectory velocities over the rows of
-    pairs = (TH, V), both (n, m). Either may be None, its term then 0.
-    ws is the _Workspace of the stacked rows (a new one if None); the
-    gradient returned lives in it until its next pass.
+    rows (default all) of records, a Gram cache's records in its layout
+    (GramCache.records: theta (m), rhs (m), gram (m*m, row-major), status
+    per row). Their G and p stream through ws's chunk buffer after the
+    forward pass. l2 is the mean squared deviation |V(theta) - v|^2 from
+    the trajectory velocities over the rows of pairs = (TH, V), both
+    (n, m). Either may be None, its term then 0. ws is the _Workspace of
+    the stacked rows (a new one if None); the gradient returned lives in it
+    until its next pass.
     """
     m = net.arch.input_dim
-    records = None if gram is None else _records(gram)
     if records is not None and rows is None:
         rows = np.arange(records.shape[0])
     n1 = 0 if records is None else rows.shape[0]
@@ -450,7 +437,7 @@ class _Batcher:
 
 def train(
     net: ControlNet,
-    gram,
+    records: np.ndarray | None,
     traj_pairs,
     *,
     lr: float,
@@ -465,10 +452,10 @@ def train(
     batch_size records (0: all of them); the settings are one stage of the
     config's train.schedule with the train block's zeta and stop_loss.
 
-    gram: a Gram cache's records (GramCache.records, memory-mapped) or a
-    (thetas, grams, rhs) triple, as loss takes them, or None. Each
-    minibatch streams from them. rows selects the records to train on
-    (default all), e.g. GramCache.rows to leave out skipped ones.
+    records: a Gram cache's records (GramCache.records, memory-mapped), as
+    loss takes them, or None. Each minibatch streams from them. rows
+    selects the records to train on (default all), e.g. GramCache.rows to
+    leave out skipped ones.
     traj_pairs: (thetas, velocities) arrays or None; they are used only for
     zeta > 0. Each step draws a minibatch of each and takes one loss.
     The step's working set (one _Workspace for both minibatches' rows, the
@@ -478,9 +465,8 @@ def train(
     """
     m = net.arch.input_dim
     rng = rng_for(seed, Purpose.BATCHES)
-    records = grams = pairs = None
-    if gram is not None:
-        records = _records(gram)
+    grams = pairs = None
+    if records is not None:
         if records.shape[1] != 2 * m + m * m + 1:
             raise CacheMismatch("gram cache dimension does not match control net")
         rows = np.arange(records.shape[0]) if rows is None else rows
@@ -519,13 +505,12 @@ def train(
     return trained, history
 
 
-def residual_scan(net: ControlNet, gram, rows: np.ndarray | None = None) -> np.ndarray:
-    """|G V(theta) - p| per record of rows (default all) of gram, records
-    or a triple as loss takes them (training-quality diagnostic). The field
-    runs on _SCAN_ROWS records at a time, whose G and p then stream through
-    one chunk buffer."""
+def residual_scan(net: ControlNet, records: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """|G V(theta) - p| per record of rows (default all) of records, as
+    loss takes them (training-quality diagnostic). The field runs on
+    _SCAN_ROWS records at a time, whose G and p then stream through one
+    chunk buffer."""
     m = net.arch.input_dim
-    records = _records(gram)
     rows = np.arange(records.shape[0]) if rows is None else rows
     buf = _chunk_buffer(records.shape[1])
     norms = np.empty(rows.shape[0])

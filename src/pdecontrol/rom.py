@@ -12,7 +12,7 @@ Residual nets follow
 The wrapper enters in two places only. The feature map S gives the net
 input: S(x) = x for the zero-boundary wrapper and
 S(x) = (cos 2pi(x-b), sin 2pi(x-b)) for the periodic wrapper with trainable
-shift b. Each column of S depends on one coordinate, so one column derivative
+shift b. Each feature of S depends on one coordinate, so one feature derivative
 per coordinate carries grad_x and the Laplacian into the net. The output
 factor alpha(x) = prod_i f_i(x_i) vanishes on the boundary of the problem box
 (lo, hi) that the arch carries, with f_i(x) = 4(x - lo_i)(hi_i - x)/(hi_i - lo_i)^2
@@ -25,30 +25,32 @@ with the shift present only for the periodic wrapper. For linear bases theta
 holds the combination coefficients in basis order. _layout lists the part
 shapes; the count, the unpacking and the gradient assembly derive from it.
 
-Derivatives are computed analytically: grad_x and the Laplacian by forward
-propagation of first and second directional derivatives (one pass per spatial
-coordinate), the parameter side by reverse accumulation. The derivative path
-(eval_batch with derivatives) runs point-major, (n, width) per layer, and its
-reverse pass _resnet_reverse gives only per-point rows: seeded with the
-output factor alpha, grad_theta, the (n, m) Jacobian that assembly reads.
-ReLU's second derivative is taken as 0 everywhere (almost-everywhere
-correct); first-order operators never consume the ReLU Laplacian.
+A net has one forward pass and one reverse pass, both feature-major,
+(width, n) per layer, on a table of the points that _net_table builds once
+per sample: the base S of shape (din, n), (cos 2pi x, sin 2pi x) for the
+periodic wrapper and X^T for the zero-boundary one, the x-derivatives of
+its rows, and the output factor alpha(X). The periodic shift b enters per
+theta as a rotation of W0's columns j and d + j (_fold_shift), so the table
+does not depend on theta. The forward pass, _net_forward, writes each
+layer's state into buffers that its caller provides. The reverse pass,
+_net_reverse, runs on the stored states, takes each activation derivative
+from the activation's stored value, and hands each layer's pre-activation
+cotangent to a visit: pullback_at's sums the layer's part over the points
+inside its matmuls, the gradient of the fit's loss without the Jacobian;
+eval_batch's writes each point's part of grad_theta, the (n, m) Jacobian
+that assembly reads, into views of one array. grad_x and the Laplacian are
+forward-mode tangents of first and second directional derivatives on the
+same stored states, one pass per spatial coordinate. ReLU's second
+derivative is taken as 0 everywhere (almost-everywhere correct);
+first-order operators never consume the ReLU Laplacian.
 
-Values take one kernel, value_at(arch, X), which eval_batch also runs for a
-value-only request. It builds a table of X once: Phi(X) for a linear basis;
-for a net the feature-major base, (cos 2pi x, sin 2pi x) of shape (2d, n)
-for the periodic wrapper (the shift b enters per theta as a rotation of W0's
-columns j and d + j) and X^T with alpha(X) for the zero-boundary one. A
-net's forward pass on it, _net_forward, runs in (width, n) buffers that the
-returned closure makes once and reuses across calls: value_at's two are
-shared by every layer. The initial fit runs the same forward pass through
-pullback_at, which keeps each layer's state for a matching feature-major
-reverse pass: seeded with alpha r, it sums sum_n r_n du(x_n)/dtheta over
-the points inside its matmuls, the gradient of the fit's loss without the
-Jacobian. So a closure is not thread-safe (no caller shares one between
-threads), and a pullback is valid until its closure's next call; each call
-returns fresh arrays. The derivative path's value agrees with the kernel's
-to round-off.
+value_at(arch, X), which eval_batch also runs for a value-only request,
+runs the forward pass in two (width, n) buffers that every layer shares;
+pullback_at keeps one per layer. Each returns a closure that makes its
+buffers once and reuses them across calls, so a closure is not thread-safe
+(no caller shares one between threads), and a pullback is valid until its
+closure's next call; each call returns fresh arrays. As every path runs
+the same forward pass, a net's value is the same bits on each.
 """
 
 from __future__ import annotations
@@ -148,24 +150,19 @@ def param_count(arch: RomArch) -> int:
 
 
 def _split_flat(flat: np.ndarray, shapes) -> list[np.ndarray]:
-    """Consecutive reshaped views of a flat parameter vector, one per shape;
-    the shapes must cover the vector exactly."""
+    """Consecutive reshaped views of a flat parameter vector, one per shape,
+    split along flat's first axis ahead of any further axes (the transpose
+    of an (n, m) Jacobian gives (*shape, n) views); the shapes must cover
+    the first axis exactly."""
     views = []
     pos = 0
+    tail = flat.shape[1:]
     for shape in shapes:
         size = math.prod(shape)
-        views.append(flat[pos : pos + size].reshape(shape))
+        views.append(flat[pos : pos + size].reshape(shape + tail))
         pos += size
     assert pos == flat.shape[0]
     return views
-
-
-def _join(parts, shapes, n: int) -> np.ndarray:
-    """The inverse of _split_flat for per-point gradients: the parts, each
-    checked against its layout shape behind the point dimension, flattened
-    and concatenated in layout order into (n, m) rows."""
-    assert [p.shape for p in parts] == [(n, *shape) for shape in shapes]
-    return np.concatenate([p.reshape(n, -1) for p in parts], axis=-1)
 
 
 def _unpack(arch: RomArch, theta: np.ndarray):
@@ -259,46 +256,6 @@ def _alpha(X: np.ndarray, lo: np.ndarray, hi: np.ndarray, order: int):
     return prefix[:, d], df * loo, (-2.0 * scale) * loo
 
 
-def _features(arch: RomArch, X: np.ndarray, shift, order: int):
-    """The wrapper seen from the net: (S, dS, ddS, alpha).
-
-    S is the net input: X for the zero-boundary wrapper, (cos, sin) of
-    2pi(X - shift) for the periodic one. Net input column j depends on the
-    single coordinate x_(j mod d); for order >= 1, dS and (order 2) ddS hold
-    each column's first and second derivative along that coordinate, else
-    None. alpha is the output factor (alpha, its first and its second
-    derivatives along each x_i, per _alpha) for the zero-boundary wrapper
-    and None for the periodic one.
-    """
-    if arch.kind == RESNET_PERIODIC:
-        arg = TWO_PI * (X - shift)
-        c, s = np.cos(arg), np.sin(arg)
-        dS = np.concatenate([-TWO_PI * s, TWO_PI * c], axis=1) if order else None
-        ddS = np.concatenate([-TWO_PI * TWO_PI * c, -TWO_PI * TWO_PI * s], axis=1) if order == 2 else None
-        return np.concatenate([c, s], axis=1), dS, ddS, None
-    dS = np.ones_like(X) if order else None
-    ddS = np.zeros_like(X) if order == 2 else None
-    return X, dS, ddS, _alpha(X, *arch.domain, order)
-
-
-# ---------------------------------------------------------------------------
-# activations
-
-
-def _act(kind: str, A: np.ndarray, second: bool):
-    """Value, first derivative and (if second, else None) second derivative
-    arrays of the activation, the value written over the pre-activation A;
-    value_at runs the values alone."""
-    if kind == "tanh":
-        T = np.tanh(A, out=A)
-        d1 = T * T
-        np.subtract(1.0, d1, out=d1)
-        return T, d1, -2.0 * T * d1 if second else None
-    # relu: second derivative taken as 0 everywhere
-    d1 = (A > 0.0).astype(np.float64)
-    return np.maximum(A, 0.0, out=A), d1, np.zeros_like(A) if second else None
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -306,7 +263,11 @@ def _act(kind: str, A: np.ndarray, second: bool):
 def eval_batch(model: RomModel, X, need: EvalFlags) -> BatchEval:
     """Evaluate u_theta and requested derivatives at a batch of points.
 
-    X has shape (n, d). Raises NonFiniteError if the forward pass overflows.
+    X has shape (n, d). A value-only request runs value_at; a net's
+    derivatives run its one forward pass with every layer's state kept,
+    forward-mode tangents for grad_x and the Laplacian, and its one reverse
+    pass for grad_theta, which writes each point's row straight into the
+    (n, m) result. Raises NonFiniteError if the evaluation overflows.
     """
     if need == EvalFlags(value=True):
         value = value_at(model.arch, X)(model.theta)
@@ -314,7 +275,7 @@ def eval_batch(model: RomModel, X, need: EvalFlags) -> BatchEval:
     X = _points(model.arch, X)
     if model.arch.kind == LINEAR_BASIS:
         return _eval_linear_basis(model, X, need)
-    return _eval_resnet(model, X, need)
+    return _eval_net(model, X, need)
 
 
 def value_at(arch: RomArch, X) -> Callable[[np.ndarray], np.ndarray]:
@@ -322,13 +283,12 @@ def value_at(arch: RomArch, X) -> Callable[[np.ndarray], np.ndarray]:
     sample; eval_batch's value-only requests run it too.
 
     The table that does not depend on theta is built once: Phi(X) for a
-    linear basis, which takes Phi theta per call; for a net the feature-major
-    base, (cos 2pi x, sin 2pi x) of shape (2d, n) for the periodic wrapper
-    and X^T with alpha(X) for the zero-boundary one. A net folds the
-    periodic shift into W0 per call and runs its layers in two (width, n)
-    buffers that the closure reuses across calls, so one closure must not be
-    called from two threads at once. Every call returns a fresh array.
-    Raises NonFiniteError like eval_batch."""
+    linear basis, which takes Phi theta per call; _net_table's base and
+    output factor for a net, which folds the periodic shift into W0 per
+    call and runs its layers in two (width, n) buffers that the closure
+    reuses across calls, so one closure must not be called from two threads
+    at once. Every call returns a fresh array. Raises NonFiniteError like
+    eval_batch."""
     X = _points(arch, X)
     if arch.kind != LINEAR_BASIS:
         return _net_value(arch, X)
@@ -345,7 +305,7 @@ def value_at(arch: RomArch, X) -> Callable[[np.ndarray], np.ndarray]:
 def _net_value(arch: RomArch, X: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """value_at for a net: _net_forward in two buffers that every layer
     shares."""
-    base, alpha = _net_table(arch, X)
+    base, _, _, alpha = _net_table(arch, X, 0)
     Z, A = np.empty((2, arch.width, X.shape[0]))
     states, acts = [Z] * arch.depth, [A] * (arch.depth - 1)
 
@@ -356,14 +316,29 @@ def _net_value(arch: RomArch, X: np.ndarray) -> Callable[[np.ndarray], np.ndarra
     return value
 
 
-def _net_table(arch: RomArch, X: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """The feature-major base of a net and its output factor: for the
-    periodic wrapper (cos 2pi x, sin 2pi x) of shape (2d, n) and None, for
-    the zero-boundary one X^T and alpha(X)."""
+def _net_table(arch: RomArch, X: np.ndarray, order: int):
+    """The feature-major base of a net, (S, dS, ddS, alpha).
+
+    S is the net input with the periodic shift left out: (cos 2pi x,
+    sin 2pi x) of shape (2d, n) for the periodic wrapper, X^T for the
+    zero-boundary one. Row j of S depends on the single coordinate
+    x_(j mod d); for order >= 1, dS and (order 2) ddS hold each row's first
+    and second derivative along that coordinate, else None. alpha is the
+    output factor (alpha, its first and its second derivatives along each
+    x_i, per _alpha) for the zero-boundary wrapper and None for the
+    periodic one.
+    """
     if arch.kind == RESNET_PERIODIC:
         arg = TWO_PI * X.T
-        return np.concatenate([np.cos(arg), np.sin(arg)]), None
-    return np.ascontiguousarray(X.T), _alpha(X, *arch.domain, 0)[0]
+        c, s = np.cos(arg), np.sin(arg)
+        S = np.concatenate([c, s])
+        dS = np.concatenate([-TWO_PI * s, TWO_PI * c]) if order else None
+        ddS = (-TWO_PI * TWO_PI) * S if order == 2 else None
+        return S, dS, ddS, None
+    S = np.ascontiguousarray(X.T)
+    dS = np.ones_like(S) if order else None
+    ddS = np.zeros_like(S) if order == 2 else None
+    return S, dS, ddS, _alpha(X, *arch.domain, order)
 
 
 def _fold_shift(W0: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -371,19 +346,29 @@ def _fold_shift(W0: np.ndarray, shift: np.ndarray) -> np.ndarray:
     cos, sin 2pi b_j of the shift b, cos 2pi(x_j - b_j) = c_j cos 2pi x_j +
     s_j sin 2pi x_j and sin 2pi(x_j - b_j) = c_j sin 2pi x_j - s_j cos 2pi x_j,
     so the shifted features under W0 are the unshifted base under the
-    rotated W0. Its transpose is the rotation by -shift."""
+    rotated W0. Its transpose is the rotation by -shift, which turns the
+    rows of base.T into the shifted features."""
     d = shift.shape[0]
     c, s = np.cos(TWO_PI * shift), np.sin(TWO_PI * shift)
     Wc, Ws = W0[:, :d], W0[:, d:]
     return np.concatenate([Wc * c - Ws * s, Wc * s + Ws * c], axis=1)
 
 
+def _shift_rows(W0: np.ndarray, S: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Each point's gradient of the periodic shift, (d, n), from layer 0's
+    cotangent D, theta's W0 and the shifted features S: with g = W0^T D,
+    dS_j / dshift_j = 2pi S_(d+j) and dS_(d+j) / dshift_j = -2pi S_j."""
+    d = S.shape[0] // 2
+    g = W0.T @ D
+    return TWO_PI * (g[:d] * S[d:] - g[d:] * S[:d])
+
+
 def _net_forward(arch: RomArch, base: np.ndarray, theta: np.ndarray, states, acts):
-    """Run the net feature-major on _net_table's base: states[l] receives
-    the (width, n) output of layer l, acts[l - 1] the activation of block l
-    (layer 0's activation is states[0]). Buffers may alias, so that layers
-    run in place in the same memory. Returns _unpack's views and W0 with the
-    periodic shift folded in."""
+    """The one forward pass of a net, feature-major on _net_table's base:
+    states[l] receives the (width, n) output of layer l, acts[l - 1] the
+    activation of block l (layer 0's activation is states[0]). Buffers may
+    alias, so that layers run in place in the same memory. Returns
+    _unpack's views and W0 with the periodic shift folded in."""
     params = W0, b0, blocks, _, shift = _unpack(arch, RomModel(arch, theta).theta)
     act = np.tanh if arch.activation == "tanh" else (lambda A, out: np.maximum(A, 0.0, out=out))
     if shift is not None:
@@ -400,11 +385,12 @@ def _net_forward(arch: RomArch, base: np.ndarray, theta: np.ndarray, states, act
     return params, W0
 
 
-def _net_output(w_out: np.ndarray, Z: np.ndarray, alpha: np.ndarray | None) -> np.ndarray:
-    """u = alpha (w_L . Z) as a fresh array, checked finite."""
+def _net_output(w_out: np.ndarray, Z: np.ndarray, alpha) -> np.ndarray:
+    """u = alpha (w_L . Z) as a fresh array, checked finite; alpha is
+    _net_table's."""
     u = w_out @ Z
     if alpha is not None:
-        u *= alpha
+        u *= alpha[0]
     _check_finite(u)
     return u
 
@@ -452,55 +438,77 @@ def _eval_linear_basis(model: RomModel, X: np.ndarray, need: EvalFlags) -> Batch
     return out
 
 
+def _act_deriv(kind: str, T: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = act'(A) from the activation's stored value T = act(A)."""
+    if kind == "tanh":
+        np.multiply(T, T, out=out)
+        return np.subtract(1.0, out, out=out)
+    return np.greater(T, 0.0, out=out)  # relu: T > 0 exactly where A > 0
+
+
+def _net_reverse(arch: RomArch, blocks, w_out, states, acts, S, c, buffers, visit) -> np.ndarray:
+    """The one reverse pass of a net: of sum_n c_n net(S(x_n)), on the
+    states that _net_forward stored, from the last block to the first.
+    Calls visit(l, D, Z_in) with the (width, n) cotangent D of layer l's
+    pre-activation and the layer's input Z_in, for l = L-1 .. 0; layer 0's
+    input is S, the shifted features for the periodic wrapper. D lives in
+    buffers (three (width, n) arrays: the state's cotangent, D and
+    scratch), and the next layer's overwrites it; returns layer 0's."""
+    G, D, GW = buffers
+    np.multiply(w_out[:, None], c, out=G)  # d sum / d(block output)
+    for l in range(arch.depth - 1, 0, -1):
+        _act_deriv(arch.activation, acts[l - 1], D)
+        D *= G
+        visit(l, D, states[l - 1])
+        np.add(G, np.matmul(blocks[l - 1][0].T, D, out=GW), out=G)
+    _act_deriv(arch.activation, states[0], D)
+    D *= G
+    visit(0, D, S)
+    return D
+
+
 def pullback_at(arch: RomArch, X) -> Callable[[np.ndarray], tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]]:
     """theta -> (u_theta at the points X, r -> sum_n r_n du_theta(x_n)/dtheta)
     for a net, for many parameter vectors on one sample: the gradient of a
     loss sum_n l(u_n) is pullback(l'(u)), without the (n, m) Jacobian that
     eval_batch's grad_theta forms.
 
-    The forward pass is value_at's (the feature table built once, the
-    periodic shift folded into W0), so the value is value_at's bit for bit;
-    it keeps every layer's (width, n) state in buffers that the closure
-    makes once. The pullback runs the matching feature-major reverse pass
-    seeded with w_L alpha r, sums over the points inside its matmuls and
-    writes each part into its place in a fresh flat gradient; the shift's
-    part comes through the rotated W0 columns. A pullback reads the
-    closure's buffers, so it is valid until the closure's next call, and a
-    closure must not be shared between threads. The value and each gradient
-    are fresh arrays. Raises NonFiniteError like eval_batch."""
+    The table is built once, as in value_at, and the forward pass keeps
+    every layer's (width, n) state in buffers that the closure makes once;
+    the value is value_at's bit for bit. The pullback runs the reverse pass
+    seeded with alpha r, whose visit sums each layer's part over the points
+    inside its matmuls and writes it into its place in a fresh flat
+    gradient. A pullback reads the closure's buffers, so it is valid until
+    the closure's next call, and a closure must not be shared between
+    threads. The value and each gradient are fresh arrays. Raises
+    NonFiniteError like eval_batch."""
     if arch.kind == LINEAR_BASIS:
         raise ValueError("pullback_at takes a net; a linear basis is its own Jacobian")
     X = _points(arch, X)
-    base, alpha = _net_table(arch, X)
+    base, _, _, alpha = _net_table(arch, X, 0)
     L, shapes, ones = arch.depth, _layout(arch), np.ones(X.shape[0])
     m = _size(shapes)
     buffers = np.empty((2 * L + 2, arch.width, X.shape[0]))
-    states, acts, (G, D, GW) = buffers[:L], buffers[L : 2 * L - 1], buffers[2 * L - 1 :]
+    states, acts, scratch = buffers[:L], buffers[L : 2 * L - 1], buffers[2 * L - 1 :]
 
     def at(theta: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-        (_, _, blocks, w_out, shift), W0 = _net_forward(arch, base, theta, states, acts)
+        (W0, _, blocks, w_out, shift), _ = _net_forward(arch, base, theta, states, acts)
         value = _net_output(w_out, states[-1], alpha)
+        S = base if shift is None else _fold_shift(base.T, -shift).T
 
         def pullback(r: np.ndarray) -> np.ndarray:
-            c = r if alpha is None else alpha * r
+            c = r if alpha is None else alpha[0] * r
             grad = np.empty(m)
             parts = _split_flat(grad, shapes)
             np.matmul(states[-1], c, out=parts[2 * L])
-            np.multiply(w_out[:, None], c, out=G)  # d sum / d(block output)
-            for l in range(L - 1, 0, -1):
-                _act_pullback(arch.activation, acts[l - 1], G, D)
-                np.matmul(D, states[l - 1].T, out=parts[2 * l])
+
+            def visit(l, D, Z_in):
+                np.matmul(D, Z_in.T, out=parts[2 * l])
                 np.matmul(D, ones, out=parts[2 * l + 1])
-                np.add(G, np.matmul(blocks[l - 1][0].T, D, out=GW), out=G)
-            _act_pullback(arch.activation, states[0], G, D)
-            np.matmul(D, ones, out=parts[1])
-            if shift is None:
-                np.matmul(D, base.T, out=parts[0])
-            else:
-                P, d = D @ base.T, arch.input_dim  # the gradient of the rotated W0
-                parts[0][...] = _fold_shift(P, -shift)
-                # d W0[:, j] / d shift_j = -2pi W0[:, d + j], d W0[:, d + j] / d shift_j = 2pi W0[:, j]
-                np.multiply(TWO_PI, (P[:, d:] * W0[:, :d] - P[:, :d] * W0[:, d:]).sum(axis=0), out=parts[-1])
+
+            D = _net_reverse(arch, blocks, w_out, states, acts, S, c, scratch, visit)
+            if shift is not None:
+                np.sum(_shift_rows(W0, S, D), axis=1, out=parts[-1])
             _check_finite(grad)
             return grad
 
@@ -509,106 +517,48 @@ def pullback_at(arch: RomArch, X) -> Callable[[np.ndarray], tuple[np.ndarray, Ca
     return at
 
 
-def _act_pullback(kind: str, T: np.ndarray, G: np.ndarray, out: np.ndarray) -> None:
-    """out = G act'(A), from the activation's value T = act(A)."""
-    if kind == "tanh":
-        np.multiply(T, T, out=out)
-        np.subtract(1.0, out, out=out)
-        out *= G
-    else:  # relu: T > 0 exactly where A > 0
-        np.multiply(G, T > 0.0, out=out)
-
-
-@dataclass
-class _Forward:
-    """What a net's derivative path keeps of its forward pass."""
-
-    params: tuple  # _unpack's views
-    S: np.ndarray  # the net input, (n, din)
-    dS: np.ndarray | None
-    ddS: np.ndarray | None
-    alpha: tuple | None  # _alpha's output factor, None for the periodic wrapper
-    cache: list  # (layer input, act', act'') per layer
-    Z: np.ndarray  # the last block's output, (n, width)
-    z: np.ndarray  # net(S), (n,)
-
-    @property
-    def value(self) -> np.ndarray:
-        return self.z if self.alpha is None else self.alpha[0] * self.z
-
-
-def _resnet_forward(model: RomModel, X: np.ndarray, order: int) -> _Forward:
-    """The forward pass, caching what derivatives of up to order (in x) and
-    the parameter gradient reuse."""
-    arch = model.arch
-    params = W0, b0, blocks, w_out, shift = _unpack(arch, model.theta)
-    S, dS, ddS, alpha = _features(arch, X, shift, order)
-    A = S @ W0.T
-    A += b0
-    Z, d1, d2 = _act(arch.activation, A, order == 2)
-    cache = [(S, d1, d2)]
-    for W, b in blocks:
-        A = Z @ W.T
-        A += b
-        phi, d1, d2 = _act(arch.activation, A, order == 2)
-        cache.append((Z, d1, d2))
-        Z = Z + phi
-    return _Forward(params, S, dS, ddS, alpha, cache, Z, Z @ w_out)
-
-
-def _resnet_reverse(arch: RomArch, fwd: _Forward, c: np.ndarray) -> np.ndarray:
-    """Reverse accumulation of sum_n c_n net(S(x_n)) to theta per point: the
-    (n, m) rows of c_n dnet(S(x_n))/dtheta in layout order. With c the output
-    factor alpha (1 for the periodic wrapper) the rows are grad_theta u."""
-    W0, _, blocks, w_out, shift = fwd.params
-    S = fwd.S
-    n, d = S.shape[0], arch.input_dim
-    G = c[:, None] * w_out[None, :]  # d sum / d(block output)
-    block_parts = []
-    for (W, _), (Z_in, d1, _) in zip(blocks[::-1], fwd.cache[:0:-1]):
-        D = G * d1
-        block_parts = [np.einsum("np,nq->npq", D, Z_in), D] + block_parts
-        G = G + D @ W
-    D = G * fwd.cache[0][1]
-    parts = [np.einsum("np,nq->npq", D, S), D] + block_parts + [c[:, None] * fwd.Z]
-    if shift is not None:
-        gS = D @ W0
-        # dS/dshift_j = -dS/dx_j, nonzero only in columns j and d + j
-        parts.append(-(gS[:, :d] * (-TWO_PI * S[:, d:]) + gS[:, d:] * (TWO_PI * S[:, :d])))
-    return _join(parts, _layout(arch), n)
-
-
-def _eval_resnet(model: RomModel, X: np.ndarray, need: EvalFlags) -> BatchEval:
+def _eval_net(model: RomModel, X: np.ndarray, need: EvalFlags) -> BatchEval:
+    """eval_batch's derivative path for a net, on its one forward pass with
+    one buffer per layer state."""
     arch = model.arch
     n, d = X.shape
+    L = arch.depth
     order = 2 if need.laplacian else int(need.grad_x)
-    fwd = _resnet_forward(model, X, order)
-    W0, _, blocks, w_out, _ = fwd.params
-    dS, ddS, alpha, cache, z = fwd.dS, fwd.ddS, fwd.alpha, fwd.cache, fwd.z
+    base, dS, ddS, alpha = _net_table(arch, X, order)
+    buffers = np.empty((2 * L + 2, arch.width, n))
+    states, acts, scratch = buffers[:L], buffers[L : 2 * L - 1], buffers[2 * L - 1 :]
+    (W0, _, blocks, w_out, shift), W0_folded = _net_forward(arch, base, model.theta, states, acts)
+    z = w_out @ states[-1]
 
     out = BatchEval(value=None, grad_x=None, laplacian=None, grad_theta=None, flags=need)
     if need.value:
-        out.value = fwd.value
+        out.value = z if alpha is None else alpha[0] * z
 
-    # Forward-mode first and second derivatives of z, one pass per coordinate.
+    # Forward-mode first and second derivatives of z, one pass per coordinate
+    # i, which base rows i, i + d, ... depend on.
     if order:
+        derivs = []
+        for T in (states[0], *acts):
+            d1 = _act_deriv(arch.activation, T, np.empty_like(T))
+            d2 = (-2.0 * T * d1 if arch.activation == "tanh" else 0.0) if order == 2 else None
+            derivs.append((d1, d2))
         zd = np.empty((n, d))
         zdd = np.empty((n, d)) if order == 2 else None
-        owner = np.arange(fwd.S.shape[1]) % d
-        _, d1, d2 = cache[0]
         for i in range(d):
-            Ad = np.where(owner == i, dS, 0.0) @ W0.T
+            W0_i = W0_folded[:, i::d]
+            Ad = W0_i @ dS[i::d]
+            d1, d2 = derivs[0]
             Zd = d1 * Ad
             if order == 2:
-                Zdd = d2 * Ad * Ad + d1 * (np.where(owner == i, ddS, 0.0) @ W0.T)
-            for (W, _), (_, d1k, d2k) in zip(blocks, cache[1:]):
-                Ad = Zd @ W.T
+                Zdd = d2 * Ad * Ad + d1 * (W0_i @ ddS[i::d])
+            for (W, _), (d1, d2) in zip(blocks, derivs[1:]):
+                Ad = W @ Zd
                 if order == 2:
-                    Zdd = Zdd + d2k * Ad * Ad + d1k * (Zdd @ W.T)
-                Zd = Zd + d1k * Ad
-            zd[:, i] = Zd @ w_out
+                    Zdd = Zdd + d2 * Ad * Ad + d1 * (W @ Zdd)
+                Zd = Zd + d1 * Ad
+            zd[:, i] = w_out @ Zd
             if order == 2:
-                zdd[:, i] = Zdd @ w_out
+                zdd[:, i] = w_out @ Zdd
         if alpha is not None:  # product rule for u = alpha z
             a, da, dda = alpha
             if order == 2:
@@ -617,12 +567,23 @@ def _eval_resnet(model: RomModel, X: np.ndarray, need: EvalFlags) -> BatchEval:
         if need.grad_x:
             out.grad_x = zd
         if need.laplacian:
-            out.laplacian = np.zeros(n)
-            for col in zdd.T:
-                out.laplacian += col
+            out.laplacian = zdd.sum(axis=1)
 
     if need.grad_theta:
-        out.grad_theta = _resnet_reverse(arch, fwd, np.ones(n) if alpha is None else alpha[0])
+        c = np.ones(n) if alpha is None else alpha[0]
+        shapes = _layout(arch)
+        out.grad_theta = np.empty((n, _size(shapes)))
+        parts = _split_flat(out.grad_theta.T, shapes)  # (*shape, n) views of the rows
+        np.multiply(states[-1], c, out=parts[2 * L])
+
+        def visit(l, D, Z_in):
+            np.einsum("pn,qn->pqn", D, Z_in, out=parts[2 * l])
+            parts[2 * l + 1][...] = D
+
+        S = base if shift is None else _fold_shift(base.T, -shift).T
+        D = _net_reverse(arch, blocks, w_out, states, acts, S, c, scratch, visit)
+        if shift is not None:
+            parts[-1][...] = _shift_rows(W0, S, D)
 
     _check_finite(out.value, out.grad_x, out.laplacian, out.grad_theta)
     return out

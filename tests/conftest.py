@@ -20,6 +20,14 @@ def unit_interval():
     return (np.array([0.0]), np.array([1.0]))
 
 
+def gram_records(TH: np.ndarray, G: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """(TH, G, P) of shapes (n, m), (n, m, m), (n, m) as rows in the Gram
+    cache's record layout (assembly): theta, rhs, gram (row-major) and a
+    status of 0, which training does not read."""
+    n = TH.shape[0]
+    return np.concatenate([TH, P, np.reshape(G, (n, -1)), np.zeros((n, 1))], axis=1)
+
+
 def fourier_sine_arch(n_modes: int) -> rom.RomArch:
     """Orthonormal sine basis sqrt(2) sin(k pi x), k = 1..n_modes, on (0,1)."""
     return rom.RomArch(kind=rom.LINEAR_BASIS, input_dim=1, n_modes=n_modes)

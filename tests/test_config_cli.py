@@ -14,6 +14,8 @@ import pytest
 from pdecontrol import assembly, binfile, cli, config, control_net as cn, evolve, fit, pipeline, reference, rom
 from pdecontrol.errors import ConfigError, MissingArtifact
 
+from conftest import gram_records
+
 ROOT = Path(__file__).resolve().parents[1]
 PRESETS = ROOT / "configs"
 
@@ -178,7 +180,7 @@ def test_full_pipeline_small(heat_config, tmp_path, monkeypatch):
     assert 0.0 <= res["p50"] <= res["p90"] <= res["max"] < np.inf
     cache = assembly.read_cache(cfg.path("gram_cache"), pipeline._gram_header(cfg), pipeline._gram_thetas(cfg))
     net = cn.load_control_checkpoint(cfg.path("checkpoint"), cfg.control_arch, pipeline._control_inputs(cfg))
-    assert res["max"] == pytest.approx(cn.residual_scan(net, (cache.theta, cache.gram, cache.rhs)).max(), rel=1e-12)
+    assert res["max"] == pytest.approx(cn.residual_scan(net, cache.records).max(), rel=1e-12)
     [anchor] = report["anchors"]
     assert anchor["anchor"] == 0 and anchor["blowup_step"] is None
     assert all(np.isfinite(anchor[k]) for k in ("m_v", "l_v", "euler_bound", "abs_err_max"))
@@ -789,7 +791,7 @@ def test_benchmark_workload_configs_load(tmp_path):
     assert {"steps", "target_reached"} <= set(fit.FitResult.__dataclass_fields__)
     assert {"thetas", "blowup_step", "escape_step"} <= set(evolve.ParamTrajectory.__dataclass_fields__)
     arch = cn.ControlArch(input_dim=2, width=4, depth=2)
-    gram = (np.zeros((3, 2)), np.stack([np.eye(2)] * 3), np.ones((3, 2)))
+    gram = gram_records(np.zeros((3, 2)), np.stack([np.eye(2)] * 3), np.ones((3, 2)))
     trained = cn.train(cn.ControlNet(arch, cn.init_control_params(arch, 0)), gram, None, lr=1e-3, zeta=0.0,
                        batch_size=0, stop_loss=0.0, max_steps=2, seed=0)
     assert isinstance(trained[0], cn.ControlNet)

@@ -11,7 +11,7 @@ from pdecontrol.errors import CacheMismatch, MissingArtifact, NonFiniteError
 from pdecontrol.optim import Adam
 from pdecontrol.sampling import Box, Purpose, rng_for, sample_omega, sample_theta
 
-from conftest import TextbookAdam, fourier_sine_arch
+from conftest import TextbookAdam, fourier_sine_arch, gram_records
 
 
 @pytest.fixture
@@ -175,7 +175,7 @@ def _joint_batches(rng, n1=3, n2=4, m=4):
 def test_loss_l1_trivial_cases(small_arch, rng):
     net = make_net(small_arch)  # zero field
     TH = rng.uniform(-1, 1, (3, 4))
-    l1, l2, grad = cn.loss(net, (TH, np.stack([np.eye(4)] * 3), np.zeros((3, 4))), None, 0.1)
+    l1, l2, grad = cn.loss(net, gram_records(TH, np.stack([np.eye(4)] * 3), np.zeros((3, 4))), None, 0.1)
     assert l1 == 0.0 and l2 == 0.0
     assert np.all(grad == 0.0)
 
@@ -192,10 +192,11 @@ def test_loss_gradients_match_fd(small_arch, rng):
     net = make_net(small_arch, jitter=0.2, rng=rng)
     gram, pairs = _joint_batches(rng)
     zeta = 0.1
-    _, _, grad = cn.loss(net, gram, pairs, zeta)
+    records = gram_records(*gram)
+    _, _, grad = cn.loss(net, records, pairs, zeta)
 
     def total(xi):
-        l1, l2, _ = cn.loss(cn.ControlNet(small_arch, xi), gram, pairs, zeta)
+        l1, l2, _ = cn.loss(cn.ControlNet(small_arch, xi), records, pairs, zeta)
         return l1 + zeta * l2
 
     h = 1e-6
@@ -215,7 +216,7 @@ def test_loss_matches_two_pass_oracle(small_arch, rng, terms):
     gram = None if terms == "pairs_only" else gram
     pairs = None if terms == "gram_only" else pairs
     zeta = 0.1
-    l1, l2, grad = cn.loss(net, gram, pairs, zeta)
+    l1, l2, grad = cn.loss(net, None if gram is None else gram_records(*gram), pairs, zeta)
     o1, g1 = _oracle_l1(net, *gram) if gram else (0.0, 0.0)
     o2, g2 = _oracle_l2(net, *pairs) if pairs else (0.0, 0.0)
     expect = g1 + zeta * g2
@@ -231,8 +232,8 @@ def test_train_step_runs_one_forward_and_one_backward_pass(small_arch, rng, monk
     for name in ("_forward_cached", "_backward_xi"):
         fn = getattr(cn, name)
         monkeypatch.setattr(cn, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
-    _, history = cn.train(make_net(small_arch), gram, pairs, lr=1e-3, zeta=0.1, batch_size=0, stop_loss=0.0,
-                          max_steps=1, seed=0)
+    _, history = cn.train(make_net(small_arch), gram_records(*gram), pairs, lr=1e-3, zeta=0.1, batch_size=0,
+                          stop_loss=0.0, max_steps=1, seed=0)
     assert history[0][1] > 0.0 and history[0][2] > 0.0
     assert calls == ["_forward_cached", "_backward_xi"]
 
@@ -251,7 +252,7 @@ def _toy_records(rng, n, m=4, scale=0.05):
     # exact-quadrature heat records on a small box: G = I, p = D theta
     D = -np.array([(k * np.pi) ** 2 for k in range(1, m + 1)])
     TH = np.array([rng.uniform(-scale, scale, m) for _ in range(n)])
-    return TH, np.stack([np.eye(m)] * n), TH * D
+    return gram_records(TH, np.stack([np.eye(m)] * n), TH * D)
 
 
 def test_train_toy_linear_field_reaches_tolerance(rng):
@@ -303,7 +304,7 @@ def test_train_rejects_mismatched_cache(rng):
 
 
 def test_train_nonfinite_divergence(rng):
-    recs = (np.full((1, 2), 1e160), np.eye(2)[None] * 1e160, np.zeros((1, 2)))
+    recs = gram_records(np.full((1, 2), 1e160), np.eye(2)[None] * 1e160, np.zeros((1, 2)))
     arch = cn.ControlArch(input_dim=2, width=4, depth=2)
     xi = cn.init_control_params(arch, 0)
     xi[-2:] = 1e160  # output bias enormous
@@ -316,7 +317,7 @@ def test_residual_scan_zero_when_exact(rng):
     # constant rhs with identity grams: output bias = p gives an exact fit
     m = 3
     p = rng.standard_normal(m)
-    gram = (rng.uniform(-1, 1, (4, m)), np.stack([np.eye(m)] * 4), np.tile(p, (4, 1)))
+    gram = gram_records(rng.uniform(-1, 1, (4, m)), np.stack([np.eye(m)] * 4), np.tile(p, (4, 1)))
     arch = cn.ControlArch(input_dim=m, width=4, depth=2)
     xi = cn.init_control_params(arch, 0)
     xi[-m:] = p  # output bias
@@ -418,8 +419,8 @@ def test_forward_and_train_bit_identical(tmp_path, small_arch, rng):
     carch = cn.ControlArch(input_dim=m, width=8, depth=3)
     cfg = dict(lr=1e-2, zeta=0.0, batch_size=3, stop_loss=0.0, max_steps=25, seed=4)
     start = cn.ControlNet(carch, cn.init_control_params(carch, 1))
-    mapped, h1 = cn.train(start, (cache.theta, cache.gram, cache.rhs), None, rows=rows, **cfg)
-    stacked = tuple(np.array(a[rows]) for a in (cache.theta, cache.gram, cache.rhs))
+    mapped, h1 = cn.train(start, cache.records, None, rows=rows, **cfg)
+    stacked = gram_records(*(a[rows] for a in (cache.theta, cache.gram, cache.rhs)))
     copied, h2 = cn.train(start, stacked, None, **cfg)
     assert h1 == h2
     assert mapped.xi.tobytes() == copied.xi.tobytes()

@@ -203,8 +203,8 @@ def _kernel_cases():
 
 @pytest.mark.parametrize("case", range(5))
 def test_value_kernel_matches_the_derivative_path(rng, case):
-    # value_at folds the periodic shift into W0 and runs the layers
-    # feature-major; the value of the derivative path is the reference
+    # value_at and the derivative path run the one forward pass, so a value
+    # is the same bits on either
     arch = _kernel_cases()[case]
     lo, hi = arch.domain
     X = rng.uniform(lo, hi, (300, arch.input_dim))
@@ -214,8 +214,8 @@ def test_value_kernel_matches_the_derivative_path(rng, case):
         if arch.kind == rom.RESNET_PERIODIC:
             theta[-arch.input_dim:] = rng.choice([-1.0, 1.0], arch.input_dim) * rng.uniform(1.0, 4.0, arch.input_dim)
         want = rom.eval_batch(rom.RomModel(arch, theta), X, rom.EvalFlags(value=True, grad_theta=True)).value
-        assert np.abs(u_at(theta) - want).max() <= 1e-13 * np.abs(want).max()
-        assert np.abs(value_fn(arch, theta, X) - want).max() <= 1e-13 * np.abs(want).max()
+        assert u_at(theta).tobytes() == want.tobytes()
+        assert value_fn(arch, theta, X).tobytes() == want.tobytes()
 
 
 def test_value_kernel_returns_a_fresh_array_per_call(rng):
@@ -229,40 +229,102 @@ def test_value_kernel_returns_a_fresh_array_per_call(rng):
     assert second.tobytes() != kept.tobytes()
 
 
-def _reference_grad_theta(arch, theta, X):
-    # the per-point Jacobian of u in layout order, by the reverse pass of
-    # the derivative path written out on its own
+def _reference_eval(arch, theta, X):
+    """(grad_x, laplacian, grad_theta) of a net by a point-major
+    derivative path, (n, width) per layer, written out on its own: the
+    periodic features are taken at x - shift, grad_x and the Laplacian are
+    forward-mode tangents, one pass per coordinate, and grad_theta is the
+    per-point Jacobian in layout order by reverse accumulation."""
     W0, b0, blocks, w_out, shift = rom._unpack(arch, theta)
-    S, _, _, alpha = rom._features(arch, X, shift, 0)
-    act = np.tanh if arch.activation == "tanh" else (lambda A: np.maximum(A, 0.0))
+    n, d = X.shape
+    if arch.kind == rom.RESNET_PERIODIC:
+        arg = rom.TWO_PI * (X - shift)
+        c, s = np.cos(arg), np.sin(arg)
+        S = np.concatenate([c, s], axis=1)
+        dS = np.concatenate([-rom.TWO_PI * s, rom.TWO_PI * c], axis=1)
+        ddS = np.concatenate([-rom.TWO_PI * rom.TWO_PI * c, -rom.TWO_PI * rom.TWO_PI * s], axis=1)
+        alpha = None
+    else:
+        S, dS, ddS = X, np.ones_like(X), np.zeros_like(X)
+        alpha = rom._alpha(X, *arch.domain, 2)
 
-    def deriv(A):
+    def act(A):
+        # value, first and second derivative; relu's second taken as 0
         if arch.activation == "tanh":
             T = np.tanh(A)
-            return 1.0 - T * T
-        return (A > 0.0).astype(np.float64)
+            d1 = 1.0 - T * T
+            return T, d1, -2.0 * T * d1
+        return np.maximum(A, 0.0), (A > 0.0).astype(np.float64), np.zeros_like(A)
 
-    A = S @ W0.T + b0
-    Z, inputs, derivs = act(A), [], [deriv(A)]
+    A = S @ W0.T
+    A += b0
+    Z, d1, d2 = act(A)
+    cache = [(S, d1, d2)]  # (layer input, act', act'') per layer
     for W, b in blocks:
-        A = Z @ W.T + b
-        inputs.append(Z)
-        derivs.append(deriv(A))
-        Z = Z + act(A)
-    scale = np.ones(X.shape[0]) if alpha is None else alpha[0]
-    G = scale[:, None] * w_out[None, :]
+        A = Z @ W.T
+        A += b
+        phi, d1, d2 = act(A)
+        cache.append((Z, d1, d2))
+        Z = Z + phi
+    z = Z @ w_out
+
+    zd, zdd = np.empty((n, d)), np.empty((n, d))
+    owner = np.arange(S.shape[1]) % d  # the coordinate each feature depends on
+    for i in range(d):
+        Ad = np.where(owner == i, dS, 0.0) @ W0.T
+        _, d1, d2 = cache[0]
+        Zd = d1 * Ad
+        Zdd = d2 * Ad * Ad + d1 * (np.where(owner == i, ddS, 0.0) @ W0.T)
+        for (W, _), (_, d1k, d2k) in zip(blocks, cache[1:]):
+            Ad = Zd @ W.T
+            Zdd = Zdd + d2k * Ad * Ad + d1k * (Zdd @ W.T)
+            Zd = Zd + d1k * Ad
+        zd[:, i] = Zd @ w_out
+        zdd[:, i] = Zdd @ w_out
+    if alpha is None:
+        scale = np.ones(n)
+    else:  # product rule for u = alpha z
+        a, da, dda = alpha
+        scale = a
+        zdd = dda * z[:, None] + 2.0 * da * zd + a[:, None] * zdd
+        zd = da * z[:, None] + a[:, None] * zd
+
+    G = scale[:, None] * w_out[None, :]  # d sum / d(block output)
     block_parts = []
-    for (W, _), Z_in, d1 in zip(blocks[::-1], inputs[::-1], derivs[:0:-1]):
+    for (W, _), (Z_in, d1, _) in zip(blocks[::-1], cache[:0:-1]):
         D = G * d1
         block_parts = [np.einsum("np,nq->npq", D, Z_in), D] + block_parts
         G = G + D @ W
-    D = G * derivs[0]
+    D = G * cache[0][1]
     parts = [np.einsum("np,nq->npq", D, S), D] + block_parts + [scale[:, None] * Z]
     if shift is not None:
-        d = arch.input_dim
         gS = D @ W0
+        # dS/dshift_j = -dS/dx_j, nonzero only in columns j and d + j
         parts.append(-(gS[:, :d] * (-rom.TWO_PI * S[:, d:]) + gS[:, d:] * (rom.TWO_PI * S[:, :d])))
-    return np.concatenate([p.reshape(X.shape[0], -1) for p in parts], axis=1)
+    grad_theta = np.concatenate([p.reshape(n, -1) for p in parts], axis=1)
+    return zd, zdd.sum(axis=1), grad_theta
+
+
+def _nets():
+    return [arch for arch in _kernel_cases() + _random_cases() if arch.kind != rom.LINEAR_BASIS]
+
+
+@pytest.mark.parametrize("case", range(len(_nets())))
+def test_derivatives_match_the_point_major_oracle(rng, case):
+    # the derivative path runs feature-major on the stored forward states and
+    # folds the periodic shift into W0; the oracle does neither
+    arch = _nets()[case]
+    lo, hi = arch.domain
+    X = rng.uniform(lo, hi, (200, arch.input_dim))
+    for seed in range(2):
+        theta = rom.init_params(arch, seed) + 0.5 * rng.standard_normal(rom.param_count(arch))
+        if arch.kind == rom.RESNET_PERIODIC:
+            theta[-arch.input_dim:] = rng.uniform(-4.0, 4.0, arch.input_dim)
+        ev = rom.eval_batch(rom.RomModel(arch, theta), X, FULL)
+        grad_x, laplacian, grad_theta = _reference_eval(arch, theta, X)
+        for got, want in ((ev.grad_x, grad_x), (ev.laplacian, laplacian), (ev.grad_theta, grad_theta)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def _pullback_arch(case, depth):
@@ -278,7 +340,7 @@ def _pullback_arch(case, depth):
 @pytest.mark.parametrize("case", range(4))
 def test_pullback_equals_the_jacobian_transpose_product(rng, case, depth):
     # the fit's gradient: sum_n r_n grad_theta u(x_n) without the Jacobian;
-    # its value is the value kernel's
+    # its value is the value kernel's and the derivative path's
     arch = _pullback_arch(case, depth)
     lo, hi = arch.domain
     X = rng.uniform(lo, hi, (200, arch.input_dim))
@@ -288,10 +350,14 @@ def test_pullback_equals_the_jacobian_transpose_product(rng, case, depth):
         if arch.kind == rom.RESNET_PERIODIC:
             theta[-arch.input_dim:] = rng.uniform(0.1, 0.4, arch.input_dim)  # a nonzero shift
         ev = rom.eval_batch(rom.RomModel(arch, theta), X, rom.EvalFlags(value=True, grad_theta=True))
-        assert ev.grad_theta.tobytes() == _reference_grad_theta(arch, theta, X).tobytes()
+        want_rows = _reference_eval(arch, theta, X)[2]
+        if arch.kind == rom.RESNET_PERIODIC:  # the shift enters as W0's rotation, not in the features
+            assert np.abs(ev.grad_theta - want_rows).max() <= 1e-14 * np.abs(want_rows).max()
+        else:
+            assert ev.grad_theta.tobytes() == want_rows.tobytes()
         u, pullback = at(theta)
         assert u.tobytes() == u_at(theta).tobytes()
-        assert np.abs(u - ev.value).max() <= 1e-14 * np.abs(ev.value).max()
+        assert u.tobytes() == ev.value.tobytes()
         r = 2.0 * (u - rng.standard_normal(X.shape[0])) / X.shape[0]
         want = ev.grad_theta.T @ r
         assert np.abs(pullback(r) - want).max() <= 1e-13 * np.abs(want).max()
