@@ -136,7 +136,7 @@ SCHEMA = {
                 "count": {"type": "integer", "minimum": 0},
                 "eps0_target": {"type": "number", "exclusiveMinimum": 0},
                 "fit_n_x": {"type": "integer", "minimum": 1},
-                # the keyword arguments of fit.fit_initial
+                # the keyword arguments of fit.fit_initials (and fit.fit_initial)
                 "fit": {
                     "type": "object",
                     "properties": {"lr": _LR, "max_steps": _MAX_STEPS},

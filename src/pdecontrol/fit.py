@@ -86,6 +86,13 @@ def eval_initial(spec: InitialSpec, X) -> np.ndarray:
     return alpha * acc
 
 
+# the bytes of one (K, width, n_x) layer state of a stack of net fits, which
+# bounds K: at allen_cahn's (6, 1024) stacks of 8 to 20 fits cost the same
+# per fit step, and one stack of 40 (1.9 MiB per state and 11 MiB of
+# buffers, past a core's 2 MiB L2 cache) cost 12% more than stacks of 8
+_STACK_BYTES = 512 * 1024
+
+
 @dataclass
 class FitResult:
     theta: np.ndarray
@@ -105,68 +112,120 @@ def fit_initial(
     max_steps: int,
     theta_init: np.ndarray | None = None,
 ) -> FitResult:
-    """theta0 minimising the empirical squared error
-    (1/N) sum (u_theta(x_n) - g(x_n))^2 over points x_n of the arch's box.
+    """One initial's fit: fit_initials on a stack of one."""
+    return fit_initials(arch, [spec], n_x, eps0_target, [seed], lr=lr, max_steps=max_steps, theta_inits=[theta_init])[0]
+
+
+def fit_initials(
+    arch: rom.RomArch,
+    specs: list[InitialSpec],
+    n_x: int,
+    eps0_target: float,
+    seeds: list[int],
+    *,
+    lr: float,
+    max_steps: int,
+    theta_inits: list[np.ndarray | None] | None = None,
+) -> list[FitResult]:
+    """theta0 for each initial specs[k], fitted under seeds[k], minimising
+    the empirical squared error (1/N) sum (u_theta(x_n) - g(x_n))^2 over
+    points x_n of the arch's box drawn under that seed.
 
     A linear basis, u_theta = Phi(x) theta, takes the exact minimiser: one
     least-squares solve on the basis table Phi(X) (steps 1; lr, max_steps
-    and theta_init are unused). A net runs ADAM with the config's
+    and theta_inits are unused). A net runs ADAM with the config's
     initials.fit block (lr, max_steps) until the training-sample RMSE
     reaches eps0_target or max_steps, and keeps the best parameters seen;
-    theta_init, if given, replaces rom.init_params(arch, seed) as the start
-    (the pipeline never passes it). target_reached says whether the
-    training RMSE is within eps0_target; rmse is the held-out RMSE on a
-    disjoint sample, drawn under the same seed for Purpose.FIT_HOLDOUT.
+    the nets' fits run as stacked loops (_adam_fits) of as many fits as
+    _STACK_BYTES allows, and each comes out as it would alone, bit for
+    bit. theta_inits[k], if given and not None, replaces
+    rom.init_params(arch, seeds[k]) as the start (the pipeline never
+    passes it). target_reached says whether the training RMSE is within
+    eps0_target; rmse is the held-out RMSE on a disjoint sample, drawn
+    under the same seed for Purpose.FIT_HOLDOUT.
     """
-    X = sample_omega(arch.domain, n_x, seed, Purpose.FIT_SAMPLE)
-    g_train = eval_initial(spec, X)
+    if not specs:
+        return []
+    Xs = [sample_omega(arch.domain, n_x, seed, Purpose.FIT_SAMPLE) for seed in seeds]
+    gs = [eval_initial(spec, X) for spec, X in zip(specs, Xs)]
     if arch.kind == rom.LINEAR_BASIS:
-        zero = rom.RomModel(arch, np.zeros(rom.param_count(arch)))
-        basis = rom.eval_batch(zero, X, rom.EvalFlags(value=False, grad_theta=True)).grad_theta
-        best_theta = np.linalg.lstsq(basis, g_train, rcond=None)[0]
-        res = basis @ best_theta - g_train
-        best_mse, steps_done = float(np.mean(res * res)), 1
+        fits = [_least_squares_fit(arch, X, g) for X, g in zip(Xs, gs)]
     else:
-        theta = rom.init_params(arch, seed) if theta_init is None else np.array(theta_init, dtype=np.float64)
-        best_theta, best_mse, steps_done = _adam_fit(arch, X, g_train, theta, eps0_target, lr, max_steps)
+        starts = [rom.init_params(arch, seed) if theta is None else np.array(theta, dtype=np.float64)
+                  for seed, theta in zip(seeds, theta_inits or [None] * len(seeds))]
+        X, G, starts = np.stack(Xs), np.stack(gs), np.stack(starts)
+        rows = max(1, _STACK_BYTES // (8 * arch.width * n_x))
+        fits = [fit for i in range(0, len(specs), rows)
+                for fit in _adam_fits(arch, X[i : i + rows], G[i : i + rows], starts[i : i + rows], eps0_target, lr,
+                                      max_steps)]
 
-    holdout = sample_omega(arch.domain, n_x, seed, Purpose.FIT_HOLDOUT)
-    model = rom.RomModel(arch, best_theta)
-    res_h = rom.eval_batch(model, holdout, rom.EvalFlags(value=True)).value - eval_initial(spec, holdout)
-    rmse_h = float(np.sqrt(np.mean(res_h * res_h)))
-    return FitResult(
-        theta=best_theta,
-        rmse=rmse_h,
-        target_reached=np.sqrt(best_mse) <= eps0_target,
-        steps=steps_done,
-    )
+    results = []
+    for spec, seed, (best_theta, best_mse, steps_done) in zip(specs, seeds, fits):
+        holdout = sample_omega(arch.domain, n_x, seed, Purpose.FIT_HOLDOUT)
+        model = rom.RomModel(arch, best_theta)
+        res_h = rom.eval_batch(model, holdout, rom.EvalFlags(value=True)).value - eval_initial(spec, holdout)
+        results.append(FitResult(
+            theta=best_theta,
+            rmse=float(np.sqrt(np.mean(res_h * res_h))),
+            target_reached=np.sqrt(best_mse) <= eps0_target,
+            steps=steps_done,
+        ))
+    return results
 
 
-def _adam_fit(arch, X, g_train, theta, eps0_target, lr, max_steps) -> tuple[np.ndarray, float, int]:
-    """(best theta, its training MSE, steps run) of ADAM from theta, which
-    is left as it was. Each step's gradient is the ROM's pullback of the
-    cotangent 2 (u - g) / n; a fit that runs to max_steps evaluates
-    max_steps parameter vectors and so takes max_steps - 1 ADAM steps."""
-    adam = Adam(theta.size, lr)
+def _least_squares_fit(arch, X, g) -> tuple[np.ndarray, float, int]:
+    """(theta, its training MSE, 1) of a linear basis: the least-squares
+    solve on the basis table at X."""
+    zero = rom.RomModel(arch, np.zeros(rom.param_count(arch)))
+    basis = rom.eval_batch(zero, X, rom.EvalFlags(value=False, grad_theta=True)).grad_theta
+    theta = np.linalg.lstsq(basis, g, rcond=None)[0]
+    res = basis @ theta - g
+    return theta, float(np.mean(res * res)), 1
+
+
+def _adam_fits(arch, X, G, thetas, eps0_target, lr, max_steps) -> list[tuple[np.ndarray, float, int]]:
+    """[(best theta, its training MSE, steps run)] of ADAM from each row of
+    thetas, (K, m), which is left as it was, on sample X[k], (K, n, d),
+    against targets G[k], (K, n).
+
+    The K fits run in lockstep on one stacked rom.pullback_at closure and
+    one stacked Adam. Each step evaluates every running row; a row's
+    gradient is the pullback of its cotangent 2 (u - g) / n. A row stops
+    once its training RMSE reaches eps0_target or at max_steps; it is then
+    compacted out of the stack (no gradient and no ADAM update), so a fit
+    that runs to max_steps evaluates max_steps parameter vectors and takes
+    max_steps - 1 ADAM steps. The rows share no arithmetic, and the ADAM
+    steps of the rows still running are the same t-th steps, so each row
+    comes out as its fit alone, bit for bit."""
+    K, n = G.shape
+    live = np.arange(K)  # the original rows still running, in stack order
+    theta, g = thetas.copy(), G  # the running rows; ADAM steps theta in place
+    best_theta = thetas.copy()
+    best_mse = np.full(K, np.inf)
+    steps_done = np.zeros(K, dtype=int)
+    adam = Adam(theta.shape, lr)
     at = rom.pullback_at(arch, X)
-
-    theta = theta.copy()  # ADAM steps it in place
-    best_theta = theta.copy()
-    best_mse = np.inf
-    n = X.shape[0]
-    steps_done = 0
     for step in range(1, max_steps + 1):
         u, pullback = at(theta)
-        res = u - g_train
-        mse = float(np.mean(res * res))
-        if mse < best_mse:
-            best_mse = mse
-            best_theta = theta.copy()
-        steps_done = step
-        if np.sqrt(mse) <= eps0_target or step == max_steps:
+        res = u - g
+        mse = np.mean(res * res, axis=1)
+        better = mse < best_mse[live]
+        best_mse[live[better]] = mse[better]
+        best_theta[live[better]] = theta[better]
+        done = (np.sqrt(mse) <= eps0_target) | (step == max_steps)
+        steps_done[live[done]] = step
+        if done.all():
             break  # the last step's update would never be evaluated
-        adam.step(theta, pullback(2.0 * res / n))
-    return best_theta, best_mse, steps_done
+        if done.any():
+            rows = np.flatnonzero(~done)
+            grad = pullback(2.0 * res[rows] / n, rows)
+            live, theta, g = live[rows], theta[rows], g[rows]
+            adam.keep(rows)
+            at = rom.pullback_at(arch, X[live])
+        else:
+            grad = pullback(2.0 * res / n)
+        adam.step(theta, grad)
+    return [(best_theta[k], float(best_mse[k]), int(steps_done[k])) for k in range(K)]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ them):
     x  -= lr * (m_t / (1-b1^t)) / (sqrt(v_t / (1-b2^t)) + eps).
 A step updates x, the moments and two scratch vectors in place, each ufunc
 the textbook expression's operation in its order, so a step allocates
-nothing and its result is the textbook one bit for bit.
+nothing and its result is the textbook one bit for bit. A size of (K, m)
+steps K parameter vectors in lockstep, each exactly as on its own.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ EPS = 1e-8
 
 
 class Adam:
-    def __init__(self, size: int, lr: float):
+    def __init__(self, size: int | tuple[int, int], lr: float):
         if lr <= 0:
             raise ValueError("lr must be positive")
         self.lr = lr
@@ -28,6 +29,13 @@ class Adam:
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self._scratch = np.empty(size), np.empty(size)
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Keeps only the rows `rows` of a stack of parameter vectors run in
+        lockstep (size (K, m)): the moments of the other rows are dropped,
+        and the kept rows step on as they would have."""
+        self.m, self.v = self.m[rows], self.v[rows]
+        self._scratch = np.empty_like(self.m), np.empty_like(self.m)
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
         """One update of params, in place; returns params."""

@@ -72,18 +72,18 @@ def cmd_fit_initial(cfg: RunConfig) -> list[dict]:
     Purpose.ANCHORS, so a larger initials.count keeps the first rows (a
     count of 0 writes an empty store); an anchor's initial is the model
     there, so it has no spec and a fit RMSE of 0. The other kinds fit
-    theta0 to each initial spec, anchor k under seed + 1000 + k."""
+    theta0 to each initial spec, anchor k under seed + 1000 + k, all in
+    one fit.fit_initials call, whose net fits run as one stacked loop."""
     cfg.ensure_layout()
     ini = cfg.raw["initials"]
     if cfg.raw["problem"]["kind"] == "transport":
         thetas = sample_theta(cfg.theta_space(), ini["count"], cfg.seed, Purpose.ANCHORS) if ini["count"] else []
         entries = [(None, theta, 0.0) for theta in thetas]
     else:
-        entries = []
-        for k, spec in enumerate(sample_initial_specs(cfg)):
-            res = fit.fit_initial(cfg.rom_arch, spec, ini["fit_n_x"], ini["eps0_target"], seed=cfg.seed + 1000 + k,
-                                  **ini["fit"])
-            entries.append((spec, res.theta, res.rmse))
+        specs = sample_initial_specs(cfg)
+        seeds = [cfg.seed + 1000 + k for k in range(len(specs))]
+        fits = fit.fit_initials(cfg.rom_arch, specs, ini["fit_n_x"], ini["eps0_target"], seeds, **ini["fit"])
+        entries = [(spec, res.theta, res.rmse) for spec, res in zip(specs, fits)]
     fit.save_anchors(cfg.path("anchors"), cfg.anchor_header(), entries)
     return [{"rmse": rmse, "theta_norm": float(np.linalg.norm(theta))} for _, theta, rmse in entries]
 

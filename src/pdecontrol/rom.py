@@ -25,13 +25,14 @@ with the shift present only for the periodic wrapper. For linear bases theta
 holds the combination coefficients in basis order. _layout lists the part
 shapes; the count, the unpacking and the gradient assembly derive from it.
 
-A net has one forward pass and one reverse pass, both feature-major,
-(width, n) per layer, on a table of the points that _net_table builds once
-per sample: the base S of shape (din, n), (cos 2pi x, sin 2pi x) for the
-periodic wrapper and X^T for the zero-boundary one, the x-derivatives of
-its rows, and the output factor alpha(X). The periodic shift b enters per
-theta as a rotation of W0's columns j and d + j (_fold_shift), so the table
-does not depend on theta. The forward pass, _net_forward, writes each
+A net has one forward pass and one reverse pass, both feature-major and
+stacked: K samples, each with its own parameter vector, run as
+(K, width, n) per layer, on a table of the points that _net_table builds
+once per sample: the base S of shape (din, n), (cos 2pi x, sin 2pi x) for
+the periodic wrapper and X^T for the zero-boundary one, the x-derivatives
+of its rows, and the output factor alpha(X). The periodic shift b enters
+per theta as a rotation of W0's columns j and d + j (_fold_shift), so the
+table does not depend on theta. The forward pass, _net_forward, writes each
 layer's state into buffers that its caller provides. The reverse pass,
 _net_reverse, runs on the stored states, takes each activation derivative
 from the activation's stored value, and hands each layer's pre-activation
@@ -44,13 +45,18 @@ same stored states, one pass per spatial coordinate. ReLU's second
 derivative is taken as 0 everywhere (almost-everywhere correct);
 first-order operators never consume the ReLU Laplacian.
 
-value_at(arch, X), which eval_batch also runs for a value-only request,
-runs the forward pass in two (width, n) buffers that every layer shares;
-pullback_at keeps one per layer. Each returns a closure that makes its
-buffers once and reuses them across calls, so a closure is not thread-safe
-(no caller shares one between threads), and a pullback is valid until its
-closure's next call; each call returns fresh arrays. As every path runs
-the same forward pass, a net's value is the same bits on each.
+pullback_at runs the passes on a stack of K samples, value_at and
+eval_batch on a stack of one. Every matmul is one BLAS call per sample on
+that sample's operands and every other operation is elementwise or a
+reduction along a sample's own points, so a sample's results are the same
+bits at any K. value_at, which eval_batch also runs for a value-only
+request, runs the forward pass in two (width, n) buffers that every layer
+shares; pullback_at keeps one per layer. Each returns a closure that makes
+its buffers once and reuses them across calls, so a closure is not
+thread-safe (no caller shares one between threads), and a pullback is
+valid until its closure's next call; each call returns fresh arrays. As
+every path runs the same forward pass, a net's value is the same bits on
+each.
 """
 
 from __future__ import annotations
@@ -165,10 +171,26 @@ def _split_flat(flat: np.ndarray, shapes) -> list[np.ndarray]:
     return views
 
 
+def _split_last(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive reshaped views of flat's last axis, one per shape, each
+    with flat's leading axes, (*lead, *shape); the shapes must cover the
+    last axis exactly."""
+    views = []
+    pos = 0
+    lead = flat.shape[:-1]
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[..., pos : pos + size].reshape(lead + shape))
+        pos += size
+    assert pos == flat.shape[-1]
+    return views
+
+
 def _unpack(arch: RomArch, theta: np.ndarray):
-    """Views into the flat parameter vector following the frozen layout:
+    """Views into a flat parameter vector, or into each row of a (K, m)
+    stack of them with a leading K axis, following the frozen layout:
     (W0, b0, [(W_l, b_l)], w_L, shift or None)."""
-    views = iter(_split_flat(theta, _layout(arch)))
+    views = iter(_split_last(theta, _layout(arch)))
     W0, b0 = next(views), next(views)
     blocks = [(next(views), next(views)) for _ in range(arch.depth - 1)]
     return W0, b0, blocks, next(views), next(views, None)
@@ -303,21 +325,22 @@ def value_at(arch: RomArch, X) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def _net_value(arch: RomArch, X: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """value_at for a net: _net_forward in two buffers that every layer
-    shares."""
+    """value_at for a net: _net_forward on a stack of one, in two buffers
+    that every layer shares."""
     base, _, _, alpha = _net_table(arch, X, 0)
-    Z, A = np.empty((2, arch.width, X.shape[0]))
+    base, factor = base[None], None if alpha is None else alpha[0][None]
+    Z, A = np.empty((2, 1, arch.width, X.shape[0]))
     states, acts = [Z] * arch.depth, [A] * (arch.depth - 1)
 
     def value(theta: np.ndarray) -> np.ndarray:
-        w_out = _net_forward(arch, base, theta, states, acts)[0][3]
-        return _net_output(w_out, Z, alpha)
+        w_out = _net_forward(arch, base, RomModel(arch, theta).theta[None], states, acts)[0][3]
+        return _net_output(w_out, Z, factor)[0]
 
     return value
 
 
 def _net_table(arch: RomArch, X: np.ndarray, order: int):
-    """The feature-major base of a net, (S, dS, ddS, alpha).
+    """The feature-major base of a net at one sample, (S, dS, ddS, alpha).
 
     S is the net input with the periodic shift left out: (cos 2pi x,
     sin 2pi x) of shape (2d, n) for the periodic wrapper, X^T for the
@@ -341,56 +364,77 @@ def _net_table(arch: RomArch, X: np.ndarray, order: int):
     return S, dS, ddS, _alpha(X, *arch.domain, order)
 
 
-def _fold_shift(W0: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """W0 with columns j and d + j rotated by 2pi shift_j. With c_j, s_j =
-    cos, sin 2pi b_j of the shift b, cos 2pi(x_j - b_j) = c_j cos 2pi x_j +
-    s_j sin 2pi x_j and sin 2pi(x_j - b_j) = c_j sin 2pi x_j - s_j cos 2pi x_j,
-    so the shifted features under W0 are the unshifted base under the
-    rotated W0. Its transpose is the rotation by -shift, which turns the
-    rows of base.T into the shifted features."""
-    d = shift.shape[0]
-    c, s = np.cos(TWO_PI * shift), np.sin(TWO_PI * shift)
-    Wc, Ws = W0[:, :d], W0[:, d:]
-    return np.concatenate([Wc * c - Ws * s, Wc * s + Ws * c], axis=1)
+def _fold_shift(A: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """A stack A of shape (K, p, 2d) with columns j and d + j of each
+    sample rotated by the angle of cosine c_j and sine s_j, (K, d).
+
+    With (c, s) = (cos, sin) 2pi b of the shift b, cos 2pi(x_j - b_j) =
+    c_j cos 2pi x_j + s_j sin 2pi x_j and sin 2pi(x_j - b_j) =
+    c_j sin 2pi x_j - s_j cos 2pi x_j, so the shifted features under W0 are
+    the unshifted base under W0 so rotated. The rotation by -b, of cosine c
+    and sine -s (numpy's cos is even and its sin odd, bit for bit), turns
+    the rows of the base's transpose into the shifted features
+    (_shifted_base)."""
+    d = c.shape[-1]
+    c, s = c[:, None], s[:, None]
+    Ac, As = A[..., :d], A[..., d:]
+    return np.concatenate([Ac * c - As * s, Ac * s + As * c], axis=-1)
+
+
+def _shifted_base(base: np.ndarray, rotation) -> np.ndarray:
+    """The net's layer-0 input at a stack of bases, (K, din, n): the
+    periodic features at x - b under _net_forward's rotation, the base
+    itself without a shift (rotation None)."""
+    if rotation is None:
+        return base
+    c, s = rotation
+    return _fold_shift(base.transpose(0, 2, 1), c, -s).transpose(0, 2, 1)
 
 
 def _shift_rows(W0: np.ndarray, S: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """Each point's gradient of the periodic shift, (d, n), from layer 0's
-    cotangent D, theta's W0 and the shifted features S: with g = W0^T D,
-    dS_j / dshift_j = 2pi S_(d+j) and dS_(d+j) / dshift_j = -2pi S_j."""
-    d = S.shape[0] // 2
-    g = W0.T @ D
-    return TWO_PI * (g[:d] * S[d:] - g[d:] * S[:d])
+    """Each point's gradient of the periodic shift, (K, d, n), from layer
+    0's cotangent D, theta's W0 and the shifted features S, all stacked:
+    with g = W0^T D, dS_j / dshift_j = 2pi S_(d+j) and
+    dS_(d+j) / dshift_j = -2pi S_j."""
+    d = S.shape[1] // 2
+    g = W0.transpose(0, 2, 1) @ D
+    return TWO_PI * (g[:, :d] * S[:, d:] - g[:, d:] * S[:, :d])
 
 
-def _net_forward(arch: RomArch, base: np.ndarray, theta: np.ndarray, states, acts):
-    """The one forward pass of a net, feature-major on _net_table's base:
-    states[l] receives the (width, n) output of layer l, acts[l - 1] the
-    activation of block l (layer 0's activation is states[0]). Buffers may
-    alias, so that layers run in place in the same memory. Returns
-    _unpack's views and W0 with the periodic shift folded in."""
-    params = W0, b0, blocks, _, shift = _unpack(arch, RomModel(arch, theta).theta)
+def _net_forward(arch: RomArch, base: np.ndarray, thetas: np.ndarray, states, acts):
+    """The one forward pass of a net, feature-major on a stack of K of
+    _net_table's bases, (K, din, n), each with its own row of the (K, m)
+    float64 parameter vectors thetas: states[l] receives the
+    (K, width, n) output of layer l, acts[l - 1] the activation of block l
+    (layer 0's activation is states[0]). Buffers may alias, so that layers
+    run in place in the same memory. Returns _unpack's stacked views, W0
+    with the periodic shift folded in, and the shift's rotation (cos, sin)
+    of 2pi shift, which _shifted_base takes too (None without a shift)."""
+    params = W0, b0, blocks, _, shift = _unpack(arch, thetas)
     act = np.tanh if arch.activation == "tanh" else (lambda A, out: np.maximum(A, 0.0, out=out))
+    rotation = None
     if shift is not None:
-        W0 = _fold_shift(W0, shift)
+        arg = TWO_PI * shift
+        rotation = np.cos(arg), np.sin(arg)
+        W0 = _fold_shift(W0, *rotation)
     Z = states[0]
     np.matmul(W0, base, out=Z)
-    Z += b0[:, None]
+    Z += b0[..., None]
     act(Z, out=Z)
     for (W, b), A, Z_out in zip(blocks, acts, states[1:]):
         np.matmul(W, Z, out=A)
-        A += b[:, None]
+        A += b[..., None]
         act(A, out=A)
         Z = np.add(Z, A, out=Z_out)
-    return params, W0
+    return params, W0, rotation
 
 
-def _net_output(w_out: np.ndarray, Z: np.ndarray, alpha) -> np.ndarray:
-    """u = alpha (w_L . Z) as a fresh array, checked finite; alpha is
-    _net_table's."""
-    u = w_out @ Z
-    if alpha is not None:
-        u *= alpha[0]
+def _net_output(w_out: np.ndarray, Z: np.ndarray, factor) -> np.ndarray:
+    """u = alpha (w_L . Z) per sample of a stack, (K, n), as a fresh array,
+    checked finite; factor is alpha, (K, n), or None without one."""
+    u = (w_out[:, None] @ Z)[:, 0]
+    if factor is not None:
+        u *= factor
     _check_finite(u)
     return u
 
@@ -447,68 +491,80 @@ def _act_deriv(kind: str, T: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _net_reverse(arch: RomArch, blocks, w_out, states, acts, S, c, buffers, visit) -> np.ndarray:
-    """The one reverse pass of a net: of sum_n c_n net(S(x_n)), on the
-    states that _net_forward stored, from the last block to the first.
-    Calls visit(l, D, Z_in) with the (width, n) cotangent D of layer l's
+    """The one reverse pass of a net, on a stack: of sum_n c_kn
+    net_k(S(x_kn)) for each sample k, with c of shape (K, n), on the states
+    that _net_forward stored, from the last block to the first. Calls
+    visit(l, D, Z_in) with the (K, width, n) cotangent D of layer l's
     pre-activation and the layer's input Z_in, for l = L-1 .. 0; layer 0's
     input is S, the shifted features for the periodic wrapper. D lives in
-    buffers (three (width, n) arrays: the state's cotangent, D and
+    buffers (three (K, width, n) arrays: the state's cotangent, D and
     scratch), and the next layer's overwrites it; returns layer 0's."""
     G, D, GW = buffers
-    np.multiply(w_out[:, None], c, out=G)  # d sum / d(block output)
+    np.multiply(w_out[..., None], c[:, None], out=G)  # d sum / d(block output)
     for l in range(arch.depth - 1, 0, -1):
         _act_deriv(arch.activation, acts[l - 1], D)
         D *= G
         visit(l, D, states[l - 1])
-        np.add(G, np.matmul(blocks[l - 1][0].T, D, out=GW), out=G)
+        np.add(G, np.matmul(blocks[l - 1][0].transpose(0, 2, 1), D, out=GW), out=G)
     _act_deriv(arch.activation, states[0], D)
     D *= G
     visit(0, D, S)
     return D
 
 
-def pullback_at(arch: RomArch, X) -> Callable[[np.ndarray], tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]]:
-    """theta -> (u_theta at the points X, r -> sum_n r_n du_theta(x_n)/dtheta)
-    for a net, for many parameter vectors on one sample: the gradient of a
-    loss sum_n l(u_n) is pullback(l'(u)), without the (n, m) Jacobian that
-    eval_batch's grad_theta forms.
+def pullback_at(arch: RomArch, X) -> Callable[[np.ndarray], tuple[np.ndarray, Callable[..., np.ndarray]]]:
+    """thetas -> (u, pullback) for a net on a stack of K samples X of
+    shape (K, n, d), for many (K, m) stacks of parameter vectors, row k on
+    sample k: u holds u_k at sample k's points, (K, n), and pullback(R)
+    returns sum_n R_kn du_k(x_kn)/dtheta_k, (K, m). The gradient of a loss
+    sum_n l(u_kn) is pullback(l'(u)), without the (n, m) Jacobian that
+    eval_batch's grad_theta forms. pullback(R, rows) takes the cotangents
+    of the stack's rows `rows` (an index array) alone and returns their
+    gradients, so a caller that drops rows computes nothing for them.
 
-    The table is built once, as in value_at, and the forward pass keeps
-    every layer's (width, n) state in buffers that the closure makes once;
-    the value is value_at's bit for bit. The pullback runs the reverse pass
-    seeded with alpha r, whose visit sums each layer's part over the points
-    inside its matmuls and writes it into its place in a fresh flat
-    gradient. A pullback reads the closure's buffers, so it is valid until
-    the closure's next call, and a closure must not be shared between
-    threads. The value and each gradient are fresh arrays. Raises
-    NonFiniteError like eval_batch."""
+    The tables are built once per sample, as in value_at, and the forward
+    pass keeps every layer's (K, width, n) state in buffers that the
+    closure makes once; each row's value is value_at's bit for bit. The
+    pullback runs the reverse pass seeded with alpha R, whose visit sums
+    each layer's part over each sample's points inside its matmuls and
+    writes it into its place in a fresh gradient. A pullback reads the
+    closure's buffers, so it is valid until the closure's next call, and a
+    closure must not be shared between threads. The values and each
+    gradient are fresh arrays. Raises NonFiniteError like eval_batch if
+    any row's values or gradient overflow."""
     if arch.kind == LINEAR_BASIS:
         raise ValueError("pullback_at takes a net; a linear basis is its own Jacobian")
-    X = _points(arch, X)
-    base, _, _, alpha = _net_table(arch, X, 0)
-    L, shapes, ones = arch.depth, _layout(arch), np.ones(X.shape[0])
+    tables = [_net_table(arch, _points(arch, x), 0) for x in X]
+    base = np.stack([table[0] for table in tables])
+    factor = None if arch.kind == RESNET_PERIODIC else np.stack([table[3][0] for table in tables])
+    (K, _, n), L, shapes, ones = base.shape, arch.depth, _layout(arch), np.ones(base.shape[2])
     m = _size(shapes)
-    buffers = np.empty((2 * L + 2, arch.width, X.shape[0]))
+    buffers = np.empty((2 * L + 2, K, arch.width, n))
     states, acts, scratch = buffers[:L], buffers[L : 2 * L - 1], buffers[2 * L - 1 :]
 
-    def at(theta: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-        (W0, _, blocks, w_out, shift), _ = _net_forward(arch, base, theta, states, acts)
-        value = _net_output(w_out, states[-1], alpha)
-        S = base if shift is None else _fold_shift(base.T, -shift).T
+    def at(thetas: np.ndarray) -> tuple[np.ndarray, Callable[..., np.ndarray]]:
+        thetas = np.ascontiguousarray(thetas, dtype=np.float64)
+        if thetas.shape != (K, m):
+            raise ValueError(f"thetas must have shape ({K}, {m}), got {thetas.shape}")
+        (_, _, _, w_out, _), _, rotation = _net_forward(arch, base, thetas, states, acts)
+        value = _net_output(w_out, states[-1], factor)
+        S = _shifted_base(base, rotation)
 
-        def pullback(r: np.ndarray) -> np.ndarray:
-            c = r if alpha is None else alpha[0] * r
-            grad = np.empty(m)
-            parts = _split_flat(grad, shapes)
-            np.matmul(states[-1], c, out=parts[2 * L])
+        def pullback(R: np.ndarray, rows=slice(None)) -> np.ndarray:
+            W0, _, blocks, w_out, shift = _unpack(arch, thetas[rows])
+            c = R if factor is None else factor[rows] * R
+            grad = np.empty((c.shape[0], m))
+            parts = _split_last(grad, shapes)
+            kept = states[:, rows]
+            np.matmul(kept[-1], c[..., None], out=parts[2 * L][..., None])
 
             def visit(l, D, Z_in):
-                np.matmul(D, Z_in.T, out=parts[2 * l])
+                np.matmul(D, Z_in.transpose(0, 2, 1), out=parts[2 * l])
                 np.matmul(D, ones, out=parts[2 * l + 1])
 
-            D = _net_reverse(arch, blocks, w_out, states, acts, S, c, scratch, visit)
+            D = _net_reverse(arch, blocks, w_out, kept, acts[:, rows], S[rows], c, scratch[:, : c.shape[0]], visit)
             if shift is not None:
-                np.sum(_shift_rows(W0, S, D), axis=1, out=parts[-1])
+                np.sum(_shift_rows(W0, S[rows], D), axis=-1, out=parts[-1])
             _check_finite(grad)
             return grad
 
@@ -518,17 +574,19 @@ def pullback_at(arch: RomArch, X) -> Callable[[np.ndarray], tuple[np.ndarray, Ca
 
 
 def _eval_net(model: RomModel, X: np.ndarray, need: EvalFlags) -> BatchEval:
-    """eval_batch's derivative path for a net, on its one forward pass with
-    one buffer per layer state."""
+    """eval_batch's derivative path for a net, on its one forward pass on
+    a stack of one with one buffer per layer state; the forward-mode
+    tangents run on the sample's (width, n) views."""
     arch = model.arch
     n, d = X.shape
     L = arch.depth
     order = 2 if need.laplacian else int(need.grad_x)
     base, dS, ddS, alpha = _net_table(arch, X, order)
-    buffers = np.empty((2 * L + 2, arch.width, n))
+    buffers = np.empty((2 * L + 2, 1, arch.width, n))
     states, acts, scratch = buffers[:L], buffers[L : 2 * L - 1], buffers[2 * L - 1 :]
-    (W0, _, blocks, w_out, shift), W0_folded = _net_forward(arch, base, model.theta, states, acts)
-    z = w_out @ states[-1]
+    (W0, _, blocks, w_out, _), W0_folded, rotation = _net_forward(arch, base[None], model.theta[None], states,
+                                                                    acts)
+    z = w_out[0] @ states[-1, 0]
 
     out = BatchEval(value=None, grad_x=None, laplacian=None, grad_theta=None, flags=need)
     if need.value:
@@ -538,27 +596,27 @@ def _eval_net(model: RomModel, X: np.ndarray, need: EvalFlags) -> BatchEval:
     # i, which base rows i, i + d, ... depend on.
     if order:
         derivs = []
-        for T in (states[0], *acts):
+        for T in (states[0, 0], *acts[:, 0]):
             d1 = _act_deriv(arch.activation, T, np.empty_like(T))
             d2 = (-2.0 * T * d1 if arch.activation == "tanh" else 0.0) if order == 2 else None
             derivs.append((d1, d2))
         zd = np.empty((n, d))
         zdd = np.empty((n, d)) if order == 2 else None
         for i in range(d):
-            W0_i = W0_folded[:, i::d]
+            W0_i = W0_folded[0][:, i::d]
             Ad = W0_i @ dS[i::d]
             d1, d2 = derivs[0]
             Zd = d1 * Ad
             if order == 2:
                 Zdd = d2 * Ad * Ad + d1 * (W0_i @ ddS[i::d])
             for (W, _), (d1, d2) in zip(blocks, derivs[1:]):
-                Ad = W @ Zd
+                Ad = W[0] @ Zd
                 if order == 2:
-                    Zdd = Zdd + d2 * Ad * Ad + d1 * (W @ Zdd)
+                    Zdd = Zdd + d2 * Ad * Ad + d1 * (W[0] @ Zdd)
                 Zd = Zd + d1 * Ad
-            zd[:, i] = w_out @ Zd
+            zd[:, i] = w_out[0] @ Zd
             if order == 2:
-                zdd[:, i] = w_out @ Zdd
+                zdd[:, i] = w_out[0] @ Zdd
         if alpha is not None:  # product rule for u = alpha z
             a, da, dda = alpha
             if order == 2:
@@ -574,16 +632,16 @@ def _eval_net(model: RomModel, X: np.ndarray, need: EvalFlags) -> BatchEval:
         shapes = _layout(arch)
         out.grad_theta = np.empty((n, _size(shapes)))
         parts = _split_flat(out.grad_theta.T, shapes)  # (*shape, n) views of the rows
-        np.multiply(states[-1], c, out=parts[2 * L])
+        np.multiply(states[-1, 0], c, out=parts[2 * L])
 
         def visit(l, D, Z_in):
-            np.einsum("pn,qn->pqn", D, Z_in, out=parts[2 * l])
-            parts[2 * l + 1][...] = D
+            np.einsum("pn,qn->pqn", D[0], Z_in[0], out=parts[2 * l])
+            parts[2 * l + 1][...] = D[0]
 
-        S = base if shift is None else _fold_shift(base.T, -shift).T
-        D = _net_reverse(arch, blocks, w_out, states, acts, S, c, scratch, visit)
-        if shift is not None:
-            parts[-1][...] = _shift_rows(W0, S, D)
+        S = _shifted_base(base[None], rotation)
+        D = _net_reverse(arch, blocks, w_out, states, acts, S, c[None], scratch, visit)
+        if rotation is not None:
+            parts[-1][...] = _shift_rows(W0, S, D)[0]
 
     _check_finite(out.value, out.grad_x, out.laplacian, out.grad_theta)
     return out

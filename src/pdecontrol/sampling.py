@@ -30,8 +30,8 @@ class Purpose(IntEnum):
     MARCH_POINTS = 7  # Monte-Carlo points; index: i (n_t + 1) + j for state j of trajectory i
     INITIAL_SPECS = 8  # the initial specs of heat and Allen-Cahn anchors
     ANCHORS = 9  # the transport anchors, box points
-    FIT_SAMPLE = 10  # fit.fit_initial's training points
-    FIT_HOLDOUT = 11  # fit.fit_initial's hold-out points
+    FIT_SAMPLE = 10  # fit.fit_initials' training points
+    FIT_HOLDOUT = 11  # fit.fit_initials' hold-out points
     EVAL_POINTS = 12  # reference.error_curve's points
 
 

@@ -131,6 +131,87 @@ def test_fit_resnet_heat_initial_regression(unit_interval):
     assert res.rmse < 3.0 * max(train_rmse, 1e-12) + 1e-9
 
 
+def _oracle_adam_fit(arch, X, g, theta, eps0_target, lr, max_steps):
+    """(best theta, its training MSE, steps run) of one fit on its own: the
+    single-fit ADAM loop that fit._adam_fits runs in lockstep, on a
+    pullback closure of one sample."""
+    adam = Adam(theta.size, lr)
+    at = rom.pullback_at(arch, X[None])
+    theta = theta.copy()
+    best_theta, best_mse, steps_done = theta.copy(), np.inf, 0
+    for step in range(1, max_steps + 1):
+        u, pullback = at(theta[None])
+        res = u[0] - g
+        mse = float(np.mean(res * res))
+        if mse < best_mse:
+            best_mse, best_theta = mse, theta.copy()
+        steps_done = step
+        if np.sqrt(mse) <= eps0_target or step == max_steps:
+            break
+        adam.step(theta, pullback(2.0 * res[None] / X.shape[0])[0])
+    return best_theta, best_mse, steps_done
+
+
+def _oracle_fit_initial(arch, spec, n_x, eps0_target, seed, lr, max_steps, theta_init=None):
+    """fit.fit_initial with the single-fit loop for a net."""
+    X = sample_omega(arch.domain, n_x, seed, Purpose.FIT_SAMPLE)
+    g = fit.eval_initial(spec, X)
+    if arch.kind == rom.LINEAR_BASIS:
+        theta, mse, steps = fit._least_squares_fit(arch, X, g)
+    else:
+        start = rom.init_params(arch, seed) if theta_init is None else theta_init
+        theta, mse, steps = _oracle_adam_fit(arch, X, g, start, eps0_target, lr, max_steps)
+    holdout = sample_omega(arch.domain, n_x, seed, Purpose.FIT_HOLDOUT)
+    res = rom.value_at(arch, holdout)(theta) - fit.eval_initial(spec, holdout)
+    return fit.FitResult(theta, float(np.sqrt(np.mean(res * res))), np.sqrt(mse) <= eps0_target, steps), mse
+
+
+def _fit_arch(case, depth):
+    return [
+        rom.RomArch("resnet_zero_boundary", 1, 5, depth, "tanh"),
+        rom.RomArch("resnet_zero_boundary", 2, 4, depth, "tanh", lo=(-1.0, -1.0), hi=(1.0, 1.0)),
+        rom.RomArch("resnet_periodic", 1, 6, depth, "relu"),
+        rom.RomArch("resnet_periodic", 2, 4, depth, "tanh"),
+    ][case]
+
+
+@pytest.mark.parametrize("depth", [2, 3])
+@pytest.mark.parametrize("case", range(4))
+def test_stacked_fits_equal_the_single_fit_oracle_bit_for_bit(case, depth):
+    # five anchors, each with its own sample (seed), start and target: the
+    # first starts on its target through theta_init and stops at step 1,
+    # eps0_target is set so that the second stops mid-run, and one or more of
+    # the rest run to max_steps; stacks of 1, 3 and 5 give each the oracle's fit
+    arch = _fit_arch(case, depth)
+    n_x, lr, max_steps = 32, 3e-2, 12
+    seeds = [10 + k for k in range(5)]
+    specs = [fit.HeatCombo(np.array(c, dtype=float)) for c in
+             ([0, 0, 0, 0], [0.3, 0, 0, 0], [0.9, -0.5, 0.3, 0], [-0.7, 0.6, 0, 0.4], [0.5, 0.5, -0.5, 0.5])]
+    zero_head = rom.init_params(arch, seeds[0])
+    rom._unpack(arch, zero_head)[3][:] = 0.0
+    starts = [zero_head] + [None] * 4
+    mid = _oracle_fit_initial(arch, specs[1], n_x, 0.0, seeds[1], lr, max_steps // 2)[1]
+    eps0 = float(np.sqrt(mid))
+    want = [_oracle_fit_initial(arch, spec, n_x, eps0, seed, lr, max_steps, start)
+            for spec, seed, start in zip(specs, seeds, starts)]
+    steps = [w.steps for w, _ in want]
+    assert steps[0] == 1 and 1 < steps[1] < max_steps and max_steps in steps
+
+    Xs = np.stack([sample_omega(arch.domain, n_x, seed, Purpose.FIT_SAMPLE) for seed in seeds])
+    G = np.stack([fit.eval_initial(spec, X) for spec, X in zip(specs, Xs)])
+    thetas = np.stack([zero_head] + [rom.init_params(arch, seed) for seed in seeds[1:]])
+    for k in (1, 3, 5):
+        for i in range(0, 5, k):
+            got = fit._adam_fits(arch, Xs[i : i + k], G[i : i + k], thetas[i : i + k], eps0, lr, max_steps)
+            for (theta, mse, steps), (w, w_mse) in zip(got, want[i : i + k]):
+                assert theta.tobytes() == w.theta.tobytes() and mse == w_mse and steps == w.steps
+    # the public path: the starts, the stack and the held-out RMSE
+    got = fit.fit_initials(arch, specs, n_x, eps0, seeds, lr=lr, max_steps=max_steps, theta_inits=starts)
+    for res, (w, _) in zip(got, want):
+        assert res.theta.tobytes() == w.theta.tobytes() and (res.rmse, res.steps) == (w.rmse, w.steps)
+        assert res.target_reached == w.target_reached
+
+
 def _jacobian_adam_fit(arch, X, g, theta, eps0_target, lr, max_steps):
     # the fit with each step's gradient formed from the (n, m) Jacobian
     adam = Adam(theta.size, lr)
@@ -153,10 +234,11 @@ def _jacobian_adam_fit(arch, X, g, theta, eps0_target, lr, max_steps):
     rom.RomArch("resnet_periodic", 1, 6, 3, "tanh"),
 ])
 def test_adam_fit_on_the_pullback_lands_on_the_jacobian_path_fit(arch):
+    # a stack of one: the stacked oracle test above carries it to every row
     X = sample_omega(arch.domain, 512, 3, Purpose.FIT_SAMPLE)
     g = np.sin(np.pi * X).prod(axis=1)
     start = rom.init_params(arch, 3)
-    theta, mse, steps = fit._adam_fit(arch, X, g, start, 0.0, 1e-2, 150)
+    [(theta, mse, steps)] = fit._adam_fits(arch, X[None], g[None], start[None], 0.0, 1e-2, 150)
     want_theta, want_mse, want_steps = _jacobian_adam_fit(arch, X, g, start, 0.0, 1e-2, 150)
     assert steps == want_steps == 150
     assert np.abs(theta - want_theta).max() <= 1e-12
@@ -165,30 +247,76 @@ def test_adam_fit_on_the_pullback_lands_on_the_jacobian_path_fit(arch):
 
 def test_adam_fit_leaves_theta_as_it_was_and_steps_as_the_textbook_adam(monkeypatch):
     arch = rom.RomArch("resnet_periodic", 1, 6, 3, "tanh")
-    X = sample_omega(arch.domain, 256, 3, Purpose.FIT_SAMPLE)
-    g = np.sin(2.0 * np.pi * X[:, 0])
-    start = rom.init_params(arch, 3)
-    theta0 = start.copy()
+    seeds = (3, 4, 5)
+    X = np.stack([sample_omega(arch.domain, 256, seed, Purpose.FIT_SAMPLE) for seed in seeds])
+    G = np.sin(2.0 * np.pi * X[..., 0])
+    starts = np.stack([rom.init_params(arch, seed) for seed in seeds])
+    thetas0 = starts.copy()
     calls = []
     step = Adam.step
     monkeypatch.setattr(Adam, "step", lambda self, params, grad: calls.append(1) or step(self, params, grad))
-    best_theta, best_mse, steps = fit._adam_fit(arch, X, g, start, 0.0, 1e-2, 40)
+    fits = fit._adam_fits(arch, X, G, starts, 0.0, 1e-2, 40)
     monkeypatch.undo()
-    assert np.array_equal(start, theta0)
-    # the 40th parameter vector is the last one evaluated: no step after it
+    assert np.array_equal(starts, thetas0)
+    # one stacked step per step, and the 40th parameter vector is the last
+    # one evaluated: no step after it
     assert len(calls) == 39
-    # the fit loop with ADAM on new arrays
-    adam, at = TextbookAdam(start.size, 1e-2), rom.pullback_at(arch, X)
-    theta, want_theta, want_mse = theta0, None, np.inf
-    for _ in range(40):
-        u, pullback = at(theta)
-        res = u - g
-        mse = float(np.mean(res * res))
-        if mse < want_mse:
-            want_theta, want_mse = theta.copy(), mse
-        theta = adam.step(theta, pullback(2.0 * res / X.shape[0]))
-    assert steps == 40 and best_mse == want_mse
-    assert np.array_equal(best_theta, want_theta)
+    # each row against the fit loop with ADAM on new arrays
+    for (best_theta, best_mse, steps), x, g, theta in zip(fits, X, G, thetas0):
+        adam, at = TextbookAdam(theta.size, 1e-2), rom.pullback_at(arch, x[None])
+        want_theta, want_mse = None, np.inf
+        for _ in range(40):
+            u, pullback = at(theta[None])
+            res = u[0] - g
+            mse = float(np.mean(res * res))
+            if mse < want_mse:
+                want_theta, want_mse = theta.copy(), mse
+            theta = adam.step(theta, pullback(2.0 * res[None] / x.shape[0])[0])
+        assert steps == 40 and best_mse == want_mse
+        assert np.array_equal(best_theta, want_theta)
+
+
+@pytest.mark.parametrize("preset, overrides, steps", [
+    # fits that stop mid-run, at max_steps, mid-run and at step 1
+    ("allen_cahn_2d.json", ["initials.count=4", "initials.fit_n_x=64", "initials.fit.max_steps=20",
+                            "initials.eps0_target=0.18"], [19, 20, 13, 1]),
+    ("heat_fourier_1d.json", ["initials.count=3", "initials.fit_n_x=64"], [1, 1, 1]),
+], ids=["allen_cahn", "heat"])
+def test_fit_initial_writes_the_store_of_the_single_fit_loop(tmp_path, preset, overrides, steps):
+    cfg = config.load_config(PRESETS / preset, out_dir=str(tmp_path), overrides=overrides)
+    pipeline.cmd_fit_initial(cfg)
+    ini = cfg.raw["initials"]
+    entries, oracle_steps = [], []
+    for k, spec in enumerate(pipeline.sample_initial_specs(cfg)):
+        res = _oracle_fit_initial(cfg.rom_arch, spec, ini["fit_n_x"], ini["eps0_target"], cfg.seed + 1000 + k,
+                                  **ini["fit"])[0]
+        entries.append((spec, res.theta, res.rmse))
+        oracle_steps.append(res.steps)
+    assert oracle_steps == steps
+    fit.save_anchors(tmp_path / "oracle.bin", cfg.anchor_header(), entries)
+    assert Path(cfg.path("anchors")).read_bytes() == (tmp_path / "oracle.bin").read_bytes()
+
+
+def test_fit_initial_exits_on_a_fit_that_overflows_among_healthy_ones(tmp_path):
+    # eps0_target lies between the anchors' starting RMSEs: the anchors at or
+    # below it stop at step 1, the others take an ADAM step of lr 1e300 and
+    # overflow; fit-initial exits with the numeric-failure code and writes no store
+    overrides = ["initials.count=4", "initials.fit_n_x=64"]
+    cfg = config.load_config(PRESETS / "allen_cahn_2d.json", out_dir=str(tmp_path), overrides=overrides)
+    arch = cfg.rom_arch
+    start_rmse = []
+    for k, spec in enumerate(pipeline.sample_initial_specs(cfg)):
+        X = sample_omega(arch.domain, 64, cfg.seed + 1000 + k, Purpose.FIT_SAMPLE)
+        res = rom.value_at(arch, X)(rom.init_params(arch, cfg.seed + 1000 + k)) - fit.eval_initial(spec, X)
+        start_rmse.append(float(np.sqrt(np.mean(res * res))))
+    eps0 = 0.5 * (min(start_rmse) + max(start_rmse))
+    assert min(start_rmse) <= eps0 < max(start_rmse)
+    argv = ["fit-initial", "--config", str(PRESETS / "allen_cahn_2d.json"), "--out", str(tmp_path)]
+    for override in [*overrides, f"initials.eps0_target={eps0!r}", "initials.fit.lr=1e300"]:
+        argv += ["--set", override]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(argv) == cli.EXIT_NUMERIC
+    assert not Path(cfg.path("anchors")).exists()
 
 
 def test_fit_holdout_disjoint_from_training(unit_interval):

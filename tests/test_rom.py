@@ -336,58 +336,71 @@ def _pullback_arch(case, depth):
     ][case]
 
 
+def _pullback_stack(rng, arch, k, n, spread):
+    """k samples of n points and k parameter vectors, a nonzero shift on a
+    periodic net."""
+    lo, hi = arch.domain
+    X = rng.uniform(lo, hi, (k, n, arch.input_dim))
+    thetas = np.stack([rom.init_params(arch, seed) for seed in range(k)])
+    thetas += spread * rng.standard_normal(thetas.shape)
+    if arch.kind == rom.RESNET_PERIODIC:
+        thetas[:, -arch.input_dim:] = rng.uniform(0.1, 0.4, (k, arch.input_dim))
+    return X, thetas
+
+
 @pytest.mark.parametrize("depth", [2, 3])
 @pytest.mark.parametrize("case", range(4))
 def test_pullback_equals_the_jacobian_transpose_product(rng, case, depth):
-    # the fit's gradient: sum_n r_n grad_theta u(x_n) without the Jacobian;
-    # its value is the value kernel's and the derivative path's
+    # the fit's gradient: sum_n r_n grad_theta u(x_n) without the Jacobian,
+    # per row of a stack on its own sample; each row's value is the value
+    # kernel's and the derivative path's
     arch = _pullback_arch(case, depth)
-    lo, hi = arch.domain
-    X = rng.uniform(lo, hi, (200, arch.input_dim))
-    at, u_at = rom.pullback_at(arch, X), rom.value_at(arch, X)
-    for seed in range(2):
-        theta = rom.init_params(arch, seed) + 0.3 * rng.standard_normal(rom.param_count(arch))
-        if arch.kind == rom.RESNET_PERIODIC:
-            theta[-arch.input_dim:] = rng.uniform(0.1, 0.4, arch.input_dim)  # a nonzero shift
-        ev = rom.eval_batch(rom.RomModel(arch, theta), X, rom.EvalFlags(value=True, grad_theta=True))
-        want_rows = _reference_eval(arch, theta, X)[2]
-        if arch.kind == rom.RESNET_PERIODIC:  # the shift enters as W0's rotation, not in the features
-            assert np.abs(ev.grad_theta - want_rows).max() <= 1e-14 * np.abs(want_rows).max()
-        else:
-            assert ev.grad_theta.tobytes() == want_rows.tobytes()
-        u, pullback = at(theta)
-        assert u.tobytes() == u_at(theta).tobytes()
-        assert u.tobytes() == ev.value.tobytes()
-        r = 2.0 * (u - rng.standard_normal(X.shape[0])) / X.shape[0]
-        want = ev.grad_theta.T @ r
-        assert np.abs(pullback(r) - want).max() <= 1e-13 * np.abs(want).max()
+    for _ in range(2):
+        X, thetas = _pullback_stack(rng, arch, 3, 200, 0.3)
+        u, pullback = rom.pullback_at(arch, X)(thetas)
+        R = 2.0 * (u - rng.standard_normal(u.shape)) / X.shape[1]
+        grads = pullback(R)
+        assert u.shape == R.shape == (3, 200) and grads.shape == thetas.shape
+        for x, theta, u_k, r, grad in zip(X, thetas, u, R, grads):
+            ev = rom.eval_batch(rom.RomModel(arch, theta), x, rom.EvalFlags(value=True, grad_theta=True))
+            want_rows = _reference_eval(arch, theta, x)[2]
+            if arch.kind == rom.RESNET_PERIODIC:  # the shift enters as W0's rotation, not in the features
+                assert np.abs(ev.grad_theta - want_rows).max() <= 1e-14 * np.abs(want_rows).max()
+            else:
+                assert ev.grad_theta.tobytes() == want_rows.tobytes()
+            assert u_k.tobytes() == rom.value_at(arch, x)(theta).tobytes()
+            assert u_k.tobytes() == ev.value.tobytes()
+            want = ev.grad_theta.T @ r
+            assert np.abs(grad - want).max() <= 1e-13 * np.abs(want).max()
+        # the rows a caller keeps: their gradients alone, the same bits
+        rows = np.array([0, 2])
+        assert pullback(R[rows], rows).tobytes() == grads[rows].tobytes()
 
 
 @pytest.mark.parametrize("depth", [2, 3])
 @pytest.mark.parametrize("case", range(4))
 def test_pullback_returns_fresh_arrays_that_a_later_call_leaves_unchanged(rng, case, depth):
     arch = _pullback_arch(case, depth)
-    lo, hi = arch.domain
-    X = rng.uniform(lo, hi, (60, arch.input_dim))
+    X, thetas = _pullback_stack(rng, arch, 3, 60, 0.3)
     at = rom.pullback_at(arch, X)
-    theta = rom.init_params(arch, 0) + 0.3 * rng.standard_normal(rom.param_count(arch))
-    u, pullback = at(theta)
-    r = rng.standard_normal(X.shape[0])
-    grad = pullback(r)
+    u, pullback = at(thetas)
+    R = rng.standard_normal(u.shape)
+    grad = pullback(R)
     kept = u.copy(), grad.copy()
-    again = pullback(r)
+    again = pullback(R)
     assert again.tobytes() == grad.tobytes() and not np.shares_memory(again, grad)
-    u2, pullback2 = at(theta - 0.5)
-    grad2 = pullback2(r)
+    u2, pullback2 = at(thetas - 0.5)
+    grad2 = pullback2(R)
     for fresh in (u2, grad2):
         assert not any(np.shares_memory(fresh, old) for old in (u, grad))
     assert u.tobytes() == kept[0].tobytes() and grad.tobytes() == kept[1].tobytes()
-    assert u2.tobytes() != kept[0].tobytes() and grad2.tobytes() != kept[1].tobytes()
+    for k in range(3):
+        assert u2[k].tobytes() != kept[0][k].tobytes() and grad2[k].tobytes() != kept[1][k].tobytes()
 
 
 def test_pullback_takes_a_net_only():
     with pytest.raises(ValueError, match="takes a net"):
-        rom.pullback_at(fourier_sine_arch(3), [[0.5]])
+        rom.pullback_at(fourier_sine_arch(3), [[[0.5]]])
 
 
 def test_linear_basis_eigenfunction():
