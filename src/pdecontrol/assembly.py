@@ -98,8 +98,9 @@ def assemble_at(
 # cache
 #
 # Layout (see binfile): a JSON header line, then one record of
-# 2m + m*m + 1 little-endian float64 per theta index, in index order:
-#     theta (m), rhs (m), gram (m*m, row-major), status.
+# little-endian float64 per theta index, in index order, whose parts
+# _record_layout(m) tables:
+#     theta (m), rhs (m), gram (m, m), status ().
 # The status word is written last, so a record cut short never reads as
 # finished: STATUS_OK marks an assembled record, STATUS_SKIPPED one whose
 # assembly went non-finite (its rhs and gram are zeros).
@@ -111,14 +112,11 @@ _RERUN = "rerun sample-gram"
 
 @dataclass
 class GramCache:
-    """Memory-mapped cache contents; records and the theta/gram/rhs views
-    of it are views into the file."""
+    """Memory-mapped cache contents; records is a view into the file,
+    split into its parts by _record_layout(header["m"])."""
 
     header: dict
-    records: np.ndarray  # (n, 2m+m*m+1), C-contiguous, in the layout above
-    theta: np.ndarray  # (n, m)
-    gram: np.ndarray  # (n, m, m)
-    rhs: np.ndarray  # (n, m)
+    records: np.ndarray  # (n, record floats), C-contiguous, in the layout above
     rows: np.ndarray  # indices of the STATUS_OK records
 
 
@@ -140,13 +138,19 @@ def cache_header(arch: rom.RomArch, op: pde_ops.PdeOperator, n_x: int, seed: int
     }
 
 
+@functools.lru_cache(maxsize=None)
+def _record_layout(m: int) -> tuple[tuple[slice, tuple[int, ...]], ...]:
+    """The rom._table of a record for m parameters, built once per m."""
+    return rom._table([(m,), (m,), (m, m), ()])
+
+
 def _record_floats(m: int) -> int:
-    return 2 * m + m * m + 1
+    return _record_layout(m)[-1][0].stop
 
 
 def _map_records(cache_path, header: dict, offset: int):
-    """(records, torn): the whole records as an (n, 2m+m*m+1) read-only
-    memmap and whether bytes of a partial record follow them."""
+    """(records, torn): the whole records as an (n, record floats)
+    read-only memmap and whether bytes of a partial record follow them."""
     width = _record_floats(header["m"])
     data_bytes = os.path.getsize(cache_path) - offset
     n, tail = divmod(data_bytes, width * binfile.DTYPE.itemsize)
@@ -168,9 +172,10 @@ def _check_cache(cache_path, header: dict, thetas: np.ndarray):
     existing, offset = binfile.read_header(cache_path, "gram_cache", CACHE_FORMAT_VERSION, _RERUN)
     binfile.check_header(cache_path, existing, header, f"delete it and {_RERUN}")
     records, torn = _map_records(cache_path, existing, offset)
-    done = _finished(records[:, -1])
+    theta, _, _, status = rom._split(records, _record_layout(existing["m"]))
+    done = _finished(status)
     check = min(done, thetas.shape[0])
-    stale = np.flatnonzero(np.any(records[:check, : existing["m"]] != thetas[:check], axis=1))
+    stale = np.flatnonzero(np.any(theta[:check] != thetas[:check], axis=1))
     if stale.size:
         raise CacheMismatch(
             f"record {int(stale[0])} of {cache_path} was assembled at a different theta "
@@ -182,13 +187,14 @@ def _check_cache(cache_path, header: dict, thetas: np.ndarray):
 def _record_bytes(theta: np.ndarray, rec: GramRecord | None) -> bytes:
     m = theta.shape[0]
     out = np.zeros(_record_floats(m), dtype=binfile.DTYPE)
-    out[:m] = theta
+    theta_part, rhs, gram, status = rom._split(out, _record_layout(m))
+    theta_part[...] = theta
     if rec is None:
-        out[-1] = STATUS_SKIPPED
+        status[...] = STATUS_SKIPPED
     else:
-        out[m : 2 * m] = rec.rhs
-        out[2 * m : -1] = rec.gram.ravel()
-        out[-1] = STATUS_OK
+        rhs[...] = rec.rhs
+        gram[...] = rec.gram
+        status[...] = STATUS_OK
     return out.tobytes()
 
 
@@ -247,12 +253,5 @@ def read_cache(cache_path, header: dict, thetas: np.ndarray) -> GramCache:
     if done < thetas.shape[0]:
         raise MissingArtifact(f"{cache_path} has {done} of {thetas.shape[0]} records; {_RERUN}")
     records = records[: thetas.shape[0]]
-    m = header["m"]
-    return GramCache(
-        header=header,
-        records=records,
-        theta=records[:, :m],
-        rhs=records[:, m : 2 * m],
-        gram=records[:, 2 * m : -1].reshape(-1, m, m),
-        rows=np.flatnonzero(records[:, -1] == STATUS_OK),
-    )
+    status = rom._split(records, _record_layout(header["m"]))[-1]
+    return GramCache(header=header, records=records, rows=np.flatnonzero(status == STATUS_OK))

@@ -10,8 +10,9 @@ gate reads the raw input theta, not the running state.
 
 Flat parameter layout (frozen; checkpoints depend on it):
     xi = [U_0, b_0, {U_l, b_l, Ubar_l, bbar_l} per block, W_out, b_out]
-with matrices stored row-major. The output layer is zero-initialized so a
-fresh net is the zero field.
+with matrices stored row-major; _layout tables it, as rom._layout does
+theta. The output layer is zero-initialized so a fresh net is the zero
+field.
 
 One forward pass (_forward_cached) runs the layers for every caller: forward
 (the RK4 solve), loss, residual_scan, _jvp, _vjp and field_stats. The first
@@ -33,15 +34,17 @@ floats.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import erf
 
 from . import binfile
+from .assembly import _record_floats, _record_layout
 from .errors import CacheMismatch, NonFiniteError
 from .optim import Adam
-from .rom import _size, _split_flat
+from .rom import _split, _table
 from .sampling import Purpose, rng_for
 
 FORMAT_VERSION = 6
@@ -89,18 +92,19 @@ class ControlArch:
         return self.depth - 1
 
 
-def _layout(arch: ControlArch) -> list[tuple[int, ...]]:
-    """The shapes of the flat xi's parts, in layout order."""
+@functools.lru_cache(maxsize=None)
+def _layout(arch: ControlArch) -> tuple[tuple[slice, tuple[int, ...]], ...]:
+    """The rom._table of the flat xi, built once per arch."""
     m, w = arch.input_dim, arch.width
-    return [(w, m), (w,)] + [(w, w), (w,), (w, m), (w,)] * arch.n_blocks + [(m, w), (m,)]
+    return _table([(w, m), (w,)] + [(w, w), (w,), (w, m), (w,)] * arch.n_blocks + [(m, w), (m,)])
 
 
 def control_param_count(arch: ControlArch) -> int:
-    return _size(_layout(arch))
+    return _layout(arch)[-1][0].stop
 
 
 def _unpack(arch: ControlArch, xi: np.ndarray):
-    views = iter(_split_flat(xi, _layout(arch)))
+    views = iter(_split(xi, _layout(arch)))
     U0, b0 = next(views), next(views)
     blocks = [(next(views), next(views), next(views), next(views)) for _ in range(arch.n_blocks)]
     W_out, b_out = next(views), next(views)
@@ -132,8 +136,8 @@ class ControlNet:
         if xi.shape != (expect,):
             raise ValueError(f"xi must have shape ({expect},), got {xi.shape}")
         U0, b0, _, _, _ = params = _unpack(self.arch, xi)
-        w, m = U0.shape
-        block = (w * w + w + w * m + w) * xi.itemsize
+        layout = _layout(self.arch)  # U_0, b_0, U_1, b_1, Ubar_1, ...: Ubar_1 is part 4
+        block = (layout[4][0].start - layout[0][0].start) * xi.itemsize
         table = tuple(np.lib.stride_tricks.as_strided(first, (self.arch.depth,) + first.shape,
                                                       (block,) + first.strides, writeable=False)
                       for first in (U0.T, b0[None, :]))
@@ -355,7 +359,8 @@ def _gram_chunks(records: np.ndarray, rows: np.ndarray, m: int, buf: np.ndarray)
     for start in range(0, rows.shape[0], buf.shape[0]):
         run = rows[start : start + buf.shape[0]]
         chunk = np.take(records, run, axis=0, out=buf[: run.shape[0]], mode="clip")
-        yield start, start + run.shape[0], chunk[:, 2 * m : -1].reshape(-1, m, m), chunk[:, m : 2 * m]
+        _, P, G, _ = _split(chunk, _record_layout(m))
+        yield start, start + run.shape[0], G, P
 
 
 def _projection_residual(G: np.ndarray, out: np.ndarray, P: np.ndarray, res: np.ndarray) -> np.ndarray:
@@ -394,7 +399,7 @@ def loss(net: ControlNet, records: np.ndarray | None, pairs, zeta: float, rows: 
         ws = _Workspace(net.arch, n1 + n2, 0 if records is None else records.shape[1])
     TH, res, dout = ws.TH, ws.res, ws.dout
     if n1:
-        TH[:n1] = records[rows, :m]
+        TH[:n1] = _split(records, _record_layout(m))[0][rows]
     if n2:
         TH[n1:] = pairs[0]
     out, cache = _forward_cached(net, TH, ws)
@@ -467,7 +472,7 @@ def train(
     rng = rng_for(seed, Purpose.BATCHES)
     grams = pairs = None
     if records is not None:
-        if records.shape[1] != 2 * m + m * m + 1:
+        if records.shape[1] != _record_floats(m):
             raise CacheMismatch("gram cache dimension does not match control net")
         rows = np.arange(records.shape[0]) if rows is None else rows
         if rows.shape[0]:
@@ -516,7 +521,7 @@ def residual_scan(net: ControlNet, records: np.ndarray, rows: np.ndarray | None 
     norms = np.empty(rows.shape[0])
     for first in range(0, rows.shape[0], _SCAN_ROWS):
         run = rows[first : first + _SCAN_ROWS]
-        out = forward(net, records[run, :m])
+        out = forward(net, _split(records, _record_layout(m))[0][run])
         res = np.empty_like(out)
         for start, stop, G, P in _gram_chunks(records, run, m, buf):
             _projection_residual(G, out[start:stop], P, res[start:stop])

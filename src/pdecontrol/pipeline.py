@@ -164,12 +164,6 @@ def _load_control(cfg: RunConfig) -> cn.ControlNet:
     return cn.load_control_checkpoint(cfg.path("checkpoint"), cfg.control_arch, _control_inputs(cfg))
 
 
-def _digest(array: np.ndarray) -> str:
-    """sha256 of an array's bytes: an error curve records its solution's
-    theta rows this way."""
-    return binfile.digest(array)
-
-
 def cmd_train_control(
     cfg: RunConfig,
     resume: bool = False,
@@ -374,7 +368,7 @@ def cmd_eval(cfg: RunConfig, anchor_index: int = 0, n_x: int = EVAL_N_X, max_tim
     path = cfg.path("errors", anchor_index)
     # rows (t, abs_err, rel_err), rel_err NaN where undefined
     binfile.save(path, {"format_version": CURVE_FORMAT_VERSION, "kind": "error_curve",
-                        "solution_sha256": _digest(traj.thetas)},
+                        "solution_sha256": binfile.digest(traj.thetas)},
                  np.stack([curve.times, curve.abs_err, curve.rel_err], axis=1))
     finite = curve.rel_err[np.isfinite(curve.rel_err)]
     return {
@@ -432,7 +426,7 @@ def cmd_verify(cfg: RunConfig) -> dict:
         curve = cfg.path("errors", k)
         if os.path.exists(curve):
             _, rows = binfile.load(curve, "error_curve", CURVE_FORMAT_VERSION,
-                                   {"solution_sha256": _digest(traj.thetas)}, "rerun eval")
+                                   {"solution_sha256": binfile.digest(traj.thetas)}, "rerun eval")
             rel = rows[:, 2]
             entry["abs_err_max"] = float(rows[:, 1].max())
             entry["rel_err_max"] = None if np.isnan(rel).all() else float(np.nanmax(rel))

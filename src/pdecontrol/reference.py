@@ -90,11 +90,11 @@ def reference_at(ref: ReferenceSolution, X) -> Callable[[float], np.ndarray]:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if isinstance(ref, TransportShift):
         u_at = rom.value_at(ref.model.arch, X)
-        d = ref.model.arch.input_dim
 
         def shifted(t: float) -> np.ndarray:
             theta = ref.model.theta.copy()
-            theta[-d:] += ref.velocity * t  # the shift is the layout's last part
+            shift = rom._unpack(ref.model.arch, theta)[-1]
+            shift += ref.velocity * t
             return u_at(theta)
 
         return shifted

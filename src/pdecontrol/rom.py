@@ -22,8 +22,11 @@ Parameter layout (frozen; caches and anchor stores depend on it)
 ----------------------------------------------------------------
 theta = [W0 (row-major), b0, W1, b1, ..., W_{L-1}, b_{L-1}, w_L, shift?]
 with the shift present only for the periodic wrapper. For linear bases theta
-holds the combination coefficients in basis order. _layout lists the part
-shapes; the count, the unpacking and the gradient assembly derive from it.
+holds the combination coefficients in basis order. _layout(arch) is its
+_table, the (slice, shape) of each part, cached per arch; the last stop is
+the parameter count. _split gives a table's (*lead, *shape) views along the
+last axis of a vector or a stack, for theta here and in reference, for
+control_net's xi and for the Gram record of assembly.
 
 A net has one forward pass and one reverse pass, both feature-major and
 stacked: K samples, each with its own parameter vector, run as
@@ -61,6 +64,7 @@ each.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -136,61 +140,48 @@ def arch_hash(arch: RomArch) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _layout(arch: RomArch) -> list[tuple[int, ...]]:
-    """The shapes of the flat parameter vector's parts, in layout order."""
+def _table(shapes) -> tuple[tuple[slice, tuple[int, ...]], ...]:
+    """The (slice, shape) of each part of a flat vector laid out as the
+    consecutive row-major parts shapes, in order; the last part's stop is
+    the vector's length."""
+    table, pos = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        table.append((slice(pos, pos + size), shape))
+        pos += size
+    return tuple(table)
+
+
+def _split(flat: np.ndarray, table) -> list[np.ndarray]:
+    """Views of flat's last axis, one per (slice, shape) of a _table, each
+    with flat's leading axes, (*lead, *shape); the table must cover the
+    last axis exactly."""
+    assert table[-1][0].stop == flat.shape[-1]
+    lead = flat.shape[:-1]
+    return [flat[..., part].reshape(lead + shape) for part, shape in table]
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(arch: RomArch) -> tuple[tuple[slice, tuple[int, ...]], ...]:
+    """The _table of the flat parameter vector, built once per arch."""
     if arch.kind == LINEAR_BASIS:
-        return [(arch.n_modes,)]
+        return _table([(arch.n_modes,)])
     din, w, L = arch.net_input_dim, arch.width, arch.depth
     shapes = [(w, din), (w,)] + [(w, w), (w,)] * (L - 1) + [(w,)]
     if arch.kind == RESNET_PERIODIC:
         shapes.append((arch.input_dim,))
-    return shapes
-
-
-def _size(shapes) -> int:
-    return sum(math.prod(shape) for shape in shapes)
+    return _table(shapes)
 
 
 def param_count(arch: RomArch) -> int:
-    return _size(_layout(arch))
-
-
-def _split_flat(flat: np.ndarray, shapes) -> list[np.ndarray]:
-    """Consecutive reshaped views of a flat parameter vector, one per shape,
-    split along flat's first axis ahead of any further axes (the transpose
-    of an (n, m) Jacobian gives (*shape, n) views); the shapes must cover
-    the first axis exactly."""
-    views = []
-    pos = 0
-    tail = flat.shape[1:]
-    for shape in shapes:
-        size = math.prod(shape)
-        views.append(flat[pos : pos + size].reshape(shape + tail))
-        pos += size
-    assert pos == flat.shape[0]
-    return views
-
-
-def _split_last(flat: np.ndarray, shapes) -> list[np.ndarray]:
-    """Consecutive reshaped views of flat's last axis, one per shape, each
-    with flat's leading axes, (*lead, *shape); the shapes must cover the
-    last axis exactly."""
-    views = []
-    pos = 0
-    lead = flat.shape[:-1]
-    for shape in shapes:
-        size = math.prod(shape)
-        views.append(flat[..., pos : pos + size].reshape(lead + shape))
-        pos += size
-    assert pos == flat.shape[-1]
-    return views
+    return _layout(arch)[-1][0].stop
 
 
 def _unpack(arch: RomArch, theta: np.ndarray):
     """Views into a flat parameter vector, or into each row of a (K, m)
     stack of them with a leading K axis, following the frozen layout:
     (W0, b0, [(W_l, b_l)], w_L, shift or None)."""
-    views = iter(_split_last(theta, _layout(arch)))
+    views = iter(_split(theta, _layout(arch)))
     W0, b0 = next(views), next(views)
     blocks = [(next(views), next(views)) for _ in range(arch.depth - 1)]
     return W0, b0, blocks, next(views), next(views, None)
@@ -249,7 +240,6 @@ class BatchEval:
     grad_x: np.ndarray | None
     laplacian: np.ndarray | None
     grad_theta: np.ndarray | None
-    flags: EvalFlags
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +283,7 @@ def eval_batch(model: RomModel, X, need: EvalFlags) -> BatchEval:
     """
     if need == EvalFlags(value=True):
         value = value_at(model.arch, X)(model.theta)
-        return BatchEval(value=value, grad_x=None, laplacian=None, grad_theta=None, flags=need)
+        return BatchEval(value=value, grad_x=None, laplacian=None, grad_theta=None)
     X = _points(model.arch, X)
     if model.arch.kind == LINEAR_BASIS:
         return _eval_linear_basis(model, X, need)
@@ -469,7 +459,7 @@ def _eval_linear_basis(model: RomModel, X: np.ndarray, need: EvalFlags) -> Batch
     x = X[:, 0]
     B, dB, ddB = _basis_tables(model.arch.n_modes, x, order)
     theta = model.theta
-    out = BatchEval(value=None, grad_x=None, laplacian=None, grad_theta=None, flags=need)
+    out = BatchEval(value=None, grad_x=None, laplacian=None, grad_theta=None)
     if need.value:
         out.value = B @ theta
     if need.grad_x:
@@ -537,8 +527,8 @@ def pullback_at(arch: RomArch, X) -> Callable[[np.ndarray], tuple[np.ndarray, Ca
     tables = [_net_table(arch, _points(arch, x), 0) for x in X]
     base = np.stack([table[0] for table in tables])
     factor = None if arch.kind == RESNET_PERIODIC else np.stack([table[3][0] for table in tables])
-    (K, _, n), L, shapes, ones = base.shape, arch.depth, _layout(arch), np.ones(base.shape[2])
-    m = _size(shapes)
+    (K, _, n), L, table, ones = base.shape, arch.depth, _layout(arch), np.ones(base.shape[2])
+    m = table[-1][0].stop
     buffers = np.empty((2 * L + 2, K, arch.width, n))
     states, acts, scratch = buffers[:L], buffers[L : 2 * L - 1], buffers[2 * L - 1 :]
 
@@ -554,7 +544,7 @@ def pullback_at(arch: RomArch, X) -> Callable[[np.ndarray], tuple[np.ndarray, Ca
             W0, _, blocks, w_out, shift = _unpack(arch, thetas[rows])
             c = R if factor is None else factor[rows] * R
             grad = np.empty((c.shape[0], m))
-            parts = _split_last(grad, shapes)
+            parts = _split(grad, table)
             kept = states[:, rows]
             np.matmul(kept[-1], c[..., None], out=parts[2 * L][..., None])
 
@@ -588,7 +578,7 @@ def _eval_net(model: RomModel, X: np.ndarray, need: EvalFlags) -> BatchEval:
                                                                     acts)
     z = w_out[0] @ states[-1, 0]
 
-    out = BatchEval(value=None, grad_x=None, laplacian=None, grad_theta=None, flags=need)
+    out = BatchEval(value=None, grad_x=None, laplacian=None, grad_theta=None)
     if need.value:
         out.value = z if alpha is None else alpha[0] * z
 
@@ -629,9 +619,9 @@ def _eval_net(model: RomModel, X: np.ndarray, need: EvalFlags) -> BatchEval:
 
     if need.grad_theta:
         c = np.ones(n) if alpha is None else alpha[0]
-        shapes = _layout(arch)
-        out.grad_theta = np.empty((n, _size(shapes)))
-        parts = _split_flat(out.grad_theta.T, shapes)  # (*shape, n) views of the rows
+        out.grad_theta = np.empty((n, param_count(arch)))
+        # the (n, *shape) views of the rows, with the point axis moved last
+        parts = [part.transpose(*range(1, part.ndim), 0) for part in _split(out.grad_theta, _layout(arch))]
         np.multiply(states[-1, 0], c, out=parts[2 * L])
 
         def visit(l, D, Z_in):

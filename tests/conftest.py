@@ -1,8 +1,10 @@
+import math
+
 import hypothesis
 import numpy as np
 import pytest
 
-from pdecontrol import rom
+from pdecontrol import assembly, rom
 
 hypothesis.settings.register_profile(
     "default", deadline=None, max_examples=25, derandomize=True
@@ -26,6 +28,30 @@ def gram_records(TH: np.ndarray, G: np.ndarray, P: np.ndarray) -> np.ndarray:
     status of 0, which training does not read."""
     n = TH.shape[0]
     return np.concatenate([TH, P, np.reshape(G, (n, -1)), np.zeros((n, 1))], axis=1)
+
+
+def cache_parts(cache) -> list[np.ndarray]:
+    """theta (n, m), rhs (n, m), gram (n, m, m) and status (n,): views of a
+    GramCache's records, split by the cache's record table."""
+    return rom._split(cache.records, assembly._record_layout(cache.header["m"]))
+
+
+def check_layout_table(table, shapes: list[tuple[int, ...]], rng) -> None:
+    """A layout table's slices tile [0, m) in the order and the shapes of
+    the frozen layout shapes, and rom._split of a (K, m) stack gives, row
+    by row, the views of each 1-D row."""
+    assert [shape for _, shape in table] == shapes
+    stop = 0
+    for part, shape in table:
+        assert (part.start, part.stop, part.step) == (stop, stop + math.prod(shape), None)
+        stop = part.stop
+    stack = rng.standard_normal((3, stop))
+    views = rom._split(stack, table)
+    assert [view.shape for view in views] == [(3, *shape) for shape in shapes]
+    for k, row in enumerate(stack):
+        for view, row_view in zip(views, rom._split(row, table), strict=True):
+            assert np.shares_memory(view, stack) and np.shares_memory(row_view, row)
+            assert np.array_equal(view[k], row_view)
 
 
 def fourier_sine_arch(n_modes: int) -> rom.RomArch:

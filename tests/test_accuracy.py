@@ -11,14 +11,17 @@ import numpy as np
 
 from pdecontrol import config, control_net as cn, evolve, pipeline, reference
 
+from conftest import cache_parts
+
 PRESETS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def projection_losses(cache, field: np.ndarray) -> tuple[float, float]:
     """The mean |G V - p|^2 over the cache for V = field (rows matching the
     cache thetas) and for the zero field."""
-    res = np.einsum("nij,nj->ni", cache.gram, field) - cache.rhs
-    return float(np.mean(np.sum(res * res, axis=1))), float(np.mean(np.sum(cache.rhs**2, axis=1)))
+    _, rhs, gram, _ = cache_parts(cache)
+    res = np.einsum("nij,nj->ni", gram, field) - rhs
+    return float(np.mean(np.sum(res * res, axis=1))), float(np.mean(np.sum(rhs**2, axis=1)))
 
 
 def test_transport_shift_field_is_exact(tmp_path):
@@ -29,15 +32,16 @@ def test_transport_shift_field_is_exact(tmp_path):
     pipeline.cmd_fit_initial(cfg)
     pipeline.cmd_sample_gram(cfg)
     cache = pipeline._read_gram_cache(cfg)
-    m = cache.theta.shape[1]
+    theta, rhs, gram, _ = cache_parts(cache)
+    m = theta.shape[1]
     v_star = np.zeros(m)
     v_star[-1] = cfg.operator.velocity[0]  # the shift is the last parameter
-    field = np.tile(v_star, (cache.theta.shape[0], 1))
+    field = np.tile(v_star, (theta.shape[0], 1))
     l1, l1_zero = projection_losses(cache, field)
     # per OK record, not a mean floor that the draw alone decides: p is
     # nonzero and V* leaves a residual at round-off of it
-    res = np.einsum("nij,nj->ni", cache.gram, field) - cache.rhs
-    p2 = np.sum(cache.rhs**2, axis=1)[cache.rows]
+    res = np.einsum("nij,nj->ni", gram, field) - rhs
+    p2 = np.sum(rhs**2, axis=1)[cache.rows]
     assert np.all(p2 > 0) and np.all(np.sum(res * res, axis=1)[cache.rows] <= 1e-24 * p2)
     assert l1 < 1e-24 * l1_zero
 
@@ -60,7 +64,7 @@ def test_heat_sine_field_is_exact(tmp_path):
     rates = (np.pi * np.arange(1, 5)) ** 2
     pipeline.cmd_sample_gram(cfg)
     cache = pipeline._read_gram_cache(cfg)
-    l1, l1_zero = projection_losses(cache, -rates * cache.theta)
+    l1, l1_zero = projection_losses(cache, -rates * cache_parts(cache)[0])
     assert l1_zero > 1e3
     assert l1 < 1e-24 * l1_zero
 

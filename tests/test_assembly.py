@@ -7,7 +7,7 @@ from pdecontrol import assembly, linalg, pde_ops, rom
 from pdecontrol.errors import CacheMismatch, MissingArtifact, PdeControlError
 from pdecontrol.sampling import Box, Purpose, sample_omega, sample_theta
 
-from conftest import fourier_sine_arch
+from conftest import cache_parts, fourier_sine_arch
 
 
 # Unrolled gradient descent on the projection quadratic: the oracle the
@@ -140,7 +140,8 @@ def test_empty_batch_cache(tmp_path):
     assert stats["total"] == 0
     cache = assembly.read_cache(path, assembly.cache_header(arch, pde_ops.Heat(), 16, 0), empty)
     assert cache.header["kind"] == "gram_cache" and cache.rows.size == 0
-    assert cache.theta.shape == (0, 2) and cache.gram.shape == (0, 2, 2)
+    theta, _, gram, _ = cache_parts(cache)
+    assert theta.shape == (0, 2) and gram.shape == (0, 2, 2)
 
 
 def test_nonfinite_records_skipped(tmp_path):
@@ -153,9 +154,10 @@ def test_nonfinite_records_skipped(tmp_path):
         stats = assembly.assemble_batch(arch, thetas, pde_ops.AllenCahn(1e-4), 16, 0, path)
     assert stats["skipped"] == 1
     cache = assembly.read_cache(path, assembly.cache_header(arch, pde_ops.AllenCahn(1e-4), 16, 0), thetas)
-    assert cache.theta.shape[0] == 3
+    theta = cache_parts(cache)[0]
+    assert theta.shape[0] == 3
     assert cache.rows.tolist() == [0, 2]
-    assert np.array_equal(cache.theta[1], thetas[1])
+    assert np.array_equal(theta[1], thetas[1])
 
 
 def _small_cache(tmp_path, n=6, name="c.bin", half_width=1.0):
@@ -175,17 +177,19 @@ def test_cache_roundtrip_exact_and_mapped(tmp_path):
     m = rom.param_count(arch)
     cache = assembly.read_cache(path, _small_header(arch), thetas)
     record_bytes = 8 * (2 * m + m * m + 1)
-    # views into the mapped records, not copies
-    for a in (cache.theta, cache.gram, cache.rhs):
+    # the record table's views into the mapped records, not copies
+    theta, rhs, gram, status = cache_parts(cache)
+    for a in (theta, rhs, gram, status):
         assert isinstance(a, np.memmap) and a.strides[0] == record_bytes
+    assert status.tolist() == [assembly.STATUS_OK] * 6
     header_bytes = path.stat().st_size - 6 * record_bytes
     assert header_bytes > 0 and header_bytes % 64 == 0
     assert cache.rows.tolist() == list(range(6))
     for i in range(6):
         rec = assembly.assemble_at(arch, thetas[i], pde_ops.Heat(), 24, 5, Purpose.GRAM_POINTS, i)
-        assert cache.theta[i].tobytes() == rec.theta.tobytes()
-        assert cache.gram[i].tobytes() == rec.gram.tobytes()
-        assert cache.rhs[i].tobytes() == rec.rhs.tobytes()
+        assert theta[i].tobytes() == rec.theta.tobytes()
+        assert gram[i].tobytes() == rec.gram.tobytes()
+        assert rhs[i].tobytes() == rec.rhs.tobytes()
 
 
 def test_cache_torn_tail_is_recomputed(tmp_path):
@@ -218,8 +222,9 @@ def test_cache_rejects_changed_theta(tmp_path):
 def test_read_cache_first_n_records(tmp_path):
     arch, thetas, path, _ = _small_cache(tmp_path, n=6)
     cache = assembly.read_cache(path, _small_header(arch), thetas[:4])
-    assert cache.theta.shape[0] == 4 and cache.rows.tolist() == [0, 1, 2, 3]
-    assert np.array_equal(cache.theta, thetas[:4])
+    theta = cache_parts(cache)[0]
+    assert theta.shape[0] == 4 and cache.rows.tolist() == [0, 1, 2, 3]
+    assert np.array_equal(theta, thetas[:4])
     more = sample_theta(Box(1.0, rom.param_count(arch)), 7, seed=2, purpose=Purpose.GRAM_THETA)
     assert np.array_equal(more[:6], thetas)
     with pytest.raises(MissingArtifact):

@@ -14,7 +14,7 @@ import pytest
 from pdecontrol import assembly, binfile, cli, config, control_net as cn, evolve, fit, pipeline, reference, rom
 from pdecontrol.errors import ConfigError, MissingArtifact
 
-from conftest import gram_records
+from conftest import cache_parts, gram_records
 
 ROOT = Path(__file__).resolve().parents[1]
 PRESETS = ROOT / "configs"
@@ -187,7 +187,7 @@ def test_full_pipeline_small(heat_config, tmp_path, monkeypatch):
     assert anchor["abs_err_max"] == stats["abs_err_max"]
     # the error curve's rows are (t, abs_err, rel_err), for the solution's theta rows
     header, rows = binfile.load(stats["path"], "error_curve", pipeline.CURVE_FORMAT_VERSION, None, "")
-    assert header["solution_sha256"] == pipeline._digest(pipeline.load_solution(cfg, 0, pipeline._anchor(cfg, 0)[2]).thetas)
+    assert header["solution_sha256"] == binfile.digest(pipeline.load_solution(cfg, 0, pipeline._anchor(cfg, 0)[2]).thetas)
     assert rows.shape[1] == 3 and rows[:, 1].max() == stats["abs_err_max"]
     assert report["totals"] == {"blowups": 0, "escapes": 0, "passed": True}
 
@@ -206,12 +206,13 @@ def test_verify_residuals_are_the_gathered_scan_bit_for_bit(heat_config, tmp_pat
     monkeypatch.setattr(cn, "_CHUNK_BYTES", 3 * 8 * cache.records.shape[1])
     report = pipeline.cmd_verify(cfg)
     net = cn.load_control_checkpoint(cfg.path("checkpoint"), cfg.control_arch, pipeline._control_inputs(cfg))
+    theta, rhs, gram, _ = cache_parts(cache)
 
     def gathered_scan(rows):
         norms = []
         for i in range(0, rows.size, 256):
             idx = rows[i : i + 256]
-            res = np.einsum("nij,nj->ni", cache.gram[idx], cn.forward(net, cache.theta[idx])) - cache.rhs[idx]
+            res = np.einsum("nij,nj->ni", gram[idx], cn.forward(net, theta[idx])) - rhs[idx]
             norms.append(np.linalg.norm(res, axis=1))
         return np.concatenate(norms)
 

@@ -11,7 +11,7 @@ from pdecontrol.errors import CacheMismatch, MissingArtifact, NonFiniteError
 from pdecontrol.optim import Adam
 from pdecontrol.sampling import Box, Purpose, rng_for, sample_omega, sample_theta
 
-from conftest import TextbookAdam, fourier_sine_arch, gram_records
+from conftest import TextbookAdam, cache_parts, check_layout_table, fourier_sine_arch, gram_records
 
 
 @pytest.fixture
@@ -53,13 +53,17 @@ def test_zero_init_is_zero_field(small_arch, rng):
     assert np.all(cn.forward(net, TH) == 0.0)
 
 
-def test_param_count_and_layout(small_arch):
+def test_param_count_and_layout(small_arch, rng):
     n = cn.control_param_count(small_arch)
     m, w = 4, 8
     expect = (w * m + w) + 2 * (w * w + w + w * m + w) + (m * w + m)
     assert n == expect
     xi = cn.init_control_params(small_arch, 0)
     assert xi.shape == (n,)
+    # the frozen layout [U_0, b_0, {U_l, b_l, Ubar_l, bbar_l} per block, W_out, b_out]
+    table = cn._layout(small_arch)
+    check_layout_table(table, [(w, m), (w,)] + [(w, w), (w,), (w, m), (w,)] * 2 + [(m, w), (m,)], rng)
+    assert cn._layout(cn.ControlArch(input_dim=4, width=8, depth=3)) is table  # one table per arch
 
 
 def test_forward_jvp_consistency(small_arch, rng):
@@ -420,7 +424,8 @@ def test_forward_and_train_bit_identical(tmp_path, small_arch, rng):
     cfg = dict(lr=1e-2, zeta=0.0, batch_size=3, stop_loss=0.0, max_steps=25, seed=4)
     start = cn.ControlNet(carch, cn.init_control_params(carch, 1))
     mapped, h1 = cn.train(start, cache.records, None, rows=rows, **cfg)
-    stacked = gram_records(*(a[rows] for a in (cache.theta, cache.gram, cache.rhs)))
+    theta, rhs, gram, _ = cache_parts(cache)
+    stacked = gram_records(theta[rows], gram[rows], rhs[rows])
     copied, h2 = cn.train(start, stacked, None, **cfg)
     assert h1 == h2
     assert mapped.xi.tobytes() == copied.xi.tobytes()
@@ -578,14 +583,15 @@ def _mapped_cache(tmp_path, n=12):
 
 def test_loss_on_a_mapped_cache_is_the_gathered_minibatch_loss_bit_for_bit(tmp_path, rng, monkeypatch):
     cache = _mapped_cache(tmp_path)
-    m = cache.theta.shape[1]
+    theta, rhs, gram, _ = cache_parts(cache)
+    m = theta.shape[1]
     # two records per chunk: the five-record batch in three runs, the last one short
     monkeypatch.setattr(cn, "_CHUNK_BYTES", 2 * 8 * cache.records.shape[1] + 8)
     arch = cn.ControlArch(input_dim=m, width=8, depth=3)
     net = make_net(arch, jitter=0.3, rng=rng)
     rows = np.array([0, 2, 3, 5, 7, 8, 9, 11])  # record 1 (and others) left out
     batch = rng.permutation(rows)[:5]  # fewer records than the cache holds
-    gathered = tuple(np.array(a[batch]) for a in (cache.theta, cache.gram, cache.rhs))
+    gathered = tuple(np.array(a[batch]) for a in (theta, gram, rhs))
     pairs = (rng.uniform(-1, 1, (4, m)), rng.standard_normal((4, m)))
     for gram, pair in ((True, pairs), (True, None), (False, pairs)):
         got = cn.loss(net, cache.records if gram else None, pair, 0.3, batch if gram else None)
@@ -603,7 +609,8 @@ def test_loss_on_a_mapped_cache_is_the_gathered_minibatch_loss_bit_for_bit(tmp_p
 
 def test_training_on_a_mapped_cache_is_the_gathered_training_bit_for_bit(tmp_path, rng, monkeypatch):
     cache = _mapped_cache(tmp_path)
-    m = cache.theta.shape[1]
+    theta, rhs, gram, _ = cache_parts(cache)
+    m = theta.shape[1]
     monkeypatch.setattr(cn, "_CHUNK_BYTES", 2 * 8 * cache.records.shape[1])
     arch = cn.ControlArch(input_dim=m, width=8, depth=3)
     start = make_net(arch, jitter=0.3, rng=rng)
@@ -612,7 +619,7 @@ def test_training_on_a_mapped_cache_is_the_gathered_training_bit_for_bit(tmp_pat
     pairs = (rng.uniform(-1, 1, (7, m)), rng.standard_normal((7, m)))
     settings = dict(lr=1e-2, zeta=0.2, batch_size=3, max_steps=12, seed=4)
     trained, history = cn.train(start, cache.records, pairs, rows=rows, stop_loss=0.0, **settings)
-    want = _gathered_train(start, (cache.theta, cache.gram, cache.rhs), pairs, rows, **settings)
+    want = _gathered_train(start, (theta, gram, rhs), pairs, rows, **settings)
     assert len(history) == 12
     assert np.array_equal(trained.xi, want)
     assert np.array_equal(start.xi, xi0)  # ADAM steps a copy

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from pdecontrol import assembly, pde_ops, rom
 from pdecontrol.errors import NonFiniteError
 from pdecontrol.sampling import Purpose
 
-from conftest import fourier_sine_arch
+from conftest import check_layout_table, fourier_sine_arch
 
 FULL = rom.EvalFlags(value=True, grad_x=True, laplacian=True, grad_theta=True)
 VAL = rom.EvalFlags(value=True)
@@ -15,12 +17,38 @@ def value_fn(arch, theta, X):
     return rom.eval_batch(rom.RomModel(arch, theta), X, VAL).value
 
 
-def test_param_count_examples():
+def _frozen_shapes(arch):
+    """The parameter layout as the rom module docstring freezes it:
+    [W0, b0, W1, b1, ..., W_{L-1}, b_{L-1}, w_L, shift?], or the basis
+    coefficients."""
+    if arch.kind == rom.LINEAR_BASIS:
+        return [(arch.n_modes,)]
+    w, din = arch.width, arch.net_input_dim
+    periodic = arch.kind == rom.RESNET_PERIODIC
+    return [(w, din), (w,)] + [(w, w), (w,)] * (arch.depth - 1) + [(w,)] + [(arch.input_dim,)] * periodic
+
+
+def test_param_count_examples(rng):
     assert rom.param_count(fourier_sine_arch(8)) == 8
     periodic = rom.RomArch("resnet_periodic", 1, 4, 3, "tanh")
     assert rom.param_count(periodic) == 57
     zero = rom.RomArch("resnet_zero_boundary", 2, 3, 2, "tanh")
     assert rom.param_count(zero) == 24
+    nets = [
+        arch
+        for depth in (2, 3)
+        for arch in (
+            rom.RomArch("resnet_zero_boundary", 1, 5, depth, "tanh"),
+            rom.RomArch("resnet_zero_boundary", 2, 4, depth, "tanh", lo=(-1.0, -1.0), hi=(1.0, 1.0)),
+            rom.RomArch("resnet_periodic", 1, 6, depth, "relu"),
+            rom.RomArch("resnet_periodic", 2, 4, depth, "tanh"),
+        )
+    ]
+    for arch in nets + [fourier_sine_arch(5)]:
+        table = rom._layout(arch)
+        check_layout_table(table, _frozen_shapes(arch), rng)
+        assert table[-1][0].stop == rom.param_count(arch)
+        assert rom._layout(dataclasses.replace(arch)) is table  # one table per arch
 
 
 def test_arch_validation():
@@ -446,7 +474,7 @@ def test_unrequested_fields_are_none():
     batch = rom.eval_batch(rom.RomModel(arch, np.ones(3)), [[0.3]], rom.EvalFlags(value=True))
     assert batch.laplacian is None
     assert batch.grad_theta is None
-    assert not batch.flags.laplacian
+    assert batch.grad_x is None
 
 
 def _overflowing_net():
