@@ -16,10 +16,14 @@ field.
 
 One forward pass (_forward_cached) runs the layers for every caller: forward
 (the RK4 solve), loss, residual_scan, _jvp, _vjp and field_stats. The first
-layer and every gate read only theta, so one stacked product with
-ControlNet.theta_table gives all their pre-activations and one elementwise
-pass all the Phi(R); the blocks then run in turn. The pass keeps what the
-one reverse pass (_reverse) reads. Each training step runs one forward and
+layer and every gate read only theta, so one stacked product with the
+theta table of ControlNet.forward_views gives all their pre-activations and
+one elementwise pass all the Phi(R); the blocks then run in turn. The pass
+keeps what the one reverse pass (_reverse) reads. It runs on views made
+once, the net's in ControlNet.forward_views and the workspace's, and it
+checks no value: forward returns inf or nan where the field overflows, and
+each caller checks what it needs (solve_ivp each state, residual_scan its
+norms, field_stats its values). Each training step runs one forward and
 one backward pass: loss stacks the step's Gram rows and trajectory-pair rows
 and reads the projection loss l1 and the trajectory loss l2 off the two
 blocks of the one output.
@@ -49,7 +53,9 @@ from .sampling import Purpose, rng_for
 
 FORMAT_VERSION = 6
 
-_SQRT2 = np.sqrt(2.0)
+# 0-d arrays: a ufunc converts a Python or numpy scalar operand anew on
+# every call, which costs a batch-1 forward pass about 0.2 us per operation
+_SQRT2, _ONE, _HALF = np.array(np.sqrt(2.0)), np.array(1.0), np.array(0.5)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 # the size of the buffer that a minibatch's Gram records stream through: it
 # stays in a core's L2 cache while both einsums read it, and it holds enough
@@ -120,12 +126,13 @@ class ControlNet:
     sha256: str | None = field(default=None, compare=False)
     # the layer views of xi, unpacked once (views, so they share xi's memory)
     params: tuple = field(init=False, repr=False, compare=False)
-    # the layers that read theta, stacked for the forward pass: [U_0^T,
-    # Ubar_1^T, ...] of shape (depth, input_dim, width) and [b_0, bbar_1, ...]
-    # of shape (depth, 1, width); read-only strided views of xi, as U_0 and
-    # each Ubar_l lie one block's parameters apart in the layout, and so do
-    # b_0 and each bbar_l
-    theta_table: tuple = field(init=False, repr=False, compare=False)
+    # the views the forward pass reads, made once: the layers that read
+    # theta stacked as [U_0^T, Ubar_1^T, ...] of shape (depth, input_dim,
+    # width) and [b_0, bbar_1, ...] of shape (depth, 1, width) (read-only
+    # strided views of xi, as U_0 and each Ubar_l lie one block's parameters
+    # apart in the layout, and so do b_0 and each bbar_l), each block's
+    # (U_l^T, b_l), and W_out^T and b_out
+    forward_views: tuple = field(init=False, repr=False, compare=False)
     # forward's _Workspace, kept for its next call of the same row count
     workspace: list = field(init=False, repr=False, compare=False)
 
@@ -135,14 +142,15 @@ class ControlNet:
         expect = control_param_count(self.arch)
         if xi.shape != (expect,):
             raise ValueError(f"xi must have shape ({expect},), got {xi.shape}")
-        U0, b0, _, _, _ = params = _unpack(self.arch, xi)
+        U0, b0, blocks, W_out, b_out = params = _unpack(self.arch, xi)
         layout = _layout(self.arch)  # U_0, b_0, U_1, b_1, Ubar_1, ...: Ubar_1 is part 4
         block = (layout[4][0].start - layout[0][0].start) * xi.itemsize
-        table = tuple(np.lib.stride_tricks.as_strided(first, (self.arch.depth,) + first.shape,
-                                                      (block,) + first.strides, writeable=False)
-                      for first in (U0.T, b0[None, :]))
+        table, biases = (np.lib.stride_tricks.as_strided(first, (self.arch.depth,) + first.shape,
+                                                         (block,) + first.strides, writeable=False)
+                         for first in (U0.T, b0[None, :]))
         object.__setattr__(self, "params", params)
-        object.__setattr__(self, "theta_table", table)
+        object.__setattr__(self, "forward_views",
+                           (table, biases, tuple((U.T, b[None]) for U, b, _, _ in blocks), W_out.T, b_out[None]))
         object.__setattr__(self, "workspace", [None])
 
     def __call__(self, theta: np.ndarray) -> np.ndarray:
@@ -170,19 +178,25 @@ def init_control_params(arch: ControlArch, seed: int) -> np.ndarray:
 
 class _Workspace:
     """The buffers of passes of n rows, reused by each: what _forward_cached
-    keeps (the stacked pre-activations A, Phi(R), the gates, each block's
-    tanh T and output state H, with their per-block views, and the field
-    out), the reverse pass's cotangents and scratch, the flat gradient with
-    its layer views, loss's rows (TH, residual, output cotangent, squares)
-    and, for records of record_width floats, the chunk buffer they stream
-    through. What a pass returns lives here until the next pass."""
+    keeps (the stacked pre-activations A, with A0 the first, which turns
+    into H0 in place, and R the gates', Phi(R), the gates, each block's
+    tanh T and output state H, and the field out), with the views that pass
+    reads and returns made once (each block's (H_in, T) as layers, and its
+    (H_in, T, gate, H) as steps), the reverse pass's cotangents and
+    scratch, the flat gradient with its layer views, loss's rows (TH,
+    residual, output cotangent, squares) and, for records of record_width
+    floats, the chunk buffer they stream through. What a pass returns lives
+    here until the next pass."""
 
     def __init__(self, arch: ControlArch, n: int, record_width: int = 0):
         m, w = arch.input_dim, arch.width
         self.n = n
         self.A = np.empty((arch.depth, n, w))
+        self.A0, self.R = self.A[0], self.A[1:]
         self.cdf, self.gates, self.T, self.H = np.empty((4, arch.n_blocks, n, w))
-        self.per_block = list(zip(self.gates, self.T, self.H))
+        H_in = [self.A0, *self.H[:-1]]
+        self.layers = list(zip(H_in, self.T))
+        self.steps = list(zip(H_in, self.T, self.gates, self.H))
         self.dH, self.dS, self.dR, self.tmp = np.empty((4, n, w))
         self.TH, self.out, self.res, self.dout, self.sq = np.empty((5, n, m))
         self.grad = np.empty(control_param_count(arch))
@@ -202,50 +216,50 @@ def _forward_cached(net: ControlNet, TH: np.ndarray, ws: _Workspace | None = Non
     (depth-1, n, width) arrays. All but TH live in ws (a new _Workspace if
     None).
 
-    One stacked theta_table product gives the first pre-activation and every
-    gate's; one elementwise pass turns the gate rows into Phi(R). Outputs
-    are passed to the ufuncs positionally, which parse an out= keyword
-    more slowly: a batch-1 call makes about twenty of them."""
+    One stacked product with the net's theta table gives the first
+    pre-activation and every gate's; one elementwise pass turns the gate
+    rows into Phi(R). The pass reads the views that the net and ws made
+    once, and passes outputs to the ufuncs positionally, which parse an
+    out= keyword more slowly: a batch-1 call makes about twenty of them."""
     if ws is None:
         ws = _Workspace(net.arch, TH.shape[0])
-    table, biases = net.theta_table
-    _, _, blocks, W_out, b_out = net.params
-    A = np.matmul(TH, table, ws.A)  # one (n, width) product per layer
-    A += biases
-    H0 = H = np.tanh(A[0], A[0])
-    R = A[1:]
-    cdf = np.divide(R, _SQRT2, ws.cdf)
+    table, biases, blocks, W_out_T, b_out = net.forward_views
+    A, A0, R, cdf, gates = ws.A, ws.A0, ws.R, ws.cdf, ws.gates
+    np.matmul(TH, table, A)  # one (n, width) product per layer
+    np.add(A, biases, A)
+    np.tanh(A0, A0)
+    np.divide(R, _SQRT2, cdf)
     erf(cdf, cdf)
-    cdf += 1.0
-    cdf *= 0.5
-    gates = np.multiply(cdf, R, ws.gates)
-    layers = []
-    for (U, b, _, _), (gate, T, H_next) in zip(blocks, ws.per_block):
-        np.matmul(H, U.T, T)
-        T += b
+    np.add(cdf, _ONE, cdf)
+    np.multiply(cdf, _HALF, cdf)
+    np.multiply(cdf, R, gates)
+    for (U_T, b), (H_in, T, gate, H) in zip(blocks, ws.steps):
+        np.matmul(H_in, U_T, T)
+        np.add(T, b, T)
         np.tanh(T, T)
-        layers.append((H, T))
-        H = np.add(H, np.multiply(gate, T, H_next), H_next)
-    out = np.matmul(H, W_out.T, ws.out)
-    out += b_out
-    return out, (TH, H0, R, cdf, gates, layers, H)
+        np.add(H_in, np.multiply(gate, T, H), H)
+    out = np.matmul(H, W_out_T, ws.out)
+    np.add(out, b_out, out)
+    return out, (TH, A0, R, cdf, gates, ws.layers, H)
 
 
 def forward(net: ControlNet, theta) -> np.ndarray:
     """V(theta) as a new array; accepts a single vector (m,) or a batch
     (n, m). The pass runs in the net's own workspace, which is made anew
-    only when the row count changes."""
+    only when the row count changes.
+
+    The values are not checked: an overflow gives inf or nan entries, and
+    each caller that needs finite values checks them (solve_ivp its state
+    once per step, residual_scan its norms once per scan)."""
     th = np.asarray(theta, dtype=np.float64)
     single = th.ndim == 1
-    TH = th[None, :] if single else th
+    TH = th[None] if single else th
     if TH.shape[1] != net.arch.input_dim:
         raise ValueError("theta dimension does not match the control net")
     ws = net.workspace[0]
     if ws is None or ws.n != TH.shape[0]:
         ws = net.workspace[0] = _Workspace(net.arch, TH.shape[0])
     out = _forward_cached(net, TH, ws)[0]
-    if not np.isfinite(out).all():
-        raise NonFiniteError("control field evaluation overflowed")
     return out[0].copy() if single else out.copy()
 
 
@@ -514,18 +528,22 @@ def residual_scan(net: ControlNet, records: np.ndarray, rows: np.ndarray | None 
     """|G V(theta) - p| per record of rows (default all) of records, as
     loss takes them (training-quality diagnostic). The field runs on
     _SCAN_ROWS records at a time, whose G and p then stream through one
-    chunk buffer."""
+    chunk buffer. Raises NonFiniteError if a norm is not finite, as it is
+    wherever the field overflowed: the norms are checked once per scan."""
     m = net.arch.input_dim
     rows = np.arange(records.shape[0]) if rows is None else rows
     buf = _chunk_buffer(records.shape[1])
     norms = np.empty(rows.shape[0])
-    for first in range(0, rows.shape[0], _SCAN_ROWS):
-        run = rows[first : first + _SCAN_ROWS]
-        out = forward(net, _split(records, _record_layout(m))[0][run])
-        res = np.empty_like(out)
-        for start, stop, G, P in _gram_chunks(records, run, m, buf):
-            _projection_residual(G, out[start:stop], P, res[start:stop])
-        norms[first : first + run.shape[0]] = np.linalg.norm(res, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows in the norms
+        for first in range(0, rows.shape[0], _SCAN_ROWS):
+            run = rows[first : first + _SCAN_ROWS]
+            out = forward(net, _split(records, _record_layout(m))[0][run])
+            res = np.empty_like(out)
+            for start, stop, G, P in _gram_chunks(records, run, m, buf):
+                _projection_residual(G, out[start:stop], P, res[start:stop])
+            norms[first : first + run.shape[0]] = np.linalg.norm(res, axis=1)
+    if not np.isfinite(norms).all():
+        raise NonFiniteError("control field evaluation overflowed")
     return norms
 
 

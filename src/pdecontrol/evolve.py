@@ -10,6 +10,7 @@ escapes are reported instead of crashing downstream consumers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,13 +107,20 @@ def solve_ivp(
     straight into its row of the result, by the textbook expression's
     operations in its order, so the states are the textbook's bit for bit.
 
+    A step aborts the run, returning the prefix with blowup_step set, when V
+    raises NonFiniteError or the new state is not finite; a ControlNet does
+    not check its values, and a non-finite stage makes the state non-finite.
     If theta_space is given, escapes from it are flagged (not fatal), and a
     state whose norm exceeds GUARD_DIAMETER_FACTOR times the space diameter
-    aborts the run, returning the prefix with blowup_step set.
+    aborts the run too. Both tests read one dot product per step, which
+    gives np.linalg.norm's bits and is finite exactly when the state is
+    finite and its squares do not overflow; only when it is not finite are
+    the entries tested. No overflow or invalid-value warning leaves the
+    solve, since a step past float64 is a blow-up.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    max_norm = None if theta_space is None else GUARD_DIAMETER_FACTOR * theta_space.diameter()
+    max_norm = math.inf if theta_space is None else GUARD_DIAMETER_FACTOR * theta_space.diameter()
 
     h = horizon / n_steps
     theta0 = np.ascontiguousarray(theta0, dtype=np.float64)
@@ -122,28 +130,33 @@ def solve_ivp(
     # each stage argument has its own buffer, so a velocity that is a view
     # of V's input outlives the next stage
     arg2, arg3, arg4, acc, tmp = np.empty((5, m))
+    # the step's factors as 0-d arrays, which a ufunc need not convert on
+    # every call, as it does a Python float
+    half_h, full_h, sixth_h, two = (np.array(v) for v in (0.5 * h, h, h / 6.0, 2.0))
     blowup = None
     count = 1
-    for j in range(n_steps):
-        theta, new = thetas[j], thetas[j + 1]
-        try:
-            k1 = V(theta)
-            k2 = V(np.add(theta, np.multiply(k1, 0.5 * h, out=arg2), out=arg2))
-            k3 = V(np.add(theta, np.multiply(k2, 0.5 * h, out=arg3), out=arg3))
-            k4 = V(np.add(theta, np.multiply(k3, h, out=arg4), out=arg4))
-            # theta + (h / 6)(k1 + 2 k2 + 2 k3 + k4), in the textbook order
-            np.add(k1, np.multiply(k2, 2.0, out=acc), out=acc)
-            acc += np.multiply(k3, 2.0, out=tmp)
-            acc += k4
-            acc *= h / 6.0
-            np.add(theta, acc, out=new)
-        except NonFiniteError:
-            blowup = j + 1
-            break
-        if not np.all(np.isfinite(new)) or (max_norm is not None and np.linalg.norm(new) > max_norm):
-            blowup = j + 1
-            break
-        count += 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n_steps):
+            theta, new = thetas[j], thetas[j + 1]
+            try:
+                k1 = V(theta)
+                k2 = V(np.add(theta, np.multiply(k1, half_h, arg2), arg2))
+                k3 = V(np.add(theta, np.multiply(k2, half_h, arg3), arg3))
+                k4 = V(np.add(theta, np.multiply(k3, full_h, arg4), arg4))
+                # theta + (h / 6)(k1 + 2 k2 + 2 k3 + k4), in the textbook order
+                np.add(k1, np.multiply(k2, two, acc), acc)
+                acc += np.multiply(k3, two, tmp)
+                acc += k4
+                acc *= sixth_h
+                np.add(theta, acc, new)
+            except NonFiniteError:
+                blowup = j + 1
+                break
+            norm = math.sqrt(new.dot(new))
+            if norm > max_norm or (not math.isfinite(norm) and not np.isfinite(new).all()):
+                blowup = j + 1
+                break
+            count += 1
     return ParamTrajectory(
         times=h * np.arange(count),
         thetas=thetas[:count],

@@ -4,7 +4,7 @@ import hypothesis
 import numpy as np
 import pytest
 
-from pdecontrol import assembly, rom
+from pdecontrol import assembly, control_net as cn, rom
 
 hypothesis.settings.register_profile(
     "default", deadline=None, max_examples=25, derandomize=True
@@ -52,6 +52,15 @@ def check_layout_table(table, shapes: list[tuple[int, ...]], rng) -> None:
         for view, row_view in zip(views, rom._split(row, table), strict=True):
             assert np.shares_memory(view, stack) and np.shares_memory(row_view, row)
             assert np.array_equal(view[k], row_view)
+
+
+def overflowing_net(arch: cn.ControlArch) -> cn.ControlNet:
+    """A net whose field overflows at every theta: H = tanh(10) in every
+    layer (the gates are 0) under an output layer of 1e308."""
+    xi = np.zeros(cn.control_param_count(arch))
+    _, b0, _, W_out, _ = cn._unpack(arch, xi)
+    b0[:], W_out[:] = 10.0, 1e308
+    return cn.ControlNet(arch, xi)
 
 
 def fourier_sine_arch(n_modes: int) -> rom.RomArch:

@@ -14,7 +14,7 @@ import pytest
 from pdecontrol import assembly, binfile, cli, config, control_net as cn, evolve, fit, pipeline, reference, rom
 from pdecontrol.errors import ConfigError, MissingArtifact
 
-from conftest import cache_parts, gram_records
+from conftest import cache_parts, gram_records, overflowing_net
 
 ROOT = Path(__file__).resolve().parents[1]
 PRESETS = ROOT / "configs"
@@ -295,6 +295,28 @@ def test_verify_fails_on_blown_up_solve(heat_config, tmp_path, capsys):
     assert report["anchors"][0]["blowup_step"] == 3
     assert report["totals"]["blowups"] == 1 and not report["totals"]["passed"]
     assert "BLEW UP at step 3" in capsys.readouterr().out
+
+
+def test_verify_on_a_field_that_overflows_is_a_numeric_failure(heat_config, tmp_path, capsys):
+    # the residual scan raises where it would have written nan quantiles
+    out = str(tmp_path / "out")
+    cfg = config.load_config(heat_config, out_dir=out, overrides=[_TWO_STEPS])
+    pipeline.cmd_fit_initial(cfg)
+    pipeline.cmd_sample_gram(cfg)
+    pipeline.cmd_gen_trajectories(cfg)
+    pipeline.cmd_train_control(cfg)
+    pipeline.cmd_solve(cfg, anchor_index=0)
+    args = ["verify", "--config", str(heat_config), "--out", out, "--set", _TWO_STEPS]
+    assert cli.main(args) == 0
+    report = Path(out, "report.json").read_bytes()
+    cn.save_control_checkpoint(overflowing_net(cfg.control_arch), cfg.path("checkpoint"),
+                               pipeline._control_inputs(cfg))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(args) == cli.EXIT_NUMERIC
+    assert "control field evaluation overflowed" in capsys.readouterr().err
+    assert Path(out, "report.json").read_bytes() == report
 
 
 def test_allen_cahn_without_epsilon_is_config_error(capsys):

@@ -1,6 +1,7 @@
 import json
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from pdecontrol.errors import CacheMismatch, MissingArtifact, NonFiniteError
 from pdecontrol.optim import Adam
 from pdecontrol.sampling import Box, Purpose, rng_for, sample_omega, sample_theta
 
-from conftest import TextbookAdam, cache_parts, check_layout_table, fourier_sine_arch, gram_records
+from conftest import TextbookAdam, cache_parts, check_layout_table, fourier_sine_arch, gram_records, overflowing_net
 
 
 @pytest.fixture
@@ -329,6 +330,20 @@ def test_residual_scan_zero_when_exact(rng):
     l1, _, _ = cn.loss(net, gram, None, 0.0)
     assert l1 < 1e-28
     assert np.all(cn.residual_scan(net, gram) < 1e-14)
+
+
+def test_residual_scan_raises_on_a_field_that_overflows(rng):
+    # forward leaves the check to its callers: the scan checks its norms
+    m = 3
+    gram = gram_records(rng.uniform(-1, 1, (5, m)), np.stack([np.eye(m)] * 5), rng.standard_normal((5, m)))
+    net = overflowing_net(cn.ControlArch(input_dim=m, width=4, depth=3))
+    with np.errstate(over="ignore"):
+        assert np.all(cn.forward(net, gram[:, :m]) == np.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rows in (None, np.array([1, 3])):
+            with pytest.raises(NonFiniteError, match="overflowed"):
+                cn.residual_scan(net, gram, rows)
 
 
 def test_checkpoint_roundtrip(tmp_path, small_arch, rng):

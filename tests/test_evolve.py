@@ -166,12 +166,31 @@ def _raises_past(limit):
     return field
 
 
+def _overflowing_net():
+    # a drift of 1 along theta_0 plus one gate that opens at theta_0 = 0.63
+    # (the pass's Phi(theta_0 - 9) is exactly 0 below): its GeLU R Phi(R) times
+    # tanh(1) times W_out = -1e308 sends theta_0 far out, where the output
+    # overflows to -inf
+    arch = cn.ControlArch(input_dim=2, width=4, depth=2)
+    xi = np.zeros(cn.control_param_count(arch))
+    _, _, [(_, b, Ubar, bbar)], W_out, b_out = cn._unpack(arch, xi)
+    b[:], Ubar[:, 0], bbar[:], W_out[:], b_out[0] = 1.0, 1.0, -9.0, -1e308, 1.0
+    return cn.ControlNet(arch, xi)
+
+
 def _rk4_case(kind, rng):
     """(field, theta0, horizon, n_steps, theta_space)."""
     if kind == "control_net":
         arch = cn.ControlArch(input_dim=5, width=16, depth=3)
         xi = cn.init_control_params(arch, 0) + 0.3 * rng.standard_normal(cn.control_param_count(arch))
         return cn.ControlNet(arch, xi), rng.uniform(-0.5, 0.5, 5), 0.5, 40, Box(5.0, 5)
+    if kind == "control_net_overflows":
+        return _overflowing_net(), np.array([-0.5, 0.25]), 2.0, 40, None
+    if kind == "control_net_overflows_in_a_box":
+        return _overflowing_net(), np.array([-0.5, 0.25]), 2.0, 40, Box(1.0, 2)
+    if kind == "squares_past_float64":
+        # |theta|^2 overflows from 1e154 on while theta stays finite
+        return (lambda th: th), np.array([1e153, -1e153]), 3.0, 30, None
     if kind == "raises_mid_step":
         return _raises_past(1.3), np.array([1.0, -0.5]), 1.0, 20, None
     if kind == "overflows_to_inf":
@@ -182,16 +201,42 @@ def _rk4_case(kind, rng):
     return (lambda th: th), np.array([0.5, 0.5]), 10.0, 100, Box(1.0, 2)
 
 
-@pytest.mark.parametrize("kind", ["control_net", "raises_mid_step", "overflows_to_inf", "escapes_the_box", "guard_norm"])
+@pytest.mark.parametrize("kind", ["control_net", "control_net_overflows", "control_net_overflows_in_a_box",
+                                  "raises_mid_step", "overflows_to_inf", "squares_past_float64", "escapes_the_box",
+                                  "guard_norm"])
 def test_rk4_in_buffers_equals_the_textbook_loop(rng, kind):
     field, theta0, horizon, n_steps, space = _rk4_case(kind, rng)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow or invalid-value warning leaves the solve
         traj = evolve.solve_ivp(field, theta0, horizon, n_steps, theta_space=space)
+    with np.errstate(over="ignore", invalid="ignore"):
         thetas, blowup, escape = _textbook_solve_ivp(field, theta0, horizon, n_steps, theta_space=space)
+        squares = thetas[-1].dot(thetas[-1])
     assert np.array_equal(traj.thetas, thetas)
     assert traj.blowup_step == blowup and traj.escape_step == escape
-    assert (blowup is None) == (kind in ("control_net", "escapes_the_box"))
+    assert (blowup is None) == (kind in ("control_net", "squares_past_float64", "escapes_the_box"))
     assert (escape is None) == (kind != "escapes_the_box" and kind != "guard_norm")
+    # the net blows up mid-solve, where the box's guard stops it a step
+    # earlier; the last state's squares overflow, a blow-up only in a box
+    assert not kind.startswith("control_net_overflows") or 1 < blowup < n_steps
+    assert kind != "squares_past_float64" or squares == np.inf
+
+
+def test_a_solve_on_a_control_net_calls_forward_four_times_a_step(rng, monkeypatch):
+    # the benchmark's tracer counts control_net.forward's calls, rows and time
+    arch = cn.ControlArch(input_dim=3, width=8, depth=3)
+    net = cn.ControlNet(arch, cn.init_control_params(arch, 0) + 0.3 * rng.standard_normal(cn.control_param_count(arch)))
+    rows = []
+    forward = cn.forward
+
+    def counted(net, theta):
+        rows.append(np.shape(theta))
+        return forward(net, theta)
+
+    monkeypatch.setattr(cn, "forward", counted)
+    traj = evolve.solve_ivp(net, rng.uniform(-0.5, 0.5, 3), 0.5, 7)
+    assert traj.blowup_step is None and traj.thetas.shape == (8, 3)
+    assert rows == [(3,)] * 4 * 7
 
 
 def _per_row_escape(thetas, space):
