@@ -21,7 +21,7 @@ from . import binfile, pde_ops, rom
 from .errors import CacheMismatch, MissingArtifact, NonFiniteError
 from .sampling import Purpose, sample_omega
 
-CACHE_FORMAT_VERSION = 5
+CACHE_FORMAT_VERSION = 6
 
 
 @dataclass
@@ -120,24 +120,6 @@ class GramCache:
     rows: np.ndarray  # indices of the STATUS_OK records
 
 
-def cache_header(arch: rom.RomArch, op: pde_ops.PdeOperator, n_x: int, seed: int) -> dict:
-    """Every input that shapes a record; theta itself is checked per record.
-    The arch's box, which the problem kind fixes, comes before arch_hash,
-    which also covers it, so a transport velocity of another length is
-    reported as a changed box."""
-    return {
-        "format_version": CACHE_FORMAT_VERSION,
-        "kind": "gram_cache",
-        "lo": list(arch.lo),
-        "hi": list(arch.hi),
-        "arch_hash": rom.arch_hash(arch),
-        "op_tag": op.tag,
-        "m": rom.param_count(arch),
-        "n_x": n_x,
-        "seed": seed,
-    }
-
-
 @functools.lru_cache(maxsize=None)
 def _record_layout(m: int) -> tuple[tuple[slice, tuple[int, ...]], ...]:
     """The rom._table of a record for m parameters, built once per m."""
@@ -167,10 +149,12 @@ def _finished(status: np.ndarray) -> int:
 
 def _check_cache(cache_path, header: dict, thetas: np.ndarray):
     """(header, offset, records, torn, done) of an existing cache, after the
-    check sample-gram and the readers share: the expected header, and each
-    finished record's theta against the one sampled for its index."""
+    check sample-gram and the readers share: the expected header fields
+    (the pipeline's record of what shapes a record) and the parameter count
+    of thetas, and each finished record's theta against the one sampled for
+    its index."""
     existing, offset = binfile.read_header(cache_path, "gram_cache", CACHE_FORMAT_VERSION, _RERUN)
-    binfile.check_header(cache_path, existing, header, f"delete it and {_RERUN}")
+    binfile.check_header(cache_path, existing, {**header, "m": thetas.shape[1]}, f"delete it and {_RERUN}")
     records, torn = _map_records(cache_path, existing, offset)
     theta, _, _, status = rom._split(records, _record_layout(existing["m"]))
     done = _finished(status)
@@ -205,21 +189,24 @@ def assemble_batch(
     n_x: int,
     seed: int,
     cache_path,
+    header: dict,
 ) -> dict:
-    """Assemble records for every row of thetas in order, appending to cache_path.
+    """Assemble records for every row of thetas in order, appending to
+    cache_path, whose header records the fields of header (the pipeline's
+    record of what shapes a record) and the parameter count m.
 
-    Resumable: finished records whose header and theta match are kept (the
-    file is extended, not rewritten) and a torn final record is cut off and
-    recomputed. Record index draws its points for (Purpose.GRAM_POINTS,
+    Resumable: finished records whose header fields and theta match are kept
+    (the file is extended, not rewritten) and a torn final record is cut off
+    and recomputed. Record index draws its points for (Purpose.GRAM_POINTS,
     index) alone, so reruns and resumed runs produce byte-identical files.
     Non-finite records are stored as skipped; returns summary stats.
     """
-    header = cache_header(arch, op, n_x, seed)
+    m = rom.param_count(arch)
     done, mode = 0, "wb"
     if os.path.exists(cache_path) and os.path.getsize(cache_path) > 0:
         _, offset, records, _, done = _check_cache(cache_path, header, thetas)
         del records
-        end = offset + done * _record_floats(header["m"]) * binfile.DTYPE.itemsize
+        end = offset + done * _record_floats(m) * binfile.DTYPE.itemsize
         if os.path.getsize(cache_path) != end:
             os.truncate(cache_path, end)  # cut off a torn tail
         mode = "ab"
@@ -228,7 +215,8 @@ def assemble_batch(
     skipped = 0
     with open(cache_path, mode) as fh:
         if mode == "wb":
-            fh.write(binfile.encode_header(header))
+            fh.write(binfile.encode_header({"format_version": CACHE_FORMAT_VERSION, "kind": "gram_cache", "m": m,
+                                            **header}))
         for index in todo:
             try:
                 rec = assemble_at(arch, thetas[index], op, n_x, seed, Purpose.GRAM_POINTS, index)
@@ -241,7 +229,7 @@ def assemble_batch(
 
 def read_cache(cache_path, header: dict, thetas: np.ndarray) -> GramCache:
     """Memory-map the first len(thetas) records of a Gram cache, after
-    checking the expected cache_header and the theta sampled for each
+    checking the expected header fields and the theta sampled for each
     record as sample-gram does.
 
     Raises CacheMismatch for a foreign, old-format, torn or stale cache, and

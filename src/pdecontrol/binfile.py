@@ -66,10 +66,21 @@ def read_header(path, kind: str, format_version: int, remedy: str) -> tuple[dict
 
 def check_header(path, existing: dict, expected: dict | None, remedy: str) -> None:
     """Raise CacheMismatch, naming the first differing field and the remedy,
-    unless existing carries every field of expected with the same value."""
+    unless existing carries every field of expected with the same value. A
+    field that holds a flat record (config.RunConfig.provenance) is compared
+    whole, and the message names the record's first leaf that both sides
+    hold with other values, else its first leaf that only one side holds."""
     for key, value in (expected or {}).items():
-        if existing.get(key) != value:
-            raise CacheMismatch(f"header mismatch on {key!r} in {path}; {remedy}")
+        got = existing.get(key)
+        if isinstance(value, dict) and isinstance(got, dict):
+            changed = [leaf for leaf in value if leaf in got and value[leaf] != got[leaf]]
+            changed += [leaf for leaf in {**value, **got} if (leaf in value) != (leaf in got)]
+            if not changed:
+                continue
+            key = changed[0]
+        elif got == value:
+            continue
+        raise CacheMismatch(f"header mismatch on {key!r} in {path}; {remedy}")
 
 
 @contextmanager

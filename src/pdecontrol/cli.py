@@ -9,6 +9,7 @@ failure, 5 verify found a blown-up solve or a non-finite number.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -50,7 +51,9 @@ def _finite_float(text: str) -> float:
 _finite_float.__name__ = "float"  # argparse names the type in its message for a non-number
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process (about 4 ms): parse_args leaves it as it was."""
     ap = argparse.ArgumentParser(prog="pdecontrol", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 

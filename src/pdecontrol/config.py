@@ -16,7 +16,12 @@ fields (rom.RomArch) default elsewhere. ADAM's moments are constants of
 optim, not settings. train.schedule is the run's whole training: its
 stages run in order in one train-control, each stage's batch_size
 defaulting to the block's. Every artifact lives at a fixed place under the
-out dir, listed in _LAYOUT (README.md shows the layout).
+out dir, listed in _LAYOUT (README.md shows the layout). One table,
+_PROVENANCE, says what shaped each artifact: the config leaves its command
+reads and the artifacts the command reads. RunConfig.provenance builds from
+it the flat record of leaves that the artifact's header holds and that its
+readers compare whole; _SHAPES_NO_ARTIFACT names the settable leaves in no
+row.
 """
 
 from __future__ import annotations
@@ -136,7 +141,7 @@ SCHEMA = {
                 "count": {"type": "integer", "minimum": 0},
                 "eps0_target": {"type": "number", "exclusiveMinimum": 0},
                 "fit_n_x": {"type": "integer", "minimum": 1},
-                # the keyword arguments of fit.fit_initials (and fit.fit_initial)
+                # the keyword arguments of fit.fit_initials
                 "fit": {
                     "type": "object",
                     "properties": {"lr": _LR, "max_steps": _MAX_STEPS},
@@ -183,6 +188,34 @@ _LAYOUT = {
     "slice": "slices/slice_{:03d}_t{:.4f}.csv",
     "report": "report.json",
 }
+
+# what shapes each artifact of _LAYOUT that a command reads back: (the
+# config leaves its command reads, the artifacts its command reads). Its
+# header records, as one flat {"block.key": value} record, these leaves and
+# those of every artifact upstream, each that the effective config holds
+# (RunConfig.provenance); every reader compares the record whole. No row
+# holds a train leaf, so --resume continues under a new schedule.
+_ROM = ("rom_arch.kind", "rom_arch.width", "rom_arch.depth", "rom_arch.activation", "rom_arch.n_modes")
+_THETA_SPACE = ("theta_space.kind", "theta_space.half_width", "theta_space.radius")
+# what assembling a projection system at one theta reads: the operator and the ROM
+_ASSEMBLY = ("problem.kind", "problem.velocity", "problem.epsilon", *_ROM, "counts.n_x", "seed")
+_PROVENANCE = {
+    "anchors": (("problem.kind", "problem.velocity", *_ROM, *_THETA_SPACE, "initials.count", "initials.eps0_target",
+                 "initials.fit_n_x", "initials.fit.lr", "initials.fit.max_steps", "seed"), ()),
+    "gram_cache": ((*_ASSEMBLY, *_THETA_SPACE), ("anchors",)),
+    "traj_cache": ((*_ASSEMBLY, *_THETA_SPACE, "problem.horizon", "counts.n_traj", "counts.n_t"), ("anchors",)),
+    "checkpoint": (("control_arch.width", "control_arch.depth", "counts.n_theta", "counts.n_traj", "seed"),
+                   ("gram_cache", "traj_cache")),
+    "solution": (("problem.horizon", "solve.n_steps", *_THETA_SPACE), ("checkpoint", "anchors")),
+    "reference": (("problem.epsilon", "problem.horizon"), ("anchors",)),
+    "errors": (("seed",), ("solution", "reference")),
+}
+# the settable leaves that shape no artifact: the training schedule, which a
+# resumed run may change, and two keys nothing reads
+_SHAPES_NO_ARTIFACT = ("train.schedule.lr", "train.schedule.max_steps", "train.schedule.batch_size",
+                       "train.schedule.pairs_only", "train.zeta", "train.batch_size", "train.stop_loss", "threads",
+                       "notes")
+_ABSENT = object()
 
 
 def _merge(base: dict, extra: dict) -> dict:
@@ -273,28 +306,54 @@ class RunConfig:
         ts = self.raw["theta_space"]
         if ts["kind"] == "box":
             return Box(half_width=ts["half_width"], dim=rom.param_count(self.rom_arch))
-        _, anchors = fit.load_anchors(self.path("anchors"), self.anchor_header())
+        _, anchors = fit.load_anchors(self.path("anchors"), self.provenance("anchors"))
         return AnchorBalls(anchors=anchors, radius=ts["radius"])
 
-    def anchor_header(self) -> dict:
-        """Every input that shaped the anchor store, as its header records it
-        (arch_hash covers the box). Transport draws its anchors from the
-        theta_space, so of initials only the count shapes it; a linear basis
-        is fitted by one least-squares solve, which reads fit_n_x but not
-        eps0_target or the fit block; a net reads the whole block."""
-        ini = self.raw["initials"]
+    def provenance(self, name: str) -> dict:
+        """What shaped artifact name, as its header records it and its
+        readers check it: {"config": record}, the record holding the
+        leaves of the artifact's _PROVENANCE row and of every artifact
+        upstream, upstream first, each that the effective config holds;
+        rom_arch is read as RomArch holds it, so spelling out a default
+        changes nothing."""
+        return {"config": self._record(name)}
+
+    def _record(self, name: str) -> dict:
+        """The flat record of provenance. fit-initial reads the theta_space
+        only for transport, whose anchors are drawn from it; of initials a
+        transport draw reads only the count, a linear basis's least-squares
+        fit the count and fit_n_x, and a net's fit the whole block.
+        sample-gram and gen-trajectories read the anchors only to draw
+        around them, and train-control reads the trajectory cache only when
+        counts.n_traj > 0."""
+        leaves, reads = _PROVENANCE[name]
         transport = self.raw["problem"]["kind"] == "transport"
-        if transport:
-            ini = {"count": ini["count"]}
-        elif self.rom_arch.kind == rom.LINEAR_BASIS:
-            ini = {"count": ini["count"], "fit_n_x": ini["fit_n_x"]}
-        return {
-            "arch_hash": rom.arch_hash(self.rom_arch),
-            "m": rom.param_count(self.rom_arch),
-            "seed": self.seed,
-            "initials": ini,
-            "theta_space": self.raw["theta_space"] if transport else None,
-        }
+        skip = set()
+        if self.raw["theta_space"]["kind"] == "box":
+            skip |= {("gram_cache", "anchors"), ("traj_cache", "anchors")}
+        if not self.raw["counts"]["n_traj"]:
+            skip.add(("checkpoint", "traj_cache"))
+        if name == "anchors":
+            if transport:
+                read = {"initials.count", *_THETA_SPACE}
+            elif self.rom_arch.kind == rom.LINEAR_BASIS:
+                read = {"initials.count", "initials.fit_n_x"}
+            else:
+                read = {leaf for leaf in leaves if leaf.startswith("initials.")}
+            leaves = [leaf for leaf in leaves if leaf in read or not leaf.startswith(("initials.", "theta_space."))]
+        arch = self.rom_arch
+        doc = dict(self.raw, rom_arch={key: getattr(arch, key) for key in ("kind", *_KIND_KEYS["rom_arch"][arch.kind])})
+        record = {}
+        for upstream in reads:
+            if (name, upstream) not in skip:
+                record.update(self._record(upstream))
+        for leaf in leaves:
+            node = doc
+            for key in leaf.split("."):
+                node = node.get(key, _ABSENT) if isinstance(node, dict) else _ABSENT
+            if node is not _ABSENT:
+                record[leaf] = node
+        return record
 
     def path(self, name: str, index=None) -> str:
         """The path of artifact name under the out dir (_LAYOUT); index is

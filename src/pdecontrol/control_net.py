@@ -39,7 +39,7 @@ floats.
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import erf
@@ -51,7 +51,7 @@ from .optim import Adam
 from .rom import _split, _table
 from .sampling import Purpose, rng_for
 
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 
 # 0-d arrays: a ufunc converts a Python or numpy scalar operand anew on
 # every call, which costs a batch-1 forward pass about 0.2 us per operation
@@ -551,29 +551,24 @@ def residual_scan(net: ControlNet, records: np.ndarray, rows: np.ndarray | None 
 # persistence
 
 
-# A checkpoint is a binfile: the header {format_version, kind, arch,
-# xi_sha256} plus the caller's record of what shaped the training data, and
-# the flat xi as control_param_count(arch) float64.
+# A checkpoint is a binfile: the header {format_version, kind, xi_sha256}
+# plus the caller's record of what shaped the net and its training data,
+# and the flat xi as control_param_count(arch) float64.
 
 _CHECKPOINT_REMEDY = "rerun train-control"
 
 
 def save_control_checkpoint(net: ControlNet, path, inputs: dict) -> None:
-    header = {"format_version": FORMAT_VERSION, "kind": "control_checkpoint", "arch": asdict(net.arch),
-              "xi_sha256": binfile.digest(net.xi), **inputs}
+    header = {"format_version": FORMAT_VERSION, "kind": "control_checkpoint", "xi_sha256": binfile.digest(net.xi),
+              **inputs}
     binfile.save(path, header, net.xi)
 
 
-def _expected_checkpoint(arch: ControlArch, inputs: dict) -> dict:
-    return {"arch": asdict(arch), **inputs}
-
-
 def load_control_checkpoint(path, arch: ControlArch, inputs: dict) -> ControlNet:
-    """The checkpointed net, which must record arch and inputs, the arch
-    checked first, and whose xi must hash to the recorded xi_sha256; the
-    net carries that digest."""
-    header, xi = binfile.load(path, "control_checkpoint", FORMAT_VERSION, _expected_checkpoint(arch, inputs),
-                              _CHECKPOINT_REMEDY)
+    """The checkpointed net of arch, whose header must record inputs, whose
+    xi must hold control_param_count(arch) parameters and hash to the
+    recorded xi_sha256; the net carries that digest."""
+    header, xi = binfile.load(path, "control_checkpoint", FORMAT_VERSION, inputs, _CHECKPOINT_REMEDY)
     n = control_param_count(arch)
     if xi.shape != (n,):
         raise CacheMismatch(f"{path} holds {xi.size} of {n} parameters; {_CHECKPOINT_REMEDY}")
@@ -583,12 +578,11 @@ def load_control_checkpoint(path, arch: ControlArch, inputs: dict) -> ControlNet
     return ControlNet(arch=arch, xi=xi, sha256=header["xi_sha256"])
 
 
-def checkpoint_sha256(path, arch: ControlArch, inputs: dict) -> str:
-    """The xi_sha256 of a checkpoint whose header records arch and inputs,
-    read from the header alone: the parameters are neither read nor hashed
+def checkpoint_sha256(path, inputs: dict) -> str:
+    """The xi_sha256 of a checkpoint whose header records inputs, read from
+    the header alone: the parameters are neither read nor hashed
     (load_control_checkpoint checks them against it)."""
-    header = binfile.load_header(path, "control_checkpoint", FORMAT_VERSION, _expected_checkpoint(arch, inputs),
-                                 _CHECKPOINT_REMEDY)[0]
+    header = binfile.load_header(path, "control_checkpoint", FORMAT_VERSION, inputs, _CHECKPOINT_REMEDY)[0]
     return header.get("xi_sha256")
 
 

@@ -19,7 +19,7 @@ from . import assembly, binfile, linalg, pde_ops, rom
 from .errors import NonFiniteError
 from .sampling import Purpose, ThetaSpace
 
-TRAJ_FORMAT_VERSION = 6
+TRAJ_FORMAT_VERSION = 7
 GUARD_DIAMETER_FACTOR = 10.0
 
 
@@ -171,31 +171,18 @@ def solve_ivp(
 # trajectory cache
 
 
-def traj_cache_header(gram_header: dict, h: float, n_t: int, starts: np.ndarray) -> dict:
-    """Every input that shapes the cached marches: those of a Gram record
-    (assembly.cache_header) plus the step, the step count and the start
-    thetas (drawn from the theta space or the anchor store) as a sha256."""
-    starts = np.asarray(starts, dtype=np.float64)
-    return {
-        **gram_header,
-        "format_version": TRAJ_FORMAT_VERSION,
-        "kind": "traj_cache",
-        "h": h,
-        "n_t": n_t,
-        "n_traj": starts.shape[0],
-        "starts_sha256": binfile.digest(starts),
-    }
-
-
 def write_traj_cache(path, header: dict, trajectories: list[ParamTrajectory]) -> None:
-    """One binfile row [theta | v] per grid point, trajectories stacked."""
+    """One binfile row [theta | v] per grid point, trajectories stacked,
+    under header (the pipeline's record of what shaped the marches, the
+    parameter count m and the step h)."""
     rows = [np.hstack([traj.thetas, traj.velocities]) for traj in trajectories]
-    binfile.save(path, header, np.vstack([np.zeros((0, 2 * header["m"]))] + rows))
+    binfile.save(path, {"format_version": TRAJ_FORMAT_VERSION, "kind": "traj_cache", **header},
+                 np.vstack([np.zeros((0, 2 * header["m"]))] + rows))
 
 
 def read_traj_cache(path, header: dict):
     """(header, thetas, velocities), rows stacked across trajectories; checks
-    the expected header. CacheMismatch names gen-trajectories."""
+    the expected header fields. CacheMismatch names gen-trajectories."""
     existing, rows = binfile.load(path, "traj_cache", TRAJ_FORMAT_VERSION, header, "rerun gen-trajectories")
     thetas, vels = np.hsplit(rows, 2)
     return existing, np.ascontiguousarray(thetas), np.ascontiguousarray(vels)

@@ -101,21 +101,6 @@ class FitResult:
     steps: int
 
 
-def fit_initial(
-    arch: rom.RomArch,
-    spec: InitialSpec,
-    n_x: int,
-    eps0_target: float,
-    seed: int,
-    *,
-    lr: float,
-    max_steps: int,
-    theta_init: np.ndarray | None = None,
-) -> FitResult:
-    """One initial's fit: fit_initials on a stack of one."""
-    return fit_initials(arch, [spec], n_x, eps0_target, [seed], lr=lr, max_steps=max_steps, theta_inits=[theta_init])[0]
-
-
 def fit_initials(
     arch: rom.RomArch,
     specs: list[InitialSpec],
@@ -231,13 +216,13 @@ def _adam_fits(arch, X, G, thetas, eps0_target, lr, max_steps) -> list[tuple[np.
 # ---------------------------------------------------------------------------
 # anchor store
 
-ANCHOR_FORMAT_VERSION = 4
+ANCHOR_FORMAT_VERSION = 5
 
 
 def save_anchors(path, header: dict, entries: list[tuple[InitialSpec | None, np.ndarray, float]]) -> None:
-    """The anchor thetas as binfile rows of length header["m"]; the header
-    gains the specs (null for a transport anchor, which has none) and the
-    fit RMSEs."""
+    """The anchor thetas as binfile rows of length header["m"] under header
+    (the pipeline's record of what shaped them and m), which gains the
+    specs (null for a transport anchor, which has none) and the fit RMSEs."""
     header = {
         "format_version": ANCHOR_FORMAT_VERSION,
         "kind": "anchor_store",
@@ -249,5 +234,6 @@ def save_anchors(path, header: dict, entries: list[tuple[InitialSpec | None, np.
 
 
 def load_anchors(path, header: dict) -> tuple[dict, np.ndarray]:
-    """(header, thetas) of an anchor store; checks the expected header."""
+    """(header, thetas) of an anchor store; checks the expected header
+    fields."""
     return binfile.load(path, "anchor_store", ANCHOR_FORMAT_VERSION, header, "rerun fit-initial")

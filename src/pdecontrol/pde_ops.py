@@ -20,19 +20,10 @@ class Transport:
     def __post_init__(self):
         object.__setattr__(self, "velocity", np.asarray(self.velocity, dtype=np.float64))
 
-    @property
-    def tag(self) -> str:
-        comps = ",".join(repr(float(v)) for v in self.velocity)
-        return f"transport[v=({comps})]"
-
 
 @dataclass(frozen=True)
 class Heat:
     """F[u] = laplacian(u)."""
-
-    @property
-    def tag(self) -> str:
-        return "heat"
 
 
 @dataclass(frozen=True)
@@ -44,10 +35,6 @@ class AllenCahn:
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-
-    @property
-    def tag(self) -> str:
-        return f"allen_cahn[eps={self.epsilon!r}]"
 
 
 PdeOperator = Transport | Heat | AllenCahn

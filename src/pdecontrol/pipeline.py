@@ -1,7 +1,10 @@
 """Command bodies shared by the CLI: each function reads/writes only its
 declared artifacts at their RunConfig.path. Each artifact's header records
-the inputs that shaped it, and every reader checks them against the config,
-so a stale artifact fails fast (exit 4) naming the command to rerun. The
+what shaped it, RunConfig.provenance: the config leaves that config's
+_PROVENANCE table lists for it and for every artifact upstream. Every reader
+compares that record whole with the config's, so a stale artifact fails fast
+(exit 4) naming the first differing leaf and the command to rerun. Besides
+the record, a header holds only data-format fields and data digests. The
 anchor store is the one record of each initial (its spec, fit RMSE and
 theta0): a solution is tied to its anchor's theta0, not to a copy of it.
 """
@@ -19,8 +22,8 @@ from .config import RunConfig, check_stage
 from .errors import CacheMismatch, ConfigError, MissingArtifact, NonFiniteError
 from .sampling import AnchorBalls, Purpose, rng_for, sample_theta
 
-SOLUTION_FORMAT_VERSION = 5
-CURVE_FORMAT_VERSION = 1
+SOLUTION_FORMAT_VERSION = 6
+CURVE_FORMAT_VERSION = 2
 # the default grid sizes of reference (IMEX cells and steps) and of eval (Monte-Carlo points)
 REFERENCE_NX = 100
 REFERENCE_NT = 2000
@@ -84,16 +87,12 @@ def cmd_fit_initial(cfg: RunConfig) -> list[dict]:
         seeds = [cfg.seed + 1000 + k for k in range(len(specs))]
         fits = fit.fit_initials(cfg.rom_arch, specs, ini["fit_n_x"], ini["eps0_target"], seeds, **ini["fit"])
         entries = [(spec, res.theta, res.rmse) for spec, res in zip(specs, fits)]
-    fit.save_anchors(cfg.path("anchors"), cfg.anchor_header(), entries)
+    fit.save_anchors(cfg.path("anchors"), {**cfg.provenance("anchors"), "m": rom.param_count(cfg.rom_arch)}, entries)
     return [{"rmse": rmse, "theta_norm": float(np.linalg.norm(theta))} for _, theta, rmse in entries]
 
 
 def _gram_thetas(cfg: RunConfig) -> np.ndarray:
     return sample_theta(cfg.theta_space(), cfg.raw["counts"]["n_theta"], cfg.seed, Purpose.GRAM_THETA)
-
-
-def _gram_header(cfg: RunConfig) -> dict:
-    return assembly.cache_header(cfg.rom_arch, cfg.operator, cfg.raw["counts"]["n_x"], cfg.seed)
 
 
 def _read_gram_cache(cfg: RunConfig) -> assembly.GramCache:
@@ -102,66 +101,49 @@ def _read_gram_cache(cfg: RunConfig) -> assembly.GramCache:
     path = cfg.path("gram_cache")
     if not os.path.exists(path):
         raise MissingArtifact(f"gram cache {path} not found; run sample-gram first")
-    return assembly.read_cache(path, _gram_header(cfg), _gram_thetas(cfg))
+    return assembly.read_cache(path, cfg.provenance("gram_cache"), _gram_thetas(cfg))
 
 
 def cmd_sample_gram(cfg: RunConfig) -> dict:
     cfg.ensure_layout()
     return assembly.assemble_batch(cfg.rom_arch, _gram_thetas(cfg), cfg.operator, cfg.raw["counts"]["n_x"],
-                                   cfg.seed, cfg.path("gram_cache"))
+                                   cfg.seed, cfg.path("gram_cache"), cfg.provenance("gram_cache"))
 
 
-def _traj_plan(cfg: RunConfig) -> tuple[dict, np.ndarray]:
-    """The trajectory cache header and the start thetas the config implies."""
-    counts = cfg.raw["counts"]
-    n_traj = counts["n_traj"]
-    starts = np.zeros((0, rom.param_count(cfg.rom_arch)))
-    if n_traj:
-        space = cfg.theta_space()
-        if isinstance(space, AnchorBalls):
-            starts = space.anchors[np.arange(n_traj) % len(space.anchors)]
-        else:
-            starts = sample_theta(space, n_traj, cfg.seed, Purpose.TRAJ_STARTS)
-    h = cfg.raw["problem"]["horizon"] / counts["n_t"]
-    header = evolve.traj_cache_header(_gram_header(cfg), h, counts["n_t"], starts)
-    return header, starts
+def _traj_starts(cfg: RunConfig) -> np.ndarray:
+    """The start thetas of the marches the config implies: the anchors in
+    turn on anchor balls, else draws from the box."""
+    n_traj = cfg.raw["counts"]["n_traj"]
+    if not n_traj:
+        return np.zeros((0, rom.param_count(cfg.rom_arch)))
+    space = cfg.theta_space()
+    if isinstance(space, AnchorBalls):
+        return space.anchors[np.arange(n_traj) % len(space.anchors)]
+    return sample_theta(space, n_traj, cfg.seed, Purpose.TRAJ_STARTS)
 
 
 def cmd_gen_trajectories(cfg: RunConfig) -> dict:
     cfg.ensure_layout()
     counts = cfg.raw["counts"]
-    header, starts = _traj_plan(cfg)
+    starts = _traj_starts(cfg)
+    h = cfg.raw["problem"]["horizon"] / counts["n_t"]
     trajs = []
     blowups = 0
     for i in range(starts.shape[0]):
-        traj = evolve.gen_trajectory(cfg.rom_arch, starts[i], cfg.operator, counts["n_t"], header["h"],
-                                     counts["n_x"], cfg.seed, index=i)
+        traj = evolve.gen_trajectory(cfg.rom_arch, starts[i], cfg.operator, counts["n_t"], h, counts["n_x"],
+                                     cfg.seed, index=i)
         blowups += int(traj.blowup_step is not None)
         trajs.append(traj)
-    evolve.write_traj_cache(cfg.path("traj_cache"), header, trajs)
+    evolve.write_traj_cache(cfg.path("traj_cache"),
+                            {**cfg.provenance("traj_cache"), "m": rom.param_count(cfg.rom_arch), "h": h}, trajs)
     pairs = sum(t.thetas.shape[0] for t in trajs)
     return {"trajectories": len(trajs), "pairs": pairs, "blowups": blowups}
 
 
-def _control_inputs(cfg: RunConfig) -> dict:
-    """What shaped the control field's training data, as its checkpoint
-    records it: the fields of the Gram-cache header the config implies (of
-    the trajectory-cache header, which holds them, when counts.n_traj > 0),
-    counts.n_theta and the theta_space block, with the anchor-store header
-    for anchor balls. train.* is not among them: --resume continues under a
-    new schedule."""
-    header = _traj_plan(cfg)[0] if cfg.raw["counts"]["n_traj"] else _gram_header(cfg)
-    space = dict(cfg.raw["theta_space"])
-    if space["kind"] == "anchor_balls":
-        space["anchors"] = cfg.anchor_header()
-    fields = {key: value for key, value in header.items() if key not in ("format_version", "kind")}
-    return dict(fields, n_theta=cfg.raw["counts"]["n_theta"], theta_space=space)
-
-
 def _load_control(cfg: RunConfig) -> cn.ControlNet:
-    """The trained control net, checked against the config's control_arch
-    (the ROM's parameter count, width and depth) and its _control_inputs."""
-    return cn.load_control_checkpoint(cfg.path("checkpoint"), cfg.control_arch, _control_inputs(cfg))
+    """The trained control net of the config's control_arch, checked
+    against the config's record of what shaped it."""
+    return cn.load_control_checkpoint(cfg.path("checkpoint"), cfg.control_arch, cfg.provenance("checkpoint"))
 
 
 def cmd_train_control(
@@ -198,7 +180,7 @@ def cmd_train_control(
             )
         gram, rows = cache.records, cache.rows
     if cfg.raw["counts"]["n_traj"]:
-        pairs = evolve.read_traj_cache(cfg.path("traj_cache"), header=_traj_plan(cfg)[0])[1:]
+        pairs = evolve.read_traj_cache(cfg.path("traj_cache"), cfg.provenance("traj_cache"))[1:]
     n_pairs = 0 if pairs is None else int(pairs[0].shape[0])
     if not n_pairs and any(stage.get("pairs_only") for stage in stages):
         raise MissingArtifact("pairs-only training needs a nonempty trajectory cache")
@@ -206,7 +188,7 @@ def cmd_train_control(
         net = _load_control(cfg)
     else:
         net = cn.ControlNet(cfg.control_arch, cn.init_control_params(cfg.control_arch, cfg.seed))
-    inputs = _control_inputs(cfg)
+    inputs = cfg.provenance("checkpoint")
     # a resumed run checks the rows it continues before it trains
     history_path = cfg.path("loss_history")
     kept = cn.read_loss_history(history_path) if resume and os.path.exists(history_path) else None
@@ -228,7 +210,7 @@ def cmd_train_control(
 def _anchors(cfg: RunConfig) -> list[tuple[fit.InitialSpec | None, float, np.ndarray]]:
     """(spec, fit RMSE, theta0) of every row of the anchor store, the one
     record of each initial; a transport anchor has no spec."""
-    header, thetas = fit.load_anchors(cfg.path("anchors"), cfg.anchor_header())
+    header, thetas = fit.load_anchors(cfg.path("anchors"), cfg.provenance("anchors"))
     specs = [None if doc is None else fit.spec_from_dict(doc) for doc in header["specs"]]
     return list(zip(specs, header["rmse"], thetas))
 
@@ -251,7 +233,7 @@ def cmd_solve(cfg: RunConfig, anchor_index: int = 0) -> dict:
     header = {
         "format_version": SOLUTION_FORMAT_VERSION,
         "kind": "solution",
-        **_solution_inputs(cfg),
+        **cfg.provenance("solution"),
         "control_sha256": net.sha256,
         "step": traj.step,
         "blowup_step": traj.blowup_step,
@@ -267,20 +249,12 @@ def cmd_solve(cfg: RunConfig, anchor_index: int = 0) -> dict:
     }
 
 
-def _solution_inputs(cfg: RunConfig) -> dict:
-    """What a solution records of the config that shaped it, besides its
-    control field and its anchor."""
-    return {"arch_hash": rom.arch_hash(cfg.rom_arch), "horizon": cfg.raw["problem"]["horizon"],
-            "n_steps": cfg.raw["solve"]["n_steps"]}
-
-
 def _read_solution(cfg: RunConfig, index: int, theta0: np.ndarray) -> tuple[dict, evolve.ParamTrajectory]:
     """The solution's header and trajectory, times rebuilt as step * j. It
-    must record the config's ROM, horizon and solve.n_steps, and start at
-    theta0, bit for bit, which ties it to its anchor (a refit moves the
-    anchor)."""
+    must record the config's record of what shaped it, and start at theta0,
+    bit for bit, which ties it to its anchor."""
     path = cfg.path("solution", index)
-    header, thetas = binfile.load(path, "solution", SOLUTION_FORMAT_VERSION, _solution_inputs(cfg), "rerun solve")
+    header, thetas = binfile.load(path, "solution", SOLUTION_FORMAT_VERSION, cfg.provenance("solution"), "rerun solve")
     if thetas[:1].tobytes() != theta0.tobytes():
         raise CacheMismatch(f"{path} does not start at anchor {index} of {cfg.path('anchors')}; rerun solve")
     return header, evolve.ParamTrajectory(
@@ -300,7 +274,7 @@ def _check_control(cfg: RunConfig, index: int, header: dict, control_sha256: str
     which is read alone (the net is neither read nor hashed) and checked
     against the config."""
     if control_sha256 is None:
-        control_sha256 = cn.checkpoint_sha256(cfg.path("checkpoint"), cfg.control_arch, _control_inputs(cfg))
+        control_sha256 = cn.checkpoint_sha256(cfg.path("checkpoint"), cfg.provenance("checkpoint"))
     binfile.check_header(cfg.path("solution", index), header, {"control_sha256": control_sha256}, "rerun solve")
 
 
@@ -311,13 +285,6 @@ def load_solution(cfg: RunConfig, index: int, theta0: np.ndarray,
     header, traj = _read_solution(cfg, index, theta0)
     _check_control(cfg, index, header, control_sha256)
     return traj
-
-
-def _reference_header(cfg: RunConfig, spec: fit.InitialSpec) -> dict:
-    """Every input of an IMEX reference but the grid sizes; the box is
-    allen_cahn's."""
-    p = cfg.raw["problem"]
-    return {"initial": spec.describe(), "epsilon": p["epsilon"], "horizon": p["horizon"]}
 
 
 def cmd_reference(cfg: RunConfig, anchor_index: int = 0, nx: int = REFERENCE_NX, nt: int = REFERENCE_NT) -> dict:
@@ -332,7 +299,7 @@ def cmd_reference(cfg: RunConfig, anchor_index: int = 0, nx: int = REFERENCE_NX,
     grid = reference.solve_allen_cahn_imex(spec, p["epsilon"], nx, nt, p["horizon"],
                                            lo=cfg.rom_arch.lo, hi=cfg.rom_arch.hi)
     path = cfg.path("reference", anchor_index)
-    reference.save_grid_solution(grid, path, _reference_header(cfg, spec))
+    reference.save_grid_solution(grid, path, cfg.provenance("reference"))
     return {"path": path, "snapshots": len(grid.times)}
 
 
@@ -345,7 +312,7 @@ def build_reference(cfg: RunConfig, index: int, spec: fit.InitialSpec | None, th
         return reference.TransportShift(model=rom.RomModel(cfg.rom_arch, theta0), velocity=cfg.operator.velocity)
     if kind == "heat":
         return reference.HeatSeries(spec.coeffs)
-    return reference.load_grid_solution(cfg.path("reference", index), _reference_header(cfg, spec))
+    return reference.load_grid_solution(cfg.path("reference", index), cfg.provenance("reference"))
 
 
 def _solution_and_reference(cfg: RunConfig, index: int):
@@ -367,7 +334,7 @@ def cmd_eval(cfg: RunConfig, anchor_index: int = 0, n_x: int = EVAL_N_X, max_tim
     curve = reference.error_curve(cfg.rom_arch, traj, ref, n_x, seed=cfg.seed, max_times=max_times)
     path = cfg.path("errors", anchor_index)
     # rows (t, abs_err, rel_err), rel_err NaN where undefined
-    binfile.save(path, {"format_version": CURVE_FORMAT_VERSION, "kind": "error_curve",
+    binfile.save(path, {"format_version": CURVE_FORMAT_VERSION, "kind": "error_curve", **cfg.provenance("errors"),
                         "solution_sha256": binfile.digest(traj.thetas)},
                  np.stack([curve.times, curve.abs_err, curve.rel_err], axis=1))
     finite = curve.rel_err[np.isfinite(curve.rel_err)]
@@ -426,7 +393,8 @@ def cmd_verify(cfg: RunConfig) -> dict:
         curve = cfg.path("errors", k)
         if os.path.exists(curve):
             _, rows = binfile.load(curve, "error_curve", CURVE_FORMAT_VERSION,
-                                   {"solution_sha256": binfile.digest(traj.thetas)}, "rerun eval")
+                                   {**cfg.provenance("errors"), "solution_sha256": binfile.digest(traj.thetas)},
+                                   "rerun eval")
             rel = rows[:, 2]
             entry["abs_err_max"] = float(rows[:, 1].max())
             entry["rel_err_max"] = None if np.isnan(rel).all() else float(np.nanmax(rel))

@@ -65,11 +65,9 @@ each.
 from __future__ import annotations
 
 import functools
-import hashlib
-import json
 import math
 from collections.abc import Callable
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,12 +130,6 @@ class RomArch:
     @property
     def net_input_dim(self) -> int:
         return 2 * self.input_dim if self.kind == RESNET_PERIODIC else self.input_dim
-
-
-def arch_hash(arch: RomArch) -> str:
-    """Stable 16-hex-digit digest of the architecture's fields."""
-    blob = json.dumps(asdict(arch), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def _table(shapes) -> tuple[tuple[slice, tuple[int, ...]], ...]:

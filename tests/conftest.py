@@ -54,6 +54,14 @@ def check_layout_table(table, shapes: list[tuple[int, ...]], rng) -> None:
             assert np.array_equal(view[k], row_view)
 
 
+def settable_leaves(schema: dict, path: str = "") -> list[str]:
+    """The dotted key paths a config can set, the keys of a train.schedule stage among them."""
+    props = schema.get("properties") or schema.get("items", {}).get("properties")
+    if not props:
+        return [path]
+    return [leaf for key, sub in props.items() for leaf in settable_leaves(sub, f"{path}.{key}".lstrip("."))]
+
+
 def overflowing_net(arch: cn.ControlArch) -> cn.ControlNet:
     """A net whose field overflows at every theta: H = tanh(10) in every
     layer (the gates are 0) under an output layer of 1e308."""

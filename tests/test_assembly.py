@@ -96,27 +96,31 @@ def test_monte_carlo_consistency_rate(unit_interval):
     assert errs[2] < errs[0] / 4.0 * 3.0  # ~1/2 per quadrupling, 3x slack
 
 
+def _header(n_x: int, seed: int = 0) -> dict:  # as the pipeline records what shapes a record
+    return {"config": {"counts.n_x": n_x, "seed": seed}}
+
+
 def test_cache_resume_determinism(tmp_path):
     arch = rom.RomArch("resnet_zero_boundary", 1, 4, 2, "tanh")
     thetas = sample_theta(Box(1.0, rom.param_count(arch)), 10, seed=1, purpose=Purpose.GRAM_THETA)
     p1 = tmp_path / "cache1.bin"
-    stats = assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 7, p1)
+    stats = assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 7, p1, _header(32, 7))
     assert stats["computed"] == 10
     payload = p1.read_bytes()
 
-    stats2 = assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 7, p1)
+    stats2 = assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 7, p1, _header(32, 7))
     assert stats2["computed"] == 0 and stats2["resumed"] == 10
     assert p1.read_bytes() == payload
 
     # a run cut after four records, resumed over all ten
     p2 = tmp_path / "cache2.bin"
-    assembly.assemble_batch(arch, thetas[:4], pde_ops.Heat(), 32, 7, p2)
-    stats3 = assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 7, p2)
+    assembly.assemble_batch(arch, thetas[:4], pde_ops.Heat(), 32, 7, p2, _header(32, 7))
+    stats3 = assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 7, p2, _header(32, 7))
     assert stats3["resumed"] == 4 and stats3["computed"] == 6
     assert p2.read_bytes() == payload
 
     p3 = tmp_path / "cache3.bin"
-    assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 7, p3)
+    assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 7, p3, _header(32, 7))
     assert p3.read_bytes() == payload
 
 
@@ -124,21 +128,23 @@ def test_cache_header_mismatch(tmp_path):
     arch = fourier_sine_arch(3)
     thetas = sample_theta(Box(1.0, 3), 2, seed=0, purpose=Purpose.GRAM_THETA)
     path = tmp_path / "c.bin"
-    assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 16, 0, path)
-    with pytest.raises(CacheMismatch):
-        assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 0, path)
-    other = fourier_sine_arch(4)
-    with pytest.raises(CacheMismatch, match="arch_hash"):
-        assembly.read_cache(path, assembly.cache_header(other, pde_ops.Heat(), 16, 0), thetas)
+    assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 16, 0, path, _header(16))
+    with pytest.raises(CacheMismatch, match="'counts.n_x'"):
+        assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 0, path, _header(32))
+    # the record is compared whole: a leaf that the file lacks differs too
+    with pytest.raises(CacheMismatch, match="'rom_arch.n_modes'"):
+        assembly.read_cache(path, {"config": {**_header(16)["config"], "rom_arch.n_modes": 3}}, thetas)
+    with pytest.raises(CacheMismatch, match="'m'"):
+        assembly.read_cache(path, _header(16), np.zeros((2, 4)))
 
 
 def test_empty_batch_cache(tmp_path):
     arch = fourier_sine_arch(2)
     empty = sample_theta(Box(1.0, 2), 1, seed=0, purpose=Purpose.GRAM_THETA)[:0]
     path = tmp_path / "empty.bin"
-    stats = assembly.assemble_batch(arch, empty, pde_ops.Heat(), 16, 0, path)
+    stats = assembly.assemble_batch(arch, empty, pde_ops.Heat(), 16, 0, path, _header(16))
     assert stats["total"] == 0
-    cache = assembly.read_cache(path, assembly.cache_header(arch, pde_ops.Heat(), 16, 0), empty)
+    cache = assembly.read_cache(path, _header(16), empty)
     assert cache.header["kind"] == "gram_cache" and cache.rows.size == 0
     theta, _, gram, _ = cache_parts(cache)
     assert theta.shape == (0, 2) and gram.shape == (0, 2, 2)
@@ -151,9 +157,9 @@ def test_nonfinite_records_skipped(tmp_path):
     thetas[1] = np.array([1e300, 1e300])
     path = tmp_path / "skip.bin"
     with np.errstate(over="ignore", invalid="ignore"):
-        stats = assembly.assemble_batch(arch, thetas, pde_ops.AllenCahn(1e-4), 16, 0, path)
+        stats = assembly.assemble_batch(arch, thetas, pde_ops.AllenCahn(1e-4), 16, 0, path, _header(16))
     assert stats["skipped"] == 1
-    cache = assembly.read_cache(path, assembly.cache_header(arch, pde_ops.AllenCahn(1e-4), 16, 0), thetas)
+    cache = assembly.read_cache(path, _header(16), thetas)
     theta = cache_parts(cache)[0]
     assert theta.shape[0] == 3
     assert cache.rows.tolist() == [0, 2]
@@ -164,18 +170,14 @@ def _small_cache(tmp_path, n=6, name="c.bin", half_width=1.0):
     arch = rom.RomArch("resnet_zero_boundary", 1, 3, 2, "tanh")
     thetas = sample_theta(Box(half_width, rom.param_count(arch)), n, seed=2, purpose=Purpose.GRAM_THETA)
     path = tmp_path / name
-    stats = assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 24, 5, path)
+    stats = assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 24, 5, path, _header(24, 5))
     return arch, thetas, path, stats
-
-
-def _small_header(arch):
-    return assembly.cache_header(arch, pde_ops.Heat(), 24, 5)
 
 
 def test_cache_roundtrip_exact_and_mapped(tmp_path):
     arch, thetas, path, _ = _small_cache(tmp_path)
     m = rom.param_count(arch)
-    cache = assembly.read_cache(path, _small_header(arch), thetas)
+    cache = assembly.read_cache(path, _header(24, 5), thetas)
     record_bytes = 8 * (2 * m + m * m + 1)
     # the record table's views into the mapped records, not copies
     theta, rhs, gram, status = cache_parts(cache)
@@ -198,15 +200,15 @@ def test_cache_torn_tail_is_recomputed(tmp_path):
     arch, thetas, torn, _ = _small_cache(tmp_path, name="torn.bin")
     torn.write_bytes(payload[:-37])
     with pytest.raises(PdeControlError):
-        assembly.read_cache(torn, _small_header(arch), thetas)
-    stats = assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 24, 5, torn)
+        assembly.read_cache(torn, _header(24, 5), thetas)
+    stats = assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 24, 5, torn, _header(24, 5))
     assert stats["computed"] == 1 and stats["resumed"] == 5
     assert torn.read_bytes() == payload
     # a record whose status word never landed (zero-filled tail) is not finished
     torn.write_bytes(payload[:-8] + bytes(8))
     with pytest.raises(CacheMismatch):
-        assembly.read_cache(torn, _small_header(arch), thetas)
-    stats = assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 24, 5, torn)
+        assembly.read_cache(torn, _header(24, 5), thetas)
+    stats = assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 24, 5, torn, _header(24, 5))
     assert stats["computed"] == 1 and torn.read_bytes() == payload
 
 
@@ -221,29 +223,29 @@ def test_cache_rejects_changed_theta(tmp_path):
 
 def test_read_cache_first_n_records(tmp_path):
     arch, thetas, path, _ = _small_cache(tmp_path, n=6)
-    cache = assembly.read_cache(path, _small_header(arch), thetas[:4])
+    cache = assembly.read_cache(path, _header(24, 5), thetas[:4])
     theta = cache_parts(cache)[0]
     assert theta.shape[0] == 4 and cache.rows.tolist() == [0, 1, 2, 3]
     assert np.array_equal(theta, thetas[:4])
     more = sample_theta(Box(1.0, rom.param_count(arch)), 7, seed=2, purpose=Purpose.GRAM_THETA)
     assert np.array_equal(more[:6], thetas)
     with pytest.raises(MissingArtifact):
-        assembly.read_cache(path, _small_header(arch), more)
+        assembly.read_cache(path, _header(24, 5), more)
     with pytest.raises(CacheMismatch, match="different theta"):
-        assembly.read_cache(path, _small_header(arch), thetas[:4] + 1.0)
+        assembly.read_cache(path, _header(24, 5), thetas[:4] + 1.0)
 
 
 def test_old_json_cache_rejected(tmp_path):
     arch = fourier_sine_arch(2)
     path = tmp_path / "gram.jsonl"
-    old = {"format_version": 1, "kind": "gram_cache", "arch_hash": rom.arch_hash(arch), "op_tag": "heat",
+    old = {"format_version": 1, "kind": "gram_cache", "arch_hash": "0123456789abcdef", "op_tag": "heat",
            "n_x": 16, "m": 2, "seed": 0}
     path.write_text(json.dumps(old) + "\n" + json.dumps({"index": 0, "theta": [0.1, 0.2]}) + "\n")
     thetas = sample_theta(Box(1.0, 2), 2, seed=0, purpose=Purpose.GRAM_THETA)
     with pytest.raises(CacheMismatch, match="rerun sample-gram"):
-        assembly.read_cache(path, assembly.cache_header(arch, pde_ops.Heat(), 16, 0), thetas)
+        assembly.read_cache(path, _header(16), thetas)
     with pytest.raises(CacheMismatch, match="rerun sample-gram"):
-        assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 16, 0, path)
+        assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 16, 0, path, _header(16))
 
 
 def test_gd_projection_identity_gram():

@@ -349,15 +349,16 @@ def test_residual_scan_raises_on_a_field_that_overflows(rng):
 def test_checkpoint_roundtrip(tmp_path, small_arch, rng):
     net = make_net(small_arch, jitter=0.1, rng=rng)
     path = tmp_path / "control.bin"
-    # the header records the arch and what shaped the training data, and a reader checks both
-    cn.save_control_checkpoint(net, path, {"n_theta": 4})
-    loaded = cn.load_control_checkpoint(path, small_arch, {"n_theta": 4})
+    # the header records what shaped the net and its data; a reader checks it and the arch's parameter count
+    record = {"config": {"counts.n_theta": 4}}
+    cn.save_control_checkpoint(net, path, record)
+    loaded = cn.load_control_checkpoint(path, small_arch, record)
     assert loaded.arch == small_arch
     assert np.array_equal(loaded.xi, net.xi)
-    with pytest.raises(CacheMismatch, match="'n_theta' .* rerun train-control"):
-        cn.load_control_checkpoint(path, small_arch, {"n_theta": 5})
-    with pytest.raises(CacheMismatch, match="'arch' .* rerun train-control"):
-        cn.load_control_checkpoint(path, cn.ControlArch(input_dim=4, width=8, depth=2), {"n_theta": 4})
+    with pytest.raises(CacheMismatch, match="'counts.n_theta' .* rerun train-control"):
+        cn.load_control_checkpoint(path, small_arch, {"config": {"counts.n_theta": 5}})
+    with pytest.raises(CacheMismatch, match="parameters; rerun train-control"):
+        cn.load_control_checkpoint(path, cn.ControlArch(input_dim=4, width=8, depth=2), record)
 
 
 def test_checkpoint_rejects_old_json_and_torn_files(tmp_path, small_arch, rng):
@@ -382,9 +383,9 @@ def test_checkpoint_records_and_checks_the_digest_of_xi(tmp_path, small_arch, rn
     header, offset = binfile.read_header(path, "control_checkpoint", cn.FORMAT_VERSION, "")
     assert header["xi_sha256"] == binfile.digest(net.xi)
     assert cn.load_control_checkpoint(path, small_arch, {"n_theta": 4}).sha256 == header["xi_sha256"]
-    assert cn.checkpoint_sha256(path, small_arch, {"n_theta": 4}) == header["xi_sha256"]
+    assert cn.checkpoint_sha256(path, {"n_theta": 4}) == header["xi_sha256"]
     with pytest.raises(CacheMismatch, match="'n_theta' .* rerun train-control"):
-        cn.checkpoint_sha256(path, small_arch, {"n_theta": 5})
+        cn.checkpoint_sha256(path, {"n_theta": 5})
     # parameters changed in place, with the header left as it was
     data = bytearray(path.read_bytes())
     data[offset] ^= 1
@@ -392,7 +393,7 @@ def test_checkpoint_records_and_checks_the_digest_of_xi(tmp_path, small_arch, rn
     with pytest.raises(CacheMismatch, match="xi_sha256; rerun train-control"):
         cn.load_control_checkpoint(path, small_arch, {"n_theta": 4})
     with pytest.raises(MissingArtifact, match="rerun train-control"):
-        cn.checkpoint_sha256(tmp_path / "none.bin", small_arch, {})
+        cn.checkpoint_sha256(tmp_path / "none.bin", {})
 
 
 def _reference_forward(arch, xi, TH):
@@ -432,8 +433,8 @@ def test_forward_and_train_bit_identical(tmp_path, small_arch, rng):
     m = rom.param_count(arch)
     thetas = sample_theta(Box(1.0, m), 12, seed=3, purpose=Purpose.GRAM_THETA)
     path = tmp_path / "gram.bin"
-    assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 1, path)
-    cache = assembly.read_cache(path, assembly.cache_header(arch, pde_ops.Heat(), 32, 1), thetas)
+    assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 1, path, {})
+    cache = assembly.read_cache(path, {}, thetas)
     rows = np.array([0, 2, 3, 5, 7, 8, 9, 11])
     carch = cn.ControlArch(input_dim=m, width=8, depth=3)
     cfg = dict(lr=1e-2, zeta=0.0, batch_size=3, stop_loss=0.0, max_steps=25, seed=4)
@@ -592,8 +593,8 @@ def _mapped_cache(tmp_path, n=12):
     arch = rom.RomArch("resnet_zero_boundary", 1, 2, 2, "tanh")
     thetas = sample_theta(Box(1.0, rom.param_count(arch)), n, seed=3, purpose=Purpose.GRAM_THETA)
     path = tmp_path / "gram.bin"
-    assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 1, path)
-    return assembly.read_cache(path, assembly.cache_header(arch, pde_ops.Heat(), 32, 1), thetas)
+    assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 1, path, {})
+    return assembly.read_cache(path, {}, thetas)
 
 
 def test_loss_on_a_mapped_cache_is_the_gathered_minibatch_loss_bit_for_bit(tmp_path, rng, monkeypatch):
@@ -672,8 +673,8 @@ def test_a_train_step_holds_no_minibatch_of_gram_matrices(tmp_path):
     arch = fourier_sine_arch(m)
     thetas = sample_theta(Box(1.0, m), n, seed=0, purpose=Purpose.GRAM_THETA)
     path = tmp_path / "gram.bin"
-    assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 64, 0, path)
-    cache = assembly.read_cache(path, assembly.cache_header(arch, pde_ops.Heat(), 64, 0), thetas)
+    assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 64, 0, path, {})
+    cache = assembly.read_cache(path, {}, thetas)
     carch = cn.ControlArch(input_dim=m, width=8, depth=2)
     peaks = []
     for batch_size in (64, 128):

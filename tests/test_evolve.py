@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pdecontrol import assembly, evolve, pde_ops
+from pdecontrol import evolve, pde_ops
 from pdecontrol import control_net as cn
 from pdecontrol.errors import CacheMismatch, NonFiniteError
 from pdecontrol.sampling import AnchorBalls, Box, Purpose, sample_theta
@@ -294,20 +294,16 @@ def test_traj_cache_roundtrip(tmp_path):
         for i in range(2)
     ]
     path = tmp_path / "traj.bin"
-    gram_header = assembly.cache_header(arch, op, 32, 0)
-    header = evolve.traj_cache_header(gram_header, 0.01, 4, starts)
-    evolve.write_traj_cache(path, header, trajs)
+    record = {"config": {"counts.n_traj": 2, "counts.n_t": 4}}
+    evolve.write_traj_cache(path, dict(record, m=3, h=0.01), trajs)
     assert [p.name for p in tmp_path.iterdir()] == ["traj.bin"]
-    read, thetas, vels = evolve.read_traj_cache(path, header=header)
-    assert read == dict(header, shape=[10, 6]) and read["op_tag"] == "heat" and read["n_traj"] == 2
+    read, thetas, vels = evolve.read_traj_cache(path, record)
+    assert read == {"format_version": evolve.TRAJ_FORMAT_VERSION, "kind": "traj_cache", **record, "m": 3, "h": 0.01,
+                    "shape": [10, 6]}
     assert thetas.tobytes() == np.vstack([t.thetas for t in trajs]).tobytes()
     assert vels.tobytes() == np.vstack([t.velocities for t in trajs]).tobytes()
-    other = fourier_sine_arch(4)
-    with pytest.raises(CacheMismatch, match="arch_hash"):
-        evolve.read_traj_cache(path, header=evolve.traj_cache_header(
-            assembly.cache_header(other, op, 32, 0), 0.01, 4, np.zeros((2, 4))))
-    with pytest.raises(CacheMismatch, match="starts_sha256"):
-        evolve.read_traj_cache(path, header=evolve.traj_cache_header(gram_header, 0.01, 4, starts + 1.0))
+    with pytest.raises(CacheMismatch, match="'counts.n_t' .* rerun gen-trajectories"):
+        evolve.read_traj_cache(path, {"config": {"counts.n_traj": 2, "counts.n_t": 5}})
 
 
 def test_traj_cache_torn_line_names_the_remedy(tmp_path):
@@ -315,9 +311,7 @@ def test_traj_cache_torn_line_names_the_remedy(tmp_path):
     starts = np.array([[0.3, -0.2]])
     traj = evolve.gen_trajectory(arch, starts[0], pde_ops.Heat(), 3, 0.01, 16, 0)
     path = tmp_path / "traj.bin"
-    header = evolve.traj_cache_header(assembly.cache_header(arch, pde_ops.Heat(), 16, 0),
-                                      0.01, 3, starts)
-    evolve.write_traj_cache(path, header, [traj])
+    evolve.write_traj_cache(path, {"m": 2, "h": 0.01}, [traj])
     path.write_bytes(path.read_bytes()[:-10])
     with pytest.raises(CacheMismatch, match="holds .* rerun gen-trajectories"):
-        evolve.read_traj_cache(path, header)
+        evolve.read_traj_cache(path, {})

@@ -51,7 +51,7 @@ def test_cheb_combo_validation():
 def test_fit_linear_basis_exact():
     arch = fourier_sine_arch(8)
     spec = fit.HeatCombo(np.array([1.0, 0.0, 0.0, 0.0]))  # g = sin(pi x) = phi_1/sqrt(2)
-    res = fit.fit_initial(arch, spec, 256, 1e-8, seed=3, lr=1e-2, max_steps=4000)
+    res = fit.fit_initials(arch, [spec], 256, 1e-8, [3], lr=1e-2, max_steps=4000)[0]
     assert res.rmse < 1e-8
     assert res.target_reached
     expect = np.zeros(8)
@@ -60,7 +60,7 @@ def test_fit_linear_basis_exact():
 
 
 def _normal_equations(arch, spec, n_x, seed):
-    """The least-squares theta on fit_initial's training sample, by the normal equations."""
+    """The least-squares theta on fit_initials' training sample, by the normal equations."""
     X = sample_omega(arch.domain, n_x, seed, Purpose.FIT_SAMPLE)
     B = rom.eval_batch(rom.RomModel(arch, np.zeros(rom.param_count(arch))), X, rom.EvalFlags(grad_theta=True)).grad_theta
     theta = linalg.ridge_solve(B.T @ B / n_x, B.T @ fit.eval_initial(spec, X) / n_x, 0.0)
@@ -72,7 +72,7 @@ def test_fit_matches_normal_equations():
     # the fit solves the same sampled objective as the normal equations
     arch = fourier_sine_arch(2)
     spec = fit.HeatCombo(np.array([0.5, 0.3, -0.2, 0.4]))  # modes 3 and 4 lie outside the basis
-    res = fit.fit_initial(arch, spec, 256, 1e-12, seed=11, lr=1e-2, max_steps=2500)
+    res = fit.fit_initials(arch, [spec], 256, 1e-12, [11], lr=1e-2, max_steps=2500)[0]
     theta_ne, _ = _normal_equations(arch, spec, 256, 11)
     assert np.abs(res.theta - theta_ne).max() < 1e-12
 
@@ -87,12 +87,12 @@ def test_fit_linear_basis_is_one_least_squares_solve(coeffs, in_span):
     theta_ne, train_rmse = _normal_equations(arch, spec, 128, 4)
     assert (train_rmse < 1e-14) == in_span
     for lr, max_steps in ((1e-2, 1), (1e-5, 5000)):
-        res = fit.fit_initial(arch, spec, 128, 1e-3, seed=4, lr=lr, max_steps=max_steps)
+        res = fit.fit_initials(arch, [spec], 128, 1e-3, [4], lr=lr, max_steps=max_steps)[0]
         assert np.abs(res.theta - theta_ne).max() < 1e-12
         assert res.steps <= 1
         assert res.target_reached == in_span
-        assert fit.fit_initial(arch, spec, 128, 2.0 * train_rmse + 1e-15, seed=4, lr=lr,
-                               max_steps=max_steps).target_reached
+        assert fit.fit_initials(arch, [spec], 128, 2.0 * train_rmse + 1e-15, [4], lr=lr,
+                                max_steps=max_steps)[0].target_reached
 
 
 def test_fit_zero_target_zero_head(unit_interval):
@@ -105,7 +105,7 @@ def test_fit_zero_target_zero_head(unit_interval):
     vals = rom.eval_batch(rom.RomModel(arch, theta), X, rom.EvalFlags(value=True)).value
     assert np.all(vals == 0.0)
     spec = fit.HeatCombo(np.zeros(4))
-    res = fit.fit_initial(arch, spec, 64, 1e-9, seed=1, lr=1e-3, max_steps=1, theta_init=theta)
+    res = fit.fit_initials(arch, [spec], 64, 1e-9, [1], lr=1e-3, max_steps=1, theta_inits=[theta])[0]
     assert res.rmse == 0.0 and res.target_reached
 
 
@@ -117,7 +117,7 @@ def test_fit_resnet_heat_initial_regression(unit_interval):
     theta = None
     total_steps = 0
     for lr, steps in ((1e-2, 3000), (1e-3, 3000)):
-        res = fit.fit_initial(arch, spec, 512, 1e-3, seed=5, lr=lr, max_steps=steps, theta_init=theta)
+        res = fit.fit_initials(arch, [spec], 512, 1e-3, [5], lr=lr, max_steps=steps, theta_inits=[theta])[0]
         theta = res.theta
         total_steps += res.steps
         if res.target_reached:
@@ -153,7 +153,7 @@ def _oracle_adam_fit(arch, X, g, theta, eps0_target, lr, max_steps):
 
 
 def _oracle_fit_initial(arch, spec, n_x, eps0_target, seed, lr, max_steps, theta_init=None):
-    """fit.fit_initial with the single-fit loop for a net."""
+    """fit.fit_initials of one spec, with the single-fit loop for a net."""
     X = sample_omega(arch.domain, n_x, seed, Purpose.FIT_SAMPLE)
     g = fit.eval_initial(spec, X)
     if arch.kind == rom.LINEAR_BASIS:
@@ -293,7 +293,7 @@ def test_fit_initial_writes_the_store_of_the_single_fit_loop(tmp_path, preset, o
         entries.append((spec, res.theta, res.rmse))
         oracle_steps.append(res.steps)
     assert oracle_steps == steps
-    fit.save_anchors(tmp_path / "oracle.bin", cfg.anchor_header(), entries)
+    fit.save_anchors(tmp_path / "oracle.bin", dict(cfg.provenance("anchors"), m=entries[0][1].size), entries)
     assert Path(cfg.path("anchors")).read_bytes() == (tmp_path / "oracle.bin").read_bytes()
 
 
@@ -328,7 +328,7 @@ def test_fit_holdout_disjoint_from_training(unit_interval):
 def test_fit_target_not_reached_flag():
     arch = fourier_sine_arch(2)
     spec = fit.HeatCombo(np.array([0.0, 0.0, 1.0, 0.0]))  # sin(3 pi x): not in the 2-mode span
-    res = fit.fit_initial(arch, spec, 128, 1e-10, seed=2, lr=1e-2, max_steps=200)
+    res = fit.fit_initials(arch, [spec], 128, 1e-10, [2], lr=1e-2, max_steps=200)[0]
     assert not res.target_reached
     assert np.all(np.isfinite(res.theta))
 
@@ -340,7 +340,7 @@ def test_transport_anchors_are_box_points_drawn_per_seed(tmp_path):
         cfg = config.load_config(PRESETS / "transport_1d.json", out_dir=str(tmp_path / out), seed=seed,
                                  overrides=[f"initials.count={count}", "theta_space.half_width=0.5"])
         assert [entry["rmse"] for entry in pipeline.cmd_fit_initial(cfg)] == [0.0] * count
-        header, thetas = fit.load_anchors(cfg.path("anchors"), cfg.anchor_header())
+        header, thetas = fit.load_anchors(cfg.path("anchors"), cfg.provenance("anchors"))
         assert header["specs"] == [None] * count and header["rmse"] == [0.0] * count
         return cfg, thetas
 
@@ -358,7 +358,7 @@ def test_transport_fit_initial_with_no_initials_writes_an_empty_store(tmp_path):
     cfg = config.load_config(PRESETS / "transport_1d.json", out_dir=str(tmp_path), overrides=["initials.count=0"])
     assert cli.main(["fit-initial", "--config", str(PRESETS / "transport_1d.json"), "--out", str(tmp_path),
                      "--set", "initials.count=0"]) == 0
-    header, thetas = fit.load_anchors(cfg.path("anchors"), cfg.anchor_header())
+    header, thetas = fit.load_anchors(cfg.path("anchors"), cfg.provenance("anchors"))
     assert thetas.shape == (0, rom.param_count(cfg.rom_arch)) and header["specs"] == [] and header["rmse"] == []
 
 

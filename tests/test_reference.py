@@ -167,7 +167,7 @@ def test_error_curve_t0_matches_fit_rmse():
     # mode 3 lies outside the 2-mode basis, so the fit RMSE is well above 0
     arch = fourier_sine_arch(2)
     spec = fit.HeatCombo(np.array([0.8, 0.4, 0.3, 0.0]))
-    res = fit.fit_initial(arch, spec, 512, 5e-4, seed=21, lr=1e-2, max_steps=800)
+    res = fit.fit_initials(arch, [spec], 512, 5e-4, [21], lr=1e-2, max_steps=800)[0]
     assert res.rmse > 0.1
     ref = reference.HeatSeries(spec.coeffs)
     traj = evolve.ParamTrajectory(

@@ -495,11 +495,3 @@ def test_nonfinite_guard():
             rom.eval_batch(model, X, VAL)
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
             rom.value_at(model.arch, X)(model.theta)
-
-
-def test_arch_hash_stability():
-    a1 = rom.RomArch("resnet_periodic", 1, 4, 2, "tanh")
-    a2 = rom.RomArch("resnet_periodic", 1, 4, 2, "tanh")
-    a3 = rom.RomArch("resnet_periodic", 1, 5, 2, "tanh")
-    assert rom.arch_hash(a1) == rom.arch_hash(a2)
-    assert rom.arch_hash(a1) != rom.arch_hash(a3)
