@@ -21,8 +21,6 @@ from . import binfile, pde_ops, rom
 from .errors import CacheMismatch, MissingArtifact, NonFiniteError
 from .sampling import Purpose, sample_omega
 
-CACHE_FORMAT_VERSION = 6
-
 
 @dataclass
 class GramRecord:
@@ -107,7 +105,6 @@ def assemble_at(
 
 STATUS_OK = 1.0
 STATUS_SKIPPED = 2.0
-_RERUN = "rerun sample-gram"
 
 
 @dataclass
@@ -149,12 +146,12 @@ def _finished(status: np.ndarray) -> int:
 
 def _check_cache(cache_path, header: dict, thetas: np.ndarray):
     """(header, offset, records, torn, done) of an existing cache, after the
-    check sample-gram and the readers share: the expected header fields
-    (the pipeline's record of what shapes a record) and the parameter count
-    of thetas, and each finished record's theta against the one sampled for
+    check sample-gram and the readers share: the expected header (the
+    pipeline's, of what shapes a record) with the parameter count of
+    thetas, and each finished record's theta against the one sampled for
     its index."""
-    existing, offset = binfile.read_header(cache_path, "gram_cache", CACHE_FORMAT_VERSION, _RERUN)
-    binfile.check_header(cache_path, existing, {**header, "m": thetas.shape[1]}, f"delete it and {_RERUN}")
+    existing, offset = binfile.read_header(cache_path, header)
+    binfile.check_header(cache_path, existing, {**header, "m": thetas.shape[1]})
     records, torn = _map_records(cache_path, existing, offset)
     theta, _, _, status = rom._split(records, _record_layout(existing["m"]))
     done = _finished(status)
@@ -163,7 +160,7 @@ def _check_cache(cache_path, header: dict, thetas: np.ndarray):
     if stale.size:
         raise CacheMismatch(
             f"record {int(stale[0])} of {cache_path} was assembled at a different theta "
-            f"(theta_space or anchors changed); delete it and {_RERUN}"
+            f"(theta_space or anchors changed); delete it and {binfile.remedy(header)}"
         )
     return existing, offset, records, torn, done
 
@@ -192,8 +189,8 @@ def assemble_batch(
     header: dict,
 ) -> dict:
     """Assemble records for every row of thetas in order, appending to
-    cache_path, whose header records the fields of header (the pipeline's
-    record of what shapes a record) and the parameter count m.
+    cache_path, whose header is header (the pipeline's, of what shapes a
+    record) with the parameter count m.
 
     Resumable: finished records whose header fields and theta match are kept
     (the file is extended, not rewritten) and a torn final record is cut off
@@ -215,8 +212,7 @@ def assemble_batch(
     skipped = 0
     with open(cache_path, mode) as fh:
         if mode == "wb":
-            fh.write(binfile.encode_header({"format_version": CACHE_FORMAT_VERSION, "kind": "gram_cache", "m": m,
-                                            **header}))
+            fh.write(binfile.encode_header({**header, "m": m}))
         for index in todo:
             try:
                 rec = assemble_at(arch, thetas[index], op, n_x, seed, Purpose.GRAM_POINTS, index)
@@ -229,17 +225,19 @@ def assemble_batch(
 
 def read_cache(cache_path, header: dict, thetas: np.ndarray) -> GramCache:
     """Memory-map the first len(thetas) records of a Gram cache, after
-    checking the expected header fields and the theta sampled for each
-    record as sample-gram does.
+    checking the expected header and the theta sampled for each record as
+    sample-gram does.
 
     Raises CacheMismatch for a foreign, old-format, torn or stale cache, and
-    MissingArtifact when fewer than len(thetas) records are finished.
+    MissingArtifact for a missing cache or when fewer than len(thetas)
+    records are finished.
     """
+    rerun = binfile.remedy(header)
     header, _, records, torn, done = _check_cache(cache_path, header, thetas)
     if torn or done < records.shape[0]:
-        raise CacheMismatch(f"{cache_path} holds a partly written record; {_RERUN} to repair it")
+        raise CacheMismatch(f"{cache_path} holds a partly written record; {rerun} to repair it")
     if done < thetas.shape[0]:
-        raise MissingArtifact(f"{cache_path} has {done} of {thetas.shape[0]} records; {_RERUN}")
+        raise MissingArtifact(f"{cache_path} has {done} of {thetas.shape[0]} records; {rerun}")
     records = records[: thetas.shape[0]]
     status = rom._split(records, _record_layout(header["m"]))[-1]
     return GramCache(header=header, records=records, rows=np.flatnonzero(status == STATUS_OK))

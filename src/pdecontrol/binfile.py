@@ -1,7 +1,10 @@
 """File handling shared by the artifacts.
 
 A binfile is one JSON header line, space-padded so that the data starts at
-a multiple of 64 bytes, followed by little-endian float64 data. The Gram
+a multiple of 64 bytes, followed by little-endian float64 data. Every
+reader passes the header it expects (config.RunConfig.header, plus any
+digests it checks): its kind, format version and config record are checked,
+and every remedy is built from its writer, "rerun <writer>". The Gram
 cache appends fixed-size records that readers memory-map in place; every
 other array the pipeline reads back (anchor store, trajectory cache, control
 checkpoint, loss history, solutions, error curves, IMEX references) is
@@ -38,41 +41,52 @@ def encode_header(header: dict) -> bytes:
     return (text + " " * pad + "\n").encode()
 
 
-def read_header(path, kind: str, format_version: int, remedy: str) -> tuple[dict, int]:
+def remedy(expected: dict) -> str:
+    """What to do about a missing or stale artifact whose expected header
+    (config.RunConfig.header) is expected: rerun the command that writes it."""
+    return f"rerun {expected['writer']}"
+
+
+def read_header(path, expected: dict) -> tuple[dict, int]:
     """The parsed header and the byte offset of the data.
 
-    Raises CacheMismatch, naming the remedy, for anything that is not a
-    `kind` file of this format version, the older JSON artifacts included.
+    Raises MissingArtifact if there is no file, and CacheMismatch for
+    anything that is not a file of the expected header's kind and format
+    version, the older JSON artifacts included; both name the remedy.
     """
+    if not os.path.exists(path):
+        raise MissingArtifact(f"{path} not found; {remedy(expected)}")
     with open(path, "rb") as fh:
         line = fh.readline(_MAX_HEADER)
     try:
         header = json.loads(line)
     except (UnicodeDecodeError, json.JSONDecodeError):
         header = None
+    kind, version = expected["kind"], expected["format_version"]
     if (
         not isinstance(header, dict)
         or header.get("kind") != kind
-        or header.get("format_version") != format_version
+        or header.get("format_version") != version
         or not line.endswith(b"\n")
         or len(line) % ALIGN
     ):
         raise CacheMismatch(
-            f"{path} is not a {kind} in format version {format_version} "
-            f"(older JSON artifacts are not read); delete it and {remedy}"
+            f"{path} is not a {kind} in format version {version} "
+            f"(older JSON artifacts are not read); delete it and {remedy(expected)}"
         )
     return header, len(line)
 
 
-def check_header(path, existing: dict, expected: dict | None, remedy: str) -> None:
-    """Raise CacheMismatch, naming the first differing field and the remedy,
-    unless existing carries every field of expected with the same value. A
-    field that holds a flat record (config.RunConfig.provenance) is compared
-    whole, and the message names the record's first leaf that both sides
-    hold with other values, else its first leaf that only one side holds."""
-    for key, value in (expected or {}).items():
+def check_header(path, existing: dict, expected: dict) -> None:
+    """Raise CacheMismatch, naming the first differing field, unless existing
+    carries every field of expected with the same value; the file is to be
+    deleted and rewritten, as the Gram cache's writer refuses to append to it.
+    The config record (config.RunConfig.header) is compared whole, and the
+    message names its first leaf that both sides hold with other values,
+    else its first leaf that only one side holds."""
+    for key, value in expected.items():
         got = existing.get(key)
-        if isinstance(value, dict) and isinstance(got, dict):
+        if key == "config" and isinstance(got, dict):
             changed = [leaf for leaf in value if leaf in got and value[leaf] != got[leaf]]
             changed += [leaf for leaf in {**value, **got} if (leaf in value) != (leaf in got)]
             if not changed:
@@ -80,7 +94,7 @@ def check_header(path, existing: dict, expected: dict | None, remedy: str) -> No
             key = changed[0]
         elif got == value:
             continue
-        raise CacheMismatch(f"header mismatch on {key!r} in {path}; {remedy}")
+        raise CacheMismatch(f"header mismatch on {key!r} in {path}; delete it and {remedy(expected)}")
 
 
 @contextmanager
@@ -113,22 +127,19 @@ def digest(array: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(array)).hexdigest()
 
 
-def load_header(path, kind: str, version: int, expected: dict | None, remedy: str) -> tuple[dict, int]:
+def load_header(path, expected: dict) -> tuple[dict, int]:
     """read_header and check_header of a file written by save, without its
-    data. Raises MissingArtifact if there is no file, and CacheMismatch as
-    read_header and check_header do; both name the remedy."""
-    if not os.path.exists(path):
-        raise MissingArtifact(f"{path} not found; {remedy}")
-    header, offset = read_header(path, kind, version, remedy)
-    check_header(path, header, expected, remedy)
+    data; raises as they do."""
+    header, offset = read_header(path, expected)
+    check_header(path, header, expected)
     return header, offset
 
 
-def load(path, kind: str, version: int, expected: dict | None, remedy: str) -> tuple[dict, np.ndarray]:
+def load(path, expected: dict) -> tuple[dict, np.ndarray]:
     """The header and the array of a file written by save. Raises as
-    load_header does, and CacheMismatch, naming the remedy, for data that is
-    not exactly the header's shape."""
-    header, offset = load_header(path, kind, version, expected, remedy)
+    load_header does, and CacheMismatch for data that is not exactly the
+    header's shape."""
+    header, offset = load_header(path, expected)
     shape = header.get("shape")
     nbytes = os.path.getsize(path) - offset
     if not (
@@ -136,5 +147,6 @@ def load(path, kind: str, version: int, expected: dict | None, remedy: str) -> t
         and all(isinstance(n, int) and n >= 0 for n in shape)
         and nbytes == math.prod(shape) * DTYPE.itemsize
     ):
-        raise CacheMismatch(f"{path} holds {nbytes} data bytes, not a float64 array of shape {shape}; {remedy}")
+        raise CacheMismatch(f"{path} holds {nbytes} data bytes, not a float64 array of shape {shape}; "
+                            f"delete it and {remedy(expected)}")
     return header, np.fromfile(path, dtype=DTYPE, offset=offset).reshape(shape)

@@ -15,13 +15,14 @@ SCHEMA, so RunConfig.raw is the effective config; only rom_arch's optional
 fields (rom.RomArch) default elsewhere. ADAM's moments are constants of
 optim, not settings. train.schedule is the run's whole training: its
 stages run in order in one train-control, each stage's batch_size
-defaulting to the block's. Every artifact lives at a fixed place under the
-out dir, listed in _LAYOUT (README.md shows the layout). One table,
-_PROVENANCE, says what shaped each artifact: the config leaves its command
-reads and the artifacts the command reads. RunConfig.provenance builds from
-it the flat record of leaves that the artifact's header holds and that its
-readers compare whole; _SHAPES_NO_ARTIFACT names the settable leaves in no
-row.
+defaulting to the block's. One table, _ARTIFACTS, declares each artifact
+once: its path under the out dir (README.md shows the layout), the command
+that writes it, its binfile format version and what shaped it, the config
+leaves its writer reads and the artifacts its writer reads. A binfile's
+kind is the row's name. RunConfig.header builds from the row the header
+that the writer writes and that every reader checks, whose flat record of
+leaves the readers compare whole; _SHAPES_NO_ARTIFACT names the settable
+leaves in no row.
 """
 
 from __future__ import annotations
@@ -31,10 +32,11 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import jsonschema
 
-from . import fit, pde_ops, rom
+from . import binfile, pde_ops, rom
 from .control_net import ControlArch
 from .errors import ConfigError
 from .sampling import AnchorBalls, Box
@@ -174,41 +176,45 @@ _DEFAULTS = {
     },
 }
 
-# every artifact's path under the out dir; a per-anchor path takes the anchor
-# index, a slice (anchor index, time)
-_LAYOUT = {
-    "gram_cache": "caches/gram.bin",
-    "traj_cache": "caches/traj.bin",
-    "anchors": "caches/anchors.bin",
-    "checkpoint": "checkpoints/control.bin",
-    "loss_history": "curves/loss_history.bin",
-    "errors": "curves/errors_{:03d}.bin",
-    "solution": "solutions/solution_{:03d}.bin",
-    "reference": "reference/ref_{:03d}.bin",
-    "slice": "slices/slice_{:03d}_t{:.4f}.csv",
-    "report": "report.json",
-}
-
-# what shapes each artifact of _LAYOUT that a command reads back: (the
-# config leaves its command reads, the artifacts its command reads). Its
-# header records, as one flat {"block.key": value} record, these leaves and
-# those of every artifact upstream, each that the effective config holds
-# (RunConfig.provenance); every reader compares the record whole. No row
-# holds a train leaf, so --resume continues under a new schedule.
 _ROM = ("rom_arch.kind", "rom_arch.width", "rom_arch.depth", "rom_arch.activation", "rom_arch.n_modes")
 _THETA_SPACE = ("theta_space.kind", "theta_space.half_width", "theta_space.radius")
 # what assembling a projection system at one theta reads: the operator and the ROM
 _ASSEMBLY = ("problem.kind", "problem.velocity", "problem.epsilon", *_ROM, "counts.n_x", "seed")
-_PROVENANCE = {
-    "anchors": (("problem.kind", "problem.velocity", *_ROM, *_THETA_SPACE, "initials.count", "initials.eps0_target",
-                 "initials.fit_n_x", "initials.fit.lr", "initials.fit.max_steps", "seed"), ()),
-    "gram_cache": ((*_ASSEMBLY, *_THETA_SPACE), ("anchors",)),
-    "traj_cache": ((*_ASSEMBLY, *_THETA_SPACE, "problem.horizon", "counts.n_traj", "counts.n_t"), ("anchors",)),
-    "checkpoint": (("control_arch.width", "control_arch.depth", "counts.n_theta", "counts.n_traj", "seed"),
-                   ("gram_cache", "traj_cache")),
-    "solution": (("problem.horizon", "solve.n_steps", *_THETA_SPACE), ("checkpoint", "anchors")),
-    "reference": (("problem.epsilon", "problem.horizon"), ("anchors",)),
-    "errors": (("seed",), ("solution", "reference")),
+
+
+class Artifact(NamedTuple):
+    path: str  # under the out dir; a per-anchor path takes the anchor index, a slice (anchor index, time)
+    writer: str  # the command that writes it
+    format_version: int | None  # None for the two files that are not binfiles, never read back
+    leaves: tuple = ()  # the config leaves its writer reads
+    reads: tuple = ()  # the artifacts its writer reads
+
+
+# every artifact, in the order the pipeline writes them; a binfile's kind is
+# its name. Its header records, as one flat {"block.key": value} record, the
+# row's leaves and those of every artifact upstream, each that the effective
+# config holds (RunConfig.header); every reader compares the record whole.
+# No row holds a train leaf, so --resume continues under a new schedule. A
+# solution and a reference do not read the anchor store's record: the store
+# is checked whole wherever it is read, a solution is tied to its anchor's
+# row by the theta0 bit check and a reference by the spec its header holds.
+_ARTIFACTS = {
+    "anchors": Artifact("caches/anchors.bin", "fit-initial", 6, (
+        "problem.kind", "problem.velocity", *_ROM, *_THETA_SPACE, "initials.count", "initials.eps0_target",
+        "initials.fit_n_x", "initials.fit.lr", "initials.fit.max_steps", "seed")),
+    "gram_cache": Artifact("caches/gram.bin", "sample-gram", 7, (*_ASSEMBLY, *_THETA_SPACE), ("anchors",)),
+    "traj_cache": Artifact("caches/traj.bin", "gen-trajectories", 8, (
+        *_ASSEMBLY, *_THETA_SPACE, "problem.horizon", "counts.n_traj", "counts.n_t"), ("anchors",)),
+    "checkpoint": Artifact("checkpoints/control.bin", "train-control", 8, (
+        "control_arch.width", "control_arch.depth", "counts.n_theta", "counts.n_traj", "seed"),
+        ("gram_cache", "traj_cache")),
+    "loss_history": Artifact("curves/loss_history.bin", "train-control", 2),
+    "solution": Artifact("solutions/solution_{:03d}.bin", "solve", 7,
+                         ("problem.horizon", "solve.n_steps", *_THETA_SPACE), ("checkpoint",)),
+    "reference": Artifact("reference/ref_{:03d}.bin", "reference", 3, ("problem.epsilon", "problem.horizon")),
+    "errors": Artifact("curves/errors_{:03d}.bin", "eval", 3, ("seed",), ("solution", "reference")),
+    "slice": Artifact("slices/slice_{:03d}_t{:.4f}.csv", "export-slice", None),
+    "report": Artifact("report.json", "verify", None),
 }
 # the settable leaves that shape no artifact: the training schedule, which a
 # resumed run may change, and two keys nothing reads
@@ -306,27 +312,30 @@ class RunConfig:
         ts = self.raw["theta_space"]
         if ts["kind"] == "box":
             return Box(half_width=ts["half_width"], dim=rom.param_count(self.rom_arch))
-        _, anchors = fit.load_anchors(self.path("anchors"), self.provenance("anchors"))
+        _, anchors = binfile.load(self.path("anchors"), self.header("anchors"))
         return AnchorBalls(anchors=anchors, radius=ts["radius"])
 
-    def provenance(self, name: str) -> dict:
-        """What shaped artifact name, as its header records it and its
-        readers check it: {"config": record}, the record holding the
-        leaves of the artifact's _PROVENANCE row and of every artifact
-        upstream, upstream first, each that the effective config holds;
-        rom_arch is read as RomArch holds it, so spelling out a default
-        changes nothing."""
-        return {"config": self._record(name)}
+    def header(self, name: str) -> dict:
+        """The header of binfile artifact name, as its writer writes it
+        (with the data fields the file holds) and its readers check it:
+        {"kind": name, "format_version", "writer": the command that writes
+        it, "config": record}, the record holding the leaves of the
+        artifact's _ARTIFACTS row and of every artifact upstream, upstream
+        first, each that the effective config holds; rom_arch is read as
+        RomArch holds it, so spelling out a default changes nothing."""
+        row = _ARTIFACTS[name]
+        return {"kind": name, "format_version": row.format_version, "writer": row.writer,
+                "config": self._record(name)}
 
     def _record(self, name: str) -> dict:
-        """The flat record of provenance. fit-initial reads the theta_space
+        """The flat record of header. fit-initial reads the theta_space
         only for transport, whose anchors are drawn from it; of initials a
         transport draw reads only the count, a linear basis's least-squares
         fit the count and fit_n_x, and a net's fit the whole block.
         sample-gram and gen-trajectories read the anchors only to draw
         around them, and train-control reads the trajectory cache only when
         counts.n_traj > 0."""
-        leaves, reads = _PROVENANCE[name]
+        leaves, reads = _ARTIFACTS[name].leaves, _ARTIFACTS[name].reads
         transport = self.raw["problem"]["kind"] == "transport"
         skip = set()
         if self.raw["theta_space"]["kind"] == "box":
@@ -356,16 +365,16 @@ class RunConfig:
         return record
 
     def path(self, name: str, index=None) -> str:
-        """The path of artifact name under the out dir (_LAYOUT); index is
-        the anchor index of a per-anchor artifact, (anchor index, time) for
-        a slice."""
-        rel = _LAYOUT[name]
+        """The path of artifact name under the out dir (_ARTIFACTS); index
+        is the anchor index of a per-anchor artifact, (anchor index, time)
+        for a slice."""
+        rel = _ARTIFACTS[name].path
         if index is not None:
             rel = rel.format(*(index if isinstance(index, tuple) else (index,)))
         return os.path.join(self.out_dir, rel)
 
     def ensure_layout(self) -> None:
-        for sub in {os.path.dirname(rel) for rel in _LAYOUT.values()} - {""}:
+        for sub in {os.path.dirname(row.path) for row in _ARTIFACTS.values()} - {""}:
             os.makedirs(os.path.join(self.out_dir, sub), exist_ok=True)
 
 

@@ -51,8 +51,6 @@ from .optim import Adam
 from .rom import _split, _table
 from .sampling import Purpose, rng_for
 
-FORMAT_VERSION = 7
-
 # 0-d arrays: a ufunc converts a Python or numpy scalar operand anew on
 # every call, which costs a batch-1 forward pass about 0.2 us per operation
 _SQRT2, _ONE, _HALF = np.array(np.sqrt(2.0)), np.array(1.0), np.array(0.5)
@@ -551,60 +549,45 @@ def residual_scan(net: ControlNet, records: np.ndarray, rows: np.ndarray | None 
 # persistence
 
 
-# A checkpoint is a binfile: the header {format_version, kind, xi_sha256}
-# plus the caller's record of what shaped the net and its training data,
-# and the flat xi as control_param_count(arch) float64.
-
-_CHECKPOINT_REMEDY = "rerun train-control"
+# A checkpoint is a binfile: the header the caller builds (what shaped the
+# net and its training data) plus xi_sha256, and the flat xi as
+# control_param_count(arch) float64.
 
 
-def save_control_checkpoint(net: ControlNet, path, inputs: dict) -> None:
-    header = {"format_version": FORMAT_VERSION, "kind": "control_checkpoint", "xi_sha256": binfile.digest(net.xi),
-              **inputs}
-    binfile.save(path, header, net.xi)
+def save_control_checkpoint(net: ControlNet, path, header: dict) -> None:
+    binfile.save(path, {**header, "xi_sha256": binfile.digest(net.xi)}, net.xi)
 
 
-def load_control_checkpoint(path, arch: ControlArch, inputs: dict) -> ControlNet:
-    """The checkpointed net of arch, whose header must record inputs, whose
-    xi must hold control_param_count(arch) parameters and hash to the
-    recorded xi_sha256; the net carries that digest."""
-    header, xi = binfile.load(path, "control_checkpoint", FORMAT_VERSION, inputs, _CHECKPOINT_REMEDY)
+def load_control_checkpoint(path, arch: ControlArch, header: dict) -> ControlNet:
+    """The checkpointed net of arch, whose header must be header, whose xi
+    must hold control_param_count(arch) parameters and hash to the recorded
+    xi_sha256; the net carries that digest."""
+    found, xi = binfile.load(path, header)
     n = control_param_count(arch)
     if xi.shape != (n,):
-        raise CacheMismatch(f"{path} holds {xi.size} of {n} parameters; {_CHECKPOINT_REMEDY}")
-    if binfile.digest(xi) != header.get("xi_sha256"):
+        raise CacheMismatch(f"{path} holds {xi.size} of {n} parameters; {binfile.remedy(header)}")
+    if binfile.digest(xi) != found.get("xi_sha256"):
         raise CacheMismatch(f"{path} holds parameters whose sha256 is not its header's xi_sha256; "
-                            f"{_CHECKPOINT_REMEDY}")
-    return ControlNet(arch=arch, xi=xi, sha256=header["xi_sha256"])
+                            f"{binfile.remedy(header)}")
+    return ControlNet(arch=arch, xi=xi, sha256=found["xi_sha256"])
 
 
-def checkpoint_sha256(path, inputs: dict) -> str:
-    """The xi_sha256 of a checkpoint whose header records inputs, read from
+def checkpoint_sha256(path, header: dict) -> str:
+    """The xi_sha256 of a checkpoint whose header must be header, read from
     the header alone: the parameters are neither read nor hashed
     (load_control_checkpoint checks them against it)."""
-    header = binfile.load_header(path, "control_checkpoint", FORMAT_VERSION, inputs, _CHECKPOINT_REMEDY)[0]
-    return header.get("xi_sha256")
+    return binfile.load_header(path, header)[0].get("xi_sha256")
 
 
-LOSS_HISTORY_FORMAT_VERSION = 1
-
-
-def read_loss_history(path) -> np.ndarray:
-    """The (step, l1, l2, l_total) rows of an existing loss history, for a
-    resumed stage to keep; a file that does not read back raises
-    CacheMismatch."""
-    return binfile.load(path, "loss_history", LOSS_HISTORY_FORMAT_VERSION, None,
-                        "rerun train-control without --resume to start a new loss history")[1]
-
-
-def save_loss_history(history, path, kept: np.ndarray | None = None) -> np.ndarray:
-    """Write the per-step (step, l1, l2, l_total) rows as a binfile and
-    return all rows written. The rows follow the kept rows (of
-    read_loss_history or of the previous stage), if given, and continue
-    their step count, so annealed stages share one."""
+def save_loss_history(history, path, header: dict, kept: np.ndarray | None = None) -> np.ndarray:
+    """Write the per-step (step, l1, l2, l_total) rows as a binfile under
+    header and return all rows written. The rows follow the kept rows (of
+    an existing history, read back by binfile.load, or of the previous
+    stage), if given, and continue their step count, so annealed stages
+    share one."""
     rows = np.array(history, dtype=np.float64).reshape(-1, 4)
     if kept is not None and kept.size:
         rows[:, 0] += kept[-1, 0]
         rows = np.concatenate([kept, rows])
-    binfile.save(path, {"format_version": LOSS_HISTORY_FORMAT_VERSION, "kind": "loss_history"}, rows)
+    binfile.save(path, header, rows)
     return rows

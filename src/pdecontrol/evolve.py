@@ -19,7 +19,6 @@ from . import assembly, binfile, linalg, pde_ops, rom
 from .errors import NonFiniteError
 from .sampling import Purpose, ThetaSpace
 
-TRAJ_FORMAT_VERSION = 7
 GUARD_DIAMETER_FACTOR = 10.0
 
 
@@ -173,16 +172,15 @@ def solve_ivp(
 
 def write_traj_cache(path, header: dict, trajectories: list[ParamTrajectory]) -> None:
     """One binfile row [theta | v] per grid point, trajectories stacked,
-    under header (the pipeline's record of what shaped the marches, the
+    under header (the pipeline's, of what shaped the marches, with the
     parameter count m and the step h)."""
     rows = [np.hstack([traj.thetas, traj.velocities]) for traj in trajectories]
-    binfile.save(path, {"format_version": TRAJ_FORMAT_VERSION, "kind": "traj_cache", **header},
-                 np.vstack([np.zeros((0, 2 * header["m"]))] + rows))
+    binfile.save(path, header, np.vstack([np.zeros((0, 2 * header["m"]))] + rows))
 
 
 def read_traj_cache(path, header: dict):
     """(header, thetas, velocities), rows stacked across trajectories; checks
-    the expected header fields. CacheMismatch names gen-trajectories."""
-    existing, rows = binfile.load(path, "traj_cache", TRAJ_FORMAT_VERSION, header, "rerun gen-trajectories")
+    the expected header."""
+    existing, rows = binfile.load(path, header)
     thetas, vels = np.hsplit(rows, 2)
     return existing, np.ascontiguousarray(thetas), np.ascontiguousarray(vels)

@@ -216,24 +216,14 @@ def _adam_fits(arch, X, G, thetas, eps0_target, lr, max_steps) -> list[tuple[np.
 # ---------------------------------------------------------------------------
 # anchor store
 
-ANCHOR_FORMAT_VERSION = 5
-
 
 def save_anchors(path, header: dict, entries: list[tuple[InitialSpec | None, np.ndarray, float]]) -> None:
     """The anchor thetas as binfile rows of length header["m"] under header
-    (the pipeline's record of what shaped them and m), which gains the
-    specs (null for a transport anchor, which has none) and the fit RMSEs."""
+    (the pipeline's, of what shaped them, with m), which gains the specs
+    (null for a transport anchor, which has none) and the fit RMSEs."""
     header = {
-        "format_version": ANCHOR_FORMAT_VERSION,
-        "kind": "anchor_store",
         **header,
         "specs": [None if spec is None else spec.describe() for spec, _, _ in entries],
         "rmse": [rmse for _, _, rmse in entries],
     }
     binfile.save(path, header, np.reshape([theta for _, theta, _ in entries], (len(entries), header["m"])))
-
-
-def load_anchors(path, header: dict) -> tuple[dict, np.ndarray]:
-    """(header, thetas) of an anchor store; checks the expected header
-    fields."""
-    return binfile.load(path, "anchor_store", ANCHOR_FORMAT_VERSION, header, "rerun fit-initial")

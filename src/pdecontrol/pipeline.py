@@ -1,12 +1,14 @@
 """Command bodies shared by the CLI: each function reads/writes only its
-declared artifacts at their RunConfig.path. Each artifact's header records
-what shaped it, RunConfig.provenance: the config leaves that config's
-_PROVENANCE table lists for it and for every artifact upstream. Every reader
-compares that record whole with the config's, so a stale artifact fails fast
-(exit 4) naming the first differing leaf and the command to rerun. Besides
-the record, a header holds only data-format fields and data digests. The
-anchor store is the one record of each initial (its spec, fit RMSE and
-theta0): a solution is tied to its anchor's theta0, not to a copy of it.
+declared artifacts at their RunConfig.path. Each artifact's header is
+RunConfig.header, its kind, format version, writer and the record of what
+shaped it (the config leaves that config's _ARTIFACTS table lists for it
+and for every artifact upstream), plus data-format fields and data digests.
+Every reader checks that header, comparing the record whole with the
+config's, so a stale artifact fails fast (exit 4) naming the first
+differing leaf and the command to rerun. The anchor store is the one record
+of each initial (its spec, fit RMSE and theta0): a solution is tied to its
+anchor's theta0 and an IMEX reference to its anchor's spec, not to a copy
+of the store's record.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from .config import RunConfig, check_stage
 from .errors import CacheMismatch, ConfigError, MissingArtifact, NonFiniteError
 from .sampling import AnchorBalls, Purpose, rng_for, sample_theta
 
-SOLUTION_FORMAT_VERSION = 6
-CURVE_FORMAT_VERSION = 2
 # the default grid sizes of reference (IMEX cells and steps) and of eval (Monte-Carlo points)
 REFERENCE_NX = 100
 REFERENCE_NT = 2000
@@ -87,7 +87,7 @@ def cmd_fit_initial(cfg: RunConfig) -> list[dict]:
         seeds = [cfg.seed + 1000 + k for k in range(len(specs))]
         fits = fit.fit_initials(cfg.rom_arch, specs, ini["fit_n_x"], ini["eps0_target"], seeds, **ini["fit"])
         entries = [(spec, res.theta, res.rmse) for spec, res in zip(specs, fits)]
-    fit.save_anchors(cfg.path("anchors"), {**cfg.provenance("anchors"), "m": rom.param_count(cfg.rom_arch)}, entries)
+    fit.save_anchors(cfg.path("anchors"), {**cfg.header("anchors"), "m": rom.param_count(cfg.rom_arch)}, entries)
     return [{"rmse": rmse, "theta_norm": float(np.linalg.norm(theta))} for _, theta, rmse in entries]
 
 
@@ -98,16 +98,13 @@ def _gram_thetas(cfg: RunConfig) -> np.ndarray:
 def _read_gram_cache(cfg: RunConfig) -> assembly.GramCache:
     """The first counts.n_theta records of the run's Gram cache, checked as
     sample-gram checks them before it resumes."""
-    path = cfg.path("gram_cache")
-    if not os.path.exists(path):
-        raise MissingArtifact(f"gram cache {path} not found; run sample-gram first")
-    return assembly.read_cache(path, cfg.provenance("gram_cache"), _gram_thetas(cfg))
+    return assembly.read_cache(cfg.path("gram_cache"), cfg.header("gram_cache"), _gram_thetas(cfg))
 
 
 def cmd_sample_gram(cfg: RunConfig) -> dict:
     cfg.ensure_layout()
     return assembly.assemble_batch(cfg.rom_arch, _gram_thetas(cfg), cfg.operator, cfg.raw["counts"]["n_x"],
-                                   cfg.seed, cfg.path("gram_cache"), cfg.provenance("gram_cache"))
+                                   cfg.seed, cfg.path("gram_cache"), cfg.header("gram_cache"))
 
 
 def _traj_starts(cfg: RunConfig) -> np.ndarray:
@@ -135,7 +132,7 @@ def cmd_gen_trajectories(cfg: RunConfig) -> dict:
         blowups += int(traj.blowup_step is not None)
         trajs.append(traj)
     evolve.write_traj_cache(cfg.path("traj_cache"),
-                            {**cfg.provenance("traj_cache"), "m": rom.param_count(cfg.rom_arch), "h": h}, trajs)
+                            {**cfg.header("traj_cache"), "m": rom.param_count(cfg.rom_arch), "h": h}, trajs)
     pairs = sum(t.thetas.shape[0] for t in trajs)
     return {"trajectories": len(trajs), "pairs": pairs, "blowups": blowups}
 
@@ -143,7 +140,7 @@ def cmd_gen_trajectories(cfg: RunConfig) -> dict:
 def _load_control(cfg: RunConfig) -> cn.ControlNet:
     """The trained control net of the config's control_arch, checked
     against the config's record of what shaped it."""
-    return cn.load_control_checkpoint(cfg.path("checkpoint"), cfg.control_arch, cfg.provenance("checkpoint"))
+    return cn.load_control_checkpoint(cfg.path("checkpoint"), cfg.control_arch, cfg.header("checkpoint"))
 
 
 def cmd_train_control(
@@ -176,11 +173,11 @@ def cmd_train_control(
         if not cache.rows.size:
             raise NonFiniteError(
                 f"every record of {cfg.path('gram_cache')} was skipped: assembly went non-finite at each theta; "
-                "shrink theta_space and rerun sample-gram"
+                f"shrink theta_space and {binfile.remedy(cache.header)}"
             )
         gram, rows = cache.records, cache.rows
     if cfg.raw["counts"]["n_traj"]:
-        pairs = evolve.read_traj_cache(cfg.path("traj_cache"), cfg.provenance("traj_cache"))[1:]
+        pairs = evolve.read_traj_cache(cfg.path("traj_cache"), cfg.header("traj_cache"))[1:]
     n_pairs = 0 if pairs is None else int(pairs[0].shape[0])
     if not n_pairs and any(stage.get("pairs_only") for stage in stages):
         raise MissingArtifact("pairs-only training needs a nonempty trajectory cache")
@@ -188,10 +185,10 @@ def cmd_train_control(
         net = _load_control(cfg)
     else:
         net = cn.ControlNet(cfg.control_arch, cn.init_control_params(cfg.control_arch, cfg.seed))
-    inputs = cfg.provenance("checkpoint")
+    checkpoint_header, history_header = cfg.header("checkpoint"), cfg.header("loss_history")
     # a resumed run checks the rows it continues before it trains
     history_path = cfg.path("loss_history")
-    kept = cn.read_loss_history(history_path) if resume and os.path.exists(history_path) else None
+    kept = binfile.load(history_path, history_header)[1] if resume and os.path.exists(history_path) else None
     done = []
     for stage in stages:
         only = stage.get("pairs_only", False)
@@ -199,8 +196,8 @@ def cmd_train_control(
                                 max_steps=stage["max_steps"], batch_size=stage.get("batch_size", train["batch_size"]),
                                 zeta=1.0 if only and train["zeta"] == 0 else train["zeta"],
                                 stop_loss=train["stop_loss"])
-        cn.save_control_checkpoint(net, cfg.path("checkpoint"), inputs)
-        kept = cn.save_loss_history(history, history_path, kept)
+        cn.save_control_checkpoint(net, cfg.path("checkpoint"), checkpoint_header)
+        kept = cn.save_loss_history(history, history_path, history_header, kept)
         done.append({"lr": stage["lr"], "steps": len(history), "final_loss": history[-1][3]})
     records = 0 if rows is None else int(rows.shape[0])
     return {"steps": sum(s["steps"] for s in done), "final_loss": done[-1]["final_loss"], "records": records,
@@ -210,7 +207,7 @@ def cmd_train_control(
 def _anchors(cfg: RunConfig) -> list[tuple[fit.InitialSpec | None, float, np.ndarray]]:
     """(spec, fit RMSE, theta0) of every row of the anchor store, the one
     record of each initial; a transport anchor has no spec."""
-    header, thetas = fit.load_anchors(cfg.path("anchors"), cfg.provenance("anchors"))
+    header, thetas = binfile.load(cfg.path("anchors"), cfg.header("anchors"))
     specs = [None if doc is None else fit.spec_from_dict(doc) for doc in header["specs"]]
     return list(zip(specs, header["rmse"], thetas))
 
@@ -231,9 +228,7 @@ def cmd_solve(cfg: RunConfig, anchor_index: int = 0) -> dict:
     traj = evolve.solve_ivp(net, theta0, cfg.raw["problem"]["horizon"], cfg.raw["solve"]["n_steps"],
                             theta_space=cfg.theta_space())
     header = {
-        "format_version": SOLUTION_FORMAT_VERSION,
-        "kind": "solution",
-        **cfg.provenance("solution"),
+        **cfg.header("solution"),
         "control_sha256": net.sha256,
         "step": traj.step,
         "blowup_step": traj.blowup_step,
@@ -253,10 +248,11 @@ def _read_solution(cfg: RunConfig, index: int, theta0: np.ndarray) -> tuple[dict
     """The solution's header and trajectory, times rebuilt as step * j. It
     must record the config's record of what shaped it, and start at theta0,
     bit for bit, which ties it to its anchor."""
-    path = cfg.path("solution", index)
-    header, thetas = binfile.load(path, "solution", SOLUTION_FORMAT_VERSION, cfg.provenance("solution"), "rerun solve")
+    path, expected = cfg.path("solution", index), cfg.header("solution")
+    header, thetas = binfile.load(path, expected)
     if thetas[:1].tobytes() != theta0.tobytes():
-        raise CacheMismatch(f"{path} does not start at anchor {index} of {cfg.path('anchors')}; rerun solve")
+        raise CacheMismatch(f"{path} does not start at anchor {index} of {cfg.path('anchors')}; "
+                            f"{binfile.remedy(expected)}")
     return header, evolve.ParamTrajectory(
         times=header["step"] * np.arange(thetas.shape[0]),
         thetas=thetas,
@@ -274,8 +270,9 @@ def _check_control(cfg: RunConfig, index: int, header: dict, control_sha256: str
     which is read alone (the net is neither read nor hashed) and checked
     against the config."""
     if control_sha256 is None:
-        control_sha256 = cn.checkpoint_sha256(cfg.path("checkpoint"), cfg.provenance("checkpoint"))
-    binfile.check_header(cfg.path("solution", index), header, {"control_sha256": control_sha256}, "rerun solve")
+        control_sha256 = cn.checkpoint_sha256(cfg.path("checkpoint"), cfg.header("checkpoint"))
+    binfile.check_header(cfg.path("solution", index), header,
+                         {**cfg.header("solution"), "control_sha256": control_sha256})
 
 
 def load_solution(cfg: RunConfig, index: int, theta0: np.ndarray,
@@ -299,20 +296,26 @@ def cmd_reference(cfg: RunConfig, anchor_index: int = 0, nx: int = REFERENCE_NX,
     grid = reference.solve_allen_cahn_imex(spec, p["epsilon"], nx, nt, p["horizon"],
                                            lo=cfg.rom_arch.lo, hi=cfg.rom_arch.hi)
     path = cfg.path("reference", anchor_index)
-    reference.save_grid_solution(grid, path, cfg.provenance("reference"))
+    reference.save_grid_solution(grid, path, _reference_header(cfg, spec))
     return {"path": path, "snapshots": len(grid.times)}
+
+
+def _reference_header(cfg: RunConfig, spec: fit.InitialSpec) -> dict:
+    """The IMEX reference's header, which holds the spec of its anchor."""
+    return {**cfg.header("reference"), "spec": spec.describe()}
 
 
 def build_reference(cfg: RunConfig, index: int, spec: fit.InitialSpec | None, theta0: np.ndarray):
     """Reference solution of anchor index from its store row: the shift of
     the model at theta0 for transport, the sine series of the spec for heat,
-    the IMEX reference cmd_reference wrote for allen_cahn."""
+    the IMEX reference cmd_reference wrote for allen_cahn, whose header
+    must hold the spec."""
     kind = cfg.raw["problem"]["kind"]
     if kind == "transport":
         return reference.TransportShift(model=rom.RomModel(cfg.rom_arch, theta0), velocity=cfg.operator.velocity)
     if kind == "heat":
         return reference.HeatSeries(spec.coeffs)
-    return reference.load_grid_solution(cfg.path("reference", index), cfg.provenance("reference"))
+    return reference.load_grid_solution(cfg.path("reference", index), _reference_header(cfg, spec))
 
 
 def _solution_and_reference(cfg: RunConfig, index: int):
@@ -334,8 +337,7 @@ def cmd_eval(cfg: RunConfig, anchor_index: int = 0, n_x: int = EVAL_N_X, max_tim
     curve = reference.error_curve(cfg.rom_arch, traj, ref, n_x, seed=cfg.seed, max_times=max_times)
     path = cfg.path("errors", anchor_index)
     # rows (t, abs_err, rel_err), rel_err NaN where undefined
-    binfile.save(path, {"format_version": CURVE_FORMAT_VERSION, "kind": "error_curve", **cfg.provenance("errors"),
-                        "solution_sha256": binfile.digest(traj.thetas)},
+    binfile.save(path, {**cfg.header("errors"), "solution_sha256": binfile.digest(traj.thetas)},
                  np.stack([curve.times, curve.abs_err, curve.rel_err], axis=1))
     finite = curve.rel_err[np.isfinite(curve.rel_err)]
     return {
@@ -371,7 +373,7 @@ def cmd_verify(cfg: RunConfig) -> dict:
     solved = [k for k in range(len(store)) if os.path.exists(cfg.path("solution", k))]
     if not solved:
         raise MissingArtifact(f"no solution for any of the {len(store)} anchors in {cfg.path('anchors')}; "
-                              "run solve first")
+                              f"{binfile.remedy(cfg.header('solution'))}")
 
     res = cn.residual_scan(net, cache.records, cache.rows)
     q = np.quantile(res, [0.5, 0.9, 1.0]).tolist() if res.size else [math.nan] * 3
@@ -392,9 +394,7 @@ def cmd_verify(cfg: RunConfig) -> dict:
         }
         curve = cfg.path("errors", k)
         if os.path.exists(curve):
-            _, rows = binfile.load(curve, "error_curve", CURVE_FORMAT_VERSION,
-                                   {**cfg.provenance("errors"), "solution_sha256": binfile.digest(traj.thetas)},
-                                   "rerun eval")
+            _, rows = binfile.load(curve, {**cfg.header("errors"), "solution_sha256": binfile.digest(traj.thetas)})
             rel = rows[:, 2]
             entry["abs_err_max"] = float(rows[:, 1].max())
             entry["rel_err_max"] = None if np.isnan(rel).all() else float(np.nanmax(rel))

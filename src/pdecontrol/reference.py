@@ -280,20 +280,16 @@ def export_slice(
             fh.write(f"{row[0]!r},{row[1]!r},{ur!r},{um!r},{abs(ur - um)!r}\n")
 
 
-GRID_FORMAT_VERSION = 2
-
-
 def save_grid_solution(ref: GridSolution, path, header: dict) -> None:
-    """A binfile of the snapshots; its header holds header (the pipeline's
-    record of what shaped them), the snapshot times and the box."""
-    binfile.save(path, {**header, "format_version": GRID_FORMAT_VERSION, "kind": "imex_reference",
-                        "times": ref.times.tolist(), "lo": ref.lo.tolist(), "hi": ref.hi.tolist()}, ref.snapshots)
+    """A binfile of the snapshots; its header holds header (the pipeline's,
+    of what shaped them), the snapshot times and the box."""
+    binfile.save(path, {**header, "times": ref.times.tolist(), "lo": ref.lo.tolist(), "hi": ref.hi.tolist()},
+                 ref.snapshots)
 
 
 def load_grid_solution(path, expected: dict) -> GridSolution:
-    """The stored reference; CacheMismatch names the reference command for a
-    file that does not read back or whose header differs from the expected
-    fields."""
-    header, snapshots = binfile.load(path, "imex_reference", GRID_FORMAT_VERSION, expected, "rerun reference")
+    """The stored reference; CacheMismatch for a file that does not read
+    back or whose header differs from the expected one."""
+    header, snapshots = binfile.load(path, expected)
     return GridSolution(times=np.array(header["times"]), snapshots=snapshots, lo=np.array(header["lo"]),
                         hi=np.array(header["hi"]))

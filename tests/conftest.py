@@ -4,7 +4,7 @@ import hypothesis
 import numpy as np
 import pytest
 
-from pdecontrol import assembly, control_net as cn, rom
+from pdecontrol import assembly, config, control_net as cn, rom
 
 hypothesis.settings.register_profile(
     "default", deadline=None, max_examples=25, derandomize=True
@@ -52,6 +52,14 @@ def check_layout_table(table, shapes: list[tuple[int, ...]], rng) -> None:
         for view, row_view in zip(views, rom._split(row, table), strict=True):
             assert np.shares_memory(view, stack) and np.shares_memory(row_view, row)
             assert np.array_equal(view[k], row_view)
+
+
+def artifact_header(name: str, record: dict | None = None) -> dict:
+    """The header config.RunConfig.header gives artifact name, with record
+    (default empty) as its config record: for library calls made without a
+    run config."""
+    row = config._ARTIFACTS[name]
+    return {"kind": name, "format_version": row.format_version, "writer": row.writer, "config": record or {}}
 
 
 def settable_leaves(schema: dict, path: str = "") -> list[str]:

@@ -50,7 +50,7 @@ def test_transport_shift_field_is_exact(tmp_path):
     carch = cfg.control_arch
     xi = np.zeros(cn.control_param_count(carch))
     xi[-m:] = v_star
-    cn.save_control_checkpoint(cn.ControlNet(carch, xi), cfg.path("checkpoint"), cfg.provenance("checkpoint"))
+    cn.save_control_checkpoint(cn.ControlNet(carch, xi), cfg.path("checkpoint"), cfg.header("checkpoint"))
     for k in range(3):
         pipeline.cmd_solve(cfg, anchor_index=k)
         assert pipeline.cmd_eval(cfg, anchor_index=k, n_x=512)["abs_err_max"] < 1e-12

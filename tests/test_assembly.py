@@ -7,7 +7,7 @@ from pdecontrol import assembly, linalg, pde_ops, rom
 from pdecontrol.errors import CacheMismatch, MissingArtifact, PdeControlError
 from pdecontrol.sampling import Box, Purpose, sample_omega, sample_theta
 
-from conftest import cache_parts, fourier_sine_arch
+from conftest import artifact_header, cache_parts, fourier_sine_arch
 
 
 # Unrolled gradient descent on the projection quadratic: the oracle the
@@ -97,7 +97,7 @@ def test_monte_carlo_consistency_rate(unit_interval):
 
 
 def _header(n_x: int, seed: int = 0) -> dict:  # as the pipeline records what shapes a record
-    return {"config": {"counts.n_x": n_x, "seed": seed}}
+    return artifact_header("gram_cache", {"counts.n_x": n_x, "seed": seed})
 
 
 def test_cache_resume_determinism(tmp_path):
@@ -133,7 +133,8 @@ def test_cache_header_mismatch(tmp_path):
         assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 0, path, _header(32))
     # the record is compared whole: a leaf that the file lacks differs too
     with pytest.raises(CacheMismatch, match="'rom_arch.n_modes'"):
-        assembly.read_cache(path, {"config": {**_header(16)["config"], "rom_arch.n_modes": 3}}, thetas)
+        assembly.read_cache(path, artifact_header("gram_cache", {**_header(16)["config"], "rom_arch.n_modes": 3}),
+                            thetas)
     with pytest.raises(CacheMismatch, match="'m'"):
         assembly.read_cache(path, _header(16), np.zeros((2, 4)))
 

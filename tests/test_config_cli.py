@@ -4,6 +4,7 @@ import json
 import os
 import re
 import shutil
+import textwrap
 import types
 import warnings
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pdecontrol import assembly, binfile, cli, config, control_net as cn, evolve, fit, pipeline, reference, rom
+from pdecontrol import binfile, cli, config, control_net as cn, evolve, fit, pipeline, rom
 from pdecontrol.errors import ConfigError, MissingArtifact
 
 from conftest import cache_parts, gram_records, overflowing_net, settable_leaves
@@ -41,6 +42,12 @@ HEAT_CFG = {
 
 # a two-step schedule for runs that need a checkpoint, not a trained field
 _TWO_STEPS = 'train.schedule=[{"lr": 0.001, "max_steps": 2}]'
+# the arguments of a shrunk allen_cahn_2d run: one anchor, a 3-wide ROM, a two-step field
+SHRUNK_AC = ["--config", str(PRESETS / "allen_cahn_2d.json")] + [
+    arg for key in ("rom_arch.width=3", "control_arch.width=8", "counts.n_theta=4", "counts.n_x=16", "counts.n_traj=0",
+                    "initials.count=1", "initials.fit_n_x=32", "initials.fit.max_steps=5", _TWO_STEPS,
+                    "solve.n_steps=4")
+    for arg in ("--set", key)]
 
 
 @pytest.fixture
@@ -185,7 +192,7 @@ def test_full_pipeline_small(heat_config, tmp_path, monkeypatch):
     assert all(np.isfinite(anchor[k]) for k in ("m_v", "l_v", "euler_bound", "abs_err_max"))
     assert anchor["abs_err_max"] == stats["abs_err_max"]
     # the error curve's rows are (t, abs_err, rel_err), for the solution's theta rows
-    header, rows = binfile.load(stats["path"], "error_curve", pipeline.CURVE_FORMAT_VERSION, None, "")
+    header, rows = binfile.load(stats["path"], cfg.header("errors"))
     assert header["solution_sha256"] == binfile.digest(pipeline.load_solution(cfg, 0, pipeline._anchor(cfg, 0)[2]).thetas)
     assert rows.shape[1] == 3 and rows[:, 1].max() == stats["abs_err_max"]
     assert report["totals"] == {"blowups": 0, "escapes": 0, "passed": True}
@@ -227,7 +234,7 @@ def test_zero_field_solve_reproduces_fit_error(heat_config, tmp_path):
     traj = pipeline.load_solution(cfg, 0, theta0)
     assert np.allclose(traj.thetas, traj.thetas[0], atol=1e-12)  # zero field
     stats = pipeline.cmd_eval(cfg, anchor_index=0, n_x=4096)
-    _, curve = binfile.load(stats["path"], "error_curve", pipeline.CURVE_FORMAT_VERSION, None, "")
+    _, curve = binfile.load(stats["path"], cfg.header("errors"))
     t0_abs = curve[0, 1]
     assert t0_abs <= 2.0 * max(fit_rmse, 1e-12)
 
@@ -269,9 +276,10 @@ def test_cli_exit_codes(heat_config, tmp_path, capsys):
 
 def test_verify_fails_on_blown_up_solve(heat_config, tmp_path, capsys):
     out = str(tmp_path / "out")
-    path = _solved_run(heat_config, out).path("solution", 0)
+    cfg = _solved_run(heat_config, out)
+    path = cfg.path("solution", 0)
     assert cli.main(["verify", "--config", str(heat_config), "--out", out]) == 0
-    header, thetas = binfile.load(path, "solution", pipeline.SOLUTION_FORMAT_VERSION, None, "")
+    header, thetas = binfile.load(path, cfg.header("solution"))
     binfile.save(path, dict(header, blowup_step=3), thetas)
     assert cli.main(["verify", "--config", str(heat_config), "--out", out]) == cli.EXIT_VERIFY
     report = json.loads(Path(out, "report.json").read_text())
@@ -287,7 +295,7 @@ def test_verify_on_a_field_that_overflows_is_a_numeric_failure(heat_config, tmp_
     args = ["verify", "--config", str(heat_config), "--out", out, "--set", _TWO_STEPS]
     assert cli.main(args) == 0
     report = Path(out, "report.json").read_bytes()
-    cn.save_control_checkpoint(overflowing_net(cfg.control_arch), cfg.path("checkpoint"), cfg.provenance("checkpoint"))
+    cn.save_control_checkpoint(overflowing_net(cfg.control_arch), cfg.path("checkpoint"), cfg.header("checkpoint"))
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -366,9 +374,9 @@ def test_resumed_training_continues_loss_history_steps(heat_config, tmp_path):
     first = pipeline.cmd_train_control(cfg)
     second = pipeline.cmd_train_control(cfg, resume=True)
     path = Path(out, "curves", "loss_history.bin")
-    header, _ = binfile.read_header(path, "loss_history", cn.LOSS_HISTORY_FORMAT_VERSION, "")
+    header, _ = binfile.read_header(path, cfg.header("loss_history"))
     assert header["shape"] == [first["steps"] + second["steps"], 4]
-    rows = cn.read_loss_history(path)
+    rows = binfile.load(path, cfg.header("loss_history"))[1]
     assert rows[:, 0].tolist() == list(range(1, first["steps"] + second["steps"] + 1))
     assert rows[first["steps"] - 1, 3] == first["final_loss"]
     assert rows[-1, 3] == second["final_loss"]
@@ -385,7 +393,7 @@ def test_resumed_training_checks_loss_history_before_it_trains(heat_config, tmp_
     checkpoint = out / "checkpoints" / "control.bin"
     payload = checkpoint.read_bytes()
     assert cli.main(["train-control", *base, "--resume"]) == cli.EXIT_NUMERIC
-    assert "loss history" in capsys.readouterr().err
+    assert "loss_history.bin" in capsys.readouterr().err
     assert checkpoint.read_bytes() == payload
 
 
@@ -469,38 +477,9 @@ def test_gen_trajectories_counts_blowups_and_writes_finished_rows(heat_config, t
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert pipeline.cmd_gen_trajectories(cfg) == {"trajectories": 2, "pairs": 2, "blowups": 2}
-    header, thetas, vels = evolve.read_traj_cache(cfg.path("traj_cache"), cfg.provenance("traj_cache"))
+    header, thetas, vels = evolve.read_traj_cache(cfg.path("traj_cache"), cfg.header("traj_cache"))
     assert header["shape"] == [2, 4]
     assert np.all(np.isfinite(thetas)) and np.all(np.isfinite(vels)) and np.all(thetas != 0.0)
-
-
-def test_caches_of_the_previous_formats_are_rejected(heat_config, tmp_path, capsys):
-    # the draws of the anchor store, both caches and the checkpoint moved to
-    # keys named by purpose, so no file of an earlier format is read
-    base = ["--config", str(heat_config), "--out", str(tmp_path / "out")]
-    for command in ("fit-initial", "sample-gram", "gen-trajectories", "train-control"):
-        assert cli.main([command, *base]) == 0
-    out = tmp_path / "out"
-    # solve reads the checkpoint before the store, and train-control the Gram
-    # cache before the trajectory cache, so the later read goes stale first
-    for name, kind, version, olds, remedy, reader in (
-        ("caches/anchors.bin", "anchor_store", fit.ANCHOR_FORMAT_VERSION, [3], "rerun fit-initial", "solve"),
-        ("checkpoints/control.bin", "control_checkpoint", cn.FORMAT_VERSION, [4], "rerun train-control", "solve"),
-        ("caches/traj.bin", "traj_cache", evolve.TRAJ_FORMAT_VERSION, [5, 4], "rerun gen-trajectories",
-         "train-control"),
-        ("caches/gram.bin", "gram_cache", assembly.CACHE_FORMAT_VERSION, [4, 3], "rerun sample-gram", "train-control"),
-    ):
-        path = out / name
-        header, offset = binfile.read_header(path, kind, version, "")
-        data = path.read_bytes()[offset:]
-        for old in olds:
-            # format-3 Gram and format-4 trajectory caches also recorded a
-            # quadrature setting that the ROM kind now decides
-            extra = {} if old == version - 1 else {"quadrature": "gauss"}
-            path.write_bytes(binfile.encode_header(dict(header, format_version=old, **extra)) + data)
-            assert cli.main([reader, *base]) == cli.EXIT_NUMERIC
-            err = capsys.readouterr().err
-            assert f"not a {kind} in format version {version}" in err and remedy in err
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in PRESETS.glob("*.json")))
@@ -579,7 +558,7 @@ def test_empty_traj_cache_records_the_step(heat_config, tmp_path):
     cfg = config.load_config(heat_config, out_dir=str(tmp_path), overrides=["counts.n_traj=0"])
     pipeline.cmd_sample_gram(cfg)
     assert pipeline.cmd_gen_trajectories(cfg) == {"trajectories": 0, "pairs": 0, "blowups": 0}
-    header, thetas, _ = evolve.read_traj_cache(cfg.path("traj_cache"), cfg.provenance("traj_cache"))
+    header, thetas, _ = evolve.read_traj_cache(cfg.path("traj_cache"), cfg.header("traj_cache"))
     assert header["h"] == HEAT_CFG["problem"]["horizon"] / HEAT_CFG["counts"]["n_t"]
     assert thetas.shape == (0, 2)
     assert pipeline.cmd_train_control(cfg)["pairs"] == 0
@@ -839,7 +818,7 @@ def test_anchor_index_must_be_in_store(heat_config, tmp_path):
     cfg = config.load_config(PRESETS / "allen_cahn_2d.json", out_dir=str(tmp_path / "ac"))
     cfg.ensure_layout()
     anchor = (fit.ChebCombo(terms=((1, 1, 0.5),)), np.zeros(rom.param_count(cfg.rom_arch)), 0.0)
-    fit.save_anchors(cfg.path("anchors"), dict(cfg.provenance("anchors"), m=rom.param_count(cfg.rom_arch)), [anchor])
+    fit.save_anchors(cfg.path("anchors"), dict(cfg.header("anchors"), m=rom.param_count(cfg.rom_arch)), [anchor])
     for k in (-1, 1):
         with pytest.raises(MissingArtifact):
             pipeline.cmd_reference(cfg, anchor_index=k, nx=16, nt=16)
@@ -922,24 +901,6 @@ def test_verify_rejects_a_transport_solution_of_another_horizon(tmp_path, capsys
     assert cli.main(["verify", *base, "--set", "problem.horizon=0.5"]) == 0
 
 
-def test_solutions_and_checkpoints_of_the_previous_formats_are_rejected(heat_config, tmp_path, capsys):
-    # a format-4 solution records neither horizon nor step count, and a
-    # format-5 checkpoint no xi_sha256
-    out = tmp_path / "out"
-    _solved_run(heat_config, out)
-    base = ["--config", str(heat_config), "--out", str(out)]
-    for name, kind, version in (("solutions/solution_000.bin", "solution", pipeline.SOLUTION_FORMAT_VERSION),
-                                ("checkpoints/control.bin", "control_checkpoint", cn.FORMAT_VERSION)):
-        path = out / name
-        payload = path.read_bytes()
-        header, offset = binfile.read_header(path, kind, version, "")
-        path.write_bytes(binfile.encode_header(dict(header, format_version=version - 1)) + payload[offset:])
-        assert cli.main(["eval", *base]) == cli.EXIT_NUMERIC
-        assert f"not a {kind} in format version {version}" in capsys.readouterr().err
-        path.write_bytes(payload)
-    assert cli.main(["eval", *base]) == 0
-
-
 def test_cut_write_keeps_the_previous_artifact(heat_config, tmp_path, monkeypatch):
     out = tmp_path / "out"
     cfg = _solved_run(heat_config, out)
@@ -983,11 +944,7 @@ def test_solve_rejects_anchor_store_from_other_fit_inputs(heat_config, tmp_path,
 
 def test_eval_rejects_stale_imex_reference(tmp_path, capsys):
     # eval used to read a reference computed for another epsilon or initial
-    shrink = ["rom_arch.width=3", "control_arch.width=8", "counts.n_theta=4", "counts.n_x=16", "counts.n_traj=0",
-              "initials.count=1", "initials.fit_n_x=32", "initials.fit.max_steps=5", _TWO_STEPS,
-              "solve.n_steps=4"]
-    base = ["--config", str(PRESETS / "allen_cahn_2d.json"), "--out", str(tmp_path / "out")]
-    base += [arg for key in shrink for arg in ("--set", key)]
+    base = [*SHRUNK_AC, "--out", str(tmp_path / "out")]
     for command in ("fit-initial", "sample-gram", "train-control", "solve"):
         assert cli.main([command, *base]) == 0
     assert cli.main(["reference", *base, "--nx", "16", "--nt", "16"]) == 0
@@ -1003,35 +960,49 @@ def test_eval_rejects_stale_imex_reference(tmp_path, capsys):
     for command in (["eval", "--n-x", "64"], ["export-slice", "--time", "0.1"]):
         assert cli.main([*command, *new]) == cli.EXIT_NUMERIC
         assert "rerun solve" in capsys.readouterr().err
-    # a run of the new seed, solved afresh, beside the old reference; a new
-    # seed also needs a new field, so it runs in its own out dir
+    # a run of the new seed, solved afresh, beside the old reference of
+    # another anchor's spec; a new seed also needs a new field, so it runs
+    # in its own out dir
     fresh = [str(tmp_path / "fresh") if arg == str(tmp_path / "out") else arg for arg in new]
     for command in ("fit-initial", "sample-gram", "train-control", "solve"):
         assert cli.main([command, *fresh]) == 0
     shutil.copy(tmp_path / "out" / "reference" / "ref_000.bin", tmp_path / "fresh" / "reference")
     assert cli.main(["eval", *fresh, "--n-x", "64"]) == cli.EXIT_NUMERIC
     err = capsys.readouterr().err
-    assert "mismatch on 'seed' in" in err and "rerun reference" in err
+    assert "mismatch on 'spec' in" in err and "rerun reference" in err
     assert cli.main(["reference", *fresh, "--nx", "16", "--nt", "16"]) == 0
     assert cli.main(["eval", *fresh, "--n-x", "64"]) == 0
-    # every artifact that is read back is a binfile of its kind
-    kinds = {"gram.bin": ("gram_cache", assembly.CACHE_FORMAT_VERSION),
-             "anchors.bin": ("anchor_store", fit.ANCHOR_FORMAT_VERSION),
-             "control.bin": ("control_checkpoint", cn.FORMAT_VERSION),
-             "loss_history.bin": ("loss_history", cn.LOSS_HISTORY_FORMAT_VERSION),
-             "errors_000.bin": ("error_curve", pipeline.CURVE_FORMAT_VERSION),
-             "solution_000.bin": ("solution", pipeline.SOLUTION_FORMAT_VERSION),
-             "ref_000.bin": ("imex_reference", reference.GRID_FORMAT_VERSION)}
-    read_back = [path for sub in ("caches", "checkpoints", "curves", "solutions", "reference")
-                 for path in (tmp_path / "out" / sub).iterdir()]
-    assert sorted(path.name for path in read_back) == sorted(kinds)
-    for path in read_back:
-        binfile.read_header(path, *kinds[path.name], "")
     # a reference cut short used to end in a zipfile.BadZipFile traceback
     ref = tmp_path / "fresh" / "reference" / "ref_000.bin"
     ref.write_bytes(ref.read_bytes()[:-30])
     assert cli.main(["eval", *fresh, "--n-x", "64"]) == cli.EXIT_NUMERIC
     assert "rerun reference" in capsys.readouterr().err
+
+
+def test_a_refit_that_keeps_the_spec_keeps_the_imex_reference(tmp_path):
+    # the reference recorded every leaf of the anchor store: after a refit
+    # under another fit budget, which keeps the anchor's spec, eval exited 4
+    # "header mismatch on 'initials.fit.max_steps' in .../ref_000.bin"
+    base = [*SHRUNK_AC, "--out", str(tmp_path / "out")]
+    for command in ("fit-initial", "sample-gram", "train-control", "solve"):
+        assert cli.main([command, *base]) == 0
+    assert cli.main(["reference", *base, "--nx", "16", "--nt", "16"]) == 0
+    refit = [*base, "--set", "initials.fit.max_steps=6"]
+    (tmp_path / "out" / "caches" / "gram.bin").unlink()  # its records were drawn around the old anchor
+    for command in ("fit-initial", "sample-gram", "train-control", "solve"):
+        assert cli.main([command, *refit]) == 0
+    assert cli.main(["eval", *refit, "--n-x", "64"]) == 0
+
+
+def test_solutions_outlive_a_store_that_grows(heat_config, tmp_path):
+    # every solution recorded every leaf of the anchor store: after one more
+    # anchor, which leaves anchor 0's row as it was, eval and verify exited 4
+    # "header mismatch on 'initials.count' in .../solution_000.bin"
+    base = ["--config", str(heat_config), "--out", str(tmp_path / "out"), "--set", "initials.count=3"]
+    _solved_run(heat_config, tmp_path / "out")
+    assert cli.main(["fit-initial", *base]) == 0
+    for command in ("eval", "verify"):
+        assert cli.main([command, *base]) == 0
 
 
 @pytest.mark.parametrize("args", [["reference", "--nx", "8"], ["reference", "--nt", "15"], ["eval", "--n-x", "0"]])
@@ -1059,7 +1030,7 @@ def test_solution_solved_before_a_refit_is_rejected(heat_config, tmp_path, capsy
     # under another config fails the solution's record; this one moves
     # theta0 under the same record, which only the theta0 bit check sees
     cfg = _solved_run(heat_config, tmp_path / "out")
-    header, thetas = binfile.load(cfg.path("anchors"), "anchor_store", fit.ANCHOR_FORMAT_VERSION, None, "")
+    header, thetas = binfile.load(cfg.path("anchors"), cfg.header("anchors"))
     binfile.save(cfg.path("anchors"), header, thetas + 0.5)
     base = ["--config", str(heat_config), "--out", str(tmp_path / "out")]
     for command in ("eval", "verify"):
@@ -1101,7 +1072,8 @@ def test_checkpoint_is_used_only_with_the_data_it_was_trained_on(tmp_path, capsy
     for command in ("solve", "verify"):
         assert cli.main([command, *base, "--set", override]) == cli.EXIT_NUMERIC
         err = capsys.readouterr().err
-        assert f"mismatch on {override.split('=')[0]!r} in" in err and "control.bin; rerun train-control" in err
+        assert f"mismatch on {override.split('=')[0]!r} in" in err
+        assert "control.bin; delete it and rerun train-control" in err
 
 
 def test_resumed_training_checks_the_checkpoint_record(tmp_path, capsys):
@@ -1131,10 +1103,7 @@ def test_a_field_trained_on_trajectory_pairs_is_stale_without_them(heat_config, 
 
 def test_checkpoint_records_the_trajectory_cache_and_the_anchor_balls(tmp_path, capsys):
     # anchor balls are drawn around the anchors: a refit moves the training data
-    shrink = ["rom_arch.width=3", "control_arch.width=8", "counts.n_theta=4", "counts.n_x=16", "counts.n_traj=0",
-              "initials.count=1", "initials.fit_n_x=32", "initials.fit.max_steps=5", _TWO_STEPS, "solve.n_steps=4"]
-    base = ["--config", str(PRESETS / "allen_cahn_2d.json"), "--out", str(tmp_path / "ac")]
-    base += [arg for key in shrink for arg in ("--set", key)]
+    base = [*SHRUNK_AC, "--out", str(tmp_path / "ac")]
     for command in ("fit-initial", "sample-gram", "train-control", "solve"):
         assert cli.main([command, *base]) == 0
     refit = [*base, "--set", "initials.fit.max_steps=6"]
@@ -1151,3 +1120,17 @@ def test_readme_config_keys_name_every_settable_leaf():
     assert len(leaves) == 34
     missing = [leaf for leaf in leaves if not all(re.search(rf"\b{re.escape(k)}\b", section) for k in leaf.split("."))]
     assert missing == []
+
+
+def test_readme_binfile_snippet_prints_a_loss_history(heat_config, tmp_path, capsys, monkeypatch):
+    # the snippet passes binfile.load what the file's own header holds, so it can drift from load's signature
+    cfg = config.load_config(heat_config, out_dir=str(tmp_path / "out" / "heat"), overrides=[_TWO_STEPS])
+    for stage in (pipeline.cmd_sample_gram, pipeline.cmd_gen_trajectories, pipeline.cmd_train_control):
+        stage(cfg)
+    snippet = (ROOT / "README.md").read_text().split("```python\n", 1)[1].split("```", 1)[0]
+    assert '"out/heat/curves/loss_history.bin"' in snippet
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    exec(textwrap.dedent(snippet), {})
+    rows = binfile.load(cfg.path("loss_history"), cfg.header("loss_history"))[1]
+    assert capsys.readouterr().out.endswith(f"{rows}\n") and rows.shape == (2, 4)

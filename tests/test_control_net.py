@@ -12,7 +12,8 @@ from pdecontrol.errors import CacheMismatch, MissingArtifact, NonFiniteError
 from pdecontrol.optim import Adam
 from pdecontrol.sampling import Box, Purpose, rng_for, sample_omega, sample_theta
 
-from conftest import TextbookAdam, cache_parts, check_layout_table, fourier_sine_arch, gram_records, overflowing_net
+from conftest import (TextbookAdam, artifact_header, cache_parts, check_layout_table, fourier_sine_arch, gram_records,
+                      overflowing_net)
 
 
 @pytest.fixture
@@ -350,13 +351,13 @@ def test_checkpoint_roundtrip(tmp_path, small_arch, rng):
     net = make_net(small_arch, jitter=0.1, rng=rng)
     path = tmp_path / "control.bin"
     # the header records what shaped the net and its data; a reader checks it and the arch's parameter count
-    record = {"config": {"counts.n_theta": 4}}
+    record = artifact_header("checkpoint", {"counts.n_theta": 4})
     cn.save_control_checkpoint(net, path, record)
     loaded = cn.load_control_checkpoint(path, small_arch, record)
     assert loaded.arch == small_arch
     assert np.array_equal(loaded.xi, net.xi)
     with pytest.raises(CacheMismatch, match="'counts.n_theta' .* rerun train-control"):
-        cn.load_control_checkpoint(path, small_arch, {"config": {"counts.n_theta": 5}})
+        cn.load_control_checkpoint(path, small_arch, artifact_header("checkpoint", {"counts.n_theta": 5}))
     with pytest.raises(CacheMismatch, match="parameters; rerun train-control"):
         cn.load_control_checkpoint(path, cn.ControlArch(input_dim=4, width=8, depth=2), record)
 
@@ -367,33 +368,34 @@ def test_checkpoint_rejects_old_json_and_torn_files(tmp_path, small_arch, rng):
     old.write_text(json.dumps({"format_version": 1, "arch": {"input_dim": 4, "width": 8, "depth": 3},
                                "xi": net.xi.tolist()}))
     with pytest.raises(CacheMismatch, match="rerun train-control"):
-        cn.load_control_checkpoint(old, small_arch, {})
+        cn.load_control_checkpoint(old, small_arch, artifact_header("checkpoint"))
     path = tmp_path / "control.bin"
-    cn.save_control_checkpoint(net, path, {})
+    cn.save_control_checkpoint(net, path, artifact_header("checkpoint"))
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(CacheMismatch):
-        cn.load_control_checkpoint(path, small_arch, {})
+        cn.load_control_checkpoint(path, small_arch, artifact_header("checkpoint"))
 
 
 def test_checkpoint_records_and_checks_the_digest_of_xi(tmp_path, small_arch, rng):
     net = make_net(small_arch, jitter=0.1, rng=rng)
     assert net.sha256 is None
     path = tmp_path / "control.bin"
-    cn.save_control_checkpoint(net, path, {"n_theta": 4})
-    header, offset = binfile.read_header(path, "control_checkpoint", cn.FORMAT_VERSION, "")
+    record = artifact_header("checkpoint", {"n_theta": 4})
+    cn.save_control_checkpoint(net, path, record)
+    header, offset = binfile.read_header(path, record)
     assert header["xi_sha256"] == binfile.digest(net.xi)
-    assert cn.load_control_checkpoint(path, small_arch, {"n_theta": 4}).sha256 == header["xi_sha256"]
-    assert cn.checkpoint_sha256(path, {"n_theta": 4}) == header["xi_sha256"]
+    assert cn.load_control_checkpoint(path, small_arch, record).sha256 == header["xi_sha256"]
+    assert cn.checkpoint_sha256(path, record) == header["xi_sha256"]
     with pytest.raises(CacheMismatch, match="'n_theta' .* rerun train-control"):
-        cn.checkpoint_sha256(path, {"n_theta": 5})
+        cn.checkpoint_sha256(path, artifact_header("checkpoint", {"n_theta": 5}))
     # parameters changed in place, with the header left as it was
     data = bytearray(path.read_bytes())
     data[offset] ^= 1
     path.write_bytes(bytes(data))
     with pytest.raises(CacheMismatch, match="xi_sha256; rerun train-control"):
-        cn.load_control_checkpoint(path, small_arch, {"n_theta": 4})
+        cn.load_control_checkpoint(path, small_arch, record)
     with pytest.raises(MissingArtifact, match="rerun train-control"):
-        cn.checkpoint_sha256(tmp_path / "none.bin", {})
+        cn.checkpoint_sha256(tmp_path / "none.bin", record)
 
 
 def _reference_forward(arch, xi, TH):
@@ -433,8 +435,8 @@ def test_forward_and_train_bit_identical(tmp_path, small_arch, rng):
     m = rom.param_count(arch)
     thetas = sample_theta(Box(1.0, m), 12, seed=3, purpose=Purpose.GRAM_THETA)
     path = tmp_path / "gram.bin"
-    assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 1, path, {})
-    cache = assembly.read_cache(path, {}, thetas)
+    assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 1, path, artifact_header("gram_cache"))
+    cache = assembly.read_cache(path, artifact_header("gram_cache"), thetas)
     rows = np.array([0, 2, 3, 5, 7, 8, 9, 11])
     carch = cn.ControlArch(input_dim=m, width=8, depth=3)
     cfg = dict(lr=1e-2, zeta=0.0, batch_size=3, stop_loss=0.0, max_steps=25, seed=4)
@@ -479,16 +481,17 @@ def test_rk4_solve_on_the_kernel_equals_a_solve_on_the_layer_formula(rng):
 
 def test_loss_history_resume_rejects_a_torn_row_and_writes_whole(tmp_path, monkeypatch):
     # appending in place merged a torn last row with the next stage's first
-    path = tmp_path / "hist.bin"
-    cn.save_loss_history([(1, 0.5, 0.25, 0.525), (2, 0.4, 0.3, 0.43)], path)
-    header, _ = binfile.read_header(path, "loss_history", cn.LOSS_HISTORY_FORMAT_VERSION, "")
+    path, head = tmp_path / "hist.bin", artifact_header("loss_history")
+    cn.save_loss_history([(1, 0.5, 0.25, 0.525), (2, 0.4, 0.3, 0.43)], path, head)
+    header, _ = binfile.read_header(path, head)
     assert header["shape"] == [2, 4]
-    cn.save_loss_history([(1, 0.3, 0.2, 0.32)], path, cn.read_loss_history(path))
+    cn.save_loss_history([(1, 0.3, 0.2, 0.32)], path, head, binfile.load(path, head)[1])
     whole = path.read_bytes()
-    assert cn.read_loss_history(path).tolist() == [[1, 0.5, 0.25, 0.525], [2, 0.4, 0.3, 0.43], [3, 0.3, 0.2, 0.32]]
+    assert binfile.load(path, head)[1].tolist() == [[1, 0.5, 0.25, 0.525], [2, 0.4, 0.3, 0.43],
+                                                          [3, 0.3, 0.2, 0.32]]
     path.write_bytes(whole[:-7])
-    with pytest.raises(CacheMismatch, match="rerun train-control without --resume to start a new loss history"):
-        cn.read_loss_history(path)
+    with pytest.raises(CacheMismatch, match="delete it and rerun train-control"):
+        binfile.load(path, head)[1]
 
     def cut(src, dst):
         raise OSError("cut before the rename")
@@ -496,7 +499,7 @@ def test_loss_history_resume_rejects_a_torn_row_and_writes_whole(tmp_path, monke
     path.write_bytes(whole)
     monkeypatch.setattr(os, "replace", cut)
     with pytest.raises(OSError, match="cut"):
-        cn.save_loss_history([(1, 0.2, 0.1, 0.21)], path, cn.read_loss_history(path))
+        cn.save_loss_history([(1, 0.2, 0.1, 0.21)], path, head, binfile.load(path, head)[1])
     assert path.read_bytes() == whole
 
 
@@ -593,8 +596,8 @@ def _mapped_cache(tmp_path, n=12):
     arch = rom.RomArch("resnet_zero_boundary", 1, 2, 2, "tanh")
     thetas = sample_theta(Box(1.0, rom.param_count(arch)), n, seed=3, purpose=Purpose.GRAM_THETA)
     path = tmp_path / "gram.bin"
-    assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 1, path, {})
-    return assembly.read_cache(path, {}, thetas)
+    assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 32, 1, path, artifact_header("gram_cache"))
+    return assembly.read_cache(path, artifact_header("gram_cache"), thetas)
 
 
 def test_loss_on_a_mapped_cache_is_the_gathered_minibatch_loss_bit_for_bit(tmp_path, rng, monkeypatch):
@@ -673,8 +676,8 @@ def test_a_train_step_holds_no_minibatch_of_gram_matrices(tmp_path):
     arch = fourier_sine_arch(m)
     thetas = sample_theta(Box(1.0, m), n, seed=0, purpose=Purpose.GRAM_THETA)
     path = tmp_path / "gram.bin"
-    assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 64, 0, path, {})
-    cache = assembly.read_cache(path, {}, thetas)
+    assembly.assemble_batch(arch, thetas, pde_ops.Heat(), 64, 0, path, artifact_header("gram_cache"))
+    cache = assembly.read_cache(path, artifact_header("gram_cache"), thetas)
     carch = cn.ControlArch(input_dim=m, width=8, depth=2)
     peaks = []
     for batch_size in (64, 128):

@@ -8,7 +8,7 @@ from pdecontrol import control_net as cn
 from pdecontrol.errors import CacheMismatch, NonFiniteError
 from pdecontrol.sampling import AnchorBalls, Box, Purpose, sample_theta
 
-from conftest import fourier_sine_arch
+from conftest import artifact_header, fourier_sine_arch
 
 
 def test_rk4_single_step_linear_decay():
@@ -294,16 +294,15 @@ def test_traj_cache_roundtrip(tmp_path):
         for i in range(2)
     ]
     path = tmp_path / "traj.bin"
-    record = {"config": {"counts.n_traj": 2, "counts.n_t": 4}}
+    record = artifact_header("traj_cache", {"counts.n_traj": 2, "counts.n_t": 4})
     evolve.write_traj_cache(path, dict(record, m=3, h=0.01), trajs)
     assert [p.name for p in tmp_path.iterdir()] == ["traj.bin"]
     read, thetas, vels = evolve.read_traj_cache(path, record)
-    assert read == {"format_version": evolve.TRAJ_FORMAT_VERSION, "kind": "traj_cache", **record, "m": 3, "h": 0.01,
-                    "shape": [10, 6]}
+    assert read == {**record, "m": 3, "h": 0.01, "shape": [10, 6]}
     assert thetas.tobytes() == np.vstack([t.thetas for t in trajs]).tobytes()
     assert vels.tobytes() == np.vstack([t.velocities for t in trajs]).tobytes()
     with pytest.raises(CacheMismatch, match="'counts.n_t' .* rerun gen-trajectories"):
-        evolve.read_traj_cache(path, {"config": {"counts.n_traj": 2, "counts.n_t": 5}})
+        evolve.read_traj_cache(path, artifact_header("traj_cache", {"counts.n_traj": 2, "counts.n_t": 5}))
 
 
 def test_traj_cache_torn_line_names_the_remedy(tmp_path):
@@ -311,7 +310,7 @@ def test_traj_cache_torn_line_names_the_remedy(tmp_path):
     starts = np.array([[0.3, -0.2]])
     traj = evolve.gen_trajectory(arch, starts[0], pde_ops.Heat(), 3, 0.01, 16, 0)
     path = tmp_path / "traj.bin"
-    evolve.write_traj_cache(path, {"m": 2, "h": 0.01}, [traj])
+    evolve.write_traj_cache(path, dict(artifact_header("traj_cache"), m=2, h=0.01), [traj])
     path.write_bytes(path.read_bytes()[:-10])
     with pytest.raises(CacheMismatch, match="holds .* rerun gen-trajectories"):
-        evolve.read_traj_cache(path, {})
+        evolve.read_traj_cache(path, artifact_header("traj_cache"))

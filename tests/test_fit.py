@@ -3,12 +3,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pdecontrol import cli, config, fit, linalg, pipeline, rom
+from pdecontrol import binfile, cli, config, fit, linalg, pipeline, rom
 from pdecontrol.optim import Adam
 from pdecontrol.errors import CacheMismatch
 from pdecontrol.sampling import Purpose, sample_omega, sample_theta
 
-from conftest import TextbookAdam, fourier_sine_arch
+from conftest import TextbookAdam, artifact_header, fourier_sine_arch
 
 PRESETS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -293,7 +293,7 @@ def test_fit_initial_writes_the_store_of_the_single_fit_loop(tmp_path, preset, o
         entries.append((spec, res.theta, res.rmse))
         oracle_steps.append(res.steps)
     assert oracle_steps == steps
-    fit.save_anchors(tmp_path / "oracle.bin", dict(cfg.provenance("anchors"), m=entries[0][1].size), entries)
+    fit.save_anchors(tmp_path / "oracle.bin", dict(cfg.header("anchors"), m=entries[0][1].size), entries)
     assert Path(cfg.path("anchors")).read_bytes() == (tmp_path / "oracle.bin").read_bytes()
 
 
@@ -340,7 +340,7 @@ def test_transport_anchors_are_box_points_drawn_per_seed(tmp_path):
         cfg = config.load_config(PRESETS / "transport_1d.json", out_dir=str(tmp_path / out), seed=seed,
                                  overrides=[f"initials.count={count}", "theta_space.half_width=0.5"])
         assert [entry["rmse"] for entry in pipeline.cmd_fit_initial(cfg)] == [0.0] * count
-        header, thetas = fit.load_anchors(cfg.path("anchors"), cfg.provenance("anchors"))
+        header, thetas = binfile.load(cfg.path("anchors"), cfg.header("anchors"))
         assert header["specs"] == [None] * count and header["rmse"] == [0.0] * count
         return cfg, thetas
 
@@ -358,7 +358,7 @@ def test_transport_fit_initial_with_no_initials_writes_an_empty_store(tmp_path):
     cfg = config.load_config(PRESETS / "transport_1d.json", out_dir=str(tmp_path), overrides=["initials.count=0"])
     assert cli.main(["fit-initial", "--config", str(PRESETS / "transport_1d.json"), "--out", str(tmp_path),
                      "--set", "initials.count=0"]) == 0
-    header, thetas = fit.load_anchors(cfg.path("anchors"), cfg.provenance("anchors"))
+    header, thetas = binfile.load(cfg.path("anchors"), cfg.header("anchors"))
     assert thetas.shape == (0, rom.param_count(cfg.rom_arch)) and header["specs"] == [] and header["rmse"] == []
 
 
@@ -366,21 +366,22 @@ def test_anchor_store_roundtrip(tmp_path):
     # a transport anchor (the second) has no spec
     specs = [fit.HeatCombo(np.array([0.5, -0.5, 0.0, 0.0])), None]
     thetas = [np.array([1.0, 2.0]), np.array([3.0, 4.0])]
-    fit.save_anchors(tmp_path / "a.bin", {"m": 2}, list(zip(specs, thetas, [0.01, 0.0])))
-    header, loaded = fit.load_anchors(tmp_path / "a.bin", {"m": 2})
+    fit.save_anchors(tmp_path / "a.bin", dict(artifact_header("anchors"), m=2), list(zip(specs, thetas, [0.01, 0.0])))
+    header, loaded = binfile.load(tmp_path / "a.bin", dict(artifact_header("anchors"), m=2))
     assert loaded.tolist() == [[1.0, 2.0], [3.0, 4.0]]
     assert header["specs"][0]["kind"] == "heat_combo"
     assert header["specs"][1] is None
     assert header["rmse"] == [0.01, 0.0]
     with pytest.raises(CacheMismatch, match="'m' .* rerun fit-initial"):
-        fit.load_anchors(tmp_path / "a.bin", {"m": 3})
+        binfile.load(tmp_path / "a.bin", dict(artifact_header("anchors"), m=3))
 
 
 def test_anchor_store_header_past_64_kb_reads_back(tmp_path):
     # the specs live in the header, which grows with the anchor count
     spec = fit.ChebCombo(terms=tuple((i, j, -0.123456789) for i in range(6) for j in range(6)))
     path = tmp_path / "a.bin"
-    fit.save_anchors(path, {"m": 3}, [(spec, np.full(3, float(k)), 1e-3) for k in range(400)])
+    head = dict(artifact_header("anchors"), m=3)
+    fit.save_anchors(path, head, [(spec, np.full(3, float(k)), 1e-3) for k in range(400)])
     assert path.stat().st_size > 1 << 16
-    header, thetas = fit.load_anchors(path, {"m": 3})
+    header, thetas = binfile.load(path, head)
     assert len(header["specs"]) == 400 and thetas.shape == (400, 3) and thetas[-1].tolist() == [399.0] * 3

@@ -11,7 +11,7 @@ from pdecontrol.errors import CacheMismatch, NonFiniteError
 from pdecontrol.reference import OutOfDomain
 from pdecontrol.sampling import Purpose, sample_omega
 
-from conftest import fourier_sine_arch
+from conftest import artifact_header, fourier_sine_arch
 
 
 def _sine_net() -> rom.RomModel:
@@ -237,18 +237,18 @@ def test_grid_and_slice_writes_replace_whole_files(tmp_path, monkeypatch):
     spec = fit.ChebCombo(terms=((1, 1, 0.5),))
     grid = reference.solve_allen_cahn_imex(spec, 1e-4, 16, 16, 0.1, max_snapshots=4)
     ref = tmp_path / "ref_000.bin"
-    reference.save_grid_solution(grid, ref, {"epsilon": 1e-4})
-    back = reference.load_grid_solution(ref, {"epsilon": 1e-4})
+    reference.save_grid_solution(grid, ref, artifact_header("reference", {"problem.epsilon": 1e-4}))
+    back = reference.load_grid_solution(ref, artifact_header("reference", {"problem.epsilon": 1e-4}))
     for name in ("xs", "times", "snapshots", "lo", "hi"):
         assert getattr(back, name).tobytes() == getattr(grid, name).tobytes()
-    with pytest.raises(CacheMismatch, match="'epsilon' .* rerun reference"):
-        reference.load_grid_solution(ref, {"epsilon": 0.5})
+    with pytest.raises(CacheMismatch, match="'problem.epsilon' .* rerun reference"):
+        reference.load_grid_solution(ref, artifact_header("reference", {"problem.epsilon": 0.5}))
 
     # a write cut before its rename leaves the previous file in place
     arch = rom.RomArch("resnet_zero_boundary", 2, 4, 2, "tanh", lo=(-1.0, -1.0), hi=(1.0, 1.0))
     csv = tmp_path / "slice.csv"
     writes = {
-        ref: lambda: reference.save_grid_solution(grid, ref, {}),
+        ref: lambda: reference.save_grid_solution(grid, ref, artifact_header("reference")),
         csv: lambda: reference.export_slice(arch, rom.init_params(arch, 0), grid, 0.05, csv, grid_n=4),
     }
 

@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from pdecontrol import control_net as cn
+from pdecontrol import binfile
 
+from conftest import artifact_header
 from test_config_cli import HEAT_CFG
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -37,7 +38,7 @@ def test_run_preset_runs_the_whole_schedule_and_verifies(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert _load("run_preset.py", monkeypatch).main(["--config", str(path), "--out", str(out)]) == 0
     assert json.loads((out / "report.json").read_text())["totals"]["passed"]
-    assert len(cn.read_loss_history(out / "curves" / "loss_history.bin")) == 20
+    assert len(binfile.load(out / "curves" / "loss_history.bin", artifact_header("loss_history"))[1]) == 20
     assert sorted(p.name for p in (out / "curves").glob("errors_*.bin")) == ["errors_000.bin", "errors_001.bin"]
 
 

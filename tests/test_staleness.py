@@ -1,4 +1,4 @@
-"""Staleness, generated from config's provenance table and config.SCHEMA.
+"""Staleness and formats, generated from config's artifact table and config.SCHEMA.
 
 After a full run of the tier-1 config, each settable leaf that it holds is
 changed alone, by its type, and two kind swaps change a block's kind. Each
@@ -9,8 +9,12 @@ or write only what a fresh run writes. A resumed train-control may succeed
 only when the fresh checkpoint is the old one. train.* shapes no artifact
 (--resume continues under a new schedule), so after a train change the
 commands from --resume on keep the old field and are not run.
+
+Each binfile artifact, rewritten at its previous format version, is
+rejected by a command that reads it, naming its kind, format and writer.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -18,15 +22,21 @@ import re
 
 import pytest
 
-from pdecontrol import cli, config
+from pdecontrol import binfile, cli, config
 
 from conftest import settable_leaves
-from test_config_cli import HEAT_CFG
+from test_config_cli import HEAT_CFG, SHRUNK_AC
 
-# what each command writes, by _LAYOUT name (the per-anchor ones for anchor 0)
-WRITES = {"fit-initial": ["anchors"], "sample-gram": ["gram_cache"], "gen-trajectories": ["traj_cache"],
-          "train-control": ["checkpoint", "loss_history"], "solve": ["solution"], "reference": ["reference"],
-          "eval": ["errors"], "verify": ["report"]}
+# what each command writes, by _ARTIFACTS name (the per-anchor ones for anchor 0), in the
+# order the pipeline runs; export-slice needs a 2-D problem and the tier-1 config is 1-D
+WRITES = {}
+for _name, _row in config._ARTIFACTS.items():
+    if _row.writer != "export-slice":
+        WRITES.setdefault(_row.writer, []).append(_name)
+BINFILES = [name for name, row in config._ARTIFACTS.items() if row.format_version is not None]
+# a command that reads each binfile, after every artifact read before it
+READERS = {"anchors": "solve", "gram_cache": "train-control", "traj_cache": "train-control", "checkpoint": "solve",
+           "loss_history": "train-control --resume", "solution": "eval", "reference": "eval", "errors": "verify"}
 COMMANDS = [*WRITES][:4] + ["train-control --resume"] + [*WRITES][4:]
 KIND_SWAPS = {"theta_space": {"kind": "anchor_balls"},
               "rom_arch": {"kind": "resnet_zero_boundary", "width": 3, "depth": 2}}
@@ -53,10 +63,12 @@ def _changes():
 
 
 def _run(cfg, out, command: str) -> tuple[int, str]:
-    """The exit code and the stderr of one command."""
+    """The exit code and the stderr of one command under cfg, a config
+    path or a list of config arguments."""
     err = io.StringIO()
+    args = cfg if isinstance(cfg, list) else ["--config", str(cfg)]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = cli.main([*command.split(), "--config", str(cfg), "--out", str(out)])
+        code = cli.main([*command.split(), *args, "--out", str(out)])
     return code, err.getvalue()
 
 
@@ -78,14 +90,28 @@ def old(tmp_path_factory):
     return _full_run(HEAT_CFG, tmp_path_factory.mktemp("old"))
 
 
+@pytest.fixture(scope="module")
+def allen_cahn(tmp_path_factory):
+    """The files of a shrunk allen_cahn_2d run, the one kind with a reference file."""
+    out = tmp_path_factory.mktemp("allen_cahn") / "out"
+    for command in ("fit-initial", "sample-gram", "train-control", "solve", "reference --nx 16 --nt 16",
+                    "eval --n-x 64"):
+        assert _run(SHRUNK_AC, out, command)[0] == 0
+    return _files(out)
+
+
+def _restore(files: dict, work) -> None:
+    for rel, data in files.items():
+        (work / rel).parent.mkdir(parents=True, exist_ok=True)
+        (work / rel).write_bytes(data)
+
+
 @pytest.mark.parametrize("changed, doc", list(_changes()))
 def test_a_command_on_stale_artifacts_exits_4_naming_them_or_writes_a_fresh_runs_bytes(changed, doc, old, tmp_path):
     fresh, work = _full_run(doc, tmp_path), tmp_path / "work"
     stale = {command for command, names in WRITES.items()
-             if any(old.get(rel) != fresh.get(rel) for rel in (config._LAYOUT[name].format(0) for name in names))}
-    for rel, data in old.items():
-        (work / rel).parent.mkdir(parents=True, exist_ok=True)
-        (work / rel).write_bytes(data)
+             if any(old.get(rel) != fresh.get(rel) for rel in (config._ARTIFACTS[n].path.format(0) for n in names))}
+    _restore(old, work)
     for command in COMMANDS[:COMMANDS.index("train-control --resume") if changed.startswith("train.") else None]:
         before = _files(work, stamps=True)
         code, err = _run(tmp_path / "cfg.json", work, command)
@@ -107,7 +133,35 @@ def test_a_command_on_stale_artifacts_exits_4_naming_them_or_writes_a_fresh_runs
 def test_the_provenance_table_and_the_schema_name_the_same_leaves():
     # a new config key cannot land without saying what it shapes
     leaves, quiet = settable_leaves(config.SCHEMA), set(config._SHAPES_NO_ARTIFACT)
-    named = {leaf for row, _ in config._PROVENANCE.values() for leaf in row}
+    named = {leaf for row in config._ARTIFACTS.values() for leaf in row.leaves}
     assert named | quiet <= set(leaves) and not named & quiet
     assert [leaf for leaf in leaves if leaf not in named | quiet] == []
-    assert all(up in config._PROVENANCE for _, reads in config._PROVENANCE.values() for up in reads)
+    assert all(up in config._ARTIFACTS for row in config._ARTIFACTS.values() for up in row.reads)
+
+
+def test_every_artifact_is_written_by_a_subcommand():
+    [commands] = [action.choices for action in cli.build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    assert {row.writer for row in config._ARTIFACTS.values()} <= set(commands)
+    assert sorted(READERS) == sorted(BINFILES)
+
+
+def test_the_runs_write_the_files_of_the_table(old, allen_cahn):
+    # together the two runs write every artifact but a slice, which needs --time
+    assert {*old, *allen_cahn} == {row.path.format(0) for name, row in config._ARTIFACTS.items() if name != "slice"}
+
+
+@pytest.mark.parametrize("name", BINFILES)
+def test_a_file_of_the_previous_format_is_rejected_naming_its_writer(name, old, allen_cahn, tmp_path):
+    # only allen_cahn writes a reference file; the tier-1 config's run holds every other binfile
+    files, cfg = (allen_cahn, SHRUNK_AC) if name == "reference" else (old, tmp_path / "cfg.json")
+    (tmp_path / "cfg.json").write_text(json.dumps(HEAT_CFG))
+    work, row = tmp_path / "work", config._ARTIFACTS[name]
+    _restore(files, work)
+    path = work / row.path.format(0)
+    line, data = path.read_bytes().split(b"\n", 1)
+    assert json.loads(line)["kind"] == name
+    path.write_bytes(binfile.encode_header(dict(json.loads(line), format_version=row.format_version - 1)) + data)
+    code, err = _run(cfg, work, READERS[name])
+    assert code == cli.EXIT_NUMERIC, err
+    assert f"not a {name} in format version {row.format_version}" in err and f"rerun {row.writer}" in err
