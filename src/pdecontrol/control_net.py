@@ -19,7 +19,10 @@ One forward pass (_forward_cached) runs the layers for every caller: forward
 layer and every gate read only theta, so one stacked product with the
 theta table of ControlNet.forward_views gives all their pre-activations and
 one elementwise pass all the Phi(R); the blocks then run in turn. The pass
-keeps what the one reverse pass (_reverse) reads. It runs on views made
+keeps what the one reverse pass (_reverse) reads, but not the gates
+GeLU(R) = R Phi(R): they are written into the blocks' output buffer, which
+each block turns into its output in place, and the reverse pass (and _jvp)
+rebuilds each gate with one multiply. It runs on views made
 once, the net's in ControlNet.forward_views and the workspace's, and it
 checks no value: forward returns inf or nan where the field overflows, and
 each caller checks what it needs (solve_ivp each state, residual_scan its
@@ -32,8 +35,9 @@ Both passes write into a _Workspace made once for a row count: train makes
 one per stage and forward keeps one per net. Each ufunc runs the layer
 formula's operation in its order, so every value is the formula's bit for
 bit. A minibatch's Gram records stream through one chunk buffer of about
-_CHUNK_BYTES, whole records at a time, so a step never holds batch * m*m
-floats.
+_CHUNK_BYTES, whole records at a time and never more records than the
+workspace has rows, so a step never holds batch * m*m floats. ADAM steps
+xi in slices (optim.Adam), so a step holds no parameter-sized scratch.
 """
 
 from __future__ import annotations
@@ -177,52 +181,57 @@ def init_control_params(arch: ControlArch, seed: int) -> np.ndarray:
 class _Workspace:
     """The buffers of passes of n rows, reused by each: what _forward_cached
     keeps (the stacked pre-activations A, with A0 the first, which turns
-    into H0 in place, and R the gates', Phi(R), the gates, each block's
-    tanh T and output state H, and the field out), with the views that pass
-    reads and returns made once (each block's (H_in, T) as layers, and its
-    (H_in, T, gate, H) as steps), the reverse pass's cotangents and
-    scratch, the flat gradient with its layer views, loss's rows (TH,
-    residual, output cotangent, squares) and, for records of record_width
-    floats, the chunk buffer they stream through. What a pass returns lives
-    here until the next pass."""
+    into H0 in place, and R the gates', Phi(R), each block's tanh T and
+    output state H, which holds the block's gate until the block runs, and
+    the field out; no gate is kept), with the views that pass reads and
+    returns made once (each block's (H_in, T) as layers, and its
+    (H_in, T, H) as steps), the reverse pass's cotangents and scratch, the
+    flat gradient with its layer views, loss's rows (TH, residual, output
+    cotangent, squares) and, for records of record_width floats, the chunk
+    buffer they stream through, of at most n records. What a pass returns
+    lives here until the next pass."""
 
     def __init__(self, arch: ControlArch, n: int, record_width: int = 0):
         m, w = arch.input_dim, arch.width
         self.n = n
         self.A = np.empty((arch.depth, n, w))
         self.A0, self.R = self.A[0], self.A[1:]
-        self.cdf, self.gates, self.T, self.H = np.empty((4, arch.n_blocks, n, w))
+        self.cdf, self.T, self.H = np.empty((3, arch.n_blocks, n, w))
         H_in = [self.A0, *self.H[:-1]]
         self.layers = list(zip(H_in, self.T))
-        self.steps = list(zip(H_in, self.T, self.gates, self.H))
+        self.steps = list(zip(H_in, self.T, self.H))
         self.dH, self.dS, self.dR, self.tmp = np.empty((4, n, w))
         self.TH, self.out, self.res, self.dout, self.sq = np.empty((5, n, m))
         self.grad = np.empty(control_param_count(arch))
         self.grad_parts = _unpack(arch, self.grad)
-        self.chunk = _chunk_buffer(record_width) if record_width else None
+        self.chunk = _chunk_buffer(record_width, n) if record_width else None
 
 
-def _chunk_buffer(record_width: int) -> np.ndarray:
-    """As many whole records as fit in _CHUNK_BYTES, at least one."""
-    return np.empty((max(1, _CHUNK_BYTES // (8 * record_width)), record_width))
+def _chunk_buffer(record_width: int, rows: int) -> np.ndarray:
+    """As many whole records as fit in _CHUNK_BYTES, at least one and at
+    most rows, the most its caller gathers at a time."""
+    return np.empty((max(1, min(rows, _CHUNK_BYTES // (8 * record_width))), record_width))
 
 
 def _forward_cached(net: ControlNet, TH: np.ndarray, ws: _Workspace | None = None):
     """(out, cache): V at the rows of TH and what every derivative reuses,
-    cache = (TH, H0 the first tanh, R, Phi(R), gate = R Phi(R), per block
-    (H_in, T), H_last), with R, Phi(R) and gate stacked over the blocks as
-    (depth-1, n, width) arrays. All but TH live in ws (a new _Workspace if
-    None).
+    cache = (TH, H0 the first tanh, R, Phi(R), per block (H_in, T),
+    H_last), with R and Phi(R) stacked over the blocks as (depth-1, n,
+    width) arrays. All but TH live in ws (a new _Workspace if None). The
+    cache holds no gate: a pass that reads block k's gate R Phi(R) rebuilds
+    it as Phi(R)[k] * R[k], the bits this pass multiplied.
 
     One stacked product with the net's theta table gives the first
     pre-activation and every gate's; one elementwise pass turns the gate
-    rows into Phi(R). The pass reads the views that the net and ws made
+    rows into Phi(R), and one multiply writes every gate into the blocks'
+    output buffer H, whose slot each block turns into its output in place
+    (H_k = H_in + gate T). The pass reads the views that the net and ws made
     once, and passes outputs to the ufuncs positionally, which parse an
     out= keyword more slowly: a batch-1 call makes about twenty of them."""
     if ws is None:
         ws = _Workspace(net.arch, TH.shape[0])
     table, biases, blocks, W_out_T, b_out = net.forward_views
-    A, A0, R, cdf, gates = ws.A, ws.A0, ws.R, ws.cdf, ws.gates
+    A, A0, R, cdf = ws.A, ws.A0, ws.R, ws.cdf
     np.matmul(TH, table, A)  # one (n, width) product per layer
     np.add(A, biases, A)
     np.tanh(A0, A0)
@@ -230,15 +239,15 @@ def _forward_cached(net: ControlNet, TH: np.ndarray, ws: _Workspace | None = Non
     erf(cdf, cdf)
     np.add(cdf, _ONE, cdf)
     np.multiply(cdf, _HALF, cdf)
-    np.multiply(cdf, R, gates)
-    for (U_T, b), (H_in, T, gate, H) in zip(blocks, ws.steps):
+    np.multiply(cdf, R, ws.H)  # every block's gate, in its output slot
+    for (U_T, b), (H_in, T, H) in zip(blocks, ws.steps):
         np.matmul(H_in, U_T, T)
         np.add(T, b, T)
         np.tanh(T, T)
-        np.add(H_in, np.multiply(gate, T, H), H)
+        np.add(H_in, np.multiply(H, T, H), H)
     out = np.matmul(H, W_out_T, ws.out)
     np.add(out, b_out, out)
-    return out, (TH, A0, R, cdf, gates, ws.layers, H)
+    return out, (TH, A0, R, cdf, ws.layers, H)
 
 
 def forward(net: ControlNet, theta) -> np.ndarray:
@@ -266,17 +275,20 @@ def _reverse(net: ControlNet, cache, dout: np.ndarray, ws: _Workspace | None, vi
     calls visit(k, dS, dR) with the cotangents of block k's tanh (S) and
     gate (R) pre-activations, and returns dA0, the first pre-activation's.
     All three live in ws (a new _Workspace if None); the next block's dS
-    and dR overwrite the last."""
+    and dR overwrite the last. Each block's gate is rebuilt into dS, which
+    then takes dH: the product dH gate is commutative, so its bits are
+    those of a stored gate's."""
     if ws is None:
         ws = _Workspace(net.arch, dout.shape[0])
     _, _, blocks, W_out, _ = net.params
-    _, H0, R, cdf, gates, layers, _ = cache
+    _, H0, R, cdf, layers, _ = cache
     dH, dS, dR, tmp = ws.dH, ws.dS, ws.dR, ws.tmp
     np.matmul(dout, W_out, dH)
     for k in range(len(layers) - 1, -1, -1):
         T = layers[k][1]
         np.subtract(1.0, np.multiply(T, T, tmp), tmp)
-        np.multiply(dH, gates[k], dS)
+        np.multiply(cdf[k], R[k], dS)  # the gate
+        dS *= dH
         dS *= tmp  # dH gate (1 - T^2)
         _gelu_deriv(R[k], cdf[k], dR)
         dR *= np.multiply(dH, T, tmp)  # dH T GeLU'(R)
@@ -312,14 +324,15 @@ def _backward_xi(net: ControlNet, cache, dout: np.ndarray, ws: _Workspace | None
 
 
 def _jvp(net: ControlNet, cache, v: np.ndarray) -> np.ndarray:
-    """Directional derivative (d/ds) V(theta + s v) at s=0, batched."""
+    """Directional derivative (d/ds) V(theta + s v) at s=0, batched; each
+    block's gate is rebuilt from the cache as the forward pass made it."""
     U0, _, blocks, W_out, _ = net.params
-    _, H0, R, cdf, gates, layers, _ = cache
+    _, H0, R, cdf, layers, _ = cache
     Hd = (1.0 - H0 * H0) * (v @ U0.T)
-    for (U, _, Ug, _), R_k, cdf_k, gate, (_, T) in zip(blocks, R, cdf, gates, layers):
+    for (U, _, Ug, _), R_k, cdf_k, (_, T) in zip(blocks, R, cdf, layers):
         gate_d = _gelu_deriv(R_k, cdf_k) * (v @ Ug.T)
         Td = (1.0 - T * T) * (Hd @ U.T)
-        Hd = Hd + gate_d * T + gate * Td
+        Hd = Hd + gate_d * T + cdf_k * R_k * Td
     return Hd @ W_out.T
 
 
@@ -530,7 +543,7 @@ def residual_scan(net: ControlNet, records: np.ndarray, rows: np.ndarray | None 
     wherever the field overflowed: the norms are checked once per scan."""
     m = net.arch.input_dim
     rows = np.arange(records.shape[0]) if rows is None else rows
-    buf = _chunk_buffer(records.shape[1])
+    buf = _chunk_buffer(records.shape[1], _SCAN_ROWS)
     norms = np.empty(rows.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows in the norms
         for first in range(0, rows.shape[0], _SCAN_ROWS):

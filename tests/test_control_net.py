@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from pdecontrol import assembly, binfile, config, control_net as cn, evolve, pde_ops, pipeline, rom
+from pdecontrol import assembly, binfile, config, control_net as cn, evolve, optim, pde_ops, pipeline, rom
 from pdecontrol.errors import CacheMismatch, MissingArtifact, NonFiniteError
 from pdecontrol.optim import Adam
 from pdecontrol.sampling import Box, Purpose, rng_for, sample_omega, sample_theta
@@ -460,12 +460,12 @@ def test_forward_kernel_matches_the_layer_formula_on_a_grid_of_shapes(depth, wid
     assert cn.forward(net, TH[3]).tobytes() == _reference_forward(arch, net.xi, TH[3:4])[0].tobytes()
     # every cache entry that _reverse, _backward_xi, _jvp and _vjp read
     for rows in (TH, TH[3:4]):
-        out, (TH_c, H0, R, cdf, gates, layers, H_last) = cn._forward_cached(net, rows)
+        out, (TH_c, H0, R, cdf, layers, H_last) = cn._forward_cached(net, rows)
         ref_out, (ref_TH, ref_H0, ref_layers, ref_H_last) = _reference_forward_cached(arch, net.xi, rows)
-        assert R.shape == cdf.shape == gates.shape == (depth - 1, rows.shape[0], width)
+        assert R.shape == cdf.shape == (depth - 1, rows.shape[0], width)
         got = [out, TH_c, H0, H_last]
-        for (H_in, T), R_k, cdf_k, gate_k in zip(layers, R, cdf, gates):
-            got += [H_in, R_k, cdf_k, gate_k, T]
+        for (H_in, T), R_k, cdf_k in zip(layers, R, cdf):
+            got += [H_in, R_k, cdf_k, cdf_k * R_k, T]  # the gate, as the backward pass rebuilds it
         want = [ref_out, ref_TH, ref_H0, ref_H_last] + [a for layer in ref_layers for a in layer]
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
@@ -531,12 +531,12 @@ def _gathered_backward_xi(net, cache, dout):
     # the reverse pass on new arrays, each block's cotangents kept in a
     # list and the parts joined at the end
     _, _, blocks, W_out, _ = net.params
-    TH, H0, R, cdf, gates, layers, H_last = cache
+    TH, H0, R, cdf, layers, H_last = cache
     dH = dout @ W_out
     per_block = [None] * len(layers)
     for k in range(len(layers) - 1, -1, -1):
         T = layers[k][1]
-        dS = dH * gates[k] * (1.0 - T * T)
+        dS = dH * (R[k] * cdf[k]) * (1.0 - T * T)
         gelu_d = cdf[k] + R[k] * (1.0 / np.sqrt(2.0 * np.pi) * np.exp(-0.5 * R[k] * R[k]))
         per_block[k] = (dS, dH * T * gelu_d)
         dH = dH + dS @ blocks[k][0]
@@ -690,3 +690,220 @@ def test_a_train_step_holds_no_minibatch_of_gram_matrices(tmp_path):
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 0.25 * 64 * m * m * 8
+
+
+# ---------------------------------------------------------------------------
+# the gate-storing passes: the oracle for the passes that rebuild each gate
+
+
+def _gate_storing_forward_cached(net, TH, ws=None):
+    # the forward pass with every gate R Phi(R) stored in a buffer of its
+    # own and kept in the cache, (TH, H0, R, Phi(R), gates, layers, H_last)
+    if ws is None:
+        ws = cn._Workspace(net.arch, TH.shape[0])
+    table, biases, blocks, W_out_T, b_out = net.forward_views
+    A, A0, R, cdf = ws.A, ws.A0, ws.R, ws.cdf
+    gates = np.empty_like(cdf)
+    np.matmul(TH, table, A)
+    np.add(A, biases, A)
+    np.tanh(A0, A0)
+    np.divide(R, cn._SQRT2, cdf)
+    erf(cdf, cdf)
+    np.add(cdf, cn._ONE, cdf)
+    np.multiply(cdf, cn._HALF, cdf)
+    np.multiply(cdf, R, gates)
+    for (U_T, b), (H_in, T), gate, H in zip(blocks, ws.layers, gates, ws.H):
+        np.matmul(H_in, U_T, T)
+        np.add(T, b, T)
+        np.tanh(T, T)
+        np.add(H_in, np.multiply(gate, T, H), H)
+    out = np.matmul(H, W_out_T, ws.out)
+    np.add(out, b_out, out)
+    return out, (TH, A0, R, cdf, gates, ws.layers, H)
+
+
+def _gate_storing_reverse(net, cache, dout, ws, visit):
+    # the reverse pass that reads each gate from the cache
+    if ws is None:
+        ws = cn._Workspace(net.arch, dout.shape[0])
+    _, _, blocks, W_out, _ = net.params
+    _, H0, R, cdf, gates, layers, _ = cache
+    dH, dS, dR, tmp = ws.dH, ws.dS, ws.dR, ws.tmp
+    np.matmul(dout, W_out, dH)
+    for k in range(len(layers) - 1, -1, -1):
+        T = layers[k][1]
+        np.subtract(1.0, np.multiply(T, T, tmp), tmp)
+        np.multiply(dH, gates[k], dS)
+        dS *= tmp
+        cn._gelu_deriv(R[k], cdf[k], dR)
+        dR *= np.multiply(dH, T, tmp)
+        visit(k, dS, dR)
+        dH += np.matmul(dS, blocks[k][0], tmp)
+    np.subtract(1.0, np.square(H0, tmp), tmp)
+    dH *= tmp
+    return dH
+
+
+def _gate_storing_jvp(net, cache, v):
+    U0, _, blocks, W_out, _ = net.params
+    _, H0, R, cdf, gates, layers, _ = cache
+    Hd = (1.0 - H0 * H0) * (v @ U0.T)
+    for (U, _, Ug, _), R_k, cdf_k, gate, (_, T) in zip(blocks, R, cdf, gates, layers):
+        gate_d = cn._gelu_deriv(R_k, cdf_k) * (v @ Ug.T)
+        Td = (1.0 - T * T) * (Hd @ U.T)
+        Hd = Hd + gate_d * T + gate * Td
+    return Hd @ W_out.T
+
+
+# the control nets of the heat1d, transport1d and allen_cahn2d benchmark workloads
+@pytest.mark.parametrize("m,width", [(4, 256), (67, 128), (66, 96)])
+def test_the_passes_that_rebuild_each_gate_are_the_gate_storing_passes_bit_for_bit(m, width, rng, monkeypatch):
+    arch = cn.ControlArch(input_dim=m, width=width, depth=3)
+    net = make_net(arch, jitter=0.1, rng=rng)
+    A = rng.standard_normal((5, m, m))
+    records = gram_records(rng.uniform(-1, 1, (5, m)), A @ A.transpose(0, 2, 1) / m, rng.standard_normal((5, m)))
+    pairs = (rng.uniform(-1, 1, (3, m)), rng.standard_normal((3, m)))
+    TH, v, u = rng.uniform(-1, 1, (4, m)), rng.standard_normal((4, m)), rng.standard_normal((4, m))
+
+    def passes():
+        l1, l2, grad = cn.loss(net, records, pairs, 0.3, np.array([4, 0, 2]))
+        _, cache = cn._forward_cached(net, TH)
+        return [np.array([l1, l2]), grad.copy(), cn._jvp(net, cache, v), cn._vjp(net, cache, u),
+                np.array(cn.field_stats(net, TH, seed=2))]
+
+    with monkeypatch.context() as patch:
+        for name in ("_forward_cached", "_reverse", "_jvp"):
+            patch.setattr(cn, name, globals()[f"_gate_storing{name}"])
+        want = passes()
+    assert [a.tobytes() for a in passes()] == [a.tobytes() for a in want]
+
+
+# ---------------------------------------------------------------------------
+# ADAM in slices
+
+
+class _WholeVectorAdam:
+    # optim.Adam as one pass over the whole vector, with two parameter-sized
+    # scratch vectors made anew by keep
+    def __init__(self, size, lr):
+        self.lr, self.t = lr, 0
+        self.m, self.v = np.zeros(size), np.zeros(size)
+        self._scratch = np.empty(size), np.empty(size)
+
+    def keep(self, rows):
+        self.m, self.v = self.m[rows], self.v[rows]
+        self._scratch = np.empty_like(self.m), np.empty_like(self.m)
+
+    def step(self, params, grad):
+        self.t += 1
+        a, b = self._scratch
+        self.m *= 0.9
+        self.m += np.multiply(grad, 1.0 - 0.9, out=a)
+        self.v *= 0.999
+        np.multiply(grad, 1.0 - 0.999, out=a)
+        self.v += np.multiply(a, grad, out=a)
+        np.divide(self.m, 1.0 - 0.9**self.t, out=a)
+        a *= self.lr
+        np.divide(self.v, 1.0 - 0.999**self.t, out=b)
+        np.sqrt(b, out=b)
+        b += 1e-8
+        params -= np.divide(a, b, out=a)
+        return params
+
+
+S = optim._SLICE
+
+
+@pytest.mark.parametrize("size", [1, S - 1, S, S + 1, 3 * S + 5, (4, S + 3), (5, 7)])
+def test_adam_in_slices_is_the_whole_vector_step_bit_for_bit(size, rng):
+    adam, oracle = Adam(size, lr=3e-3), _WholeVectorAdam(size, lr=3e-3)
+    params = rng.standard_normal(size)
+    want = params.copy()
+    for step in range(25):
+        if step == 12 and params.ndim == 2:  # a stack drops rows midway, as fit_initials does
+            rows = np.array([0, 2, 3])[: params.shape[0] - 1]
+            adam.keep(rows)
+            oracle.keep(rows)
+            params, want = params[rows], want[rows]
+        grad = rng.standard_normal(params.shape)
+        assert adam.step(params, grad) is params
+        oracle.step(want, grad)
+        assert params.tobytes() == want.tobytes()
+    assert adam.m.tobytes() == oracle.m.tobytes() and adam.v.tobytes() == oracle.v.tobytes()
+
+
+def test_adam_holds_its_moments_and_less_than_two_slices(rng):
+    # the heat1d control net's parameter count: the whole-vector step held
+    # two scratch vectors of this size besides the moments
+    size = cn.control_param_count(cn.ControlArch(input_dim=4, width=256, depth=3))
+    assert size == 136452
+    params, grad = rng.standard_normal(size), rng.standard_normal(size)
+    tracemalloc.start()
+    try:
+        adam = Adam(size, lr=1e-3)
+        moments = tracemalloc.get_traced_memory()[0]
+        for _ in range(2):
+            adam.step(params, grad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the moments and two slices, with 16 KiB for the slice table
+    assert 2 * size * 8 <= moments <= peak < (2 * size + 2 * S) * 8 + 16 * 1024
+
+
+# ---------------------------------------------------------------------------
+# what one training step holds
+
+
+def test_a_train_step_holds_no_gates_and_no_parameter_sized_scratch(tmp_path, rng):
+    # a heat-shaped problem (4 sine modes, pairs, a 4 -> W x 3 net): the
+    # workspace holds 13 (n, W) arrays (A, Phi(R), T, H, and the reverse
+    # pass's dH, dS, dR and scratch), the step 4 parameter vectors (the
+    # trained xi, the gradient and ADAM's moments); storing the gates and
+    # ADAM's whole-vector scratch took 2 more of each
+    m, width, n_records, n_pairs = 4, 128, 48, 48
+    thetas = sample_theta(Box(1.0, m), n_records, seed=0, purpose=Purpose.GRAM_THETA)
+    path = tmp_path / "gram.bin"
+    assembly.assemble_batch(fourier_sine_arch(m), thetas, pde_ops.Heat(), 64, 0, path, artifact_header("gram_cache"))
+    cache = assembly.read_cache(path, artifact_header("gram_cache"), thetas)
+    pairs = (rng.uniform(-1, 1, (n_pairs, m)), rng.standard_normal((n_pairs, m)))
+    arch = cn.ControlArch(input_dim=m, width=width, depth=3)
+    net = cn.ControlNet(arch, cn.init_control_params(arch, 0))
+    n, P = n_records + n_pairs, cn.control_param_count(arch)
+    tracemalloc.start()
+    try:
+        cn.train(net, cache.records, pairs, rows=cache.rows, lr=1e-3, zeta=0.5, batch_size=0, stop_loss=0.0,
+                 max_steps=1, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # slack: ADAM's two slices, the (n, m) rows (TH, out, residual,
+    # cotangent, squares and the pair minibatch), the chunk of n records,
+    # the 64 KiB buffer of the ufunc that adds the strided bias view to A,
+    # and 64 KiB of small objects
+    slack = 2 * S * 8 + 8 * n * (7 * m + cache.records.shape[1]) + 128 * 1024
+    assert peak <= (13 * n * width + 4 * P) * 8 + slack
+
+
+def test_the_gram_chunk_holds_at_most_the_rows_its_caller_gathers(tmp_path, rng, monkeypatch):
+    m = 4
+    record_width = assembly._record_floats(m)
+    arch = cn.ControlArch(input_dim=m, width=8, depth=3)
+    # 2,621 heat records fit in the chunk's bytes; a step gathers at most n
+    assert cn._CHUNK_BYTES // (8 * record_width) == 2621
+    assert cn._Workspace(arch, 360, record_width).chunk.shape == (360, record_width)
+    assert cn._Workspace(arch, 1, record_width).chunk.shape == (1, record_width)
+    # residual_scan's chunk holds _SCAN_ROWS records, and its norms are
+    # those of the chunk that fills _CHUNK_BYTES
+    thetas = sample_theta(Box(1.0, m), 30, seed=0, purpose=Purpose.GRAM_THETA)
+    path = tmp_path / "gram.bin"
+    assembly.assemble_batch(fourier_sine_arch(m), thetas, pde_ops.Heat(), 64, 0, path, artifact_header("gram_cache"))
+    records = assembly.read_cache(path, artifact_header("gram_cache"), thetas).records
+    net = make_net(arch, jitter=0.3, rng=rng)
+    monkeypatch.setattr(cn, "_SCAN_ROWS", 8)
+    bufs, chunk_buffer = [], cn._chunk_buffer
+    monkeypatch.setattr(cn, "_chunk_buffer", lambda *args: bufs.append(chunk_buffer(*args)) or bufs[-1])
+    capped = cn.residual_scan(net, records)
+    assert [buf.shape for buf in bufs] == [(8, record_width)]
+    monkeypatch.setattr(cn, "_chunk_buffer", lambda width, rows: np.empty((cn._CHUNK_BYTES // (8 * width), width)))
+    assert capped.tobytes() == cn.residual_scan(net, records).tobytes()
