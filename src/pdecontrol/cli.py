@@ -2,19 +2,22 @@
 
 Subcommands cover the full workflow: fit-initial, sample-gram,
 gen-trajectories, train-control, solve, reference, eval, export-slice, and
-verify. Exit codes: 0 ok, 2 config error, 3 missing artifact, 4 numeric
-failure, 5 verify found a blown-up solve or a non-finite number.
+verify; run runs them all in the order of the artifact table
+(config._ARTIFACTS) and stops at the first that fails. Exit codes: 0 ok,
+2 config error, 3 missing artifact, 4 numeric failure, 5 verify found a
+blown-up solve or a non-finite number.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import sys
 
 from . import pipeline
-from .config import load_config
+from .config import _ARTIFACTS, load_config
 from .errors import CacheMismatch, ConfigError, MissingArtifact, NonFiniteError, PdeControlError
 
 EXIT_OK = 0
@@ -67,6 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("eval", "error curve of a stored solution against the reference"),
         ("export-slice", "pointwise 2-D comparison slice at a time"),
         ("verify", "report on the run's cache, solutions and error curves in report.json"),
+        ("run", "run every command above in artifact-table order, stopping at the first that fails"),
     ):
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
@@ -84,12 +88,47 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "export-slice":
             # a non-finite time is nearest to no stored step
             p.add_argument("--time", type=_finite_float, required=True)
+        if name == "run":
+            p.add_argument("--eval-anchors", type=int, default=None, metavar="N",
+                           help="solve and evaluate anchors 0..N-1 (default: every anchor, initials.count)")
     return ap
+
+
+def _run_all(cfg, args) -> int:
+    """Run each writer of _ARTIFACTS once, in table order, with this run's
+    --config, --out, --seed and --set; a run of rows whose path takes an
+    anchor index runs once per anchor 0..N-1 (--eval-anchors), and
+    export-slice runs at the horizon, on a 2-D problem only. Returns the
+    exit code of the first command that fails, else EXIT_OK."""
+    count = cfg.raw["initials"]["count"]
+    n_eval = count if args.eval_anchors is None else args.eval_anchors
+    if not 1 <= n_eval <= count:
+        raise ConfigError(f"--eval-anchors must lie in 1..{count} (initials.count), got {n_eval}")
+    time = ["--time", repr(cfg.raw["problem"]["horizon"])]
+    commands = []
+    for per_anchor, rows in itertools.groupby(_ARTIFACTS.values(), lambda row: "{" in row.path):
+        writers = [w for w in dict.fromkeys(row.writer for row in rows)
+                   if w != "export-slice" or cfg.rom_arch.input_dim == 2]
+        if per_anchor:
+            commands += [[w, "--anchor", str(k), *(time if w == "export-slice" else [])]
+                         for k in range(n_eval) for w in writers]
+        else:
+            commands += [[w] for w in writers]
+    common = ["--config", args.config, "--out", cfg.out_dir, "--seed", str(cfg.seed),
+              *(arg for expr in args.overrides for arg in ("--set", expr))]
+    for command in commands:
+        print(f"== {' '.join(command)}", flush=True)
+        code = main([*command, *common])
+        if code != EXIT_OK:
+            return code
+    return EXIT_OK
 
 
 def _run(args) -> int:
     cfg = load_config(args.config, overrides=args.overrides, out_dir=args.out, seed=args.seed)
 
+    if args.command == "run":
+        return _run_all(cfg, args)
     if args.command == "fit-initial":
         report = pipeline.cmd_fit_initial(cfg)
         for k, entry in enumerate(report):

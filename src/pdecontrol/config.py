@@ -374,8 +374,14 @@ class RunConfig:
         return os.path.join(self.out_dir, rel)
 
     def ensure_layout(self) -> None:
-        for sub in {os.path.dirname(row.path) for row in _ARTIFACTS.values()} - {""}:
-            os.makedirs(os.path.join(self.out_dir, sub), exist_ok=True)
+        """Make the out dir's subdirectories; ConfigError naming the one
+        that cannot be made (an out dir that is a file, say)."""
+        for sub in sorted({os.path.dirname(row.path) for row in _ARTIFACTS.values()} - {""}):
+            path = os.path.join(self.out_dir, sub)
+            try:
+                os.makedirs(path, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"output directory {path} cannot be made: {exc.strerror}") from exc
 
 
 def _is_integer(checker, value) -> bool:

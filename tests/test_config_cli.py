@@ -12,10 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pdecontrol import binfile, cli, config, control_net as cn, evolve, fit, pipeline, rom
+from pdecontrol import assembly, binfile, cli, config, control_net as cn, evolve, fit, pipeline, rom
 from pdecontrol.errors import ConfigError, MissingArtifact
 
-from conftest import cache_parts, gram_records, overflowing_net, settable_leaves
+from conftest import artifact_header, cache_parts, gram_records, overflowing_net, settable_leaves
 
 ROOT = Path(__file__).resolve().parents[1]
 PRESETS = ROOT / "configs"
@@ -272,6 +272,54 @@ def test_cli_exit_codes(heat_config, tmp_path, capsys):
     empty = str(tmp_path / "empty")
     assert cli.main(["verify", "--config", str(heat_config), "--out", empty]) == cli.EXIT_MISSING
     capsys.readouterr()
+
+
+def test_an_out_dir_that_cannot_be_made_is_a_config_error(heat_config, tmp_path, capsys):
+    # an out dir that is a file is a config error, not a NotADirectoryError traceback (exit 1)
+    taken = tmp_path / "taken"
+    taken.write_text("a file")
+    assert cli.main(["fit-initial", "--config", str(heat_config), "--out", str(taken)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"output directory {taken}{os.sep}" in err and "cannot be made" in err
+    assert taken.read_text() == "a file"
+
+
+def test_run_runs_the_whole_schedule_and_verifies(tmp_path, capsys):
+    schedule = [{"lr": 1e-2, "max_steps": 12}, {"lr": 1e-3, "max_steps": 8}]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(HEAT_CFG, train=dict(HEAT_CFG["train"], schedule=schedule))))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["totals"]["passed"]
+    assert len(binfile.load(out / "curves" / "loss_history.bin", artifact_header("loss_history"))[1]) == 20
+    assert sorted(p.name for p in (out / "curves").glob("errors_*.bin")) == ["errors_000.bin", "errors_001.bin"]
+    commands = [line[3:] for line in capsys.readouterr().out.splitlines() if line.startswith("== ")]
+    assert commands == ["fit-initial", "sample-gram", "gen-trajectories", "train-control",
+                        *(f"{c} --anchor {k}" for k in (0, 1) for c in ("solve", "reference", "eval")), "verify"]
+
+
+@pytest.mark.parametrize("n_eval", [0, -1, HEAT_CFG["initials"]["count"] + 1])
+def test_run_rejects_eval_anchors_outside_the_store_before_any_command(n_eval, heat_config, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(heat_config), "--out", str(out), "--eval-anchors", str(n_eval)]
+    assert cli.main(argv) == 2
+    assert not out.exists()
+    assert f"1..{HEAT_CFG['initials']['count']}" in capsys.readouterr().err
+
+
+def test_run_forwards_set_and_seed_to_every_command(heat_config, tmp_path):
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(heat_config), "--out", str(out), "--set", "counts.n_theta=4", "--seed", "5",
+            "--eval-anchors", "1"]
+    assert cli.main(argv) == 0
+    cfg = config.load_config(heat_config, overrides=["counts.n_theta=4"], out_dir=str(out), seed=5)
+    records = assembly._check_cache(cfg.path("gram_cache"), cfg.header("gram_cache"), pipeline._gram_thetas(cfg))[2]
+    assert records.shape[0] == 4
+    # each header records the seed and, from the checkpoint on, n_theta; a reader checks the record whole
+    for name in ("anchors", "traj_cache", "checkpoint", "solution", "errors"):
+        binfile.load_header(cfg.path(name, 0), cfg.header(name))
+    assert json.loads((out / "report.json").read_text())["cache"]["records"] == 4
+    assert not (out / "solutions" / "solution_001.bin").exists()
 
 
 def test_verify_fails_on_blown_up_solve(heat_config, tmp_path, capsys):

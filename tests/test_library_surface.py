@@ -1,12 +1,12 @@
-"""Every definition in the library and the scripts has a caller outside
-tests: library modules hold only what the pipeline, the scripts or the
-benchmark harness call, and test oracles live in tests/.
+"""Every definition in the library has a caller outside tests: library
+modules hold only what the pipeline, the CLI or the benchmark harness call,
+and test oracles live in tests/.
 
 The scan is by name. A module-level function or class, or a method (other
 than a dunder) of a module-level class, is called when its name appears
 outside its own definition: as a name or an attribute in the AST of a
-module of src/pdecontrol or scripts/, or as a word in the text of a module
-of perfbench/, which is matched as text because its tracer names library
+module of src/pdecontrol, or as a word in the text of a module of
+perfbench/, which is matched as text because its tracer names library
 functions in strings. A name shared with another definition or attribute
 counts for both, so the scan errs toward passing: it can miss dead code.
 """
@@ -57,8 +57,8 @@ def uncalled(scanned: list[Path], texts: list[Path]) -> list[str]:
     return missing
 
 
-def test_every_library_and_script_definition_has_a_caller_outside_tests():
-    scanned = sorted((ROOT / "src" / "pdecontrol").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+def test_every_library_definition_has_a_caller_outside_tests():
+    scanned = sorted((ROOT / "src" / "pdecontrol").glob("*.py"))
     assert uncalled(scanned, sorted((ROOT / "perfbench").glob("*.py"))) == []
 
 

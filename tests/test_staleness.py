@@ -8,7 +8,9 @@ a stale artifact (one a fresh run of the changed config writes otherwise),
 or write only what a fresh run writes. A resumed train-control may succeed
 only when the fresh checkpoint is the old one. train.* shapes no artifact
 (--resume continues under a new schedule), so after a train change the
-commands from --resume on keep the old field and are not run.
+commands from --resume on keep the old field and are not run. A run
+under a changed leaf stops at the first command that finds an artifact
+stale, with its exit code 4, and no later command writes a file.
 
 Each binfile artifact, rewritten at its previous format version, is
 rejected by a command that reads it, naming its kind, format and writer.
@@ -128,6 +130,22 @@ def test_a_command_on_stale_artifacts_exits_4_naming_them_or_writes_a_fresh_runs
             assert {rel: now.get(rel) for rel in wrote} == {rel: fresh.get(rel) for rel in wrote}, (command, code, err)
         for rel in wrote:  # back to the old artifacts
             (work / rel).write_bytes(old[rel]) if rel in old else (work / rel).unlink()
+
+
+def test_run_stops_at_the_first_failing_command_with_its_code(old, tmp_path, capsys):
+    (tmp_path / "cfg.json").write_text(json.dumps(HEAT_CFG))
+    work = tmp_path / "work"
+    _restore(old, work)
+    before = _files(work, stamps=True)
+    argv = ["run", "--config", str(tmp_path / "cfg.json"), "--out", str(work), "--set", "counts.n_x=16"]
+    assert cli.main(argv) == cli.EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert [line for line in captured.out.splitlines() if line.startswith("== ")] == ["== fit-initial", "== sample-gram"]
+    assert "mismatch on 'counts.n_x'" in captured.err and "rerun sample-gram" in captured.err
+    # fit-initial rewrote its store; the failing sample-gram and every later command wrote nothing
+    after = _files(work, stamps=True)
+    assert after.keys() == before.keys()
+    assert [rel for rel in after if after[rel] != before[rel]] == [config._ARTIFACTS["anchors"].path]
 
 
 def test_the_provenance_table_and_the_schema_name_the_same_leaves():
