@@ -31,10 +31,11 @@ one backward pass: loss stacks the step's Gram rows and trajectory-pair rows
 and reads the projection loss l1 and the trajectory loss l2 off the two
 blocks of the one output.
 
-Both passes write into a _Workspace made once for a row count: train makes
-one per stage and forward keeps one per net. Each ufunc runs the layer
-formula's operation in its order, so every value is the formula's bit for
-bit. A minibatch's Gram records stream through one chunk buffer of about
+Both passes write into a _Workspace that their caller makes once for a row
+count: train one per stage, field_stats one per call (its _PROBE_ITERS
+power iterations share it), and forward keeps one per net. Each ufunc runs
+the layer formula's operation in its order, so every value is the
+formula's bit for bit. A minibatch's Gram records stream through one chunk buffer of about
 _CHUNK_BYTES, whole records at a time and never more records than the
 workspace has rows, so a step never holds batch * m*m floats. ADAM steps
 xi in slices (optim.Adam), so a step holds no parameter-sized scratch.
@@ -67,6 +68,8 @@ _CHUNK_BYTES = 512 * 1024
 # it holds; BLAS rounds passes of a few rows differently, so the count also
 # fixes the bits of verify's report
 _SCAN_ROWS = 256
+# the power iterations of field_stats' L_V estimate
+_PROBE_ITERS = 8
 
 
 def _gelu_deriv(x, cdf, out=None):
@@ -213,11 +216,11 @@ def _chunk_buffer(record_width: int, rows: int) -> np.ndarray:
     return np.empty((max(1, min(rows, _CHUNK_BYTES // (8 * record_width))), record_width))
 
 
-def _forward_cached(net: ControlNet, TH: np.ndarray, ws: _Workspace | None = None):
+def _forward_cached(net: ControlNet, TH: np.ndarray, ws: _Workspace):
     """(out, cache): V at the rows of TH and what every derivative reuses,
     cache = (TH, H0 the first tanh, R, Phi(R), per block (H_in, T),
     H_last), with R and Phi(R) stacked over the blocks as (depth-1, n,
-    width) arrays. All but TH live in ws (a new _Workspace if None). The
+    width) arrays. All but TH live in ws, a _Workspace of TH's rows. The
     cache holds no gate: a pass that reads block k's gate R Phi(R) rebuilds
     it as Phi(R)[k] * R[k], the bits this pass multiplied.
 
@@ -228,8 +231,6 @@ def _forward_cached(net: ControlNet, TH: np.ndarray, ws: _Workspace | None = Non
     (H_k = H_in + gate T). The pass reads the views that the net and ws made
     once, and passes outputs to the ufuncs positionally, which parse an
     out= keyword more slowly: a batch-1 call makes about twenty of them."""
-    if ws is None:
-        ws = _Workspace(net.arch, TH.shape[0])
     table, biases, blocks, W_out_T, b_out = net.forward_views
     A, A0, R, cdf = ws.A, ws.A0, ws.R, ws.cdf
     np.matmul(TH, table, A)  # one (n, width) product per layer
@@ -270,16 +271,13 @@ def forward(net: ControlNet, theta) -> np.ndarray:
     return out[0].copy() if single else out.copy()
 
 
-def _reverse(net: ControlNet, cache, dout: np.ndarray, ws: _Workspace | None, visit) -> np.ndarray:
+def _reverse(net: ControlNet, cache, dout: np.ndarray, ws: _Workspace, visit) -> np.ndarray:
     """Reverse pass of sum(dout * out), from the last block to the first:
     calls visit(k, dS, dR) with the cotangents of block k's tanh (S) and
     gate (R) pre-activations, and returns dA0, the first pre-activation's.
-    All three live in ws (a new _Workspace if None); the next block's dS
-    and dR overwrite the last. Each block's gate is rebuilt into dS, which
-    then takes dH: the product dH gate is commutative, so its bits are
-    those of a stored gate's."""
-    if ws is None:
-        ws = _Workspace(net.arch, dout.shape[0])
+    All three live in ws; the next block's dS and dR overwrite the last.
+    Each block's gate is rebuilt into dS, which then takes dH: the product
+    dH gate is commutative, so its bits are those of a stored gate's."""
     _, _, blocks, W_out, _ = net.params
     _, H0, R, cdf, layers, _ = cache
     dH, dS, dR, tmp = ws.dH, ws.dS, ws.dR, ws.tmp
@@ -299,12 +297,9 @@ def _reverse(net: ControlNet, cache, dout: np.ndarray, ws: _Workspace | None, vi
     return dH
 
 
-def _backward_xi(net: ControlNet, cache, dout: np.ndarray, ws: _Workspace | None = None) -> np.ndarray:
+def _backward_xi(net: ControlNet, cache, dout: np.ndarray, ws: _Workspace) -> np.ndarray:
     """Gradient of sum(dout * out) with respect to the flat xi, each layer's
-    part written in place into ws.grad (ws a new _Workspace if None),
-    which it returns."""
-    if ws is None:
-        ws = _Workspace(net.arch, dout.shape[0])
+    part written in place into ws.grad, which it returns."""
     TH, *_, layers, H_last = cache
     gU0, gb0, gblocks, gW_out, gb_out = ws.grad_parts
 
@@ -336,8 +331,9 @@ def _jvp(net: ControlNet, cache, v: np.ndarray) -> np.ndarray:
     return Hd @ W_out.T
 
 
-def _vjp(net: ControlNet, cache, u: np.ndarray, ws: _Workspace | None = None) -> np.ndarray:
-    """Cotangent pullback J(theta)^T u, batched: dA0 U0 + sum of dR Ug."""
+def _vjp(net: ControlNet, cache, u: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """Cotangent pullback J(theta)^T u, batched: dA0 U0 + sum of dR Ug,
+    with ws the reverse pass's scratch."""
     U0, _, blocks, _, _ = net.params
     dTH = np.zeros_like(cache[0])
 
@@ -348,10 +344,10 @@ def _vjp(net: ControlNet, cache, u: np.ndarray, ws: _Workspace | None = None) ->
     return dTH
 
 
-def field_stats(net: ControlNet, points: np.ndarray, seed: int, n_probe_iters: int = 8) -> tuple[float, float]:
+def field_stats(net: ControlNet, points: np.ndarray, seed: int) -> tuple[float, float]:
     """(M_V, L_V) estimates over the rows of points: the max field magnitude
-    and the max Jacobian operator norm, the latter by randomized power
-    iteration on _jvp and _vjp over one forward cache."""
+    and the max Jacobian operator norm, the latter by _PROBE_ITERS
+    randomized power iterations on _jvp and _vjp over one forward cache."""
     TH = np.asarray(points, dtype=np.float64)
     if TH.shape[0] == 0:
         raise ValueError("empty sample")
@@ -363,7 +359,7 @@ def field_stats(net: ControlNet, points: np.ndarray, seed: int, n_probe_iters: i
     v = rng_for(seed, Purpose.FIELD_STATS).standard_normal(TH.shape)
     v /= np.maximum(np.linalg.norm(v, axis=1, keepdims=True), 1e-300)
     sigma = np.zeros(TH.shape[0])
-    for _ in range(n_probe_iters):
+    for _ in range(_PROBE_ITERS):
         w = _jvp(net, cache, v)
         sigma = np.linalg.norm(w, axis=1)
         v = _vjp(net, cache, w / np.maximum(sigma[:, None], 1e-300), ws)
@@ -400,28 +396,24 @@ def _mean_square(res: np.ndarray, sq: np.ndarray) -> float:
     return float(np.mean(np.sum(np.multiply(res, res, sq), axis=1)))
 
 
-def loss(net: ControlNet, records: np.ndarray | None, pairs, zeta: float, rows: np.ndarray | None = None,
-         ws: _Workspace | None = None) -> tuple[float, float, np.ndarray]:
+def loss(net: ControlNet, records: np.ndarray | None, pairs, zeta: float, rows: np.ndarray | None,
+         ws: _Workspace) -> tuple[float, float, np.ndarray]:
     """(l1, l2, gradient of l1 + zeta*l2 with respect to xi) on one
     minibatch, from one forward and one reverse pass over the stacked rows.
 
     l1 is the mean squared projection residual |G V(theta) - p|^2 over the
-    rows (default all) of records, a Gram cache's records in its layout
+    rows of records, a Gram cache's records in its layout
     (GramCache.records: theta (m), rhs (m), gram (m*m, row-major), status
     per row). Their G and p stream through ws's chunk buffer after the
     forward pass. l2 is the mean squared deviation |V(theta) - v|^2 from
     the trajectory velocities over the rows of pairs = (TH, V), both
-    (n, m). Either may be None, its term then 0. ws is the _Workspace of
-    the stacked rows (a new one if None); the gradient returned lives in it
-    until its next pass.
+    (n, m). Either may be None, its term then 0; rows is None when records
+    is. ws is the _Workspace of the stacked rows; the gradient returned
+    lives in it until its next pass.
     """
     m = net.arch.input_dim
-    if records is not None and rows is None:
-        rows = np.arange(records.shape[0])
     n1 = 0 if records is None else rows.shape[0]
     n2 = 0 if pairs is None else pairs[0].shape[0]
-    if ws is None:
-        ws = _Workspace(net.arch, n1 + n2, 0 if records is None else records.shape[1])
     TH, res, dout = ws.TH, ws.res, ws.dout
     if n1:
         TH[:n1] = _split(records, _record_layout(m))[0][rows]
@@ -476,7 +468,7 @@ def train(
     stop_loss: float,
     max_steps: int,
     seed: int,
-    rows: np.ndarray | None = None,
+    rows: np.ndarray | None,
 ) -> tuple[ControlNet, list[tuple[int, float, float, float]]]:
     """Minimize l1 + zeta*l2 with ADAM over shuffled minibatches of
     batch_size records (0: all of them); the settings are one stage of the
@@ -484,8 +476,8 @@ def train(
 
     records: a Gram cache's records (GramCache.records, memory-mapped), as
     loss takes them, or None. Each minibatch streams from them. rows
-    selects the records to train on (default all), e.g. GramCache.rows to
-    leave out skipped ones.
+    selects the records to train on (GramCache.rows, which leaves out
+    skipped ones); it is None when records is.
     traj_pairs: (thetas, velocities) arrays or None; they are used only for
     zeta > 0. Each step draws a minibatch of each and takes one loss.
     The step's working set (one _Workspace for both minibatches' rows, the
@@ -499,7 +491,6 @@ def train(
     if records is not None:
         if records.shape[1] != _record_floats(m):
             raise CacheMismatch("gram cache dimension does not match control net")
-        rows = np.arange(records.shape[0]) if rows is None else rows
         if rows.shape[0]:
             grams = _Batcher(rows, batch_size, rng)
     if traj_pairs is not None and zeta > 0 and traj_pairs[0].shape[0]:
@@ -535,14 +526,13 @@ def train(
     return trained, history
 
 
-def residual_scan(net: ControlNet, records: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-    """|G V(theta) - p| per record of rows (default all) of records, as
-    loss takes them (training-quality diagnostic). The field runs on
+def residual_scan(net: ControlNet, records: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """|G V(theta) - p| per record of rows of records, as loss takes them
+    (training-quality diagnostic). The field runs on
     _SCAN_ROWS records at a time, whose G and p then stream through one
     chunk buffer. Raises NonFiniteError if a norm is not finite, as it is
     wherever the field overflowed: the norms are checked once per scan."""
     m = net.arch.input_dim
-    rows = np.arange(records.shape[0]) if rows is None else rows
     buf = _chunk_buffer(records.shape[1], _SCAN_ROWS)
     norms = np.empty(rows.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows in the norms

@@ -32,10 +32,8 @@ class ParamTrajectory:
     escape_step: int | None = None  # first grid index outside the training region
 
 
-def _first_escape(thetas: np.ndarray, space: ThetaSpace | None) -> int | None:
+def _first_escape(thetas: np.ndarray, space: ThetaSpace) -> int | None:
     """The first row of thetas outside space, by one test of all rows."""
-    if space is None:
-        return None
     outside = ~space.inside(thetas)
     return int(outside.argmax()) if outside.any() else None
 
@@ -98,7 +96,7 @@ def solve_ivp(
     theta0: np.ndarray,
     horizon: float,
     n_steps: int,
-    theta_space: ThetaSpace | None = None,
+    theta_space: ThetaSpace,
 ) -> ParamTrajectory:
     """Integrate theta' = V(theta) with classical RK4; V is a ControlNet or
     any theta -> velocity callable. The stage arguments and each step's
@@ -109,8 +107,8 @@ def solve_ivp(
     A step aborts the run, returning the prefix with blowup_step set, when V
     raises NonFiniteError or the new state is not finite; a ControlNet does
     not check its values, and a non-finite stage makes the state non-finite.
-    If theta_space is given, escapes from it are flagged (not fatal), and a
-    state whose norm exceeds GUARD_DIAMETER_FACTOR times the space diameter
+    Escapes from theta_space, the training region, are flagged (not fatal),
+    and a state whose norm exceeds GUARD_DIAMETER_FACTOR times its diameter
     aborts the run too. Both tests read one dot product per step, which
     gives np.linalg.norm's bits and is finite exactly when the state is
     finite and its squares do not overflow; only when it is not finite are
@@ -119,7 +117,7 @@ def solve_ivp(
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    max_norm = math.inf if theta_space is None else GUARD_DIAMETER_FACTOR * theta_space.diameter()
+    max_norm = GUARD_DIAMETER_FACTOR * theta_space.diameter()
 
     h = horizon / n_steps
     theta0 = np.ascontiguousarray(theta0, dtype=np.float64)

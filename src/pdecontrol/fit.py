@@ -110,24 +110,21 @@ def fit_initials(
     *,
     lr: float,
     max_steps: int,
-    theta_inits: list[np.ndarray | None] | None = None,
 ) -> list[FitResult]:
     """theta0 for each initial specs[k], fitted under seeds[k], minimising
     the empirical squared error (1/N) sum (u_theta(x_n) - g(x_n))^2 over
     points x_n of the arch's box drawn under that seed.
 
     A linear basis, u_theta = Phi(x) theta, takes the exact minimiser: one
-    least-squares solve on the basis table Phi(X) (steps 1; lr, max_steps
-    and theta_inits are unused). A net runs ADAM with the config's
-    initials.fit block (lr, max_steps) until the training-sample RMSE
-    reaches eps0_target or max_steps, and keeps the best parameters seen;
-    the nets' fits run as stacked loops (_adam_fits) of as many fits as
-    _STACK_BYTES allows, and each comes out as it would alone, bit for
-    bit. theta_inits[k], if given and not None, replaces
-    rom.init_params(arch, seeds[k]) as the start (the pipeline never
-    passes it). target_reached says whether the training RMSE is within
-    eps0_target; rmse is the held-out RMSE on a disjoint sample, drawn
-    under the same seed for Purpose.FIT_HOLDOUT.
+    least-squares solve on the basis table Phi(X) (steps 1; lr and
+    max_steps are unused). A net runs ADAM from rom.init_params(arch,
+    seeds[k]) with the config's initials.fit block (lr, max_steps) until
+    the training-sample RMSE reaches eps0_target or max_steps, and keeps
+    the best parameters seen; the nets' fits run as stacked loops
+    (_adam_fits) of as many fits as _STACK_BYTES allows, and each comes out
+    as it would alone, bit for bit. target_reached says whether the
+    training RMSE is within eps0_target; rmse is the held-out RMSE on a
+    disjoint sample, drawn under the same seed for Purpose.FIT_HOLDOUT.
     """
     if not specs:
         return []
@@ -136,9 +133,7 @@ def fit_initials(
     if arch.kind == rom.LINEAR_BASIS:
         fits = [_least_squares_fit(arch, X, g) for X, g in zip(Xs, gs)]
     else:
-        starts = [rom.init_params(arch, seed) if theta is None else np.array(theta, dtype=np.float64)
-                  for seed, theta in zip(seeds, theta_inits or [None] * len(seeds))]
-        X, G, starts = np.stack(Xs), np.stack(gs), np.stack(starts)
+        X, G, starts = np.stack(Xs), np.stack(gs), np.stack([rom.init_params(arch, seed) for seed in seeds])
         rows = max(1, _STACK_BYTES // (8 * arch.width * n_x))
         fits = [fit for i in range(0, len(specs), rows)
                 for fit in _adam_fits(arch, X[i : i + rows], G[i : i + rows], starts[i : i + rows], eps0_target, lr,

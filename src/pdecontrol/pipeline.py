@@ -24,10 +24,12 @@ from .config import RunConfig, check_stage
 from .errors import CacheMismatch, ConfigError, MissingArtifact, NonFiniteError
 from .sampling import AnchorBalls, Purpose, rng_for, sample_theta
 
-# the default grid sizes of reference (IMEX cells and steps) and of eval (Monte-Carlo points)
+# the default grid sizes of reference (IMEX cells and steps) and of eval
+# (Monte-Carlo points), and the most solution times an error curve reads
 REFERENCE_NX = 100
 REFERENCE_NT = 2000
 EVAL_N_X = 4096
+EVAL_MAX_TIMES = 64
 
 # cheb_combo initials: up to CHEB_MAX_TERMS terms T_i(x) T_j(y) with i, j <=
 # CHEB_DEGREE_MAX, scaled down to a peak of CHEB_AMPLITUDE where they exceed it
@@ -331,10 +333,10 @@ def _solution_and_reference(cfg: RunConfig, index: int):
     return traj, ref
 
 
-def cmd_eval(cfg: RunConfig, anchor_index: int = 0, n_x: int = EVAL_N_X, max_times: int = 64) -> dict:
+def cmd_eval(cfg: RunConfig, anchor_index: int = 0, n_x: int = EVAL_N_X) -> dict:
     cfg.ensure_layout()
     traj, ref = _solution_and_reference(cfg, anchor_index)
-    curve = reference.error_curve(cfg.rom_arch, traj, ref, n_x, seed=cfg.seed, max_times=max_times)
+    curve = reference.error_curve(cfg.rom_arch, traj, ref, n_x, seed=cfg.seed, max_times=EVAL_MAX_TIMES)
     path = cfg.path("errors", anchor_index)
     # rows (t, abs_err, rel_err), rel_err NaN where undefined
     binfile.save(path, {**cfg.header("errors"), "solution_sha256": binfile.digest(traj.thetas)},
@@ -348,14 +350,14 @@ def cmd_eval(cfg: RunConfig, anchor_index: int = 0, n_x: int = EVAL_N_X, max_tim
     }
 
 
-def cmd_export_slice(cfg: RunConfig, anchor_index: int, t: float, grid_n: int = 40) -> dict:
+def cmd_export_slice(cfg: RunConfig, anchor_index: int, t: float) -> dict:
     cfg.ensure_layout()
     if cfg.rom_arch.input_dim != 2:
         raise ConfigError("export-slice needs a 2-D problem")
     traj, ref = _solution_and_reference(cfg, anchor_index)
     j = int(np.argmin(np.abs(traj.times - t)))
     path = cfg.path("slice", (anchor_index, traj.times[j]))
-    reference.export_slice(cfg.rom_arch, traj.thetas[j], ref, float(traj.times[j]), path, grid_n=grid_n)
+    reference.export_slice(cfg.rom_arch, traj.thetas[j], ref, float(traj.times[j]), path)
     return {"path": path, "time": float(traj.times[j])}
 
 

@@ -9,7 +9,7 @@ computed by an implicit-explicit scheme (diffusion implicit, reaction
 explicit; the implicit step of the 5-point Laplacian is diagonal in the sine
 basis, so it is solved by products with the orthonormal DST-I matrix, built
 once per solve) and exposed through space-bilinear, time-linear
-interpolation of strided snapshots.
+interpolation of at most MAX_SNAPSHOTS strided snapshots.
 """
 
 from __future__ import annotations
@@ -78,10 +78,6 @@ def _grid_nodes(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
 ReferenceSolution = TransportShift | HeatSeries | GridSolution
 
 
-def eval_reference(ref: ReferenceSolution, X, t: float) -> np.ndarray:
-    return reference_at(ref, X)(t)
-
-
 def reference_at(ref: ReferenceSolution, X) -> Callable[[float], np.ndarray]:
     """t -> the reference at the points X. What does not depend on t (the
     ROM's feature table for a transport shift, the sine columns of a heat
@@ -142,6 +138,10 @@ def _grid_at(ref: GridSolution, X: np.ndarray) -> Callable[[float], np.ndarray]:
     return bilinear
 
 
+# the most snapshots an IMEX reference stores, t = 0 and t = T among them
+MAX_SNAPSHOTS = 64
+
+
 def solve_allen_cahn_imex(
     initial: fit.ChebCombo,
     epsilon: float,
@@ -150,7 +150,6 @@ def solve_allen_cahn_imex(
     horizon: float,
     lo=(-1.0, -1.0),
     hi=(1.0, 1.0),
-    max_snapshots: int = 64,
 ) -> GridSolution:
     """IMEX integration of u_t = eps*lap(u) + 1.5(u - u^3) on a square with
     zero Dirichlet data:
@@ -161,7 +160,7 @@ def solve_allen_cahn_imex(
     lam_p = -(4/h^2) sin^2(p pi / (2(nx+1))). S is symmetric and S S = I,
     so each implicit step is S ((S rhs S) / system) S: four nx-by-nx matrix
     products with the one S built per solve. Snapshots are strided to at
-    most max_snapshots frames.
+    most MAX_SNAPSHOTS frames.
     """
     if nx < 16 or nt < 16:
         raise ValueError("nx and nt must be >= 16")
@@ -178,7 +177,7 @@ def solve_allen_cahn_imex(
     system = 1.0 - dt * epsilon * (lam[:, None] + lam[None, :])
     S = _sine_matrix(nx)
 
-    stride = max(1, int(np.ceil(nt / (max_snapshots - 1))))
+    stride = max(1, int(np.ceil(nt / (MAX_SNAPSHOTS - 1))))
     snap_times = [0.0]
     snaps = [_embed(u, nx)]
     for n in range(1, nt + 1):
@@ -224,19 +223,21 @@ def error_curve(
     ref: ReferenceSolution,
     n_x: int,
     seed: int,
-    max_times: int = 0,
+    max_times: int,
 ) -> ErrorCurve:
     """Monte-Carlo L2 error of u_{theta_t} against the reference along a
-    trajectory, over the arch's box. One spatial sample is shared across
-    times, and both sides build what does not change with time once
-    (rom.value_at, reference_at): the ROM side, and a transport reference,
-    run the value kernel on feature tables built once per curve."""
+    trajectory, over the arch's box, at max_times of its times, evenly
+    spaced (every time of a shorter trajectory). One spatial sample is
+    shared across times, and both sides build what does not change with
+    time once (rom.value_at, reference_at): the ROM side, and a transport
+    reference, run the value kernel on feature tables built once per
+    curve."""
     lo, hi = arch.domain
     vol = float(np.prod(hi - lo))
     X = sample_omega(arch.domain, n_x, seed, Purpose.EVAL_POINTS)
 
     idx = np.arange(traj.times.shape[0])
-    if max_times and idx.size > max_times:
+    if idx.size > max_times:
         idx = np.unique(np.linspace(0, idx.size - 1, max_times).astype(int))
 
     times = traj.times[idx]
@@ -256,28 +257,33 @@ def error_curve(
     return ErrorCurve(times=times, abs_err=abs_err, rel_err=rel)
 
 
+# the points per axis of export_slice's grid
+SLICE_GRID_N = 40
+
+
 def export_slice(
     arch: rom.RomArch,
     theta: np.ndarray,
     ref: ReferenceSolution,
     t: float,
     path,
-    grid_n: int = 40,
 ) -> None:
-    """Pointwise comparison slice on a regular grid over the arch's 2-D box
-    (pipeline.cmd_export_slice checks the dimension): CSV columns x1, x2,
-    u_ref, u_rom, abs_diff."""
+    """Pointwise comparison slice on a regular SLICE_GRID_N x SLICE_GRID_N
+    grid over the arch's 2-D box (pipeline.cmd_export_slice checks the
+    dimension): CSV columns x1, x2, u_ref, u_rom, abs_diff, each cell the
+    repr of a Python float."""
     lo, hi = arch.domain
-    g1 = np.linspace(lo[0], hi[0], grid_n)
-    g2 = np.linspace(lo[1], hi[1], grid_n)
+    g1 = np.linspace(lo[0], hi[0], SLICE_GRID_N)
+    g2 = np.linspace(lo[1], hi[1], SLICE_GRID_N)
     XX, YY = np.meshgrid(g1, g2, indexing="ij")
     pts = np.stack([XX.ravel(), YY.ravel()], axis=1)
     u_rom = rom.value_at(arch, pts)(theta)
-    u_ref = eval_reference(ref, pts, t)
+    u_ref = reference_at(ref, pts)(t)
+    table = np.column_stack([pts, u_ref, u_rom, np.abs(u_ref - u_rom)])
     with binfile.atomic_write(path) as fh:
         fh.write("x1,x2,u_ref,u_rom,abs_diff\n")
-        for row, ur, um in zip(pts, u_ref, u_rom):
-            fh.write(f"{row[0]!r},{row[1]!r},{ur!r},{um!r},{abs(ur - um)!r}\n")
+        for row in table.tolist():
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def save_grid_solution(ref: GridSolution, path, header: dict) -> None:

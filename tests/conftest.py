@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pdecontrol import assembly, config, control_net as cn, rom
+from pdecontrol.sampling import Box
 
 hypothesis.settings.register_profile(
     "default", deadline=None, max_examples=25, derandomize=True
@@ -68,6 +69,41 @@ def settable_leaves(schema: dict, path: str = "") -> list[str]:
     if not props:
         return [path]
     return [leaf for key, sub in props.items() for leaf in settable_leaves(sub, f"{path}.{key}".lstrip("."))]
+
+
+def forward_cached(net: cn.ControlNet, TH: np.ndarray):
+    """control_net._forward_cached in a workspace of its own."""
+    return cn._forward_cached(net, TH, cn._Workspace(net.arch, TH.shape[0]))
+
+
+def backward_xi(net: cn.ControlNet, cache, dout: np.ndarray) -> np.ndarray:
+    """control_net._backward_xi in a workspace of its own."""
+    return cn._backward_xi(net, cache, dout, cn._Workspace(net.arch, dout.shape[0]))
+
+
+def vjp(net: cn.ControlNet, cache, u: np.ndarray) -> np.ndarray:
+    """control_net._vjp in a workspace of its own."""
+    return cn._vjp(net, cache, u, cn._Workspace(net.arch, u.shape[0]))
+
+
+def every_row(records: np.ndarray) -> np.ndarray:
+    """The indices of all records, as control_net's rows argument."""
+    return np.arange(records.shape[0])
+
+
+def loss_all(net: cn.ControlNet, records: np.ndarray | None, pairs, zeta: float):
+    """control_net.loss on every record, in a workspace of its own."""
+    rows = None if records is None else every_row(records)
+    n = (0 if rows is None else rows.shape[0]) + (0 if pairs is None else pairs[0].shape[0])
+    ws = cn._Workspace(net.arch, n, 0 if records is None else records.shape[1])
+    return cn.loss(net, records, pairs, zeta, rows, ws)
+
+
+def whole_space(dim: int) -> Box:
+    """The box of infinite half-width, as evolve.solve_ivp's theta_space:
+    no state escapes it and its guard norm is infinite, so a solve stops
+    only on a non-finite state or a NonFiniteError of the field."""
+    return Box(math.inf, dim)
 
 
 def overflowing_net(arch: cn.ControlArch) -> cn.ControlNet:

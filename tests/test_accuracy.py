@@ -73,7 +73,7 @@ def test_heat_sine_field_is_exact(tmp_path):
     pipeline.cmd_fit_initial(cfg)
     horizon = cfg.raw["problem"]["horizon"]
     for k, (spec, _, theta0) in enumerate(pipeline._anchors(cfg)):
-        traj = evolve.solve_ivp(lambda th: -rates * th, theta0, horizon, cfg.raw["solve"]["n_steps"])
+        traj = evolve.solve_ivp(lambda th: -rates * th, theta0, horizon, cfg.raw["solve"]["n_steps"], cfg.theta_space())
         ref = pipeline.build_reference(cfg, k, spec, theta0)
         curve = reference.error_curve(cfg.rom_arch, traj, ref, 4096, seed=cfg.seed, max_times=64)
         assert curve.abs_err[0] <= 1e-14

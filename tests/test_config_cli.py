@@ -186,7 +186,7 @@ def test_full_pipeline_small(heat_config, tmp_path, monkeypatch):
     assert report["cache"]["records"] == 6
     assert 0.0 <= res["p50"] <= res["p90"] <= res["max"] < np.inf
     cache, net = pipeline._read_gram_cache(cfg), pipeline._load_control(cfg)
-    assert res["max"] == pytest.approx(cn.residual_scan(net, cache.records).max(), rel=1e-12)
+    assert res["max"] == pytest.approx(cn.residual_scan(net, cache.records, cache.rows).max(), rel=1e-12)
     [anchor] = report["anchors"]
     assert anchor["anchor"] == 0 and anchor["blowup_step"] is None
     assert all(np.isfinite(anchor[k]) for k in ("m_v", "l_v", "euler_bound", "abs_err_max"))
@@ -764,9 +764,10 @@ def test_benchmark_workload_configs_load(tmp_path):
         assert set(called) == set(tracer.PIPELINE_COMMANDS)
 
     # the functions the tracer names exist, and its hooks read what they return;
-    # fit.fit_initial is gone (fit.fit_initials runs every fit), so its counters read 0
+    # fit.fit_initial is gone (fit.fit_initials runs every fit) and so is
+    # reference.eval_reference (export_slice calls reference_at), so their counters read 0
     names = {*tracer.INFO, *re.findall(r'(?:total|calls|own)\["(\w+\.\w+)"\]', inspect.getsource(tracer))}
-    for name in sorted(names - {"fit.fit_initial"}):
+    for name in sorted(names - {"fit.fit_initial", "reference.eval_reference"}):
         module, attr = name.split(".")
         assert inspect.isfunction(getattr(importlib.import_module(f"pdecontrol.{module}"), attr)), name
     assert {"steps", "target_reached"} <= set(fit.FitResult.__dataclass_fields__)
@@ -774,7 +775,7 @@ def test_benchmark_workload_configs_load(tmp_path):
     arch = cn.ControlArch(input_dim=2, width=4, depth=2)
     gram = gram_records(np.zeros((3, 2)), np.stack([np.eye(2)] * 3), np.ones((3, 2)))
     trained = cn.train(cn.ControlNet(arch, cn.init_control_params(arch, 0)), gram, None, lr=1e-3, zeta=0.0,
-                       batch_size=0, stop_loss=0.0, max_steps=2, seed=0)
+                       batch_size=0, stop_loss=0.0, max_steps=2, seed=0, rows=np.arange(3))
     assert isinstance(trained[0], cn.ControlNet)
     assert tracer.INFO["control_net.train"]((), {}, trained) == {"steps": 2}
 

@@ -12,8 +12,8 @@ from pdecontrol.errors import CacheMismatch, MissingArtifact, NonFiniteError
 from pdecontrol.optim import Adam
 from pdecontrol.sampling import Box, Purpose, rng_for, sample_omega, sample_theta
 
-from conftest import (TextbookAdam, artifact_header, cache_parts, check_layout_table, fourier_sine_arch, gram_records,
-                      overflowing_net)
+from conftest import (TextbookAdam, artifact_header, backward_xi, cache_parts, check_layout_table, every_row,
+                      forward_cached, fourier_sine_arch, gram_records, loss_all, overflowing_net, vjp, whole_space)
 
 
 @pytest.fixture
@@ -72,7 +72,7 @@ def test_forward_jvp_consistency(small_arch, rng):
     net = make_net(small_arch, jitter=0.3, rng=rng)
     TH = rng.uniform(-1, 1, (5, 4))
     V = rng.standard_normal((5, 4))
-    jv = cn._jvp(net, cn._forward_cached(net, TH)[1], V)
+    jv = cn._jvp(net, forward_cached(net, TH)[1], V)
     h = 1e-6
     fd = (cn.forward(net, TH + h * V) - cn.forward(net, TH - h * V)) / (2 * h)
     assert np.abs(jv - fd).max() < 1e-5
@@ -83,9 +83,9 @@ def test_vjp_matches_jvp(small_arch, rng):
     TH = rng.uniform(-1, 1, (4, 4))
     V = rng.standard_normal((4, 4))
     U = rng.standard_normal((4, 4))
-    _, cache = cn._forward_cached(net, TH)
+    _, cache = forward_cached(net, TH)
     lhs = np.sum(cn._jvp(net, cache, V) * U, axis=1)
-    rhs = np.sum(cn._vjp(net, cache, U) * V, axis=1)
+    rhs = np.sum(vjp(net, cache, U) * V, axis=1)
     assert np.allclose(lhs, rhs, rtol=1e-10)
 
 
@@ -132,7 +132,7 @@ def test_field_stats_on_control_net(rng):
     # compare against dense Jacobians from jvp columns
     worst = 0.0
     for p in thetas[:16]:
-        _, cache = cn._forward_cached(net, p[None, :])
+        _, cache = forward_cached(net, p[None, :])
         J = np.stack([cn._jvp(net, cache, e[None, :])[0] for e in np.eye(3)], axis=1)
         worst = max(worst, np.linalg.svd(J, compute_uv=False)[0])
     assert l_v == pytest.approx(worst, rel=0.1)
@@ -149,21 +149,21 @@ def test_field_stats_runs_one_forward_pass(small_arch, rng, monkeypatch):
 
 def _oracle_l1(net, TH, G, P):
     # the projection loss and its xi-gradient from a pass of its own
-    out, cache = cn._forward_cached(net, TH)
+    out, cache = forward_cached(net, TH)
     res = np.einsum("nij,nj->ni", G, out) - P
     n = TH.shape[0]
     loss = float(np.mean(np.sum(res * res, axis=1)))
     dout = 2.0 * np.einsum("nij,ni->nj", G, res) / n  # G symmetric
-    return loss, cn._backward_xi(net, cache, dout)
+    return loss, backward_xi(net, cache, dout)
 
 
 def _oracle_l2(net, TH, V):
     # the trajectory loss and its xi-gradient from a pass of its own
-    out, cache = cn._forward_cached(net, TH)
+    out, cache = forward_cached(net, TH)
     res = out - V
     n = TH.shape[0]
     loss = float(np.mean(np.sum(res * res, axis=1)))
-    return loss, cn._backward_xi(net, cache, 2.0 * res / n)
+    return loss, backward_xi(net, cache, 2.0 * res / n)
 
 
 def _joint_batches(rng, n1=3, n2=4, m=4):
@@ -181,7 +181,7 @@ def _joint_batches(rng, n1=3, n2=4, m=4):
 def test_loss_l1_trivial_cases(small_arch, rng):
     net = make_net(small_arch)  # zero field
     TH = rng.uniform(-1, 1, (3, 4))
-    l1, l2, grad = cn.loss(net, gram_records(TH, np.stack([np.eye(4)] * 3), np.zeros((3, 4))), None, 0.1)
+    l1, l2, grad = loss_all(net, gram_records(TH, np.stack([np.eye(4)] * 3), np.zeros((3, 4))), None, 0.1)
     assert l1 == 0.0 and l2 == 0.0
     assert np.all(grad == 0.0)
 
@@ -189,7 +189,7 @@ def test_loss_l1_trivial_cases(small_arch, rng):
 def test_loss_l2_zero_net_unit_targets():
     arch = cn.ControlArch(input_dim=3, width=4, depth=2)
     net = cn.ControlNet(arch, cn.init_control_params(arch, 0))
-    l1, l2, _ = cn.loss(net, None, (np.zeros((5, 3)), np.ones((5, 3))), 1.0)
+    l1, l2, _ = loss_all(net, None, (np.zeros((5, 3)), np.ones((5, 3))), 1.0)
     assert l1 == 0.0
     assert l2 == pytest.approx(3.0)
 
@@ -199,10 +199,10 @@ def test_loss_gradients_match_fd(small_arch, rng):
     gram, pairs = _joint_batches(rng)
     zeta = 0.1
     records = gram_records(*gram)
-    _, _, grad = cn.loss(net, records, pairs, zeta)
+    _, _, grad = loss_all(net, records, pairs, zeta)
 
     def total(xi):
-        l1, l2, _ = cn.loss(cn.ControlNet(small_arch, xi), records, pairs, zeta)
+        l1, l2, _ = loss_all(cn.ControlNet(small_arch, xi), records, pairs, zeta)
         return l1 + zeta * l2
 
     h = 1e-6
@@ -222,7 +222,7 @@ def test_loss_matches_two_pass_oracle(small_arch, rng, terms):
     gram = None if terms == "pairs_only" else gram
     pairs = None if terms == "gram_only" else pairs
     zeta = 0.1
-    l1, l2, grad = cn.loss(net, None if gram is None else gram_records(*gram), pairs, zeta)
+    l1, l2, grad = loss_all(net, None if gram is None else gram_records(*gram), pairs, zeta)
     o1, g1 = _oracle_l1(net, *gram) if gram else (0.0, 0.0)
     o2, g2 = _oracle_l2(net, *pairs) if pairs else (0.0, 0.0)
     expect = g1 + zeta * g2
@@ -238,8 +238,9 @@ def test_train_step_runs_one_forward_and_one_backward_pass(small_arch, rng, monk
     for name in ("_forward_cached", "_backward_xi"):
         fn = getattr(cn, name)
         monkeypatch.setattr(cn, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
-    _, history = cn.train(make_net(small_arch), gram_records(*gram), pairs, lr=1e-3, zeta=0.1, batch_size=0,
-                          stop_loss=0.0, max_steps=1, seed=0)
+    records = gram_records(*gram)
+    _, history = cn.train(make_net(small_arch), records, pairs, lr=1e-3, zeta=0.1, batch_size=0, stop_loss=0.0,
+                          max_steps=1, seed=0, rows=every_row(records))
     assert history[0][1] > 0.0 and history[0][2] > 0.0
     assert calls == ["_forward_cached", "_backward_xi"]
 
@@ -267,7 +268,7 @@ def test_train_toy_linear_field_reaches_tolerance(rng):
     arch = cn.ControlArch(input_dim=4, width=48, depth=2)
     net = cn.ControlNet(arch, cn.init_control_params(arch, 1))
     cfg = dict(lr=1e-2, zeta=0.0, batch_size=0, stop_loss=1e-3, max_steps=5000, seed=3)
-    net, history = cn.train(net, recs, None, **cfg)
+    net, history = cn.train(net, recs, None, rows=every_row(recs), **cfg)
     assert history[-1][3] < 1e-3
     assert len(history) <= 5000
 
@@ -275,7 +276,7 @@ def test_train_toy_linear_field_reaches_tolerance(rng):
 def test_train_determinism(rng):
     recs = _toy_records(rng, 64)
     arch = cn.ControlArch(input_dim=4, width=16, depth=2)
-    cfg = dict(lr=1e-3, zeta=0.0, batch_size=16, stop_loss=0.0, max_steps=60, seed=9)
+    cfg = dict(lr=1e-3, zeta=0.0, batch_size=16, stop_loss=0.0, max_steps=60, seed=9, rows=every_row(recs))
     net1, h1 = cn.train(cn.ControlNet(arch, cn.init_control_params(arch, 2)), recs, None, **cfg)
     net2, h2 = cn.train(cn.ControlNet(arch, cn.init_control_params(arch, 2)), recs, None, **cfg)
     assert net1.xi.tobytes() == net2.xi.tobytes()
@@ -285,7 +286,7 @@ def test_train_determinism(rng):
 def test_zeta_zero_matches_pure_l1(rng):
     recs = _toy_records(rng, 64)
     arch = cn.ControlArch(input_dim=4, width=16, depth=2)
-    cfg0 = dict(lr=1e-3, zeta=0.0, batch_size=0, stop_loss=0.0, max_steps=40, seed=5)
+    cfg0 = dict(lr=1e-3, zeta=0.0, batch_size=0, stop_loss=0.0, max_steps=40, seed=5, rows=every_row(recs))
     pairs = (np.zeros((0, 4)), np.zeros((0, 4)))
     net_a, _ = cn.train(cn.ControlNet(arch, cn.init_control_params(arch, 7)), recs, None, **cfg0)
     net_b, _ = cn.train(cn.ControlNet(arch, cn.init_control_params(arch, 7)), recs, pairs, **cfg0)
@@ -306,7 +307,8 @@ def test_train_rejects_mismatched_cache(rng):
     recs = _toy_records(rng, 8, m=4)
     arch = cn.ControlArch(input_dim=5, width=8, depth=2)
     with pytest.raises(CacheMismatch):
-        cn.train(cn.ControlNet(arch, cn.init_control_params(arch, 0)), recs, None, **_train_defaults(max_steps=5))
+        cn.train(cn.ControlNet(arch, cn.init_control_params(arch, 0)), recs, None, rows=every_row(recs),
+                 **_train_defaults(max_steps=5))
 
 
 def test_train_nonfinite_divergence(rng):
@@ -315,7 +317,7 @@ def test_train_nonfinite_divergence(rng):
     xi = cn.init_control_params(arch, 0)
     xi[-2:] = 1e160  # output bias enormous
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
-        cn.train(cn.ControlNet(arch, xi), recs, None,
+        cn.train(cn.ControlNet(arch, xi), recs, None, rows=every_row(recs),
                  **_train_defaults(max_steps=5, stop_loss=0.0))
 
 
@@ -328,9 +330,9 @@ def test_residual_scan_zero_when_exact(rng):
     xi = cn.init_control_params(arch, 0)
     xi[-m:] = p  # output bias
     net = cn.ControlNet(arch, xi)
-    l1, _, _ = cn.loss(net, gram, None, 0.0)
+    l1, _, _ = loss_all(net, gram, None, 0.0)
     assert l1 < 1e-28
-    assert np.all(cn.residual_scan(net, gram) < 1e-14)
+    assert np.all(cn.residual_scan(net, gram, every_row(gram)) < 1e-14)
 
 
 def test_residual_scan_raises_on_a_field_that_overflows(rng):
@@ -342,7 +344,7 @@ def test_residual_scan_raises_on_a_field_that_overflows(rng):
         assert np.all(cn.forward(net, gram[:, :m]) == np.inf)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for rows in (None, np.array([1, 3])):
+        for rows in (every_row(gram), np.array([1, 3])):
             with pytest.raises(NonFiniteError, match="overflowed"):
                 cn.residual_scan(net, gram, rows)
 
@@ -444,7 +446,7 @@ def test_forward_and_train_bit_identical(tmp_path, small_arch, rng):
     mapped, h1 = cn.train(start, cache.records, None, rows=rows, **cfg)
     theta, rhs, gram, _ = cache_parts(cache)
     stacked = gram_records(theta[rows], gram[rows], rhs[rows])
-    copied, h2 = cn.train(start, stacked, None, **cfg)
+    copied, h2 = cn.train(start, stacked, None, rows=every_row(stacked), **cfg)
     assert h1 == h2
     assert mapped.xi.tobytes() == copied.xi.tobytes()
 
@@ -460,7 +462,7 @@ def test_forward_kernel_matches_the_layer_formula_on_a_grid_of_shapes(depth, wid
     assert cn.forward(net, TH[3]).tobytes() == _reference_forward(arch, net.xi, TH[3:4])[0].tobytes()
     # every cache entry that _reverse, _backward_xi, _jvp and _vjp read
     for rows in (TH, TH[3:4]):
-        out, (TH_c, H0, R, cdf, layers, H_last) = cn._forward_cached(net, rows)
+        out, (TH_c, H0, R, cdf, layers, H_last) = forward_cached(net, rows)
         ref_out, (ref_TH, ref_H0, ref_layers, ref_H_last) = _reference_forward_cached(arch, net.xi, rows)
         assert R.shape == cdf.shape == (depth - 1, rows.shape[0], width)
         got = [out, TH_c, H0, H_last]
@@ -474,8 +476,9 @@ def test_rk4_solve_on_the_kernel_equals_a_solve_on_the_layer_formula(rng):
     arch = cn.ControlArch(input_dim=6, width=16, depth=3)
     net = make_net(arch, jitter=0.3, rng=rng)
     theta0 = rng.uniform(-0.5, 0.5, 6)
-    kernel = evolve.solve_ivp(net, theta0, 0.5, 40)
-    oracle = evolve.solve_ivp(lambda th: _reference_forward(arch, net.xi, th[None, :])[0], theta0, 0.5, 40)
+    kernel = evolve.solve_ivp(net, theta0, 0.5, 40, whole_space(6))
+    oracle = evolve.solve_ivp(lambda th: _reference_forward(arch, net.xi, th[None, :])[0], theta0, 0.5, 40,
+                              whole_space(6))
     assert kernel.thetas.tobytes() == oracle.thetas.tobytes()
 
 
@@ -550,7 +553,7 @@ def _gathered_backward_xi(net, cache, dout):
 
 def _gathered_loss(net, gram, pairs, zeta):
     # the loss on a minibatch gathered whole: (TH, G, P) and (TH, V) arrays
-    out, cache = cn._forward_cached(net, np.concatenate([batch[0] for batch in (gram, pairs) if batch is not None]))
+    out, cache = forward_cached(net, np.concatenate([batch[0] for batch in (gram, pairs) if batch is not None]))
     l1 = l2 = 0.0
     n1 = 0
     douts = []
@@ -613,7 +616,9 @@ def test_loss_on_a_mapped_cache_is_the_gathered_minibatch_loss_bit_for_bit(tmp_p
     gathered = tuple(np.array(a[batch]) for a in (theta, gram, rhs))
     pairs = (rng.uniform(-1, 1, (4, m)), rng.standard_normal((4, m)))
     for gram, pair in ((True, pairs), (True, None), (False, pairs)):
-        got = cn.loss(net, cache.records if gram else None, pair, 0.3, batch if gram else None)
+        n = (batch.shape[0] if gram else 0) + (0 if pair is None else pair[0].shape[0])
+        got = cn.loss(net, cache.records if gram else None, pair, 0.3, batch if gram else None,
+                      cn._Workspace(arch, n, cache.records.shape[1]))
         want = _gathered_loss(net, gathered if gram else None, pair, 0.3)
         assert got[:2] == want[:2]
         assert np.array_equal(got[2], want[2])
@@ -696,11 +701,9 @@ def test_a_train_step_holds_no_minibatch_of_gram_matrices(tmp_path):
 # the gate-storing passes: the oracle for the passes that rebuild each gate
 
 
-def _gate_storing_forward_cached(net, TH, ws=None):
+def _gate_storing_forward_cached(net, TH, ws):
     # the forward pass with every gate R Phi(R) stored in a buffer of its
     # own and kept in the cache, (TH, H0, R, Phi(R), gates, layers, H_last)
-    if ws is None:
-        ws = cn._Workspace(net.arch, TH.shape[0])
     table, biases, blocks, W_out_T, b_out = net.forward_views
     A, A0, R, cdf = ws.A, ws.A0, ws.R, ws.cdf
     gates = np.empty_like(cdf)
@@ -724,8 +727,6 @@ def _gate_storing_forward_cached(net, TH, ws=None):
 
 def _gate_storing_reverse(net, cache, dout, ws, visit):
     # the reverse pass that reads each gate from the cache
-    if ws is None:
-        ws = cn._Workspace(net.arch, dout.shape[0])
     _, _, blocks, W_out, _ = net.params
     _, H0, R, cdf, gates, layers, _ = cache
     dH, dS, dR, tmp = ws.dH, ws.dS, ws.dR, ws.tmp
@@ -766,9 +767,9 @@ def test_the_passes_that_rebuild_each_gate_are_the_gate_storing_passes_bit_for_b
     TH, v, u = rng.uniform(-1, 1, (4, m)), rng.standard_normal((4, m)), rng.standard_normal((4, m))
 
     def passes():
-        l1, l2, grad = cn.loss(net, records, pairs, 0.3, np.array([4, 0, 2]))
-        _, cache = cn._forward_cached(net, TH)
-        return [np.array([l1, l2]), grad.copy(), cn._jvp(net, cache, v), cn._vjp(net, cache, u),
+        l1, l2, grad = cn.loss(net, records, pairs, 0.3, np.array([4, 0, 2]), cn._Workspace(arch, 6, records.shape[1]))
+        _, cache = forward_cached(net, TH)
+        return [np.array([l1, l2]), grad.copy(), cn._jvp(net, cache, v), vjp(net, cache, u),
                 np.array(cn.field_stats(net, TH, seed=2))]
 
     with monkeypatch.context() as patch:
@@ -903,7 +904,7 @@ def test_the_gram_chunk_holds_at_most_the_rows_its_caller_gathers(tmp_path, rng,
     monkeypatch.setattr(cn, "_SCAN_ROWS", 8)
     bufs, chunk_buffer = [], cn._chunk_buffer
     monkeypatch.setattr(cn, "_chunk_buffer", lambda *args: bufs.append(chunk_buffer(*args)) or bufs[-1])
-    capped = cn.residual_scan(net, records)
+    capped = cn.residual_scan(net, records, every_row(records))
     assert [buf.shape for buf in bufs] == [(8, record_width)]
     monkeypatch.setattr(cn, "_chunk_buffer", lambda width, rows: np.empty((cn._CHUNK_BYTES // (8 * width), width)))
-    assert capped.tobytes() == cn.residual_scan(net, records).tobytes()
+    assert capped.tobytes() == cn.residual_scan(net, records, every_row(records)).tobytes()

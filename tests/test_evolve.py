@@ -8,23 +8,23 @@ from pdecontrol import control_net as cn
 from pdecontrol.errors import CacheMismatch, NonFiniteError
 from pdecontrol.sampling import AnchorBalls, Box, Purpose, sample_theta
 
-from conftest import artifact_header, fourier_sine_arch
+from conftest import artifact_header, fourier_sine_arch, whole_space
 
 
 def test_rk4_single_step_linear_decay():
-    traj = evolve.solve_ivp(lambda th: -th, np.array([1.0]), 0.1, 1)
+    traj = evolve.solve_ivp(lambda th: -th, np.array([1.0]), 0.1, 1, whole_space(1))
     assert traj.thetas[-1][0] == pytest.approx(0.9048375, abs=1e-7)
     assert abs(traj.thetas[-1][0] - np.exp(-0.1)) < 1e-7
 
 
 def test_zero_field_constant_trajectory():
     theta0 = np.array([0.3, -0.7])
-    traj = evolve.solve_ivp(lambda th: np.zeros_like(th), theta0, 1.0, 20)
+    traj = evolve.solve_ivp(lambda th: np.zeros_like(th), theta0, 1.0, 20, whole_space(2))
     assert np.all(traj.thetas == theta0)
 
 
 def _global_error(n):
-    traj = evolve.solve_ivp(lambda th: -th, np.array([1.0]), 1.0, n)
+    traj = evolve.solve_ivp(lambda th: -th, np.array([1.0]), 1.0, n, whole_space(1))
     return abs(traj.thetas[-1][0] - np.exp(-1.0))
 
 
@@ -45,7 +45,7 @@ def test_euler_discrete_bound():
     euler = [np.array([1.0])]
     for _ in range(n):
         euler.append(euler[-1] + h * field(euler[-1]))
-    fine = evolve.solve_ivp(field, np.array([1.0]), 1.0, n * 20)
+    fine = evolve.solve_ivp(field, np.array([1.0]), 1.0, n * 20, whole_space(1))
     for j, theta in enumerate(euler):
         err = float(np.abs(theta - fine.thetas[j * 20]).max())
         assert err <= pde_ops.euler_bound(1.0, m_v, 1.0, h, j * h) + 1e-12
@@ -54,9 +54,9 @@ def test_euler_discrete_bound():
 def test_rk4_chaining_bit_exact():
     field = lambda th: np.sin(th) - 0.5 * th
     theta0 = np.array([0.9, -0.4])
-    whole = evolve.solve_ivp(field, theta0, 1.0, 40)
-    first = evolve.solve_ivp(field, theta0, 0.5, 20)
-    second = evolve.solve_ivp(field, first.thetas[-1], 0.5, 20)
+    whole = evolve.solve_ivp(field, theta0, 1.0, 40, whole_space(2))
+    first = evolve.solve_ivp(field, theta0, 0.5, 20, whole_space(2))
+    second = evolve.solve_ivp(field, first.thetas[-1], 0.5, 20, whole_space(2))
     chained = np.vstack([first.thetas, second.thetas[1:]])
     assert whole.thetas.tobytes() == chained.tobytes()
 
@@ -131,9 +131,9 @@ def test_escape_flag_without_blowup():
     assert traj.escape_step == 2  # 0.9 -> 1.0 -> 1.1
 
 
-def _textbook_solve_ivp(V, theta0, horizon, n_steps, theta_space=None):
+def _textbook_solve_ivp(V, theta0, horizon, n_steps, theta_space):
     # the RK4 loop with a fresh array per stage and per state
-    max_norm = None if theta_space is None else evolve.GUARD_DIAMETER_FACTOR * theta_space.diameter()
+    max_norm = evolve.GUARD_DIAMETER_FACTOR * theta_space.diameter()
     h = horizon / n_steps
     theta = np.ascontiguousarray(theta0, dtype=np.float64).copy()
     thetas = np.empty((n_steps + 1, theta.shape[0]))
@@ -150,7 +150,7 @@ def _textbook_solve_ivp(V, theta0, horizon, n_steps, theta_space=None):
         except NonFiniteError:
             blowup = j + 1
             break
-        if not np.all(np.isfinite(theta)) or (max_norm is not None and np.linalg.norm(theta) > max_norm):
+        if not np.all(np.isfinite(theta)) or np.linalg.norm(theta) > max_norm:
             blowup = j + 1
             break
         thetas[count] = theta
@@ -179,22 +179,24 @@ def _overflowing_net():
 
 
 def _rk4_case(kind, rng):
-    """(field, theta0, horizon, n_steps, theta_space)."""
+    """(field, theta0, horizon, n_steps, theta_space); whole_space, whose
+    guard norm is infinite, where only a non-finite state may stop the
+    solve."""
     if kind == "control_net":
         arch = cn.ControlArch(input_dim=5, width=16, depth=3)
         xi = cn.init_control_params(arch, 0) + 0.3 * rng.standard_normal(cn.control_param_count(arch))
         return cn.ControlNet(arch, xi), rng.uniform(-0.5, 0.5, 5), 0.5, 40, Box(5.0, 5)
     if kind == "control_net_overflows":
-        return _overflowing_net(), np.array([-0.5, 0.25]), 2.0, 40, None
+        return _overflowing_net(), np.array([-0.5, 0.25]), 2.0, 40, whole_space(2)
     if kind == "control_net_overflows_in_a_box":
         return _overflowing_net(), np.array([-0.5, 0.25]), 2.0, 40, Box(1.0, 2)
     if kind == "squares_past_float64":
         # |theta|^2 overflows from 1e154 on while theta stays finite
-        return (lambda th: th), np.array([1e153, -1e153]), 3.0, 30, None
+        return (lambda th: th), np.array([1e153, -1e153]), 3.0, 30, whole_space(2)
     if kind == "raises_mid_step":
-        return _raises_past(1.3), np.array([1.0, -0.5]), 1.0, 20, None
+        return _raises_past(1.3), np.array([1.0, -0.5]), 1.0, 20, whole_space(2)
     if kind == "overflows_to_inf":
-        return (lambda th: th * th), np.array([1.0, 0.5]), 2.0, 50, None
+        return (lambda th: th * th), np.array([1.0, 0.5]), 2.0, 50, whole_space(2)
     if kind == "escapes_the_box":
         return (lambda th: np.full_like(th, 0.7)), np.array([0.5, -0.2]), 2.0, 20, Box(1.0, 2)
     # guard-norm abort on a field that returns its own input
@@ -217,7 +219,8 @@ def test_rk4_in_buffers_equals_the_textbook_loop(rng, kind):
     assert (blowup is None) == (kind in ("control_net", "squares_past_float64", "escapes_the_box"))
     assert (escape is None) == (kind != "escapes_the_box" and kind != "guard_norm")
     # the net blows up mid-solve, where the box's guard stops it a step
-    # earlier; the last state's squares overflow, a blow-up only in a box
+    # earlier; the last state's squares overflow, a blow-up only in a box of
+    # finite width
     assert not kind.startswith("control_net_overflows") or 1 < blowup < n_steps
     assert kind != "squares_past_float64" or squares == np.inf
 
@@ -234,7 +237,7 @@ def test_a_solve_on_a_control_net_calls_forward_four_times_a_step(rng, monkeypat
         return forward(net, theta)
 
     monkeypatch.setattr(cn, "forward", counted)
-    traj = evolve.solve_ivp(net, rng.uniform(-0.5, 0.5, 3), 0.5, 7)
+    traj = evolve.solve_ivp(net, rng.uniform(-0.5, 0.5, 3), 0.5, 7, whole_space(3))
     assert traj.blowup_step is None and traj.thetas.shape == (8, 3)
     assert rows == [(3,)] * 4 * 7
 
@@ -282,7 +285,7 @@ def test_escape_step_equals_the_per_row_scan(rng, kind):
     for thetas, expect in zip(cases, want):
         assert _per_row_escape(thetas, space) == expect
         assert evolve._first_escape(thetas, space) == expect
-    assert evolve._first_escape(rows, None) is None
+    assert evolve._first_escape(np.vstack([rows, outside]), whole_space(rows.shape[1])) is None
 
 
 def test_traj_cache_roundtrip(tmp_path):

@@ -104,9 +104,8 @@ def test_fit_zero_target_zero_head(unit_interval):
     X = sample_omega(unit_interval, 64, 0, Purpose.FIT_SAMPLE)
     vals = rom.eval_batch(rom.RomModel(arch, theta), X, rom.EvalFlags(value=True)).value
     assert np.all(vals == 0.0)
-    spec = fit.HeatCombo(np.zeros(4))
-    res = fit.fit_initials(arch, [spec], 64, 1e-9, [1], lr=1e-3, max_steps=1, theta_inits=[theta])[0]
-    assert res.rmse == 0.0 and res.target_reached
+    res = _fit_from(arch, fit.HeatCombo(np.zeros(4)), 64, 1e-9, 1, 1e-3, 1, theta)
+    assert res.rmse == 0.0 and res.target_reached and res.theta.tobytes() == theta.tobytes()
 
 
 def test_fit_resnet_heat_initial_regression(unit_interval):
@@ -114,10 +113,10 @@ def test_fit_resnet_heat_initial_regression(unit_interval):
     # the 20k-step budget via one warm-started refinement stage)
     arch = rom.RomArch("resnet_zero_boundary", 1, 8, 2, "tanh")
     spec = fit.HeatCombo(np.array([1.0, 0.0, 0.0, 0.0]))
-    theta = None
+    theta = rom.init_params(arch, 5)
     total_steps = 0
     for lr, steps in ((1e-2, 3000), (1e-3, 3000)):
-        res = fit.fit_initials(arch, [spec], 512, 1e-3, [5], lr=lr, max_steps=steps, theta_inits=[theta])[0]
+        res = _fit_from(arch, spec, 512, 1e-3, 5, lr, steps, theta)
         theta = res.theta
         total_steps += res.steps
         if res.target_reached:
@@ -129,6 +128,18 @@ def test_fit_resnet_heat_initial_regression(unit_interval):
     u = rom.eval_batch(rom.RomModel(arch, res.theta), X, rom.EvalFlags(value=True)).value
     train_rmse = float(np.sqrt(np.mean((u - fit.eval_initial(spec, X)) ** 2)))
     assert res.rmse < 3.0 * max(train_rmse, 1e-12) + 1e-9
+
+
+def _fit_from(arch, spec, n_x, eps0_target, seed, lr, max_steps, theta) -> fit.FitResult:
+    """fit.fit_initials of one spec from the start theta in place of
+    rom.init_params(arch, seed): one fit._adam_fits row and its held-out
+    RMSE."""
+    X = sample_omega(arch.domain, n_x, seed, Purpose.FIT_SAMPLE)
+    g = fit.eval_initial(spec, X)
+    best, mse, steps = fit._adam_fits(arch, X[None], g[None], theta[None], eps0_target, lr, max_steps)[0]
+    holdout = sample_omega(arch.domain, n_x, seed, Purpose.FIT_HOLDOUT)
+    res = rom.value_at(arch, holdout)(best) - fit.eval_initial(spec, holdout)
+    return fit.FitResult(best, float(np.sqrt(np.mean(res * res))), np.sqrt(mse) <= eps0_target, steps)
 
 
 def _oracle_adam_fit(arch, X, g, theta, eps0_target, lr, max_steps):
@@ -205,8 +216,9 @@ def test_stacked_fits_equal_the_single_fit_oracle_bit_for_bit(case, depth):
             got = fit._adam_fits(arch, Xs[i : i + k], G[i : i + k], thetas[i : i + k], eps0, lr, max_steps)
             for (theta, mse, steps), (w, w_mse) in zip(got, want[i : i + k]):
                 assert theta.tobytes() == w.theta.tobytes() and mse == w_mse and steps == w.steps
-    # the public path: the starts, the stack and the held-out RMSE
-    got = fit.fit_initials(arch, specs, n_x, eps0, seeds, lr=lr, max_steps=max_steps, theta_inits=starts)
+    # the public path, from rom.init_params starts: the stack and the held-out RMSE
+    want[0] = _oracle_fit_initial(arch, specs[0], n_x, eps0, seeds[0], lr, max_steps)
+    got = fit.fit_initials(arch, specs, n_x, eps0, seeds, lr=lr, max_steps=max_steps)
     for res, (w, _) in zip(got, want):
         assert res.theta.tobytes() == w.theta.tobytes() and (res.rmse, res.steps) == (w.rmse, w.steps)
         assert res.target_reached == w.target_reached

@@ -32,7 +32,7 @@ def test_transport_shift_sine(rng):
     ref = _sine_2pi_shift()
     X = rng.uniform(0, 1, (10, 1))
     for t in (0.0, 0.3, 0.77):
-        got = reference.eval_reference(ref, X, t)
+        got = reference.reference_at(ref, X)(t)
         assert np.allclose(got, np.sin(2 * np.pi * (X[:, 0] - t)), atol=1e-12)
 
 
@@ -61,7 +61,7 @@ def test_heat_series_single_mode(rng):
     ref = reference.HeatSeries(np.array([1.0]))
     X = rng.uniform(0, 1, (6, 1))
     t = 0.01
-    got = reference.eval_reference(ref, X, t)
+    got = reference.reference_at(ref, X)(t)
     assert np.allclose(got, np.exp(-np.pi**2 * t) * np.sin(np.pi * X[:, 0]), rtol=1e-14)
 
 
@@ -72,11 +72,11 @@ def test_heat_series_satisfies_pde(rng):
         x = rng.uniform(0.1, 0.9)
         t = rng.uniform(0.01, 0.05)
         X = np.array([[x]])
-        dt = (reference.eval_reference(ref, X, t + h) - reference.eval_reference(ref, X, t - h)) / (2 * h)
+        dt = (reference.reference_at(ref, X)(t + h) - reference.reference_at(ref, X)(t - h)) / (2 * h)
         lap = (
-            reference.eval_reference(ref, X + h, t)
-            - 2 * reference.eval_reference(ref, X, t)
-            + reference.eval_reference(ref, X - h, t)
+            reference.reference_at(ref, X + h)(t)
+            - 2 * reference.reference_at(ref, X)(t)
+            + reference.reference_at(ref, X - h)(t)
         ) / h**2
         assert abs(dt[0] - lap[0]) < 1e-4
 
@@ -88,8 +88,8 @@ def test_transport_shift_satisfies_pde(rng):
         x = rng.uniform(0.1, 0.9)
         t = rng.uniform(0.0, 0.4)
         X = np.array([[x]])
-        dt = (reference.eval_reference(ref, X, t + h) - reference.eval_reference(ref, X, t - h)) / (2 * h)
-        dx = (reference.eval_reference(ref, X + h, t) - reference.eval_reference(ref, X - h, t)) / (2 * h)
+        dt = (reference.reference_at(ref, X)(t + h) - reference.reference_at(ref, X)(t - h)) / (2 * h)
+        dx = (reference.reference_at(ref, X + h)(t) - reference.reference_at(ref, X - h)(t)) / (2 * h)
         assert abs(dt[0] + dx[0]) < 1e-4
 
 
@@ -100,7 +100,7 @@ def test_grid_solution_node_exactness():
     # values at stored nodes/times are reproduced exactly
     i, j, k = 5, 7, 2
     X = np.array([[grid.xs[i], grid.xs[j]]])
-    got = reference.eval_reference(grid, X, float(grid.times[k]))
+    got = reference.reference_at(grid, X)(float(grid.times[k]))
     assert got[0] == pytest.approx(grid.snapshots[k, i, j], abs=1e-15)
 
 
@@ -135,7 +135,7 @@ def test_imex_self_convergence():
     sols = []
     for nx, nt in ((25, 50), (51, 100), (103, 200)):
         grid = reference.solve_allen_cahn_imex(spec, 1e-3, nx, nt, t_final)
-        sols.append(reference.eval_reference(grid, probes, t_final))
+        sols.append(reference.reference_at(grid, probes)(t_final))
     d1 = np.sqrt(np.mean((sols[1] - sols[0]) ** 2))
     d2 = np.sqrt(np.mean((sols[2] - sols[1]) ** 2))
     assert d2 < d1 / 1.7  # at least ~1st order overall refinement
@@ -145,9 +145,9 @@ def test_out_of_domain_errors():
     spec = fit.ChebCombo(terms=((0, 0, 0.0),))
     grid = reference.solve_allen_cahn_imex(spec, 1e-4, 20, 32, 0.1)
     with pytest.raises(OutOfDomain):
-        reference.eval_reference(grid, np.array([[0.0, 0.0]]), 0.5)
+        reference.reference_at(grid, np.array([[0.0, 0.0]]))(0.5)
     with pytest.raises(OutOfDomain):
-        reference.eval_reference(grid, np.array([[2.0, 0.0]]), 0.05)
+        reference.reference_at(grid, np.array([[2.0, 0.0]]))(0.05)
 
 
 def test_error_curve_self_comparison_zero():
@@ -158,7 +158,7 @@ def test_error_curve_self_comparison_zero():
     traj = evolve.ParamTrajectory(
         times=np.array([0.0, 0.1]), thetas=np.stack([theta0, theta0]), velocities=None, step=0.1,
     )
-    curve = reference.error_curve(arch, traj, ref, 512, seed=0)
+    curve = reference.error_curve(arch, traj, ref, 512, seed=0, max_times=traj.times.size)
     assert np.abs(curve.abs_err).max() < 1e-13
     assert np.all(np.isfinite(curve.rel_err))
 
@@ -173,7 +173,7 @@ def test_error_curve_t0_matches_fit_rmse():
     traj = evolve.ParamTrajectory(
         times=np.array([0.0]), thetas=res.theta[None, :], velocities=None, step=0.0
     )
-    curve = reference.error_curve(arch, traj, ref, 8192, seed=5)
+    curve = reference.error_curve(arch, traj, ref, 8192, seed=5, max_times=traj.times.size)
     # |Omega| = 1: the L2 error at t=0 is the fit RMSE, within 2x
     assert curve.abs_err[0] <= 2.0 * res.rmse + 1e-12
     assert curve.abs_err[0] >= res.rmse / 2.0 - 1e-12
@@ -188,7 +188,7 @@ def test_error_curve_mc_scaling():
     )
     def spread(n_x):
         vals = [
-            reference.error_curve(arch, traj, ref, n_x, seed=s).abs_err[0]
+            reference.error_curve(arch, traj, ref, n_x, seed=s, max_times=traj.times.size).abs_err[0]
             for s in range(24)
         ]
         return np.std(vals)
@@ -203,7 +203,7 @@ def test_error_curve_undefined_relative():
     traj = evolve.ParamTrajectory(
         times=np.array([0.0]), thetas=np.array([[0.1, 0.0]]), velocities=None, step=0.0
     )
-    curve = reference.error_curve(arch, traj, ref, 128, seed=0)
+    curve = reference.error_curve(arch, traj, ref, 128, seed=0, max_times=traj.times.size)
     assert np.isnan(curve.rel_err[0])
 
 
@@ -213,29 +213,52 @@ def test_error_curve_is_deterministic():
     traj = evolve.ParamTrajectory(
         times=np.array([0.0, 0.1]), thetas=np.array([[0.5, 0.1], [0.4, 0.05]]), velocities=None, step=0.1,
     )
-    curve = reference.error_curve(arch, traj, ref, 128, seed=1)
+    curve = reference.error_curve(arch, traj, ref, 128, seed=1, max_times=traj.times.size)
     assert curve.times.shape == curve.abs_err.shape == curve.rel_err.shape == (2,)
     # the same seed gives byte-identical rows
-    again = reference.error_curve(arch, traj, ref, 128, seed=1)
+    again = reference.error_curve(arch, traj, ref, 128, seed=1, max_times=traj.times.size)
     for name in ("times", "abs_err", "rel_err"):
         assert getattr(again, name).tobytes() == getattr(curve, name).tobytes()
 
 
-def test_export_slice(tmp_path):
+def test_export_slice(tmp_path, monkeypatch):
     spec = fit.ChebCombo(terms=((0, 0, 0.0),))
     grid = reference.solve_allen_cahn_imex(spec, 1e-4, 20, 32, 0.1)
     arch = rom.RomArch("resnet_zero_boundary", 2, 4, 2, "tanh", lo=(-1.0, -1.0), hi=(1.0, 1.0))
     theta = rom.init_params(arch, 0)
     path = tmp_path / "slice.csv"
-    reference.export_slice(arch, theta, grid, 0.05, path, grid_n=10)
+    monkeypatch.setattr(reference, "SLICE_GRID_N", 10)
+    reference.export_slice(arch, theta, grid, 0.05, path)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "x1,x2,u_ref,u_rom,abs_diff"
     assert len(lines) == 101
 
 
+def test_export_slice_writes_each_cell_as_a_plain_decimal(tmp_path):
+    # under numpy 2 the repr of a numpy scalar is np.float64(...), which no
+    # CSV reader parses; every cell must read back as the float written
+    grid = reference.solve_allen_cahn_imex(fit.ChebCombo(terms=((1, 1, 0.5), (0, 2, -0.3))), 1e-3, 20, 32, 0.1)
+    arch = rom.RomArch("resnet_zero_boundary", 2, 4, 2, "tanh", lo=(-1.0, -1.0), hi=(1.0, 1.0))
+    theta = rom.init_params(arch, 0)
+    path = tmp_path / "slice.csv"
+    reference.export_slice(arch, theta, grid, 0.05, path)
+    x1, x2, u_ref, u_rom, abs_diff = np.loadtxt(path, delimiter=",", skiprows=1).T
+    n = reference.SLICE_GRID_N
+    assert x1.shape == (n * n,)
+    axis = np.linspace(-1.0, 1.0, n)
+    assert np.array_equal(x1, np.repeat(axis, n)) and np.array_equal(x2, np.tile(axis, n))
+    pts = np.stack([x1, x2], axis=1)
+    assert u_rom.tobytes() == rom.value_at(arch, pts)(theta).tobytes()
+    assert u_ref.tobytes() == reference.reference_at(grid, pts)(0.05).tobytes()
+    assert np.abs(u_ref).max() > 0.1
+    assert abs_diff.tobytes() == np.abs(u_ref - u_rom).tobytes()
+
+
 def test_grid_and_slice_writes_replace_whole_files(tmp_path, monkeypatch):
     spec = fit.ChebCombo(terms=((1, 1, 0.5),))
-    grid = reference.solve_allen_cahn_imex(spec, 1e-4, 16, 16, 0.1, max_snapshots=4)
+    monkeypatch.setattr(reference, "MAX_SNAPSHOTS", 4)  # 16 steps strided 6: t = 0 and 3 more
+    grid = reference.solve_allen_cahn_imex(spec, 1e-4, 16, 16, 0.1)
+    assert grid.times.size == 4
     ref = tmp_path / "ref_000.bin"
     reference.save_grid_solution(grid, ref, artifact_header("reference", {"problem.epsilon": 1e-4}))
     back = reference.load_grid_solution(ref, artifact_header("reference", {"problem.epsilon": 1e-4}))
@@ -249,7 +272,7 @@ def test_grid_and_slice_writes_replace_whole_files(tmp_path, monkeypatch):
     csv = tmp_path / "slice.csv"
     writes = {
         ref: lambda: reference.save_grid_solution(grid, ref, artifact_header("reference")),
-        csv: lambda: reference.export_slice(arch, rom.init_params(arch, 0), grid, 0.05, csv, grid_n=4),
+        csv: lambda: reference.export_slice(arch, rom.init_params(arch, 0), grid, 0.05, csv),
     }
 
     def cut(src, dst):
@@ -305,12 +328,12 @@ def _loop_eval_reference(ref, X, t):
     return out
 
 
-def _loop_error_curve(arch, traj, ref, n_x, seed, max_times=0):
+def _loop_error_curve(arch, traj, ref, n_x, seed, max_times):
     lo, hi = arch.domain
     vol = float(np.prod(hi - lo))
     X = sample_omega(arch.domain, n_x, seed, Purpose.EVAL_POINTS)
     idx = np.arange(traj.times.shape[0])
-    if max_times and idx.size > max_times:
+    if idx.size > max_times:
         idx = np.unique(np.linspace(0, idx.size - 1, max_times).astype(int))
     abs_err = np.empty(idx.size)
     rel = np.full(idx.size, np.nan)
@@ -373,21 +396,24 @@ def _trajectory(arch, seed, n=9, step=0.02, scale=0.3):
 
 
 def _curve_cases():
+    """(arch, trajectory, reference) per case; the grid reference is strided
+    at reference.MAX_SNAPSHOTS."""
     heat_arch = fourier_sine_arch(4)
     heat = (heat_arch, _trajectory(heat_arch, 1), reference.HeatSeries(np.array([0.7, 0.0, -0.4, 0.2, 0.1])))
     periodic = rom.RomArch(rom.RESNET_PERIODIC, 1, 5, 3, "tanh")
     transport = (periodic, _trajectory(periodic, 2),
                  reference.TransportShift(rom.RomModel(periodic, rom.init_params(periodic, 5)), np.array([1.0])))
     boundary = rom.RomArch(rom.RESNET_ZERO_BOUNDARY, 2, 4, 2, "tanh", lo=(-1.0, -1.0), hi=(1.0, 1.0))
-    grid = reference.solve_allen_cahn_imex(fit.ChebCombo(terms=((1, 1, 0.5), (0, 2, -0.3))), 1e-3, 20, 40, 0.16,
-                                           max_snapshots=6)
+    grid = reference.solve_allen_cahn_imex(fit.ChebCombo(terms=((1, 1, 0.5), (0, 2, -0.3))), 1e-3, 20, 40, 0.16)
     return {"heat": heat, "transport": transport, "grid": (boundary, _trajectory(boundary, 3), grid)}
 
 
 @pytest.mark.parametrize("case", ["heat", "transport", "grid"])
-def test_error_curve_is_bit_exact_against_the_per_time_loop(case):
+def test_error_curve_is_bit_exact_against_the_per_time_loop(case, monkeypatch):
+    monkeypatch.setattr(reference, "MAX_SNAPSHOTS", 6)  # 40 steps strided 8
     arch, traj, ref = _curve_cases()[case]
-    for max_times in (0, 5):
+    # every time (as many as the trajectory has, or more) and 5 of its 9
+    for max_times in (traj.times.size, 64, 5):
         got = reference.error_curve(arch, traj, ref, 777, seed=4, max_times=max_times)
         want = _loop_error_curve(arch, traj, ref, 777, seed=4, max_times=max_times)
         for name in ("times", "abs_err", "rel_err"):
@@ -398,7 +424,7 @@ def test_error_curve_rejects_a_theta_row_that_is_not_finite():
     arch, traj, ref = _curve_cases()["heat"]
     traj.thetas[4, 1] = np.inf
     with pytest.raises(NonFiniteError):
-        reference.error_curve(arch, traj, ref, 64, seed=0)
+        reference.error_curve(arch, traj, ref, 64, seed=0, max_times=traj.times.size)
 
 
 @pytest.mark.parametrize("nx, nt", [(16, 24), (37, 60)])
@@ -433,9 +459,10 @@ def test_imex_sine_matrix_solve_matches_the_fast_sine_transform_step(nx, nt):
     assert np.abs(grid.snapshots[:, 1:-1, 1:-1] - want).max() <= 1e-11
 
 
-def test_grid_reference_matches_the_two_frame_bilinear_formula():
-    grid = reference.solve_allen_cahn_imex(fit.ChebCombo(terms=((1, 2, 0.6), (3, 0, -0.4))), 1e-3, 30, 48, 0.2,
-                                           max_snapshots=7)
+def test_grid_reference_matches_the_two_frame_bilinear_formula(monkeypatch):
+    monkeypatch.setattr(reference, "MAX_SNAPSHOTS", 7)  # 48 steps strided 8
+    grid = reference.solve_allen_cahn_imex(fit.ChebCombo(terms=((1, 2, 0.6), (3, 0, -0.4))), 1e-3, 30, 48, 0.2)
+    assert grid.times.size == 7
     rng = np.random.default_rng(8)
     # random points, the grid's nodes and the box's corners and edges
     X = np.vstack([rng.uniform(-1.0, 1.0, (500, 2)), np.stack(np.meshgrid(grid.xs, grid.xs), -1).reshape(-1, 2),
